@@ -35,6 +35,13 @@ class CoefficientError(ValueError):
     """Raised on malformed coefficient input or incompatible operands."""
 
 
+def _fraction(literal: str, text: str) -> Fraction:
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise CoefficientError(f"zero denominator in {text!r}") from None
+
+
 class GaussianRational:
     """An element a + b*i of Q(i) with exact rational parts."""
 
@@ -85,7 +92,7 @@ class GaussianRational:
                     raise CoefficientError(f"bad Q(i) literal: {text!r}")
                 value = Fraction(-1 if num == "-" else 1)
             else:
-                value = Fraction(num)
+                value = _fraction(num, text)
             if imark:
                 im_part += value
             else:
@@ -278,7 +285,7 @@ class Poly:
                 if not expect_factor:
                     raise CoefficientError(f"missing '*' in {text!r}")
                 if re.fullmatch(r"[0-9]+(?:/[0-9]+)?", tok):
-                    coeff = coeff * GaussianRational(Fraction(tok))
+                    coeff = coeff * GaussianRational(_fraction(tok, text))
                     pos += 1
                 elif tok == "i":
                     coeff = coeff * GR_I

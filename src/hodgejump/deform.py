@@ -394,9 +394,6 @@ class ObstructionReport:
     def kernel(self) -> list[list]:
         return linalg.kernel_basis(self.matrix)
 
-    def apply_to_coords(self, coords: list) -> list:
-        return self.matrix.apply(coords)
-
 
 def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) -> InvariantForm:
     """The representative-level value del(iota_psi a) + iota_psi(del a)."""
@@ -562,27 +559,17 @@ def second_class_subspace(spec: ComplexStructureSpec, psi1: VectorForm, p: int, 
         raise ValidationFailure("second-class subspace needs q >= 1")
     rep = obstruction_o1(spec, psi1, p, q - 1, dol=dol)
     m = rep.matrix
-    if m.is_polynomial():
-        params = next(x for row in m.entries for x in row if isinstance(x, Poly)).params
-        entries = [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in row]
-                   for row in m.entries]
-        _, pivots = linalg._bareiss(entries)
-    elif m.rows and m.cols:
-        _, pivots = linalg._rref(m.entries)
-    else:
-        pivots = []
+    pivots = linalg.pivot_columns(m)
     generic_image = [m.column(j) for j in pivots]
     out = SecondClassReport(
         p=p, q=q, o1=rep, generic_dim=len(pivots), generic_image=generic_image,
     )
     if point is not None:
         ev = m.eval_point(point)
-        span = linalg._Span(ev.rows)
-        for j in range(ev.cols):
-            span.add(ev.column(j))
+        span = linalg.Echelon(ev.rows, (ev.column(j) for j in range(ev.cols)))
         out.point = dict(point)
         out.point_dim = span.rank
-        out.point_image = [list(r) for r in span.rows]
+        out.point_image = span.rows()
     return out
 
 

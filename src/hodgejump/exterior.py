@@ -36,8 +36,8 @@ from .coeff import (
     GaussianRational,
     Jet,
     Poly,
+    radd,
     rmul,
-    unify,
 )
 
 __all__ = [
@@ -266,7 +266,7 @@ class InvariantForm:
         coeffs = dict(self.coeffs)
         for key, c in other.coeffs.items():
             if key in coeffs:
-                s = _add_mixed(coeffs[key], c)
+                s = radd(coeffs[key], c)
                 if s:
                     coeffs[key] = s
                 else:
@@ -372,11 +372,6 @@ class InvariantForm:
         return f"InvariantForm({self.p},{self.q}; {self})"
 
 
-def _add_mixed(a, b):
-    x, y = unify(a, b)
-    return x + y
-
-
 class VectorForm:
     """T^(1,0)-valued (0, q)-form: sum psi^i_J theta_i (x) c_J."""
 
@@ -407,7 +402,7 @@ class VectorForm:
             raise SpecError("vector form mismatch")
         coeffs = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = _add_mixed(coeffs.get(key, GR_ZERO), c) if key in coeffs else c
+            s = radd(coeffs[key], c) if key in coeffs else c
             if s:
                 coeffs[key] = s
             else:
@@ -507,7 +502,7 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
             if sign < 0:
                 c = -c
             key = (I, J)
-            s = _add_mixed(out[key], c) if key in out else c
+            s = radd(out[key], c) if key in out else c
             if s:
                 out[key] = s
             else:
@@ -533,7 +528,7 @@ def _d_form(form: InvariantForm) -> dict:
                 if sign < 0:
                     v = -v
                 key = (I2, J2)
-                s = _add_mixed(acc[key], v) if key in acc else v
+                s = radd(acc[key], v) if key in acc else v
                 if s:
                     acc[key] = s
                 else:
@@ -561,14 +556,6 @@ def differential(spec: ComplexStructureSpec, form: InvariantForm):
         else InvariantForm(spec, min(p, n), min(q, n), {})
     )
     return mk(form.p + 1, form.q, del_coeffs), mk(form.p, form.q + 1, delbar_coeffs)
-
-
-def del_part(spec, form):
-    return differential(spec, form)[0]
-
-
-def delbar_part(spec, form):
-    return differential(spec, form)[1]
 
 
 def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
@@ -602,7 +589,7 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
             if sign < 0:
                 v = -v
             key = (I2, J2)
-            s = _add_mixed(out[key], v) if key in out else v
+            s = radd(out[key], v) if key in out else v
             if s:
                 out[key] = s
             else:
@@ -628,7 +615,7 @@ def validate_spec(spec: ComplexStructureSpec) -> list[Diagnostic]:
             total = {}
             for part in differential(spec, d1) + differential(spec, d2):
                 for key, c in part.coeffs.items():
-                    s = _add_mixed(total.get(key, GR_ZERO), c) if key in total else c
+                    s = radd(total[key], c) if key in total else c
                     if s:
                         total[key] = s
                     else:
@@ -653,10 +640,6 @@ def validate_spec(spec: ComplexStructureSpec) -> list[Diagnostic]:
                     )
                 )
     return out
-
-
-def spec_is_valid(spec: ComplexStructureSpec) -> bool:
-    return not any(d.severity == "error" for d in validate_spec(spec))
 
 
 # -- deformed coframe -----------------------------------------------------
@@ -707,7 +690,7 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
                     if sign < 0:
                         v = -v
                     key = (I, J)
-                    s = _add_mixed(acc[key], v) if key in acc else v
+                    s = radd(acc[key], v) if key in acc else v
                     if s:
                         acc[key] = s
                     else:
@@ -754,11 +737,3 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
 
 def defect_is_zero(defect: dict) -> bool:
     return all(not row for row in defect.values())
-
-
-def defect_forms(spec_like: ComplexStructureSpec, defect: dict) -> dict[int, InvariantForm]:
-    """Package the per-generator defect tables as (0,2)-forms."""
-    return {
-        k: InvariantForm(spec_like, 0, 2, {((), key): c for key, c in row.items()})
-        for k, row in defect.items()
-    }

@@ -368,15 +368,11 @@ def classify_first_class(c: FreeComplex, q: int, order_bound: int | None = None)
                 add_block(k * d.rows, n_c + n_y + (a - 1) * P_q, blocks[b])
     big = linalg.ExactMatrix(rows, cols, entries)
     kernel = linalg.kernel_basis_const(big)
-    ext_span = linalg._Span(h)
-    for v in kernel:
-        ext_span.add(v[:n_c])
-    extendable = [list(r) for r in ext_span.rows]
+    ext_span = linalg.Echelon(h, (v[:n_c] for v in kernel))
+    extendable = ext_span.rows()
     # complement basis: standard vectors outside the extendable span
     obstructed = []
-    comp_span = linalg._Span(h)
-    for r in extendable:
-        comp_span.add(r)
+    comp_span = linalg.Echelon(h, extendable)
     for i in range(h):
         e = [GR_ONE if j == i else GR_ZERO for j in range(h)]
         if comp_span.add(e):
@@ -408,8 +404,7 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
     entries = [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in row]
                for row in m.entries]
     pm = linalg.ExactMatrix(m.rows, m.cols, entries)
-    _, pivots = linalg._bareiss(pm.entries)
-    vectors = [pm.column(j) for j in pivots]
+    vectors = [pm.column(j) for j in linalg.pivot_columns(pm)]
     while True:
         if not vectors:
             return []
@@ -455,13 +450,13 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
     h = cob.dim
 
     # method (a)
-    span_a = linalg._Span(h)
+    span_a = linalg.Echelon(h)
     if h:
         for vec in _saturation_fiber(c.diff(q - 1), c.param):
             span_a.add(cob.project(vec))
 
     # method (b)
-    span_b = linalg._Span(h)
+    span_b = linalg.Echelon(h)
     if h:
         d = c.diff(q - 1)
         blocks = _blocks(d, bound, c.param)
@@ -483,8 +478,8 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
                             coeff[i] = acc
                 span_b.add(cob.project(coeff))
 
-    rows_a = [list(r) for r in span_a.rows]
-    rows_b = [list(r) for r in span_b.rows]
+    rows_a = span_a.rows()
+    rows_b = span_b.rows()
     if rows_a != rows_b:
         raise InternalInvariantError(
             f"second-class methods disagree at q={q}: "

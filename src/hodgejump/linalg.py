@@ -1,29 +1,37 @@
 """Exact linear algebra over Q(i) and over fraction fields of polynomial rings.
 
 Matrices are dense with entries that are either all GaussianRational or all
-Poly (over one shared parameter tuple).  Rank and kernel computations over
-polynomial entries are carried out in the fraction field: ranks via
-fraction-free (Bareiss) elimination, kernels via Cramer-style minors of the
-echelon form, so every intermediate value stays polynomial.
+Poly (over one shared parameter tuple).
 
-Pivoting always scans rows and columns in their natural order, which makes
-every output deterministic.
+Over Q(i) there is one elimination routine: ``Echelon``, the reduced row
+echelon form of a span, kept as sparse rows and grown one row at a time.
+Rank, kernel, solve, pivot columns, cohomology and its coordinate
+projection all go through it.  The reduced form of a span is unique, so
+these canonical outputs do not depend on the order rows arrive in.
+
+Over polynomial entries ranks and pivot columns come from fraction-free
+(Bareiss) elimination and kernels from Cramer-style minors of its echelon
+form, so every intermediate value stays polynomial.
+
+Pivots are always the first nonzero column, which makes every output
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly
 
 __all__ = [
     "ExactMatrix",
     "CohomologyBasis",
+    "Echelon",
     "LinalgError",
     "kernel_basis",
     "cohomology",
     "generic_rank",
+    "pivot_columns",
     "specialized_rank",
 ]
 
@@ -76,12 +84,6 @@ class ExactMatrix:
 
     def column(self, j: int) -> list:
         return [self.entries[i][j] for i in range(self.rows)]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         # differentials are sparse; skipping zero factors matters at scale
@@ -153,58 +155,113 @@ class ExactMatrix:
 
 # -- elimination over Q(i) ----------------------------------------------
 
-def _rref(entries: list[list[GaussianRational]]):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in entries]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+def _sparse(v) -> dict[int, GaussianRational]:
+    if isinstance(v, dict):
+        return v
+    return {j: GaussianRational._coerce(x) for j, x in enumerate(v) if x}
+
+
+def _dense(row: dict, width: int) -> list[GaussianRational]:
+    out = [GR_ZERO] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _axpy(acc: dict, f: GaussianRational, row: dict) -> None:
+    """acc += f * row in place, dropping entries that cancel."""
+    for j, x in row.items():
+        s = acc[j] + f * x if j in acc else f * x
+        if s:
+            acc[j] = s
+        else:
+            del acc[j]
+
+
+def _monic(row: dict) -> dict:
+    """Scale a nonzero sparse row so its leading coefficient is 1."""
+    lead = row[min(row)]
+    if lead == GR_ONE:
+        return row
+    inv = lead.inv()
+    return {j: x * inv for j, x in row.items()}
+
+
+class Echelon:
+    """Reduced row echelon form over Q(i) of a span, grown one row at a time.
+
+    Rows are sparse ``{column: value}`` dicts with leading coefficient 1,
+    keyed by pivot column and kept fully reduced: a row is zero in every
+    other row's pivot column.  The reduced echelon form of a span is
+    unique, so every result is independent of insertion order.  Vectors
+    may be given dense (lists) or sparse (dicts).
+    """
+
+    __slots__ = ("width", "_rows")
+
+    def __init__(self, width: int, vectors=()):
+        self.width = width
+        self._rows: dict[int, dict[int, GaussianRational]] = {}
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def rows(self) -> list[list[GaussianRational]]:
+        """Dense rows in pivot order."""
+        return [_dense(self._rows[c], self.width) for c in self.pivots]
+
+    def residue(self, v) -> dict[int, GaussianRational]:
+        """Sparse remainder of v after reduction against the span."""
+        v = _sparse(v)
+        out = dict(v)
+        # rows are zero in each other's pivots, so v's own entries there
+        # are the multipliers
+        for c, f in v.items():
+            row = self._rows.get(c)
+            if row is not None:
+                _axpy(out, -f, row)
+        return out
+
+    def add(self, v) -> bool:
+        """Insert v; True if it enlarged the span."""
+        r = self.residue(v)
+        if not r:
+            return False
+        r = _monic(r)
+        lead = min(r)
+        for row in self._rows.values():
+            f = row.get(lead)
+            if f is not None:
+                _axpy(row, -f, r)
+        self._rows[lead] = r
+        return True
 
 
 def rank_const(m: ExactMatrix) -> int:
     if m.is_polynomial():
         raise LinalgError("rank_const on polynomial matrix; use generic_rank")
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _rref(m.entries)
-    return len(pivots)
+    return Echelon(m.cols, m.entries).rank
 
 
 def kernel_basis_const(m: ExactMatrix) -> list[list[GaussianRational]]:
     """Canonical right-kernel basis over Q(i): one vector per free column."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [[GR_ONE if i == j else GR_ZERO for i in range(m.cols)] for j in range(m.cols)]
-    rref, pivots = _rref(m.entries)
-    free = [c for c in range(m.cols) if c not in pivots]
+    ech = Echelon(m.cols, m.entries)
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in ech._rows:
+            continue
         v = [GR_ZERO] * m.cols
         v[f] = GR_ONE
-        for k, c in enumerate(pivots):
-            v[c] = -rref[k][f]
+        for c, row in ech._rows.items():
+            if f in row:
+                v[c] = -row[f]
         basis.append(v)
     return basis
 
@@ -213,70 +270,31 @@ def solve_const(m: ExactMatrix, rhs: list) -> list | None:
     """One exact solution of m x = rhs over Q(i), or None; free variables 0."""
     if len(rhs) != m.rows:
         raise LinalgError("rhs length mismatch")
-    aug = [list(row) + [GaussianRational._coerce(b)] for row, b in zip(m.entries, rhs)]
-    if m.rows == 0:
-        return [GR_ZERO] * m.cols
-    rref, pivots = _rref(aug)
-    for k, c in enumerate(pivots):
-        if c == m.cols:
-            return None  # pivot in the rhs column: inconsistent
-    x = [GR_ZERO] * m.cols
-    for k, c in enumerate(pivots):
-        x[c] = rref[k][m.cols]
+    n = m.cols
+    ech = Echelon(n + 1, (list(row) + [b] for row, b in zip(m.entries, rhs)))
+    if n in ech._rows:
+        return None  # pivot in the rhs column: inconsistent
+    x = [GR_ZERO] * n
+    for c, row in ech._rows.items():
+        if n in row:
+            x[c] = row[n]
     return x
 
 
-def _reduce_against(span_rows: list[list[GaussianRational]], v: list[GaussianRational]):
-    """Reduce v against RREF rows (leading coefficient 1); returns residue."""
-    v = list(v)
-    for row in span_rows:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None and v[lead]:
-            f = v[lead]
-            v = [a - f * b if b else a for a, b in zip(v, row)]
-    return v
-
-
-class _Span:
-    """Growing RREF row span over Q(i) with canonical reduction."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[GaussianRational]] = []
-
-    def residue(self, v: list) -> list:
-        return _reduce_against(self.rows, [GaussianRational._coerce(x) for x in v])
-
-    def add(self, v: list) -> bool:
-        """Insert v; True if it enlarged the span."""
-        r = self.residue(v)
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
-            return False
-        inv = r[lead].inv()
-        r = [x * inv for x in r]
-        for i, row in enumerate(self.rows):
-            if row[lead]:
-                f = row[lead]
-                self.rows[i] = [a - f * b for a, b in zip(row, r)]
-        self.rows.append(r)
-        self.rows.sort(key=lambda row: next(j for j, x in enumerate(row) if x))
-        return True
-
-    def contains(self, v: list) -> bool:
-        return all(not x for x in self.residue(v))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def pivot_columns(m: ExactMatrix) -> list[int]:
+    """Columns outside the span of the columns before them, in order."""
+    if not m.is_polynomial():
+        return Echelon(m.cols, m.entries).pivots
+    return _bareiss(_poly_entries(m)[1])[1]
 
 
 # -- fraction-free elimination over polynomial entries -------------------
 
-def _to_poly(x, params) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly.constant(params, x)
+def _poly_entries(m: ExactMatrix) -> tuple[tuple[str, ...], list[list[Poly]]]:
+    """Parameters and entries of a polynomial matrix, constants lifted."""
+    params = next(x for row in m.entries for x in row if isinstance(x, Poly)).params
+    return params, [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in row]
+                    for row in m.entries]
 
 
 def _poly_exact_div(num: Poly, den: Poly) -> Poly:
@@ -341,14 +359,7 @@ def _bareiss(entries: list[list[Poly]]):
 
 def generic_rank(m: ExactMatrix) -> int:
     """Rank over the fraction field of the polynomial ring."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if not m.is_polynomial():
-        return rank_const(m)
-    params = next(x for row in m.entries for x in row if isinstance(x, Poly)).params
-    entries = [[_to_poly(x, params) for x in row] for row in m.entries]
-    _, pivots = _bareiss(entries)
-    return len(pivots)
+    return len(pivot_columns(m))
 
 
 def specialized_rank(m: ExactMatrix, point: dict) -> int:
@@ -383,12 +394,7 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
     """
     if not m.is_polynomial():
         return kernel_basis_const(m)
-    params = next(x for row in m.entries for x in row if isinstance(x, Poly)).params
-    entries = [[_to_poly(x, params) for x in row] for row in m.entries]
-    if m.rows == 0:
-        one = Poly.constant(params, 1)
-        zero = Poly(params)
-        return [[one if i == j else zero for i in range(m.cols)] for j in range(m.cols)]
+    params, entries = _poly_entries(m)
     ech, pivots = _bareiss(entries)
     free = [c for c in range(m.cols) if c not in pivots]
     r = len(pivots)
@@ -414,16 +420,28 @@ class CohomologyBasis:
 
     ``representatives`` are canonical vectors in the ambient space; the
     projection sends any d_out-closed vector to its coordinates in this
-    basis, killing the image of d_in.
+    basis, killing the image of d_in.  ``coords`` holds each vector b_k of
+    [representatives | image basis] as the row (b_k | e_k), so a closed
+    vector v reduces to (0 | -coordinates of v) in one residue.
     """
 
     dim: int
     representatives: list[list[GaussianRational]]
-    _project: Callable[[list], list] = field(repr=False)
+    d_out: ExactMatrix = field(repr=False)
+    coords: Echelon = field(repr=False)
     label: str = ""
 
     def project(self, vector: list) -> list[GaussianRational]:
-        return self._project(vector)
+        vec = [GaussianRational._coerce(x) for x in vector]
+        n = self.coords.width - self.coords.rank  # one tag column per row
+        if len(vec) != n:
+            raise LinalgError("projection: vector length mismatch")
+        if self.d_out.rows and any(self.d_out.apply(vec)):
+            raise LinalgError("projection of a non-closed vector")
+        r = self.coords.residue(vec)
+        if any(j < n for j in r):
+            raise LinalgError("projection: vector outside kernel+image")
+        return [-r[n + k] if n + k in r else GR_ZERO for k in range(self.dim)]
 
     def is_zero_class(self, vector: list) -> bool:
         return all(not x for x in self.project(vector))
@@ -446,44 +464,19 @@ def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohomo
     ker = kernel_basis_const(d_out) if d_out.rows else [
         [GR_ONE if i == j else GR_ZERO for i in range(n)] for j in range(n)
     ]
-    image_span = _Span(n)
-    for j in range(d_in.cols):
-        image_span.add(d_in.column(j))
-
-    full_span = _Span(n)
-    for row in image_span.rows:
-        full_span.add(row)
+    span = Echelon(n, (d_in.column(j) for j in range(d_in.cols)))
+    image_basis = span.rows()
     reps: list[list[GaussianRational]] = []
     for v in ker:
-        residue = full_span.residue(v)
-        lead = next((j for j, x in enumerate(residue) if x), None)
-        if lead is None:
-            continue
-        inv = residue[lead].inv()
-        residue = [x * inv for x in residue]
-        reps.append(residue)
-        full_span.add(residue)
+        r = span.residue(v)
+        if r:
+            r = _monic(r)
+            reps.append(_dense(r, n))
+            span.add(r)
 
-    dim = len(reps)
-    # solve [reps | image] coords once per projection call
-    columns = reps + image_span.rows
-    solver_matrix = ExactMatrix.from_columns(n, columns) if columns else ExactMatrix(n, 0, [[] for _ in range(n)])
-
-    def project(vector: list) -> list[GaussianRational]:
-        vec = [GaussianRational._coerce(x) for x in vector]
-        if len(vec) != n:
-            raise LinalgError("projection: vector length mismatch")
-        if d_out.rows:
-            img = d_out.apply(vec)
-            if any(img):
-                raise LinalgError("projection of a non-closed vector")
-        if not columns:
-            if any(vec):
-                raise LinalgError("projection: vector outside kernel+image")
-            return []
-        sol = solve_const(solver_matrix, vec)
-        if sol is None:
-            raise LinalgError("projection: vector outside kernel+image")
-        return sol[:dim]
-
-    return CohomologyBasis(dim=dim, representatives=reps, _project=project, label=label)
+    basis = reps + image_basis
+    coords = Echelon(n + len(basis), (
+        {**_sparse(b), n + k: GR_ONE} for k, b in enumerate(basis)
+    ))
+    return CohomologyBasis(dim=len(reps), representatives=reps, d_out=d_out,
+                           coords=coords, label=label)

@@ -215,8 +215,10 @@ def _parse_options(options: dict, params: tuple[str, ...]):
     _expect(not extra, f"unknown option fields: {sorted(extra)}")
     order = options.get("order", 2)
     _expect(isinstance(order, int) and order >= 1, "options.order must be a positive integer")
+    raw_points = options.get("points", {})
+    _expect(isinstance(raw_points, dict), "options.points must be an object")
     points: dict[str, dict[str, GaussianRational]] = {}
-    for label, assignment in options.get("points", {}).items():
+    for label, assignment in raw_points.items():
         _expect(isinstance(assignment, dict), f"point {label!r} must be an object")
         parsed = {}
         for pname, value in assignment.items():

@@ -154,3 +154,28 @@ def rank_qi(rows: list[list[GaussianRational]]) -> int:
                 f = m[r][c] / pr[c]
                 m[r] = [x - f * y for x, y in zip(m[r], pr)]
     return rank
+
+
+def rref_qi(rows: list[list[GaussianRational]]):
+    """Reduced row echelon form over Q(i) by dense Gauss-Jordan elimination.
+
+    Returns (nonzero rows, pivot columns); the rows have leading
+    coefficient 1 and are zero in every other pivot column.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        k = len(pivots)
+        below = [r for r in range(k, len(m)) if m[r][c]]
+        if not below:
+            continue
+        m[k], m[below[0]] = m[below[0]], m[k]
+        lead = m[k][c]
+        m[k] = [x / lead for x in m[k]]
+        for r in range(len(m)):
+            if r != k:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots

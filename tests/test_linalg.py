@@ -4,19 +4,21 @@ import pytest
 
 from hodgejump.coeff import GR, Poly
 from hodgejump.linalg import (
+    Echelon,
     ExactMatrix,
     LinalgError,
     cohomology,
     generic_rank,
     kernel_basis,
     kernel_basis_const,
+    pivot_columns,
     rank_const,
     solve_const,
     specialized_rank,
 )
 
 from .conftest import random_gr
-from .oracles import rank_qi
+from .oracles import rank_qi, rref_qi
 
 T = ("t",)
 P4 = ("t11", "t12", "t21", "t22")
@@ -101,11 +103,44 @@ class TestRanks:
 
     def test_rank_matches_independent_elimination(self):
         rng = random.Random(13)
-        for _ in range(40):
-            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            entries = [[random_gr(rng) for _ in range(cols)] for _ in range(rows)]
+        for trial in range(80):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            if trial % 2:
+                # delbar-like sparsity: a few nonzeros per row
+                entries = [[GR(0)] * cols for _ in range(rows)]
+                for row in entries:
+                    for j in rng.sample(range(cols), rng.randint(0, min(2, cols))):
+                        row[j] = random_gr(rng, zero_ok=False)
+            else:
+                entries = [[random_gr(rng) for _ in range(cols)] for _ in range(rows)]
             m = ExactMatrix(rows, cols, entries)
             assert rank_const(m) == rank_qi(entries)
+
+            ref, pivots = rref_qi(entries)
+            assert pivot_columns(m) == pivots
+            free = [f for f in range(cols) if f not in pivots]
+            expected_kernel = []
+            for f in free:
+                v = [GR(0)] * cols
+                v[f] = GR(1)
+                for row, c in zip(ref, pivots):
+                    v[c] = -row[f]
+                expected_kernel.append(v)
+            assert kernel_basis_const(m) == expected_kernel
+
+            rhs = [random_gr(rng) for _ in range(rows)]
+            aug_ref, aug_pivots = rref_qi([row + [b] for row, b in zip(entries, rhs)])
+            if cols in aug_pivots:
+                assert solve_const(m, rhs) is None
+            else:
+                x = [GR(0)] * cols
+                for row, c in zip(aug_ref, aug_pivots):
+                    x[c] = row[cols]
+                assert solve_const(m, rhs) == x
+
+            shuffled = list(entries)
+            rng.shuffle(shuffled)
+            assert Echelon(cols, shuffled).rows() == Echelon(cols, entries).rows() == ref
 
 
 class TestSolve:
@@ -157,6 +192,9 @@ class TestCohomology:
                 image_vec = d_in.column(0)
                 shifted = [a + b for a, b in zip(rep, image_vec)]
                 assert cb.project(shifted) == cb.project(rep)
+            for k, rep in enumerate(cb.representatives):
+                unit = [GR(1) if j == k else GR(0) for j in range(cb.dim)]
+                assert cb.project(rep) == unit
 
     def test_projecting_non_closed_vector_fails(self):
         d_out = ExactMatrix(1, 2, [[GR(1), GR(0)]])

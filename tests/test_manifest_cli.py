@@ -204,6 +204,27 @@ class TestCli:
         }))
         assert main(["hodge", str(bad)]) == 2
         capsys.readouterr()
+        zero_den = tmp_path / "zero_den.json"
+        zero_den.write_text(json.dumps({
+            "kind": "lie-algebra", "dimension": 3,
+            "structure": [{"k": 3, "monomial": "f1^f2", "coefficient": "1/0"}],
+        }))
+        assert main(["hodge", str(zero_den)]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+        zero_den_poly = tmp_path / "zero_den_poly.json"
+        zero_den_poly.write_text(json.dumps({
+            "kind": "free-complex", "ranks": [1, 1], "differentials": [[["1/0*t"]]],
+        }))
+        assert main(["lab", str(zero_den_poly)]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+        list_points = tmp_path / "list_points.json"
+        list_points.write_text(json.dumps({
+            "kind": "lie-algebra", "dimension": 3,
+            "structure": [{"k": 3, "monomial": "f1^f2", "coefficient": "1"}],
+            "options": {"points": []},
+        }))
+        assert main(["hodge", str(list_points)]) == 2
+        assert "options.points" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         main(["jump", "iwasawa.json", "--point", "t11=1"])
