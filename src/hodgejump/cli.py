@@ -216,7 +216,6 @@ def cmd_d1(args) -> int:
     man = load_manifest(args.manifest)
     _need_lie(man)
     n = man.spec.n
-    dol = deform.Dolbeault(man.spec)
     payload = {"name": man.name, "maps": {}}
     rows = []
     pq_list = (
@@ -225,7 +224,7 @@ def cmd_d1(args) -> int:
         else [(p, q) for p in range(n + 1) for q in range(n + 1)]
     )
     for p, q in pq_list:
-        m = deform.frolicher_d1(man.spec, p, q, dol=dol)
+        m = deform.frolicher_d1(man.spec, p, q)
         nz = not m.is_zero()
         rank = linalg.rank_const(m) if m.rows and m.cols else 0
         payload["maps"][f"{p},{q}"] = {

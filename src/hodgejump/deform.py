@@ -113,12 +113,29 @@ class DolbeaultBasis:
 
 
 class Dolbeault:
-    """Bigraded delbar-complex of a spec with memoized cohomology bases."""
+    """Bigraded delbar-complex of a spec with memoized cohomology bases.
+
+    Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
+    itself, so every caller shares its matrices and bases.
+    """
 
     def __init__(self, spec: ComplexStructureSpec):
         self.spec = spec
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
+
+    @classmethod
+    def of(cls, spec: ComplexStructureSpec) -> "Dolbeault":
+        """The spec's single Dolbeault complex, created on first use.
+
+        Racing first calls from two threads may each build one; the last
+        stored wins, and both compute the same bases.
+        """
+        dol = spec._dolbeault
+        if dol is None:
+            dol = cls(spec)
+            object.__setattr__(spec, "_dolbeault", dol)
+        return dol
 
     def monomials(self, p: int, q: int):
         return basis_monomials(self.spec.n, p, q)
@@ -159,7 +176,7 @@ class Dolbeault:
 
 def hodge_table(spec: ComplexStructureSpec) -> dict[tuple[int, int], int]:
     """Invariant Hodge numbers h^{p,q} for all 0 <= p, q <= n."""
-    return Dolbeault(spec).table()
+    return Dolbeault.of(spec).table()
 
 
 def threefold_row(table: dict[tuple[int, int], int]) -> tuple[int, ...]:
@@ -277,10 +294,7 @@ class DeformationFamily:
         return KSClass(n, value)
 
     def params(self) -> tuple[str, ...]:
-        for c in self.psi.coeffs.values():
-            if isinstance(c, (Poly, Jet)):
-                return c.params
-        return ()
+        return self.psi.params() or ()
 
 
 def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -> DeformationFamily:
@@ -295,11 +309,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
         raise ValidationFailure("; ".join(map(str, diags)))
     if target_order < 1:
         raise ValidationFailure("target order must be at least 1")
-    params = None
-    for c in psi1.coeffs.values():
-        if isinstance(c, (Poly, Jet)):
-            params = c.params
-            break
+    params = psi1.params()
     if params is None:
         raise ValidationFailure("mc_extend expects polynomial first-order coefficients")
 
@@ -410,20 +420,15 @@ def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) 
     return v1 + v2
 
 
-def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int,
-                   dol: Dolbeault | None = None) -> ObstructionReport:
+def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
     """First-order obstruction map on cohomology at bidegree (p, q)."""
     errs = [d for d in validate_first_order(spec, psi1) if d.severity == "error"]
     if errs:
         raise ValidationFailure("; ".join(map(str, errs)))
-    dol = dol or Dolbeault(spec)
+    dol = Dolbeault.of(spec)
     src = dol.basis(p, q)
     tgt = dol.basis(p, q + 1)
-    params = None
-    for c in psi1.coeffs.values():
-        if isinstance(c, (Poly, Jet)):
-            params = c.params
-            break
+    params = psi1.params()
     columns = []
     for k in range(src.dim):
         rep = src.rep_form(spec, k)
@@ -473,7 +478,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         raise ValidationFailure("class representative is not delbar-closed")
     params = family.params()
     p, q = alpha.p, alpha.q
-    dol = Dolbeault(spec)
+    dol = Dolbeault.of(spec)
     tgt = dol.basis(p, q + 1)
     dbar0 = dol.dbar_matrix(p, q)
     src_monomials = dol.monomials(p, q)
@@ -553,11 +558,10 @@ class SecondClassReport:
 
 
 def second_class_subspace(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int,
-                          point: dict | None = None,
-                          dol: Dolbeault | None = None) -> SecondClassReport:
+                          point: dict | None = None) -> SecondClassReport:
     if q < 1:
         raise ValidationFailure("second-class subspace needs q >= 1")
-    rep = obstruction_o1(spec, psi1, p, q - 1, dol=dol)
+    rep = obstruction_o1(spec, psi1, p, q - 1)
     m = rep.matrix
     pivots = linalg.pivot_columns(m)
     generic_image = [m.column(j) for j in pivots]
@@ -612,12 +616,12 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
     if errs:
         raise ValidationFailure("; ".join(map(str, errs)))
     n = spec.n
-    dol = Dolbeault(spec)
+    dol = Dolbeault.of(spec)
     ranks: dict[tuple[int, int], int] = {}
     reports: dict[tuple[int, int], ObstructionReport] = {}
     for p in range(n + 1):
         for q in range(n + 1):
-            rep = obstruction_o1(spec, psi1, p, q, dol=dol)
+            rep = obstruction_o1(spec, psi1, p, q)
             reports[(p, q)] = rep
             ranks[(p, q)] = rep.rank_at(point)
     rows = {}
@@ -657,10 +661,9 @@ def oracle_hodge_at_point(spec: ComplexStructureSpec, family: DeformationFamily,
     return hodge_table(dspec)
 
 
-def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int,
-                 dol: Dolbeault | None = None) -> linalg.ExactMatrix:
+def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatrix:
     """Map induced by del on delbar-cohomology, H^{p,q} -> H^{p+1,q}."""
-    dol = dol or Dolbeault(spec)
+    dol = Dolbeault.of(spec)
     src = dol.basis(p, q)
     if p + 1 > spec.n:
         return linalg.ExactMatrix(0, src.dim, [])
@@ -698,8 +701,7 @@ def parallelisable_witness(spec: ComplexStructureSpec) -> Witness | None:
         raise ValidationFailure("witness search requires a parallelisable structure")
     if all(not spec.A[k] for k in spec.A):
         return None
-    dol = Dolbeault(spec)
-    h11 = dol.basis(1, 1)
+    h11 = Dolbeault.of(spec).basis(1, 1)
     closed_js = [j for j in range(1, spec.n + 1) if not spec.A[j]]
     for i in range(1, spec.n + 1):
         if not spec.A[i]:

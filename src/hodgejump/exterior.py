@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .coeff import (
     GR_ONE,
@@ -81,25 +82,33 @@ def _clean_table(n: int, table, ordered: bool) -> dict:
     return out
 
 
-class ComplexStructureSpec:
-    """Structure constants of the complexified Lie algebra, bigraded."""
+def _frozen(rows: dict) -> MappingProxyType:
+    return MappingProxyType({k: MappingProxyType(row) for k, row in rows.items()})
 
-    __slots__ = ("n", "A", "B", "Abar", "Bbar")
+
+class ComplexStructureSpec:
+    """Structure constants of the complexified Lie algebra, bigraded.
+
+    Immutable: the tables are read-only mappings of read-only rows and
+    attributes cannot be rebound, so a spec can own cached data about
+    itself (``Dolbeault.of`` keeps the spec's cohomology in ``_dolbeault``).
+    """
+
+    __slots__ = ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault")
 
     def __init__(self, n: int, A=None, B=None, *, Abar=None, Bbar=None):
         if n < 1:
             raise SpecError("complex dimension must be at least 1")
-        self.n = n
-        self.A = {k: _clean_table(n, (A or {}).get(k), True) for k in range(1, n + 1)}
-        self.B = {k: _clean_table(n, (B or {}).get(k), False) for k in range(1, n + 1)}
+        A = {k: _clean_table(n, (A or {}).get(k), True) for k in range(1, n + 1)}
+        B = {k: _clean_table(n, (B or {}).get(k), False) for k in range(1, n + 1)}
         if Abar is None and Bbar is None:
             # conjugate the f-side; only meaningful for numeric coefficients
             abar: dict[int, dict] = {}
             bbar: dict[int, dict] = {}
             for k in range(1, n + 1):
-                abar[k] = {ij: self._conj(c) for ij, c in self.A[k].items()}
+                abar[k] = {ij: self._conj(c) for ij, c in A[k].items()}
                 row: dict[tuple[int, int], object] = {}
-                for (i, j), c in self.B[k].items():
+                for (i, j), c in B[k].items():
                     # conj(f_i^c_j) = c_i^f_j = -f_j^c_i
                     prev = row.get((j, i), GR_ZERO)
                     s = prev + (-self._conj(c))
@@ -108,11 +117,16 @@ class ComplexStructureSpec:
                     else:
                         row.pop((j, i), None)
                 bbar[k] = row
-            self.Abar = abar
-            self.Bbar = bbar
         else:
-            self.Abar = {k: _clean_table(n, (Abar or {}).get(k), True) for k in range(1, n + 1)}
-            self.Bbar = {k: _clean_table(n, (Bbar or {}).get(k), False) for k in range(1, n + 1)}
+            abar = {k: _clean_table(n, (Abar or {}).get(k), True) for k in range(1, n + 1)}
+            bbar = {k: _clean_table(n, (Bbar or {}).get(k), False) for k in range(1, n + 1)}
+        for name, value in (("n", n), ("A", _frozen(A)), ("B", _frozen(B)),
+                            ("Abar", _frozen(abar)), ("Bbar", _frozen(bbar)),
+                            ("_hash", None), ("_dolbeault", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ComplexStructureSpec is immutable")
 
     @staticmethod
     def _conj(c):
@@ -126,14 +140,6 @@ class ComplexStructureSpec:
     def is_parallelisable(self) -> bool:
         """True when every mixed table vanishes (holomorphic coframe)."""
         return all(not self.B[k] for k in self.B) and all(not self.Bbar[k] for k in self.Bbar)
-
-    def params(self) -> tuple[str, ...] | None:
-        for table in (self.A, self.B, self.Abar, self.Bbar):
-            for row in table.values():
-                for c in row.values():
-                    if isinstance(c, (Poly, Jet)):
-                        return c.params
-        return None
 
     def d_generator(self, kind: str, k: int) -> list[tuple[list[tuple[str, int]], object]]:
         """d of a single generator as a list of (factor pair, coefficient)."""
@@ -151,6 +157,8 @@ class ComplexStructureSpec:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ComplexStructureSpec):
             return NotImplemented
         return (
@@ -162,7 +170,16 @@ class ComplexStructureSpec:
         )
 
     def __hash__(self):
-        return hash(self.n)
+        # Equal coefficients of different types (a Q(i) constant, a constant
+        # Poly, a Jet) share their constant term, so hashing supports and
+        # constant terms agrees with __eq__.  Computed on first use only.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, tuple(
+                frozenset((k, ij, c if isinstance(c, GaussianRational) else c.constant_term())
+                          for k, row in table.items() for ij, c in row.items())
+                for table in (self.A, self.B, self.Abar, self.Bbar)
+            ))))
+        return self._hash
 
     def __repr__(self):
         eqs = []
@@ -447,6 +464,13 @@ class VectorForm:
             elif k == 0 and c:
                 out[key] = c
         return VectorForm(self.spec, self.q, out)
+
+    def params(self) -> tuple[str, ...] | None:
+        """Parameters of the first polynomial or jet coefficient; None if all are constant."""
+        for c in self.coeffs.values():
+            if isinstance(c, (Poly, Jet)):
+                return c.params
+        return None
 
     def constant_part_is_zero(self) -> bool:
         for c in self.coeffs.values():

@@ -51,16 +51,25 @@ def _coerce_entry(x):
 
 
 class ExactMatrix:
-    """Dense matrix with exact entries (GaussianRational or Poly)."""
+    """Immutable dense matrix with exact entries (GaussianRational or Poly).
+
+    ``entries`` is a tuple of row tuples, so a matrix can be cached and
+    shared between callers.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise LinalgError("inconsistent matrix shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = [[_coerce_entry(x) for x in row] for row in entries]
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", tuple(
+            tuple([_coerce_entry(x) for x in row]) for row in entries
+        ))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
 
     # -- constructors ------------------------------------------------
 

@@ -68,11 +68,16 @@ def _expect(cond: bool, msg: str):
         raise _err(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are bools, not integers, here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_lie(doc: dict) -> Manifest:
     extra = set(doc) - _TOP_FIELDS_LIE
     _expect(not extra, f"unknown manifest fields: {sorted(extra)}")
     n = doc.get("dimension")
-    _expect(isinstance(n, int) and n >= 1, "dimension must be a positive integer")
+    _expect(_is_int(n) and n >= 1, "dimension must be a positive integer")
     params = tuple(doc.get("parameters", ()))
     _expect(all(isinstance(p, str) and p for p in params), "parameters must be nonempty strings")
     _expect(len(set(params)) == len(params), "duplicate parameter names")
@@ -85,7 +90,7 @@ def _parse_lie(doc: dict) -> Manifest:
         extra = set(triple) - {"k", "monomial", "coefficient"}
         _expect(not extra, f"structure[{idx}]: unknown fields {sorted(extra)}")
         k = triple.get("k")
-        _expect(isinstance(k, int) and 1 <= k <= n, f"structure[{idx}]: bad generator index")
+        _expect(_is_int(k) and 1 <= k <= n, f"structure[{idx}]: bad generator index")
         m = _MONOMIAL.match(triple.get("monomial", ""))
         _expect(m is not None, f"structure[{idx}]: monomial must look like 'f1^f2' or 'f1^c2'")
         i, side, j = int(m.group(1)), m.group(2), int(m.group(3))
@@ -139,8 +144,8 @@ def _parse_lie(doc: dict) -> Manifest:
             extra = set(entry) - {"i", "lambda", "coefficient"}
             _expect(not extra, f"deformation[{idx}]: unknown fields {sorted(extra)}")
             i, lam = entry.get("i"), entry.get("lambda")
-            _expect(isinstance(i, int) and 1 <= i <= n, f"deformation[{idx}]: bad frame index")
-            _expect(isinstance(lam, int) and 1 <= lam <= n, f"deformation[{idx}]: bad form index")
+            _expect(_is_int(i) and 1 <= i <= n, f"deformation[{idx}]: bad frame index")
+            _expect(_is_int(lam) and 1 <= lam <= n, f"deformation[{idx}]: bad form index")
             try:
                 poly = Poly.parse(params, str(entry.get("coefficient")))
             except CoefficientError as e:
@@ -172,7 +177,7 @@ def _parse_lab(doc: dict) -> Manifest:
     ranks = doc.get("ranks")
     _expect(
         isinstance(ranks, list) and len(ranks) >= 1
-        and all(isinstance(r, int) and r >= 0 for r in ranks),
+        and all(_is_int(r) and r >= 0 for r in ranks),
         "ranks must be a list of nonnegative integers",
     )
     mats = doc.get("differentials")
@@ -214,7 +219,7 @@ def _parse_options(options: dict, params: tuple[str, ...]):
     extra = set(options) - _OPTION_FIELDS
     _expect(not extra, f"unknown option fields: {sorted(extra)}")
     order = options.get("order", 2)
-    _expect(isinstance(order, int) and order >= 1, "options.order must be a positive integer")
+    _expect(_is_int(order) and order >= 1, "options.order must be a positive integer")
     raw_points = options.get("points", {})
     _expect(isinstance(raw_points, dict), "options.points must be an object")
     points: dict[str, dict[str, GaussianRational]] = {}

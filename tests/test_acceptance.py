@@ -152,10 +152,9 @@ def test_criterion_07_parallelisable_witness(iwasawa, torus3):
 
 def test_criterion_08_frolicher_d1_criterion(iwasawa, torus3):
     rng = random.Random(2024)
-    dol_t = Dolbeault(torus3)
     for p in range(4):
         for q in range(4):
-            assert frolicher_d1(torus3, p, q, dol=dol_t).is_zero()
+            assert frolicher_d1(torus3, p, q).is_zero()
     checked = 0
     while checked < 50:
         psi = random_vector_form(torus3, rng, closed=False)
@@ -164,7 +163,7 @@ def test_criterion_08_frolicher_d1_criterion(iwasawa, torus3):
         assert not [d for d in validate_first_order(torus3, psi) if d.severity == "error"]
         for p in range(4):
             for q in range(4):
-                assert obstruction_o1(torus3, psi, p, q, dol=dol_t).matrix.is_zero()
+                assert obstruction_o1(torus3, psi, p, q).matrix.is_zero()
         checked += 1
     assert not frolicher_d1(iwasawa, 1, 0).is_zero()
     report(8, "d1 = 0 forces o1 = 0 (50 random torus directions); Iwasawa d1(1,0) != 0")
@@ -184,7 +183,6 @@ def test_criterion_09_invariant_suite(iwasawa, torus3, mixed_spec, iw_psi1):
 
     # o1 well-definedness on >= 100 random exact perturbations
     rng = random.Random(99)
-    dols = {id(iwasawa): Dolbeault(iwasawa), id(torus3): Dolbeault(torus3)}
     cases = 0
     while cases < 100:
         spec = iwasawa if rng.random() < 0.5 else torus3
@@ -196,7 +194,7 @@ def test_criterion_09_invariant_suite(iwasawa, torus3, mixed_spec, iw_psi1):
             continue
         v = o1_value(spec, psi1, alpha)
         params = IW_PARAMS if spec is iwasawa else None
-        coords = dols[id(spec)].basis(p, q + 1).project_form(v, params=params)
+        coords = Dolbeault.of(spec).basis(p, q + 1).project_form(v, params=params)
         assert all(not x for x in coords)
         cases += 1
 

@@ -134,9 +134,8 @@ class TestBeyondParallelisable:
         psi = VectorForm(spec, 1, {(1, (1,)): Poly.variable(params, "u")})
         fam = mc_extend(spec, psi, 2)
         point = {"u": GR(1)}
-        dol = Dolbeault(spec)
-        rep = obstruction_o1(spec, psi, 2, 1, dol=dol)
-        rep_in = obstruction_o1(spec, psi, 2, 0, dol=dol)
+        rep = obstruction_o1(spec, psi, 2, 1)
+        rep_in = obstruction_o1(spec, psi, 2, 0)
         h0 = rep.source.dim
         first = rep.rank_at(point)
         second = rep_in.rank_at(point)
@@ -220,7 +219,6 @@ class TestObstructionO1:
 
     def test_well_defined_on_cohomology(self, iwasawa, torus3, iw_psi1):
         rng = random.Random(17)
-        dols = {id(iwasawa): Dolbeault(iwasawa), id(torus3): Dolbeault(torus3)}
         for _ in range(40):
             spec = iwasawa if rng.random() < 0.5 else torus3
             psi1 = iw_psi1 if spec is iwasawa else random_vector_form(torus3, rng, closed=False)
@@ -231,7 +229,7 @@ class TestObstructionO1:
             if not alpha:
                 continue
             v = o1_value(spec, psi1, alpha)
-            tgt = dols[id(spec)].basis(p, q + 1)
+            tgt = Dolbeault.of(spec).basis(p, q + 1)
             params = IW_PARAMS if spec is iwasawa else None
             coords = tgt.project_form(v, params=params)
             assert all(not x for x in coords)
@@ -314,10 +312,9 @@ class TestExtendClass:
 
     def test_first_obstruction_equals_o1_matrix_everywhere(self, iwasawa, iw_psi1):
         fam = mc_extend(iwasawa, iw_psi1, 2)
-        dol = Dolbeault(iwasawa)
         for p in range(4):
             for q in range(4):
-                rep = obstruction_o1(iwasawa, iw_psi1, p, q, dol=dol)
+                rep = obstruction_o1(iwasawa, iw_psi1, p, q)
                 for k in range(rep.source.dim):
                     alpha = rep.source.rep_form(iwasawa, k)
                     column = [rep.matrix.entries[i][k] for i in range(rep.target.dim)]

@@ -45,6 +45,21 @@ class TestManifest:
         with pytest.raises(ValidationFailure, match="mystery"):
             parse_manifest(doc)
 
+    @pytest.mark.parametrize("field", ["k", "i", "lambda", "order"])
+    def test_bool_is_not_an_int(self, field):
+        doc = {
+            "kind": "lie-algebra", "dimension": 3, "parameters": ["t"],
+            "structure": [{"k": 3, "monomial": "f1^f2", "coefficient": "-1"}],
+            "deformation": [{"i": 3, "lambda": 2, "coefficient": "t"}],
+            "options": {"order": 2},
+        }
+        parse_manifest(json.dumps(doc))
+        target = {"k": doc["structure"][0], "order": doc["options"]}.get(
+            field, doc["deformation"][0])
+        target[field] = True
+        with pytest.raises(ValidationFailure):
+            parse_manifest(json.dumps(doc))
+
     def test_malformed_json_rejected_with_location(self):
         with pytest.raises(ValidationFailure, match="line"):
             parse_manifest("{not json")
@@ -225,6 +240,16 @@ class TestCli:
         }))
         assert main(["hodge", str(list_points)]) == 2
         assert "options.points" in capsys.readouterr().err
+        bool_dim = tmp_path / "bool_dim.json"
+        bool_dim.write_text(json.dumps({"kind": "lie-algebra", "dimension": True}))
+        assert main(["hodge", str(bool_dim)]) == 2
+        assert "dimension" in capsys.readouterr().err
+        bool_rank = tmp_path / "bool_rank.json"
+        bool_rank.write_text(json.dumps({
+            "kind": "free-complex", "ranks": [1, True], "differentials": [[["t"]]],
+        }))
+        assert main(["lab", str(bool_rank)]) == 2
+        assert "ranks" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         main(["jump", "iwasawa.json", "--point", "t11=1"])
