@@ -332,11 +332,7 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, GR_ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
+            accumulate(terms, exps, c)
         return Poly(self.params, terms)
 
     __radd__ = __add__
@@ -359,12 +355,7 @@ class Poly:
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, GR_ZERO) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+                accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Poly(self.params, terms)
 
     __rmul__ = __mul__
@@ -616,10 +607,27 @@ def unify(a, b):
 
 def rmul(a, b):
     """Multiply coefficients from possibly different rings of the ladder."""
-    x, y = unify(a, b)
-    return x * y
+    if type(a) is not type(b):
+        a, b = unify(a, b)
+    return a * b
 
 
 def radd(a, b):
-    x, y = unify(a, b)
-    return x + y
+    """Add coefficients from possibly different rings of the ladder."""
+    if type(a) is not type(b):
+        a, b = unify(a, b)
+    return a + b
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """Add ``value`` into ``acc[key]``, dropping the key when the sum is zero.
+
+    The one sparse accumulation step behind every exact sum in the package:
+    polynomial terms, form coefficients and elimination rows.
+    """
+    old = acc.get(key)
+    s = value if old is None else radd(old, value)
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly, rmul
+from .coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly, accumulate, rmul
 from .errors import InternalInvariantError, ValidationFailure
 from .exterior import (
     ComplexStructureSpec,
@@ -65,13 +65,17 @@ __all__ = [
 THREEFOLD_ROW = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DolbeaultBasis:
-    """Cohomology basis at one bidegree, with form-level projection."""
+    """Cohomology basis at one bidegree, with form-level projection.
+
+    Frozen, with tuple fields: one instance is cached per spec and bidegree
+    and shared by every caller.
+    """
 
     p: int
     q: int
-    monomials: list
+    monomials: tuple
     cob: linalg.CohomologyBasis
 
     @property
@@ -102,14 +106,13 @@ class DolbeaultBasis:
             return self.project_constant_form(pieces[()])
         if params is None:
             raise SpecError("polynomial form projected without parameter context")
-        coords = [Poly(params) for _ in range(self.dim)]
+        coords: list[dict] = [{} for _ in range(self.dim)]
         for exps, piece in pieces.items():
-            cls = self.project_constant_form(piece)
+            # the constant bucket () and the zero exponent are the same monomial
             e = exps if exps else (0,) * len(params)
-            for k, c in enumerate(cls):
-                if c:
-                    coords[k] = coords[k] + Poly(params, {e: c})
-        return coords
+            for k, c in enumerate(self.project_constant_form(piece)):
+                accumulate(coords[k], e, c)
+        return [Poly(params, terms) for terms in coords]
 
 
 class Dolbeault:
@@ -152,7 +155,7 @@ class Dolbeault:
             form = InvariantForm.monomial(self.spec, I, J)
             db = differential(self.spec, form)[1]
             cols.append(db.coordinates(tgt))
-        m = linalg.ExactMatrix.from_columns(len(tgt), cols) if src else linalg.ExactMatrix(len(tgt), 0, [[] for _ in range(len(tgt))])
+        m = linalg.ExactMatrix.from_columns(len(tgt), cols)
         self._matrices[key] = m
         return m
 
@@ -161,11 +164,11 @@ class Dolbeault:
         if key in self._bases:
             return self._bases[key]
         d_out = self.dbar_matrix(p, q)
-        d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix(
-            len(self.monomials(p, q)), 0, [[] for _ in self.monomials(p, q)]
-        )
+        monomials = tuple(self.monomials(p, q))
+        d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.from_columns(
+            len(monomials), [])
         cob = linalg.cohomology(d_in, d_out, label=f"H^{p},{q}")
-        b = DolbeaultBasis(p=p, q=q, monomials=self.monomials(p, q), cob=cob)
+        b = DolbeaultBasis(p=p, q=q, monomials=monomials, cob=cob)
         self._bases[key] = b
         return b
 
@@ -191,16 +194,16 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
 
     delbar(theta_i (x) w) = sum_{k,l} B^k_{i,l} theta_k (x) (c_l ^ w)
                            + theta_i (x) delbar(w).
-    The first term vanishes for parallelisable structures (B = 0).
+    The first term vanishes for parallelisable structures (B = 0).  A
+    (0, n)-form has a zero delbar, returned in degree n as wedge does.
     """
     if psi.spec != spec:
         raise SpecError("dbar_vector: spec mismatch")
-    out = VectorForm(spec, psi.q + 1, {})
+    out: dict = {}
     for (i, J), c in psi.coeffs.items():
         w = InvariantForm(spec, 0, len(J), {((), J): GR_ONE})
-        db = differential(spec, w)[1]
-        for (_, J2), c2 in db.coeffs.items():
-            out = out + VectorForm(spec, psi.q + 1, {(i, J2): rmul(c, c2)})
+        for (_, J2), c2 in differential(spec, w)[1].coeffs.items():
+            accumulate(out, (i, J2), rmul(c, c2))
         for k in range(1, spec.n + 1):
             for (ii, lam), b in spec.B[k].items():
                 if ii != i:
@@ -210,10 +213,8 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
                     continue
                 sign, _, J2 = norm
                 v = rmul(c, b)
-                if sign < 0:
-                    v = -v
-                out = out + VectorForm(spec, psi.q + 1, {(k, J2): v})
-    return out
+                accumulate(out, (k, J2), v if sign > 0 else -v)
+    return VectorForm(spec, min(psi.q + 1, spec.n), out)
 
 
 def validate_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> list[Diagnostic]:
@@ -365,14 +366,12 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
                     for gen in range(1, n + 1)
                 }
                 raise McObstruction(k, residual)
-            for (key, x) in zip(unknowns, sol):
+            for (i, lam), x in zip(unknowns, sol):
                 if x:
-                    i, lam = key
-                    prev = delta.get((i, (lam,)), Poly(params))
-                    delta[(i, (lam,))] = prev + Poly(params, {exps: x})
-        step = to_jet(VectorForm(spec, 1, delta))
-        corrections[k] = VectorForm(spec, 1, delta)
-        psi = psi + step
+                    accumulate(delta.setdefault((i, (lam,)), {}), exps, x)
+        corrections[k] = VectorForm(spec, 1, {key: Poly(params, terms)
+                                              for key, terms in delta.items()})
+        psi = psi + to_jet(corrections[k])
 
     dspec, defect = deformed_coframe(spec, psi)
     if not defect_is_zero(defect):
@@ -436,11 +435,7 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
         if differential(spec, v)[1]:
             raise InternalInvariantError("o1 value is not delbar-closed")
         columns.append(tgt.project_form(v, params=params))
-    zero = Poly(params) if params is not None else GR_ZERO
-    m = linalg.ExactMatrix(tgt.dim, src.dim, [
-        [columns[j][i] if columns else zero for j in range(src.dim)]
-        for i in range(tgt.dim)
-    ]) if src.dim else linalg.ExactMatrix(tgt.dim, 0, [[] for _ in range(tgt.dim)])
+    m = linalg.ExactMatrix.from_columns(tgt.dim, columns)
     return ObstructionReport(p=p, q=q, matrix=m, source=src, target=tgt, params=params)
 
 
@@ -501,7 +496,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         if not wk.coeffs:
             continue
         pieces = InvariantForm(spec, p, q + 1, wk.coeffs).monomial_split()
-        obstruction = [Poly(params) for _ in range(tgt.dim)]
+        obstruction: list[dict] = [{} for _ in range(tgt.dim)]
         obstructed = False
         fixes: dict = {}
         for exps, piece in sorted(pieces.items()):
@@ -510,7 +505,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 obstructed = True
                 for i, cval in enumerate(cls):
                     if cval:
-                        obstruction[i] = obstruction[i] + Poly(params, {exps: rmul(cval, sign)})
+                        accumulate(obstruction[i], exps, rmul(cval, sign))
             else:
                 rhs = [-c for c in piece.coordinates(tgt_monomials)]
                 sol = linalg.solve_const(dbar0, rhs)
@@ -518,6 +513,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                     raise InternalInvariantError("zero class defect was not exact")
                 fixes[exps] = sol
         if obstructed:
+            obstruction = [Poly(params, terms) for terms in obstruction]
             oform = None
             for idx in range(tgt.dim):
                 if obstruction[idx]:
@@ -528,14 +524,13 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 obstruction_coords=obstruction, obstruction_form=oform,
             )
         if fixes:
-            add = {}
+            add: dict = {}
             for exps, sol in fixes.items():
                 for key, x in zip(src_monomials, sol):
                     if x:
-                        prev = add.get(key, Poly(params))
-                        add[key] = prev + Poly(params, {exps: x})
+                        accumulate(add.setdefault(key, {}), exps, x)
             add_form = InvariantForm(
-                dspec, p, q, {key: Jet(c, order) for key, c in add.items()}
+                dspec, p, q, {key: Jet(Poly(params, terms), order) for key, terms in add.items()}
             )
             alpha_t = alpha_t + add_form
     return ExtensionResult(status="extended", order=max_order, p=p, q=q, extension=alpha_t)
@@ -675,9 +670,7 @@ def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatr
         if differential(spec, v)[1]:
             raise InternalInvariantError("del of a closed representative is not delbar-closed")
         columns.append(tgt.project_constant_form(v))
-    return linalg.ExactMatrix(tgt.dim, src.dim, [
-        [columns[j][i] for j in range(src.dim)] for i in range(tgt.dim)
-    ]) if src.dim else linalg.ExactMatrix(tgt.dim, 0, [[] for _ in range(tgt.dim)])
+    return linalg.ExactMatrix.from_columns(tgt.dim, columns)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from .coeff import (
     GaussianRational,
     Jet,
     Poly,
-    radd,
+    accumulate,
     rmul,
 )
 
@@ -110,12 +110,7 @@ class ComplexStructureSpec:
                 row: dict[tuple[int, int], object] = {}
                 for (i, j), c in B[k].items():
                     # conj(f_i^c_j) = c_i^f_j = -f_j^c_i
-                    prev = row.get((j, i), GR_ZERO)
-                    s = prev + (-self._conj(c))
-                    if s:
-                        row[(j, i)] = s
-                    else:
-                        row.pop((j, i), None)
+                    accumulate(row, (j, i), -self._conj(c))
                 bbar[k] = row
         else:
             abar = {k: _clean_table(n, (Abar or {}).get(k), True) for k in range(1, n + 1)}
@@ -230,17 +225,62 @@ def basis_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple
     ]
 
 
-class InvariantForm:
+class _Form:
+    """Algebra shared by ``InvariantForm`` and ``VectorForm``.
+
+    Coefficients are sparse and exact, keyed by monomial, and held in a
+    read-only mapping; a form cannot change once built.  Subclasses provide
+    ``_like`` (a form of the same kind and degree with new coefficients) and
+    ``_check_addable``.
+    """
+
+    __slots__ = ("spec", "coeffs")
+
+    def _freeze(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        self._check_addable(other)
+        coeffs = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            accumulate(coeffs, key, c)
+        return self._like(coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def scale(self, c):
+        return self._like({k: rmul(v, c) for k, v in self.coeffs.items()})
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def eval_point(self, point: dict):
+        return self._like({key: c.eval(point) if isinstance(c, (Poly, Jet)) else c
+                           for key, c in self.coeffs.items()})
+
+    def homogeneous_part(self, k: int):
+        """Degree-k part in the parameters; constant coefficients have degree 0."""
+        return self._like({key: c.homogeneous_part(k) if isinstance(c, (Poly, Jet)) else c
+                           for key, c in self.coeffs.items()
+                           if k == 0 or isinstance(c, (Poly, Jet))})
+
+
+class InvariantForm(_Form):
     """Homogeneous invariant (p, q)-form with exact coefficients."""
 
-    __slots__ = ("spec", "p", "q", "coeffs")
+    __slots__ = ("p", "q")
 
     def __init__(self, spec: ComplexStructureSpec, p: int, q: int, coeffs=None):
         if not (0 <= p <= spec.n and 0 <= q <= spec.n):
             raise SpecError(f"bidegree ({p},{q}) out of range for n={spec.n}")
-        self.spec = spec
-        self.p = p
-        self.q = q
         clean = {}
         for (I, J), c in (coeffs or {}).items():
             I, J = tuple(I), tuple(J)
@@ -252,7 +292,7 @@ class InvariantForm:
                 raise SpecError(f"monomial ({I},{J}) out of range")
             if c:
                 clean[(I, J)] = c
-        self.coeffs = clean
+        self._freeze(spec=spec, p=p, q=q, coeffs=MappingProxyType(clean))
 
     # -- constructors --------------------------------------------------
 
@@ -275,34 +315,11 @@ class InvariantForm:
     def _like(self, coeffs) -> "InvariantForm":
         return InvariantForm(self.spec, self.p, self.q, coeffs)
 
-    def __add__(self, other: "InvariantForm") -> "InvariantForm":
+    def _check_addable(self, other: "InvariantForm"):
         if self.spec is not other.spec and self.spec != other.spec:
             raise SpecError("cannot add forms over different specs")
         if (self.p, self.q) != (other.p, other.q):
             raise SpecError("cannot add forms of different bidegree")
-        coeffs = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            if key in coeffs:
-                s = radd(coeffs[key], c)
-                if s:
-                    coeffs[key] = s
-                else:
-                    del coeffs[key]
-            else:
-                coeffs[key] = c
-        return self._like(coeffs)
-
-    def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self + (-other)
-
-    def __neg__(self) -> "InvariantForm":
-        return self._like({k: -c for k, c in self.coeffs.items()})
-
-    def scale(self, c) -> "InvariantForm":
-        return self._like({k: rmul(v, c) for k, v in self.coeffs.items()})
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, InvariantForm):
@@ -324,30 +341,11 @@ class InvariantForm:
     def coordinates(self, monomials) -> list:
         return [self.coeffs.get(key, GR_ZERO) for key in monomials]
 
-    def eval_point(self, point: dict) -> "InvariantForm":
-        out = {}
-        for key, c in self.coeffs.items():
-            v = c.eval(point) if isinstance(c, (Poly, Jet)) else c
-            if v:
-                out[key] = v
-        return self._like(out)
-
-    def homogeneous_part(self, k: int) -> "InvariantForm":
-        out = {}
-        for key, c in self.coeffs.items():
-            if isinstance(c, (Poly, Jet)):
-                h = c.homogeneous_part(k)
-                if h:
-                    out[key] = h
-            elif k == 0 and c:
-                out[key] = c
-        return self._like(out)
-
     def monomial_split(self) -> dict:
         """Split polynomial coefficients by parameter monomial.
 
         Returns {exponent tuple: InvariantForm with GaussianRational coeffs}.
-        Constant coefficients sit at the zero exponent vector.
+        Constant (Q(i)) coefficients sit under the empty tuple ``()``.
         """
         buckets: dict[tuple[int, ...], dict] = {}
         for key, c in self.coeffs.items():
@@ -389,16 +387,14 @@ class InvariantForm:
         return f"InvariantForm({self.p},{self.q}; {self})"
 
 
-class VectorForm:
+class VectorForm(_Form):
     """T^(1,0)-valued (0, q)-form: sum psi^i_J theta_i (x) c_J."""
 
-    __slots__ = ("spec", "q", "coeffs")
+    __slots__ = ("q",)
 
     def __init__(self, spec: ComplexStructureSpec, q: int, coeffs=None):
         if not (0 <= q <= spec.n):
             raise SpecError(f"antiholomorphic degree {q} out of range")
-        self.spec = spec
-        self.q = q
         clean = {}
         for (i, J), c in (coeffs or {}).items():
             J = tuple(J)
@@ -408,35 +404,18 @@ class VectorForm:
                 raise SpecError(f"index tuple {J} is not strictly increasing")
             if c:
                 clean[(i, J)] = c
-        self.coeffs = clean
+        self._freeze(spec=spec, q=q, coeffs=MappingProxyType(clean))
 
     @classmethod
     def term(cls, spec, i: int, J, coeff=GR_ONE) -> "VectorForm":
         return cls(spec, len(tuple(J)), {(i, tuple(J)): coeff})
 
-    def __add__(self, other: "VectorForm") -> "VectorForm":
-        if self.q != other.q or self.spec != other.spec:
-            raise SpecError("vector form mismatch")
-        coeffs = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = radd(coeffs[key], c) if key in coeffs else c
-            if s:
-                coeffs[key] = s
-            else:
-                coeffs.pop(key, None)
+    def _like(self, coeffs) -> "VectorForm":
         return VectorForm(self.spec, self.q, coeffs)
 
-    def __neg__(self):
-        return VectorForm(self.spec, self.q, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "VectorForm":
-        return VectorForm(self.spec, self.q, {k: rmul(v, c) for k, v in self.coeffs.items()})
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _check_addable(self, other: "VectorForm"):
+        if self.q != other.q or self.spec != other.spec:
+            raise SpecError("vector form mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, VectorForm):
@@ -445,25 +424,6 @@ class VectorForm:
 
     def __hash__(self):
         return hash((self.q, tuple(sorted(self.coeffs))))
-
-    def eval_point(self, point: dict) -> "VectorForm":
-        out = {}
-        for key, c in self.coeffs.items():
-            v = c.eval(point) if isinstance(c, (Poly, Jet)) else c
-            if v:
-                out[key] = v
-        return VectorForm(self.spec, self.q, out)
-
-    def homogeneous_part(self, k: int) -> "VectorForm":
-        out = {}
-        for key, c in self.coeffs.items():
-            if isinstance(c, (Poly, Jet)):
-                h = c.homogeneous_part(k)
-                if h:
-                    out[key] = h
-            elif k == 0 and c:
-                out[key] = c
-        return VectorForm(self.spec, self.q, out)
 
     def params(self) -> tuple[str, ...] | None:
         """Parameters of the first polynomial or jet coefficient; None if all are constant."""
@@ -504,6 +464,20 @@ class VectorForm:
 
 # -- core operations ------------------------------------------------------
 
+def _add_monomial(acc: dict, factors, a, b, sign: int = 1) -> None:
+    """Add sign * a * b times the wedge of ``factors`` into ``acc``, keyed by (I, J).
+
+    A repeated factor makes the monomial vanish; it is skipped before the
+    coefficients are multiplied.
+    """
+    norm = _normalize_factors(factors)
+    if norm is None:
+        return
+    order_sign, I, J = norm
+    v = rmul(a, b)
+    accumulate(acc, (I, J), v if order_sign * sign > 0 else -v)
+
+
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     """Exterior product in the canonical basis with reordering signs."""
     if a.spec is not b.spec and a.spec != b.spec:
@@ -516,21 +490,7 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     out: dict = {}
     for (I1, J1), c1 in a.coeffs.items():
         for (I2, J2), c2 in b.coeffs.items():
-            norm = _normalize_factors(
-                _monomial_factors(I1, J1) + _monomial_factors(I2, J2)
-            )
-            if norm is None:
-                continue
-            sign, I, J = norm
-            c = rmul(c1, c2)
-            if sign < 0:
-                c = -c
-            key = (I, J)
-            s = radd(out[key], c) if key in out else c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add_monomial(out, _monomial_factors(I1, J1) + _monomial_factors(I2, J2), c1, c2)
     return InvariantForm(a.spec, p, q, out)
 
 
@@ -542,21 +502,8 @@ def _d_form(form: InvariantForm) -> dict:
         factors = _monomial_factors(I, J)
         for pos, (kind, idx) in enumerate(factors):
             for pair, sc in spec.d_generator(kind, idx):
-                norm = _normalize_factors(factors[:pos] + pair + factors[pos + 1:])
-                if norm is None:
-                    continue
-                sign, I2, J2 = norm
-                if pos % 2:
-                    sign = -sign
-                v = rmul(c, sc)
-                if sign < 0:
-                    v = -v
-                key = (I2, J2)
-                s = radd(acc[key], v) if key in acc else v
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                _add_monomial(acc, factors[:pos] + pair + factors[pos + 1:], c, sc,
+                              -1 if pos % 2 else 1)
     return acc
 
 
@@ -600,24 +547,8 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
             if i not in I:
                 continue
             k = I.index(i)
-            rest = I[:k] + I[k + 1:]
-            norm = _normalize_factors(
-                _monomial_factors(rest, J) + [("c", j) for j in Jpsi]
-            )
-            if norm is None:
-                continue
-            sign, I2, J2 = norm
-            if k % 2:
-                sign = -sign
-            v = rmul(cf, cpsi)
-            if sign < 0:
-                v = -v
-            key = (I2, J2)
-            s = radd(out[key], v) if key in out else v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add_monomial(out, _monomial_factors(I[:k] + I[k + 1:], J) + [("c", j) for j in Jpsi],
+                          cf, cpsi, -1 if k % 2 else 1)
     return InvariantForm(spec, pq[0], pq[1], out)
 
 
@@ -639,11 +570,7 @@ def validate_spec(spec: ComplexStructureSpec) -> list[Diagnostic]:
             total = {}
             for part in differential(spec, d1) + differential(spec, d2):
                 for key, c in part.coeffs.items():
-                    s = radd(total[key], c) if key in total else c
-                    if s:
-                        total[key] = s
-                    else:
-                        total.pop(key, None)
+                    accumulate(total, key, c)
             if total:
                 witness = ", ".join(
                     f"({','.join(map(str, I))}|{','.join(map(str, J))})"
@@ -705,20 +632,9 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
                         alts.append((("c", lam), -c))
                     expansions.append(alts)
             for (g1, c1) in expansions[0]:
+                a = rmul(coeff, c1)
                 for (g2, c2) in expansions[1]:
-                    norm = _normalize_factors([g1, g2])
-                    if norm is None:
-                        continue
-                    sign, I, J = norm
-                    v = rmul(rmul(coeff, c1), c2)
-                    if sign < 0:
-                        v = -v
-                    key = (I, J)
-                    s = radd(acc[key], v) if key in acc else v
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+                    _add_monomial(acc, [g1, g2], a, c2)
         return acc
 
     A2: dict[int, dict] = {}

@@ -69,7 +69,7 @@ class FreeComplex:
         if 0 <= q < len(self.diffs):
             return self.diffs[q]
         if q < 0:
-            return linalg.ExactMatrix(self.ranks[0], 0, [[] for _ in range(self.ranks[0])])
+            return linalg.ExactMatrix.from_columns(self.ranks[0], [])
         return linalg.ExactMatrix(0, self.ranks[-1], [])
 
     def max_degree(self) -> int:

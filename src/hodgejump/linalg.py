@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly
+from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, accumulate
 
 __all__ = [
     "ExactMatrix",
@@ -180,11 +180,7 @@ def _dense(row: dict, width: int) -> list[GaussianRational]:
 def _axpy(acc: dict, f: GaussianRational, row: dict) -> None:
     """acc += f * row in place, dropping entries that cancel."""
     for j, x in row.items():
-        s = acc[j] + f * x if j in acc else f * x
-        if s:
-            acc[j] = s
-        else:
-            del acc[j]
+        accumulate(acc, j, f * x)
 
 
 def _monic(row: dict) -> dict:
@@ -423,7 +419,7 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
 
 # -- cohomology of a two-step complex over Q(i) ---------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CohomologyBasis:
     """Basis of Ker(d_out)/Im(d_in) with a coordinate projection.
 
@@ -431,11 +427,12 @@ class CohomologyBasis:
     projection sends any d_out-closed vector to its coordinates in this
     basis, killing the image of d_in.  ``coords`` holds each vector b_k of
     [representatives | image basis] as the row (b_k | e_k), so a closed
-    vector v reduces to (0 | -coordinates of v) in one residue.
+    vector v reduces to (0 | -coordinates of v) in one residue.  Frozen,
+    with tuple representatives, so a cached basis can be shared.
     """
 
     dim: int
-    representatives: list[list[GaussianRational]]
+    representatives: tuple[tuple[GaussianRational, ...], ...]
     d_out: ExactMatrix = field(repr=False)
     coords: Echelon = field(repr=False)
     label: str = ""
@@ -475,17 +472,17 @@ def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohomo
     ]
     span = Echelon(n, (d_in.column(j) for j in range(d_in.cols)))
     image_basis = span.rows()
-    reps: list[list[GaussianRational]] = []
+    reps: list[tuple[GaussianRational, ...]] = []
     for v in ker:
         r = span.residue(v)
         if r:
             r = _monic(r)
-            reps.append(_dense(r, n))
+            reps.append(tuple(_dense(r, n)))
             span.add(r)
 
     basis = reps + image_basis
     coords = Echelon(n + len(basis), (
         {**_sparse(b), n + k: GR_ONE} for k, b in enumerate(basis)
     ))
-    return CohomologyBasis(dim=len(reps), representatives=reps, d_out=d_out,
+    return CohomologyBasis(dim=len(reps), representatives=tuple(reps), d_out=d_out,
                            coords=coords, label=label)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hodgejump import linalg
-from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Poly
+from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly
 from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
 from hodgejump.freemod import FreeComplex
 
@@ -78,6 +78,30 @@ def random_form(spec: ComplexStructureSpec, p: int, q: int, rng: random.Random) 
     for key in basis_monomials(spec.n, p, q):
         if rng.random() < 0.6:
             coeffs[key] = random_gr(rng)
+    return InvariantForm(spec, p, q, coeffs)
+
+
+def random_mixed_coeff(rng: random.Random):
+    """A coefficient from Q(i), Q(i)[t] or the jets of order 2 in t.
+
+    Polynomial and jet values have at most two terms of degree up to 2, so
+    jet products often truncate to zero.
+    """
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_gr(rng)
+    poly = Poly(("t",), {(rng.randint(0, 2),): random_gr(rng) for _ in range(2)})
+    return poly if kind == 1 else Jet(poly, 2)
+
+
+def random_mixed_form(spec: ComplexStructureSpec, p: int, q: int, rng: random.Random) -> InvariantForm:
+    """Like random_form, with coefficients from random_mixed_coeff."""
+    from hodgejump.exterior import basis_monomials
+
+    coeffs = {}
+    for key in basis_monomials(spec.n, p, q):
+        if rng.random() < 0.6:
+            coeffs[key] = random_mixed_coeff(rng)
     return InvariantForm(spec, p, q, coeffs)
 
 

@@ -1,4 +1,5 @@
-"""Specs and matrices are immutable, and each spec owns one cached cohomology."""
+"""Specs, matrices, forms and cached bases are immutable, and each spec owns
+one cached cohomology."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from hodgejump import linalg
 from hodgejump.coeff import GaussianRational as GR
 from hodgejump.coeff import Poly
 from hodgejump.deform import Dolbeault, extend_class, mc_extend, obstruction_o1
-from hodgejump.exterior import ComplexStructureSpec, VectorForm
+from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
 from hodgejump.manifest import load_manifest, parse_manifest
 
 
@@ -35,6 +36,37 @@ class TestImmutability:
         with pytest.raises(TypeError):
             m.entries[0] = (GR(7), GR(7))
         assert m == linalg.ExactMatrix.identity(2)
+
+    @pytest.mark.parametrize("kind", ["invariant", "vector"])
+    def test_form_cannot_be_changed(self, iwasawa, kind):
+        if kind == "invariant":
+            form = InvariantForm.monomial(iwasawa, (1,), (2,), GR(3))
+            attrs, key = ("spec", "p", "q", "coeffs"), ((1,), (2,))
+        else:
+            form = VectorForm.term(iwasawa, 1, (2,), GR(3))
+            attrs, key = ("spec", "q", "coeffs"), (1, (2,))
+        before = str(form)
+        for name in attrs:
+            with pytest.raises(AttributeError):
+                setattr(form, name, 5)
+        with pytest.raises(TypeError):
+            form.coeffs[key] = GR(7)
+        assert str(form) == before
+
+    def test_cached_basis_cannot_be_changed(self):
+        spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
+        basis = Dolbeault.of(spec).basis(1, 1)
+        assert str(basis.rep_form(spec, 0)) == "f1^c1"
+        with pytest.raises(AttributeError):
+            basis.monomials.reverse()
+        with pytest.raises(AttributeError):
+            basis.monomials = ()
+        with pytest.raises(AttributeError):
+            basis.cob.representatives = ()
+        with pytest.raises(TypeError):
+            basis.cob.representatives[0][0] = GR(0)
+        assert Dolbeault.of(spec).basis(1, 1) is basis
+        assert str(basis.rep_form(spec, 0)) == "f1^c1"
 
     def test_equal_specs_hash_equal(self):
         text = load_manifest("iwasawa").to_json()

@@ -35,6 +35,7 @@ from .conftest import (
     ROW_III,
     point_of,
     random_form,
+    random_gr,
     random_vector_form,
 )
 
@@ -97,6 +98,30 @@ class TestBeyondParallelisable:
         assert dbar_vector(mixed_spec, VectorForm.term(mixed_spec, 1, (2,)))
         assert not dbar_vector(mixed_spec, VectorForm.term(mixed_spec, 1, (1,)))
         assert not dbar_vector(mixed_spec, VectorForm.term(mixed_spec, 2, (1,)))
+
+    @pytest.mark.parametrize("spec_name", ["iwasawa", "mixed_spec", "mixed_n5"])
+    def test_dbar_vector_squares_to_zero(self, spec_name, request):
+        from hodgejump.deform import dbar_vector
+        from hodgejump.exterior import basis_monomials
+
+        if spec_name == "mixed_n5":
+            # d f3 = f1^c1, d f4 = f1^f3, d f5 = f1^c3 + f2^c2
+            spec = ComplexStructureSpec(5, A={4: {(1, 3): GR(1)}},
+                                        B={3: {(1, 1): GR(1)}, 5: {(1, 3): GR(1), (2, 2): GR(1)}})
+        else:
+            spec = request.getfixturevalue(spec_name)
+        rng = random.Random(53 + spec.n)
+        nonzero_once = 0
+        for q in range(spec.n):
+            keys = [(i, J) for i in range(1, spec.n + 1)
+                    for _, J in basis_monomials(spec.n, 0, q)]
+            for _ in range(20):
+                psi = VectorForm(spec, q, {key: random_gr(rng) for key in keys
+                                           if rng.random() < 0.5})
+                once = dbar_vector(spec, psi)
+                nonzero_once += bool(once)
+                assert not dbar_vector(spec, once)
+        assert nonzero_once  # the identity is not checked on zeros only
 
     def test_mixed_spec_family_and_oracle_run(self, mixed_spec):
         params = ("s",)

@@ -17,7 +17,7 @@ from hodgejump.exterior import (
     wedge,
 )
 
-from .conftest import IW_PARAMS, random_form, random_gr
+from .conftest import IW_PARAMS, random_form, random_gr, random_mixed_coeff, random_mixed_form
 from . import oracles
 
 SPEC_NAMES = ["iwasawa", "torus3", "mixed_spec"]
@@ -56,6 +56,11 @@ class TestWedge:
             b = random_form(spec, p2, q2, rng)
             got = wedge(a, b)
             assert oracles.form_to_raw(got) == oracles.naive_wedge(a, b)
+            # mixed Q(i)/Poly/Jet coefficients; a^a cancels for odd degree
+            a = random_mixed_form(spec, p1, q1, rng)
+            b = random_mixed_form(spec, p2, q2, rng)
+            for x, y in ((a, b), (a, a)):
+                assert oracles.form_to_raw(wedge(x, y)) == oracles.naive_wedge(x, y)
 
     @pytest.mark.parametrize("spec_name", SPEC_NAMES)
     def test_bilinear_associative_graded_commutative(self, spec_name, request):
@@ -103,10 +108,10 @@ class TestDifferential:
         rng = random.Random(29 + len(spec_name))
         for _ in range(30):
             p, q = rng.randint(0, spec.n), rng.randint(0, spec.n)
-            a = random_form(spec, p, q, rng)
-            d, db = differential(spec, a)
-            got = oracles.raw_add(oracles.form_to_raw(d), oracles.form_to_raw(db))
-            assert got == oracles.naive_d(spec, a)
+            for a in (random_form(spec, p, q, rng), random_mixed_form(spec, p, q, rng)):
+                d, db = differential(spec, a)
+                got = oracles.raw_add(oracles.form_to_raw(d), oracles.form_to_raw(db))
+                assert got == oracles.naive_d(spec, a)
 
     @pytest.mark.parametrize("spec_name", SPEC_NAMES)
     def test_leibniz_rule(self, spec_name, request):
@@ -175,6 +180,11 @@ class TestContract:
                     if rng.random() < 0.4:
                         coeffs[(i, (lam,))] = random_gr(rng)
             psi = VectorForm(spec, 1, coeffs)
+            got = contract(psi, a)
+            assert oracles.form_to_raw(got) == oracles.naive_contract(psi, a)
+            # mixed Q(i)/Poly/Jet coefficients on both sides
+            a = random_mixed_form(spec, p, q, rng)
+            psi = VectorForm(spec, 1, {key: random_mixed_coeff(rng) for key in coeffs})
             got = contract(psi, a)
             assert oracles.form_to_raw(got) == oracles.naive_contract(psi, a)
 

@@ -251,6 +251,21 @@ class TestCli:
         assert main(["lab", str(bool_rank)]) == 2
         assert "ranks" in capsys.readouterr().err
 
+    def test_elliptic_curve_deformation(self, capsys, tmp_path):
+        # n = 1 with a deformation table: delbar of a (0,1) vector form is a
+        # (0,2)-form, which is zero on a curve
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({
+            "kind": "lie-algebra", "dimension": 1, "parameters": ["t"], "structure": [],
+            "deformation": [{"i": 1, "lambda": 1, "coefficient": "t"}],
+        }))
+        assert main(["hodge", str(curve)]) == 0
+        capsys.readouterr()
+        assert main(["jump", str(curve), "--point", "t=1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["agree"] is True
+        assert {row["predicted"] for row in doc["rows"].values()} == {1}
+
     def test_deterministic_output(self, capsys):
         main(["jump", "iwasawa.json", "--point", "t11=1"])
         first = capsys.readouterr().out
