@@ -58,6 +58,7 @@ __all__ = [
     "oracle_hodge_at_point",
     "frolicher_d1",
     "parallelisable_witness",
+    "threefold_row",
     "THREEFOLD_ROW",
 ]
 

@@ -16,6 +16,12 @@ classes of obstructed elements (classes that never extend; classes that
 extend to sections exact away from 0), descent to a primitive leading
 obstruction, and the bookkeeping that matches cohomology jumps at t = 0 to
 the dimensions of the obstructed subspaces.
+
+Every jet-truncated system comes from one builder, ``_jet_rows``: the
+sparse rows of d acting on x_0 + t x_1 + ... + t^N x_N modulo t^(N+1),
+block lower-triangular in the t^b coefficient matrices of d.  Jet
+extension, the first-class search and method (b) of the second-class
+search all eliminate those rows with ``linalg.Echelon``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly
+from .coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly, accumulate
 from .errors import InternalInvariantError, ValidationFailure
 
 __all__ = [
@@ -108,26 +114,11 @@ def validate_complex(c: FreeComplex) -> list[str]:
     return out
 
 
-def _blocks(m: linalg.ExactMatrix, upto: int, param: str) -> list[linalg.ExactMatrix]:
-    """Coefficient matrices of t^0..t^upto."""
-    out = []
-    for k in range(upto + 1):
-        rows = []
-        for row in m.entries:
-            r = []
-            for x in row:
-                if isinstance(x, Poly):
-                    exps = (k,)
-                    r.append(x.terms.get(exps, GR_ZERO))
-                else:
-                    r.append(x if k == 0 else GR_ZERO)
-            rows.append(r)
-        out.append(linalg.ExactMatrix(m.rows, m.cols, rows))
-    return out
-
-
 def _at_zero(m: linalg.ExactMatrix) -> linalg.ExactMatrix:
-    return _blocks(m, 0, "")[0]
+    """Constant-term matrix: m at t = 0."""
+    return linalg.ExactMatrix(m.rows, m.cols, [
+        [x.constant_term() if isinstance(x, Poly) else x for x in row] for row in m.entries
+    ])
 
 
 def cohomology_at_zero(c: FreeComplex, q: int) -> linalg.CohomologyBasis:
@@ -166,9 +157,6 @@ class JetCochain:
 
     def polys(self) -> list[Poly]:
         return [e.base for e in self.entries]
-
-    def coefficient_vector(self, k: int) -> list[GaussianRational]:
-        return [e.base.terms.get((k,), GR_ZERO) for e in self.entries]
 
 
 def _apply_poly(m: linalg.ExactMatrix, vec: list[Poly], param: str) -> list[Poly]:
@@ -248,48 +236,50 @@ def extend_step(c: FreeComplex, alpha: JetCochain):
 
 # -- jet-truncated linear systems ------------------------------------------
 
-def _jet_system(blocks: list[linalg.ExactMatrix], order: int):
-    """Block lower-triangular matrix of d acting on jets of the given order.
+def _jet_rows(d: linalg.ExactMatrix, order: int, base=None):
+    """Sparse rows of d acting on jets x_0 + t x_1 + ... + t^order x_order
+    modulo t^(order+1); returns (rows, width).
 
-    Unknown layout: x_0, x_1, ..., x_order stacked; equation k reads
-    sum_{a+b=k} D_b x_a.
+    Row k*d.rows + i is the t^k coefficient of component i of d(x): the
+    block lower-triangular sum over a + b = k of D_b x_a, D_b the t^b
+    coefficient matrix of d.  Columns are x_0, ..., x_order stacked.  With
+    ``base`` (vectors b_m), x_0 = sum_m c_m b_m and the first column block
+    holds c instead, with entries D_k b_m.
     """
-    rows_per = blocks[0].rows
-    cols_per = blocks[0].cols
-    big_rows = rows_per * (order + 1)
-    big_cols = cols_per * (order + 1)
-    entries = [[GR_ZERO] * big_cols for _ in range(big_rows)]
-    for k in range(order + 1):
-        for a in range(k + 1):
-            b = k - a
-            if b >= len(blocks):
-                continue
-            blk = blocks[b]
-            for i in range(rows_per):
-                for j in range(cols_per):
-                    v = blk.entries[i][j]
-                    if v:
-                        entries[k * rows_per + i][a * cols_per + j] = v
-    return linalg.ExactMatrix(big_rows, big_cols, entries)
+    head = d.cols if base is None else len(base)
+    # base vectors by the component they touch: j -> [(m, b_m[j])]
+    uses = [[(m, vec[j]) for m, vec in enumerate(base or ()) if vec[j]] for j in range(d.cols)]
+    rows = [{} for _ in range(d.rows * (order + 1))]
+    for i, entries in enumerate(d.entries):
+        for j, x in enumerate(entries):
+            for (b,), v in (x.terms.items() if isinstance(x, Poly) else [((0,), x)]):
+                if b > order or not v:
+                    continue
+                for a in range(1, order - b + 1):
+                    rows[(a + b) * d.rows + i][head + (a - 1) * d.cols + j] = v
+                row = rows[b * d.rows + i]
+                if base is None:
+                    row[j] = v
+                else:
+                    for m, y in uses[j]:
+                        accumulate(row, m, v * y)
+    return rows, head + order * d.cols
 
 
 def _solve_jet(c: FreeComplex, q: int, rhs: list[Poly], order: int) -> list[Poly] | None:
     """Solve d^q(x) = rhs mod t^(order+1) for x with jet order ``order``."""
     d = c.diff(q)
-    blocks = _blocks(d, order, c.param)
-    big = _jet_system(blocks, order)
-    flat_rhs = []
-    for k in range(order + 1):
-        flat_rhs.extend(p.terms.get((k,), GR_ZERO) for p in rhs)
-    sol = linalg.solve_const(big, flat_rhs)
+    rows, width = _jet_rows(d, order)
+    for i, p in enumerate(rhs):
+        for (k,), v in p.terms.items():
+            if k <= order:
+                rows[k * d.rows + i][width] = v
+    sol = linalg.Echelon(width + 1, rows).solution()
     if sol is None:
         return None
     params = (c.param,)
-    out = []
-    for j in range(d.cols):
-        poly = Poly(params, {(k,): sol[k * d.cols + j] for k in range(order + 1)})
-        out.append(poly)
-    return out
+    return [Poly(params, {(k,): sol[k * d.cols + j] for k in range(order + 1)})
+            for j in range(d.cols)]
 
 
 def _rho_is_zero(c: FreeComplex, q_target: int, beta: list[GaussianRational], i: int) -> bool:
@@ -327,48 +317,12 @@ def classify_first_class(c: FreeComplex, q: int, order_bound: int | None = None)
     if h == 0:
         return FirstClassReport(q=q, order_bound=bound, dim=0, extendable_dim=0,
                                 extendable_basis=[], obstructed_basis=[])
-    d = c.diff(q)
+    # x_0 = sum c_m rep_m + dprev0 y; x_1..x_bound are free
     dprev0 = _at_zero(c.diff(q - 1))
-    blocks = _blocks(d, bound, c.param)
-    P_q = c.ranks[q]
-    n_c = h
-    n_y = dprev0.cols
-    n_x = P_q * bound  # x_1..x_bound
-    cols = n_c + n_y + n_x
-    rows = d.rows * (bound + 1)
-    entries = [[GR_ZERO] * cols for _ in range(rows)]
-    reps = cob.representatives
-
-    def add_block(row0, col0, m: linalg.ExactMatrix):
-        for i in range(m.rows):
-            for j in range(m.cols):
-                v = m.entries[i][j]
-                if v:
-                    entries[row0 + i][col0 + j] = entries[row0 + i][col0 + j] + v
-
-    # x_0 = sum c_i rep_i + dprev0 y enters every equation through D_k x_0
-    for k in range(bound + 1):
-        Dk = blocks[k]
-        # contribution of the class coordinates
-        for i in range(d.rows):
-            for ci in range(h):
-                acc = GR_ZERO
-                for j in range(P_q):
-                    acc = acc + Dk.entries[i][j] * reps[ci][j]
-                if acc:
-                    entries[k * d.rows + i][ci] = acc
-        # contribution of the exact adjustment y
-        m_y = Dk.matmul(dprev0) if n_y else None
-        if m_y is not None:
-            add_block(k * d.rows, n_c, m_y)
-        # contributions of x_1..x_bound
-        for a in range(1, bound + 1):
-            b = k - a
-            if 0 <= b < len(blocks):
-                add_block(k * d.rows, n_c + n_y + (a - 1) * P_q, blocks[b])
-    big = linalg.ExactMatrix(rows, cols, entries)
-    kernel = linalg.kernel_basis_const(big)
-    ext_span = linalg.Echelon(h, (v[:n_c] for v in kernel))
+    base = list(cob.representatives) + [dprev0.column(j) for j in range(dprev0.cols)]
+    rows, width = _jet_rows(c.diff(q), bound, base)
+    kernel = linalg.Echelon(width, rows).kernel()
+    ext_span = linalg.Echelon(h, (v[:h] for v in kernel))
     extendable = ext_span.rows()
     # complement basis: standard vectors outside the extendable span
     obstructed = []
@@ -455,28 +409,20 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
         for vec in _saturation_fiber(c.diff(q - 1), c.param):
             span_a.add(cob.project(vec))
 
-    # method (b)
+    # method (b): kernel of the order-(bound-1) rows, which are the first
+    # bound row blocks of the order-bound rows (row block k only reaches
+    # column blocks a <= k); the top block gives the t^bound coefficient
     span_b = linalg.Echelon(h)
     if h:
         d = c.diff(q - 1)
-        blocks = _blocks(d, bound, c.param)
-        big = _jet_system(blocks, bound - 1) if bound >= 1 else None
-        if big is not None and d.cols:
-            kernel = linalg.kernel_basis_const(big)
-            for v in kernel:
-                # t^bound coefficient of d(a) for the kernel jet a
-                coeff = [GR_ZERO] * d.rows
-                for a in range(bound):
-                    b = bound - a
-                    if b < len(blocks):
-                        blk = blocks[b]
-                        for i in range(d.rows):
-                            acc = coeff[i]
-                            for j in range(d.cols):
-                                if blk.entries[i][j]:
-                                    acc = acc + blk.entries[i][j] * v[a * d.cols + j]
-                            coeff[i] = acc
-                span_b.add(cob.project(coeff))
+        rows, _ = _jet_rows(d, bound)
+        low = d.rows * bound
+        for v in linalg.Echelon(d.cols * bound, rows[:low]).kernel():
+            # a has x_bound = 0: columns past v contribute nothing
+            span_b.add(cob.project([
+                sum((x * v[j] for j, x in row.items() if j < len(v)), GR_ZERO)
+                for row in rows[low:]
+            ]))
 
     rows_a = span_a.rows()
     rows_b = span_b.rows()
@@ -552,12 +498,14 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
     issues = validate_complex(c)
     if issues:
         raise ValidationFailure("; ".join(issues))
+    if not 0 <= q < len(c.ranks):
+        raise ValidationFailure(f"degree {q} outside 0..{len(c.ranks) - 1}")
     bound = default_order_bound(c) if order_bound is None else order_bound
-    dims = h_dims(c)
-    h0, hg = dims[q]
     d_out, d_in = c.diff(q), c.diff(q - 1)
-    kernel_drop = linalg.generic_rank(d_out) - linalg.rank_const(_at_zero(d_out))
-    image_rise = linalg.generic_rank(d_in) - linalg.rank_const(_at_zero(d_in))
+    out0, in0 = linalg.rank_const(_at_zero(d_out)), linalg.rank_const(_at_zero(d_in))
+    out_g, in_g = linalg.generic_rank(d_out), linalg.generic_rank(d_in)
+    h0, hg = c.ranks[q] - out0 - in0, c.ranks[q] - out_g - in_g
+    kernel_drop, image_rise = out_g - out0, in_g - in0
     first = classify_first_class(c, q, bound)
     second = classify_second_class(c, q, bound) if q >= 1 else None
     second_dim = second.dim if second is not None else 0

@@ -20,6 +20,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, accumulate
 
@@ -29,19 +30,18 @@ __all__ = [
     "Echelon",
     "LinalgError",
     "kernel_basis",
+    "kernel_basis_const",
     "cohomology",
     "generic_rank",
     "pivot_columns",
+    "rank_const",
+    "solve_const",
     "specialized_rank",
 ]
 
 
 class LinalgError(ValueError):
     pass
-
-
-def _is_constant(x) -> bool:
-    return isinstance(x, GaussianRational)
 
 
 def _coerce_entry(x):
@@ -199,16 +199,21 @@ class Echelon:
     keyed by pivot column and kept fully reduced: a row is zero in every
     other row's pivot column.  The reduced echelon form of a span is
     unique, so every result is independent of insertion order.  Vectors
-    may be given dense (lists) or sparse (dicts).
+    may be given dense (lists) or sparse (dicts).  ``freeze`` makes the
+    span read-only, so a cached echelon can be shared.
     """
 
-    __slots__ = ("width", "_rows")
+    __slots__ = ("_width", "_rows")
 
     def __init__(self, width: int, vectors=()):
-        self.width = width
+        self._width = width
         self._rows: dict[int, dict[int, GaussianRational]] = {}
         for v in vectors:
             self.add(v)
+
+    @property
+    def width(self) -> int:
+        return self._width
 
     @property
     def rank(self) -> int:
@@ -236,6 +241,8 @@ class Echelon:
 
     def add(self, v) -> bool:
         """Insert v; True if it enlarged the span."""
+        if isinstance(self._rows, MappingProxyType):
+            raise TypeError("a frozen Echelon cannot grow")
         r = self.residue(v)
         if not r:
             return False
@@ -248,6 +255,37 @@ class Echelon:
         self._rows[lead] = r
         return True
 
+    def freeze(self) -> "Echelon":
+        """Make the span read-only, so ``add`` raises TypeError; returns self."""
+        self._rows = MappingProxyType(self._rows)
+        return self
+
+    def kernel(self) -> list[list[GaussianRational]]:
+        """Canonical right-kernel basis of the rows: one vector per free column."""
+        basis = []
+        for f in range(self._width):
+            if f in self._rows:
+                continue
+            v = [GR_ZERO] * self._width
+            v[f] = GR_ONE
+            for c, row in self._rows.items():
+                if f in row:
+                    v[c] = -row[f]
+            basis.append(v)
+        return basis
+
+    def solution(self) -> list[GaussianRational] | None:
+        """x with A x = b for rows [A | b], b the last column; free
+        variables 0.  None when b's column holds a pivot (inconsistent)."""
+        n = self._width - 1
+        if n in self._rows:
+            return None
+        x = [GR_ZERO] * n
+        for c, row in self._rows.items():
+            if n in row:
+                x[c] = row[n]
+        return x
+
 
 def rank_const(m: ExactMatrix) -> int:
     if m.is_polynomial():
@@ -257,33 +295,14 @@ def rank_const(m: ExactMatrix) -> int:
 
 def kernel_basis_const(m: ExactMatrix) -> list[list[GaussianRational]]:
     """Canonical right-kernel basis over Q(i): one vector per free column."""
-    ech = Echelon(m.cols, m.entries)
-    basis = []
-    for f in range(m.cols):
-        if f in ech._rows:
-            continue
-        v = [GR_ZERO] * m.cols
-        v[f] = GR_ONE
-        for c, row in ech._rows.items():
-            if f in row:
-                v[c] = -row[f]
-        basis.append(v)
-    return basis
+    return Echelon(m.cols, m.entries).kernel()
 
 
 def solve_const(m: ExactMatrix, rhs: list) -> list | None:
     """One exact solution of m x = rhs over Q(i), or None; free variables 0."""
     if len(rhs) != m.rows:
         raise LinalgError("rhs length mismatch")
-    n = m.cols
-    ech = Echelon(n + 1, (list(row) + [b] for row, b in zip(m.entries, rhs)))
-    if n in ech._rows:
-        return None  # pivot in the rhs column: inconsistent
-    x = [GR_ZERO] * n
-    for c, row in ech._rows.items():
-        if n in row:
-            x[c] = row[n]
-    return x
+    return Echelon(m.cols + 1, (list(row) + [b] for row, b in zip(m.entries, rhs))).solution()
 
 
 def pivot_columns(m: ExactMatrix) -> list[int]:
@@ -449,9 +468,6 @@ class CohomologyBasis:
             raise LinalgError("projection: vector outside kernel+image")
         return [-r[n + k] if n + k in r else GR_ZERO for k in range(self.dim)]
 
-    def is_zero_class(self, vector: list) -> bool:
-        return all(not x for x in self.project(vector))
-
 
 def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> CohomologyBasis:
     """Cohomology at the middle of  . --d_in--> . --d_out--> .  over Q(i)."""
@@ -483,6 +499,6 @@ def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohomo
     basis = reps + image_basis
     coords = Echelon(n + len(basis), (
         {**_sparse(b), n + k: GR_ONE} for k, b in enumerate(basis)
-    ))
+    )).freeze()
     return CohomologyBasis(dim=len(reps), representatives=tuple(reps), d_out=d_out,
                            coords=coords, label=label)

@@ -179,3 +179,38 @@ def rref_qi(rows: list[list[GaussianRational]]):
                 m[r] = [x - f * y for x, y in zip(m[r], m[k])]
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+def dense_jet_matrix(d, order: int, base=None) -> list[list[GaussianRational]]:
+    """Dense matrix of d on jets x_0 + t x_1 + ... + t^order x_order mod t^(order+1).
+
+    Built column by column: each column is d applied, by polynomial
+    multiplication, to one unit jet t^a e_j (or, with ``base``, to the
+    constant jet b_m in place of the x_0 unit vectors); row k*d.rows + i
+    holds the t^k coefficient of component i.
+    """
+    from hodgejump.coeff import GR_ZERO, Poly
+
+    params = next((x.params for row in d.entries for x in row if isinstance(x, Poly)), ("t",))
+
+    def lift(x):
+        return x if isinstance(x, Poly) else Poly.constant(params, x)
+
+    def image(a, vector):
+        shift = Poly(params, {(a,): GR_ONE})
+        out = []
+        for row in d.entries:
+            acc = Poly(params)
+            for x, v in zip(row, vector):
+                acc = acc + lift(x) * lift(v) * shift
+            out.append(acc)
+        return out
+
+    units = [[GR_ONE if i == j else GR_ZERO for i in range(d.cols)] for j in range(d.cols)]
+    columns = [image(0, b) for b in (units if base is None else base)]
+    columns += [image(a, u) for a in range(1, order + 1) for u in units]
+    return [
+        [col[i].terms.get((k,), GR_ZERO) for col in columns]
+        for k in range(order + 1)
+        for i in range(d.rows)
+    ]

@@ -247,12 +247,12 @@ def test_criterion_10_lab_equivalences():
         accounted += 1
         # descent: build a valid jet extension and reduce when obstructed
         if cx.ranks[0] and cx.ranks[1] and descended < 15:
-            from hodgejump.freemod import _blocks, _jet_system
+            from hodgejump.freemod import _jet_rows
             from hodgejump.coeff import Jet
 
             n = rng.randint(1, 3)
-            blocks = _blocks(cx.diff(0), n - 1, "t")
-            kernel = linalg.kernel_basis_const(_jet_system(blocks, n - 1))
+            rows, width = _jet_rows(cx.diff(0), n - 1)
+            kernel = linalg.Echelon(width, rows).kernel()
             if kernel:
                 v = kernel[rng.randrange(len(kernel))]
                 P0 = cx.ranks[0]

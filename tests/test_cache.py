@@ -68,6 +68,21 @@ class TestImmutability:
         assert Dolbeault.of(spec).basis(1, 1) is basis
         assert str(basis.rep_form(spec, 0)) == "f1^c1"
 
+    def test_cached_projection_echelon_cannot_grow(self):
+        spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
+        cob = Dolbeault.of(spec).basis(1, 1).cob
+        n = len(cob.representatives[0])
+        units = [[GR(int(i == j)) for i in range(n)] for j in range(n)]
+        closed = [v for v in units if not any(cob.d_out.apply(v))]
+        before = [cob.project(v) for v in closed]
+        with pytest.raises(TypeError):
+            cob.coords.add({0: GR(1), 6: GR(5)})
+        with pytest.raises(AttributeError):
+            cob.coords.width = 3
+        assert Dolbeault.of(spec).basis(1, 1).cob is cob
+        assert [cob.project(v) for v in closed] == before
+        assert cob.project(cob.representatives[1]) == [GR(int(k == 1)) for k in range(cob.dim)]
+
     def test_equal_specs_hash_equal(self):
         text = load_manifest("iwasawa").to_json()
         a, b = parse_manifest(text).spec, parse_manifest(text).spec

@@ -21,7 +21,8 @@ from hodgejump.freemod import (
     validate_complex,
 )
 
-from .conftest import random_lab_complex
+from .conftest import random_gr, random_lab_complex
+from .oracles import dense_jet_matrix
 
 T = ("t",)
 
@@ -66,6 +67,46 @@ class TestHDims:
 
     def test_multiplication_by_t_squared(self):
         assert h_dims(C_T2) == [(1, 0), (1, 0)]
+
+
+class TestJetRows:
+    @staticmethod
+    def check(d, order, base=None):
+        from hodgejump.freemod import _jet_rows
+
+        rows, width = _jet_rows(d, order, base)
+        head = d.cols if base is None else len(base)
+        assert width == head + order * d.cols
+        assert len(rows) == d.rows * (order + 1)
+        assert all(0 <= j < width and x for row in rows for j, x in row.items())
+        dense = [[row.get(j, GR(0)) for j in range(width)] for row in rows]
+        assert dense == dense_jet_matrix(d, order, base)
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            cx, _ = random_lab_complex(rng)
+            for d in cx.diffs:
+                for order in range(4):
+                    base = [[random_gr(rng) for _ in range(d.cols)]
+                            for _ in range(rng.randint(0, 3))]
+                    self.check(d, order)
+                    self.check(d, order, base)
+
+    def test_empty_shapes(self):
+        no_cols = linalg.ExactMatrix.from_columns(2, [])
+        no_rows = linalg.ExactMatrix(0, 2, [])
+        for order in range(3):
+            self.check(no_cols, order)
+            self.check(no_cols, order, [[], []])
+            self.check(no_rows, order)
+            self.check(no_rows, order, [[GR(1), GR(2)]])
+
+    def test_order_bound_zero(self):
+        # jets of order 0 are the central fiber: every closed class extends
+        self.check(C_T2.diff(0), 0)
+        rep = classify_first_class(C_T, 0, order_bound=0)
+        assert rep.dim == 0 and rep.extendable_dim == 1
 
 
 class TestObstructionMap:
@@ -116,11 +157,10 @@ class TestObstructionMap:
                 continue
             n = rng.randint(1, 2)
             # build alpha with d(alpha) = 0 mod t^n from the jet kernel
-            from hodgejump.freemod import _blocks, _jet_system
+            from hodgejump.freemod import _jet_rows
 
-            blocks = _blocks(cx.diff(0), n - 1, "t")
-            big = _jet_system(blocks, n - 1)
-            kernel = linalg.kernel_basis_const(big)
+            rows, width = _jet_rows(cx.diff(0), n - 1)
+            kernel = linalg.Echelon(width, rows).kernel()
             if not kernel:
                 continue
             v = kernel[rng.randrange(len(kernel))]
@@ -148,10 +188,10 @@ class TestObstructionMap:
             if cx.ranks[0] == 0 or cx.ranks[1] == 0 or cx.ranks[2] == 0:
                 continue
             n = rng2.randint(1, 2)
-            from hodgejump.freemod import _apply_poly, _blocks, _jet_system
+            from hodgejump.freemod import _apply_poly, _jet_rows
 
-            blocks = _blocks(cx.diff(1), n - 1, "t")
-            kernel = linalg.kernel_basis_const(_jet_system(blocks, n - 1))
+            rows, width = _jet_rows(cx.diff(1), n - 1)
+            kernel = linalg.Echelon(width, rows).kernel()
             if not kernel:
                 continue
             v = kernel[rng2.randrange(len(kernel))]
@@ -311,11 +351,11 @@ class TestProp23Equivalence:
             cx, _ = random_lab_complex(rng)
             if cx.ranks[0] == 0 or cx.ranks[1] == 0:
                 continue
-            from hodgejump.freemod import _blocks, _jet_system
+            from hodgejump.freemod import _jet_rows
 
             n = rng.randint(1, 2)
-            blocks = _blocks(cx.diff(0), n - 1, "t")
-            kernel = linalg.kernel_basis_const(_jet_system(blocks, n - 1))
+            rows, width = _jet_rows(cx.diff(0), n - 1)
+            kernel = linalg.Echelon(width, rows).kernel()
             if not kernel:
                 continue
             v = kernel[rng.randrange(len(kernel))]

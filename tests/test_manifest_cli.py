@@ -200,6 +200,11 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["degrees"]["0"]["first_class_dim"] == 1
 
+    @pytest.mark.parametrize("q", ["2", "-1"])
+    def test_lab_degree_out_of_range(self, capsys, q):
+        assert main(["lab", "lab-t.json", "--q", q]) == 2
+        assert "outside 0..1" in capsys.readouterr().err
+
     def test_validate_command(self, capsys):
         assert main(["validate", "iwasawa.json"]) == 0
         assert "valid" in capsys.readouterr().out
