@@ -10,6 +10,7 @@ failure, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -117,7 +118,7 @@ def cmd_obstruct(args) -> int:
     _need_psi(man)
     rep = deform.obstruction_o1(man.spec, man.psi1, args.p, args.q)
     m = rep.matrix
-    entries = [[str(m.entries[i][j]) for j in range(m.cols)] for i in range(m.rows)]
+    entries = [[str(x) for x in row] for row in m.entries]
     kernel = [[str(x) for x in v] for v in rep.kernel()]
     payload = {
         "name": man.name,
@@ -329,12 +330,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parsing keeps no state in the parser, so one serves every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     verbose = os.environ.get("HODGEJUMP_VERBOSE", "")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -149,13 +149,12 @@ class Dolbeault:
         key = (p, q)
         if key in self._matrices:
             return self._matrices[key]
-        src = self.monomials(p, q)
         tgt = self.monomials(p, q + 1)
+        row_of = {key: r for r, key in enumerate(tgt)}
         cols = []
-        for I, J in src:
-            form = InvariantForm.monomial(self.spec, I, J)
-            db = differential(self.spec, form)[1]
-            cols.append(db.coordinates(tgt))
+        for I, J in self.monomials(p, q):
+            db = differential(self.spec, InvariantForm.monomial(self.spec, I, J))[1]
+            cols.append({row_of[key]: c for key, c in db.coeffs.items()})
         m = linalg.ExactMatrix.from_columns(len(tgt), cols)
         self._matrices[key] = m
         return m
@@ -333,13 +332,11 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
     unknowns = [(i, lam) for i in range(1, n + 1) for lam in range(1, n + 1)]
     pairs = [(k, (a, b)) for k in range(1, n + 1)
              for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    row_of = {pair: r for r, pair in enumerate(pairs)}
     columns = []
     for (i, lam) in unknowns:
         v = dbar_vector(spec, VectorForm.term(spec, i, (lam,)))
-        col = []
-        for (k, (a, b)) in pairs:
-            col.append(v.coeffs.get((k, (a, b)), GR_ZERO))
-        columns.append(col)
+        columns.append({row_of[key]: c for key, c in v.coeffs.items()})
     L = linalg.ExactMatrix.from_columns(len(pairs), columns)
 
     corrections: dict[int, VectorForm] = {}
@@ -566,7 +563,7 @@ def second_class_subspace(spec: ComplexStructureSpec, psi1: VectorForm, p: int, 
     )
     if point is not None:
         ev = m.eval_point(point)
-        span = linalg.Echelon(ev.rows, (ev.column(j) for j in range(ev.cols)))
+        span = linalg.Echelon(ev.rows, ev.sparse_columns)
         out.point = dict(point)
         out.point_dim = span.rank
         out.point_image = span.rows()

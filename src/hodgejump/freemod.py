@@ -81,8 +81,8 @@ class FreeComplex:
     def max_degree(self) -> int:
         deg = 0
         for d in self.diffs:
-            for row in d.entries:
-                for x in row:
+            for row in d.sparse_rows:
+                for x in row.values():
                     if isinstance(x, Poly):
                         deg = max(deg, x.degree())
         return deg
@@ -101,23 +101,18 @@ def validate_complex(c: FreeComplex) -> list[str]:
     out = []
     for q in range(len(c.diffs) - 1):
         comp = c.diffs[q + 1].matmul(c.diffs[q])
-        for i in range(comp.rows):
-            for j in range(comp.cols):
-                if comp.entries[i][j]:
-                    out.append(
-                        f"d^{q + 1} . d^{q} has nonzero entry at row {i}, column {j}"
-                    )
-                    break
-            else:
-                continue
-            break
+        i = next((i for i, row in enumerate(comp.sparse_rows) if row), None)
+        if i is not None:
+            out.append(f"d^{q + 1} . d^{q} has nonzero entry at row {i}, "
+                       f"column {min(comp.sparse_rows[i])}")
     return out
 
 
 def _at_zero(m: linalg.ExactMatrix) -> linalg.ExactMatrix:
     """Constant-term matrix: m at t = 0."""
     return linalg.ExactMatrix(m.rows, m.cols, [
-        [x.constant_term() if isinstance(x, Poly) else x for x in row] for row in m.entries
+        {j: x.constant_term() if isinstance(x, Poly) else x for j, x in row.items()}
+        for row in m.sparse_rows
     ])
 
 
@@ -160,14 +155,11 @@ class JetCochain:
 
 
 def _apply_poly(m: linalg.ExactMatrix, vec: list[Poly], param: str) -> list[Poly]:
-    params = (param,)
     out = []
-    for i in range(m.rows):
-        acc = Poly(params)
-        for j in range(m.cols):
-            x = m.entries[i][j]
-            xp = x if isinstance(x, Poly) else Poly.constant(params, x)
-            acc = acc + xp * vec[j]
+    for row in m.sparse_rows:
+        acc = Poly((param,))
+        for j, x in row.items():
+            acc = acc + vec[j] * x
         out.append(acc)
     return out
 
@@ -250,10 +242,10 @@ def _jet_rows(d: linalg.ExactMatrix, order: int, base=None):
     # base vectors by the component they touch: j -> [(m, b_m[j])]
     uses = [[(m, vec[j]) for m, vec in enumerate(base or ()) if vec[j]] for j in range(d.cols)]
     rows = [{} for _ in range(d.rows * (order + 1))]
-    for i, entries in enumerate(d.entries):
-        for j, x in enumerate(entries):
+    for i, entries in enumerate(d.sparse_rows):
+        for j, x in entries.items():
             for (b,), v in (x.terms.items() if isinstance(x, Poly) else [((0,), x)]):
-                if b > order or not v:
+                if b > order:
                     continue
                 for a in range(1, order - b + 1):
                     rows[(a + b) * d.rows + i][head + (a - 1) * d.cols + j] = v
@@ -355,10 +347,8 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
     degree, so it terminates with evaluations of full rank.
     """
     params = (param,)
-    entries = [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in row]
-               for row in m.entries]
-    pm = linalg.ExactMatrix(m.rows, m.cols, entries)
-    vectors = [pm.column(j) for j in linalg.pivot_columns(pm)]
+    vectors = [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in m.column(j)]
+               for j in linalg.pivot_columns(m)]
     while True:
         if not vectors:
             return []
@@ -388,6 +378,28 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
         vectors[drop] = u
 
 
+def _jet_search_span(c: FreeComplex, q: int, cob: linalg.CohomologyBasis,
+                     bound: int) -> linalg.Echelon:
+    """Method (b): the span in H^q(E_0) of the order-``bound`` obstruction map.
+
+    It is the kernel of the order-(bound-1) rows, which are the first bound
+    row blocks of the order-bound rows (row block k only reaches column
+    blocks a <= k); the top block gives the t^bound coefficient.
+    """
+    span = linalg.Echelon(cob.dim)
+    if cob.dim:
+        d = c.diff(q - 1)
+        rows, _ = _jet_rows(d, bound)
+        low = d.rows * bound
+        for v in linalg.Echelon(d.cols * bound, rows[:low]).kernel():
+            # a has x_bound = 0: columns past v contribute nothing
+            span.add(cob.project([
+                sum((x * v[j] for j, x in row.items() if j < len(v)), GR_ZERO)
+                for row in rows[low:]
+            ]))
+    return span
+
+
 def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None) -> SecondClassLabReport:
     """Nonzero central classes that extend to sections exact away from 0.
 
@@ -396,37 +408,29 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
         fraction field, projected to H^q(E_0);
     (b) the image of the order-``bound`` obstruction map: achievable
         classes [t^n coefficient of d(a)] over all valid jets a.
+    An explicit ``order_bound`` below the default at which (b) disagrees
+    with (a), while (b) at the default agrees, is too small to decide:
+    ValidationFailure.  A disagreement at the default bound is internal.
     """
     if q < 1:
         raise ValidationFailure("second-class classification needs q >= 1")
-    bound = default_order_bound(c) if order_bound is None else order_bound
+    default = default_order_bound(c)
+    bound = default if order_bound is None else order_bound
     cob = cohomology_at_zero(c, q)
-    h = cob.dim
 
-    # method (a)
-    span_a = linalg.Echelon(h)
-    if h:
+    span_a = linalg.Echelon(cob.dim)
+    if cob.dim:
         for vec in _saturation_fiber(c.diff(q - 1), c.param):
             span_a.add(cob.project(vec))
-
-    # method (b): kernel of the order-(bound-1) rows, which are the first
-    # bound row blocks of the order-bound rows (row block k only reaches
-    # column blocks a <= k); the top block gives the t^bound coefficient
-    span_b = linalg.Echelon(h)
-    if h:
-        d = c.diff(q - 1)
-        rows, _ = _jet_rows(d, bound)
-        low = d.rows * bound
-        for v in linalg.Echelon(d.cols * bound, rows[:low]).kernel():
-            # a has x_bound = 0: columns past v contribute nothing
-            span_b.add(cob.project([
-                sum((x * v[j] for j, x in row.items() if j < len(v)), GR_ZERO)
-                for row in rows[low:]
-            ]))
+    span_b = _jet_search_span(c, q, cob, bound)
 
     rows_a = span_a.rows()
-    rows_b = span_b.rows()
-    if rows_a != rows_b:
+    if rows_a != span_b.rows():
+        if bound < default and _jet_search_span(c, q, cob, default).rows() == rows_a:
+            raise ValidationFailure(
+                f"order_bound {bound} is too small to decide the second class at q={q}: "
+                f"the jet search agrees with the saturation at the default bound {default}"
+            )
         raise InternalInvariantError(
             f"second-class methods disagree at q={q}: "
             f"saturation gives dim {span_a.rank}, jet search gives dim {span_b.rank}"

@@ -1,24 +1,25 @@
 """Exact linear algebra over Q(i) and over fraction fields of polynomial rings.
 
-Matrices are dense with entries that are either all GaussianRational or all
-Poly (over one shared parameter tuple).
+Matrices are sparse: ``ExactMatrix`` keeps the nonzeros of each row, all
+GaussianRational or all Poly (over one shared parameter tuple), and its
+products, applications and evaluations touch nonzeros only.
 
 Over Q(i) there is one elimination routine: ``Echelon``, the reduced row
 echelon form of a span, kept as sparse rows and grown one row at a time.
 Rank, kernel, solve, pivot columns, cohomology and its coordinate
-projection all go through it.  The reduced form of a span is unique, so
-these canonical outputs do not depend on the order rows arrive in.
+projection all go through it, fed a matrix's stored rows.  The reduced
+form of a span is unique, so these canonical outputs do not depend on the
+order rows arrive in.
 
 Over polynomial entries ranks and pivot columns come from fraction-free
 (Bareiss) elimination and kernels from Cramer-style minors of its echelon
-form, so every intermediate value stays polynomial.
-
-Pivots are always the first nonzero column, which makes every output
-deterministic.
+form, so every intermediate value stays polynomial.  Pivots are always the
+first nonzero column, which makes every output deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -44,29 +45,62 @@ class LinalgError(ValueError):
     pass
 
 
-def _coerce_entry(x):
-    if isinstance(x, (GaussianRational, Poly)):
-        return x
-    return GaussianRational._coerce(x)
+def _items(v, n: int):
+    """(index, value) pairs of a length-n vector given dense or sparse."""
+    if isinstance(v, Mapping):
+        if v and not (min(v) >= 0 and max(v) < n):
+            raise LinalgError("inconsistent matrix shape")
+        return v.items()
+    if len(v) != n:
+        raise LinalgError("inconsistent matrix shape")
+    return enumerate(v)
+
+
+def _sparse(v) -> dict[int, GaussianRational]:
+    if isinstance(v, Mapping):
+        return v
+    return {j: GaussianRational._coerce(x) for j, x in enumerate(v) if x}
+
+
+def _dense(row, width: int, zero=GR_ZERO) -> list:
+    out = [zero] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact entries (GaussianRational or Poly).
+    """Immutable sparse matrix with exact entries (GaussianRational or Poly).
 
-    ``entries`` is a tuple of row tuples, so a matrix can be cached and
-    shared between callers.
+    Built from rows given dense (lists) or sparse (dicts); ``sparse_rows``
+    holds one read-only ``{column: value}`` mapping of each row's nonzeros.
+    A matrix is polynomial when an entry it was built from is a Poly, zeros
+    included; its gaps then read as the zero Poly, else as GR_ZERO.
+    ``entries`` (row tuples, for rendering) and ``sparse_columns`` are
+    derived on each use.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "sparse_rows", "_zero")
 
     def __init__(self, rows: int, cols: int, entries):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        if len(entries) != rows:
             raise LinalgError("inconsistent matrix shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(
-            tuple([_coerce_entry(x) for x in row]) for row in entries
-        ))
+        zero = GR_ZERO
+        sparse = []
+        for row in entries:
+            out = {}
+            for j, x in _items(row, cols):
+                if isinstance(x, Poly):
+                    if zero is GR_ZERO:
+                        zero = Poly(x.params)
+                elif not isinstance(x, GaussianRational):
+                    x = GaussianRational._coerce(x)
+                if x:
+                    out[j] = x
+            sparse.append(MappingProxyType(out))
+        for name, value in (("rows", rows), ("cols", cols), ("sparse_rows", tuple(sparse)),
+                            ("_zero", zero)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -75,107 +109,84 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [[GR_ZERO] * cols for _ in range(rows)])
+        return cls(rows, cols, [{}] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)])
+        return cls(n, n, [{i: GR_ONE} for i in range(n)])
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "ExactMatrix":
-        columns = list(columns)
-        return cls(rows, len(columns), [[col[i] for col in columns] for i in range(rows)])
+        """Matrix with the given columns, each dense (a list) or sparse (a dict)."""
+        out = [{} for _ in range(rows)]
+        j = -1
+        for j, col in enumerate(columns):
+            for i, x in _items(col, rows):
+                out[i][j] = x
+        return cls(rows, j + 1, out)
 
     # -- basics ------------------------------------------------------
 
     def is_polynomial(self) -> bool:
-        return any(isinstance(x, Poly) for row in self.entries for x in row)
+        return self._zero is not GR_ZERO
+
+    @property
+    def entries(self) -> tuple:
+        """Dense view: row tuples with gaps filled by the matrix's zero."""
+        return tuple(tuple(_dense(row, self.cols, self._zero)) for row in self.sparse_rows)
+
+    @property
+    def sparse_columns(self) -> tuple:
+        """One read-only ``{row: value}`` mapping of nonzeros per column."""
+        return ExactMatrix.from_columns(self.cols, self.sparse_rows).sparse_rows
 
     def column(self, j: int) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
+        return [row.get(j, self._zero) for row in self.sparse_rows]
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        # differentials are sparse; skipping zero factors matters at scale
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in matmul")
         out = []
-        for i in range(self.rows):
-            nonzero = [(k, v) for k, v in enumerate(self.entries[i]) if v]
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k, v in nonzero:
-                    w = other.entries[k][j]
-                    if not w:
-                        continue
-                    term = v * w
-                    acc = term if acc is None else acc + term
-                row.append(acc if acc is not None else GR_ZERO)
-            out.append(row)
+        for row in self.sparse_rows:
+            acc = {}
+            for k, v in row.items():
+                for j, w in other.sparse_rows[k].items():
+                    accumulate(acc, j, v * w)
+            out.append(acc)
         return ExactMatrix(self.rows, other.cols, out)
 
     def apply(self, vector: list) -> list:
         if len(vector) != self.cols:
             raise LinalgError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = None
-            for k, v in enumerate(self.entries[i]):
-                if not v or not vector[k]:
-                    continue
-                term = v * vector[k]
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else GR_ZERO)
-        return out
+        return [sum((v * vector[k] for k, v in row.items() if vector[k]), GR_ZERO)
+                for row in self.sparse_rows]
 
     def eval_point(self, point: dict) -> "ExactMatrix":
         """Specialize polynomial entries at a parameter point."""
-        out = []
-        for row in self.entries:
-            out.append([x.eval(point) if isinstance(x, Poly) else x for x in row])
-        return ExactMatrix(self.rows, self.cols, out)
+        return ExactMatrix(self.rows, self.cols, [
+            {j: x.eval(point) if isinstance(x, Poly) else x for j, x in row.items()}
+            for row in self.sparse_rows
+        ])
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self.sparse_rows)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        # one mapping per row, so equal rows tuples mean equal row counts
+        return self.cols == other.cols and self.sparse_rows == other.sparse_rows
 
     def __hash__(self):
         return hash((self.rows, self.cols))
 
     def __str__(self):
-        return "[" + ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.entries
-        ) + "]"
+        return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries) + "]"
 
     __repr__ = __str__
 
 
 # -- elimination over Q(i) ----------------------------------------------
-
-def _sparse(v) -> dict[int, GaussianRational]:
-    if isinstance(v, dict):
-        return v
-    return {j: GaussianRational._coerce(x) for j, x in enumerate(v) if x}
-
-
-def _dense(row: dict, width: int) -> list[GaussianRational]:
-    out = [GR_ZERO] * width
-    for j, x in row.items():
-        out[j] = x
-    return out
-
 
 def _axpy(acc: dict, f: GaussianRational, row: dict) -> None:
     """acc += f * row in place, dropping entries that cancel."""
@@ -262,17 +273,17 @@ class Echelon:
 
     def kernel(self) -> list[list[GaussianRational]]:
         """Canonical right-kernel basis of the rows: one vector per free column."""
-        basis = []
-        for f in range(self._width):
-            if f in self._rows:
-                continue
-            v = [GR_ZERO] * self._width
-            v[f] = GR_ONE
-            for c, row in self._rows.items():
-                if f in row:
-                    v[c] = -row[f]
-            basis.append(v)
-        return basis
+        return [_dense(v, self._width) for v in self._kernel()]
+
+    def _kernel(self) -> list[dict[int, GaussianRational]]:
+        """``kernel`` as sparse vectors."""
+        free = {f: {f: GR_ONE} for f in range(self._width) if f not in self._rows}
+        for c, row in self._rows.items():
+            # a reduced row is zero in every other pivot column
+            for f, x in row.items():
+                if f != c:
+                    free[f][c] = -x
+        return list(free.values())
 
     def solution(self) -> list[GaussianRational] | None:
         """x with A x = b for rows [A | b], b the last column; free
@@ -280,45 +291,42 @@ class Echelon:
         n = self._width - 1
         if n in self._rows:
             return None
-        x = [GR_ZERO] * n
-        for c, row in self._rows.items():
-            if n in row:
-                x[c] = row[n]
-        return x
+        return _dense({c: row[n] for c, row in self._rows.items() if n in row}, n)
 
 
 def rank_const(m: ExactMatrix) -> int:
     if m.is_polynomial():
         raise LinalgError("rank_const on polynomial matrix; use generic_rank")
-    return Echelon(m.cols, m.entries).rank
+    return Echelon(m.cols, m.sparse_rows).rank
 
 
 def kernel_basis_const(m: ExactMatrix) -> list[list[GaussianRational]]:
     """Canonical right-kernel basis over Q(i): one vector per free column."""
-    return Echelon(m.cols, m.entries).kernel()
+    return Echelon(m.cols, m.sparse_rows).kernel()
 
 
 def solve_const(m: ExactMatrix, rhs: list) -> list | None:
     """One exact solution of m x = rhs over Q(i), or None; free variables 0."""
     if len(rhs) != m.rows:
         raise LinalgError("rhs length mismatch")
-    return Echelon(m.cols + 1, (list(row) + [b] for row, b in zip(m.entries, rhs))).solution()
+    n = m.cols
+    return Echelon(n + 1, ({**row, n: b} if b else row for row, b in zip(
+        m.sparse_rows, map(GaussianRational._coerce, rhs)))).solution()
 
 
 def pivot_columns(m: ExactMatrix) -> list[int]:
     """Columns outside the span of the columns before them, in order."""
     if not m.is_polynomial():
-        return Echelon(m.cols, m.entries).pivots
-    return _bareiss(_poly_entries(m)[1])[1]
+        return Echelon(m.cols, m.sparse_rows).pivots
+    return _bareiss(_poly_entries(m))[1]
 
 
 # -- fraction-free elimination over polynomial entries -------------------
 
-def _poly_entries(m: ExactMatrix) -> tuple[tuple[str, ...], list[list[Poly]]]:
-    """Parameters and entries of a polynomial matrix, constants lifted."""
-    params = next(x for row in m.entries for x in row if isinstance(x, Poly)).params
-    return params, [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in row]
-                    for row in m.entries]
+def _poly_entries(m: ExactMatrix) -> list[list[Poly]]:
+    """Entries of a polynomial matrix, constants lifted."""
+    return [[x if isinstance(x, Poly) else Poly.constant(m._zero.params, x) for x in row]
+            for row in m.entries]
 
 
 def _poly_exact_div(num: Poly, den: Poly) -> Poly:
@@ -395,8 +403,6 @@ def _det_poly(entries: list[list[Poly]]) -> Poly:
     """Determinant by cofactor expansion; sizes here are small."""
     n = len(entries)
     params = entries[0][0].params
-    if n == 0:
-        return Poly.constant(params, 1)
     if n == 1:
         return entries[0][0]
     det = Poly(params)
@@ -418,16 +424,13 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
     """
     if not m.is_polynomial():
         return kernel_basis_const(m)
-    params, entries = _poly_entries(m)
-    ech, pivots = _bareiss(entries)
-    free = [c for c in range(m.cols) if c not in pivots]
+    ech, pivots = _bareiss(_poly_entries(m))
     r = len(pivots)
-    zero = Poly(params)
     basis = []
-    for f in free:
+    for f in (c for c in range(m.cols) if c not in pivots):
         pivot_block = [[ech[i][pivots[j]] for j in range(r)] for i in range(r)]
-        det = _det_poly(pivot_block) if r else Poly.constant(params, 1)
-        v = [zero] * m.cols
+        det = _det_poly(pivot_block) if r else Poly.constant(m._zero.params, 1)
+        v = [m._zero] * m.cols
         v[f] = det
         for k in range(r):
             col = [[ech[i][pivots[j]] if j != k else ech[i][f] for j in range(r)] for i in range(r)]
@@ -478,27 +481,24 @@ def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohomo
     n = d_out.cols if d_out.cols else d_in.rows
     # composition must vanish
     if d_in.cols and d_out.rows:
-        comp = d_out.matmul(d_in)
-        for j in range(comp.cols):
-            if any(comp.entries[i][j] for i in range(comp.rows)):
-                raise LinalgError(f"d_out . d_in nonzero on column {j}")
+        bad = [j for row in d_out.matmul(d_in).sparse_rows for j in row]
+        if bad:
+            raise LinalgError(f"d_out . d_in nonzero on column {min(bad)}")
 
-    ker = kernel_basis_const(d_out) if d_out.rows else [
-        [GR_ONE if i == j else GR_ZERO for i in range(n)] for j in range(n)
-    ]
-    span = Echelon(n, (d_in.column(j) for j in range(d_in.cols)))
-    image_basis = span.rows()
-    reps: list[tuple[GaussianRational, ...]] = []
+    # kernel vectors, representatives and image basis stay sparse
+    ker = Echelon(d_out.cols if d_out.rows else n, d_out.sparse_rows)._kernel()
+    span = Echelon(n, d_in.sparse_columns)
+    image_basis = [dict(span._rows[c]) for c in span.pivots]
+    reps: list[dict[int, GaussianRational]] = []
     for v in ker:
         r = span.residue(v)
         if r:
             r = _monic(r)
-            reps.append(tuple(_dense(r, n)))
+            reps.append(r)
             span.add(r)
 
-    basis = reps + image_basis
-    coords = Echelon(n + len(basis), (
-        {**_sparse(b), n + k: GR_ONE} for k, b in enumerate(basis)
+    coords = Echelon(n + len(reps) + len(image_basis), (
+        {**b, n + k: GR_ONE} for k, b in enumerate(reps + image_basis)
     )).freeze()
-    return CohomologyBasis(dim=len(reps), representatives=tuple(reps), d_out=d_out,
-                           coords=coords, label=label)
+    return CohomologyBasis(dim=len(reps), representatives=tuple(tuple(_dense(r, n)) for r in reps),
+                           d_out=d_out, coords=coords, label=label)

@@ -214,3 +214,50 @@ def dense_jet_matrix(d, order: int, base=None) -> list[list[GaussianRational]]:
         for k in range(order + 1)
         for i in range(d.rows)
     ]
+
+
+# -- dense matrix reference ------------------------------------------------
+# A matrix here is a plain list of row lists holding the entries exactly as
+# given (GaussianRational, Poly, int, zeros included); every operation
+# visits every cell, the way the package's matrices did before they went
+# sparse.
+
+def dense_matmul(a: list[list], b: list[list], cols: int) -> list[list]:
+    """a times b, for b with len(b) rows and ``cols`` columns."""
+    return [[dense_apply([row], [b_row[j] for b_row in b])[0] for j in range(cols)] for row in a]
+
+
+def dense_apply(a: list[list], vector: list) -> list:
+    from hodgejump.coeff import GR_ZERO, radd, rmul
+
+    out = []
+    for row in a:
+        acc = GR_ZERO
+        for x, v in zip(row, vector, strict=True):
+            acc = radd(acc, rmul(x, v))
+        out.append(acc)
+    return out
+
+
+def dense_eval(a: list[list], point: dict) -> list[list]:
+    from hodgejump.coeff import Poly
+
+    return [[x.eval(point) if isinstance(x, Poly) else x for x in row] for row in a]
+
+
+def dense_is_zero(a: list[list]) -> bool:
+    return all(not x for row in a for x in row)
+
+
+def dense_eq(a: list[list], b: list[list]) -> bool:
+    return len(a) == len(b) and all(
+        len(r) == len(s) and all(x == y for x, y in zip(r, s)) for r, s in zip(a, b)
+    )
+
+
+def dense_column(a: list[list], j: int) -> list:
+    return [row[j] for row in a]
+
+
+def dense_str(a: list[list]) -> str:
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in a) + "]"

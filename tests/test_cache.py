@@ -35,7 +35,14 @@ class TestImmutability:
             m.entries[0][0] = GR(7)
         with pytest.raises(TypeError):
             m.entries[0] = (GR(7), GR(7))
+        with pytest.raises(TypeError):
+            m.sparse_rows[0][1] = GR(7)
+        with pytest.raises(TypeError):
+            del m.sparse_rows[1][1]
+        with pytest.raises(TypeError):
+            m.sparse_columns[0][1] = GR(7)
         assert m == linalg.ExactMatrix.identity(2)
+        assert m.sparse_rows == ({0: GR(1)}, {1: GR(1)})
 
     @pytest.mark.parametrize("kind", ["invariant", "vector"])
     def test_form_cannot_be_changed(self, iwasawa, kind):

@@ -26,6 +26,7 @@ from hodgejump.exterior import (
     InvariantForm,
     VectorForm,
     differential,
+    validate_spec,
 )
 
 from .conftest import (
@@ -75,6 +76,21 @@ class TestHodgeTable:
     def test_elliptic_curve(self):
         table = hodge_table(ComplexStructureSpec(1))
         assert table == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_sakane_formula_on_parallelisable_structures(self, n):
+        # holomorphic structure equations only (d f3 = -f1^f2, d f4 = -f1^f3,
+        # d f5 = f1^f4, f6 closed): on a complex-parallelisable nilmanifold
+        # h^{p,q} = C(n,p) h^{0,q} (Y. Sakane, Osaka J. Math. 13 (1976))
+        spec = ComplexStructureSpec(n, A={
+            3: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}, 5: {(1, 4): GR(1)},
+        })
+        assert not [d for d in validate_spec(spec) if d.severity == "error"]
+        table = hodge_table(spec)
+        assert table[(1, 0)] == n and table[(0, 1)] == n - 3   # c3, c4, c5 are not closed
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert table[(p, q)] == comb(n, p) * table[(0, q)], (p, q)
 
 
 class TestBeyondParallelisable:

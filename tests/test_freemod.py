@@ -52,6 +52,9 @@ class TestValidate:
     def test_nonzero_composition_flagged(self):
         bad = mk([1, 1, 1], [[["t"]], [["1"]]])
         assert validate_complex(bad)
+        # d^1 . d^0 = [[0, 0], [0, t]]: the first nonzero entry is named
+        late = mk([2, 1, 2], [[["0", "t"]], [["0"], ["1"]]])
+        assert validate_complex(late) == ["d^1 . d^0 has nonzero entry at row 1, column 1"]
 
     def test_three_term_ok(self):
         ok = mk([1, 2, 1], [[["t"], ["0"]], [["0", "1"]]])
@@ -327,6 +330,25 @@ class TestAccounting:
         for q in (0, 1):
             r = jump_accounting(C_ZERO2, q)
             assert r.consistent and r.h_drop == 0
+
+    @pytest.mark.parametrize("bound", [0, 1, None])
+    def test_too_small_order_bound_is_a_validation_failure(self, bound):
+        # over d0 = [t] the jet search needs order 1 to reach t * 1 = d(1)
+        if bound == 0:
+            with pytest.raises(ValidationFailure, match="order_bound 0 is too small"):
+                jump_accounting(C_T, 1, order_bound=bound)
+        else:
+            r = jump_accounting(C_T, 1, order_bound=bound)
+            assert r.consistent and r.second_class_dim == r.image_rise == 1
+            assert r.order_bound == (3 if bound is None else bound)
+
+    def test_disagreement_at_the_default_bound_is_internal(self, monkeypatch):
+        from hodgejump import freemod
+        from hodgejump.errors import InternalInvariantError
+
+        monkeypatch.setattr(freemod, "_saturation_fiber", lambda m, param: [])
+        with pytest.raises(InternalInvariantError, match="methods disagree"):
+            classify_second_class(C_T, 1)
 
     def test_random_suite(self):
         rng = random.Random(101)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from hodgejump.coeff import GR, Poly
+from hodgejump.coeff import GR, GaussianRational, Poly
 from hodgejump.linalg import (
     Echelon,
     ExactMatrix,
@@ -18,7 +19,17 @@ from hodgejump.linalg import (
 )
 
 from .conftest import random_gr
-from .oracles import rank_qi, rref_qi
+from .oracles import (
+    dense_apply,
+    dense_column,
+    dense_eq,
+    dense_eval,
+    dense_is_zero,
+    dense_matmul,
+    dense_str,
+    rank_qi,
+    rref_qi,
+)
 
 T = ("t",)
 P4 = ("t11", "t12", "t21", "t22")
@@ -165,6 +176,10 @@ class TestCohomology:
     def test_composition_check_names_column(self):
         with pytest.raises(LinalgError, match="column 0"):
             cohomology(ExactMatrix(1, 1, [[GR(1)]]), ExactMatrix(1, 1, [[GR(1)]]))
+        # the first nonzero column, not the column of the first nonzero row
+        swap = ExactMatrix(2, 2, [[0, 1], [1, 0]])
+        with pytest.raises(LinalgError, match="column 0"):
+            cohomology(swap, ExactMatrix.identity(2))
 
     def test_projection_well_defined(self):
         rng = random.Random(3)
@@ -202,3 +217,105 @@ class TestCohomology:
         cb = cohomology(d_in, d_out)
         with pytest.raises(LinalgError):
             cb.project([GR(1), GR(0)])
+
+
+def _random_dense(rng, rows, cols, poly):
+    """Entries as a caller may give them: about half zero (GR, int or, in a
+    polynomial matrix, Poly zeros), the rest ints, Q(i) or Poly in t."""
+    def entry():
+        kind = rng.randrange(6)
+        if kind < 3:
+            return Poly(T) if poly and kind == 2 else (0 if kind == 1 else GR(0))
+        if kind == 3:
+            return rng.choice([-2, -1, 1, 3])
+        if kind == 4 or not poly:
+            return random_gr(rng, zero_ok=False)
+        return Poly(T, {(rng.randint(1, 2),): random_gr(rng, zero_ok=False), (0,): random_gr(rng)})
+
+    out = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        out[rng.randrange(rows)] = [GR(0)] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in out:
+            row[j] = 0
+    return out
+
+
+class TestSparseMatrix:
+    """ExactMatrix against the dense references in tests/oracles.py."""
+
+    @staticmethod
+    def check_types(got, given, poly):
+        # gaps read as the matrix's zero; nonzeros keep the type they had
+        for x, y in zip(got, given, strict=True):
+            if x:
+                assert isinstance(x, Poly) == isinstance(y, Poly)
+            else:
+                assert isinstance(x, Poly if poly else GaussianRational)
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(17)
+        point = {"t": GR(2, -1)}
+        cancelled = 0
+        for r, c, k in itertools.product(range(4), repeat=3):
+            for _ in range(2):
+                a = _random_dense(rng, r, c, rng.random() < 0.6)
+                b = _random_dense(rng, c, k, rng.random() < 0.6)
+                cancel = c >= 2 and k and rng.random() < 0.5
+                if cancel:
+                    # equal columns 0 and 1 of a against (1, -1, 0, ...) in b
+                    for row in a:
+                        row[1] = row[0]
+                    for i, row in enumerate(b):
+                        row[0] = (1, -1)[i] if i < 2 else 0
+                m, mb = ExactMatrix(r, c, a), ExactMatrix(c, k, b)
+                assert (m.rows, m.cols) == (r, c)
+                assert dense_eq(m.entries, a) and str(m) == dense_str(a)
+                assert m.is_polynomial() == any(isinstance(x, Poly) for row in a for x in row)
+                for row, given in zip(m.entries, a):
+                    self.check_types(row, given, m.is_polynomial())
+                assert all(x for row in m.sparse_rows for x in row.values())
+                for j in range(c):
+                    assert dense_eq([m.column(j)], [dense_column(a, j)])
+                    self.check_types(m.column(j), dense_column(a, j), m.is_polynomial())
+                assert m.is_zero() == dense_is_zero(a)
+                for twin in (ExactMatrix.from_columns(r, [dense_column(a, j) for j in range(c)]),
+                             ExactMatrix.from_columns(r, m.sparse_columns),
+                             ExactMatrix(r, c, m.sparse_rows)):
+                    assert twin == m and dense_eq(twin.entries, a)
+                assert (ExactMatrix.zeros(r, c) == m) == dense_is_zero(a)
+                assert ExactMatrix.zeros(r, c + 1) != m and ExactMatrix.zeros(r + 1, c) != m
+
+                prod = m.matmul(mb)
+                assert (prod.rows, prod.cols) == (r, k)
+                assert dense_eq(prod.entries, dense_matmul(a, b, k))
+                assert all(x for row in prod.sparse_rows for x in row.values())
+                if cancel:
+                    assert not any(prod.column(0))
+                    cancelled += 1
+                vec = [random_gr(rng) for _ in range(c)]
+                assert dense_eq([m.apply(vec)], [dense_apply(a, vec)])
+                ev = m.eval_point(point)
+                assert not ev.is_polynomial() and dense_eq(ev.entries, dense_eval(a, point))
+
+                if r and c:
+                    i, j = rng.randrange(r), rng.randrange(c)
+                    changed = [list(row) for row in a]
+                    changed[i][j] = rng.choice([GR(0), GR(1), Poly.variable(T, "t"), a[i][j]])
+                    assert (ExactMatrix(r, c, changed) == m) == dense_eq(changed, a)
+        assert cancelled > 5
+
+    def test_shape_errors(self):
+        for build in (
+            lambda: ExactMatrix(2, 2, [[1, 2], [3]]),
+            lambda: ExactMatrix(2, 2, [[1, 2]]),
+            lambda: ExactMatrix(1, 2, [{2: GR(1)}]),
+            lambda: ExactMatrix(1, 2, [{-1: GR(1)}]),
+            lambda: ExactMatrix.from_columns(2, [[GR(1)]]),
+            lambda: ExactMatrix.from_columns(2, [{2: GR(1)}]),
+            lambda: ExactMatrix(1, 2, [[1, 2]]).matmul(ExactMatrix.identity(1)),
+            lambda: ExactMatrix(1, 2, [[1, 2]]).apply([GR(1)]),
+        ):
+            with pytest.raises(LinalgError):
+                build()

@@ -271,6 +271,24 @@ class TestCli:
         assert doc["agree"] is True
         assert {row["predicted"] for row in doc["rows"].values()} == {1}
 
+    def test_calls_in_one_process_share_no_state(self, capsys):
+        # the parser is built once per process; each call must start clean
+        with_point = ["obstruct", "iwasawa.json", "--p", "2", "--q", "0", "--format", "json"]
+        assert main(with_point + ["--point", "t11=1"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank_at_point"] == 1
+        assert main(with_point) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "point" not in doc and "rank_at_point" not in doc
+        assert main(["obstruct", "iwasawa.json", "--p", "2", "--q", "0"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("o1 at (2,0)") and "rank at point" not in text
+        assert main(["obstruct", "iwasawa.json", "--p", "two", "--q", "0"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(["obstruct", "iwasawa.json", "--p", "2", "--q", "0"]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["hodge", "iwasawa.json", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
+
     def test_deterministic_output(self, capsys):
         main(["jump", "iwasawa.json", "--point", "t11=1"])
         first = capsys.readouterr().out
