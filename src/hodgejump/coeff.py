@@ -2,8 +2,9 @@
 
 Three coefficient rings are provided, forming a ladder:
 
-* ``GaussianRational``, the field Q(i), stored as a pair of ``Fraction``
-  values (always in lowest terms with positive denominators);
+* ``GaussianRational``, the field Q(i), stored as an integer triple
+  (a, b, d) meaning (a + b*i)/d over one common denominator d > 0, with
+  gcd(a, b, d) == 1;
 * ``Poly``, multivariate polynomials in a fixed ordered tuple of
   deformation parameters, with GaussianRational coefficients;
 * ``Jet``, a Poly truncated at a total degree bound.  Multiplication
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "GaussianRational",
@@ -42,14 +44,31 @@ def _fraction(literal: str, text: str) -> Fraction:
         raise CoefficientError(f"zero denominator in {text!r}") from None
 
 
-class GaussianRational:
-    """An element a + b*i of Q(i) with exact rational parts."""
+_PART = re.compile(r"^([+-]?(?:[0-9]+(?:/[0-9]+)?)?)(\*?i)?$")
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """An element (a + b*i)/d of Q(i), held as three ints.
+
+    The triple is kept in normal form: d > 0 and gcd(a, b, d) == 1, so equal
+    numbers have equal triples.  Each result costs one three-argument gcd;
+    negation and conjugation need none.  ``re`` and ``im`` read the parts
+    as ``Fraction`` values.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -58,13 +77,13 @@ class GaussianRational:
 
     @staticmethod
     def _coerce(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
+        if type(x) is GaussianRational:
             return x
+        if type(x) is int:
+            return _raw(x, 0, 1)
         if isinstance(x, (int, Fraction)):
             return GaussianRational(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into Q(i)")
-
-    _PART = re.compile(r"^([+-]?(?:[0-9]+(?:/[0-9]+)?)?)(\*?i)?$")
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -83,7 +102,7 @@ class GaussianRational:
         re_part = Fraction(0)
         im_part = Fraction(0)
         for chunk in chunks:
-            m = cls._PART.match(chunk)
+            m = _PART.match(chunk)
             if not m:
                 raise CoefficientError(f"bad Q(i) literal: {text!r}")
             num, imark = m.group(1), m.group(2)
@@ -99,33 +118,50 @@ class GaussianRational:
                 re_part += value
         return cls(re_part, im_part)
 
+    # -- parts -------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- ring/field operations ---------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (Poly, Jet)):
-            return NotImplemented
-        other = self._coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, (Poly, Jet)):
+                return NotImplemented
+            other = self._coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (Poly, Jet)):
-            return NotImplemented
-        other = self._coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            if isinstance(other, (Poly, Jet)):
+                return NotImplemented
+            other = self._coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (Poly, Jet)):
-            return NotImplemented
-        other = self._coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            if isinstance(other, (Poly, Jet)):
+                return NotImplemented
+            other = self._coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -137,45 +173,50 @@ class GaussianRational:
         return self._coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def inv(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __str__(self):
         if not self:
             return "0"
+        re, im = self.re, self.im
         parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            if self.im == 1:
+        if re:
+            parts.append(str(re))
+        if im:
+            if im == 1:
                 imtxt = "i"
-            elif self.im == -1:
+            elif im == -1:
                 imtxt = "-i"
             else:
-                imtxt = f"{self.im}*i"
+                imtxt = f"{im}*i"
             if parts and not imtxt.startswith("-"):
                 parts.append("+" + imtxt)
             else:
@@ -184,6 +225,31 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GR({self})"
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from a triple already in normal form."""
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in normal form, for any d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 def GR(re=0, im=0) -> GaussianRational:

@@ -294,6 +294,16 @@ class InvariantForm(_Form):
                 clean[(I, J)] = c
         self._freeze(spec=spec, p=p, q=q, coeffs=MappingProxyType(clean))
 
+    @classmethod
+    def _trusted(cls, spec, p: int, q: int, coeffs) -> "InvariantForm":
+        """A form from keys already known to be valid: the bidegree, index
+        order and range checks of ``__init__`` are skipped, zero
+        coefficients are still dropped."""
+        form = object.__new__(cls)
+        form._freeze(spec=spec, p=p, q=q,
+                     coeffs=MappingProxyType({k: c for k, c in coeffs.items() if c}))
+        return form
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -313,7 +323,7 @@ class InvariantForm(_Form):
     # -- algebra -------------------------------------------------------
 
     def _like(self, coeffs) -> "InvariantForm":
-        return InvariantForm(self.spec, self.p, self.q, coeffs)
+        return InvariantForm._trusted(self.spec, self.p, self.q, coeffs)
 
     def _check_addable(self, other: "InvariantForm"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -486,12 +496,12 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     p, q = a.p + b.p, a.q + b.q
     if p > n or q > n:
         # no room: the product is identically zero
-        return InvariantForm(a.spec, min(p, n), min(q, n), {})
+        return InvariantForm._trusted(a.spec, min(p, n), min(q, n), {})
     out: dict = {}
     for (I1, J1), c1 in a.coeffs.items():
         for (I2, J2), c2 in b.coeffs.items():
             _add_monomial(out, _monomial_factors(I1, J1) + _monomial_factors(I2, J2), c1, c2)
-    return InvariantForm(a.spec, p, q, out)
+    return InvariantForm._trusted(a.spec, p, q, out)
 
 
 def _d_form(form: InvariantForm) -> dict:
@@ -522,11 +532,9 @@ def differential(spec: ComplexStructureSpec, form: InvariantForm):
             delbar_coeffs[(I, J)] = c
         else:  # pragma: no cover - impossible by construction
             raise SpecError("differential produced an off-bidegree term")
-    mk = lambda p, q, coeffs: (
-        InvariantForm(spec, p, q, coeffs) if p <= n and q <= n
-        else InvariantForm(spec, min(p, n), min(q, n), {})
-    )
-    return mk(form.p + 1, form.q, del_coeffs), mk(form.p, form.q + 1, delbar_coeffs)
+    # past degree n there is no monomial, so the clamped part is empty
+    return (InvariantForm._trusted(spec, min(form.p + 1, n), form.q, del_coeffs),
+            InvariantForm._trusted(spec, form.p, min(form.q + 1, n), delbar_coeffs))
 
 
 def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
@@ -540,7 +548,7 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
     spec = a.spec
     pq = (a.p - 1, a.q + psi.q)
     if a.p == 0 or pq[1] > spec.n:
-        return InvariantForm(spec, max(a.p - 1, 0), min(pq[1], spec.n), {})
+        return InvariantForm._trusted(spec, max(a.p - 1, 0), min(pq[1], spec.n), {})
     out: dict = {}
     for (i, Jpsi), cpsi in psi.coeffs.items():
         for (I, J), cf in a.coeffs.items():
@@ -549,7 +557,7 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
             k = I.index(i)
             _add_monomial(out, _monomial_factors(I[:k] + I[k + 1:], J) + [("c", j) for j in Jpsi],
                           cf, cpsi, -1 if k % 2 else 1)
-    return InvariantForm(spec, pq[0], pq[1], out)
+    return InvariantForm._trusted(spec, pq[0], pq[1], out)
 
 
 # -- validation -----------------------------------------------------------

@@ -426,10 +426,10 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
         return kernel_basis_const(m)
     ech, pivots = _bareiss(_poly_entries(m))
     r = len(pivots)
+    pivot_block = [[ech[i][pivots[j]] for j in range(r)] for i in range(r)]
+    det = _det_poly(pivot_block) if r else Poly.constant(m._zero.params, 1)
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
-        pivot_block = [[ech[i][pivots[j]] for j in range(r)] for i in range(r)]
-        det = _det_poly(pivot_block) if r else Poly.constant(m._zero.params, 1)
         v = [m._zero] * m.cols
         v[f] = det
         for k in range(r):

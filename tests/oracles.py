@@ -9,8 +9,67 @@ package's incremental normalization.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hodgejump.coeff import GR_ONE, GaussianRational
 from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
+
+
+class FractionPairQi:
+    """Reference Q(i): a + b*i as a pair of ``Fraction`` parts.
+
+    Mirrors the public behaviour of ``GaussianRational`` (arithmetic,
+    equality, hashing and text) with none of its integer-triple bookkeeping.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return FractionPairQi(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPairQi(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return FractionPairQi(self.re * other.re - self.im * other.im,
+                              self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __neg__(self):
+        return FractionPairQi(-self.re, -self.im)
+
+    def inv(self):
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return FractionPairQi(self.re / n, -self.im / n)
+
+    def conjugate(self):
+        return FractionPairQi(self.re, -self.im)
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def __str__(self):
+        if not self:
+            return "0"
+        text = str(self.re) if self.re else ""
+        if self.im:
+            im = {1: "i", -1: "-i"}.get(self.im, f"{self.im}*i")
+            text += "+" + im if text and not im.startswith("-") else im
+        return text
 
 
 def perm_sign(seq) -> int:

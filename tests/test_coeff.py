@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from hodgejump.coeff import (
     jet_eval,
     jet_mul,
 )
+
+from .oracles import FractionPairQi
 
 PARAMS = ("t11", "t12", "t21", "t22", "t31", "t32")
 
@@ -62,6 +65,79 @@ grs = st.builds(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
 )
+
+
+# wide enough that a missed reduction of the integer triple shows
+wide_parts = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+wide_pairs = st.tuples(wide_parts, wide_parts)
+
+
+def assert_matches(x, ref):
+    """``x`` is in normal form and behaves as the reference value ``ref``."""
+    a, b, d = x._a, x._b, x._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert bool(x) == bool(ref)
+    assert str(x) == str(ref)
+    assert hash(x) == hash(ref)
+
+
+class TestTripleAgainstFractionPair:
+    @given(wide_pairs, wide_pairs)
+    @settings(max_examples=300)
+    def test_operations_match_reference(self, p, q):
+        x, y = GR(*p), GR(*q)
+        rx, ry = FractionPairQi(*p), FractionPairQi(*q)
+        assert_matches(x, rx)
+        assert_matches(x + y, rx + ry)
+        assert_matches(x - y, rx - ry)
+        assert_matches(x * y, rx * ry)
+        assert_matches(-x, -rx)
+        assert_matches(x.conjugate(), rx.conjugate())
+        assert_matches(x - x, FractionPairQi())
+        assert (x == y) == (rx == ry)
+        assert x == GR(*p) and hash(x) == hash(GR(*p))
+        if ry:
+            assert_matches(x / y, rx / ry)
+            assert_matches(y.inv(), ry.inv())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.inv()
+
+    @given(wide_pairs, wide_parts, st.integers(-10**6, 10**6))
+    @settings(max_examples=200)
+    def test_mixed_operands_match_reference(self, p, f, n):
+        x, rx, rf, rn = GR(*p), FractionPairQi(*p), FractionPairQi(f), FractionPairQi(n)
+        assert_matches(x + f, rx + rf)
+        assert_matches(f + x, rx + rf)
+        assert_matches(x - n, rx - rn)
+        assert_matches(n - x, rn - rx)
+        assert_matches(x * f, rx * rf)
+        assert_matches(n * x, rx * rn)
+        if f:
+            assert_matches(x / f, rx / rf)
+        if rx:
+            assert_matches(n / x, rn / rx)
+
+    @given(wide_parts, st.integers(-10**6, 10**6))
+    def test_real_values_agree_with_int_fraction_and_poly(self, f, n):
+        for r in (f, n, Fraction(n)):
+            x = GR(r)
+            const = Poly.constant(("t",), r)
+            assert x == r and r == x
+            assert x == const and const == x
+            assert hash(x) == hash(r) == hash(const.constant_term())
+            assert x != r + 1 and x != GR(r, 1)
+
+    def test_slots_are_read_only(self):
+        x = GR(Fraction(3, 4), -2)
+        for name in ("_a", "_b", "_d", "re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        assert (x.re, x.im) == (Fraction(3, 4), -2)
 
 
 @st.composite

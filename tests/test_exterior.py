@@ -87,6 +87,34 @@ class TestWedge:
             wedge(gen_f(iwasawa, 1), gen_f(torus3, 1))
 
 
+class TestConstructorValidation:
+    @pytest.mark.parametrize("p, q, key", [
+        (1, 1, ((1, 2), (1,))),     # wrong bidegree
+        (2, 0, ((2, 1), ())),       # not increasing
+        (2, 0, ((1, 1), ())),       # repeated index
+        (0, 2, ((), (3, 2))),       # not increasing, antiholomorphic side
+        (1, 0, ((4,), ())),         # index above n
+        (0, 1, ((), (0,))),         # index below 1
+    ])
+    def test_bad_key_rejected(self, iwasawa, p, q, key):
+        with pytest.raises(SpecError):
+            InvariantForm(iwasawa, p, q, {key: GR(1)})
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, 4), (4, 0)])
+    def test_bad_bidegree_rejected(self, iwasawa, p, q):
+        with pytest.raises(SpecError):
+            InvariantForm(iwasawa, p, q)
+
+    def test_internal_results_match_validated_forms(self, iwasawa):
+        rng = random.Random(7)
+        for pa, qa, pb, qb in [(1, 0, 0, 1), (1, 1, 1, 0), (0, 1, 2, 1)]:
+            a = random_form(iwasawa, pa, qa, rng)
+            b = random_form(iwasawa, pb, qb, rng)
+            for form in (wedge(a, b), a + a, a.scale(GR(0)), *differential(iwasawa, a)):
+                assert form == InvariantForm(iwasawa, form.p, form.q, form.coeffs)
+                assert all(form.coeffs.values())
+
+
 class TestDifferential:
     def test_structure_equation(self, iwasawa):
         d, db = differential(iwasawa, gen_f(iwasawa, 3))
