@@ -73,6 +73,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -293,6 +296,9 @@ class Poly:
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------
@@ -541,6 +547,9 @@ class Jet:
         object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Jet is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Jet is immutable")
 
     @property

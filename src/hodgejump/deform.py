@@ -27,7 +27,9 @@ from .exterior import (
     InvariantForm,
     SpecError,
     VectorForm,
-    _normalize_factors,
+    _d_monomial,
+    _indices,
+    _mask,
     basis_monomials,
     contract,
     deformed_coframe,
@@ -150,11 +152,12 @@ class Dolbeault:
         if key in self._matrices:
             return self._matrices[key]
         tgt = self.monomials(p, q + 1)
-        row_of = {key: r for r, key in enumerate(tgt)}
+        row_of = {(_mask(I), _mask(J)): r for r, (I, J) in enumerate(tgt)}
         cols = []
         for I, J in self.monomials(p, q):
-            db = differential(self.spec, InvariantForm.monomial(self.spec, I, J))[1]
-            cols.append({row_of[key]: c for key, c in db.coeffs.items()})
+            db: dict = {}
+            _d_monomial(self.spec, I, J, dbar=db)
+            cols.append({row_of[key]: c for key, c in db.items()})
         m = linalg.ExactMatrix.from_columns(len(tgt), cols)
         self._matrices[key] = m
         return m
@@ -201,19 +204,18 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
         raise SpecError("dbar_vector: spec mismatch")
     out: dict = {}
     for (i, J), c in psi.coeffs.items():
-        w = InvariantForm(spec, 0, len(J), {((), J): GR_ONE})
-        for (_, J2), c2 in differential(spec, w)[1].coeffs.items():
-            accumulate(out, (i, J2), rmul(c, c2))
+        db: dict = {}
+        _d_monomial(spec, (), J, dbar=db)
+        for (_, mj), c2 in db.items():
+            accumulate(out, (i, _indices(mj)), rmul(c, c2))
         for k in range(1, spec.n + 1):
             for (ii, lam), b in spec.B[k].items():
-                if ii != i:
+                if ii != i or lam in J:
                     continue
-                norm = _normalize_factors([("c", lam)] + [("c", j) for j in J])
-                if norm is None:
-                    continue
-                sign, _, J2 = norm
+                # c_lam moves past the factors of J below it
                 v = rmul(c, b)
-                accumulate(out, (k, J2), v if sign > 0 else -v)
+                below = sum(j < lam for j in J)
+                accumulate(out, (k, tuple(sorted(J + (lam,)))), -v if below & 1 else v)
     return VectorForm(spec, min(psi.q + 1, spec.n), out)
 
 
@@ -246,6 +248,12 @@ def validate_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> list[D
                 )
             )
     return diags
+
+
+def _check_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> None:
+    errs = [d for d in validate_first_order(spec, psi1) if d.severity == "error"]
+    if errs:
+        raise ValidationFailure("; ".join(map(str, errs)))
 
 
 @dataclass(frozen=True)
@@ -305,9 +313,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
     dbar_vector(psi_k) = -(degree-k defect); raises :class:`McObstruction`
     with the unkillable residual when no solution exists.
     """
-    diags = [d for d in validate_first_order(spec, psi1) if d.severity == "error"]
-    if diags:
-        raise ValidationFailure("; ".join(map(str, diags)))
+    _check_first_order(spec, psi1)
     if target_order < 1:
         raise ValidationFailure("target order must be at least 1")
     params = psi1.params()
@@ -419,9 +425,12 @@ def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) 
 
 def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
     """First-order obstruction map on cohomology at bidegree (p, q)."""
-    errs = [d for d in validate_first_order(spec, psi1) if d.severity == "error"]
-    if errs:
-        raise ValidationFailure("; ".join(map(str, errs)))
+    _check_first_order(spec, psi1)
+    return _o1_report(spec, psi1, p, q)
+
+
+def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
+    """``obstruction_o1`` for a psi1 already checked by ``validate_first_order``."""
     dol = Dolbeault.of(spec)
     src = dol.basis(p, q)
     tgt = dol.basis(p, q + 1)
@@ -605,16 +614,14 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
     second = rank at the point of o1 : H^{p,q-1} -> H^{p,q}
     predicted = h^{p,q}(0) - first - second
     """
-    errs = [d for d in validate_first_order(spec, psi1) if d.severity == "error"]
-    if errs:
-        raise ValidationFailure("; ".join(map(str, errs)))
+    _check_first_order(spec, psi1)
     n = spec.n
     dol = Dolbeault.of(spec)
     ranks: dict[tuple[int, int], int] = {}
     reports: dict[tuple[int, int], ObstructionReport] = {}
     for p in range(n + 1):
         for q in range(n + 1):
-            rep = obstruction_o1(spec, psi1, p, q)
+            rep = _o1_report(spec, psi1, p, q)
             reports[(p, q)] = rep
             ranks[(p, q)] = rep.rank_at(point)
     rows = {}

@@ -123,6 +123,9 @@ class ComplexStructureSpec:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexStructureSpec is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ComplexStructureSpec is immutable")
+
     @staticmethod
     def _conj(c):
         if isinstance(c, GaussianRational):
@@ -241,6 +244,9 @@ class _Form:
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
@@ -504,37 +510,91 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     return InvariantForm._trusted(a.spec, p, q, out)
 
 
-def _d_form(form: InvariantForm) -> dict:
-    """Raw d of a form: accumulation over mixed bidegrees, keyed by (I, J)."""
-    spec = form.spec
-    acc: dict = {}
-    for (I, J), c in form.coeffs.items():
-        factors = _monomial_factors(I, J)
-        for pos, (kind, idx) in enumerate(factors):
-            for pair, sc in spec.d_generator(kind, idx):
-                _add_monomial(acc, factors[:pos] + pair + factors[pos + 1:], c, sc,
-                              -1 if pos % 2 else 1)
-    return acc
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)
+
+
+def _d_monomial(spec: ComplexStructureSpec, I, J, c=None, dl=None, dbar=None) -> None:
+    """Accumulate d(c * f_I ^ c_J) into ``dl`` (del) and ``dbar`` (delbar).
+
+    ``I`` and ``J`` are strictly increasing index tuples; the monomial is
+    held as two int bitmasks and results are keyed by (I, J) mask pairs.
+    ``c=None`` stands for the coefficient 1 and skips the multiplications;
+    ``dl=None`` skips the del part.  Each Leibniz term replaces one factor
+    f_k or c_k by a 2-form from the structure tables, and its sign is read
+    off popcounts.  With p = |I|, pos the position of the replaced factor
+    within I (or within J), rest = I minus {k} (or J minus {k}) and r(m, i)
+    the number of set bits of m below i:
+
+    * ``A``,    f_k -> f_i^f_j: (-1)^(pos + r(rest,i) + r(rest,j)), into del;
+    * ``B``,    f_k -> f_i^c_j: (-1)^(p-1 + pos + r(rest,i) + r(J,j)), into delbar;
+    * ``Abar``, c_k -> c_i^c_j: (-1)^(p + pos + r(rest,i) + r(rest,j)), into delbar;
+    * ``Bbar``, c_k -> f_i^c_j: (-1)^(pos + r(I,i) + r(rest,j)), into del.
+
+    A term vanishes when an index collides with a remaining factor.  Terms
+    are accumulated in the order of the factors and of the tables.
+    """
+    mi, mj = _mask(I), _mask(J)
+    p = len(I)
+
+    def put(out, key, sc, sign):
+        v = sc if c is None else rmul(c, sc)
+        accumulate(out, key, -v if sign & 1 else v)
+
+    for pos, k in enumerate(I):
+        rest = mi & ~(1 << k)
+        if dl is not None:
+            for (i, j), sc in spec.A[k].items():
+                bi, bj = 1 << i, 1 << j
+                if not rest & (bi | bj):
+                    put(dl, (rest | bi | bj, mj), sc,
+                        pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
+        if dbar is not None:
+            for (i, j), sc in spec.B[k].items():
+                bi, bj = 1 << i, 1 << j
+                if not (rest & bi or mj & bj):
+                    put(dbar, (rest | bi, mj | bj), sc,
+                        p - 1 + pos + (rest & (bi - 1)).bit_count() + (mj & (bj - 1)).bit_count())
+    for pos, k in enumerate(J):
+        rest = mj & ~(1 << k)
+        if dbar is not None:
+            for (i, j), sc in spec.Abar[k].items():
+                bi, bj = 1 << i, 1 << j
+                if not rest & (bi | bj):
+                    put(dbar, (mi, rest | bi | bj), sc,
+                        p + pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
+        if dl is not None:
+            for (i, j), sc in spec.Bbar[k].items():
+                bi, bj = 1 << i, 1 << j
+                if not (mi & bi or rest & bj):
+                    put(dl, (mi | bi, rest | bj), sc,
+                        pos + (mi & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
 
 
 def differential(spec: ComplexStructureSpec, form: InvariantForm):
     """d = del + delbar split by bidegree: del is (p+1, q), delbar is (p, q+1)."""
     if form.spec != spec:
         raise SpecError("form does not belong to this spec")
-    acc = _d_form(form)
-    n = spec.n
-    del_coeffs: dict = {}
-    delbar_coeffs: dict = {}
-    for (I, J), c in acc.items():
-        if len(I) == form.p + 1:
-            del_coeffs[(I, J)] = c
-        elif len(J) == form.q + 1:
-            delbar_coeffs[(I, J)] = c
-        else:  # pragma: no cover - impossible by construction
-            raise SpecError("differential produced an off-bidegree term")
+    dl: dict = {}
+    dbar: dict = {}
+    for (I, J), c in form.coeffs.items():
+        _d_monomial(spec, I, J, c, dl, dbar)
+
+    def unmasked(p, q, acc):
+        return InvariantForm._trusted(
+            spec, p, q, {(_indices(mi), _indices(mj)): v for (mi, mj), v in acc.items()})
+
     # past degree n there is no monomial, so the clamped part is empty
-    return (InvariantForm._trusted(spec, min(form.p + 1, n), form.q, del_coeffs),
-            InvariantForm._trusted(spec, form.p, min(form.q + 1, n), delbar_coeffs))
+    n = spec.n
+    return (unmasked(min(form.p + 1, n), form.q, dl),
+            unmasked(form.p, min(form.q + 1, n), dbar))
 
 
 def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:

@@ -105,6 +105,9 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ExactMatrix is immutable")
+
     # -- constructors ------------------------------------------------
 
     @classmethod

@@ -5,7 +5,7 @@ import pytest
 
 from hodgejump import linalg
 from hodgejump.coeff import GaussianRational as GR
-from hodgejump.coeff import Poly
+from hodgejump.coeff import Jet, Poly
 from hodgejump.deform import Dolbeault, extend_class, mc_extend, obstruction_o1
 from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
 from hodgejump.manifest import load_manifest, parse_manifest
@@ -59,6 +59,26 @@ class TestImmutability:
         with pytest.raises(TypeError):
             form.coeffs[key] = GR(7)
         assert str(form) == before
+
+    @pytest.mark.parametrize("kind", ["gr", "poly", "jet", "form", "vector", "matrix", "spec"])
+    def test_attributes_cannot_be_deleted(self, kind):
+        spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
+        value, attrs = {
+            "gr": (GR(1, 2), ("_a", "_b", "_d")),
+            "poly": (Poly.variable(("t",), "t"), ("params", "terms")),
+            "jet": (Jet(Poly.variable(("t",), "t"), 2), ("base", "order")),
+            "form": (InvariantForm.monomial(spec, (1,), (2,), GR(3)), ("spec", "p", "q", "coeffs")),
+            "vector": (VectorForm.term(spec, 1, (2,), GR(3)), ("spec", "q", "coeffs")),
+            "matrix": (linalg.ExactMatrix.identity(2), ("rows", "cols", "sparse_rows")),
+            "spec": (spec, ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault")),
+        }[kind]
+        before = str(value)
+        for name in attrs:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+        assert str(value) == before
+        if kind in ("gr", "poly", "jet"):
+            assert value + value == value * 2
 
     def test_cached_basis_cannot_be_changed(self):
         spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hodgejump.coeff import GR, Poly
+from hodgejump.deform import Dolbeault
 from hodgejump.exterior import (
     ComplexStructureSpec,
     InvariantForm,
@@ -21,6 +22,15 @@ from .conftest import IW_PARAMS, random_form, random_gr, random_mixed_coeff, ran
 from . import oracles
 
 SPEC_NAMES = ["iwasawa", "torus3", "mixed_spec"]
+
+
+@pytest.fixture(scope="module")
+def unordered_spec() -> ComplexStructureSpec:
+    # not a Lie algebra: each table has terms on indices above its generator,
+    # so every sign rule of d meets factors on both sides of the replaced one
+    return ComplexStructureSpec(
+        3, A={1: {(2, 3): GR(1)}, 2: {(1, 3): GR(2, 1)}},
+        B={1: {(3, 2): GR(1)}, 2: {(1, 3): GR(-1)}, 3: {(2, 1): GR(0, 1)}})
 
 
 def gen_f(spec, k):
@@ -130,7 +140,7 @@ class TestDifferential:
         d, db = differential(iwasawa, wedge(gen_f(iwasawa, 1), gen_f(iwasawa, 3)))
         assert not d and not db
 
-    @pytest.mark.parametrize("spec_name", SPEC_NAMES)
+    @pytest.mark.parametrize("spec_name", SPEC_NAMES + ["unordered_spec"])
     def test_matches_oracle(self, spec_name, request):
         spec = request.getfixturevalue(spec_name)
         rng = random.Random(29 + len(spec_name))
@@ -140,6 +150,30 @@ class TestDifferential:
                 d, db = differential(spec, a)
                 got = oracles.raw_add(oracles.form_to_raw(d), oracles.form_to_raw(db))
                 assert got == oracles.naive_d(spec, a)
+
+    @pytest.mark.parametrize("spec_name", SPEC_NAMES + ["deformed_iwasawa"])
+    def test_dbar_matrix_columns_match_oracle(self, spec_name, request):
+        # deformed_iwasawa: the Iwasawa coframe deformed along the symbolic
+        # first-order class, so its structure constants are polynomials
+        if spec_name == "deformed_iwasawa":
+            spec, _ = deformed_coframe(request.getfixturevalue("iwasawa"),
+                                       request.getfixturevalue("iw_psi1"))
+            assert any(isinstance(c, Poly) for row in spec.B.values() for c in row.values())
+        else:
+            spec = request.getfixturevalue(spec_name)
+        dol = Dolbeault.of(spec)
+        for p in range(spec.n + 1):
+            for q in range(spec.n + 1):
+                tgt = basis_monomials(spec.n, p, q + 1)
+                cols = dol.dbar_matrix(p, q).sparse_columns
+                for col, key in zip(cols, basis_monomials(spec.n, p, q), strict=True):
+                    full = oracles.naive_d(spec, InvariantForm.monomial(spec, *key))
+                    expect = {}
+                    for factors, c in full.items():
+                        J = tuple(i for side, i in factors if side == 1)
+                        if len(J) == q + 1:
+                            expect[(tuple(i for side, i in factors if side == 0), J)] = c
+                    assert {tgt[r]: c for r, c in col.items()} == expect
 
     @pytest.mark.parametrize("spec_name", SPEC_NAMES)
     def test_leibniz_rule(self, spec_name, request):

@@ -181,6 +181,14 @@ class TestCli:
         assert "generic rank: 2" in out
         assert "rank at point: 1" in out
 
+    def test_obstruct_echoes_a_point_off_the_unit_axis(self, capsys):
+        # an imaginary part other than +-1 renders as "2/3*i", not "2/3i"
+        assert main(["obstruct", "iwasawa", "--p", "1", "--q", "0",
+                     "--point", "t11=2/3*i", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["point"]["t11"] == "2/3*i"
+        assert doc["rank_at_point"] == 1
+
     def test_d1(self, capsys):
         assert main(["d1", "iwasawa.json", "--p", "1", "--q", "0"]) == 0
         assert "nonzero" in capsys.readouterr().out
