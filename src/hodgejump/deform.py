@@ -27,6 +27,7 @@ from .exterior import (
     InvariantForm,
     SpecError,
     VectorForm,
+    _c_wedge,
     _d_monomial,
     _indices,
     _mask,
@@ -156,7 +157,7 @@ class Dolbeault:
         cols = []
         for I, J in self.monomials(p, q):
             db: dict = {}
-            _d_monomial(self.spec, I, J, dbar=db)
+            _d_monomial(self.spec, I, J, db)
             cols.append({row_of[key]: c for key, c in db.items()})
         m = linalg.ExactMatrix.from_columns(len(tgt), cols)
         self._matrices[key] = m
@@ -205,17 +206,19 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
     out: dict = {}
     for (i, J), c in psi.coeffs.items():
         db: dict = {}
-        _d_monomial(spec, (), J, dbar=db)
+        _d_monomial(spec, (), J, db)
         for (_, mj), c2 in db.items():
             accumulate(out, (i, _indices(mj)), rmul(c, c2))
         for k in range(1, spec.n + 1):
             for (ii, lam), b in spec.B[k].items():
-                if ii != i or lam in J:
+                if ii != i:
                     continue
-                # c_lam moves past the factors of J below it
+                norm = _c_wedge(lam, J)
+                if norm is None:
+                    continue
+                sign, J2 = norm
                 v = rmul(c, b)
-                below = sum(j < lam for j in J)
-                accumulate(out, (k, tuple(sorted(J + (lam,)))), -v if below & 1 else v)
+                accumulate(out, (k, J2), v if sign > 0 else -v)
     return VectorForm(spec, min(psi.q + 1, spec.n), out)
 
 

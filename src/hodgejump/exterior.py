@@ -521,7 +521,18 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)
 
 
-def _d_monomial(spec: ComplexStructureSpec, I, J, c=None, dl=None, dbar=None) -> None:
+def _c_wedge(lam: int, J: tuple[int, ...]):
+    """c_lam ^ c_J in canonical order: (sign, J') or None when lam is in J.
+
+    The sign is (-1)^r(J, lam): c_lam moves past the factors of J below it.
+    """
+    if lam in J:
+        return None
+    below = sum(j < lam for j in J)
+    return (-1 if below & 1 else 1), tuple(sorted(J + (lam,)))
+
+
+def _d_monomial(spec: ComplexStructureSpec, I, J, dbar: dict, c=None, dl=None) -> None:
     """Accumulate d(c * f_I ^ c_J) into ``dl`` (del) and ``dbar`` (delbar).
 
     ``I`` and ``J`` are strictly increasing index tuples; the monomial is
@@ -556,20 +567,18 @@ def _d_monomial(spec: ComplexStructureSpec, I, J, c=None, dl=None, dbar=None) ->
                 if not rest & (bi | bj):
                     put(dl, (rest | bi | bj, mj), sc,
                         pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
-        if dbar is not None:
-            for (i, j), sc in spec.B[k].items():
-                bi, bj = 1 << i, 1 << j
-                if not (rest & bi or mj & bj):
-                    put(dbar, (rest | bi, mj | bj), sc,
-                        p - 1 + pos + (rest & (bi - 1)).bit_count() + (mj & (bj - 1)).bit_count())
+        for (i, j), sc in spec.B[k].items():
+            bi, bj = 1 << i, 1 << j
+            if not (rest & bi or mj & bj):
+                put(dbar, (rest | bi, mj | bj), sc,
+                    p - 1 + pos + (rest & (bi - 1)).bit_count() + (mj & (bj - 1)).bit_count())
     for pos, k in enumerate(J):
         rest = mj & ~(1 << k)
-        if dbar is not None:
-            for (i, j), sc in spec.Abar[k].items():
-                bi, bj = 1 << i, 1 << j
-                if not rest & (bi | bj):
-                    put(dbar, (mi, rest | bi | bj), sc,
-                        p + pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
+        for (i, j), sc in spec.Abar[k].items():
+            bi, bj = 1 << i, 1 << j
+            if not rest & (bi | bj):
+                put(dbar, (mi, rest | bi | bj), sc,
+                    p + pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
         if dl is not None:
             for (i, j), sc in spec.Bbar[k].items():
                 bi, bj = 1 << i, 1 << j
@@ -585,7 +594,7 @@ def differential(spec: ComplexStructureSpec, form: InvariantForm):
     dl: dict = {}
     dbar: dict = {}
     for (I, J), c in form.coeffs.items():
-        _d_monomial(spec, I, J, c, dl, dbar)
+        _d_monomial(spec, I, J, dbar, c, dl)
 
     def unmasked(p, q, acc):
         return InvariantForm._trusted(

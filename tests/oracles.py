@@ -167,6 +167,30 @@ def naive_d(spec: ComplexStructureSpec, a: InvariantForm) -> dict:
     return total
 
 
+def naive_dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
+    """delbar of a vector form as a raw {(i, J): coeff} dict.
+
+    delbar(theta_i (x) c_J) = sum_k B^k_{i,l} theta_k (x) (c_l ^ c_J)
+                              + theta_i (x) (the (0, q+1) part of naive_d(c_J)).
+    """
+    from hodgejump.coeff import rmul
+
+    out: dict = {}
+    for (i, J), c in psi.coeffs.items():
+        for factors, c2 in naive_d(spec, InvariantForm.monomial(spec, (), J)).items():
+            if all(side == 1 for side, _ in factors):
+                out = raw_add(out, {(i, tuple(j for _, j in factors)): rmul(c, c2)})
+        for k in range(1, spec.n + 1):
+            for (ii, lam), b in spec.B[k].items():
+                res = sort_factors([lam, *J]) if ii == i else None
+                if res is None:
+                    continue
+                sign, J2 = res
+                v = rmul(c, b)
+                out = raw_add(out, {(k, tuple(J2)): v if sign > 0 else -v})
+    return out
+
+
 def naive_contract(psi: VectorForm, a: InvariantForm) -> dict:
     """Contraction oracle: delete the matched factor, then append c_J."""
     total: dict = {}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hodgejump.coeff import GR, Poly
-from hodgejump.deform import Dolbeault
+from hodgejump.deform import Dolbeault, dbar_vector
 from hodgejump.exterior import (
     ComplexStructureSpec,
     InvariantForm,
@@ -174,6 +174,22 @@ class TestDifferential:
                         if len(J) == q + 1:
                             expect[(tuple(i for side, i in factors if side == 0), J)] = c
                     assert {tgt[r]: c for r, c in col.items()} == expect
+
+    @pytest.mark.parametrize("spec_name", SPEC_NAMES + ["unordered_spec", "deformed_iwasawa"])
+    def test_dbar_vector_matches_oracle(self, spec_name, request):
+        if spec_name == "deformed_iwasawa":
+            spec, _ = deformed_coframe(request.getfixturevalue("iwasawa"),
+                                       request.getfixturevalue("iw_psi1"))
+        else:
+            spec = request.getfixturevalue(spec_name)
+        rng = random.Random(61 + len(spec_name))
+        for q in range(spec.n + 1):
+            keys = [(i, J) for i in range(1, spec.n + 1) for _, J in basis_monomials(spec.n, 0, q)]
+            psis = [VectorForm.term(spec, *key) for key in keys]
+            psis += [VectorForm(spec, q, {key: random_gr(rng) for key in keys if rng.random() < 0.5})
+                     for _ in range(10)]
+            for psi in psis:
+                assert dbar_vector(spec, psi).coeffs == oracles.naive_dbar_vector(spec, psi)
 
     @pytest.mark.parametrize("spec_name", SPEC_NAMES)
     def test_leibniz_rule(self, spec_name, request):
