@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly, accumulate, rmul
+from .coeff import GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, accumulate, rmul
 from .errors import InternalInvariantError, ValidationFailure
 from .exterior import (
     ComplexStructureSpec,
@@ -28,11 +28,12 @@ from .exterior import (
     SpecError,
     VectorForm,
     _c_wedge,
+    _contract_monomial,
     _d_monomial,
     _indices,
     _mask,
+    _unmasked,
     basis_monomials,
-    contract,
     deformed_coframe,
     defect_is_zero,
     differential,
@@ -127,7 +128,7 @@ class Dolbeault:
     """
 
     def __init__(self, spec: ComplexStructureSpec):
-        self.spec = spec
+        self.spec = spec._without_cache()
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
 
@@ -411,19 +412,65 @@ class ObstructionReport:
         return linalg.kernel_basis(self.matrix)
 
 
+def _del(spec: ComplexStructureSpec, a: dict) -> dict:
+    """del of a mask-keyed sparse vector."""
+    out: dict = {}
+    for (mi, mj), c in a.items():
+        _d_monomial(spec, _indices(mi), _indices(mj), None, c, out)
+    return out
+
+
+def _contract_vector(psi_terms: list, a: dict, out: dict) -> dict:
+    """Accumulate iota_psi(a) into ``out``; psi as (i, Jpsi mask, coefficient)."""
+    for i, mpsi, cpsi in psi_terms:
+        for (mi, mj), c in a.items():
+            _contract_monomial(mi, mj, i, mpsi, rmul(c, cpsi), out)
+    return out
+
+
+def _o1_vector(spec: ComplexStructureSpec, psi_terms: list, a: dict, da: dict) -> dict:
+    """del(iota_psi a) + iota_psi(del a) on mask-keyed sparse vectors; ``da`` is del(a)."""
+    v = _del(spec, _contract_vector(psi_terms, a, {}))
+    # each half is summed on its own first, so coefficient types match form sums
+    for key, c in _contract_vector(psi_terms, da, {}).items():
+        accumulate(v, key, c)
+    return v
+
+
+def _psi_terms(psi: VectorForm) -> list:
+    return [(i, _mask(J), c) for (i, J), c in psi.coeffs.items()]
+
+
+def _psi_pieces(psi: VectorForm, params: tuple[str, ...] | None) -> dict:
+    """Split psi into constant pieces, one per parameter monomial.
+
+    Returns {exponent tuple: psi terms with Q(i) coefficients}.  A Jet
+    contributes through its base polynomial and a constant coefficient
+    lands in the zero exponent, or under ``()`` when psi has no parameters.
+    """
+    zero = (0,) * len(params) if params is not None else ()
+    pieces: dict[tuple[int, ...], list] = {}
+    for i, mpsi, c in _psi_terms(psi):
+        if isinstance(c, (Poly, Jet)):
+            if c.params != params:
+                raise CoefficientError(f"parameter mismatch: {params} vs {c.params}")
+            terms = (c.base if isinstance(c, Jet) else c).terms.items()
+        else:
+            terms = ((zero, c),)
+        for exps, v in terms:
+            pieces.setdefault(exps, []).append((i, mpsi, v))
+    return pieces
+
+
 def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) -> InvariantForm:
     """The representative-level value del(iota_psi a) + iota_psi(del a)."""
-    da = differential(spec, form)[0]
-    v1 = differential(spec, contract(psi1, form))[0]
-    v2 = contract(psi1, da)
-    if v1.p != v2.p or v1.q != v2.q:
-        # one side is identically zero with a clamped bidegree
-        if not v1:
-            return v2
-        if not v2:
-            return v1
-        raise InternalInvariantError("o1 bidegree mismatch")
-    return v1 + v2
+    if form.spec != spec:
+        raise SpecError("form does not belong to this spec")
+    if psi1.spec != spec:
+        raise SpecError("contract: spec mismatch")
+    a = {(_mask(I), _mask(J)): c for (I, J), c in form.coeffs.items()}
+    v = _o1_vector(spec, _psi_terms(psi1), a, _del(spec, a))
+    return _unmasked(spec, form.p, min(form.q + psi1.q, spec.n), v)
 
 
 def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
@@ -433,18 +480,43 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
 
 
 def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
-    """``obstruction_o1`` for a psi1 already checked by ``validate_first_order``."""
+    """``obstruction_o1`` for a psi1 already checked by ``validate_first_order``.
+
+    o1 is linear in psi, so each representative is mapped once per constant
+    piece of psi (one per parameter monomial) on mask-keyed Q(i) vectors,
+    and the projected pieces become the monomials of Poly entries.  A
+    constant psi gives a Q(i) matrix.
+    """
     dol = Dolbeault.of(spec)
     src = dol.basis(p, q)
     tgt = dol.basis(p, q + 1)
     params = psi1.params()
+    pieces = _psi_pieces(psi1, params)
+    src_keys = [(_mask(I), _mask(J)) for I, J in src.monomials]
+    row_of = {(_mask(I), _mask(J)): r for r, (I, J) in enumerate(tgt.monomials)}
     columns = []
-    for k in range(src.dim):
-        rep = src.rep_form(spec, k)
-        v = o1_value(spec, psi1, rep)
-        if differential(spec, v)[1]:
-            raise InternalInvariantError("o1 value is not delbar-closed")
-        columns.append(tgt.project_form(v, params=params))
+    for rep in src.cob.representatives:
+        a = {key: c for key, c in zip(src_keys, rep) if c}
+        da = _del(spec, a)
+        coords = {}
+        for exps, terms in pieces.items():
+            v = _o1_vector(spec, terms, a, da)
+            if not v:
+                continue
+            dbar: dict = {}
+            for (mi, mj), c in v.items():
+                _d_monomial(spec, _indices(mi), _indices(mj), dbar, c)
+            if dbar:
+                raise InternalInvariantError("o1 value is not delbar-closed")
+            dense = [GR_ZERO] * len(row_of)
+            for key, c in v.items():
+                dense[row_of[key]] = c
+            coords[exps] = tgt.cob.project(dense)
+        if params is None:
+            columns.append(coords.get((), [GR_ZERO] * tgt.dim))
+        else:
+            columns.append([Poly(params, {e: x[k] for e, x in coords.items()})
+                            for k in range(tgt.dim)])
     m = linalg.ExactMatrix.from_columns(tgt.dim, columns)
     return ObstructionReport(p=p, q=q, matrix=m, source=src, target=tgt, params=params)
 
@@ -601,7 +673,6 @@ class JumpTable:
     point: dict
     rows: dict[tuple[int, int], JumpRow]
     label: str = "first-order prediction"
-    reports: dict = field(default_factory=dict, repr=False)
 
     def predicted_table(self) -> dict[tuple[int, int], int]:
         return {pq: row.predicted for pq, row in self.rows.items()}
@@ -620,13 +691,10 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
     _check_first_order(spec, psi1)
     n = spec.n
     dol = Dolbeault.of(spec)
-    ranks: dict[tuple[int, int], int] = {}
-    reports: dict[tuple[int, int], ObstructionReport] = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            rep = _o1_report(spec, psi1, p, q)
-            reports[(p, q)] = rep
-            ranks[(p, q)] = rep.rank_at(point)
+    # o1 is linear over the coefficients, so M(psi)(point) = M(psi(point))
+    psi_at = psi1.eval_point(point)
+    ranks = {(p, q): linalg.rank_const(_o1_report(spec, psi_at, p, q).matrix)
+             for p in range(n + 1) for q in range(n + 1)}
     rows = {}
     for p in range(n + 1):
         for q in range(n + 1):
@@ -639,7 +707,7 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
                     f"negative predicted Hodge number at ({p},{q})"
                 )
             rows[(p, q)] = row
-    return JumpTable(n=n, point=dict(point), rows=rows, reports=reports)
+    return JumpTable(n=n, point=dict(point), rows=rows)
 
 
 def oracle_hodge_at_point(spec: ComplexStructureSpec, family: DeformationFamily,

@@ -135,6 +135,17 @@ class ComplexStructureSpec:
             "pass explicit c-side tables instead"
         )
 
+    def _without_cache(self) -> "ComplexStructureSpec":
+        """An equal spec sharing these read-only tables, with no cache.
+
+        ``Dolbeault`` holds this copy: holding the spec that caches it would
+        make the pair a reference cycle, freed only by the cycle collector.
+        """
+        copy = object.__new__(ComplexStructureSpec)
+        for name in self.__slots__:
+            object.__setattr__(copy, name, None if name == "_dolbeault" else getattr(self, name))
+        return copy
+
     def is_parallelisable(self) -> bool:
         """True when every mixed table vanishes (holomorphic coframe)."""
         return all(not self.B[k] for k in self.B) and all(not self.Bbar[k] for k in self.Bbar)
@@ -518,7 +529,12 @@ def _mask(indices) -> int:
 
 
 def _indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _c_wedge(lam: int, J: tuple[int, ...]):
@@ -532,17 +548,17 @@ def _c_wedge(lam: int, J: tuple[int, ...]):
     return (-1 if below & 1 else 1), tuple(sorted(J + (lam,)))
 
 
-def _d_monomial(spec: ComplexStructureSpec, I, J, dbar: dict, c=None, dl=None) -> None:
+def _d_monomial(spec: ComplexStructureSpec, I, J, dbar, c=None, dl=None) -> None:
     """Accumulate d(c * f_I ^ c_J) into ``dl`` (del) and ``dbar`` (delbar).
 
     ``I`` and ``J`` are strictly increasing index tuples; the monomial is
     held as two int bitmasks and results are keyed by (I, J) mask pairs.
     ``c=None`` stands for the coefficient 1 and skips the multiplications;
-    ``dl=None`` skips the del part.  Each Leibniz term replaces one factor
-    f_k or c_k by a 2-form from the structure tables, and its sign is read
-    off popcounts.  With p = |I|, pos the position of the replaced factor
-    within I (or within J), rest = I minus {k} (or J minus {k}) and r(m, i)
-    the number of set bits of m below i:
+    ``dl=None`` or ``dbar=None`` skips that part.  Each Leibniz term
+    replaces one factor f_k or c_k by a 2-form from the structure tables,
+    and its sign is read off popcounts.  With p = |I|, pos the position of
+    the replaced factor within I (or within J), rest = I minus {k} (or J
+    minus {k}) and r(m, i) the number of set bits of m below i:
 
     * ``A``,    f_k -> f_i^f_j: (-1)^(pos + r(rest,i) + r(rest,j)), into del;
     * ``B``,    f_k -> f_i^c_j: (-1)^(p-1 + pos + r(rest,i) + r(J,j)), into delbar;
@@ -567,24 +583,54 @@ def _d_monomial(spec: ComplexStructureSpec, I, J, dbar: dict, c=None, dl=None) -
                 if not rest & (bi | bj):
                     put(dl, (rest | bi | bj, mj), sc,
                         pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
-        for (i, j), sc in spec.B[k].items():
-            bi, bj = 1 << i, 1 << j
-            if not (rest & bi or mj & bj):
-                put(dbar, (rest | bi, mj | bj), sc,
-                    p - 1 + pos + (rest & (bi - 1)).bit_count() + (mj & (bj - 1)).bit_count())
+        if dbar is not None:
+            for (i, j), sc in spec.B[k].items():
+                bi, bj = 1 << i, 1 << j
+                if not (rest & bi or mj & bj):
+                    put(dbar, (rest | bi, mj | bj), sc,
+                        p - 1 + pos + (rest & (bi - 1)).bit_count() + (mj & (bj - 1)).bit_count())
     for pos, k in enumerate(J):
         rest = mj & ~(1 << k)
-        for (i, j), sc in spec.Abar[k].items():
-            bi, bj = 1 << i, 1 << j
-            if not rest & (bi | bj):
-                put(dbar, (mi, rest | bi | bj), sc,
-                    p + pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
+        if dbar is not None:
+            for (i, j), sc in spec.Abar[k].items():
+                bi, bj = 1 << i, 1 << j
+                if not rest & (bi | bj):
+                    put(dbar, (mi, rest | bi | bj), sc,
+                        p + pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
         if dl is not None:
             for (i, j), sc in spec.Bbar[k].items():
                 bi, bj = 1 << i, 1 << j
                 if not (mi & bi or rest & bj):
                     put(dl, (mi | bi, rest | bj), sc,
                         pos + (mi & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
+
+
+def _contract_monomial(mi: int, mj: int, i: int, mpsi: int, c, out: dict) -> None:
+    """Accumulate c * iota(theta_i (x) c_Jpsi)(f_I ^ c_J) into ``out``.
+
+    Monomials are (I, J) mask pairs, like the keys ``_d_monomial`` writes,
+    and ``mpsi`` is the mask of Jpsi.  The result is c * f_(I-i) ^
+    c_(J+Jpsi) with sign (-1)^(r(I,i) + sum over lam in Jpsi of
+    #{j in J : j > lam}): f_i moves to the front past the factors of I
+    below it, then each c_lam moves left past the factors of J above it.
+    The term vanishes when i is not in I or J and Jpsi meet.
+    """
+    bi = 1 << i
+    if not mi & bi or mj & mpsi:
+        return
+    sign = (mi & (bi - 1)).bit_count()
+    m = mpsi
+    while m:
+        low = m & -m
+        sign += (mj & -(low << 1)).bit_count()
+        m ^= low
+    accumulate(out, (mi ^ bi, mj | mpsi), -c if sign & 1 else c)
+
+
+def _unmasked(spec: ComplexStructureSpec, p: int, q: int, acc: dict) -> InvariantForm:
+    """The form of a mask-keyed sparse vector."""
+    return InvariantForm._trusted(
+        spec, p, q, {(_indices(mi), _indices(mj)): v for (mi, mj), v in acc.items()})
 
 
 def differential(spec: ComplexStructureSpec, form: InvariantForm):
@@ -595,15 +641,10 @@ def differential(spec: ComplexStructureSpec, form: InvariantForm):
     dbar: dict = {}
     for (I, J), c in form.coeffs.items():
         _d_monomial(spec, I, J, dbar, c, dl)
-
-    def unmasked(p, q, acc):
-        return InvariantForm._trusted(
-            spec, p, q, {(_indices(mi), _indices(mj)): v for (mi, mj), v in acc.items()})
-
     # past degree n there is no monomial, so the clamped part is empty
     n = spec.n
-    return (unmasked(min(form.p + 1, n), form.q, dl),
-            unmasked(form.p, min(form.q + 1, n), dbar))
+    return (_unmasked(spec, min(form.p + 1, n), form.q, dl),
+            _unmasked(spec, form.p, min(form.q + 1, n), dbar))
 
 
 def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
@@ -615,18 +656,12 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
     if psi.spec != a.spec:
         raise SpecError("contract: spec mismatch")
     spec = a.spec
-    pq = (a.p - 1, a.q + psi.q)
-    if a.p == 0 or pq[1] > spec.n:
-        return InvariantForm._trusted(spec, max(a.p - 1, 0), min(pq[1], spec.n), {})
     out: dict = {}
     for (i, Jpsi), cpsi in psi.coeffs.items():
+        mpsi = _mask(Jpsi)
         for (I, J), cf in a.coeffs.items():
-            if i not in I:
-                continue
-            k = I.index(i)
-            _add_monomial(out, _monomial_factors(I[:k] + I[k + 1:], J) + [("c", j) for j in Jpsi],
-                          cf, cpsi, -1 if k % 2 else 1)
-    return InvariantForm._trusted(spec, pq[0], pq[1], out)
+            _contract_monomial(_mask(I), _mask(J), i, mpsi, rmul(cf, cpsi), out)
+    return _unmasked(spec, max(a.p - 1, 0), min(a.q + psi.q, spec.n), out)
 
 
 # -- validation -----------------------------------------------------------

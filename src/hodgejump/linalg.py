@@ -45,9 +45,19 @@ class LinalgError(ValueError):
     pass
 
 
+# row types built inside the package, so they skip the ABC instance check
+_SPARSE_TYPES = {dict: True, MappingProxyType: True, list: False, tuple: False}
+
+
+def _is_sparse(v) -> bool:
+    """True for a sparse vector (a Mapping), False for a dense sequence."""
+    known = _SPARSE_TYPES.get(type(v))
+    return isinstance(v, Mapping) if known is None else known
+
+
 def _items(v, n: int):
     """(index, value) pairs of a length-n vector given dense or sparse."""
-    if isinstance(v, Mapping):
+    if _is_sparse(v):
         if v and not (min(v) >= 0 and max(v) < n):
             raise LinalgError("inconsistent matrix shape")
         return v.items()
@@ -57,7 +67,7 @@ def _items(v, n: int):
 
 
 def _sparse(v) -> dict[int, GaussianRational]:
-    if isinstance(v, Mapping):
+    if _is_sparse(v):
         return v
     return {j: GaussianRational._coerce(x) for j, x in enumerate(v) if x}
 

@@ -30,6 +30,19 @@ def mixed_spec() -> ComplexStructureSpec:
 
 
 @pytest.fixture(scope="session")
+def unordered_spec() -> ComplexStructureSpec:
+    # not a Lie algebra: each table has terms on indices above its generator,
+    # so every sign rule of d meets factors on both sides of the replaced one
+    return ComplexStructureSpec(
+        3, A={1: {(2, 3): GaussianRational(1)}, 2: {(1, 3): GaussianRational(2, 1)}},
+        B={1: {(3, 2): GaussianRational(1)}, 2: {(1, 3): GaussianRational(-1)},
+           3: {(2, 1): GaussianRational(0, 1)}})
+
+
+SPEC_NAMES = ["iwasawa", "torus3", "mixed_spec"]
+
+
+@pytest.fixture(scope="session")
 def iw_psi1(iwasawa) -> VectorForm:
     return VectorForm(
         iwasawa, 1,

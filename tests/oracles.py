@@ -344,3 +344,31 @@ def dense_column(a: list[list], j: int) -> list:
 
 def dense_str(a: list[list]) -> str:
     return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in a) + "]"
+
+
+def raw_form(spec: ComplexStructureSpec, p: int, q: int, raw: dict) -> InvariantForm:
+    """The (p, q)-form of a raw dict whose keys all have that bidegree."""
+    return InvariantForm(spec, p, q, {
+        (tuple(i for side, i in key if side == 0), tuple(j for side, j in key if side == 1)): c
+        for key, c in raw.items()})
+
+
+def holomorphic_degree(key) -> int:
+    return sum(1 for side, _ in key if side == 0)
+
+
+def naive_o1(spec: ComplexStructureSpec, psi: VectorForm, a: InvariantForm) -> dict:
+    """o1 value del(iota_psi a) + iota_psi(del a) as a raw dict.
+
+    Built from naive_contract and the del part of naive_d only; its
+    bidegree is (p, q + psi.q) for a of bidegree (p, q).
+    """
+    p, q, n = a.p, a.q, spec.n
+    if p == 0 or q + psi.q > n:
+        return {}
+    ia = raw_form(spec, p - 1, q + psi.q, naive_contract(psi, a))
+    del_ia = {k: c for k, c in naive_d(spec, ia).items() if holomorphic_degree(k) == p}
+    if p == n:
+        return del_ia
+    da = {k: c for k, c in naive_d(spec, a).items() if holomorphic_degree(k) == p + 1}
+    return raw_add(del_ia, naive_contract(psi, raw_form(spec, p + 1, q, da)))

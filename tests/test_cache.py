@@ -1,6 +1,9 @@
 """Specs, matrices, forms and cached bases are immutable, and each spec owns
 one cached cohomology."""
 
+import gc
+import weakref
+
 import pytest
 
 from hodgejump import linalg
@@ -135,6 +138,18 @@ class TestImmutability:
         assert Dolbeault.of(iwasawa) is Dolbeault.of(iwasawa)
         twin = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})
         assert twin == iwasawa and Dolbeault.of(twin) is not Dolbeault.of(iwasawa)
+
+    def test_cached_dolbeault_dies_with_its_spec(self):
+        # no reference cycle: reference counting alone frees the pair
+        gc.disable()
+        try:
+            spec = load_manifest("iwasawa").spec
+            dol = weakref.ref(Dolbeault.of(spec))
+            assert Dolbeault.of(spec).table()[(1, 1)] == 6
+            del spec
+            assert dol() is None
+        finally:
+            gc.enable()
 
 
 def test_extend_class_builds_each_cohomology_once(monkeypatch):

@@ -1,12 +1,14 @@
 import random
+import re
 from math import comb
 
 import pytest
 
 from hodgejump import linalg
-from hodgejump.coeff import GR, Poly
+from hodgejump.coeff import GR, CoefficientError, GaussianRational, Jet, Poly
 from hodgejump.deform import (
     Dolbeault,
+    dbar_vector,
     extend_class,
     frolicher_d1,
     hodge_table,
@@ -20,7 +22,7 @@ from hodgejump.deform import (
     second_class_subspace,
     validate_first_order,
 )
-from hodgejump.errors import ValidationFailure
+from hodgejump.errors import InternalInvariantError, ValidationFailure
 from hodgejump.exterior import (
     ComplexStructureSpec,
     InvariantForm,
@@ -29,11 +31,13 @@ from hodgejump.exterior import (
     validate_spec,
 )
 
+from . import oracles
 from .conftest import (
     IW_PARAMS,
     ROW_I,
     ROW_II,
     ROW_III,
+    SPEC_NAMES,
     point_of,
     random_form,
     random_gr,
@@ -47,6 +51,12 @@ def pv(name):
 
 def iw_det():
     return pv("t11") * pv("t22") - pv("t21") * pv("t12")
+
+
+@pytest.fixture(scope="module")
+def mixed4_spec() -> ComplexStructureSpec:
+    # d f3 = f1^c1, d f4 = -1/2 f1^f2: mixed tables with nonzero o1 maps
+    return ComplexStructureSpec(4, A={4: {(1, 2): GR(-1) / 2}}, B={3: {(1, 1): GR(1)}})
 
 
 def project_monomial(basis, spec, I, J):
@@ -276,6 +286,49 @@ class TestObstructionO1:
             assert all(not x for x in coords)
 
 
+    @pytest.mark.parametrize("spec_name", SPEC_NAMES + ["unordered_spec", "mixed4_spec"])
+    def test_columns_match_oracle(self, spec_name, request):
+        spec = request.getfixturevalue(spec_name)
+        n = spec.n
+        rng = random.Random(43 + len(spec_name))
+        closed = [(i, (lam,)) for i in range(1, n + 1) for lam in range(1, n + 1)
+                  if not dbar_vector(spec, VectorForm.term(spec, i, (lam,)))]
+
+        def linear():
+            # two monomials, so each entry gathers several constant pieces
+            return Poly(("s", "u"), {(1, 0): random_gr(rng, zero_ok=False), (0, 1): random_gr(rng)})
+
+        psis = [random_vector_form(spec, rng), random_vector_form(spec, rng),
+                VectorForm(spec, 1, {key: linear() for key in closed}),
+                VectorForm(spec, 1, {key: Jet(linear(), 2) for key in closed})]
+        dol = Dolbeault.of(spec)
+        nonzero = 0
+        for p in range(n + 1):
+            for q in range(n + 1):
+                try:
+                    src, tgt = dol.basis(p, q), dol.basis(p, q + 1)
+                except linalg.LinalgError:
+                    continue  # unordered_spec has d.d != 0 and no cohomology here
+                for psi in psis:
+                    values = [oracles.naive_o1(spec, psi, src.rep_form(spec, k))
+                              for k in range(src.dim)]
+                    if any(oracles.holomorphic_degree(key) == p
+                           for v in values if v
+                           for key in oracles.naive_d(spec, oracles.raw_form(spec, p, q + 1, v))):
+                        with pytest.raises(InternalInvariantError):
+                            obstruction_o1(spec, psi, p, q)
+                        continue
+                    m = obstruction_o1(spec, psi, p, q).matrix
+                    for k, v in enumerate(values):
+                        want = tgt.project_form(oracles.raw_form(spec, p, min(q + 1, n), v),
+                                                params=psi.params())
+                        assert m.column(k) == want
+                        nonzero += bool(any(want))
+        # del vanishes on the torus, and o1 on the cohomology of the two
+        # small mixed structures
+        assert bool(nonzero) == (spec_name in ("iwasawa", "mixed4_spec"))
+
+
 class TestMaurerCartan:
     def test_iwasawa_order_two(self, iwasawa, iw_psi1):
         fam = mc_extend(iwasawa, iw_psi1, 2)
@@ -398,6 +451,28 @@ class TestSecondClassAndJump:
         assert jump_report(iwasawa, iw_psi1, point_ii).threefold_row() == ROW_II
         assert jump_report(iwasawa, iw_psi1, point_iii).threefold_row() == ROW_III
         assert jump_report(iwasawa, iw_psi1, point_of()).threefold_row() == ROW_I
+
+    def test_jump_ranks_are_symbolic_ranks_at_the_point(self, iwasawa, iw_psi1):
+        # jump_report evaluates psi first; the symbolic maps evaluate after
+        reports = {(p, q): obstruction_o1(iwasawa, iw_psi1, p, q)
+                   for p in range(4) for q in range(4)}
+        rng = random.Random(71)
+        values = ["0", "1", "-1", "2/3*i", "1/2", "i", "-2+i"]
+        points = [{t: GaussianRational.parse(v) for t in IW_PARAMS} for v in ("0", "2/3*i")]
+        points += [{t: GaussianRational.parse(rng.choice(values)) for t in IW_PARAMS}
+                   for _ in range(28)]
+        for point in points:
+            table = jump_report(iwasawa, iw_psi1, point)
+            for (p, q), row in table.rows.items():
+                assert row.first == reports[(p, q)].rank_at(point)
+                assert row.second == (reports[(p, q - 1)].rank_at(point) if q else 0)
+
+    def test_point_missing_a_parameter_is_rejected(self, iwasawa, iw_psi1):
+        point = {"t11": GR(1), "t22": GR(0, 1)}
+        with pytest.raises(CoefficientError) as symbolic:
+            obstruction_o1(iwasawa, iw_psi1, 1, 0).rank_at(point)
+        with pytest.raises(CoefficientError, match=re.escape(str(symbolic.value))):
+            jump_report(iwasawa, iw_psi1, point)
 
     def test_jump_accounting_at_11(self, iwasawa, iw_psi1, point_ii):
         table = jump_report(iwasawa, iw_psi1, point_ii)

@@ -18,20 +18,15 @@ from hodgejump.exterior import (
     wedge,
 )
 
-from .conftest import IW_PARAMS, random_form, random_gr, random_mixed_coeff, random_mixed_form
+from .conftest import (
+    IW_PARAMS,
+    SPEC_NAMES,
+    random_form,
+    random_gr,
+    random_mixed_coeff,
+    random_mixed_form,
+)
 from . import oracles
-
-SPEC_NAMES = ["iwasawa", "torus3", "mixed_spec"]
-
-
-@pytest.fixture(scope="module")
-def unordered_spec() -> ComplexStructureSpec:
-    # not a Lie algebra: each table has terms on indices above its generator,
-    # so every sign rule of d meets factors on both sides of the replaced one
-    return ComplexStructureSpec(
-        3, A={1: {(2, 3): GR(1)}, 2: {(1, 3): GR(2, 1)}},
-        B={1: {(3, 2): GR(1)}, 2: {(1, 3): GR(-1)}, 3: {(2, 1): GR(0, 1)}})
-
 
 def gen_f(spec, k):
     return InvariantForm.generator(spec, "f", k)
@@ -263,6 +258,14 @@ class TestContract:
             # mixed Q(i)/Poly/Jet coefficients on both sides
             a = random_mixed_form(spec, p, q, rng)
             psi = VectorForm(spec, 1, {key: random_mixed_coeff(rng) for key in coeffs})
+            got = contract(psi, a)
+            assert oracles.form_to_raw(got) == oracles.naive_contract(psi, a)
+            # a (0,2) direction, on forms of every antiholomorphic degree
+            psi = VectorForm(spec, 2, {(i, J): random_mixed_coeff(rng)
+                                       for i in range(1, spec.n + 1)
+                                       for _, J in basis_monomials(spec.n, 0, 2)
+                                       if rng.random() < 0.4})
+            a = random_mixed_form(spec, p, rng.randint(0, spec.n), rng)
             got = contract(psi, a)
             assert oracles.form_to_raw(got) == oracles.naive_contract(psi, a)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -305,6 +306,32 @@ class TestSparseMatrix:
                     changed[i][j] = rng.choice([GR(0), GR(1), Poly.variable(T, "t"), a[i][j]])
                     assert (ExactMatrix(r, c, changed) == m) == dense_eq(changed, a)
         assert cancelled > 5
+
+    def test_rows_of_any_mapping_type(self):
+        class Row(Mapping):
+            def __init__(self, data):
+                self._data = data
+
+            def __getitem__(self, key):
+                return self._data[key]
+
+            def __iter__(self):
+                return iter(self._data)
+
+            def __len__(self):
+                return len(self._data)
+
+        class DictRow(dict):
+            pass
+
+        want = ExactMatrix(2, 3, [[GR(1), 0, GR(0, 2)], [0, 0, 0]])
+        for kind in (Row, DictRow):
+            rows = [kind({0: GR(1), 2: GR(0, 2)}), kind({})]
+            assert ExactMatrix(2, 3, rows) == want
+            assert ExactMatrix.from_columns(3, rows).entries == tuple(zip(*want.entries))
+            assert Echelon(3, rows[:1]).rows() == [[GR(1), GR(0), GR(0, 2)]]
+            with pytest.raises(LinalgError):
+                ExactMatrix(1, 2, [kind({2: GR(1)})])
 
     def test_shape_errors(self):
         for build in (
