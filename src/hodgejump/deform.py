@@ -28,10 +28,12 @@ from .exterior import (
     SpecError,
     VectorForm,
     _c_wedge,
-    _contract_monomial,
+    _contract_vector,
     _d_monomial,
     _indices,
     _mask,
+    _masked,
+    _psi_terms,
     _unmasked,
     basis_monomials,
     deformed_coframe,
@@ -420,14 +422,6 @@ def _del(spec: ComplexStructureSpec, a: dict) -> dict:
     return out
 
 
-def _contract_vector(psi_terms: list, a: dict, out: dict) -> dict:
-    """Accumulate iota_psi(a) into ``out``; psi as (i, Jpsi mask, coefficient)."""
-    for i, mpsi, cpsi in psi_terms:
-        for (mi, mj), c in a.items():
-            _contract_monomial(mi, mj, i, mpsi, rmul(c, cpsi), out)
-    return out
-
-
 def _o1_vector(spec: ComplexStructureSpec, psi_terms: list, a: dict, da: dict) -> dict:
     """del(iota_psi a) + iota_psi(del a) on mask-keyed sparse vectors; ``da`` is del(a)."""
     v = _del(spec, _contract_vector(psi_terms, a, {}))
@@ -435,10 +429,6 @@ def _o1_vector(spec: ComplexStructureSpec, psi_terms: list, a: dict, da: dict) -
     for key, c in _contract_vector(psi_terms, da, {}).items():
         accumulate(v, key, c)
     return v
-
-
-def _psi_terms(psi: VectorForm) -> list:
-    return [(i, _mask(J), c) for (i, J), c in psi.coeffs.items()]
 
 
 def _psi_pieces(psi: VectorForm, params: tuple[str, ...] | None) -> dict:
@@ -468,7 +458,7 @@ def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) 
         raise SpecError("form does not belong to this spec")
     if psi1.spec != spec:
         raise SpecError("contract: spec mismatch")
-    a = {(_mask(I), _mask(J)): c for (I, J), c in form.coeffs.items()}
+    a = _masked(form)
     v = _o1_vector(spec, _psi_terms(psi1), a, _del(spec, a))
     return _unmasked(spec, form.p, min(form.q + psi1.q, spec.n), v)
 

@@ -627,6 +627,25 @@ def _contract_monomial(mi: int, mj: int, i: int, mpsi: int, c, out: dict) -> Non
     accumulate(out, (mi ^ bi, mj | mpsi), -c if sign & 1 else c)
 
 
+def _contract_vector(psi_terms: list, a: dict, out: dict) -> dict:
+    """Accumulate iota_psi(a) into ``out`` for a mask-keyed sparse vector
+    ``a``; psi is given as ``_psi_terms``."""
+    for i, mpsi, cpsi in psi_terms:
+        for (mi, mj), c in a.items():
+            _contract_monomial(mi, mj, i, mpsi, rmul(c, cpsi), out)
+    return out
+
+
+def _psi_terms(psi: VectorForm) -> list:
+    """(i, Jpsi mask, coefficient) for each term theta_i (x) c_Jpsi of psi."""
+    return [(i, _mask(J), c) for (i, J), c in psi.coeffs.items()]
+
+
+def _masked(form: InvariantForm) -> dict:
+    """The mask-keyed sparse vector of a form."""
+    return {(_mask(I), _mask(J)): c for (I, J), c in form.coeffs.items()}
+
+
 def _unmasked(spec: ComplexStructureSpec, p: int, q: int, acc: dict) -> InvariantForm:
     """The form of a mask-keyed sparse vector."""
     return InvariantForm._trusted(
@@ -656,11 +675,7 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
     if psi.spec != a.spec:
         raise SpecError("contract: spec mismatch")
     spec = a.spec
-    out: dict = {}
-    for (i, Jpsi), cpsi in psi.coeffs.items():
-        mpsi = _mask(Jpsi)
-        for (I, J), cf in a.coeffs.items():
-            _contract_monomial(_mask(I), _mask(J), i, mpsi, rmul(cf, cpsi), out)
+    out = _contract_vector(_psi_terms(psi), _masked(a), {})
     return _unmasked(spec, max(a.p - 1, 0), min(a.q + psi.q, spec.n), out)
 
 
