@@ -97,30 +97,6 @@ class DolbeaultBasis:
     def project_constant_form(self, form: InvariantForm) -> list[GaussianRational]:
         return self.cob.project(form.coordinates(self.monomials))
 
-    def project_form(self, form: InvariantForm, params=None):
-        """Project a form whose coefficients may be polynomial.
-
-        Returns GaussianRational coordinates for constant coefficients and
-        Poly coordinates otherwise, splitting by parameter monomial.
-        """
-        pieces = form.monomial_split()
-        if not pieces:
-            if params is None:
-                return [GR_ZERO] * self.dim
-            zero = Poly(params)
-            return [zero] * self.dim
-        if set(pieces) == {()} and params is None:
-            return self.project_constant_form(pieces[()])
-        if params is None:
-            raise SpecError("polynomial form projected without parameter context")
-        coords: list[dict] = [{} for _ in range(self.dim)]
-        for exps, piece in pieces.items():
-            # the constant bucket () and the zero exponent are the same monomial
-            e = exps if exps else (0,) * len(params)
-            for k, c in enumerate(self.project_constant_form(piece)):
-                accumulate(coords[k], e, c)
-        return [Poly(params, terms) for terms in coords]
-
 
 class Dolbeault:
     """Bigraded delbar-complex of a spec with memoized cohomology bases.

@@ -20,8 +20,10 @@ the dimensions of the obstructed subspaces.
 Every jet-truncated system comes from one builder, ``_jet_rows``: the
 sparse rows of d acting on x_0 + t x_1 + ... + t^N x_N modulo t^(N+1),
 block lower-triangular in the t^b coefficient matrices of d.  Jet
-extension, the first-class search and method (b) of the second-class
-search all eliminate those rows with ``linalg.Echelon``.
+extension, the local Smith exponents of d, the first-class search and
+method (b) of the second-class search all eliminate those rows with
+``linalg.Echelon``.  The searches run at the largest Smith exponent, the
+order past which their answers no longer change.
 """
 
 from __future__ import annotations
@@ -92,7 +94,14 @@ class FreeComplex:
 
 
 def default_order_bound(c: FreeComplex) -> int:
-    """Safe truncation order for the classification searches."""
+    """The ``order_bound`` reported when none is given, and the cap on the
+    local Smith exponents.
+
+    A nonzero r x r minor of d has degree at most max degree x total rank,
+    and the exponents of d sum to at most its t-adic order, so each is
+    below this bound.  The searches run at the largest exponent instead
+    (see ``_smith_counts``), which is usually far smaller.
+    """
     return c.max_degree() * c.total_rank() + 1
 
 
@@ -258,6 +267,41 @@ def _jet_rows(d: linalg.ExactMatrix, order: int, base=None):
     return rows, head + order * d.cols
 
 
+def _smith_counts(d: linalg.ExactMatrix, rank: int, cap: int) -> list[int]:
+    """#{i : e_i = k} for k = 0..max e_i, where t^e_1, ..., t^e_rank are the
+    local Smith invariants of d at t = 0 and ``rank`` is its generic rank.
+
+    Over Q(i)[[t]], d = U diag(t^e_1, ..., t^e_rank, 0, ...) V with U and V
+    invertible, so the jet operator modulo t^(k+1) has rank
+    sum_i max(0, k + 1 - e_i): going from order k - 1 to k adds
+    #{i : e_i <= k}.  Row block k of ``_jet_rows`` only reaches column
+    blocks a <= k, at columns that do not depend on the order, so one
+    echelon grows a block at a time.  It stops once the increment is
+    ``rank``; an increment that never gets there by order ``cap`` means
+    the generic rank is wrong.
+    """
+    span = linalg.Echelon(d.cols * (cap + 1))
+    counts = []
+    for k in range(cap + 1):
+        before = span.rank
+        for row in _jet_rows(d, k)[0][k * d.rows:]:
+            span.add(row)
+        at_most_k = span.rank - before
+        counts.append(at_most_k - sum(counts))
+        if at_most_k == rank:
+            return counts
+    raise InternalInvariantError(
+        f"jet ranks of a {d.rows}x{d.cols} differential do not reach its "
+        f"generic rank {rank} by order {cap}"
+    )
+
+
+def _max_exponent(c: FreeComplex, q: int) -> int:
+    """Largest local Smith exponent of d^q: the order the searches need."""
+    d = c.diff(q)
+    return len(_smith_counts(d, linalg.generic_rank(d), default_order_bound(c))) - 1
+
+
 def _solve_jet(c: FreeComplex, q: int, rhs: list[Poly], order: int) -> list[Poly] | None:
     """Solve d^q(x) = rhs mod t^(order+1) for x with jet order ``order``."""
     d = c.diff(q)
@@ -302,17 +346,29 @@ def classify_first_class(c: FreeComplex, q: int, order_bound: int | None = None)
     inside its cohomology class.  The extendable classes form a subspace;
     the report certifies a basis of a complement (each vector genuinely
     obstructed) and the extendable basis itself.
+
+    The search runs at order min(bound, N), N the largest local Smith
+    exponent e_i of d^q, with no margin: in the coordinates y = V x of
+    ``_smith_counts``, a cocycle extends to order k exactly when y_i(0) = 0
+    for every e_i <= k (the higher jet coefficients absorb the rest), so
+    the obstructed part has dimension #{i : 1 <= e_i <= k} and is the same
+    subspace at every k >= N.
     """
     bound = default_order_bound(c) if order_bound is None else order_bound
+    return _first_class(c, q, bound, min(bound, _max_exponent(c, q)))
+
+
+def _first_class(c: FreeComplex, q: int, bound: int, order: int) -> FirstClassReport:
+    """``classify_first_class`` with its jet search at ``order``."""
     cob = cohomology_at_zero(c, q)
     h = cob.dim
     if h == 0:
         return FirstClassReport(q=q, order_bound=bound, dim=0, extendable_dim=0,
                                 extendable_basis=[], obstructed_basis=[])
-    # x_0 = sum c_m rep_m + dprev0 y; x_1..x_bound are free
+    # x_0 = sum c_m rep_m + dprev0 y; x_1..x_order are free
     dprev0 = _at_zero(c.diff(q - 1))
     base = list(cob.representatives) + [dprev0.column(j) for j in range(dprev0.cols)]
-    rows, width = _jet_rows(c.diff(q), bound, base)
+    rows, width = _jet_rows(c.diff(q), order, base)
     kernel = linalg.Echelon(width, rows).kernel()
     ext_span = linalg.Echelon(h, (v[:h] for v in kernel))
     extendable = ext_span.rows()
@@ -406,31 +462,38 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
     Computed two independent ways and compared:
     (a) the fiber at 0 of the saturated image lattice of d^{q-1} over the
         fraction field, projected to H^q(E_0);
-    (b) the image of the order-``bound`` obstruction map: achievable
-        classes [t^n coefficient of d(a)] over all valid jets a.
-    An explicit ``order_bound`` below the default at which (b) disagrees
-    with (a), while (b) at the default agrees, is too small to decide:
-    ValidationFailure.  A disagreement at the default bound is internal.
+    (b) the image of the order-N obstruction map: achievable classes
+        [t^N coefficient of d(a)] over all valid jets a, N the largest
+        local Smith exponent e_i of d^{q-1}.
+    N needs no margin: in the coordinates of ``_smith_counts`` the t^n
+    coefficients reachable by (b) are U(0) applied to the vectors supported
+    on {i : e_i <= n}, one span for every n >= N, of dimension
+    #{i : 1 <= e_i <= n} in H^q(E_0).  An explicit ``order_bound`` below N
+    is too small to decide: ValidationFailure.  A disagreement of (a) and
+    (b) is internal.
     """
     if q < 1:
         raise ValidationFailure("second-class classification needs q >= 1")
-    default = default_order_bound(c)
-    bound = default if order_bound is None else order_bound
-    cob = cohomology_at_zero(c, q)
+    bound = default_order_bound(c) if order_bound is None else order_bound
+    return _second_class(c, q, bound, _max_exponent(c, q - 1))
 
+
+def _second_class(c: FreeComplex, q: int, bound: int, needed: int) -> SecondClassLabReport:
+    """``classify_second_class`` with method (b) at order ``needed``."""
+    if bound < needed:
+        raise ValidationFailure(
+            f"order_bound {bound} is too small to decide the second class at q={q}: "
+            f"the jet search needs order {needed}"
+        )
+    cob = cohomology_at_zero(c, q)
     span_a = linalg.Echelon(cob.dim)
     if cob.dim:
         for vec in _saturation_fiber(c.diff(q - 1), c.param):
             span_a.add(cob.project(vec))
-    span_b = _jet_search_span(c, q, cob, bound)
+    span_b = _jet_search_span(c, q, cob, needed)
 
     rows_a = span_a.rows()
     if rows_a != span_b.rows():
-        if bound < default and _jet_search_span(c, q, cob, default).rows() == rows_a:
-            raise ValidationFailure(
-                f"order_bound {bound} is too small to decide the second class at q={q}: "
-                f"the jet search agrees with the saturation at the default bound {default}"
-            )
         raise InternalInvariantError(
             f"second-class methods disagree at q={q}: "
             f"saturation gives dim {span_a.rank}, jet search gives dim {span_b.rank}"
@@ -490,6 +553,11 @@ class AccountingReport:
     order_bound: int
     consistent: bool
     notes: list[str] = field(default_factory=list)
+    # k -> #{i : e_i = k} over the local Smith exponents e_i >= 1 with a
+    # nonzero count: of d^q (classes first obstructed at order k) and of
+    # d^(q-1) (classes exact away from 0 whose preimage needs order k)
+    first_class_orders: dict[int, int] = field(default_factory=dict)
+    second_class_orders: dict[int, int] = field(default_factory=dict)
 
     @property
     def h_drop(self) -> int:
@@ -498,26 +566,31 @@ class AccountingReport:
 
 def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> AccountingReport:
     """Decompose the cohomology drop at t = 0 and match it to the obstructed
-    subspaces; any mismatch is flagged in the report, never silently."""
+    subspaces; any mismatch is flagged in the report, never silently.
+
+    The local Smith exponents of d^q and d^(q-1) give the per-order counts
+    and the orders the two searches run at (see ``classify_first_class``
+    and ``classify_second_class``).
+    """
     issues = validate_complex(c)
     if issues:
         raise ValidationFailure("; ".join(issues))
     if not 0 <= q < len(c.ranks):
         raise ValidationFailure(f"degree {q} outside 0..{len(c.ranks) - 1}")
-    bound = default_order_bound(c) if order_bound is None else order_bound
+    cap = default_order_bound(c)
+    bound = cap if order_bound is None else order_bound
     d_out, d_in = c.diff(q), c.diff(q - 1)
     out0, in0 = linalg.rank_const(_at_zero(d_out)), linalg.rank_const(_at_zero(d_in))
     out_g, in_g = linalg.generic_rank(d_out), linalg.generic_rank(d_in)
     h0, hg = c.ranks[q] - out0 - in0, c.ranks[q] - out_g - in_g
     kernel_drop, image_rise = out_g - out0, in_g - in0
-    first = classify_first_class(c, q, bound)
-    second = classify_second_class(c, q, bound) if q >= 1 else None
+    counts_out = _smith_counts(d_out, out_g, cap)
+    counts_in = _smith_counts(d_in, in_g, cap)
+    first = _first_class(c, q, bound, min(bound, len(counts_out) - 1))
+    second = _second_class(c, q, bound, len(counts_in) - 1) if q >= 1 else None
     second_dim = second.dim if second is not None else 0
     notes = []
     consistent = True
-    if h0 - hg != kernel_drop + image_rise:
-        consistent = False
-        notes.append("rank bookkeeping does not close")
     if first.dim != kernel_drop:
         consistent = False
         notes.append(
@@ -532,4 +605,6 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
         q=q, h0=h0, h_generic=hg, kernel_drop=kernel_drop, image_rise=image_rise,
         first_class_dim=first.dim, second_class_dim=second_dim,
         order_bound=bound, consistent=consistent, notes=notes,
+        first_class_orders={k: n for k, n in enumerate(counts_out) if k and n},
+        second_class_orders={k: n for k, n in enumerate(counts_in) if k and n},
     )

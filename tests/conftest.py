@@ -149,7 +149,9 @@ def random_lab_complex(rng: random.Random, param: str = "t"):
 
     Returns (FreeComplex, truth) where truth lists per degree the exact
     (h at 0, h generic) derived from the block structure, along with the
-    kernel-drop and image-rise of each differential.
+    kernel-drop and image-rise of each differential and, under
+    "exponents", the sorted local Smith exponents at t = 0 of d0 and d1
+    (scrambling by unimodular transforms keeps them).
     """
     blocks = []
     n_blocks = rng.randint(1, 3)
@@ -165,6 +167,7 @@ def random_lab_complex(rng: random.Random, param: str = "t"):
     truth_h0 = [0, 0, 0]
     truth_hg = [0, 0, 0]
     rank0_at0 = rank0_gen = rank1_at0 = rank1_gen = 0
+    exponents = ([], [])
 
     def unit(rng):
         return random_gr(rng, zero_ok=False)
@@ -193,6 +196,7 @@ def random_lab_complex(rng: random.Random, param: str = "t"):
             r[1] += 1
             d0_blocks.append((1, 1, [[_poly(param, [(k, u)])]]))
             d1_blocks.append((0, 1, []))
+            exponents[0].append(k)
             if k == 0:
                 rank0_at0 += 1
             else:
@@ -206,6 +210,7 @@ def random_lab_complex(rng: random.Random, param: str = "t"):
             r[2] += 1
             d0_blocks.append((1, 0, [[]]))
             d1_blocks.append((1, 1, [[_poly(param, [(k, u)])]]))
+            exponents[1].append(k)
             if k == 0:
                 rank1_at0 += 1
             else:
@@ -223,6 +228,8 @@ def random_lab_complex(rng: random.Random, param: str = "t"):
             d0_blocks.append((2, 1, [[f], [g]]))
             d1_blocks.append((1, 2, [[-g, f]]))
             at0 = 1 if (jf == 0 or jg == 0) else 0
+            exponents[0].append(min(jf, jg))
+            exponents[1].append(min(jf, jg))
             rank0_at0 += at0
             rank1_at0 += at0
             rank0_gen += 1
@@ -287,5 +294,6 @@ def random_lab_complex(rng: random.Random, param: str = "t"):
         "h": [(truth_h0[q], truth_hg[q]) for q in range(3)],
         "rank0": (rank0_at0, rank0_gen),
         "rank1": (rank1_at0, rank1_gen),
+        "exponents": tuple(sorted(e) for e in exponents),
     }
     return cx, truth

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hodgejump.coeff import GR_ONE, GaussianRational
+from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, accumulate
 from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
 
 
@@ -372,3 +372,27 @@ def naive_o1(spec: ComplexStructureSpec, psi: VectorForm, a: InvariantForm) -> d
         return del_ia
     da = {k: c for k, c in naive_d(spec, a).items() if holomorphic_degree(k) == p + 1}
     return raw_add(del_ia, naive_contract(psi, raw_form(spec, p + 1, q, da)))
+
+
+def project_form(basis, form: InvariantForm, params=None) -> list:
+    """Coordinates in a ``DolbeaultBasis`` of a form whose coefficients may
+    be polynomial: each parameter monomial's constant piece is projected on
+    its own.
+
+    Returns GaussianRational coordinates for constant coefficients and Poly
+    coordinates in ``params`` otherwise.
+    """
+    pieces = form.monomial_split()
+    if not pieces:
+        return [GR_ZERO if params is None else Poly(params)] * basis.dim
+    if set(pieces) == {()} and params is None:
+        return basis.project_constant_form(pieces[()])
+    if params is None:
+        raise ValueError("polynomial form projected without parameter context")
+    coords: list[dict] = [{} for _ in range(basis.dim)]
+    for exps, piece in pieces.items():
+        # the constant bucket () and the zero exponent are the same monomial
+        e = exps if exps else (0,) * len(params)
+        for k, c in enumerate(basis.project_constant_form(piece)):
+            accumulate(coords[k], e, c)
+    return [Poly(params, terms) for terms in coords]

@@ -87,7 +87,8 @@ def test_criterion_02_obstruction_values_at_20(iwasawa, iw_psi1):
         return [Poly.constant(IW_PARAMS, x) for x in v]
 
     assert all(not x for x in rep.matrix.apply(coords((1, 2))))
-    want23 = tgt.project_form(
+    want23 = oracles.project_form(
+        tgt,
         InvariantForm(iwasawa, 2, 1, {((1, 2), (1,)): -pv("t21"), ((1, 2), (2,)): -pv("t22")}),
         params=IW_PARAMS,
     )
@@ -134,7 +135,7 @@ def test_criterion_06_second_class_at_11(iwasawa, iw_psi1, point_ii):
     sc = second_class_subspace(iwasawa, iw_psi1, 1, 1, point=point_ii)
     assert sc.generic_dim == 1
     value = o1_value(iwasawa, iw_psi1, InvariantForm.generator(iwasawa, "f", 3))
-    coords = Dolbeault(iwasawa).basis(1, 1).project_form(value, params=IW_PARAMS)
+    coords = oracles.project_form(Dolbeault(iwasawa).basis(1, 1), value, params=IW_PARAMS)
     pair = linalg.ExactMatrix.from_columns(len(coords), [sc.generic_image[0], coords])
     assert linalg.generic_rank(pair) == 1, "image must be spanned by the class of o1(f3)"
     table = jump_report(iwasawa, iw_psi1, point_ii)
@@ -194,7 +195,7 @@ def test_criterion_09_invariant_suite(iwasawa, torus3, mixed_spec, iw_psi1):
             continue
         v = o1_value(spec, psi1, alpha)
         params = IW_PARAMS if spec is iwasawa else None
-        coords = Dolbeault.of(spec).basis(p, q + 1).project_form(v, params=params)
+        coords = oracles.project_form(Dolbeault.of(spec).basis(p, q + 1), v, params=params)
         assert all(not x for x in coords)
         cases += 1
 

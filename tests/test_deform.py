@@ -235,14 +235,16 @@ class TestObstructionO1:
         lift = lambda v: [Poly.constant(IW_PARAMS, x) for x in v]
         assert all(not x for x in rep.matrix.apply(lift(c12)))
         got23 = rep.matrix.apply(lift(c23))
-        want23 = tgt.project_form(
+        want23 = oracles.project_form(
+            tgt,
             InvariantForm(iwasawa, 2, 1, {((1, 2), (1,)): -pv("t21"),
                                           ((1, 2), (2,)): -pv("t22")}),
             params=IW_PARAMS,
         )
         assert got23 == want23
         got13 = rep.matrix.apply(lift(c13))
-        want13 = tgt.project_form(
+        want13 = oracles.project_form(
+            tgt,
             InvariantForm(iwasawa, 2, 1, {((1, 2), (1,)): -pv("t11"),
                                           ((1, 2), (2,)): -pv("t12")}),
             params=IW_PARAMS,
@@ -282,7 +284,7 @@ class TestObstructionO1:
             v = o1_value(spec, psi1, alpha)
             tgt = Dolbeault.of(spec).basis(p, q + 1)
             params = IW_PARAMS if spec is iwasawa else None
-            coords = tgt.project_form(v, params=params)
+            coords = oracles.project_form(tgt, v, params=params)
             assert all(not x for x in coords)
 
 
@@ -320,8 +322,8 @@ class TestObstructionO1:
                         continue
                     m = obstruction_o1(spec, psi, p, q).matrix
                     for k, v in enumerate(values):
-                        want = tgt.project_form(oracles.raw_form(spec, p, min(q + 1, n), v),
-                                                params=psi.params())
+                        want = oracles.project_form(
+                            tgt, oracles.raw_form(spec, p, min(q + 1, n), v), params=psi.params())
                         assert m.column(k) == want
                         nonzero += bool(any(want))
         # del vanishes on the torus, and o1 on the cohomology of the two
@@ -426,7 +428,7 @@ class TestSecondClassAndJump:
         assert sc.generic_dim == 1
         assert sc.point_dim == 1
         value = o1_value(iwasawa, iw_psi1, InvariantForm.generator(iwasawa, "f", 3))
-        coords = Dolbeault(iwasawa).basis(1, 1).project_form(value, params=IW_PARAMS)
+        coords = oracles.project_form(Dolbeault(iwasawa).basis(1, 1), value, params=IW_PARAMS)
         m = linalg.ExactMatrix.from_columns(
             len(coords), [sc.generic_image[0], coords]
         )

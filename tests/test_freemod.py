@@ -1,10 +1,12 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from hodgejump import linalg
 from hodgejump.coeff import GR, Jet, Poly
-from hodgejump.errors import ValidationFailure
+from hodgejump.errors import InternalInvariantError, ValidationFailure
 from hodgejump.freemod import (
     FreeComplex,
     JetCochain,
@@ -20,9 +22,10 @@ from hodgejump.freemod import (
     reduce_to_primitive,
     validate_complex,
 )
+from hodgejump.manifest import load_manifest
 
 from .conftest import random_gr, random_lab_complex
-from .oracles import dense_jet_matrix
+from .oracles import dense_jet_matrix, rank_qi
 
 T = ("t",)
 
@@ -362,6 +365,77 @@ class TestAccounting:
                 acct = jump_accounting(cx, q, order_bound=4)
                 assert acct.consistent, (q, acct.notes)
             checked += 1
+
+
+def smith_exponents(cx, q):
+    """Sorted local Smith exponents of d^q, read off ``_smith_counts``."""
+    from hodgejump.freemod import _smith_counts
+
+    d = cx.diff(q)
+    counts = _smith_counts(d, linalg.generic_rank(d), default_order_bound(cx))
+    return [k for k, n in enumerate(counts) for _ in range(n)]
+
+
+# d^0 = U diag(1, t, t^2) V for unimodular U, V; d^1 has the exponent 1
+C_SMITH012 = load_manifest(str(Path(__file__).parent / "data" / "lab_smith012.json")).complex
+
+
+class TestSmithExponents:
+    def test_match_the_block_structure_and_dense_jet_ranks(self):
+        rng = random.Random(71)
+        for _ in range(25):
+            cx, truth = random_lab_complex(rng)
+            for q, d in enumerate(cx.diffs):
+                exps = truth["exponents"][q]
+                assert smith_exponents(cx, q) == exps
+                for k in range(4):
+                    want = sum(max(0, k + 1 - e) for e in exps)
+                    assert rank_qi(dense_jet_matrix(d, k)) == want
+
+    def test_searches_at_each_bound_count_exponents_up_to_it(self):
+        from hodgejump.freemod import _jet_search_span
+
+        rng = random.Random(72)
+        for _ in range(15):
+            cx, _ = random_lab_complex(rng)
+            for q in range(3):
+                out, inn = smith_exponents(cx, q), smith_exponents(cx, q - 1)
+                cob = cohomology_at_zero(cx, q)
+                for k in range(4):
+                    assert classify_first_class(cx, q, k).dim == sum(1 <= e <= k for e in out)
+                    assert _jet_search_span(cx, q, cob, k).rank == sum(1 <= e <= k for e in inn)
+                acct = jump_accounting(cx, q)
+                assert acct.first_class_orders == Counter(e for e in out if e)
+                assert acct.second_class_orders == Counter(e for e in inn if e)
+
+    def test_scrambled_diagonal(self):
+        assert smith_exponents(C_SMITH012, 0) == [0, 1, 2]
+        assert smith_exponents(C_SMITH012, 1) == [1]
+        bound = default_order_bound(C_SMITH012)
+        for q in range(3):
+            assert jump_accounting(C_SMITH012, q) == jump_accounting(C_SMITH012, q, bound)
+        acct = jump_accounting(C_SMITH012, 1)
+        assert acct.first_class_orders == {1: 1}
+        assert acct.second_class_orders == {1: 1, 2: 1}
+        assert (acct.first_class_dim, acct.second_class_dim, acct.order_bound) == (1, 2, bound)
+
+    def test_explicit_bound_below_the_needed_order(self):
+        with pytest.raises(ValidationFailure, match=(
+                "order_bound 1 is too small to decide the second class at q=1: "
+                "the jet search needs order 2")):
+            classify_second_class(C_SMITH012, 1, order_bound=1)
+        assert classify_second_class(C_SMITH012, 1, order_bound=2).dim == 2
+        # the first class keeps truncating at the given bound
+        assert [classify_first_class(C_SMITH012, 0, k).dim for k in range(4)] == [0, 1, 2, 2]
+
+    def test_a_rank_the_jet_ranks_never_reach_is_internal(self):
+        from hodgejump.freemod import _smith_counts
+
+        assert _smith_counts(C_T2.diff(0), 1, 5) == [0, 0, 1]
+        with pytest.raises(InternalInvariantError, match="generic rank 2 by order 5"):
+            _smith_counts(C_T2.diff(0), 2, 5)
+        with pytest.raises(InternalInvariantError, match="generic rank 1 by order 1"):
+            _smith_counts(C_T2.diff(0), 1, 1)
 
 
 class TestProp23Equivalence:
