@@ -27,13 +27,13 @@ from .exterior import (
     InvariantForm,
     SpecError,
     VectorForm,
-    _c_wedge,
     _contract_vector,
     _d_monomial,
     _indices,
     _mask,
     _masked,
     _psi_terms,
+    _shuffle,
     _unmasked,
     basis_monomials,
     deformed_coframe,
@@ -136,7 +136,7 @@ class Dolbeault:
         cols = []
         for I, J in self.monomials(p, q):
             db: dict = {}
-            _d_monomial(self.spec, I, J, db)
+            _d_monomial(self.spec, _mask(I), _mask(J), db)
             cols.append({row_of[key]: c for key, c in db.items()})
         m = linalg.ExactMatrix.from_columns(len(tgt), cols)
         self._matrices[key] = m
@@ -184,21 +184,20 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
         raise SpecError("dbar_vector: spec mismatch")
     out: dict = {}
     for (i, J), c in psi.coeffs.items():
+        mj = _mask(J)
         db: dict = {}
-        _d_monomial(spec, (), J, db)
-        for (_, mj), c2 in db.items():
-            accumulate(out, (i, _indices(mj)), rmul(c, c2))
+        _d_monomial(spec, 0, mj, db)
+        for (_, m), c2 in db.items():
+            accumulate(out, (i, m), rmul(c, c2))
         for k in range(1, spec.n + 1):
             for (ii, lam), b in spec.B[k].items():
-                if ii != i:
+                bl = 1 << lam
+                if ii != i or mj & bl:
                     continue
-                norm = _c_wedge(lam, J)
-                if norm is None:
-                    continue
-                sign, J2 = norm
                 v = rmul(c, b)
-                accumulate(out, (k, J2), v if sign > 0 else -v)
-    return VectorForm(spec, min(psi.q + 1, spec.n), out)
+                accumulate(out, (k, mj | bl), -v if _shuffle(bl, mj) & 1 else v)
+    return VectorForm._trusted(spec, {(i, _indices(m)): v for (i, m), v in out.items()},
+                               q=min(psi.q + 1, spec.n))
 
 
 def validate_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> list[Diagnostic]:
@@ -394,7 +393,7 @@ def _del(spec: ComplexStructureSpec, a: dict) -> dict:
     """del of a mask-keyed sparse vector."""
     out: dict = {}
     for (mi, mj), c in a.items():
-        _d_monomial(spec, _indices(mi), _indices(mj), None, c, out)
+        _d_monomial(spec, mi, mj, None, c, out)
     return out
 
 
@@ -471,7 +470,7 @@ def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> 
                 continue
             dbar: dict = {}
             for (mi, mj), c in v.items():
-                _d_monomial(spec, _indices(mi), _indices(mj), dbar, c)
+                _d_monomial(spec, mi, mj, dbar, c)
             if dbar:
                 raise InternalInvariantError("o1 value is not delbar-closed")
             dense = [GR_ZERO] * len(row_of)

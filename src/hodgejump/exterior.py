@@ -17,8 +17,14 @@ coefficients where conjugation has no meaning.
 
 Sign conventions that everything downstream depends on:
 
-* wedge reorders factors to the canonical form with the parity of the
-  permutation;
+* every kernel (wedge, d, contraction) holds a monomial as an (I, J) pair
+  of int bitmasks, bit i set for index i, and reads each reordering sign
+  off one rule: (-1)^r(a, b) with r(a, b) = #{(x, y) : x in a, y in b,
+  x > y} (``_shuffle``) is the sign that sorts the indices of a followed by
+  those of b;
+* wedge: (f_Ia ^ c_Ja) ^ (f_Ib ^ c_Jb) has sign
+  (-1)^(r(Ia, Ib) + r(Ja, Jb) + |Ja| |Ib|), since f_Ib first moves left
+  past c_Ja;
 * d is the graded derivation d(x1^...^xm) = sum_k (-1)^(k-1) x1^...^d(xk)^...;
 * contraction with a frame vector removes a holomorphic factor with sign
   (-1)^(k-1), and contraction with theta_i (x) c_J wedges c_J on the right:
@@ -204,27 +210,34 @@ class ComplexStructureSpec:
 
 # -- monomial bookkeeping -------------------------------------------------
 
-def _normalize_factors(factors: list[tuple[str, int]]):
-    """Sort factors into canonical order; returns (sign, I, J) or None."""
-    keys = [(0 if kind == "f" else 1, idx) for kind, idx in factors]
-    sign = 1
-    arr = list(keys)
-    for a in range(1, len(arr)):
-        b = a
-        while b > 0 and arr[b] < arr[b - 1]:
-            arr[b], arr[b - 1] = arr[b - 1], arr[b]
-            sign = -sign
-            b -= 1
-    for x, y in zip(arr, arr[1:]):
-        if x == y:
-            return None
-    I = tuple(idx for side, idx in arr if side == 0)
-    J = tuple(idx for side, idx in arr if side == 1)
-    return sign, I, J
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
-def _monomial_factors(I: tuple[int, ...], J: tuple[int, ...]) -> list[tuple[str, int]]:
-    return [("f", i) for i in I] + [("c", j) for j in J]
+def _indices(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _shuffle(a: int, b: int) -> int:
+    """r(a, b) = #{(x, y) : x in a, y in b, x > y} for index bitmasks a, b.
+
+    (-1)^r(a, b) is the sign that sorts the indices of a followed by those
+    of b; every reordering sign of the exterior kernels is read off it.
+    """
+    n = 0
+    while a:
+        low = a & -a
+        n += (b & (low - 1)).bit_count()
+        a ^= low
+    return n
 
 
 def basis_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -253,6 +266,20 @@ class _Form:
     def _freeze(self, **attrs):
         for name, value in attrs.items():
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, spec, coeffs, **degree):
+        """A form from keys already known to be valid for ``degree`` (``p``
+        and ``q``, or ``q``): the key checks of ``__init__`` are skipped,
+        zero coefficients are still dropped."""
+        form = object.__new__(cls)
+        # set directly, not through _freeze: this runs for every kernel
+        # result, where re-packing the keywords for a second call shows
+        object.__setattr__(form, "spec", spec)
+        object.__setattr__(form, "coeffs", MappingProxyType({k: c for k, c in coeffs.items() if c}))
+        for name, value in degree.items():
+            object.__setattr__(form, name, value)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -311,16 +338,6 @@ class InvariantForm(_Form):
                 clean[(I, J)] = c
         self._freeze(spec=spec, p=p, q=q, coeffs=MappingProxyType(clean))
 
-    @classmethod
-    def _trusted(cls, spec, p: int, q: int, coeffs) -> "InvariantForm":
-        """A form from keys already known to be valid: the bidegree, index
-        order and range checks of ``__init__`` are skipped, zero
-        coefficients are still dropped."""
-        form = object.__new__(cls)
-        form._freeze(spec=spec, p=p, q=q,
-                     coeffs=MappingProxyType({k: c for k, c in coeffs.items() if c}))
-        return form
-
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -340,7 +357,7 @@ class InvariantForm(_Form):
     # -- algebra -------------------------------------------------------
 
     def _like(self, coeffs) -> "InvariantForm":
-        return InvariantForm._trusted(self.spec, self.p, self.q, coeffs)
+        return self._trusted(self.spec, coeffs, p=self.p, q=self.q)
 
     def _check_addable(self, other: "InvariantForm"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -438,7 +455,7 @@ class VectorForm(_Form):
         return cls(spec, len(tuple(J)), {(i, tuple(J)): coeff})
 
     def _like(self, coeffs) -> "VectorForm":
-        return VectorForm(self.spec, self.q, coeffs)
+        return self._trusted(self.spec, coeffs, q=self.q)
 
     def _check_addable(self, other: "VectorForm"):
         if self.q != other.q or self.spec != other.spec:
@@ -491,18 +508,20 @@ class VectorForm(_Form):
 
 # -- core operations ------------------------------------------------------
 
-def _add_monomial(acc: dict, factors, a, b, sign: int = 1) -> None:
-    """Add sign * a * b times the wedge of ``factors`` into ``acc``, keyed by (I, J).
+def _wedge_monomial(a: tuple[int, int], b: tuple[int, int], u, v, out: dict) -> None:
+    """Accumulate u * v * (f_Ia ^ c_Ja) ^ (f_Ib ^ c_Jb) into ``out``.
 
-    A repeated factor makes the monomial vanish; it is skipped before the
-    coefficients are multiplied.
+    ``a`` and ``b`` are (I, J) mask pairs.  The product is f_(Ia+Ib) ^
+    c_(Ja+Jb) with sign (-1)^(r(Ia, Ib) + r(Ja, Jb) + |Ja| |Ib|); it
+    vanishes when a and b share a factor, and the coefficients are then
+    not multiplied.
     """
-    norm = _normalize_factors(factors)
-    if norm is None:
+    (fa, ca), (fb, cb) = a, b
+    if fa & fb or ca & cb:
         return
-    order_sign, I, J = norm
-    v = rmul(a, b)
-    accumulate(acc, (I, J), v if order_sign * sign > 0 else -v)
+    w = rmul(u, v)
+    sign = _shuffle(fa, fb) + _shuffle(ca, cb) + ca.bit_count() * fb.bit_count()
+    accumulate(out, (fa | fb, ca | cb), -w if sign & 1 else w)
 
 
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -513,70 +532,47 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     p, q = a.p + b.p, a.q + b.q
     if p > n or q > n:
         # no room: the product is identically zero
-        return InvariantForm._trusted(a.spec, min(p, n), min(q, n), {})
+        return InvariantForm._trusted(a.spec, {}, p=min(p, n), q=min(q, n))
     out: dict = {}
-    for (I1, J1), c1 in a.coeffs.items():
-        for (I2, J2), c2 in b.coeffs.items():
-            _add_monomial(out, _monomial_factors(I1, J1) + _monomial_factors(I2, J2), c1, c2)
-    return InvariantForm._trusted(a.spec, p, q, out)
+    mb = _masked(b)
+    for ka, c1 in _masked(a).items():
+        for kb, c2 in mb.items():
+            _wedge_monomial(ka, kb, c1, c2, out)
+    return _unmasked(a.spec, p, q, out)
 
 
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _c_wedge(lam: int, J: tuple[int, ...]):
-    """c_lam ^ c_J in canonical order: (sign, J') or None when lam is in J.
-
-    The sign is (-1)^r(J, lam): c_lam moves past the factors of J below it.
-    """
-    if lam in J:
-        return None
-    below = sum(j < lam for j in J)
-    return (-1 if below & 1 else 1), tuple(sorted(J + (lam,)))
-
-
-def _d_monomial(spec: ComplexStructureSpec, I, J, dbar, c=None, dl=None) -> None:
+def _d_monomial(spec: ComplexStructureSpec, mi: int, mj: int, dbar, c=None, dl=None) -> None:
     """Accumulate d(c * f_I ^ c_J) into ``dl`` (del) and ``dbar`` (delbar).
 
-    ``I`` and ``J`` are strictly increasing index tuples; the monomial is
-    held as two int bitmasks and results are keyed by (I, J) mask pairs.
-    ``c=None`` stands for the coefficient 1 and skips the multiplications;
-    ``dl=None`` or ``dbar=None`` skips that part.  Each Leibniz term
-    replaces one factor f_k or c_k by a 2-form from the structure tables,
-    and its sign is read off popcounts.  With p = |I|, pos the position of
-    the replaced factor within I (or within J), rest = I minus {k} (or J
-    minus {k}) and r(m, i) the number of set bits of m below i:
+    The monomial is the (I, J) mask pair ``mi``, ``mj``, and results are
+    keyed by mask pairs.  ``c=None`` stands for the coefficient 1 and skips
+    the multiplications; ``dl=None`` or ``dbar=None`` skips that part.
+    Each Leibniz term replaces one factor f_k or c_k by a 2-form from the
+    structure tables; the factors are walked bit by bit.  With p = |I|, pos
+    the position of the replaced factor within I (or within J), rest = I
+    minus {k} (or J minus {k}) and r the rule of ``_shuffle``, here r(i, m)
+    = the number of set bits of m below i, read inline by popcount:
 
-    * ``A``,    f_k -> f_i^f_j: (-1)^(pos + r(rest,i) + r(rest,j)), into del;
-    * ``B``,    f_k -> f_i^c_j: (-1)^(p-1 + pos + r(rest,i) + r(J,j)), into delbar;
-    * ``Abar``, c_k -> c_i^c_j: (-1)^(p + pos + r(rest,i) + r(rest,j)), into delbar;
-    * ``Bbar``, c_k -> f_i^c_j: (-1)^(pos + r(I,i) + r(rest,j)), into del.
+    * ``A``,    f_k -> f_i^f_j: (-1)^(pos + r(i,rest) + r(j,rest)), into del;
+    * ``B``,    f_k -> f_i^c_j: (-1)^(p-1 + pos + r(i,rest) + r(j,J)), into delbar;
+    * ``Abar``, c_k -> c_i^c_j: (-1)^(p + pos + r(i,rest) + r(j,rest)), into delbar;
+    * ``Bbar``, c_k -> f_i^c_j: (-1)^(pos + r(i,I) + r(j,rest)), into del.
 
     A term vanishes when an index collides with a remaining factor.  Terms
     are accumulated in the order of the factors and of the tables.
     """
-    mi, mj = _mask(I), _mask(J)
-    p = len(I)
+    p = mi.bit_count()
 
     def put(out, key, sc, sign):
         v = sc if c is None else rmul(c, sc)
         accumulate(out, key, -v if sign & 1 else v)
 
-    for pos, k in enumerate(I):
-        rest = mi & ~(1 << k)
+    m, pos = mi, 0
+    while m:
+        bk = m & -m
+        m ^= bk
+        k = bk.bit_length() - 1
+        rest = mi ^ bk
         if dl is not None:
             for (i, j), sc in spec.A[k].items():
                 bi, bj = 1 << i, 1 << j
@@ -589,8 +585,13 @@ def _d_monomial(spec: ComplexStructureSpec, I, J, dbar, c=None, dl=None) -> None
                 if not (rest & bi or mj & bj):
                     put(dbar, (rest | bi, mj | bj), sc,
                         p - 1 + pos + (rest & (bi - 1)).bit_count() + (mj & (bj - 1)).bit_count())
-    for pos, k in enumerate(J):
-        rest = mj & ~(1 << k)
+        pos += 1
+    m, pos = mj, 0
+    while m:
+        bk = m & -m
+        m ^= bk
+        k = bk.bit_length() - 1
+        rest = mj ^ bk
         if dbar is not None:
             for (i, j), sc in spec.Abar[k].items():
                 bi, bj = 1 << i, 1 << j
@@ -603,27 +604,22 @@ def _d_monomial(spec: ComplexStructureSpec, I, J, dbar, c=None, dl=None) -> None
                 if not (mi & bi or rest & bj):
                     put(dl, (mi | bi, rest | bj), sc,
                         pos + (mi & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
+        pos += 1
 
 
 def _contract_monomial(mi: int, mj: int, i: int, mpsi: int, c, out: dict) -> None:
     """Accumulate c * iota(theta_i (x) c_Jpsi)(f_I ^ c_J) into ``out``.
 
-    Monomials are (I, J) mask pairs, like the keys ``_d_monomial`` writes,
-    and ``mpsi`` is the mask of Jpsi.  The result is c * f_(I-i) ^
-    c_(J+Jpsi) with sign (-1)^(r(I,i) + sum over lam in Jpsi of
-    #{j in J : j > lam}): f_i moves to the front past the factors of I
-    below it, then each c_lam moves left past the factors of J above it.
-    The term vanishes when i is not in I or J and Jpsi meet.
+    Monomials are (I, J) mask pairs and ``mpsi`` is the mask of Jpsi.  The
+    result is c * f_(I-i) ^ c_(J+Jpsi) with sign (-1)^(r(i, I) + r(J, Jpsi)):
+    f_i moves to the front past the factors of I below it, then c_Jpsi is
+    wedged on the right.  The term vanishes when i is not in I or J and
+    Jpsi meet.
     """
     bi = 1 << i
     if not mi & bi or mj & mpsi:
         return
-    sign = (mi & (bi - 1)).bit_count()
-    m = mpsi
-    while m:
-        low = m & -m
-        sign += (mj & -(low << 1)).bit_count()
-        m ^= low
+    sign = _shuffle(bi, mi) + _shuffle(mj, mpsi)
     accumulate(out, (mi ^ bi, mj | mpsi), -c if sign & 1 else c)
 
 
@@ -649,7 +645,7 @@ def _masked(form: InvariantForm) -> dict:
 def _unmasked(spec: ComplexStructureSpec, p: int, q: int, acc: dict) -> InvariantForm:
     """The form of a mask-keyed sparse vector."""
     return InvariantForm._trusted(
-        spec, p, q, {(_indices(mi), _indices(mj)): v for (mi, mj), v in acc.items()})
+        spec, {(_indices(mi), _indices(mj)): v for (mi, mj), v in acc.items()}, p=p, q=q)
 
 
 def differential(spec: ComplexStructureSpec, form: InvariantForm):
@@ -659,7 +655,7 @@ def differential(spec: ComplexStructureSpec, form: InvariantForm):
     dl: dict = {}
     dbar: dict = {}
     for (I, J), c in form.coeffs.items():
-        _d_monomial(spec, I, J, dbar, c, dl)
+        _d_monomial(spec, _mask(I), _mask(J), dbar, c, dl)
     # past degree n there is no monomial, so the clamped part is empty
     n = spec.n
     return (_unmasked(spec, min(form.p + 1, n), form.q, dl),
@@ -744,24 +740,27 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
     psi_table: dict[int, dict[int, object]] = {i: {} for i in range(1, n + 1)}
     for (i, J), c in psi.coeffs.items():
         psi_table[i][J[0]] = c
+    # the original generators as one-factor mask pairs in the deformed ones
+    f_old = {i: [((1 << i, 0), GR_ONE)] + [((0, 1 << lam), -c) for lam, c in row.items()]
+             for i, row in psi_table.items()}
+    c_old = {j: [((0, 1 << j), GR_ONE)] for j in range(1, n + 1)}
 
-    def substitute(two_form_terms):
-        """Rewrite a 2-form (original basis) in the deformed generators."""
+    def d_old(kind: str, k: int) -> list:
+        """d of an original generator as (first factor, second factor, coefficient)."""
+        if kind == "f":
+            return ([(f_old[i], f_old[j], sc) for (i, j), sc in spec.A[k].items()]
+                    + [(f_old[i], c_old[j], sc) for (i, j), sc in spec.B[k].items()])
+        return ([(c_old[i], c_old[j], sc) for (i, j), sc in spec.Abar[k].items()]
+                + [(f_old[i], c_old[j], sc) for (i, j), sc in spec.Bbar[k].items()])
+
+    def substitute(terms) -> dict:
+        """Rewrite a 2-form (original factors) as mask pairs in the deformed generators."""
         acc: dict = {}
-        for pair, coeff in two_form_terms:
-            expansions = []
-            for kind, idx in pair:
-                if kind == "c":
-                    expansions.append([(("c", idx), GR_ONE)])
-                else:
-                    alts = [(("f", idx), GR_ONE)]
-                    for lam, c in psi_table[idx].items():
-                        alts.append((("c", lam), -c))
-                    expansions.append(alts)
-            for (g1, c1) in expansions[0]:
-                a = rmul(coeff, c1)
-                for (g2, c2) in expansions[1]:
-                    _add_monomial(acc, [g1, g2], a, c2)
+        for xs, ys, coeff in terms:
+            for x, cx in xs:
+                u = rmul(coeff, cx)
+                for y, cy in ys:
+                    _wedge_monomial(x, y, u, cy, acc)
         return acc
 
     A2: dict[int, dict] = {}
@@ -770,34 +769,19 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
     Bbar2: dict[int, dict] = {}
     defect: dict[int, dict] = {}
     for k in range(1, n + 1):
-        # d f_k(t) = d f_k + sum_l psi^k_l d c_l, then substitute
-        terms = list(spec.d_generator("f", k))
-        for lam, c in psi_table[k].items():
-            for pair, sc in spec.d_generator("c", lam):
-                terms.append((pair, rmul(c, sc)))
-        acc = substitute(terms)
-        A2[k] = {}
-        B2[k] = {}
-        defect[k] = {}
-        for (I, J), c in acc.items():
-            if len(I) == 2:
-                A2[k][(I[0], I[1])] = c
-            elif len(I) == 1:
-                B2[k][(I[0], J[0])] = c
-            else:
-                defect[k][(J[0], J[1])] = c
+        # d f_k(t) = d f_k + sum_l psi^k_l d c_l, then substitute; rows by f-count
+        terms = d_old("f", k) + [(xs, ys, rmul(c, sc)) for lam, c in psi_table[k].items()
+                                 for xs, ys, sc in d_old("c", lam)]
+        A2[k], B2[k], defect[k] = {}, {}, {}
+        rows = (defect[k], B2[k], A2[k])
+        for (fm, cm), c in substitute(terms).items():
+            rows[fm.bit_count()][_indices(fm) + _indices(cm)] = c
         # d c_k is unchanged as a form; substitution rewrites its f factors
-        acc = substitute(list(spec.d_generator("c", k)))
-        Abar2[k] = {}
-        bbar_row: dict = {}
-        for (I, J), c in acc.items():
-            if len(I) == 1:
-                bbar_row[(I[0], J[0])] = c
-            elif len(I) == 0:
-                Abar2[k][(J[0], J[1])] = c
-            else:  # pragma: no cover - impossible: substitution lowers f-count
-                raise SpecError("unexpected bidegree in deformed c-side")
-        Bbar2[k] = bbar_row
+        # and never raises the f-count
+        Abar2[k], Bbar2[k] = {}, {}
+        rows = (Abar2[k], Bbar2[k])
+        for (fm, cm), c in substitute(d_old("c", k)).items():
+            rows[fm.bit_count()][_indices(fm) + _indices(cm)] = c
     new_spec = ComplexStructureSpec(n, A2, B2, Abar=Abar2, Bbar=Bbar2)
     return new_spec, defect
 

@@ -105,6 +105,15 @@ def default_order_bound(c: FreeComplex) -> int:
     return c.max_degree() * c.total_rank() + 1
 
 
+def _order_bound(c: FreeComplex, order_bound: int | None) -> int:
+    """An explicit ``order_bound`` (a negative one has no jets to search), or the default."""
+    if order_bound is None:
+        return default_order_bound(c)
+    if order_bound < 0:
+        raise ValidationFailure(f"order_bound must be at least 0, got {order_bound}")
+    return order_bound
+
+
 def validate_complex(c: FreeComplex) -> list[str]:
     """Check d^{q+1} . d^q = 0 as polynomial identities."""
     out = []
@@ -354,7 +363,7 @@ def classify_first_class(c: FreeComplex, q: int, order_bound: int | None = None)
     the obstructed part has dimension #{i : 1 <= e_i <= k} and is the same
     subspace at every k >= N.
     """
-    bound = default_order_bound(c) if order_bound is None else order_bound
+    bound = _order_bound(c, order_bound)
     return _first_class(c, q, bound, min(bound, _max_exponent(c, q)))
 
 
@@ -474,7 +483,7 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
     """
     if q < 1:
         raise ValidationFailure("second-class classification needs q >= 1")
-    bound = default_order_bound(c) if order_bound is None else order_bound
+    bound = _order_bound(c, order_bound)
     return _second_class(c, q, bound, _max_exponent(c, q - 1))
 
 
@@ -578,7 +587,7 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
     if not 0 <= q < len(c.ranks):
         raise ValidationFailure(f"degree {q} outside 0..{len(c.ranks) - 1}")
     cap = default_order_bound(c)
-    bound = cap if order_bound is None else order_bound
+    bound = cap if order_bound is None else _order_bound(c, order_bound)
     d_out, d_in = c.diff(q), c.diff(q - 1)
     out0, in0 = linalg.rank_const(_at_zero(d_out)), linalg.rank_const(_at_zero(d_in))
     out_g, in_g = linalg.generic_rank(d_out), linalg.generic_rank(d_in)

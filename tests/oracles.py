@@ -191,6 +191,48 @@ def naive_dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
     return out
 
 
+def naive_deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
+    """Tables of the deformed coframe f_i(t) = f_i + sum psi^i_l c_l.
+
+    Returns {"A", "B", "Abar", "Bbar", "defect"}, each {k: {(i, j): coeff}},
+    built with naive_d and naive_wedge only: every f_i in d f_k + sum
+    psi^k_l d c_l and in d c_k becomes f_i(t) - sum psi^i_l c_l, the symbol
+    f_i now standing for f_i(t), and each term goes to the table of its
+    f-count ((0,2) terms of d f_k(t) are the defect).
+    """
+    n = spec.n
+
+    def gen(side, i):
+        return InvariantForm.generator(spec, "f" if side == 0 else "c", i)
+
+    # each original factor as the homogeneous pieces of its replacement
+    replace = {}
+    for i in range(1, n + 1):
+        cside = {((), J): -c for (k, J), c in psi.coeffs.items() if k == i}
+        replace[(0, i)] = [gen(0, i)] + ([InvariantForm(spec, 0, 1, cside)] if cside else [])
+        replace[(1, i)] = [gen(1, i)]
+
+    def substitute(raw):
+        out: dict = {}
+        for (x, y), c in raw.items():
+            for a in replace[x]:
+                for b in replace[y]:
+                    out = raw_add(out, raw_scale(naive_wedge(a, b), c))
+        return out
+
+    tables = {name: {k: {} for k in range(1, n + 1)}
+              for name in ("A", "B", "Abar", "Bbar", "defect")}
+    for k in range(1, n + 1):
+        df = naive_d(spec, gen(0, k))
+        for (i, (lam,)), c in psi.coeffs.items():
+            if i == k:
+                df = raw_add(df, raw_scale(naive_d(spec, gen(1, lam)), c))
+        for names, raw in ((("defect", "B", "A"), df), (("Abar", "Bbar"), naive_d(spec, gen(1, k)))):
+            for key, c in substitute(raw).items():
+                tables[names[holomorphic_degree(key)]][k][(key[0][1], key[1][1])] = c
+    return tables
+
+
 def naive_contract(psi: VectorForm, a: InvariantForm) -> dict:
     """Contraction oracle: delete the matched factor, then append c_J."""
     total: dict = {}

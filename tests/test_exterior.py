@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hodgejump.coeff import GR, Poly
 from hodgejump.deform import Dolbeault, dbar_vector
@@ -9,6 +11,8 @@ from hodgejump.exterior import (
     InvariantForm,
     SpecError,
     VectorForm,
+    _mask,
+    _shuffle,
     basis_monomials,
     contract,
     deformed_coframe,
@@ -27,6 +31,16 @@ from .conftest import (
     random_mixed_form,
 )
 from . import oracles
+
+def random_spec(rng, n):
+    """A spec with sparse random tables on every index pair: not a Lie
+    algebra in general, which the deformed coframe does not need."""
+    A = {k: {(i, j): random_gr(rng, zero_ok=False) for i in range(1, n + 1)
+             for j in range(i + 1, n + 1) if rng.random() < 0.2} for k in range(1, n + 1)}
+    B = {k: {(i, j): random_gr(rng, zero_ok=False) for i in range(1, n + 1)
+             for j in range(1, n + 1) if rng.random() < 0.15} for k in range(1, n + 1)}
+    return ComplexStructureSpec(n, A, B)
+
 
 def gen_f(spec, k):
     return InvariantForm.generator(spec, "f", k)
@@ -92,6 +106,25 @@ class TestWedge:
             wedge(gen_f(iwasawa, 1), gen_f(torus3, 1))
 
 
+INDEX_MASKS = st.sets(st.integers(1, 8)).map(_mask)
+
+
+class TestSignRule:
+    @given(st.lists(st.sampled_from((0, 1, 2)), min_size=8, max_size=8))
+    def test_shuffle_is_the_parity_of_the_concatenation(self, sides):
+        # each index 1..8 goes to a, to b or to neither, so a and b are disjoint
+        a = [i for i, side in enumerate(sides, 1) if side == 1]
+        b = [i for i, side in enumerate(sides, 1) if side == 2]
+        r = _shuffle(_mask(a), _mask(b))
+        assert r == sum(x > y for x in a for y in b)
+        assert (-1) ** r == oracles.perm_sign(a + b)
+
+    @given(st.integers(1, 8), INDEX_MASKS)
+    def test_single_bit_case_is_the_inline_popcount(self, i, m):
+        bit = 1 << i
+        assert (m & (bit - 1)).bit_count() == _shuffle(bit, m)
+
+
 class TestConstructorValidation:
     @pytest.mark.parametrize("p, q, key", [
         (1, 1, ((1, 2), (1,))),     # wrong bidegree
@@ -117,6 +150,19 @@ class TestConstructorValidation:
             b = random_form(iwasawa, pb, qb, rng)
             for form in (wedge(a, b), a + a, a.scale(GR(0)), *differential(iwasawa, a)):
                 assert form == InvariantForm(iwasawa, form.p, form.q, form.coeffs)
+                assert all(form.coeffs.values())
+
+    @pytest.mark.parametrize("spec_name", SPEC_NAMES)
+    def test_internal_vector_forms_match_validated_ones(self, spec_name, request):
+        spec = request.getfixturevalue(spec_name)
+        rng = random.Random(11)
+        for q in range(spec.n + 1):
+            psi = VectorForm(spec, q, {(i, J): random_mixed_coeff(rng)
+                                       for i in range(1, spec.n + 1)
+                                       for _, J in basis_monomials(spec.n, 0, q)})
+            for form in (dbar_vector(spec, psi), psi + psi, -psi, psi.scale(GR(0)),
+                         psi.eval_point({"t": GR(2)}), psi.homogeneous_part(1)):
+                assert form == VectorForm(spec, form.q, form.coeffs)
                 assert all(form.coeffs.values())
 
 
@@ -340,6 +386,33 @@ class TestDeformedCoframe:
         dspec, defect = deformed_coframe(iwasawa, psi)
         assert defect_is_zero(defect)
         assert validate_spec(dspec) == []
+
+    @pytest.mark.parametrize("case", ["iwasawa", "two_step5"] + [f"random{k}" for k in range(8)])
+    def test_matches_oracle(self, case, iwasawa, iw_psi1):
+        rng = random.Random(case)
+        if case == "iwasawa":
+            spec = iwasawa
+        elif case == "two_step5":
+            spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
+        else:
+            spec = random_spec(rng, rng.randint(2, 5))
+        n = spec.n
+        params = ("s", "u")
+        keys = [(i, (lam,)) for i in range(1, n + 1) for lam in range(1, n + 1)]
+        constant = {key: random_gr(rng, zero_ok=False) for key in keys if rng.random() < 0.4}
+        poly = {key: Poly(params, {(rng.randint(0, 2), rng.randint(0, 1)): random_gr(rng)
+                                   for _ in range(2)})
+                for key in keys if rng.random() < 0.4}
+        psis = [VectorForm(spec, 1, constant), VectorForm(spec, 1, poly)]
+        if case == "iwasawa":
+            psis.append(iw_psi1)
+        for psi in psis:
+            dspec, defect = deformed_coframe(spec, psi)
+            want = oracles.naive_deformed_coframe(spec, psi)
+            got = {"A": dspec.A, "B": dspec.B, "Abar": dspec.Abar, "Bbar": dspec.Bbar,
+                   "defect": defect}
+            for name, table in want.items():
+                assert {k: dict(row) for k, row in got[name].items()} == table, name
 
     def test_symbolic_family_structure_constants(self, iwasawa, iw_psi1):
         det = (

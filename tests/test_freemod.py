@@ -345,6 +345,16 @@ class TestAccounting:
             assert r.consistent and r.second_class_dim == r.image_rise == 1
             assert r.order_bound == (3 if bound is None else bound)
 
+    @pytest.mark.parametrize("bound", [-1, -3])
+    def test_negative_order_bound_is_a_validation_failure(self, bound):
+        # a negative order has no jets to search, in any of the three entry points
+        cx = FreeComplex("t", (1, 1), (linalg.ExactMatrix(1, 1, [[poly("t")]]),))
+        for call in (jump_accounting, classify_first_class):
+            with pytest.raises(ValidationFailure, match=f"order_bound must be at least 0, got {bound}"):
+                call(cx, 0, order_bound=bound)
+        with pytest.raises(ValidationFailure, match=f"order_bound must be at least 0, got {bound}"):
+            classify_second_class(cx, 1, order_bound=bound)
+
     def test_disagreement_at_the_default_bound_is_internal(self, monkeypatch):
         from hodgejump import freemod
         from hodgejump.errors import InternalInvariantError
