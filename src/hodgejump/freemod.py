@@ -24,6 +24,12 @@ extension, the local Smith exponents of d, the first-class search and
 method (b) of the second-class search all eliminate those rows with
 ``linalg.Echelon``.  The searches run at the largest Smith exponent, the
 order past which their answers no longer change.
+
+A complex computes its invariants once and holds them: the d.d = 0
+verdict, the default order bound and, per degree, d^q at t = 0, the local
+Smith counts of d^q and H^q(E_0) (see ``FreeComplex``).  Each matrix likewise ranks itself once
+(``linalg.pivot_columns``), so a pass over every degree eliminates each
+differential once.
 """
 
 from __future__ import annotations
@@ -52,7 +58,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FreeComplex:
-    """Ranks P_0..P_N and polynomial differentials d^q: R^{P_q} -> R^{P_q+1}."""
+    """Ranks P_0..P_N and polynomial differentials d^q: R^{P_q} -> R^{P_q+1}.
+
+    ``_memo`` holds what ``_memo_get`` computed from the complex, each on
+    first use: the ``validate_complex`` verdict, ``default_order_bound``
+    and, per degree, d^q at t = 0, the local Smith counts of d^q and
+    H^q(E_0).  Every entry is a pure function of the frozen fields, so
+    sharing them is safe; the memo lives and dies with the complex and
+    takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     param: str
     ranks: tuple[int, ...]
@@ -67,18 +81,23 @@ class FreeComplex:
                     f"d^{q} has shape {d.rows}x{d.cols}, expected "
                     f"{self.ranks[q + 1]}x{self.ranks[q]}"
                 )
+        object.__setattr__(self, "_memo", {})
 
     @property
     def length(self) -> int:
         return len(self.ranks) - 1
 
     def diff(self, q: int) -> linalg.ExactMatrix:
-        """d^q, a zero matrix outside the stored range."""
+        """d^q; the zero maps 0 -> R^{P_0} at q = -1, R^{P_N} -> 0 at q = N,
+        and 0 -> 0 further out.  The two boundary maps are held, so their
+        ranks are computed once too."""
         if 0 <= q < len(self.diffs):
             return self.diffs[q]
-        if q < 0:
-            return linalg.ExactMatrix.from_columns(self.ranks[0], [])
-        return linalg.ExactMatrix(0, self.ranks[-1], [])
+        if q == -1:
+            return _memo_get(self, "d", q, lambda: linalg.ExactMatrix.zeros(self.ranks[0], 0))
+        if q == self.length:
+            return _memo_get(self, "d", q, lambda: linalg.ExactMatrix.zeros(0, self.ranks[-1]))
+        return linalg.ExactMatrix.zeros(0, 0)
 
     def max_degree(self) -> int:
         deg = 0
@@ -93,6 +112,30 @@ class FreeComplex:
         return sum(self.ranks)
 
 
+def _memo_get(c: FreeComplex, kind: str, q, build):
+    """c's ``kind`` invariant at degree q: ``build()`` on first use, then held."""
+    key = (kind, q)
+    value = c._memo.get(key)
+    if value is None:
+        value = c._memo[key] = build()
+    return value
+
+
+def _check_complex(c: FreeComplex) -> None:
+    """Reject a complex with d.d != 0."""
+    issues = validate_complex(c)
+    if issues:
+        raise ValidationFailure("; ".join(issues))
+
+
+def _check_degree(c: FreeComplex, q: int) -> None:
+    """Reject a complex with d.d != 0 and a degree outside 0..N: every
+    entry point that takes a degree calls this before reading the memo."""
+    _check_complex(c)
+    if not 0 <= q <= c.length:
+        raise ValidationFailure(f"degree {q} outside 0..{c.length}")
+
+
 def default_order_bound(c: FreeComplex) -> int:
     """The ``order_bound`` reported when none is given, and the cap on the
     local Smith exponents.
@@ -102,7 +145,7 @@ def default_order_bound(c: FreeComplex) -> int:
     below this bound.  The searches run at the largest exponent instead
     (see ``_smith_counts``), which is usually far smaller.
     """
-    return c.max_degree() * c.total_rank() + 1
+    return _memo_get(c, "cap", None, lambda: c.max_degree() * c.total_rank() + 1)
 
 
 def _order_bound(c: FreeComplex, order_bound: int | None) -> int:
@@ -116,37 +159,41 @@ def _order_bound(c: FreeComplex, order_bound: int | None) -> int:
 
 def validate_complex(c: FreeComplex) -> list[str]:
     """Check d^{q+1} . d^q = 0 as polynomial identities."""
-    out = []
+    return list(_memo_get(c, "issues", None, lambda: tuple(_composition_issues(c))))
+
+
+def _composition_issues(c: FreeComplex):
     for q in range(len(c.diffs) - 1):
         comp = c.diffs[q + 1].matmul(c.diffs[q])
         i = next((i for i, row in enumerate(comp.sparse_rows) if row), None)
         if i is not None:
-            out.append(f"d^{q + 1} . d^{q} has nonzero entry at row {i}, "
-                       f"column {min(comp.sparse_rows[i])}")
-    return out
+            yield (f"d^{q + 1} . d^{q} has nonzero entry at row {i}, "
+                   f"column {min(comp.sparse_rows[i])}")
 
 
-def _at_zero(m: linalg.ExactMatrix) -> linalg.ExactMatrix:
-    """Constant-term matrix: m at t = 0."""
-    return linalg.ExactMatrix(m.rows, m.cols, [
-        {j: x.constant_term() if isinstance(x, Poly) else x for j, x in row.items()}
-        for row in m.sparse_rows
-    ])
+def _at_zero(c: FreeComplex, q: int) -> linalg.ExactMatrix:
+    """Constant-term matrix: d^q at t = 0."""
+    def build():
+        m = c.diff(q)
+        return linalg.ExactMatrix(m.rows, m.cols, [
+            {j: x.constant_term() if isinstance(x, Poly) else x for j, x in row.items()}
+            for row in m.sparse_rows
+        ])
+    return _memo_get(c, "d0", q, build)
 
 
 def cohomology_at_zero(c: FreeComplex, q: int) -> linalg.CohomologyBasis:
-    return linalg.cohomology(_at_zero(c.diff(q - 1)), _at_zero(c.diff(q)), label=f"H^{q}(E_0)")
+    return _memo_get(c, "H", q, lambda: linalg.cohomology(
+        _at_zero(c, q - 1), _at_zero(c, q), label=f"H^{q}(E_0)"))
 
 
 def h_dims(c: FreeComplex) -> list[tuple[int, int]]:
     """Per degree: (dimension at t = 0, dimension at generic t)."""
-    issues = validate_complex(c)
-    if issues:
-        raise ValidationFailure("; ".join(issues))
+    _check_complex(c)
     out = []
     for q in range(len(c.ranks)):
         d_in, d_out = c.diff(q - 1), c.diff(q)
-        h0 = (c.ranks[q] - linalg.rank_const(_at_zero(d_out))) - linalg.rank_const(_at_zero(d_in))
+        h0 = (c.ranks[q] - linalg.rank_const(_at_zero(c, q))) - linalg.rank_const(_at_zero(c, q - 1))
         hg = (c.ranks[q] - linalg.generic_rank(d_out)) - linalg.generic_rank(d_in)
         out.append((h0, hg))
     return out
@@ -195,8 +242,7 @@ class LabObstruction:
         return any(self.coords)
 
 
-def o_n_q(c: FreeComplex, alpha: JetCochain, n: int,
-          cob: linalg.CohomologyBasis | None = None) -> LabObstruction:
+def o_n_q(c: FreeComplex, alpha: JetCochain, n: int) -> LabObstruction:
     """Class in H^{q+1}(E_0) of the t^n coefficient of d(alpha).
 
     Precondition: d(alpha) = 0 mod t^n.  The value is raw coefficient
@@ -204,8 +250,8 @@ def o_n_q(c: FreeComplex, alpha: JetCochain, n: int,
     a tested property, not an assumption.
     """
     q = alpha.degree
-    d = c.diff(q)
-    w = _apply_poly(d, alpha.polys(), c.param)
+    _check_degree(c, q)
+    w = _apply_poly(c.diff(q), alpha.polys(), c.param)
     for k in range(n):
         bad = [p.terms.get((k,), GR_ZERO) for p in w]
         if any(bad):
@@ -213,11 +259,11 @@ def o_n_q(c: FreeComplex, alpha: JetCochain, n: int,
                 f"d(alpha) is nonzero at order {k}; not an order-{n - 1} extension"
             )
     coeff = [p.terms.get((n,), GR_ZERO) for p in w]
-    cob = cob or cohomology_at_zero(c, q + 1)
-    dnext0 = _at_zero(c.diff(q + 1))
+    dnext0 = _at_zero(c, q + 1)
     if dnext0.rows and any(dnext0.apply(coeff)):
         raise InternalInvariantError("obstruction representative is not closed at t = 0")
-    return LabObstruction(n=n, q=q, coords=cob.project(coeff), representative=coeff)
+    return LabObstruction(n=n, q=q, coords=cohomology_at_zero(c, q + 1).project(coeff),
+                          representative=coeff)
 
 
 def extend_step(c: FreeComplex, alpha: JetCochain):
@@ -229,10 +275,9 @@ def extend_step(c: FreeComplex, alpha: JetCochain):
     q = alpha.degree
     n = alpha.order + 1
     ob = o_n_q(c, alpha, n)
-    d0 = _at_zero(c.diff(q))
     if ob:
         return ob
-    x = linalg.solve_const(d0, [-v for v in ob.representative])
+    x = linalg.solve_const(_at_zero(c, q), [-v for v in ob.representative])
     if x is None:
         raise InternalInvariantError("zero obstruction class with no top-coefficient fix")
     params = (c.param,)
@@ -305,10 +350,16 @@ def _smith_counts(d: linalg.ExactMatrix, rank: int, cap: int) -> list[int]:
     )
 
 
+def _smith(c: FreeComplex, q: int) -> tuple[int, ...]:
+    """``_smith_counts`` of d^q, computed once per complex."""
+    d = c.diff(q)
+    return _memo_get(c, "smith", q, lambda: tuple(
+        _smith_counts(d, linalg.generic_rank(d), default_order_bound(c))))
+
+
 def _max_exponent(c: FreeComplex, q: int) -> int:
     """Largest local Smith exponent of d^q: the order the searches need."""
-    d = c.diff(q)
-    return len(_smith_counts(d, linalg.generic_rank(d), default_order_bound(c))) - 1
+    return len(_smith(c, q)) - 1
 
 
 def _solve_jet(c: FreeComplex, q: int, rhs: list[Poly], order: int) -> list[Poly] | None:
@@ -363,6 +414,7 @@ def classify_first_class(c: FreeComplex, q: int, order_bound: int | None = None)
     the obstructed part has dimension #{i : 1 <= e_i <= k} and is the same
     subspace at every k >= N.
     """
+    _check_degree(c, q)
     bound = _order_bound(c, order_bound)
     return _first_class(c, q, bound, min(bound, _max_exponent(c, q)))
 
@@ -375,7 +427,7 @@ def _first_class(c: FreeComplex, q: int, bound: int, order: int) -> FirstClassRe
         return FirstClassReport(q=q, order_bound=bound, dim=0, extendable_dim=0,
                                 extendable_basis=[], obstructed_basis=[])
     # x_0 = sum c_m rep_m + dprev0 y; x_1..x_order are free
-    dprev0 = _at_zero(c.diff(q - 1))
+    dprev0 = _at_zero(c, q - 1)
     base = list(cob.representatives) + [dprev0.column(j) for j in range(dprev0.cols)]
     rows, width = _jet_rows(c.diff(q), order, base)
     kernel = linalg.Echelon(width, rows).kernel()
@@ -481,6 +533,7 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
     is too small to decide: ValidationFailure.  A disagreement of (a) and
     (b) is internal.
     """
+    _check_degree(c, q)
     if q < 1:
         raise ValidationFailure("second-class classification needs q >= 1")
     bound = _order_bound(c, order_bound)
@@ -522,8 +575,7 @@ def reduce_to_primitive(c: FreeComplex, alpha: JetCochain, n: int):
     n' = 1 the check is beta itself.
     """
     q = alpha.degree
-    cob = cohomology_at_zero(c, q + 1)
-    ob = o_n_q(c, alpha, n, cob=cob)
+    ob = o_n_q(c, alpha, n)
     if not ob:
         raise ValidationFailure("reduce_to_primitive needs a nonzero order-n obstruction")
     beta = ob.representative
@@ -532,7 +584,7 @@ def reduce_to_primitive(c: FreeComplex, alpha: JetCochain, n: int):
     current = alpha
     while True:
         if m == 1 or not _rho_is_zero(c, q + 1, beta, m - 1):
-            check = o_n_q(c, current, m, cob=cob)
+            check = o_n_q(c, current, m)
             if not check:
                 raise InternalInvariantError("descent lost the obstruction class")
             if m > 1 and _rho_is_zero(c, q + 1, check.representative, m - 1):
@@ -581,20 +633,13 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
     and the orders the two searches run at (see ``classify_first_class``
     and ``classify_second_class``).
     """
-    issues = validate_complex(c)
-    if issues:
-        raise ValidationFailure("; ".join(issues))
-    if not 0 <= q < len(c.ranks):
-        raise ValidationFailure(f"degree {q} outside 0..{len(c.ranks) - 1}")
-    cap = default_order_bound(c)
-    bound = cap if order_bound is None else _order_bound(c, order_bound)
-    d_out, d_in = c.diff(q), c.diff(q - 1)
-    out0, in0 = linalg.rank_const(_at_zero(d_out)), linalg.rank_const(_at_zero(d_in))
-    out_g, in_g = linalg.generic_rank(d_out), linalg.generic_rank(d_in)
+    _check_degree(c, q)
+    bound = _order_bound(c, order_bound)
+    out0, in0 = linalg.rank_const(_at_zero(c, q)), linalg.rank_const(_at_zero(c, q - 1))
+    out_g, in_g = linalg.generic_rank(c.diff(q)), linalg.generic_rank(c.diff(q - 1))
     h0, hg = c.ranks[q] - out0 - in0, c.ranks[q] - out_g - in_g
     kernel_drop, image_rise = out_g - out0, in_g - in0
-    counts_out = _smith_counts(d_out, out_g, cap)
-    counts_in = _smith_counts(d_in, in_g, cap)
+    counts_out, counts_in = _smith(c, q), _smith(c, q - 1)
     first = _first_class(c, q, bound, min(bound, len(counts_out) - 1))
     second = _second_class(c, q, bound, len(counts_in) - 1) if q >= 1 else None
     second_dim = second.dim if second is not None else 0

@@ -15,6 +15,10 @@ Over polynomial entries ranks and pivot columns come from fraction-free
 (Bareiss) elimination and kernels from Cramer-style minors of its echelon
 form, so every intermediate value stays polynomial.  Pivots are always the
 first nonzero column, which makes every output deterministic.
+
+A matrix's pivot columns are computed once per matrix and held by it, so
+``pivot_columns``, ``generic_rank`` and ``rank_const`` eliminate a given
+matrix at most once.
 """
 
 from __future__ import annotations
@@ -87,10 +91,12 @@ class ExactMatrix:
     A matrix is polynomial when an entry it was built from is a Poly, zeros
     included; its gaps then read as the zero Poly, else as GR_ZERO.
     ``entries`` (row tuples, for rendering) and ``sparse_columns`` are
-    derived on each use.
+    derived on each use.  ``_pivots`` holds the pivot columns once
+    ``pivot_columns`` has computed them: a pure function of the rows, so
+    it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_zero")
+    __slots__ = ("rows", "cols", "sparse_rows", "_zero", "_pivots")
 
     def __init__(self, rows: int, cols: int, entries):
         if len(entries) != rows:
@@ -109,7 +115,7 @@ class ExactMatrix:
                     out[j] = x
             sparse.append(MappingProxyType(out))
         for name, value in (("rows", rows), ("cols", cols), ("sparse_rows", tuple(sparse)),
-                            ("_zero", zero)):
+                            ("_zero", zero), ("_pivots", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -310,7 +316,7 @@ class Echelon:
 def rank_const(m: ExactMatrix) -> int:
     if m.is_polynomial():
         raise LinalgError("rank_const on polynomial matrix; use generic_rank")
-    return Echelon(m.cols, m.sparse_rows).rank
+    return len(_pivots(m))
 
 
 def kernel_basis_const(m: ExactMatrix) -> list[list[GaussianRational]]:
@@ -328,10 +334,22 @@ def solve_const(m: ExactMatrix, rhs: list) -> list | None:
 
 
 def pivot_columns(m: ExactMatrix) -> list[int]:
-    """Columns outside the span of the columns before them, in order."""
-    if not m.is_polynomial():
-        return Echelon(m.cols, m.sparse_rows).pivots
-    return _bareiss(_poly_entries(m))[1]
+    """Columns outside the span of the columns before them, in order.
+
+    A fresh list each call; the matrix keeps its own tuple.
+    """
+    return list(_pivots(m))
+
+
+def _pivots(m: ExactMatrix) -> tuple[int, ...]:
+    """m's pivot columns, eliminated on the first call and held by m."""
+    if m._pivots is None:
+        if m.is_polynomial():
+            pivots = _bareiss(_poly_entries(m))[1]
+        else:
+            pivots = Echelon(m.cols, m.sparse_rows).pivots
+        object.__setattr__(m, "_pivots", tuple(pivots))
+    return m._pivots
 
 
 # -- fraction-free elimination over polynomial entries -------------------
@@ -438,6 +456,7 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
     if not m.is_polynomial():
         return kernel_basis_const(m)
     ech, pivots = _bareiss(_poly_entries(m))
+    object.__setattr__(m, "_pivots", tuple(pivots))
     r = len(pivots)
     pivot_block = [[ech[i][pivots[j]] for j in range(r)] for i in range(r)]
     det = _det_poly(pivot_block) if r else Poly.constant(m._zero.params, 1)

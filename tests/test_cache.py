@@ -1,12 +1,16 @@
-"""Specs, matrices, forms and cached bases are immutable, and each spec owns
-one cached cohomology."""
+"""Specs, matrices, forms and cached bases are immutable; each spec owns one
+cached cohomology, and each matrix and free complex computes its invariants
+once."""
 
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hodgejump import linalg
+from hodgejump import cli, freemod, linalg
 from hodgejump.coeff import GaussianRational as GR
 from hodgejump.coeff import Jet, Poly
 from hodgejump.deform import Dolbeault, extend_class, mc_extend, obstruction_o1
@@ -170,3 +174,104 @@ def test_extend_class_builds_each_cohomology_once(monkeypatch):
         extend_class(fam, rep.source.rep_form(spec, k), 2)
     assert built.count("H^2,2") == 1
     assert sorted(set(built)) == sorted(built)
+
+
+def test_lab_computes_each_invariant_once(monkeypatch, capsys):
+    path = str(Path(__file__).parent / "data" / "lab_smith012.json")
+    man = load_manifest(path)
+    cx = man.complex
+    calls = {"bareiss": 0, "smith": [], "cohomology": []}
+    real_bareiss, real_smith, real_cohomology = (
+        linalg._bareiss, freemod._smith_counts, linalg.cohomology)
+
+    def bareiss(entries):
+        calls["bareiss"] += 1
+        return real_bareiss(entries)
+
+    def smith(d, rank, cap):
+        calls["smith"].append(d)
+        return real_smith(d, rank, cap)
+
+    def cohomology(d_in, d_out, label=""):
+        calls["cohomology"].append(label)
+        return real_cohomology(d_in, d_out, label=label)
+
+    monkeypatch.setattr(linalg, "_bareiss", bareiss)
+    monkeypatch.setattr(freemod, "_smith_counts", smith)
+    monkeypatch.setattr(linalg, "cohomology", cohomology)
+    monkeypatch.setattr(cli, "load_manifest", lambda name: man)
+    assert cli.main(["lab", path]) == 0
+    capsys.readouterr()
+    for q in range(len(cx.ranks)):
+        assert freemod.jump_accounting(cx, q).consistent
+    assert calls["bareiss"] == sum(d.is_polynomial() for d in cx.diffs) == 2
+    # d^-1 .. d^N, the zero maps at both ends included, each once
+    diffs = [cx.diff(q) for q in range(-1, cx.length + 1)]
+    assert sorted(map(id, calls["smith"])) == sorted(map(id, diffs))
+    assert calls["cohomology"] == [f"H^{q}(E_0)" for q in range(len(cx.ranks))]
+
+
+T = ("t",)
+AB = ("a", "b")
+
+
+@st.composite
+def poly_entries(draw, params, rows, cols):
+    """A rows x cols list of sparse polynomials with small Q(i) coefficients."""
+    def entry():
+        terms = {}
+        for _ in range(draw(st.integers(0, 2))):
+            exps = tuple(draw(st.integers(0, 2 if len(params) == 1 else 1)) for _ in params)
+            terms[exps] = GR(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+        return Poly(params, terms)
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def poly_matrices(draw, params=st.sampled_from([T, AB])):
+    """Polynomial matrices up to 5 x 6 in one or two parameters; a third of
+    them products through an inner dimension of 1 or 2, so of low rank (an
+    all-zero product holds no Poly, so it is a Q(i) matrix)."""
+    params = draw(params)
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if draw(st.integers(0, 2)):
+        return linalg.ExactMatrix(rows, cols, draw(poly_entries(params, rows, cols)))
+    inner = draw(st.integers(1, 2))
+    left = linalg.ExactMatrix(rows, inner, draw(poly_entries(params, rows, inner)))
+    right = linalg.ExactMatrix(inner, cols, draw(poly_entries(params, inner, cols)))
+    return left.matmul(right)
+
+
+def _cold(m):
+    """An equal matrix that has computed nothing yet."""
+    return linalg.ExactMatrix(m.rows, m.cols, m.sparse_rows)
+
+
+class TestInvariantMemos:
+    @given(poly_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_pivot_memo_matches_fresh_elimination(self, m):
+        cold = _cold(m)
+        if m.is_polynomial():
+            fresh = linalg._bareiss(linalg._poly_entries(m))[1]
+        else:
+            fresh = linalg.Echelon(m.cols, m.sparse_rows).pivots
+        first = linalg.pivot_columns(m)
+        assert first == fresh
+        first.append(m.cols)
+        first[:0] = [0]
+        assert linalg.pivot_columns(m) == fresh
+        assert linalg.generic_rank(m) == len(fresh)
+        assert m == cold and hash(m) == hash(cold) and repr(m) == repr(cold)
+
+    @given(poly_matrices(st.just(T)))
+    @settings(max_examples=25, deadline=None)
+    def test_warm_complex_equals_a_cold_one(self, m):
+        def complex_of(d):
+            return freemod.FreeComplex("t", (d.cols, d.rows), (d,))
+
+        warm, cold = complex_of(m), complex_of(_cold(m))
+        reports = [freemod.jump_accounting(warm, q) for q in range(2)]
+        assert warm._memo and not cold._memo
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert [freemod.jump_accounting(cold, q) for q in range(2)] == reports

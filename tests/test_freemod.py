@@ -175,15 +175,14 @@ class TestObstructionMap:
                 Poly(T, {(k,): v[k * P0 + j] for k in range(n)}) for j in range(P0)
             ]
             alpha = JetCochain(degree=0, entries=[Jet(p, n - 1) for p in alpha_polys], order=n - 1)
-            cob = cohomology_at_zero(cx, 1)
-            base = o_n_q(cx, alpha, n, cob=cob)
+            base = o_n_q(cx, alpha, n)
             # perturbing by t^n * gamma leaves the class fixed
             gamma = [GR(rng.randint(-2, 2)) for _ in range(P0)]
             shifted = [
                 Jet(p + Poly(T, {(n,): g}), n) for p, g in zip(alpha_polys, gamma)
             ]
             pert = JetCochain(degree=0, entries=shifted, order=n)
-            got = o_n_q(cx, pert, n, cob=cob)
+            got = o_n_q(cx, pert, n)
             assert got.coords == base.coords
             cases += 1
         # so does perturbing degree-1 cochains by the image of jet cochains
@@ -206,8 +205,7 @@ class TestObstructionMap:
                 Poly(T, {(k,): v[k * P1 + j] for k in range(n)}) for j in range(P1)
             ]
             alpha = JetCochain(degree=1, entries=[Jet(p, n - 1) for p in alpha_polys], order=n - 1)
-            cob = cohomology_at_zero(cx, 2)
-            base = o_n_q(cx, alpha, n, cob=cob)
+            base = o_n_q(cx, alpha, n)
             beta = [
                 Poly(T, {(k,): GR(rng2.randint(-2, 2)) for k in range(n)})
                 for _ in range(cx.ranks[0])
@@ -218,7 +216,7 @@ class TestObstructionMap:
                 entries=[Jet(p + w, n - 1) for p, w in zip(alpha_polys, image)],
                 order=n - 1,
             )
-            got = o_n_q(cx, pert, n, cob=cob)
+            got = o_n_q(cx, pert, n)
             assert got.coords == base.coords
             cases += 1
 
@@ -227,6 +225,13 @@ class TestExtendStep:
     def test_obstructed_step(self):
         alpha = JetCochain.from_constant(C_T, 0, [GR(1)], 0)
         assert isinstance(extend_step(C_T, alpha), LabObstruction)
+
+    def test_top_degree_extends_trivially(self):
+        # H^2(E_0) of a two-term complex is zero, so nothing obstructs
+        alpha = JetCochain.from_constant(C_T2, 1, [GR(1)], 0)
+        assert not o_n_q(C_T2, alpha, 1)
+        out = extend_step(C_T2, alpha)
+        assert isinstance(out, JetCochain) and out.order == 1
 
     def test_zero_complex_extends_trivially(self):
         alpha = JetCochain.from_constant(C_ZERO2, 0, [GR(1), GR(0)], 0)
@@ -267,6 +272,17 @@ class TestClassification:
     def test_second_class_empty_cases(self):
         assert classify_second_class(C_ZERO2, 1).dim == 0
         assert classify_second_class(C_UNIT, 1).dim == 0
+
+    @pytest.mark.parametrize("call, q", [
+        (classify_first_class, 5), (classify_first_class, -1),
+        (classify_second_class, 2), (classify_second_class, 5),
+    ])
+    def test_degree_outside_the_complex_is_a_validation_failure(self, call, q):
+        cx = load_manifest("lab-t2").complex
+        with pytest.raises(ValidationFailure, match=f"degree {q} outside 0..1"):
+            call(cx, q)
+        # rejected before any per-degree invariant is computed
+        assert all(kind == "issues" for kind, _ in cx._memo)
 
 
 class TestReduceToPrimitive:
