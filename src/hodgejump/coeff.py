@@ -10,8 +10,15 @@ Three coefficient rings are provided, forming a ladder:
 * ``Jet``, a Poly truncated at a total degree bound.  Multiplication
   discards every monomial of total degree above the bound.
 
-All values are immutable.  Monomials are ordered graded-lexicographically,
-which fixes the canonical text rendering and hashing.
+Mixed-ring arithmetic is the operators: the smaller ring's operator returns
+``NotImplemented`` for an operand of a larger ring, whose reflected operator
+promotes it (Q(i) into Poly into Jet; a Poly meeting a Jet is truncated to
+the jet's order).
+
+All values are immutable: each value class, and the forms, specs and
+matrices built from them, inherits ``_Immutable``.  Monomials are ordered
+graded-lexicographically, which fixes the canonical text rendering and
+hashing.
 """
 
 from __future__ import annotations
@@ -25,16 +32,28 @@ __all__ = [
     "Poly",
     "Jet",
     "GR",
-    "jet_mul",
-    "jet_eval",
-    "homogeneous_part",
-    "unify",
-    "rmul",
 ]
 
 
 class CoefficientError(ValueError):
     """Raised on malformed coefficient input or incompatible operands."""
+
+
+class _Immutable:
+    """Refuses to rebind or delete attributes once an instance is built.
+
+    Constructors set attributes through ``object.__setattr__`` or the slot
+    descriptors.  The empty ``__slots__`` keeps a slotted subclass free of
+    a ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _fraction(literal: str, text: str) -> Fraction:
@@ -47,7 +66,7 @@ def _fraction(literal: str, text: str) -> Fraction:
 _PART = re.compile(r"^([+-]?(?:[0-9]+(?:/[0-9]+)?)?)(\*?i)?$")
 
 
-class GaussianRational:
+class GaussianRational(_Immutable):
     """An element (a + b*i)/d of Q(i), held as three ints.
 
     The triple is kept in normal form: d > 0 and gcd(a, b, d) == 1, so equal
@@ -69,12 +88,6 @@ class GaussianRational:
         _set_a(self, a)
         _set_b(self, b)
         _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -255,9 +268,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _raw(a, b, d)
 
 
-def GR(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor for Q(i) elements."""
-    return GaussianRational(re, im)
+GR = GaussianRational
 
 
 GR_ZERO = GaussianRational(0)
@@ -269,7 +280,7 @@ def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
-class Poly:
+class Poly(_Immutable):
     """Multivariate polynomial over Q(i) in a fixed tuple of parameters.
 
     Terms map exponent vectors (one slot per parameter) to nonzero
@@ -294,12 +305,6 @@ class Poly:
                 raise CoefficientError("negative exponent")
             clean[exps] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -432,14 +437,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise CoefficientError("negative power of a polynomial")
-        out = Poly.constant(self.params, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -482,18 +479,8 @@ class Poly:
             total = total + v
         return total
 
-    def conjugate(self) -> "Poly":
-        """Conjugate the coefficients; parameters are treated as fixed names."""
-        return Poly(self.params, {e: c.conjugate() for e, c in self.terms.items()})
-
-    def truncated(self, order: int) -> "Jet":
-        return Jet(self, order)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def monomial_split(self) -> dict[tuple[int, ...], GaussianRational]:
-        return dict(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -526,7 +513,7 @@ class Poly:
         return f"Poly({self})"
 
 
-class Jet:
+class Jet(_Immutable):
     """A polynomial truncated at a total-degree bound.
 
     Models functions on an infinitesimal neighborhood of the origin of the
@@ -545,12 +532,6 @@ class Jet:
             Poly(base.params, {e: c for e, c in base.terms.items() if sum(e) <= order}),
         )
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Jet is immutable")
 
     @property
     def params(self):
@@ -617,9 +598,6 @@ class Jet:
     def __hash__(self):
         return hash((self.order, self.base))
 
-    def degree(self) -> int:
-        return self.base.degree()
-
     def homogeneous_part(self, n: int) -> Poly:
         return self.base.homogeneous_part(n)
 
@@ -636,64 +614,6 @@ class Jet:
         return f"Jet({self.base}; order={self.order})"
 
 
-# -- operation-style helpers mirroring the public API ------------------
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated product of two jets over the same parameters and order."""
-    if not isinstance(a, Jet) or not isinstance(b, Jet):
-        raise TypeError("jet_mul expects Jet operands")
-    return a * b
-
-
-def jet_eval(a, point: dict) -> GaussianRational:
-    """Exact evaluation of a Jet or Poly at a rational parameter point."""
-    if isinstance(a, (Jet, Poly)):
-        return a.eval(point)
-    return GaussianRational._coerce(a)
-
-
-def homogeneous_part(a, n: int) -> Poly:
-    """Sum of the monomials of total degree exactly ``n``."""
-    if isinstance(a, (Jet, Poly)):
-        return a.homogeneous_part(n)
-    raise TypeError("homogeneous_part expects Poly or Jet")
-
-
-# -- ring unification ---------------------------------------------------
-
-def unify(a, b):
-    """Promote two coefficients into their smallest common ring.
-
-    GaussianRational embeds into Poly which embeds into Jet.  Structured
-    operands must agree on parameters (and, for two jets, on the order);
-    a Poly meeting a Jet is truncated to the jet's order.
-    """
-    ta = isinstance(a, Jet) * 2 + isinstance(a, Poly)
-    tb = isinstance(b, Jet) * 2 + isinstance(b, Poly)
-    if ta == tb:
-        return a, b
-    if ta < tb:
-        a2, b2 = unify(b, a)
-        return b2, a2
-    # a strictly larger
-    return a, a._coerce(b)
-
-
-def rmul(a, b):
-    """Multiply coefficients from possibly different rings of the ladder."""
-    if type(a) is not type(b):
-        a, b = unify(a, b)
-    return a * b
-
-
-def radd(a, b):
-    """Add coefficients from possibly different rings of the ladder."""
-    if type(a) is not type(b):
-        a, b = unify(a, b)
-    return a + b
-
-
 def accumulate(acc: dict, key, value) -> None:
     """Add ``value`` into ``acc[key]``, dropping the key when the sum is zero.
 
@@ -701,7 +621,7 @@ def accumulate(acc: dict, key, value) -> None:
     polynomial terms, form coefficients and elimination rows.
     """
     old = acc.get(key)
-    s = value if old is None else radd(old, value)
+    s = value if old is None else old + value
     if s:
         acc[key] = s
     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .coeff import GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, accumulate, rmul
+from .coeff import GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, accumulate
 from .errors import InternalInvariantError, ValidationFailure
 from .exterior import (
     ComplexStructureSpec,
@@ -188,13 +188,13 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
         db: dict = {}
         _d_monomial(spec, 0, mj, db)
         for (_, m), c2 in db.items():
-            accumulate(out, (i, m), rmul(c, c2))
+            accumulate(out, (i, m), c * c2)
         for k in range(1, spec.n + 1):
             for (ii, lam), b in spec.B[k].items():
                 bl = 1 << lam
                 if ii != i or mj & bl:
                     continue
-                v = rmul(c, b)
+                v = c * b
                 accumulate(out, (k, mj | bl), -v if _shuffle(bl, mj) & 1 else v)
     return VectorForm._trusted(spec, {(i, _indices(m)): v for (i, m), v in out.items()},
                                q=min(psi.q + 1, spec.n))
@@ -256,12 +256,15 @@ class McObstruction(Exception):
 
 @dataclass
 class DeformationFamily:
-    """A jet family through the base spec with vanishing integrability defect."""
+    """A jet family through the base spec with vanishing integrability defect.
+
+    ``deformed`` is the spec in the deformed coframe, derived from ``psi``.
+    """
 
     spec: ComplexStructureSpec
     psi: VectorForm
     order: int
-    deformed: ComplexStructureSpec = field(default=None, repr=False)
+    deformed: ComplexStructureSpec = field(init=False, repr=False)
     corrections: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -269,13 +272,11 @@ class DeformationFamily:
             raise ValidationFailure("family direction must be a (0,1) vector form")
         if not self.psi.constant_part_is_zero():
             raise ValidationFailure("family must pass through the base point (zero constant term)")
-        dspec, defect = deformed_coframe(self.spec, self.psi)
+        self.deformed, defect = deformed_coframe(self.spec, self.psi)
         if not defect_is_zero(defect):
             raise ValidationFailure(
                 f"family is not integrable modulo degree {self.order + 1}"
             )
-        if self.deformed is None:
-            self.deformed = dspec
 
     def kodaira_spencer(self, n: int) -> KSClass:
         value = self.psi.homogeneous_part(n)
@@ -292,7 +293,8 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
 
     The degree-k correction solves the exact linear system
     dbar_vector(psi_k) = -(degree-k defect); raises :class:`McObstruction`
-    with the unkillable residual when no solution exists.
+    with the unkillable residual when no solution exists.  A family that
+    fails its own integrability check afterwards is an internal breach.
     """
     _check_first_order(spec, psi1)
     if target_order < 1:
@@ -300,6 +302,8 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
     params = psi1.params()
     if params is None:
         raise ValidationFailure("mc_extend expects polynomial first-order coefficients")
+    if not psi1.constant_part_is_zero():
+        raise ValidationFailure("family must pass through the base point (zero constant term)")
 
     def to_jet(v: VectorForm) -> VectorForm:
         out = {}
@@ -358,12 +362,10 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
                                               for key, terms in delta.items()})
         psi = psi + to_jet(corrections[k])
 
-    dspec, defect = deformed_coframe(spec, psi)
-    if not defect_is_zero(defect):
-        raise InternalInvariantError("Maurer-Cartan solution left a nonzero defect")
-    return DeformationFamily(
-        spec=spec, psi=psi, order=target_order, deformed=dspec, corrections=corrections
-    )
+    try:
+        return DeformationFamily(spec=spec, psi=psi, order=target_order, corrections=corrections)
+    except ValidationFailure as e:
+        raise InternalInvariantError("Maurer-Cartan solution left a nonzero defect") from e
 
 
 # -- first-order obstruction map ------------------------------------------
@@ -552,7 +554,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 obstructed = True
                 for i, cval in enumerate(cls):
                     if cval:
-                        accumulate(obstruction[i], exps, rmul(cval, sign))
+                        accumulate(obstruction[i], exps, cval * sign)
             else:
                 rhs = [-c for c in piece.coordinates(tgt_monomials)]
                 sol = linalg.solve_const(dbar0, rhs)

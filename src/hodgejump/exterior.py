@@ -43,8 +43,8 @@ from .coeff import (
     GaussianRational,
     Jet,
     Poly,
+    _Immutable,
     accumulate,
-    rmul,
 )
 
 __all__ = [
@@ -92,7 +92,7 @@ def _frozen(rows: dict) -> MappingProxyType:
     return MappingProxyType({k: MappingProxyType(row) for k, row in rows.items()})
 
 
-class ComplexStructureSpec:
+class ComplexStructureSpec(_Immutable):
     """Structure constants of the complexified Lie algebra, bigraded.
 
     Immutable: the tables are read-only mappings of read-only rows and
@@ -125,12 +125,6 @@ class ComplexStructureSpec:
                             ("Abar", _frozen(abar)), ("Bbar", _frozen(bbar)),
                             ("_hash", None), ("_dolbeault", None)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexStructureSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ComplexStructureSpec is immutable")
 
     @staticmethod
     def _conj(c):
@@ -252,7 +246,7 @@ def basis_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple
     ]
 
 
-class _Form:
+class _Form(_Immutable):
     """Algebra shared by ``InvariantForm`` and ``VectorForm``.
 
     Coefficients are sparse and exact, keyed by monomial, and held in a
@@ -281,12 +275,6 @@ class _Form:
             object.__setattr__(form, name, value)
         return form
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __add__(self, other):
         self._check_addable(other)
         coeffs = dict(self.coeffs)
@@ -301,7 +289,7 @@ class _Form:
         return self._like({k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c):
-        return self._like({k: rmul(v, c) for k, v in self.coeffs.items()})
+        return self._like({k: v * c for k, v in self.coeffs.items()})
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -519,7 +507,7 @@ def _wedge_monomial(a: tuple[int, int], b: tuple[int, int], u, v, out: dict) -> 
     (fa, ca), (fb, cb) = a, b
     if fa & fb or ca & cb:
         return
-    w = rmul(u, v)
+    w = u * v
     sign = _shuffle(fa, fb) + _shuffle(ca, cb) + ca.bit_count() * fb.bit_count()
     accumulate(out, (fa | fb, ca | cb), -w if sign & 1 else w)
 
@@ -564,7 +552,7 @@ def _d_monomial(spec: ComplexStructureSpec, mi: int, mj: int, dbar, c=None, dl=N
     p = mi.bit_count()
 
     def put(out, key, sc, sign):
-        v = sc if c is None else rmul(c, sc)
+        v = sc if c is None else c * sc
         accumulate(out, key, -v if sign & 1 else v)
 
     m, pos = mi, 0
@@ -628,7 +616,7 @@ def _contract_vector(psi_terms: list, a: dict, out: dict) -> dict:
     ``a``; psi is given as ``_psi_terms``."""
     for i, mpsi, cpsi in psi_terms:
         for (mi, mj), c in a.items():
-            _contract_monomial(mi, mj, i, mpsi, rmul(c, cpsi), out)
+            _contract_monomial(mi, mj, i, mpsi, c * cpsi, out)
     return out
 
 
@@ -758,7 +746,7 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
         acc: dict = {}
         for xs, ys, coeff in terms:
             for x, cx in xs:
-                u = rmul(coeff, cx)
+                u = coeff * cx
                 for y, cy in ys:
                     _wedge_monomial(x, y, u, cy, acc)
         return acc
@@ -770,7 +758,7 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
     defect: dict[int, dict] = {}
     for k in range(1, n + 1):
         # d f_k(t) = d f_k + sum_l psi^k_l d c_l, then substitute; rows by f-count
-        terms = d_old("f", k) + [(xs, ys, rmul(c, sc)) for lam, c in psi_table[k].items()
+        terms = d_old("f", k) + [(xs, ys, c * sc) for lam, c in psi_table[k].items()
                                  for xs, ys, sc in d_old("c", lam)]
         A2[k], B2[k], defect[k] = {}, {}, {}
         rows = (defect[k], B2[k], A2[k])

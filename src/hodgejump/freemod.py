@@ -462,6 +462,12 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
     Starts from independent columns over the fraction field and repeatedly
     divides relations at t = 0 by t; the loop strictly decreases total
     degree, so it terminates with evaluations of full rank.
+
+    Each step forms u = sum c_j v_j for a nonzero kernel vector c of the
+    t = 0 evaluation, so u(0) = 0 and every nonzero entry of u gives a
+    shift of at least 1.  u is nonzero because the columns stay independent
+    over Q(i)(t): the step replaces a column whose coefficient in c is
+    nonzero.
     """
     params = (param,)
     vectors = [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in m.column(j)]
@@ -481,15 +487,7 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
                 for i in range(m.rows):
                     u[i] = u[i] + Poly.constant(params, cval) * vec[i]
         # u vanishes at 0; strip the largest common power of t
-        shift = min(
-            (min(e[0] for e in p.terms) for p in u if p),
-            default=None,
-        )
-        if shift is None or shift == 0:
-            # all zero or nothing to strip; drop a participating column
-            drop = next(i for i, cval in enumerate(combo) if cval)
-            vectors.pop(drop)
-            continue
+        shift = min(min(e[0] for e in p.terms) for p in u if p)
         u = [Poly(params, {(e[0] - shift,): cv for e, cv in p.terms.items()}) for p in u]
         drop = next(i for i, cval in enumerate(combo) if cval)
         vectors[drop] = u

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, accumulate
+from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, _Immutable, accumulate
 
 __all__ = [
     "ExactMatrix",
@@ -83,7 +83,7 @@ def _dense(row, width: int, zero=GR_ZERO) -> list:
     return out
 
 
-class ExactMatrix:
+class ExactMatrix(_Immutable):
     """Immutable sparse matrix with exact entries (GaussianRational or Poly).
 
     Built from rows given dense (lists) or sparse (dicts); ``sparse_rows``
@@ -117,12 +117,6 @@ class ExactMatrix:
         for name, value in (("rows", rows), ("cols", cols), ("sparse_rows", tuple(sparse)),
                             ("_zero", zero), ("_pivots", None)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ExactMatrix is immutable")
 
     # -- constructors ------------------------------------------------
 

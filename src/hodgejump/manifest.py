@@ -200,10 +200,7 @@ def _parse_lab(doc: dict) -> Manifest:
                     raise _err(f"differentials[{q}][{i}][{j}]: {e}") from None
             entries.append(out_row)
         diffs.append(linalg.ExactMatrix(shape_rows, shape_cols, entries))
-    try:
-        cx = FreeComplex(param=param, ranks=tuple(ranks), diffs=tuple(diffs))
-    except ValidationFailure:
-        raise
+    cx = FreeComplex(param=param, ranks=tuple(ranks), diffs=tuple(diffs))
     issues = validate_complex(cx)
     if issues:
         raise _err("complex validation failed: " + "; ".join(issues))

@@ -93,8 +93,6 @@ def sort_factors(factors):
 
 def naive_wedge(a: InvariantForm, b: InvariantForm) -> dict:
     """Wedge as a raw {factor tuple: coeff} dict."""
-    from hodgejump.coeff import radd, rmul
-
     out: dict = {}
     for (I1, J1), c1 in a.coeffs.items():
         fac1 = [(0, i) for i in I1] + [(1, j) for j in J1]
@@ -105,10 +103,10 @@ def naive_wedge(a: InvariantForm, b: InvariantForm) -> dict:
                 continue
             sign, factors = res
             key = tuple(factors)
-            c = rmul(c1, c2)
+            c = c1 * c2
             if sign < 0:
                 c = -c
-            s = radd(out[key], c) if key in out else c
+            s = out[key] + c if key in out else c
             if s:
                 out[key] = s
             else:
@@ -124,11 +122,9 @@ def form_to_raw(a: InvariantForm) -> dict:
 
 
 def raw_add(a: dict, b: dict) -> dict:
-    from hodgejump.coeff import radd
-
     out = dict(a)
     for k, c in b.items():
-        s = radd(out[k], c) if k in out else c
+        s = out[k] + c if k in out else c
         if s:
             out[k] = s
         else:
@@ -137,9 +133,7 @@ def raw_add(a: dict, b: dict) -> dict:
 
 
 def raw_scale(a: dict, s) -> dict:
-    from hodgejump.coeff import rmul
-
-    return {k: rmul(c, s) for k, c in a.items()}
+    return {k: c * s for k, c in a.items()}
 
 
 def naive_d(spec: ComplexStructureSpec, a: InvariantForm) -> dict:
@@ -159,9 +153,7 @@ def naive_d(spec: ComplexStructureSpec, a: InvariantForm) -> dict:
                 sign, sorted_factors = res
                 if k % 2:
                     sign = -sign
-                from hodgejump.coeff import rmul
-
-                v = rmul(rmul(c, sc), GR_ONE if sign > 0 else -GR_ONE)
+                v = c * sc * (GR_ONE if sign > 0 else -GR_ONE)
                 key = tuple(sorted_factors)
                 total = raw_add(total, {key: v})
     return total
@@ -173,20 +165,18 @@ def naive_dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
     delbar(theta_i (x) c_J) = sum_k B^k_{i,l} theta_k (x) (c_l ^ c_J)
                               + theta_i (x) (the (0, q+1) part of naive_d(c_J)).
     """
-    from hodgejump.coeff import rmul
-
     out: dict = {}
     for (i, J), c in psi.coeffs.items():
         for factors, c2 in naive_d(spec, InvariantForm.monomial(spec, (), J)).items():
             if all(side == 1 for side, _ in factors):
-                out = raw_add(out, {(i, tuple(j for _, j in factors)): rmul(c, c2)})
+                out = raw_add(out, {(i, tuple(j for _, j in factors)): c * c2})
         for k in range(1, spec.n + 1):
             for (ii, lam), b in spec.B[k].items():
                 res = sort_factors([lam, *J]) if ii == i else None
                 if res is None:
                     continue
                 sign, J2 = res
-                v = rmul(c, b)
+                v = c * b
                 out = raw_add(out, {(k, tuple(J2)): v if sign > 0 else -v})
     return out
 
@@ -236,8 +226,6 @@ def naive_deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
 def naive_contract(psi: VectorForm, a: InvariantForm) -> dict:
     """Contraction oracle: delete the matched factor, then append c_J."""
     total: dict = {}
-    from hodgejump.coeff import rmul
-
     for (i, Jpsi), cpsi in psi.coeffs.items():
         for (I, J), cf in a.coeffs.items():
             if i not in I:
@@ -251,7 +239,7 @@ def naive_contract(psi: VectorForm, a: InvariantForm) -> dict:
             sign, sorted_factors = res
             if pos % 2:
                 sign = -sign
-            v = rmul(rmul(cf, cpsi), GR_ONE if sign > 0 else -GR_ONE)
+            v = cf * cpsi * (GR_ONE if sign > 0 else -GR_ONE)
             total = raw_add(total, {tuple(sorted_factors): v})
     return total
 
@@ -353,13 +341,13 @@ def dense_matmul(a: list[list], b: list[list], cols: int) -> list[list]:
 
 
 def dense_apply(a: list[list], vector: list) -> list:
-    from hodgejump.coeff import GR_ZERO, radd, rmul
+    from hodgejump.coeff import GR_ZERO
 
     out = []
     for row in a:
         acc = GR_ZERO
         for x, v in zip(row, vector, strict=True):
-            acc = radd(acc, rmul(x, v))
+            acc = acc + x * v
         out.append(acc)
     return out
 

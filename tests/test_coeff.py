@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -11,9 +12,6 @@ from hodgejump.coeff import (
     GaussianRational,
     Jet,
     Poly,
-    homogeneous_part,
-    jet_eval,
-    jet_mul,
 )
 
 from .oracles import FractionPairQi
@@ -170,7 +168,7 @@ class TestRingAxioms:
     @given(polys(), polys(), st.integers(0, 4))
     @settings(max_examples=60)
     def test_truncation_is_multiplicative(self, a, b, order):
-        assert Jet(a * b, order) == jet_mul(Jet(a, order), Jet(b, order))
+        assert Jet(a * b, order) == Jet(a, order) * Jet(b, order)
 
     @given(polys(), polys())
     @settings(max_examples=40)
@@ -182,12 +180,12 @@ class TestRingAxioms:
 
 class TestJet:
     def test_degree_two_truncated_at_order_one(self):
-        assert not jet_mul(Jet(pvar("t11"), 1), Jet(pvar("t22"), 1))
+        assert not Jet(pvar("t11"), 1) * Jet(pvar("t22"), 1)
 
     def test_difference_of_squares(self):
         one = Poly.constant(PARAMS, 1)
         t = pvar("t11")
-        assert jet_mul(Jet(one + t, 2), Jet(one - t, 2)) == Jet(one - t * t, 2)
+        assert Jet(one + t, 2) * Jet(one - t, 2) == Jet(one - t * t, 2)
 
     def test_square_of_sum(self):
         s = Jet(pvar("t11") + pvar("t21"), 2)
@@ -196,15 +194,81 @@ class TestJet:
             + 2 * pvar("t11") * pvar("t21")
             + pvar("t21") * pvar("t21")
         )
-        assert jet_mul(s, s) == Jet(expected, 2)
+        assert s * s == Jet(expected, 2)
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(CoefficientError):
-            jet_mul(Jet(pvar("t11"), 1), Jet(pvar("t11"), 2))
+            Jet(pvar("t11"), 1) * Jet(pvar("t11"), 2)
 
     def test_param_mismatch_rejected(self):
         with pytest.raises(CoefficientError):
             Jet(pvar("t11"), 1) + Jet(Poly.variable(("s",), "s"), 1)
+
+
+_ST = ("s", "t")
+_s, _t, _u = Poly.variable(_ST, "s"), Poly.variable(_ST, "t"), Poly.variable(("u",), "u")
+# the Poly has degree 3, above both jet orders, so truncation shows
+OPERANDS = {
+    "qi": GR(2, -1),
+    "poly": _s * _t * _t + 3 * _s + GR(0, 1),
+    "poly_u": _u + 1,
+    "jet1": Jet(_s - _t + 1, 1),
+    "jet2": Jet(_s * _s + _t, 2),
+    "jet1_u": Jet(_u, 1),
+}
+# (left, right, ring of the result or the error mixing them raises)
+PROMOTION = [
+    ("qi", "qi", GaussianRational),
+    ("qi", "poly", Poly),
+    ("qi", "jet1", Jet),
+    ("qi", "jet1_u", Jet),
+    ("poly", "poly", Poly),
+    ("poly", "jet1", Jet),
+    ("poly", "jet2", Jet),
+    ("jet1", "jet1", Jet),
+    ("poly", "poly_u", CoefficientError),
+    ("poly", "jet1_u", CoefficientError),
+    ("jet1", "jet1_u", CoefficientError),
+    ("jet1", "jet2", CoefficientError),
+]
+
+
+def _as_poly(x, params):
+    """x in the ring Q(i)[params], without the promotion under test."""
+    if isinstance(x, Jet):
+        return x.base
+    return Poly.constant(params, x) if isinstance(x, GaussianRational) else x
+
+
+class TestPromotion:
+    """Mixed operands promote along Q(i) < Poly < Jet, in either order."""
+
+    @pytest.mark.parametrize("left, right, ring", PROMOTION,
+                             ids=[f"{a}-{b}" for a, b, _ in PROMOTION])
+    @pytest.mark.parametrize("op", [operator.mul, operator.add], ids=["mul", "add"])
+    def test_promotion_table(self, left, right, ring, op):
+        a, b = OPERANDS[left], OPERANDS[right]
+        if ring is CoefficientError:
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(CoefficientError):
+                    op(x, y)
+            return
+        ab, ba = op(a, b), op(b, a)
+        assert ab == ba
+        assert type(ab) is ring and type(ba) is ring
+        if ring is GaussianRational:
+            return
+        params = next(x.params for x in (a, b) if not isinstance(x, GaussianRational))
+        full = op(_as_poly(a, params), _as_poly(b, params))
+        if ring is Poly:
+            assert ab == full
+        else:
+            order = next(x.order for x in (a, b) if isinstance(x, Jet))
+            if Poly in (type(a), type(b)):
+                assert full.degree() > order
+            assert ab.order == ba.order == order
+            kept = {e: c for e, c in full.terms.items() if sum(e) <= order}
+            assert ab.base == ba.base == Poly(params, kept)
 
 
 class TestEvalAndParts:
@@ -215,14 +279,14 @@ class TestEvalAndParts:
 
     def test_determinant_at_identity_direction(self):
         det = pvar("t11") * pvar("t22") - pvar("t21") * pvar("t12")
-        assert jet_eval(det, self.full_point(t11=1, t22=1)) == GR(1)
+        assert det.eval(self.full_point(t11=1, t22=1)) == GR(1)
 
     def test_determinant_on_degenerate_stratum(self):
         det = pvar("t11") * pvar("t22") - pvar("t21") * pvar("t12")
-        assert jet_eval(det, self.full_point(t11=1)) == GR(0)
+        assert det.eval(self.full_point(t11=1)) == GR(0)
 
     def test_eval_zero(self):
-        assert jet_eval(Poly(PARAMS), self.full_point()) == GR(0)
+        assert Poly(PARAMS).eval(self.full_point()) == GR(0)
 
     def test_missing_assignment_rejected(self):
         with pytest.raises(CoefficientError):
@@ -230,9 +294,9 @@ class TestEvalAndParts:
 
     def test_homogeneous_parts(self):
         q = Poly.constant(PARAMS, 3) + pvar("t11") + pvar("t11") * pvar("t22")
-        assert homogeneous_part(q, 1) == pvar("t11")
-        assert homogeneous_part(pvar("t11") * pvar("t22"), 2) == pvar("t11") * pvar("t22")
-        assert not homogeneous_part(pvar("t11"), 0)
+        assert q.homogeneous_part(1) == pvar("t11")
+        assert (pvar("t11") * pvar("t22")).homogeneous_part(2) == pvar("t11") * pvar("t22")
+        assert not pvar("t11").homogeneous_part(0)
 
     def test_poly_parse_and_render(self):
         p = Poly.parse(("t",), "3*t^2-1/2*t")

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from math import comb
@@ -360,12 +361,76 @@ class TestMaurerCartan:
         with pytest.raises(ValidationFailure):
             mc_extend(iwasawa, psi, 2)
 
+    @pytest.mark.parametrize("key", [(1, (2,)), (2, (2,))])
+    def test_constant_direction_rejected(self, iwasawa, key):
+        # a Q(i) constant is not a first-order term, whether or not the
+        # family would be integrable: (1, (2,)) keeps the defect zero,
+        # (2, (2,)) does not
+        psi = VectorForm(iwasawa, 1, {(1, (1,)): GR(1), key: pv("t11")})
+        with pytest.raises(ValidationFailure, match="base point"):
+            mc_extend(iwasawa, psi, 1)
+
+    def test_deformed_coframe_built_once_per_order(self, iwasawa, iw_psi1, monkeypatch):
+        from hodgejump import deform
+        from hodgejump.exterior import deformed_coframe
+
+        calls = []
+        monkeypatch.setattr(deform, "deformed_coframe",
+                            lambda *a: calls.append(a) or deformed_coframe(*a))
+        fam = mc_extend(iwasawa, iw_psi1, 3)
+        # one defect per order 2..3, then the family's own
+        assert len(calls) == 3
+        assert fam.deformed == deformed_coframe(iwasawa, fam.psi)[0]
+
+    def test_failed_family_check_is_an_internal_breach(self, iwasawa, iw_psi1, monkeypatch):
+        from hodgejump import deform
+
+        monkeypatch.setattr(deform, "defect_is_zero", lambda defect: False)
+        with pytest.raises(InternalInvariantError, match="left a nonzero defect"):
+            mc_extend(iwasawa, iw_psi1, 2)
+
     def test_kodaira_spencer_pieces(self, iwasawa, iw_psi1):
         fam = mc_extend(iwasawa, iw_psi1, 2)
         ks1 = fam.kodaira_spencer(1)
         assert ks1.n == 1 and ks1.value == iw_psi1
         ks2 = fam.kodaira_spencer(2)
         assert ks2.value == fam.corrections[2]
+
+
+class TestMcObstruction:
+    """Heisenberg x C (d f4 = -f1^f2) with every closed first-order direction:
+    order 2 is obstructed."""
+
+    DOC = {
+        "kind": "lie-algebra",
+        "dimension": 4,
+        "structure": [{"k": 4, "monomial": "f1^f2", "coefficient": "-1"}],
+        "deformation": "symbolic",
+    }
+
+    def test_residual_at_order_two(self):
+        from hodgejump.deform import McObstruction
+        from hodgejump.manifest import parse_manifest
+
+        man = parse_manifest(json.dumps(self.DOC))
+        with pytest.raises(McObstruction) as info:
+            mc_extend(man.spec, man.psi1, 2)
+        assert info.value.order == 2
+        # the t13*t22 term of -psi^1 ^ psi^2 with psi^i = sum t_il c_l has
+        # no delbar-exact counterpart
+        residual = {gen: str(form) for gen, form in info.value.residual.items() if form}
+        assert residual == {4: "t13*t22*c2^c3"}
+
+    @pytest.mark.parametrize("argv", [["mc"], ["jump", "--point", "t13=1"]])
+    def test_cli_reports_obstruction(self, argv, tmp_path, capsys):
+        from hodgejump.cli import main
+
+        path = tmp_path / "heisenberg_c.json"
+        path.write_text(json.dumps(self.DOC))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "obstructed: Maurer-Cartan obstruction at order 2\n"
 
 
 class TestExtendClass:
