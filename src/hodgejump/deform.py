@@ -99,7 +99,11 @@ class DolbeaultBasis:
 
 
 class Dolbeault:
-    """Bigraded delbar-complex of a spec with memoized cohomology bases.
+    """Bigraded delbar-complex of a spec with memoized matrices and bases.
+
+    Hodge numbers come from the ranks of the delbar matrices, each
+    eliminated once though it serves two bidegrees; a cohomology basis is
+    built only where classes are used.
 
     Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
     itself, so every caller shares its matrices and bases.
@@ -142,22 +146,26 @@ class Dolbeault:
         self._matrices[key] = m
         return m
 
+    def _chain(self, p: int, q: int) -> tuple[linalg.ExactMatrix, linalg.ExactMatrix]:
+        """(d_in, d_out): delbar into and out of bidegree (p, q)."""
+        d_out = self.dbar_matrix(p, q)
+        d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
+        return d_in, d_out
+
     def basis(self, p: int, q: int) -> DolbeaultBasis:
         key = (p, q)
         if key in self._bases:
             return self._bases[key]
-        d_out = self.dbar_matrix(p, q)
-        monomials = tuple(self.monomials(p, q))
-        d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.from_columns(
-            len(monomials), [])
-        cob = linalg.cohomology(d_in, d_out, label=f"H^{p},{q}")
-        b = DolbeaultBasis(p=p, q=q, monomials=monomials, cob=cob)
+        cob = linalg.cohomology(*self._chain(p, q), label=f"H^{p},{q}")
+        b = DolbeaultBasis(p=p, q=q, monomials=tuple(self.monomials(p, q)), cob=cob)
         self._bases[key] = b
         return b
 
     def table(self) -> dict[tuple[int, int], int]:
+        """h^{p,q} for all 0 <= p, q <= n by rank-nullity; builds no basis."""
         n = self.spec.n
-        return {(p, q): self.basis(p, q).dim for p in range(n + 1) for q in range(n + 1)}
+        return {(p, q): linalg.cohomology_dim(*self._chain(p, q))
+                for p in range(n + 1) for q in range(n + 1)}
 
 
 def hodge_table(spec: ComplexStructureSpec) -> dict[tuple[int, int], int]:
@@ -682,8 +690,9 @@ def oracle_hodge_at_point(spec: ComplexStructureSpec, family: DeformationFamily,
     """Recompute the full Hodge table at an exact parameter point.
 
     Independent of the obstruction calculus: evaluates the family, builds
-    the deformed structure constants, validates them, and runs the
-    bigraded cohomology from scratch.
+    the deformed structure constants, validates them, and tables the
+    deformed spec's Hodge numbers afresh from its delbar ranks
+    (rank-nullity).
     """
     psi_num = family.psi.eval_point(point)
     dspec, defect = deformed_coframe(spec, psi_num)

@@ -37,6 +37,7 @@ __all__ = [
     "kernel_basis",
     "kernel_basis_const",
     "cohomology",
+    "cohomology_dim",
     "generic_rank",
     "pivot_columns",
     "rank_const",
@@ -498,19 +499,28 @@ class CohomologyBasis:
         return [-r[n + k] if n + k in r else GR_ZERO for k in range(self.dim)]
 
 
-def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> CohomologyBasis:
-    """Cohomology at the middle of  . --d_in--> . --d_out--> .  over Q(i)."""
+def _check_chain(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
+    """Raise unless  . --d_in--> . --d_out--> .  is a complex over Q(i)."""
     if d_in.is_polynomial() or d_out.is_polynomial():
         raise LinalgError("cohomology expects constant matrices")
-    if d_in.cols and d_out.rows and d_in.rows != d_out.cols:
-        raise LinalgError("chain shape mismatch")
-    n = d_out.cols if d_out.cols else d_in.rows
-    # composition must vanish
     if d_in.cols and d_out.rows:
+        if d_in.rows != d_out.cols:
+            raise LinalgError("chain shape mismatch")
         bad = [j for row in d_out.matmul(d_in).sparse_rows for j in row]
         if bad:
             raise LinalgError(f"d_out . d_in nonzero on column {min(bad)}")
 
+
+def cohomology_dim(d_in: ExactMatrix, d_out: ExactMatrix) -> int:
+    """Dimension of the cohomology of  . --d_in--> . --d_out--> .  by rank-nullity."""
+    _check_chain(d_in, d_out)
+    return d_out.cols - rank_const(d_out) - rank_const(d_in)
+
+
+def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> CohomologyBasis:
+    """Cohomology at the middle of  . --d_in--> . --d_out--> .  over Q(i)."""
+    _check_chain(d_in, d_out)
+    n = d_out.cols if d_out.cols else d_in.rows
     # kernel vectors, representatives and image basis stay sparse
     ker = Echelon(d_out.cols if d_out.rows else n, d_out.sparse_rows)._kernel()
     span = Echelon(n, d_in.sparse_columns)

@@ -7,14 +7,14 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hodgejump import cli, freemod, linalg
 from hodgejump.coeff import GaussianRational as GR
 from hodgejump.coeff import Jet, Poly
-from hodgejump.deform import Dolbeault, extend_class, mc_extend, obstruction_o1
-from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
+from hodgejump.deform import Dolbeault, extend_class, hodge_table, mc_extend, obstruction_o1
+from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm, validate_spec
 from hodgejump.manifest import load_manifest, parse_manifest
 
 
@@ -174,6 +174,64 @@ def test_extend_class_builds_each_cohomology_once(monkeypatch):
         extend_class(fam, rep.source.rep_form(spec, k), 2)
     assert built.count("H^2,2") == 1
     assert sorted(set(built)) == sorted(built)
+
+
+def test_hodge_table_eliminates_each_delbar_matrix_once(monkeypatch):
+    # the n = 5 two-step structure d f5 = -f1^f2, d f4 = -f1^f3, unshared
+    spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
+    built, eliminated = [], []
+    real_cohomology = linalg.cohomology
+
+    def cohomology(d_in, d_out, label=""):
+        built.append(label)
+        return real_cohomology(d_in, d_out, label=label)
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, width, vectors=()):
+            eliminated.append(vectors)
+            super().__init__(width, vectors)
+
+    monkeypatch.setattr(linalg, "cohomology", cohomology)
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    table = hodge_table(spec)
+    assert built == []
+    matrices = list(Dolbeault.of(spec)._matrices.values())
+    assert len(matrices) == 36
+    # one elimination per delbar matrix; the rest are the zero maps into q = 0
+    rows = [id(m.sparse_rows) for m in matrices]
+    assert sorted(id(v) for v in eliminated if id(v) in rows) == sorted(rows)
+    assert all(not any(v) for v in eliminated if id(v) not in rows)
+    for p in range(6):
+        for q in range(6):
+            assert Dolbeault.of(spec).basis(p, q).dim == table[(p, q)], (p, q)
+
+
+@st.composite
+def two_step_specs(draw):
+    """Two-step structures in dimension n <= 4: f1..fm closed, and d of each
+    higher f a combination of fi^fj and fi^cj with i, j <= m, with nonzero
+    Q(i) coefficients."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    coeff = st.builds(GR, st.integers(-2, 2), st.integers(-2, 2)).filter(bool)
+    low = range(1, m + 1)
+    A, B = {}, {}
+    for k in range(m + 1, n + 1):
+        pure = [(i, j) for i in low for j in low if i < j]
+        mixed = [(i, j) for i in low for j in low]
+        A[k] = draw(st.dictionaries(st.sampled_from(pure), coeff, max_size=2)) if pure else {}
+        B[k] = draw(st.dictionaries(st.sampled_from(mixed), coeff, max_size=2))
+    return ComplexStructureSpec(n, A=A, B=B)
+
+
+@given(two_step_specs())
+@settings(max_examples=30, deadline=None)
+def test_hodge_table_ranks_match_cohomology_bases(spec):
+    assume(not [d for d in validate_spec(spec) if d.severity == "error"])
+    table = Dolbeault.of(spec).table()
+    fresh = Dolbeault(spec)
+    assert table == {(p, q): fresh.basis(p, q).dim
+                     for p in range(spec.n + 1) for q in range(spec.n + 1)}
 
 
 def test_lab_computes_each_invariant_once(monkeypatch, capsys):

@@ -88,7 +88,7 @@ class TestHodgeTable:
         table = hodge_table(ComplexStructureSpec(1))
         assert table == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_sakane_formula_on_parallelisable_structures(self, n):
         # holomorphic structure equations only (d f3 = -f1^f2, d f4 = -f1^f3,
         # d f5 = f1^f4, f6 closed): on a complex-parallelisable nilmanifold
@@ -102,6 +102,27 @@ class TestHodgeTable:
         for p in range(n + 1):
             for q in range(n + 1):
                 assert table[(p, q)] == comb(n, p) * table[(0, q)], (p, q)
+
+    def test_two_step_n7_is_symmetric_with_zero_row_sums(self):
+        # d f7 = -f1^f2, d f6 = -f1^f3: Serre-type symmetry of the invariant
+        # table, and each row's Euler characteristic sum_q C(7,p) C(7,q) (-1)^q
+        # vanishes
+        n = 7
+        spec = ComplexStructureSpec(n, A={7: {(1, 2): GR(-1)}, 6: {(1, 3): GR(-1)}})
+        table = hodge_table(spec)
+        assert table[(1, 0)] == n and table[(0, 1)] == n - 2
+        for p in range(n + 1):
+            assert sum((-1) ** q * table[(p, q)] for q in range(n + 1)) == 0, p
+            for q in range(n + 1):
+                assert table[(p, q)] == table[(n - p, n - q)], (p, q)
+
+    def test_table_keeps_the_chain_check(self):
+        # d f2 = f1^c1, d f3 = f2^c2 is no complex (d.d != 0): the table
+        # refuses it as the cohomology basis would
+        spec = ComplexStructureSpec(3, B={2: {(1, 1): GR(1)}, 3: {(2, 2): GR(1)}})
+        assert [d for d in validate_spec(spec) if d.severity == "error"]
+        with pytest.raises(linalg.LinalgError, match="d_out . d_in nonzero on column 2"):
+            hodge_table(spec)
 
 
 class TestBeyondParallelisable:
