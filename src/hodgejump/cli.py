@@ -3,8 +3,8 @@
 Subcommands: validate, hodge, obstruct, mc, jump, d1, witness, lab.
 Output is an aligned text table by default; ``--format json`` switches to a
 machine-readable report (tables keyed by "p,q" strings, exact values as
-canonical strings).  Exit codes: 0 success, 1 usage error, 2 validation
-failure, 3 internal invariant breach.
+canonical strings).  Exit codes: 0 success, 1 usage error or closed output,
+2 validation failure, 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -339,7 +339,14 @@ def main(argv: list[str] | None = None) -> int:
     verbose = os.environ.get("HODGEJUMP_VERBOSE", "")
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at exit prints nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

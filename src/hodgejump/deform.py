@@ -16,6 +16,7 @@ obstruction carries that normalization and the two routes agree exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -113,6 +114,7 @@ class Dolbeault:
         self.spec = spec._without_cache()
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
+        self._pieces: tuple | None = None
 
     @classmethod
     def of(cls, spec: ComplexStructureSpec) -> "Dolbeault":
@@ -130,19 +132,78 @@ class Dolbeault:
     def monomials(self, p: int, q: int):
         return basis_monomials(self.spec.n, p, q)
 
+    def _generator_pieces(self) -> tuple:
+        """What every delbar matrix is assembled from, computed on first use.
+
+        ``masks[k]`` lists the index bitmasks of size k in basis order (for
+        0 <= k <= n) and ``index`` gives each mask's position there.
+        ``dbar_f[I]`` holds delbar(f_I) (the ``B`` terms) keyed by
+        (I', bit of j) for f_I' ^ c_j.  ``dbar_c[J]`` lists the terms
+        (J', c) of delbar(c_J) (the ``Abar`` terms): c_k at position pos in
+        J becomes c_i ^ c_j with sign (-1)^(pos + r({i, j}, J - k)).  It
+        stays an unsummed list, so each matrix entry adds its terms in the
+        order ``_d_monomial`` adds them for f_I ^ c_J (the ``B`` terms, then
+        the ``Abar`` terms one by one): the value does not depend on that
+        order, but whether a Poly survives a cancellation does.  ``qi`` is
+        true when every ``B`` and ``Abar`` constant is in Q(i).
+        """
+        if self._pieces is None:
+            spec, n = self.spec, self.spec.n
+            masks = {k: [_mask(c) for c in itertools.combinations(range(1, n + 1), k)]
+                     for k in range(n + 1)}
+            index = {m: r for level in masks.values() for r, m in enumerate(level)}
+            dbar_f, dbar_c = {}, {}
+            for m in index:
+                dbar_f[m] = {}
+                _d_monomial(spec, m, 0, dbar_f[m])
+                dbar_c[m] = terms = []
+                for k in _indices(m):
+                    bk = 1 << k
+                    rest = m ^ bk
+                    for (i, j), c in spec.Abar[k].items():
+                        t = (1 << i) | (1 << j)
+                        if not rest & t:
+                            sign = _shuffle(bk, rest) + _shuffle(t, rest)
+                            terms.append((rest | t, -c if sign & 1 else c))
+            qi = all(type(c) is GaussianRational for table in (spec.B, spec.Abar)
+                     for row in table.values() for c in row.values())
+            self._pieces = (masks, index, dbar_f, dbar_c, qi)
+        return self._pieces
+
     def dbar_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
-        """Matrix of delbar from bidegree (p, q) to (p, q+1)."""
+        """Matrix of delbar from bidegree (p, q) to (p, q+1).
+
+        Assembled straight into sparse rows by the Leibniz rule
+        delbar(f_I ^ c_J) = delbar(f_I) ^ c_J + (-1)^p f_I ^ delbar(c_J):
+        a term f_I' ^ c_j of delbar(f_I) lands on f_I' ^ c_(J+j) with sign
+        (-1)^r(j, J), and vanishes when j is in J.  Monomial (I, J) of
+        bidegree (p, q) has index idx(I) * C(n, q) + idx(J), the order of
+        ``monomials``.
+        """
         key = (p, q)
-        if key in self._matrices:
-            return self._matrices[key]
-        tgt = self.monomials(p, q + 1)
-        row_of = {(_mask(I), _mask(J)): r for r, (I, J) in enumerate(tgt)}
-        cols = []
-        for I, J in self.monomials(p, q):
-            db: dict = {}
-            _d_monomial(self.spec, _mask(I), _mask(J), db)
-            cols.append({row_of[key]: c for key, c in db.items()})
-        m = linalg.ExactMatrix.from_columns(len(tgt), cols)
+        m = self._matrices.get(key)
+        if m is not None:
+            return m
+        masks, index, dbar_f, dbar_c, qi = self._generator_pieces()
+        # out-of-range bidegrees have no monomials
+        src_i, src_j, width = masks.get(p, []), masks.get(q, []), len(masks.get(q + 1, []))
+        rows: list[dict] = [{} for _ in range(len(src_i) * width)]
+        col = 0
+        for mi in src_i:
+            own = index[mi] * width
+            f_terms = [(index[ti] * width, bj, c) for (ti, bj), c in dbar_f[mi].items()]
+            for mj in src_j:
+                for base, bj, c in f_terms:
+                    if not mj & bj:
+                        accumulate(rows[base + index[mj | bj]], col,
+                                   -c if (mj & (bj - 1)).bit_count() & 1 else c)
+                for tj, c in dbar_c[mj]:
+                    accumulate(rows[own + index[tj]], col, -c if p & 1 else c)
+                col += 1
+        if qi:
+            m = linalg.ExactMatrix._trusted(col, rows)
+        else:
+            m = linalg.ExactMatrix(len(rows), col, rows)
         self._matrices[key] = m
         return m
 

@@ -6,10 +6,11 @@ products, applications and evaluations touch nonzeros only.
 
 Over Q(i) there is one elimination routine: ``Echelon``, the reduced row
 echelon form of a span, kept as sparse rows and grown one row at a time.
-Rank, kernel, solve, pivot columns, cohomology and its coordinate
-projection all go through it, fed a matrix's stored rows.  The reduced
-form of a span is unique, so these canonical outputs do not depend on the
-order rows arrive in.
+It indexes its rows by column, so a new row updates only the rows that
+hold its leading column.  Rank, kernel, solve, pivot columns, cohomology
+and its coordinate projection all go through it, fed a matrix's stored
+rows.  The reduced form of a span is unique, so these canonical outputs do
+not depend on the order rows arrive in.
 
 Over polynomial entries ranks and pivot columns come from fraction-free
 (Bareiss) elimination and kernels from Cramer-style minors of its echelon
@@ -122,6 +123,19 @@ class ExactMatrix(_Immutable):
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _trusted(cls, cols: int, rows: list) -> "ExactMatrix":
+        """A Q(i) matrix from sparse rows the package built: dicts of nonzero
+        GaussianRational values at in-range columns.  The checks and
+        coercions of ``__init__`` are skipped, so Poly or Jet values must
+        never come this way."""
+        m = object.__new__(cls)
+        for name, value in (("rows", len(rows)), ("cols", cols),
+                            ("sparse_rows", tuple(map(MappingProxyType, rows))),
+                            ("_zero", GR_ZERO), ("_pivots", None)):
+            object.__setattr__(m, name, value)
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, [{}] * rows)
 
@@ -152,7 +166,11 @@ class ExactMatrix(_Immutable):
     @property
     def sparse_columns(self) -> tuple:
         """One read-only ``{row: value}`` mapping of nonzeros per column."""
-        return ExactMatrix.from_columns(self.cols, self.sparse_rows).sparse_rows
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return tuple(map(MappingProxyType, out))
 
     def column(self, j: int) -> list:
         return [row.get(j, self._zero) for row in self.sparse_rows]
@@ -167,7 +185,9 @@ class ExactMatrix(_Immutable):
                 for j, w in other.sparse_rows[k].items():
                     accumulate(acc, j, v * w)
             out.append(acc)
-        return ExactMatrix(self.rows, other.cols, out)
+        if self.is_polynomial() or other.is_polynomial():
+            return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix._trusted(other.cols, out)
 
     def apply(self, vector: list) -> list:
         if len(vector) != self.cols:
@@ -222,19 +242,26 @@ class Echelon:
 
     Rows are sparse ``{column: value}`` dicts with leading coefficient 1,
     keyed by pivot column and kept fully reduced: a row is zero in every
-    other row's pivot column.  The reduced echelon form of a span is
+    other row's pivot column.  A column index maps each column to the
+    pivots of the rows that are nonzero there, so ``add`` reduces only the
+    rows that hold the new row's leading column and keeps the index in
+    step inside that update (T. A. Davis, *Direct Methods for Sparse Linear
+    Systems*, SIAM 2006, ch. 2-3).  The reduced echelon form of a span is
     unique, so every result is independent of insertion order.  Vectors
-    may be given dense (lists) or sparse (dicts).  ``freeze`` makes the
-    span read-only, so a cached echelon can be shared.
+    may be given dense (lists) or sparse (dicts); empty ones are skipped.
+    ``freeze`` makes the span read-only, so a cached echelon can be shared.
     """
 
-    __slots__ = ("_width", "_rows")
+    __slots__ = ("_width", "_rows", "_cols")
 
     def __init__(self, width: int, vectors=()):
         self._width = width
         self._rows: dict[int, dict[int, GaussianRational]] = {}
+        # column -> pivots of the rows nonzero in it; None once frozen
+        self._cols: dict[int, set[int]] | None = {}
         for v in vectors:
-            self.add(v)
+            if v:
+                self.add(v)
 
     @property
     def width(self) -> int:
@@ -266,23 +293,41 @@ class Echelon:
 
     def add(self, v) -> bool:
         """Insert v; True if it enlarged the span."""
-        if isinstance(self._rows, MappingProxyType):
+        cols = self._cols
+        if cols is None:
             raise TypeError("a frozen Echelon cannot grow")
         r = self.residue(v)
         if not r:
             return False
         r = _monic(r)
         lead = min(r)
-        for row in self._rows.values():
-            f = row.get(lead)
-            if f is not None:
-                _axpy(row, -f, r)
+        rest = [(j, x) for j, x in r.items() if j != lead]
+        for j, _ in rest:
+            cols.setdefault(j, set()).add(lead)
+        for c in cols.get(lead, ()):
+            # row -= row[lead] * r: lead cancels, other columns may fill or cancel
+            row = self._rows[c]
+            f = -row.pop(lead)
+            for j, x in rest:
+                old = row.get(j)
+                if old is None:
+                    row[j] = f * x
+                    cols[j].add(c)
+                else:
+                    s = old + f * x
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+                        cols[j].discard(c)
+        cols[lead] = {lead}
         self._rows[lead] = r
         return True
 
     def freeze(self) -> "Echelon":
         """Make the span read-only, so ``add`` raises TypeError; returns self."""
         self._rows = MappingProxyType(self._rows)
+        self._cols = None
         return self
 
     def kernel(self) -> list[list[GaussianRational]]:

@@ -11,8 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hodgejump import linalg
 from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, accumulate
-from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
+from hodgejump.exterior import (
+    ComplexStructureSpec,
+    InvariantForm,
+    VectorForm,
+    _d_monomial,
+    _mask,
+    basis_monomials,
+)
 
 
 class FractionPairQi:
@@ -181,6 +189,21 @@ def naive_dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
     return out
 
 
+def monomial_dbar_matrix(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatrix:
+    """delbar from (p, q) to (p, q+1) with one column per basis monomial,
+    each from its own ``_d_monomial`` call and checked by ``from_columns``:
+    the per-monomial assembly that ``Dolbeault.dbar_matrix`` replaces with
+    generator-level pieces."""
+    tgt = basis_monomials(spec.n, p, q + 1)
+    row_of = {(_mask(I), _mask(J)): r for r, (I, J) in enumerate(tgt)}
+    cols = []
+    for I, J in basis_monomials(spec.n, p, q):
+        db: dict = {}
+        _d_monomial(spec, _mask(I), _mask(J), db)
+        cols.append({row_of[key]: c for key, c in db.items()})
+    return linalg.ExactMatrix.from_columns(len(tgt), cols)
+
+
 def naive_deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
     """Tables of the deformed coframe f_i(t) = f_i + sum psi^i_l c_l.
 
@@ -292,6 +315,31 @@ def rref_qi(rows: list[list[GaussianRational]]):
                 m[r] = [x - f * y for x, y in zip(m[r], m[k])]
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+def scan_echelon_rows(vectors) -> dict[int, dict]:
+    """Reduced echelon rows {pivot: {column: value}} of sparse Q(i) vectors,
+    grown as ``Echelon.add`` would without its column index: each new row
+    is reduced against the stored ones, made monic, and then every stored
+    row is scanned for the new leading column."""
+    rows: dict[int, dict] = {}
+    for v in vectors:
+        r = dict(v)
+        for c, f in v.items():
+            for j, x in rows.get(c, {}).items():
+                accumulate(r, j, -f * x)
+        if not r:
+            continue
+        lead = min(r)
+        inv = r[lead].inv()
+        r = {j: x * inv for j, x in r.items()}
+        for row in rows.values():
+            f = row.get(lead)
+            if f is not None:
+                for j, x in r.items():
+                    accumulate(row, j, -f * x)
+        rows[lead] = r
+    return rows
 
 
 def dense_jet_matrix(d, order: int, base=None) -> list[list[GaussianRational]]:

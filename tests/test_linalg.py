@@ -3,8 +3,10 @@ import random
 from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hodgejump.coeff import GR, GaussianRational, Poly
+from hodgejump.coeff import GR, GaussianRational, Poly, accumulate
 from hodgejump.linalg import (
     Echelon,
     ExactMatrix,
@@ -31,6 +33,7 @@ from .oracles import (
     dense_str,
     rank_qi,
     rref_qi,
+    scan_echelon_rows,
 )
 
 T = ("t",)
@@ -154,6 +157,59 @@ class TestRanks:
             shuffled = list(entries)
             rng.shuffle(shuffled)
             assert Echelon(cols, shuffled).rows() == Echelon(cols, entries).rows() == ref
+
+
+@st.composite
+def sparse_qi_rows(draw):
+    """A width and up to 12 sparse Q(i) rows; some are combinations of two
+    earlier rows, so reductions both fill in and cancel entries."""
+    width = draw(st.integers(1, 8))
+    value = st.builds(GR, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(0, 12))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = {j: x * draw(value) for j, x in a.items()}
+            f = draw(value)
+            for j, x in b.items():
+                accumulate(row, j, f * x)
+        else:
+            row = draw(st.dictionaries(st.integers(0, width - 1), value, max_size=4))
+        rows.append(row)
+    return width, rows
+
+
+class TestEchelonIndex:
+    @given(sparse_qi_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_index_and_rows_match_the_scan_oracle(self, case):
+        width, vectors = case
+        ech = Echelon(width)
+        for v in vectors:
+            ech.add(v)
+            rebuilt: dict[int, set[int]] = {}
+            for c, row in ech._rows.items():
+                for j in row:
+                    rebuilt.setdefault(j, set()).add(c)
+            assert {j: held for j, held in ech._cols.items() if held} == rebuilt
+        want = scan_echelon_rows(vectors)
+        assert ech._rows == want
+        assert Echelon(width, vectors[::-1])._rows == want
+        ech.freeze()
+        with pytest.raises(TypeError, match="frozen"):
+            ech.add({0: GR(1)})
+        assert ech._rows == want
+
+    def test_empty_rows_are_skipped(self):
+        seen = []
+
+        class Counting(Echelon):
+            def add(self, v):
+                seen.append(v)
+                return super().add(v)
+
+        assert Counting(3, [{}, {1: GR(2)}, {}, {1: GR(1)}]).rows() == [[GR(0), GR(1), GR(0)]]
+        assert seen == [{1: GR(2)}, {1: GR(1)}]
 
 
 class TestSolve:

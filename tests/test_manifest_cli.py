@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hodgejump
 from hodgejump.cli import main
 from hodgejump.errors import ValidationFailure
 from hodgejump.manifest import builtin_names, load_manifest, parse_manifest
@@ -303,3 +308,19 @@ class TestCli:
         main(["jump", "iwasawa.json", "--point", "t11=1"])
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_output_exits_1_without_traceback(fmt):
+    # stdout is a pipe whose reader is already gone, as in `hodge ... | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(hodgejump.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgejump.cli", "hodge", "iwasawa", "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
