@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import linalg
 from .coeff import GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, accumulate
@@ -77,26 +78,41 @@ THREEFOLD_ROW = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
 class DolbeaultBasis:
     """Cohomology basis at one bidegree, with form-level projection.
 
-    Frozen, with tuple fields: one instance is cached per spec and bidegree
-    and shared by every caller.
+    ``keys`` holds each monomial as its (I, J) mask pair and ``index`` maps
+    a mask pair to its position, both computed once per basis.  Frozen,
+    with tuple and read-only fields: one instance is cached per spec and
+    bidegree and shared by every caller.
     """
 
     p: int
     q: int
     monomials: tuple
     cob: linalg.CohomologyBasis
+    keys: tuple = field(init=False, repr=False)
+    index: MappingProxyType = field(init=False, repr=False)
+
+    def __post_init__(self):
+        keys = tuple((_mask(I), _mask(J)) for I, J in self.monomials)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "index", MappingProxyType({k: r for r, k in enumerate(keys)}))
 
     @property
     def dim(self) -> int:
         return self.cob.dim
 
     def rep_form(self, spec: ComplexStructureSpec, k: int) -> InvariantForm:
-        vec = self.cob.representatives[k]
-        coeffs = {key: c for key, c in zip(self.monomials, vec) if c}
-        return InvariantForm(spec, self.p, self.q, coeffs)
+        rep = self.cob.sparse_representatives[k]
+        return InvariantForm._trusted(spec, {self.monomials[j]: c for j, c in rep.items()}, p=self.p, q=self.q)
 
     def project_constant_form(self, form: InvariantForm) -> list[GaussianRational]:
-        return self.cob.project(form.coordinates(self.monomials))
+        """Class coordinates of a constant (p, q)-form, checked delbar-closed."""
+        if (form.p, form.q) != (self.p, self.q):
+            raise linalg.LinalgError(f"projection of a ({form.p},{form.q})-form onto {self.cob.label}")
+        a = {(_mask(I), _mask(J)): GaussianRational._coerce(c) for (I, J), c in form.coeffs.items()}
+        if _dbar(form.spec, a):
+            raise linalg.LinalgError("projection of a non-closed vector")
+        coords = self.cob.project_sparse({self.index[key]: c for key, c in a.items()})
+        return [coords.get(k, GR_ZERO) for k in range(self.dim)]
 
 
 class Dolbeault:
@@ -468,6 +484,14 @@ def _del(spec: ComplexStructureSpec, a: dict) -> dict:
     return out
 
 
+def _dbar(spec: ComplexStructureSpec, a: dict) -> dict:
+    """delbar of a mask-keyed sparse vector."""
+    out: dict = {}
+    for (mi, mj), c in a.items():
+        _d_monomial(spec, mi, mj, out, c)
+    return out
+
+
 def _o1_vector(spec: ComplexStructureSpec, psi_terms: list, a: dict, da: dict) -> dict:
     """del(iota_psi a) + iota_psi(del a) on mask-keyed sparse vectors; ``da`` is del(a)."""
     v = _del(spec, _contract_vector(psi_terms, a, {}))
@@ -518,42 +542,42 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
 def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
     """``obstruction_o1`` for a psi1 already checked by ``validate_first_order``.
 
-    o1 is linear in psi, so each representative is mapped once per constant
-    piece of psi (one per parameter monomial) on mask-keyed Q(i) vectors,
-    and the projected pieces become the monomials of Poly entries.  A
-    constant psi gives a Q(i) matrix.
+    o1 is linear in psi, so each sparse representative is mapped once per
+    constant piece of psi (one per parameter monomial) on mask-keyed Q(i)
+    vectors, and the sparse class coordinates of the pieces become the
+    monomials of Poly entries; a Poly is made only for a nonzero entry.  A
+    constant psi gives a Q(i) matrix, a parametric one a polynomial matrix
+    even when every entry is zero.
     """
     dol = Dolbeault.of(spec)
     src = dol.basis(p, q)
     tgt = dol.basis(p, q + 1)
     params = psi1.params()
     pieces = _psi_pieces(psi1, params)
-    src_keys = [(_mask(I), _mask(J)) for I, J in src.monomials]
-    row_of = {(_mask(I), _mask(J)): r for r, (I, J) in enumerate(tgt.monomials)}
-    columns = []
-    for rep in src.cob.representatives:
-        a = {key: c for key, c in zip(src_keys, rep) if c}
+    rows: list[dict] = [{} for _ in range(tgt.dim)]
+    for col, rep in enumerate(src.cob.sparse_representatives):
+        a = {src.keys[j]: c for j, c in rep.items()}
         da = _del(spec, a)
         coords = {}
         for exps, terms in pieces.items():
             v = _o1_vector(spec, terms, a, da)
             if not v:
                 continue
-            dbar: dict = {}
-            for (mi, mj), c in v.items():
-                _d_monomial(spec, mi, mj, dbar, c)
-            if dbar:
+            if _dbar(spec, v):
                 raise InternalInvariantError("o1 value is not delbar-closed")
-            dense = [GR_ZERO] * len(row_of)
-            for key, c in v.items():
-                dense[row_of[key]] = c
-            coords[exps] = tgt.cob.project(dense)
+            coords[exps] = tgt.cob.project_sparse({tgt.index[key]: c for key, c in v.items()})
         if params is None:
-            columns.append(coords.get((), [GR_ZERO] * tgt.dim))
+            for k, x in coords.get((), {}).items():
+                rows[k][col] = x
         else:
-            columns.append([Poly(params, {e: x[k] for e, x in coords.items()})
-                            for k in range(tgt.dim)])
-    m = linalg.ExactMatrix.from_columns(tgt.dim, columns)
+            for k in {k for x in coords.values() for k in x}:
+                rows[k][col] = Poly(params, {e: x[k] for e, x in coords.items() if k in x})
+    if params is None:
+        m = linalg.ExactMatrix._trusted(src.dim, rows)
+    else:
+        if rows and src.dim:  # a zero Poly entry, as __init__ reads it, keeps it polynomial
+            rows[0].setdefault(0, Poly(params))
+        m = linalg.ExactMatrix(tgt.dim, src.dim, rows)
     return ObstructionReport(p=p, q=q, matrix=m, source=src, target=tgt, params=params)
 
 
@@ -595,7 +619,6 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     tgt = dol.basis(p, q + 1)
     dbar0 = dol.dbar_matrix(p, q)
     src_monomials = dol.monomials(p, q)
-    tgt_monomials = dol.monomials(p, q + 1)
     dspec = family.deformed
     order = family.order
     sign = GR_ONE if (p + q) % 2 else -GR_ONE  # (-1)^(p+q+1)
@@ -615,22 +638,19 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
             continue
         pieces = InvariantForm(spec, p, q + 1, wk.coeffs).monomial_split()
         obstruction: list[dict] = [{} for _ in range(tgt.dim)]
-        obstructed = False
         fixes: dict = {}
         for exps, piece in sorted(pieces.items()):
             cls = tgt.project_constant_form(piece)
-            if any(cls):
-                obstructed = True
-                for i, cval in enumerate(cls):
-                    if cval:
-                        accumulate(obstruction[i], exps, cval * sign)
-            else:
-                rhs = [-c for c in piece.coordinates(tgt_monomials)]
+            for i, cval in enumerate(cls):
+                if cval:
+                    accumulate(obstruction[i], exps, cval * sign)
+            if not any(cls):
+                rhs = [-c for c in piece.coordinates(tgt.monomials)]
                 sol = linalg.solve_const(dbar0, rhs)
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
                 fixes[exps] = sol
-        if obstructed:
+        if any(obstruction):
             obstruction = [Poly(params, terms) for terms in obstruction]
             oform = None
             for idx in range(tgt.dim):
@@ -772,18 +792,15 @@ def oracle_hodge_at_point(spec: ComplexStructureSpec, family: DeformationFamily,
 def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatrix:
     """Map induced by del on delbar-cohomology, H^{p,q} -> H^{p+1,q}."""
     dol = Dolbeault.of(spec)
-    src = dol.basis(p, q)
-    if p + 1 > spec.n:
-        return linalg.ExactMatrix(0, src.dim, [])
-    tgt = dol.basis(p + 1, q)
-    columns = []
-    for k in range(src.dim):
-        rep = src.rep_form(spec, k)
-        v = differential(spec, rep)[0]
-        if differential(spec, v)[1]:
+    src, tgt = dol.basis(p, q), dol.basis(p + 1, q)  # past p = n, H^{p+1,q} is empty
+    rows: list[dict] = [{} for _ in range(tgt.dim)]
+    for col, rep in enumerate(src.cob.sparse_representatives):
+        v = _del(spec, {src.keys[j]: c for j, c in rep.items()})
+        if _dbar(spec, v):
             raise InternalInvariantError("del of a closed representative is not delbar-closed")
-        columns.append(tgt.project_constant_form(v))
-    return linalg.ExactMatrix.from_columns(tgt.dim, columns)
+        for k, x in tgt.cob.project_sparse({tgt.index[key]: c for key, c in v.items()}).items():
+            rows[k][col] = x
+    return linalg.ExactMatrix._trusted(src.dim, rows)
 
 
 @dataclass

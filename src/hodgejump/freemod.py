@@ -298,12 +298,15 @@ def _jet_rows(d: linalg.ExactMatrix, order: int, base=None):
     Row k*d.rows + i is the t^k coefficient of component i of d(x): the
     block lower-triangular sum over a + b = k of D_b x_a, D_b the t^b
     coefficient matrix of d.  Columns are x_0, ..., x_order stacked.  With
-    ``base`` (vectors b_m), x_0 = sum_m c_m b_m and the first column block
-    holds c instead, with entries D_k b_m.
+    ``base`` (sparse vectors b_m), x_0 = sum_m c_m b_m and the first column
+    block holds c instead, with entries D_k b_m.
     """
     head = d.cols if base is None else len(base)
     # base vectors by the component they touch: j -> [(m, b_m[j])]
-    uses = [[(m, vec[j]) for m, vec in enumerate(base or ()) if vec[j]] for j in range(d.cols)]
+    uses = [[] for _ in range(d.cols)]
+    for m, vec in enumerate(base or ()):
+        for j, y in vec.items():
+            uses[j].append((m, y))
     rows = [{} for _ in range(d.rows * (order + 1))]
     for i, entries in enumerate(d.sparse_rows):
         for j, x in entries.items():
@@ -428,7 +431,7 @@ def _first_class(c: FreeComplex, q: int, bound: int, order: int) -> FirstClassRe
                                 extendable_basis=[], obstructed_basis=[])
     # x_0 = sum c_m rep_m + dprev0 y; x_1..x_order are free
     dprev0 = _at_zero(c, q - 1)
-    base = list(cob.representatives) + [dprev0.column(j) for j in range(dprev0.cols)]
+    base = cob.sparse_representatives + dprev0.sparse_columns
     rows, width = _jet_rows(c.diff(q), order, base)
     kernel = linalg.Echelon(width, rows).kernel()
     ext_span = linalg.Echelon(h, (v[:h] for v in kernel))

@@ -10,7 +10,8 @@ It indexes its rows by column, so a new row updates only the rows that
 hold its leading column.  Rank, kernel, solve, pivot columns, cohomology
 and its coordinate projection all go through it, fed a matrix's stored
 rows.  The reduced form of a span is unique, so these canonical outputs do
-not depend on the order rows arrive in.
+not depend on the order rows arrive in.  Cohomology representatives stay
+sparse too; their dense view is derived on use.
 
 Over polynomial entries ranks and pivot columns come from fraction-free
 (Bareiss) elimination and kernels from Cramer-style minors of its echelon
@@ -72,9 +73,11 @@ def _items(v, n: int):
     return enumerate(v)
 
 
-def _sparse(v) -> dict[int, GaussianRational]:
+def _sparse(v) -> Mapping[int, GaussianRational]:
+    """v's nonzeros as an ``{index: value}`` mapping, v dense or sparse; a
+    mapping without zero values is returned as it is."""
     if _is_sparse(v):
-        return v
+        return v if all(v.values()) else {j: x for j, x in v.items() if x}
     return {j: GaussianRational._coerce(x) for j, x in enumerate(v) if x}
 
 
@@ -517,31 +520,52 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
 class CohomologyBasis:
     """Basis of Ker(d_out)/Im(d_in) with a coordinate projection.
 
-    ``representatives`` are canonical vectors in the ambient space; the
+    ``sparse_representatives`` holds canonical vectors in the ambient space,
+    one read-only ``{index: value}`` mapping of nonzeros each, in index
+    order; ``representatives`` is the dense view, derived on each use.  The
     projection sends any d_out-closed vector to its coordinates in this
     basis, killing the image of d_in.  ``coords`` holds each vector b_k of
     [representatives | image basis] as the row (b_k | e_k), so a closed
     vector v reduces to (0 | -coordinates of v) in one residue.  Frozen,
-    with tuple representatives, so a cached basis can be shared.
+    so a cached basis can be shared.
     """
 
     dim: int
-    representatives: tuple[tuple[GaussianRational, ...], ...]
+    sparse_representatives: tuple[Mapping[int, GaussianRational], ...]
     d_out: ExactMatrix = field(repr=False)
     coords: Echelon = field(repr=False)
     label: str = ""
 
+    @property
+    def representatives(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        n = self.coords.width - self.coords.rank  # one tag column per row
+        return tuple(tuple(_dense(r, n)) for r in self.sparse_representatives)
+
     def project(self, vector: list) -> list[GaussianRational]:
         vec = [GaussianRational._coerce(x) for x in vector]
-        n = self.coords.width - self.coords.rank  # one tag column per row
-        if len(vec) != n:
+        if len(vec) != self.coords.width - self.coords.rank:
             raise LinalgError("projection: vector length mismatch")
         if self.d_out.rows and any(self.d_out.apply(vec)):
             raise LinalgError("projection of a non-closed vector")
-        r = self.coords.residue(vec)
+        coords = self.project_sparse(_sparse(vec))
+        return [coords.get(k, GR_ZERO) for k in range(self.dim)]
+
+    def project_sparse(self, vector: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """``{k: coordinate}`` of the nonzero coordinates of a closed
+        vector given as an ``{index: value}`` mapping.
+
+        For callers that have checked closedness: the d_out product is
+        skipped.  A vector outside Ker(d_out) is outside kernel+image too,
+        so it still raises LinalgError, with that message.
+        """
+        n = self.coords.width - self.coords.rank
+        if vector and not (min(vector) >= 0 and max(vector) < n):
+            raise LinalgError("projection: index out of range")
+        r = self.coords.residue(vector)
         if any(j < n for j in r):
             raise LinalgError("projection: vector outside kernel+image")
-        return [-r[n + k] if n + k in r else GR_ZERO for k in range(self.dim)]
+        # tags past n + dim belong to the image basis: they carry no class
+        return {j - n: -x for j, x in r.items() if j < n + self.dim}
 
 
 def _check_chain(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
@@ -581,5 +605,5 @@ def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohomo
     coords = Echelon(n + len(reps) + len(image_basis), (
         {**b, n + k: GR_ONE} for k, b in enumerate(reps + image_basis)
     )).freeze()
-    return CohomologyBasis(dim=len(reps), representatives=tuple(tuple(_dense(r, n)) for r in reps),
-                           d_out=d_out, coords=coords, label=label)
+    return CohomologyBasis(dim=len(reps), sparse_representatives=tuple(
+        MappingProxyType(dict(sorted(r.items()))) for r in reps), d_out=d_out, coords=coords, label=label)

@@ -102,6 +102,27 @@ class TestImmutability:
         assert Dolbeault.of(spec).basis(1, 1) is basis
         assert str(basis.rep_form(spec, 0)) == "f1^c1"
 
+    def test_sparse_representatives_are_read_only(self):
+        spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
+        cob = Dolbeault.of(spec).basis(1, 1).cob
+        before = cob.representatives
+        rep = cob.sparse_representatives[0]
+        with pytest.raises(TypeError):
+            rep[0] = GR(5)
+        with pytest.raises(TypeError):
+            rep[1] = GR(1)
+        with pytest.raises(TypeError):
+            del rep[0]
+        with pytest.raises(TypeError):
+            cob.sparse_representatives[0] = {}
+        with pytest.raises(AttributeError):
+            cob.sparse_representatives = ()
+        with pytest.raises(TypeError):
+            Dolbeault.of(spec).basis(1, 1).index[(2, 2)] = 0
+        assert cob.representatives == before
+        basis = Dolbeault.of(spec).basis(1, 1)
+        assert str(basis.rep_form(spec, 0)) == "f1^c1"
+
     def test_cached_projection_echelon_cannot_grow(self):
         spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
         cob = Dolbeault.of(spec).basis(1, 1).cob

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgejump import linalg
-from hodgejump.coeff import GR, CoefficientError, GaussianRational, Jet, Poly
+from hodgejump.coeff import GR, CoefficientError, GaussianRational, Jet, Poly, accumulate
 from hodgejump.deform import (
     Dolbeault,
     dbar_vector,
@@ -599,6 +599,98 @@ class TestExtendClass:
                     else:
                         assert res.status == "obstructed" and res.order == 1
                         assert res.obstruction_coords == column, (p, q, k)
+
+
+TWO_STEP5 = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
+
+
+class TestSparseProjection:
+    """The trusted sparse projection agrees with the checked dense one."""
+
+    @pytest.mark.parametrize("name", ["iwasawa", "two_step5"])
+    def test_sparse_projection_equals_dense_projection(self, name, iwasawa):
+        spec = iwasawa if name == "iwasawa" else TWO_STEP5
+        dol = Dolbeault.of(spec)
+        rng = random.Random(name)
+        rejected = 0
+        for p in range(spec.n + 1):
+            for q in range(spec.n + 1):
+                basis = dol.basis(p, q)
+                cob = basis.cob
+                width = len(basis.monomials)
+                image = dol.dbar_matrix(p, q - 1).sparse_columns if q else ()
+                for _ in range(4):
+                    v: dict = {}
+                    for vec in cob.sparse_representatives + tuple(image):
+                        c = random_gr(rng)
+                        for j, x in vec.items():
+                            accumulate(v, j, c * x)
+                    dense = [v.get(j, GR(0)) for j in range(width)]
+                    want = cob.project(dense)
+                    assert cob.project_sparse(v) == {k: x for k, x in enumerate(want) if x}
+                    form = InvariantForm(spec, p, q, dict(zip(basis.monomials, dense)))
+                    assert basis.project_constant_form(form) == want
+                # a vector with nonzero delbar is rejected by every path
+                d_out = dol.dbar_matrix(p, q)
+                for j in range(min(width, 6)):
+                    if not any(d_out.column(j)):
+                        continue
+                    rejected += 1
+                    unit = [GR(int(i == j)) for i in range(width)]
+                    with pytest.raises(linalg.LinalgError, match="non-closed"):
+                        cob.project(unit)
+                    with pytest.raises(linalg.LinalgError, match="non-closed"):
+                        basis.project_constant_form(
+                            InvariantForm.monomial(spec, *basis.monomials[j]))
+                    with pytest.raises(linalg.LinalgError, match="outside kernel"):
+                        cob.project_sparse({j: GR(1)})
+        assert rejected
+
+    def test_projection_checks_length_and_bidegree(self, iwasawa):
+        basis = Dolbeault.of(iwasawa).basis(1, 1)
+        with pytest.raises(linalg.LinalgError, match="length mismatch"):
+            basis.cob.project([GR(0)] * 3)
+        width = len(basis.monomials)
+        for index in (-1, width, width + basis.dim):  # a tag column is no vector index
+            with pytest.raises(linalg.LinalgError, match="index out of range"):
+                basis.cob.project_sparse({index: GR(1)})
+        with pytest.raises(linalg.LinalgError, match=r"\(1,0\)-form onto H\^1,1"):
+            basis.project_constant_form(InvariantForm.generator(iwasawa, "f", 1))
+        with pytest.raises(TypeError, match="cannot coerce Poly"):
+            basis.project_constant_form(InvariantForm.monomial(iwasawa, (1,), (1,), pv("t11")))
+
+    def test_outside_kernel_plus_image_raises_through_project(self):
+        # a hand-built basis whose coordinate echelon spans less than
+        # Ker(d_out): a closed vector outside it is still rejected
+        cob = linalg.cohomology(linalg.ExactMatrix.zeros(2, 0), linalg.ExactMatrix.zeros(0, 2))
+        lopsided = linalg.CohomologyBasis(dim=1, sparse_representatives=cob.sparse_representatives[:1],
+                                          d_out=cob.d_out, coords=linalg.Echelon(3, [{0: GR(1), 2: GR(1)}]))
+        with pytest.raises(linalg.LinalgError, match="outside kernel"):
+            lopsided.project([GR(0), GR(1)])
+        assert lopsided.project([GR(2), GR(0)]) == [GR(2)]
+
+    @pytest.mark.parametrize("name", ["iwasawa", "two_step5"])
+    def test_rep_form_matches_the_validating_constructor(self, name, iwasawa):
+        spec = iwasawa if name == "iwasawa" else TWO_STEP5
+        dol = Dolbeault.of(spec)
+        for p in range(spec.n + 1):
+            for q in range(spec.n + 1):
+                basis = dol.basis(p, q)
+                for k, rep in enumerate(basis.cob.representatives):
+                    want = InvariantForm(spec, p, q, dict(zip(basis.monomials, rep)))
+                    got = basis.rep_form(spec, k)
+                    assert got == want and str(got) == str(want)
+                    assert list(got.coeffs) == list(want.coeffs)
+
+    def test_all_zero_parametric_o1_stays_polynomial(self, iwasawa, iw_psi1):
+        m = obstruction_o1(iwasawa, iw_psi1, 0, 0).matrix
+        assert (m.rows, m.cols) == (2, 1)
+        assert m.is_zero() and m.is_polynomial()
+        assert m.entries == ((Poly(IW_PARAMS),), (Poly(IW_PARAMS),))
+        assert str(m) == "[[0], [0]]"
+        # a constant psi gives Q(i) zeros
+        q = obstruction_o1(iwasawa, iw_psi1.eval_point(point_of()), 0, 0).matrix
+        assert q.is_zero() and not q.is_polynomial() and q.entries == ((GR(0),), (GR(0),))
 
 
 class TestSecondClassAndJump:

@@ -80,7 +80,8 @@ class TestJetRows:
     def check(d, order, base=None):
         from hodgejump.freemod import _jet_rows
 
-        rows, width = _jet_rows(d, order, base)
+        sparse = None if base is None else [{j: x for j, x in enumerate(v) if x} for v in base]
+        rows, width = _jet_rows(d, order, sparse)
         head = d.cols if base is None else len(base)
         assert width == head + order * d.cols
         assert len(rows) == d.rows * (order + 1)

@@ -12,6 +12,11 @@ bidegree (with and without ``--point``), ``jump`` at three points and
 
 Regenerate the file with ``python tests/test_golden_cli.py`` only when an
 output is meant to change.
+
+``tests/data/golden_jump_two_step_u_n6.json`` is the stdout of
+``jump tests/data/two_step_u_n6.json --point u=1 --format json``, the
+class-level path at a size where sparse storage matters; regenerate it by
+running that command.
 """
 
 from __future__ import annotations
@@ -70,6 +75,15 @@ def test_golden_file_lists_every_call(recorded):
 def test_cli_output_is_byte_identical(argv, recorded, monkeypatch):
     monkeypatch.chdir(Path(__file__).parent.parent)
     assert run(argv) == recorded[tuple(argv)]
+
+
+def test_jump_on_the_one_direction_two_step_n6_is_byte_identical(monkeypatch):
+    # d f6 = -f1^f2, d f5 = -f1^f3 deformed along u theta_1 (x) c_1: one o1
+    # map per bidegree, on bases far larger than the two manifests above
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    got = run(["jump", "tests/data/two_step_u_n6.json", "--point", "u=1", "--format", "json"])
+    assert (got["exit"], got["stderr"]) == (0, "")
+    assert got["stdout"] == (DATA / "golden_jump_two_step_u_n6.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -211,6 +211,17 @@ class TestEchelonIndex:
         assert Counting(3, [{}, {1: GR(2)}, {}, {1: GR(1)}]).rows() == [[GR(0), GR(1), GR(0)]]
         assert seen == [{1: GR(2)}, {1: GR(1)}]
 
+    def test_explicit_zeros_in_mappings_are_dropped(self):
+        # a zero where the row would lead once divided by zero in _monic
+        ech = Echelon(3, [{0: GR(0), 1: GR(1)}])
+        assert ech.pivots == [1] and ech._rows == {1: {1: GR(1)}}
+        assert ech.add({0: GR(0), 1: GR(0), 2: GR(2)}) is True
+        assert ech._rows == {1: {1: GR(1)}, 2: {2: GR(1)}}
+        assert ech.add({1: GR(3), 2: GR(0)}) is False
+        assert ech.residue({0: GR(0), 1: GR(2), 2: GR(0)}) == {}
+        assert ech.residue({0: GR(5), 1: GR(0)}) == {0: GR(5)}
+        assert Echelon(2).residue({0: GR(0), 1: GR(0)}) == {}
+
 
 class TestSolve:
     def test_solve_and_inconsistency(self):
