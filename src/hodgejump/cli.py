@@ -155,7 +155,7 @@ def cmd_obstruct(args) -> int:
 def cmd_mc(args) -> int:
     man = load_manifest(args.manifest)
     _need_psi(man)
-    order = args.order or man.order
+    order = man.order if args.order is None else args.order
     fam = deform.mc_extend(man.spec, man.psi1, order)
     lines = [f"family extended to order {order}"]
     payload = {"name": man.name, "order": order, "corrections": {}}
@@ -219,11 +219,10 @@ def cmd_d1(args) -> int:
     n = man.spec.n
     payload = {"name": man.name, "maps": {}}
     rows = []
-    pq_list = (
-        [(args.p, args.q)]
-        if args.p is not None and args.q is not None
-        else [(p, q) for p in range(n + 1) for q in range(n + 1)]
-    )
+    if (args.p is None) != (args.q is None):
+        raise _UsageError("d1 takes both --p and --q, or neither")
+    pq_list = ([(args.p, args.q)] if args.p is not None
+               else [(p, q) for p in range(n + 1) for q in range(n + 1)])
     for p, q in pq_list:
         m = deform.frolicher_d1(man.spec, p, q)
         nz = not m.is_zero()

@@ -535,8 +535,14 @@ def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) 
 
 def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
     """First-order obstruction map on cohomology at bidegree (p, q)."""
+    _check_bidegree(spec, p, q)
     _check_first_order(spec, psi1)
     return _o1_report(spec, psi1, p, q)
+
+
+def _check_bidegree(spec: ComplexStructureSpec, p: int, q: int) -> None:
+    if not (0 <= p <= spec.n and 0 <= q <= spec.n):
+        raise ValidationFailure(f"bidegree ({p},{q}) out of range for n={spec.n}")
 
 
 def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
@@ -791,6 +797,7 @@ def oracle_hodge_at_point(spec: ComplexStructureSpec, family: DeformationFamily,
 
 def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatrix:
     """Map induced by del on delbar-cohomology, H^{p,q} -> H^{p+1,q}."""
+    _check_bidegree(spec, p, q)
     dol = Dolbeault.of(spec)
     src, tgt = dol.basis(p, q), dol.basis(p + 1, q)  # past p = n, H^{p+1,q} is empty
     rows: list[dict] = [{} for _ in range(tgt.dim)]

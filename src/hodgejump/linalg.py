@@ -13,10 +13,11 @@ rows.  The reduced form of a span is unique, so these canonical outputs do
 not depend on the order rows arrive in.  Cohomology representatives stay
 sparse too; their dense view is derived on use.
 
-Over polynomial entries ranks and pivot columns come from fraction-free
-(Bareiss) elimination and kernels from Cramer-style minors of its echelon
-form, so every intermediate value stays polynomial.  Pivots are always the
-first nonzero column, which makes every output deterministic.
+Over polynomial entries there is one fraction-free (Bareiss) elimination,
+run on the sparse rows.  Ranks and pivot columns come from it, and kernels
+by back substitution on its upper-triangular pivot block with exact
+divisions, so every intermediate value stays polynomial.  Pivots are
+always the first nonzero column, which makes every output deterministic.
 
 A matrix's pivot columns are computed once per matrix and held by it, so
 ``pivot_columns``, ``generic_rank`` and ``rank_const`` eliminate a given
@@ -388,7 +389,7 @@ def _pivots(m: ExactMatrix) -> tuple[int, ...]:
     """m's pivot columns, eliminated on the first call and held by m."""
     if m._pivots is None:
         if m.is_polynomial():
-            pivots = _bareiss(_poly_entries(m))[1]
+            pivots = _bareiss(m)[1]
         else:
             pivots = Echelon(m.cols, m.sparse_rows).pivots
         object.__setattr__(m, "_pivots", tuple(pivots))
@@ -396,12 +397,6 @@ def _pivots(m: ExactMatrix) -> tuple[int, ...]:
 
 
 # -- fraction-free elimination over polynomial entries -------------------
-
-def _poly_entries(m: ExactMatrix) -> list[list[Poly]]:
-    """Entries of a polynomial matrix, constants lifted."""
-    return [[x if isinstance(x, Poly) else Poly.constant(m._zero.params, x) for x in row]
-            for row in m.entries]
-
 
 def _poly_exact_div(num: Poly, den: Poly) -> Poly:
     """Exact division of multivariate polynomials; raises if not divisible."""
@@ -422,45 +417,45 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly:
     return quot
 
 
-def _bareiss(entries: list[list[Poly]]):
-    """Fraction-free row echelon form.
+def _bareiss(m: ExactMatrix) -> tuple[list[dict[int, Poly]], list[int]]:
+    """Fraction-free row echelon form of a polynomial matrix, kept sparse.
 
-    Returns (echelon rows, pivot columns).  Row order is preserved except
-    for the swaps needed to bring a nonzero pivot up; pivots are chosen as
-    the first nonzero entry in column order, so the result is deterministic.
+    Returns (echelon rows as ``{column: Poly}`` nonzeros, pivot columns).
+    Each step sets row <- (piv * row - row[c] * top) / prev on nonzeros
+    only, the division exact (Bareiss 1968).  Row order is preserved except
+    for the swaps needed to bring a nonzero pivot up, empty rows included;
+    pivots are the first nonzero entry in column order, so the result is
+    deterministic.
     """
-    rows = [list(r) for r in entries]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    params = m._zero.params
+    rows = [{j: x if isinstance(x, Poly) else Poly.constant(params, x) for j, x in row.items()}
+            for row in m.sparse_rows]
     pivots: list[int] = []
-    r = 0
     prev = None
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if i is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            if all(not x for x in rows[i]):
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        piv = top[c]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            if not row:
                 continue
-            new_row = []
-            for j in range(ncols):
-                val = piv * rows[i][j] - rows[i][c] * rows[r][j]
-                if prev is not None:
-                    val = _poly_exact_div(val, prev)
-                new_row.append(val)
-            rows[i] = new_row
+            acc = {j: piv * x for j, x in row.items()}
+            f = row.get(c)
+            if f is not None:
+                f = -f
+                for j, x in top.items():
+                    accumulate(acc, j, f * x)
+            rows[i] = acc if prev is None else {j: _poly_exact_div(x, prev) for j, x in acc.items()}
         prev = piv
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    return rows[:len(pivots)], pivots
 
 
 def generic_rank(m: ExactMatrix) -> int:
@@ -473,43 +468,31 @@ def specialized_rank(m: ExactMatrix, point: dict) -> int:
     return rank_const(m.eval_point(point))
 
 
-def _det_poly(entries: list[list[Poly]]) -> Poly:
-    """Determinant by cofactor expansion; sizes here are small."""
-    n = len(entries)
-    params = entries[0][0].params
-    if n == 1:
-        return entries[0][0]
-    det = Poly(params)
-    for j in range(n):
-        if not entries[0][j]:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
-        term = entries[0][j] * _det_poly(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
 def kernel_basis(m: ExactMatrix) -> list[list]:
     """Right-kernel basis over the entry field.
 
     Constant matrices get the canonical RREF kernel.  Polynomial matrices
-    get polynomial vectors (Cramer minors of the echelon form), a basis of
-    the kernel over the fraction field.
+    get polynomial vectors, a basis of the kernel over the fraction field:
+    for each free column f, v[f] = det(U) for U the upper-triangular pivot
+    block of the Bareiss form, and the pivot entries follow by back
+    substitution with exact divisions.  These are the Cramer minors of the
+    echelon form (Nakos, Turner, Williams 1997).
     """
     if not m.is_polynomial():
         return kernel_basis_const(m)
-    ech, pivots = _bareiss(_poly_entries(m))
+    ech, pivots = _bareiss(m)
     object.__setattr__(m, "_pivots", tuple(pivots))
-    r = len(pivots)
-    pivot_block = [[ech[i][pivots[j]] for j in range(r)] for i in range(r)]
-    det = _det_poly(pivot_block) if r else Poly.constant(m._zero.params, 1)
+    det = Poly.constant(m._zero.params, 1)
+    for row, p in zip(ech, pivots):
+        det = det * row[p]
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
         v = [m._zero] * m.cols
         v[f] = det
-        for k in range(r):
-            col = [[ech[i][pivots[j]] if j != k else ech[i][f] for j in range(r)] for i in range(r)]
-            v[pivots[k]] = -_det_poly(col)
+        for row, p in zip(reversed(ech), reversed(pivots)):
+            # v[p] is still zero here, so the sum runs over f and later pivots
+            num = sum((x * v[j] for j, x in row.items() if v[j]), m._zero)
+            v[p] = -_poly_exact_div(num, row[p])
         basis.append(v)
     return basis
 

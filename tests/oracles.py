@@ -3,8 +3,9 @@
 Deliberately structured differently from the package code paths they
 check: signs come from explicit permutation parity on flattened factor
 lists, ranks from a plain fraction elimination without canonical pivoting,
-and the differential is assembled through the oracle wedge rather than the
-package's incremental normalization.
+the differential is assembled through the oracle wedge rather than the
+package's incremental normalization, and polynomial kernels come from
+cofactor-expansion Cramer minors of a dense Bareiss form.
 """
 
 from __future__ import annotations
@@ -315,6 +316,86 @@ def rref_qi(rows: list[list[GaussianRational]]):
                 m[r] = [x - f * y for x, y in zip(m[r], m[k])]
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+def poly_entries(m: linalg.ExactMatrix) -> list[list[Poly]]:
+    """Dense entries of a polynomial matrix, constants lifted to Poly."""
+    params = m._zero.params
+    return [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in row]
+            for row in m.entries]
+
+
+def dense_bareiss(entries: list[list[Poly]]):
+    """Fraction-free row echelon form on dense rows: (echelon rows, pivots).
+
+    Every entry of every row below the pivot is recomputed each step, zero
+    rows skipped; the pivot is the first nonzero row in column order and is
+    swapped up, the rows below keeping their order.
+    """
+    rows = [list(r) for r in entries]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    prev = None
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            if all(not x for x in rows[i]):
+                continue
+            new_row = []
+            for j in range(ncols):
+                val = piv * rows[i][j] - rows[i][c] * rows[r][j]
+                if prev is not None:
+                    val = linalg._poly_exact_div(val, prev)
+                new_row.append(val)
+            rows[i] = new_row
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+def det_poly(entries: list[list[Poly]]) -> Poly:
+    """Determinant by cofactor expansion along the first row."""
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    det = Poly(entries[0][0].params)
+    for j in range(n):
+        if not entries[0][j]:
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
+        term = entries[0][j] * det_poly(minor)
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+def cramer_kernel(m: linalg.ExactMatrix) -> list[list[Poly]]:
+    """Polynomial kernel vectors of m from Cramer minors of its dense Bareiss
+    form: for each free column f, v[f] is the determinant of the pivot
+    block and v[p_k] minus the determinant of that block with column k
+    replaced by column f."""
+    ech, pivots = dense_bareiss(poly_entries(m))
+    r = len(pivots)
+    block = [[ech[i][pivots[j]] for j in range(r)] for i in range(r)]
+    det = det_poly(block) if r else Poly.constant(m._zero.params, 1)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [m._zero] * m.cols
+        v[f] = det
+        for k in range(r):
+            col = [[ech[i][pivots[j]] if j != k else ech[i][f] for j in range(r)]
+                   for i in range(r)]
+            v[pivots[k]] = -det_poly(col)
+        basis.append(v)
+    return basis
 
 
 def scan_echelon_rows(vectors) -> dict[int, dict]:

@@ -16,22 +16,28 @@ output is meant to change.
 ``tests/data/golden_jump_two_step_u_n6.json`` is the stdout of
 ``jump tests/data/two_step_u_n6.json --point u=1 --format json``, the
 class-level path at a size where sparse storage matters; regenerate it by
-running that command.
+running that command.  ``obstruct`` at (3,2) on the same manifest, a
+polynomial o1 map with a kernel, is pinned by the sha256 of its JSON
+stdout.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import pytest
 
+from hodgejump import deform
 from hodgejump.cli import main
+from hodgejump.manifest import load_manifest
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_cli.json"
+N6_OBSTRUCT_3_2_SHA256 = "c4453b9a618ad07ead8dd87ea9ecd2532b06ef849a68d79803c84a6343634bda"
 
 POINTS = {
     "mixed_i.json": ["t11=1", "t21=1,t33=2/3*i", "t11=1/2,t22=i,t32=-1"],
@@ -84,6 +90,20 @@ def test_jump_on_the_one_direction_two_step_n6_is_byte_identical(monkeypatch):
     got = run(["jump", "tests/data/two_step_u_n6.json", "--point", "u=1", "--format", "json"])
     assert (got["exit"], got["stderr"]) == (0, "")
     assert got["stdout"] == (DATA / "golden_jump_two_step_u_n6.json").read_text(encoding="utf-8")
+
+
+def test_obstruct_3_2_on_the_two_step_n6_is_pinned(monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    path = "tests/data/two_step_u_n6.json"
+    got = run(["obstruct", path, "--p", "3", "--q", "2", "--format", "json"])
+    assert (got["exit"], got["stderr"]) == (0, "")
+    assert hashlib.sha256(got["stdout"].encode()).hexdigest() == N6_OBSTRUCT_3_2_SHA256
+    man = load_manifest(path)
+    rep = deform.obstruction_o1(man.spec, man.psi1, 3, 2)
+    kernel = rep.kernel()
+    assert kernel and [[str(x) for x in v] for v in kernel] == json.loads(got["stdout"])["kernel"]
+    for v in kernel:
+        assert not any(rep.matrix.apply(v))
 
 
 if __name__ == "__main__":

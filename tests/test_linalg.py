@@ -3,7 +3,7 @@ import random
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgejump.coeff import GR, GaussianRational, Poly, accumulate
@@ -11,6 +11,7 @@ from hodgejump.linalg import (
     Echelon,
     ExactMatrix,
     LinalgError,
+    _bareiss,
     cohomology,
     cohomology_dim,
     generic_rank,
@@ -24,19 +25,23 @@ from hodgejump.linalg import (
 
 from .conftest import random_gr
 from .oracles import (
+    cramer_kernel,
     dense_apply,
+    dense_bareiss,
     dense_column,
     dense_eq,
     dense_eval,
     dense_is_zero,
     dense_matmul,
     dense_str,
+    poly_entries,
     rank_qi,
     rref_qi,
     scan_echelon_rows,
 )
 
 T = ("t",)
+AB = ("a", "b")
 P4 = ("t11", "t12", "t21", "t22")
 
 
@@ -78,6 +83,64 @@ class TestKernel:
             assert len(basis) == cols - generic_rank(m)
             for v in basis:
                 assert all(not x for x in m.apply(v))
+
+
+@st.composite
+def mixed_poly_matrices(draw):
+    """Polynomial matrices up to 5 x 6 in one or two parameters, entries
+    mixing 0, Q(i) constants and Poly.  Some rows are zero and some are
+    combinations of two rows, and up to two columns are zero, so ranks drop
+    and pivots often need a row swap."""
+    params = draw(st.sampled_from([T, AB]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    small = st.builds(GR, st.integers(-2, 2), st.integers(-1, 1))
+
+    def poly():
+        return Poly(params, {tuple(draw(st.integers(0, 2)) for _ in params): draw(small)
+                             for _ in range(draw(st.integers(1, 2)))})
+
+    def entry():
+        kind = draw(st.integers(0, 2))
+        return GR(0) if kind == 0 else draw(small) if kind == 1 else poly()
+
+    dense = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            dense[i] = [GR(0)] * cols
+        elif kind == 1:
+            j, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            a, b = poly(), poly()
+            dense[i] = [a * x + b * y for x, y in zip(dense[j], dense[k])]
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in dense:
+            row[c] = GR(0)
+    dense[-1][-1] = Poly(params) + dense[-1][-1]  # at least one Poly entry
+    return ExactMatrix(rows, cols, dense)
+
+
+# the swap at column 0 sends the empty first row to the pivot's place, so the
+# rows (0,1,t) and (0,t,1) keep their order and (0,1,t) gives the next pivot
+EMPTY_ROW_SWAP = ExactMatrix(4, 3, [[0, 0, 0], [0, 1, Poly.variable(T, "t")],
+                                    [0, Poly.variable(T, "t"), 1], [1, 0, 0]])
+
+
+class TestPolynomialElimination:
+    @given(mixed_poly_matrices())
+    @example(EMPTY_ROW_SWAP)
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_bareiss_and_kernel_equal_the_dense_oracles(self, m):
+        ech, pivots = _bareiss(m)
+        want_ech, want_pivots = dense_bareiss(poly_entries(m))
+        assert pivots == want_pivots
+        assert [[row.get(j, m._zero) for j in range(m.cols)] for row in ech] == want_ech
+        basis = kernel_basis(m)
+        assert basis == cramer_kernel(m)
+        assert all(isinstance(x, Poly) for v in basis for x in v)
+        for v in basis:
+            assert not any(m.apply(v))
+        # the kernel pass leaves the pivots memo set
+        assert m._pivots == tuple(pivots)
 
 
 class TestRanks:

@@ -198,6 +198,31 @@ class TestCli:
         assert main(["d1", "iwasawa.json", "--p", "1", "--q", "0"]) == 0
         assert "nonzero" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_mc_order_below_one_is_rejected(self, capsys, order):
+        # 0 is a given order, not a missing one: it must not fall back to the
+        # manifest's order
+        assert main(["mc", "iwasawa", "--order", order]) == 2
+        assert "target order must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_d1_needs_both_p_and_q_or_neither(self, capsys, flag):
+        assert main(["d1", "iwasawa", flag, "1"]) == 1
+        assert "both --p and --q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["obstruct", "iwasawa", "--p", "9", "--q", "0"],
+        ["obstruct", "iwasawa", "--p", "-1", "--q", "0"],
+        ["obstruct", "iwasawa", "--p", "0", "--q", "-2"],
+        ["d1", "iwasawa", "--p", "-1", "--q", "0"],
+        ["d1", "iwasawa", "--p", "0", "--q", "4"],
+    ])
+    def test_bidegree_out_of_range_is_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range for n=3" in captured.err
+
     def test_witness_commands(self, capsys):
         assert main(["witness", "iwasawa.json"]) == 0
         out = capsys.readouterr().out
