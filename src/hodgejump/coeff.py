@@ -19,6 +19,14 @@ All values are immutable: each value class, and the forms, specs and
 matrices built from them, inherits ``_Immutable``.  Monomials are ordered
 graded-lexicographically, which fixes the canonical text rendering and
 hashing.
+
+The public constructors and ``Poly.parse`` check and coerce every term.
+Results of arithmetic on values that already passed those checks come
+from ``Poly._trusted`` and ``Jet._trusted``, which skip them: use those
+only for terms the package built itself (exponent tuples of ints >= 0,
+one per parameter, and nonzero GaussianRational coefficients, in a dict
+no one else holds) and, for a Jet, a base with no term above its order.
+Nothing parsed from input reaches them unchecked.
 """
 
 from __future__ import annotations
@@ -309,6 +317,16 @@ class Poly(_Immutable):
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _trusted(cls, params: tuple, terms: dict) -> "Poly":
+        """A Poly from terms the package built (see the module docstring):
+        the checks and coercions of ``__init__`` are skipped, and ``terms``
+        is held as given, not copied."""
+        x = _new(cls)
+        _set_params(x, params)
+        _set_terms(x, terms)
+        return x
+
+    @classmethod
     def constant(cls, params, c) -> "Poly":
         params = tuple(params)
         return cls(params, {(0,) * len(params): GaussianRational._coerce(c)})
@@ -410,7 +428,7 @@ class Poly(_Immutable):
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             accumulate(terms, exps, c)
-        return Poly(self.params, terms)
+        return Poly._trusted(self.params, terms)
 
     __radd__ = __add__
 
@@ -423,9 +441,13 @@ class Poly(_Immutable):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Poly(self.params, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.params, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            c = GaussianRational._coerce(other)
+            # Q(i) is a field, so a nonzero scalar leaves every term nonzero
+            return Poly._trusted(self.params, {e: v * c for e, v in self.terms.items()} if c else {})
         if isinstance(other, Jet):
             return NotImplemented
         other = self._coerce(other)
@@ -433,7 +455,7 @@ class Poly(_Immutable):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly(self.params, terms)
+        return Poly._trusted(self.params, terms)
 
     __rmul__ = __mul__
 
@@ -459,7 +481,7 @@ class Poly(_Immutable):
     def homogeneous_part(self, n: int) -> "Poly":
         if n < 0:
             raise CoefficientError("homogeneous part of negative degree")
-        return Poly(self.params, {e: c for e, c in self.terms.items() if sum(e) == n})
+        return Poly._trusted(self.params, {e: c for e, c in self.terms.items() if sum(e) == n})
 
     def constant_term(self) -> GaussianRational:
         return self.terms.get((0,) * len(self.params), GR_ZERO)
@@ -513,6 +535,10 @@ class Poly(_Immutable):
         return f"Poly({self})"
 
 
+_set_params = Poly.params.__set__
+_set_terms = Poly.terms.__set__
+
+
 class Jet(_Immutable):
     """A polynomial truncated at a total-degree bound.
 
@@ -532,6 +558,16 @@ class Jet(_Immutable):
             Poly(base.params, {e: c for e, c in base.terms.items() if sum(e) <= order}),
         )
         object.__setattr__(self, "order", order)
+
+    @classmethod
+    def _trusted(cls, base: Poly, order: int) -> "Jet":
+        """A Jet from a base the package built with no term above ``order``
+        (see the module docstring): the truncation of ``__init__`` is
+        skipped."""
+        x = _new(cls)
+        _set_base(x, base)
+        _set_order(x, order)
+        return x
 
     @property
     def params(self):
@@ -560,25 +596,39 @@ class Jet(_Immutable):
             return Jet.constant(self.params, x, self.order)
         raise TypeError(f"cannot coerce {type(x).__name__} into Jet")
 
+    # sums, negations and scalar multiples of truncated bases stay truncated
+
     def __add__(self, other):
         other = self._coerce(other)
-        return Jet(self.base + other.base, self.order)
+        return Jet._trusted(self.base + other.base, self.order)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return Jet(self.base - other.base, self.order)
+        return Jet._trusted(self.base - other.base, self.order)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Jet(-self.base, self.order)
+        return Jet._trusted(-self.base, self.order)
 
     def __mul__(self, other):
+        """The product truncated at the order: pairs of terms whose degrees
+        sum past it are skipped, not formed and then dropped."""
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return Jet._trusted(self.base * other, self.order)
         other = self._coerce(other)
-        return Jet(self.base * other.base, self.order)
+        order = self.order
+        right = [(e, sum(e), c) for e, c in other.base.terms.items()]
+        terms: dict[tuple[int, ...], GaussianRational] = {}
+        for e1, c1 in self.base.terms.items():
+            room = order - sum(e1)
+            for e2, d2, c2 in right:
+                if d2 <= room:
+                    accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Jet._trusted(Poly._trusted(self.params, terms), order)
 
     __rmul__ = __mul__
 
@@ -612,6 +662,10 @@ class Jet(_Immutable):
 
     def __repr__(self):
         return f"Jet({self.base}; order={self.order})"
+
+
+_set_base = Jet.base.__set__
+_set_order = Jet.order.__set__
 
 
 def accumulate(acc: dict, key, value) -> None:

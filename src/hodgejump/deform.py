@@ -40,7 +40,6 @@ from .exterior import (
     basis_monomials,
     deformed_coframe,
     defect_is_zero,
-    differential,
     validate_spec,
 )
 
@@ -607,6 +606,13 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     the first order whose closure defect has a nonzero class in
     H^{p,q+1}(X_0) the obstruction is reported, normalized by
     (-1)^(p+q+1) so that at order 1 it equals the o1 matrix value.
+
+    The work runs on mask-keyed sparse vectors: the extension maps (I, J)
+    mask pairs to jets, each order's defect is delbar alone in the
+    deformed coframe, and its degree-k part is split into one Q(i) piece
+    per parameter monomial.  Each piece is projected sparsely; one with a
+    zero class is killed by a fix solved from its nonzeros with the delbar
+    matrix's memoized solver.  Forms are built only for the result.
     """
     spec = family.spec
     if max_order < 1 or max_order > family.order:
@@ -617,7 +623,8 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         raise ValidationFailure("class must live on the family's base spec")
     if any(not isinstance(c, GaussianRational) for c in alpha.coeffs.values()):
         raise ValidationFailure("class representative must have constant coefficients")
-    if differential(spec, alpha)[1]:
+    a = _masked(alpha)
+    if _dbar(spec, a):
         raise ValidationFailure("class representative is not delbar-closed")
     params = family.params()
     p, q = alpha.p, alpha.q
@@ -629,55 +636,53 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     order = family.order
     sign = GR_ONE if (p + q) % 2 else -GR_ONE  # (-1)^(p+q+1)
 
-    coeffs = {key: Jet.constant(params, c, order) for key, c in alpha.coeffs.items()}
-    alpha_t = InvariantForm(dspec, p, q, coeffs)
-
+    alpha_t = {key: Jet.constant(params, c, order) for key, c in a.items()}
     for k in range(1, max_order + 1):
-        w = differential(dspec, alpha_t)[1]
-        for j in range(k):
-            if w.homogeneous_part(j):
-                raise InternalInvariantError(
-                    f"extension defect reappeared at order {j} while solving order {k}"
-                )
-        wk = w.homogeneous_part(k)
-        if not wk.coeffs:
-            continue
-        pieces = InvariantForm(spec, p, q + 1, wk.coeffs).monomial_split()
+        w = _dbar(dspec, alpha_t)
+        low = min((sum(e) for c in w.values() for e in c.base.terms), default=k)
+        if low < k:
+            raise InternalInvariantError(
+                f"extension defect reappeared at order {low} while solving order {k}"
+            )
+        pieces: dict[tuple[int, ...], dict] = {}
+        for key, c in w.items():
+            for exps, v in c.base.terms.items():
+                if sum(exps) == k:
+                    pieces.setdefault(exps, {})[key] = v
         obstruction: list[dict] = [{} for _ in range(tgt.dim)]
         fixes: dict = {}
         for exps, piece in sorted(pieces.items()):
-            cls = tgt.project_constant_form(piece)
-            for i, cval in enumerate(cls):
-                if cval:
-                    accumulate(obstruction[i], exps, cval * sign)
-            if not any(cls):
-                rhs = [-c for c in piece.coordinates(tgt.monomials)]
-                sol = linalg.solve_const(dbar0, rhs)
+            if _dbar(spec, piece):
+                raise linalg.LinalgError("projection of a non-closed vector")
+            vec = {tgt.index[key]: v for key, v in piece.items()}
+            cls = tgt.cob.project_sparse(vec)
+            for i, cval in cls.items():
+                accumulate(obstruction[i], exps, cval * sign)
+            if not cls:
+                sol = linalg.solve_const(dbar0, {i: -v for i, v in vec.items()})
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
                 fixes[exps] = sol
         if any(obstruction):
-            obstruction = [Poly(params, terms) for terms in obstruction]
-            oform = None
-            for idx in range(tgt.dim):
-                if obstruction[idx]:
-                    term = tgt.rep_form(spec, idx).scale(obstruction[idx])
-                    oform = term if oform is None else oform + term
+            coords = [Poly._trusted(params, terms) for terms in obstruction]
+            form: dict = {}
+            for idx, c in enumerate(coords):
+                if c:
+                    for j, v in tgt.cob.sparse_representatives[idx].items():
+                        accumulate(form, tgt.monomials[j], c * v)
             return ExtensionResult(
-                status="obstructed", order=k, p=p, q=q,
-                obstruction_coords=obstruction, obstruction_form=oform,
+                status="obstructed", order=k, p=p, q=q, obstruction_coords=coords,
+                obstruction_form=InvariantForm._trusted(spec, form, p=p, q=q + 1),
             )
-        if fixes:
-            add: dict = {}
-            for exps, sol in fixes.items():
-                for key, x in zip(src_monomials, sol):
-                    if x:
-                        accumulate(add.setdefault(key, {}), exps, x)
-            add_form = InvariantForm(
-                dspec, p, q, {key: Jet(Poly(params, terms), order) for key, terms in add.items()}
-            )
-            alpha_t = alpha_t + add_form
-    return ExtensionResult(status="extended", order=max_order, p=p, q=q, extension=alpha_t)
+        add: dict = {}
+        for exps, sol in fixes.items():
+            for col, x in sol.items():
+                I, J = src_monomials[col]
+                accumulate(add.setdefault((_mask(I), _mask(J)), {}), exps, x)
+        for key, terms in add.items():
+            accumulate(alpha_t, key, Jet._trusted(Poly._trusted(params, terms), order))
+    return ExtensionResult(status="extended", order=max_order, p=p, q=q,
+                           extension=_unmasked(dspec, p, q, alpha_t))
 
 
 # -- obstructed subspaces and jump prediction ------------------------------

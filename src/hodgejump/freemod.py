@@ -478,9 +478,10 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
     while True:
         if not vectors:
             return []
-        ev = [[v[i].constant_term() for v in vectors] for i in range(m.rows)]
-        evm = linalg.ExactMatrix(m.rows, len(vectors), ev)
-        ker = linalg.kernel_basis_const(evm)
+        # the t = 0 evaluation as sparse rows, one per entry
+        ev = [{k: x for k, v in enumerate(vectors) if (x := v[i].constant_term())}
+              for i in range(m.rows)]
+        ker = linalg.Echelon(len(vectors), ev).kernel()
         if not ker:
             return [[v[i].constant_term() for i in range(m.rows)] for v in vectors]
         combo = ker[0]
@@ -488,7 +489,7 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
         for cval, vec in zip(combo, vectors):
             if cval:
                 for i in range(m.rows):
-                    u[i] = u[i] + Poly.constant(params, cval) * vec[i]
+                    u[i] = u[i] + vec[i] * cval
         # u vanishes at 0; strip the largest common power of t
         shift = min(min(e[0] for e in p.terms) for p in u if p)
         u = [Poly(params, {(e[0] - shift,): cv for e, cv in p.terms.items()}) for p in u]

@@ -21,7 +21,10 @@ always the first nonzero column, which makes every output deterministic.
 
 A matrix's pivot columns are computed once per matrix and held by it, so
 ``pivot_columns``, ``generic_rank`` and ``rank_const`` eliminate a given
-matrix at most once.
+matrix at most once.  A Q(i) matrix also holds its solver, built on the
+first ``solve_const``: the frozen echelon of its pivot columns, each
+tagged with a unit vector, so every solve after the first is one sparse
+reduction of the right-hand side and no elimination.
 """
 
 from __future__ import annotations
@@ -98,11 +101,12 @@ class ExactMatrix(_Immutable):
     included; its gaps then read as the zero Poly, else as GR_ZERO.
     ``entries`` (row tuples, for rendering) and ``sparse_columns`` are
     derived on each use.  ``_pivots`` holds the pivot columns once
-    ``pivot_columns`` has computed them: a pure function of the rows, so
-    it takes no part in ``==``, ``hash`` or ``repr``.
+    ``pivot_columns`` has computed them, and ``_solver`` the echelon of
+    ``solve_const`` once it has run: pure functions of the rows, so they
+    take no part in ``==``, ``hash`` or ``repr``.
     """
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_zero", "_pivots")
+    __slots__ = ("rows", "cols", "sparse_rows", "_zero", "_pivots", "_solver")
 
     def __init__(self, rows: int, cols: int, entries):
         if len(entries) != rows:
@@ -121,7 +125,7 @@ class ExactMatrix(_Immutable):
                     out[j] = x
             sparse.append(MappingProxyType(out))
         for name, value in (("rows", rows), ("cols", cols), ("sparse_rows", tuple(sparse)),
-                            ("_zero", zero), ("_pivots", None)):
+                            ("_zero", zero), ("_pivots", None), ("_solver", None)):
             object.__setattr__(self, name, value)
 
     # -- constructors ------------------------------------------------
@@ -135,7 +139,7 @@ class ExactMatrix(_Immutable):
         m = object.__new__(cls)
         for name, value in (("rows", len(rows)), ("cols", cols),
                             ("sparse_rows", tuple(map(MappingProxyType, rows))),
-                            ("_zero", GR_ZERO), ("_pivots", None)):
+                            ("_zero", GR_ZERO), ("_pivots", None), ("_solver", None)):
             object.__setattr__(m, name, value)
         return m
 
@@ -232,15 +236,6 @@ def _axpy(acc: dict, f: GaussianRational, row: dict) -> None:
         accumulate(acc, j, f * x)
 
 
-def _monic(row: dict) -> dict:
-    """Scale a nonzero sparse row so its leading coefficient is 1."""
-    lead = row[min(row)]
-    if lead == GR_ONE:
-        return row
-    inv = lead.inv()
-    return {j: x * inv for j, x in row.items()}
-
-
 class Echelon:
     """Reduced row echelon form over Q(i) of a span, grown one row at a time.
 
@@ -297,14 +292,27 @@ class Echelon:
 
     def add(self, v) -> bool:
         """Insert v; True if it enlarged the span."""
-        cols = self._cols
-        if cols is None:
+        if self._cols is None:
             raise TypeError("a frozen Echelon cannot grow")
         r = self.residue(v)
         if not r:
             return False
-        r = _monic(r)
+        self._insert(r)
+        return True
+
+    def _insert(self, r: dict) -> dict:
+        """Insert a nonzero row already reduced against the span.
+
+        The row is scaled to leading coefficient 1 and stored; the stored
+        row, which later inserts update in place, is returned (``r``
+        itself when it already leads with 1).
+        """
+        cols = self._cols
         lead = min(r)
+        head = r[lead]
+        if head != GR_ONE:
+            inv = head.inv()
+            r = {j: x * inv for j, x in r.items()}
         rest = [(j, x) for j, x in r.items() if j != lead]
         for j, _ in rest:
             cols.setdefault(j, set()).add(lead)
@@ -326,7 +334,7 @@ class Echelon:
                         cols[j].discard(c)
         cols[lead] = {lead}
         self._rows[lead] = r
-        return True
+        return r
 
     def freeze(self) -> "Echelon":
         """Make the span read-only, so ``add`` raises TypeError; returns self."""
@@ -368,13 +376,38 @@ def kernel_basis_const(m: ExactMatrix) -> list[list[GaussianRational]]:
     return Echelon(m.cols, m.sparse_rows).kernel()
 
 
-def solve_const(m: ExactMatrix, rhs: list) -> list | None:
-    """One exact solution of m x = rhs over Q(i), or None; free variables 0."""
-    if len(rhs) != m.rows:
+def solve_const(m: ExactMatrix, rhs) -> list | dict | None:
+    """One exact solution of m x = rhs over Q(i), or None; free variables 0.
+
+    ``rhs`` is dense (a list of length ``m.rows``) or sparse (an
+    ``{index: value}`` mapping); the solution comes back in the same form,
+    a sparse one holding only its nonzeros.  The solution with free
+    variables 0 lives on the pivot columns P, whose columns are
+    independent: reducing rhs against the frozen echelon of the rows
+    (m[:, p_k] | e_k) leaves (0 | -x_P) when rhs is in the image and an
+    entry below ``m.rows`` when it is not.  That echelon is built on the
+    first call and held by m.
+    """
+    if m.is_polynomial():
+        raise LinalgError("solve_const on polynomial matrix")
+    sparse = _is_sparse(rhs)
+    if sparse:
+        if rhs and not (min(rhs) >= 0 and max(rhs) < m.rows):
+            raise LinalgError("rhs index out of range")
+        rhs = {i: GaussianRational._coerce(x) for i, x in rhs.items()}
+    elif len(rhs) != m.rows:
         raise LinalgError("rhs length mismatch")
-    n = m.cols
-    return Echelon(n + 1, ({**row, n: b} if b else row for row, b in zip(
-        m.sparse_rows, map(GaussianRational._coerce, rhs)))).solution()
+    solver = m._solver
+    if solver is None:
+        columns = m.sparse_columns
+        solver = Echelon(m.rows + len(_pivots(m)), (
+            {**columns[p], m.rows + k: GR_ONE} for k, p in enumerate(m._pivots))).freeze()
+        object.__setattr__(m, "_solver", solver)
+    r = solver.residue(rhs)
+    if r and min(r) < m.rows:
+        return None
+    x = {m._pivots[j - m.rows]: -v for j, v in r.items()}
+    return x if sparse else _dense(x, m.cols)
 
 
 def pivot_columns(m: ExactMatrix) -> list[int]:
@@ -581,9 +614,7 @@ def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohomo
     for v in ker:
         r = span.residue(v)
         if r:
-            r = _monic(r)
-            reps.append(r)
-            span.add(r)
+            reps.append(dict(span._insert(r)))
 
     coords = Echelon(n + len(reps) + len(image_basis), (
         {**b, n + k: GR_ONE} for k, b in enumerate(reps + image_basis)

@@ -4,8 +4,10 @@ Deliberately structured differently from the package code paths they
 check: signs come from explicit permutation parity on flattened factor
 lists, ranks from a plain fraction elimination without canonical pivoting,
 the differential is assembled through the oracle wedge rather than the
-package's incremental normalization, and polynomial kernels come from
-cofactor-expansion Cramer minors of a dense Bareiss form.
+package's incremental normalization, polynomial kernels come from
+cofactor-expansion Cramer minors of a dense Bareiss form, linear systems
+from the dense reduced form of the augmented matrix, and class extension
+from whole forms and dense coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hodgejump import linalg
-from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, accumulate
+from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly, accumulate
+from hodgejump.deform import DeformationFamily, Dolbeault, ExtensionResult
+from hodgejump.errors import InternalInvariantError, ValidationFailure
 from hodgejump.exterior import (
     ComplexStructureSpec,
     InvariantForm,
@@ -21,6 +25,7 @@ from hodgejump.exterior import (
     _d_monomial,
     _mask,
     basis_monomials,
+    differential,
 )
 
 
@@ -311,11 +316,61 @@ def rref_qi(rows: list[list[GaussianRational]]):
         lead = m[k][c]
         m[k] = [x / lead for x in m[k]]
         for r in range(len(m)):
-            if r != k:
-                f = m[r][c]
+            f = m[r][c]
+            if r != k and f:
                 m[r] = [x - f * y for x, y in zip(m[r], m[k])]
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+def rref_kernel(rows: list[list[GaussianRational]], width: int) -> list[list[GaussianRational]]:
+    """Canonical right-kernel basis of dense rows: one vector per free column."""
+    ref, pivots = rref_qi(rows)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [GR_ZERO] * width
+        v[f] = GR_ONE
+        for row, c in zip(ref, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def quotient_representatives(image: list[list[GaussianRational]],
+                             kernel: list[list[GaussianRational]]) -> list[dict]:
+    """Representatives of span(kernel) / span(image) as ``linalg.cohomology``
+    defines them: each kernel vector in turn, reduced against the reduced
+    form of the image and the representatives taken so far and made monic,
+    is kept when nonzero.  The span is re-eliminated densely at every step."""
+    span = [list(v) for v in image]
+    reps = []
+    for v in kernel:
+        ref, pivots = rref_qi(span)
+        r = list(v)
+        for row, c in zip(ref, pivots):
+            f = r[c]
+            if f:
+                r = [x - f * y for x, y in zip(r, row)]
+        nonzero = [j for j, x in enumerate(r) if x]
+        if nonzero:
+            inv = r[nonzero[0]].inv()
+            r = [x * inv for x in r]
+            reps.append({j: r[j] for j in nonzero})
+            span.append(r)
+    return reps
+
+
+def augmented_solve(m: linalg.ExactMatrix, rhs: list) -> list | None:
+    """The solution of m x = rhs with free variables 0, read off the dense
+    reduced form of [m | rhs]; None when rhs's column holds a pivot."""
+    cols = m.cols
+    ref, pivots = rref_qi([list(row) + [b] for row, b in zip(m.entries, rhs)])
+    if cols in pivots:
+        return None
+    x = [GR_ZERO] * cols
+    for row, c in zip(ref, pivots):
+        x[c] = row[cols]
+    return x
 
 
 def poly_entries(m: linalg.ExactMatrix) -> list[list[Poly]]:
@@ -555,3 +610,80 @@ def project_form(basis, form: InvariantForm, params=None) -> list:
         for k, c in enumerate(basis.project_constant_form(piece)):
             accumulate(coords[k], e, c)
     return [Poly(params, terms) for terms in coords]
+
+
+def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
+                       max_order: int) -> ExtensionResult:
+    """``deform.extend_class`` on whole forms: the full differential of the
+    jet-valued extension each order, pieces split as forms and projected
+    with the closedness check, and each fix solved from the piece's dense
+    coordinates by ``augmented_solve``."""
+    spec = family.spec
+    if max_order < 1 or max_order > family.order:
+        raise ValidationFailure(
+            f"max_order must lie in 1..{family.order} (the family's jet order)"
+        )
+    if alpha.spec != spec:
+        raise ValidationFailure("class must live on the family's base spec")
+    if any(not isinstance(c, GaussianRational) for c in alpha.coeffs.values()):
+        raise ValidationFailure("class representative must have constant coefficients")
+    if differential(spec, alpha)[1]:
+        raise ValidationFailure("class representative is not delbar-closed")
+    params = family.params()
+    p, q = alpha.p, alpha.q
+    dol = Dolbeault.of(spec)
+    tgt = dol.basis(p, q + 1)
+    dbar0 = dol.dbar_matrix(p, q)
+    src_monomials = dol.monomials(p, q)
+    dspec = family.deformed
+    order = family.order
+    sign = GR_ONE if (p + q) % 2 else -GR_ONE  # (-1)^(p+q+1)
+
+    coeffs = {key: Jet.constant(params, c, order) for key, c in alpha.coeffs.items()}
+    alpha_t = InvariantForm(dspec, p, q, coeffs)
+
+    for k in range(1, max_order + 1):
+        w = differential(dspec, alpha_t)[1]
+        for j in range(k):
+            if w.homogeneous_part(j):
+                raise InternalInvariantError(
+                    f"extension defect reappeared at order {j} while solving order {k}"
+                )
+        wk = w.homogeneous_part(k)
+        if not wk.coeffs:
+            continue
+        pieces = InvariantForm(spec, p, q + 1, wk.coeffs).monomial_split()
+        obstruction: list[dict] = [{} for _ in range(tgt.dim)]
+        fixes: dict = {}
+        for exps, piece in sorted(pieces.items()):
+            cls = tgt.project_constant_form(piece)
+            for i, cval in enumerate(cls):
+                if cval:
+                    accumulate(obstruction[i], exps, cval * sign)
+            if not any(cls):
+                sol = augmented_solve(dbar0, [-c for c in piece.coordinates(tgt.monomials)])
+                if sol is None:
+                    raise InternalInvariantError("zero class defect was not exact")
+                fixes[exps] = sol
+        if any(obstruction):
+            obstruction = [Poly(params, terms) for terms in obstruction]
+            oform = None
+            for idx in range(tgt.dim):
+                if obstruction[idx]:
+                    term = tgt.rep_form(spec, idx).scale(obstruction[idx])
+                    oform = term if oform is None else oform + term
+            return ExtensionResult(
+                status="obstructed", order=k, p=p, q=q,
+                obstruction_coords=obstruction, obstruction_form=oform,
+            )
+        if fixes:
+            add: dict = {}
+            for exps, sol in fixes.items():
+                for key, x in zip(src_monomials, sol):
+                    if x:
+                        accumulate(add.setdefault(key, {}), exps, x)
+            add_form = InvariantForm(
+                dspec, p, q, {key: Jet(Poly(params, terms), order) for key, terms in add.items()}
+            )
+            alpha_t = alpha_t + add_form
+    return ExtensionResult(status="extended", order=max_order, p=p, q=q, extension=alpha_t)

@@ -197,6 +197,46 @@ def test_extend_class_builds_each_cohomology_once(monkeypatch):
     assert sorted(set(built)) == sorted(built)
 
 
+def test_extend_class_reuses_the_delbar_solver_and_builds_only_its_result(monkeypatch):
+    # over all 30 H^{2,1} classes of the n = 5 two-step structure, delbar
+    # on (2,1) is eliminated twice in all (its pivots, then its solver),
+    # however many defects are solved, and each call builds one form: its
+    # result
+    spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
+    psi = VectorForm(spec, 1, {(1, (1,)): Poly.variable(("u",), "u")})
+    fam = mc_extend(spec, psi, 2)
+    dol = Dolbeault.of(spec)
+    basis, _ = dol.basis(2, 1), dol.basis(2, 2)
+    alphas = [basis.rep_form(spec, k) for k in range(basis.dim)]
+    echelons, forms = [], []
+    real_echelon, real_init = linalg.Echelon.__init__, InvariantForm.__init__
+    real_trusted = InvariantForm._trusted.__func__
+
+    def echelon(self, *args):
+        echelons.append(args[0])
+        real_echelon(self, *args)
+
+    def init(self, *args, **kwargs):
+        forms.append(args)
+        real_init(self, *args, **kwargs)
+
+    def trusted(cls, *args, **kwargs):
+        forms.append(args)
+        return real_trusted(cls, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Echelon, "__init__", echelon)
+    monkeypatch.setattr(InvariantForm, "__init__", init)
+    monkeypatch.setattr(InvariantForm, "_trusted", classmethod(trusted))
+    statuses = []
+    for alpha in alphas:
+        del forms[:]
+        statuses.append(extend_class(fam, alpha, 2).status)
+        assert len(forms) == 1
+    assert dol.dbar_matrix(2, 1)._solver is not None
+    assert len(echelons) == 2
+    assert statuses.count("obstructed") == 2
+
+
 def test_hodge_table_eliminates_each_delbar_matrix_once(monkeypatch):
     # the n = 5 two-step structure d f5 = -f1^f2, d f4 = -f1^f3, unshared
     spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})

@@ -178,6 +178,66 @@ class TestRingAxioms:
         assert (a + b).eval(point) == a.eval(point) + b.eval(point)
 
 
+def _ref_sum(x: Poly, y: Poly, sign: GR) -> Poly:
+    """x + sign * y summed term by term, built by the checking constructor."""
+    terms = dict(x.terms)
+    for e, c in y.terms.items():
+        terms[e] = terms.get(e, GR(0)) + sign * c
+    return Poly(x.params, terms)
+
+
+def _ref_product(x: Poly, y: Poly) -> Poly:
+    """x * y summed pair by pair, built by the checking constructor."""
+    terms: dict = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, GR(0)) + c1 * c2
+    return Poly(x.params, terms)
+
+
+def _assert_valid(x: Poly, order=None) -> None:
+    """What the checking constructors guarantee, on a result that skipped them."""
+    assert type(x) is Poly and type(x.params) is tuple
+    for e, c in x.terms.items():
+        assert type(e) is tuple and len(e) == len(x.params)
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is GaussianRational and c
+        assert order is None or sum(e) <= order
+
+
+class TestTrustedArithmetic:
+    """Arithmetic results skip the constructor checks; they must equal the
+    checked route and satisfy every invariant those checks enforce."""
+
+    @given(polys(), polys(), grs, st.integers(0, 4))
+    @settings(max_examples=120)
+    def test_poly_and_jet_results_equal_the_checked_route(self, x, y, c, order):
+        one = GR(1)
+        for got, want in ((x + y, _ref_sum(x, y, one)), (x - y, _ref_sum(x, y, -one)),
+                          (-x, _ref_sum(Poly(x.params), x, -one)), (x * y, _ref_product(x, y)),
+                          (x * c, Poly(x.params, {e: v * c for e, v in x.terms.items()})),
+                          (c * x, Poly(x.params, {e: c * v for e, v in x.terms.items()}))):
+            _assert_valid(got)
+            assert got == want
+        jx, jy = Jet(x, order), Jet(y, order)
+        for got, want in ((jx + jy, Jet(_ref_sum(jx.base, jy.base, one), order)),
+                          (jx - jy, Jet(_ref_sum(jx.base, jy.base, -one), order)),
+                          (-jx, Jet(_ref_sum(Poly(x.params), jx.base, -one), order)),
+                          (jx * jy, Jet(_ref_product(jx.base, jy.base), order)),
+                          (jx * c, Jet(_ref_product(jx.base, Poly.constant(x.params, c)), order)),
+                          (jx * y, Jet(_ref_product(jx.base, y), order))):
+            assert type(got) is Jet and got.order == order
+            _assert_valid(got.base, order)
+            assert got == want
+
+    def test_results_share_no_terms_with_their_operands(self):
+        x = Poly.parse(("a",), "a^2+1")
+        for y in (x + 0, x * 1, -(-x), Jet(x, 3) * 1, x.homogeneous_part(2)):
+            base = y.base if isinstance(y, Jet) else y
+            assert base.terms is not x.terms
+
+
 class TestJet:
     def test_degree_two_truncated_at_order_one(self):
         assert not Jet(pvar("t11"), 1) * Jet(pvar("t22"), 1)

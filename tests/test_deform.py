@@ -604,6 +604,41 @@ class TestExtendClass:
 TWO_STEP5 = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
 
 
+class TestExtendClassAgainstDenseOracle:
+    """The sparse ``extend_class`` gives the same result, field by field,
+    as the dense form-level extension in tests/oracles.py."""
+
+    @pytest.mark.parametrize("max_order", [1, 2])
+    def test_every_iwasawa_class(self, iwasawa, iw_psi1, max_order):
+        fam = mc_extend(iwasawa, iw_psi1, 2)
+        dol = Dolbeault.of(iwasawa)
+        seen = set()
+        for p in range(4):
+            for q in range(4):
+                basis = dol.basis(p, q)
+                for k in range(basis.dim):
+                    alpha = basis.rep_form(iwasawa, k)
+                    got = extend_class(fam, alpha, max_order)
+                    assert got == oracles.dense_extend_class(fam, alpha, max_order), (p, q, k)
+                    seen.add((got.status, got.order))
+        assert seen == {("obstructed", 1), ("extended", max_order)}
+
+    def test_every_two_step5_21_class(self):
+        # the undercount example: two classes are obstructed only at order 2
+        psi = VectorForm(TWO_STEP5, 1, {(1, (1,)): Poly.variable(("u",), "u")})
+        fam = mc_extend(TWO_STEP5, psi, 2)
+        basis = Dolbeault.of(TWO_STEP5).basis(2, 1)
+        assert basis.dim == 30
+        seen = []
+        for k in range(basis.dim):
+            alpha = basis.rep_form(TWO_STEP5, k)
+            got = extend_class(fam, alpha, 2)
+            assert got == oracles.dense_extend_class(fam, alpha, 2), k
+            seen.append((got.status, got.order))
+        assert sorted(set(seen)) == [("extended", 2), ("obstructed", 2)]
+        assert seen.count(("obstructed", 2)) == 2
+
+
 class TestSparseProjection:
     """The trusted sparse projection agrees with the checked dense one."""
 

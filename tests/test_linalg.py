@@ -25,6 +25,7 @@ from hodgejump.linalg import (
 
 from .conftest import random_gr
 from .oracles import (
+    augmented_solve,
     cramer_kernel,
     dense_apply,
     dense_bareiss,
@@ -35,7 +36,9 @@ from .oracles import (
     dense_matmul,
     dense_str,
     poly_entries,
+    quotient_representatives,
     rank_qi,
+    rref_kernel,
     rref_qi,
     scan_echelon_rows,
 )
@@ -197,25 +200,10 @@ class TestRanks:
 
             ref, pivots = rref_qi(entries)
             assert pivot_columns(m) == pivots
-            free = [f for f in range(cols) if f not in pivots]
-            expected_kernel = []
-            for f in free:
-                v = [GR(0)] * cols
-                v[f] = GR(1)
-                for row, c in zip(ref, pivots):
-                    v[c] = -row[f]
-                expected_kernel.append(v)
-            assert kernel_basis_const(m) == expected_kernel
+            assert kernel_basis_const(m) == rref_kernel(entries, cols)
 
             rhs = [random_gr(rng) for _ in range(rows)]
-            aug_ref, aug_pivots = rref_qi([row + [b] for row, b in zip(entries, rhs)])
-            if cols in aug_pivots:
-                assert solve_const(m, rhs) is None
-            else:
-                x = [GR(0)] * cols
-                for row, c in zip(aug_ref, aug_pivots):
-                    x[c] = row[cols]
-                assert solve_const(m, rhs) == x
+            assert solve_const(m, rhs) == augmented_solve(m, rhs)
 
             shuffled = list(entries)
             rng.shuffle(shuffled)
@@ -275,7 +263,7 @@ class TestEchelonIndex:
         assert seen == [{1: GR(2)}, {1: GR(1)}]
 
     def test_explicit_zeros_in_mappings_are_dropped(self):
-        # a zero where the row would lead once divided by zero in _monic
+        # a zero where the row would lead once divided by zero when made monic
         ech = Echelon(3, [{0: GR(0), 1: GR(1)}])
         assert ech.pivots == [1] and ech._rows == {1: {1: GR(1)}}
         assert ech.add({0: GR(0), 1: GR(0), 2: GR(2)}) is True
@@ -286,14 +274,114 @@ class TestEchelonIndex:
         assert Echelon(2).residue({0: GR(0), 1: GR(0)}) == {}
 
 
+@st.composite
+def solve_cases(draw):
+    """A Q(i) matrix up to 5 x 6 and right-hand sides for it.  Some rows
+    are combinations of two others and some columns are zero, so ranks
+    drop; each right-hand side is either m x for a drawn x (solvable) or
+    drawn outright (often not)."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    value = st.builds(GR, st.integers(-2, 2), st.integers(-1, 1))
+    dense = [[draw(value) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        if rows >= 2 and draw(st.booleans()):
+            j, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            a, b = draw(value), draw(value)
+            dense[i] = [a * x + b * y for x, y in zip(dense[j], dense[k])]
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2)) if cols else set()
+    dense = [[GR(0) if j in zero_cols else x for j, x in enumerate(row)] for row in dense]
+    m = ExactMatrix(rows, cols, dense)
+    rhs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x = [draw(value) for _ in range(cols)]
+            rhs.append(dense_apply(dense, x))
+        else:
+            rhs.append([draw(value) for _ in range(rows)])
+    return m, rhs
+
+
 class TestSolve:
     def test_solve_and_inconsistency(self):
         m = ExactMatrix(2, 2, [[GR(1), GR(2)], [GR(2), GR(4)]])
         assert solve_const(m, [GR(1), GR(2)]) == [GR(1), GR(0)]
         assert solve_const(m, [GR(1), GR(3)]) is None
+        assert solve_const(m, {0: GR(1), 1: GR(2)}) == {0: GR(1)}
+        assert solve_const(m, {1: GR(3)}) is None
+        assert solve_const(m, {}) == {}
+
+    @given(solve_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_memoized_solver_matches_the_augmented_rref(self, case):
+        m, rhs_list = case
+        for rhs in rhs_list:
+            want = augmented_solve(m, rhs)
+            assert solve_const(m, rhs) == want
+            sparse = solve_const(m, {i: b for i, b in enumerate(rhs) if b})
+            assert sparse == (None if want is None else {j: x for j, x in enumerate(want) if x})
+
+    def test_second_solve_runs_no_elimination(self, monkeypatch):
+        m = ExactMatrix(3, 4, [[GR(1), GR(2), GR(0), GR(1)], [GR(2), GR(4), GR(1), GR(0)],
+                               [GR(3), GR(6), GR(1), GR(1)]])
+        steps = []
+        real = Echelon._insert
+
+        def counting(self, r):
+            steps.append(r)
+            return real(self, r)
+
+        monkeypatch.setattr(Echelon, "_insert", counting)
+        assert solve_const(m, [GR(1), GR(1), GR(2)]) == [GR(1), GR(0), GR(-1), GR(0)]
+        assert steps  # the pivots, then the solver
+        del steps[:]
+        assert solve_const(m, [GR(1), GR(0), GR(1)]) == [GR(1), GR(0), GR(-2), GR(0)]
+        assert solve_const(m, {2: GR(1)}) is None
+        assert steps == []
+
+    def test_polynomial_matrix_is_refused(self):
+        m = ExactMatrix(1, 1, [[tvar()]])
+        with pytest.raises(LinalgError, match="polynomial"):
+            solve_const(m, [GR(1)])
+        with pytest.raises(LinalgError, match="polynomial"):
+            solve_const(m, {0: GR(1)})
+
+    @pytest.mark.parametrize("rhs", [{2: GR(1)}, {-1: GR(1)}, {0: GR(1), 5: GR(2)}, [GR(1)]])
+    def test_out_of_range_rhs_is_refused(self, rhs):
+        m = ExactMatrix(2, 2, [[GR(1), GR(0)], [GR(0), GR(1)]])
+        with pytest.raises(LinalgError, match="rhs"):
+            solve_const(m, rhs)
+
+
+@st.composite
+def qi_complexes(draw):
+    """A Q(i) complex  . --d_in--> . --d_out--> .  on up to 8 coordinates:
+    d_out's rows are drawn sparse-ish, and d_in's columns are combinations
+    of d_out's kernel vectors, so the image is a drawn part of the kernel."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    value = st.builds(GR, st.sampled_from([0, 0, 0, 1, -1, 2]), st.sampled_from([0, 0, 1]))
+    rows = [[draw(value) for _ in range(n)] for _ in range(m)]
+    ker = rref_kernel(rows, n)
+    cols = []
+    for _ in range(draw(st.integers(0, len(ker)))):
+        v = [GR(0)] * n
+        for k in ker:
+            c = draw(st.sampled_from([GR(0), GR(1), GR(-1), GR(3)]))
+            v = [a + c * b for a, b in zip(v, k)]
+        cols.append(v)
+    d_in = ExactMatrix.from_columns(n, cols) if cols else ExactMatrix.zeros(n, 0)
+    return d_in, ExactMatrix(m, n, rows), cols, ker
 
 
 class TestCohomology:
+    @given(qi_complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_representatives_match_the_dense_quotient_oracle(self, case):
+        # a representative is reduced once, when it is taken: later ones
+        # must not reduce it further
+        d_in, d_out, image, ker = case
+        cob = cohomology(d_in, d_out)
+        assert [dict(r) for r in cob.sparse_representatives] == quotient_representatives(image, ker)
+
     def test_iwasawa_01_level_via_raw_matrices(self):
         # delbar on (0,1): c3 -> -c1^c2; kernel c1, c2; no image
         d_out = ExactMatrix(3, 3, [
