@@ -46,8 +46,11 @@ def _parse_point(values: list[str]) -> dict[str, GaussianRational]:
             if "=" not in item:
                 raise _UsageError(f"bad point assignment {item!r}; expected name=value")
             name, _, value = item.partition("=")
+            name = name.strip()
+            if name in out:
+                raise ValidationFailure(f"parameter {name!r} assigned twice")
             try:
-                out[name.strip()] = GaussianRational.parse(value.strip())
+                out[name] = GaussianRational.parse(value.strip())
             except CoefficientError as e:
                 raise ValidationFailure(f"point value {item!r}: {e}") from None
     return out

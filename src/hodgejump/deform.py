@@ -31,6 +31,7 @@ from .exterior import (
     VectorForm,
     _contract_vector,
     _d_monomial,
+    _dd_defects,
     _indices,
     _mask,
     _masked,
@@ -119,7 +120,11 @@ class Dolbeault:
 
     Hodge numbers come from the ranks of the delbar matrices, each
     eliminated once though it serves two bidegrees; a cohomology basis is
-    built only where classes are used.
+    built only where classes are used.  delbar.delbar = 0 is checked once
+    per spec, as d.d = 0 on the generators: d.d is a derivation, so that
+    makes it zero on every form, and its (p, q+2) part is delbar.delbar.
+    Only a spec that fails that check has d_out . d_in formed at each
+    bidegree, which reports the first column where it is nonzero.
 
     Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
     itself, so every caller shares its matrices and bases.
@@ -130,6 +135,7 @@ class Dolbeault:
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
         self._pieces: tuple | None = None
+        self._dd_zero: bool | None = None
 
     @classmethod
     def of(cls, spec: ComplexStructureSpec) -> "Dolbeault":
@@ -223,16 +229,24 @@ class Dolbeault:
         return m
 
     def _chain(self, p: int, q: int) -> tuple[linalg.ExactMatrix, linalg.ExactMatrix]:
-        """(d_in, d_out): delbar into and out of bidegree (p, q)."""
+        """(d_in, d_out): delbar into and out of bidegree (p, q), checked to
+        compose to zero (see the class docstring)."""
         d_out = self.dbar_matrix(p, q)
         d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
+        if self._dd_zero is None:
+            try:
+                self._dd_zero = next(_dd_defects(self.spec), None) is None
+            except CoefficientError:  # Polys over two parameter tuples: the products decide
+                self._dd_zero = False
+        if not self._dd_zero:
+            linalg._check_chain(d_in, d_out)
         return d_in, d_out
 
     def basis(self, p: int, q: int) -> DolbeaultBasis:
         key = (p, q)
         if key in self._bases:
             return self._bases[key]
-        cob = linalg.cohomology(*self._chain(p, q), label=f"H^{p},{q}")
+        cob = linalg._cohomology(*self._chain(p, q), label=f"H^{p},{q}")
         b = DolbeaultBasis(p=p, q=q, monomials=tuple(self.monomials(p, q)), cob=cob)
         self._bases[key] = b
         return b
@@ -240,7 +254,7 @@ class Dolbeault:
     def table(self) -> dict[tuple[int, int], int]:
         """h^{p,q} for all 0 <= p, q <= n by rank-nullity; builds no basis."""
         n = self.spec.n
-        return {(p, q): linalg.cohomology_dim(*self._chain(p, q))
+        return {(p, q): linalg._cohomology_dim(*self._chain(p, q))
                 for p in range(n + 1) for q in range(n + 1)}
 
 
@@ -442,7 +456,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
             for (i, lam), x in zip(unknowns, sol):
                 if x:
                     accumulate(delta.setdefault((i, (lam,)), {}), exps, x)
-        corrections[k] = VectorForm(spec, 1, {key: Poly(params, terms)
+        corrections[k] = VectorForm(spec, 1, {key: Poly._trusted(params, terms)
                                               for key, terms in delta.items()})
         psi = psi + to_jet(corrections[k])
 
@@ -576,7 +590,7 @@ def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> 
                 rows[k][col] = x
         else:
             for k in {k for x in coords.values() for k in x}:
-                rows[k][col] = Poly(params, {e: x[k] for e, x in coords.items() if k in x})
+                rows[k][col] = Poly._trusted(params, {e: x[k] for e, x in coords.items() if k in x})
     if params is None:
         m = linalg.ExactMatrix._trusted(src.dim, rows)
     else:

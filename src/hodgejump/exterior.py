@@ -370,26 +370,6 @@ class InvariantForm(_Form):
     def coefficient(self, I, J):
         return self.coeffs.get((tuple(I), tuple(J)), GR_ZERO)
 
-    def coordinates(self, monomials) -> list:
-        return [self.coeffs.get(key, GR_ZERO) for key in monomials]
-
-    def monomial_split(self) -> dict:
-        """Split polynomial coefficients by parameter monomial.
-
-        Returns {exponent tuple: InvariantForm with GaussianRational coeffs}.
-        Constant (Q(i)) coefficients sit under the empty tuple ``()``.
-        """
-        buckets: dict[tuple[int, ...], dict] = {}
-        for key, c in self.coeffs.items():
-            if isinstance(c, (Poly, Jet)):
-                base = c.base if isinstance(c, Jet) else c
-                for exps, v in base.terms.items():
-                    buckets.setdefault(exps, {})[key] = v
-            else:
-                exps = ()
-                buckets.setdefault(exps, {})[key] = c
-        return {e: self._like(d) for e, d in buckets.items()}
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -665,31 +645,43 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
 
 # -- validation -----------------------------------------------------------
 
+def _dd_defects(spec: ComplexStructureSpec):
+    """Yield (generator name, d(d g)) for each generator g with d(d g) != 0.
+
+    Generators come in the order f1, c1, f2, c2, ...; d(d g) is a
+    mask-keyed sparse vector.  d(g) is taken with ``_d_monomial``, then d
+    of each of its terms, with del and delbar summed into one dict: no
+    form is built.
+    """
+    for k in range(1, spec.n + 1):
+        bk = 1 << k
+        for mi, mj, name in ((bk, 0, f"f{k}"), (0, bk, f"c{k}")):
+            dg: dict = {}
+            _d_monomial(spec, mi, mj, dg, None, dg)
+            ddg: dict = {}
+            for (ti, tj), c in dg.items():
+                _d_monomial(spec, ti, tj, ddg, c, ddg)
+            if ddg:
+                yield name, ddg
+
+
 def validate_spec(spec: ComplexStructureSpec) -> list[Diagnostic]:
     """Check d.d = 0 on every generator plus the nilpotency shape.
 
     Returns a list of diagnostics; an empty list means the spec is a valid
     nilpotent complex structure.  Nilpotency violations are warnings (the
     invariant-cohomology model is then unjustified but still computable);
-    d.d != 0 is an error.
+    d.d != 0 is an error.  d.d is a derivation, so once it vanishes on the
+    generators it vanishes on every form, and so does its (p, q+2) part,
+    delbar.delbar, at every bidegree.
     """
     out: list[Diagnostic] = []
-    for k in range(1, spec.n + 1):
-        for kind, name in (("f", f"f{k}"), ("c", f"c{k}")):
-            gen = InvariantForm.generator(spec, kind, k)
-            d1, d2 = differential(spec, gen)
-            total = {}
-            for part in differential(spec, d1) + differential(spec, d2):
-                for key, c in part.coeffs.items():
-                    accumulate(total, key, c)
-            if total:
-                witness = ", ".join(
-                    f"({','.join(map(str, I))}|{','.join(map(str, J))})"
-                    for I, J in sorted(total)
-                )
-                out.append(
-                    Diagnostic("error", name, f"d.d is nonzero on monomials {witness}")
-                )
+    for name, ddg in _dd_defects(spec):
+        witness = ", ".join(
+            f"({','.join(map(str, I))}|{','.join(map(str, J))})"
+            for I, J in sorted((_indices(mi), _indices(mj)) for mi, mj in ddg)
+        )
+        out.append(Diagnostic("error", name, f"d.d is nonzero on monomials {witness}"))
     for k in range(1, spec.n + 1):
         for (i, j) in list(spec.A[k]) + list(spec.B[k]):
             if i >= k or j >= k:

@@ -11,7 +11,10 @@ hold its leading column.  Rank, kernel, solve, pivot columns, cohomology
 and its coordinate projection all go through it, fed a matrix's stored
 rows.  The reduced form of a span is unique, so these canonical outputs do
 not depend on the order rows arrive in.  Cohomology representatives stay
-sparse too; their dense view is derived on use.
+sparse too; their dense view is derived on use.  ``cohomology`` and
+``cohomology_dim`` check d_out . d_in = 0 by forming the product; their
+private cores skip it for a caller that knows the pair is a complex
+(``deform.Dolbeault``, after d.d = 0 on a spec's generators).
 
 Over polynomial entries there is one fraction-free (Bareiss) elimination,
 run on the sparse rows.  Ranks and pivot columns come from it, and kernels
@@ -436,7 +439,7 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly:
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     params = num.params
-    quot = Poly(params)
+    quot = Poly._trusted(params, {})
     rem = num
     dl_exps, dl_c = max(den.terms.items(), key=lambda t: (sum(t[0]), t[0]))
     while rem:
@@ -444,7 +447,7 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly:
         diff = tuple(a - b for a, b in zip(rl_exps, dl_exps))
         if any(d < 0 for d in diff):
             raise LinalgError("inexact polynomial division")
-        t = Poly(params, {diff: rl_c / dl_c})
+        t = Poly._trusted(params, {diff: rl_c / dl_c})
         quot = quot + t
         rem = rem - t * den
     return quot
@@ -584,13 +587,18 @@ class CohomologyBasis:
         return {j - n: -x for j, x in r.items() if j < n + self.dim}
 
 
-def _check_chain(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
-    """Raise unless  . --d_in--> . --d_out--> .  is a complex over Q(i)."""
+def _check_shapes(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
+    """Raise unless d_in and d_out are Q(i) matrices that compose."""
     if d_in.is_polynomial() or d_out.is_polynomial():
         raise LinalgError("cohomology expects constant matrices")
+    if d_in.cols and d_out.rows and d_in.rows != d_out.cols:
+        raise LinalgError("chain shape mismatch")
+
+
+def _check_chain(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
+    """Raise unless  . --d_in--> . --d_out--> .  is a complex over Q(i)."""
+    _check_shapes(d_in, d_out)
     if d_in.cols and d_out.rows:
-        if d_in.rows != d_out.cols:
-            raise LinalgError("chain shape mismatch")
         bad = [j for row in d_out.matmul(d_in).sparse_rows for j in row]
         if bad:
             raise LinalgError(f"d_out . d_in nonzero on column {min(bad)}")
@@ -599,12 +607,26 @@ def _check_chain(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
 def cohomology_dim(d_in: ExactMatrix, d_out: ExactMatrix) -> int:
     """Dimension of the cohomology of  . --d_in--> . --d_out--> .  by rank-nullity."""
     _check_chain(d_in, d_out)
+    return _cohomology_dim(d_in, d_out)
+
+
+def _cohomology_dim(d_in: ExactMatrix, d_out: ExactMatrix) -> int:
+    """``cohomology_dim`` for a pair the caller knows composes to zero:
+    the shapes are checked, the product d_out . d_in is not formed."""
+    _check_shapes(d_in, d_out)
     return d_out.cols - rank_const(d_out) - rank_const(d_in)
 
 
 def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> CohomologyBasis:
     """Cohomology at the middle of  . --d_in--> . --d_out--> .  over Q(i)."""
     _check_chain(d_in, d_out)
+    return _cohomology(d_in, d_out, label)
+
+
+def _cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> CohomologyBasis:
+    """``cohomology`` for a pair the caller knows composes to zero: the
+    shapes are checked, the product d_out . d_in is not formed."""
+    _check_shapes(d_in, d_out)
     n = d_out.cols if d_out.cols else d_in.rows
     # kernel vectors, representatives and image basis stay sparse
     ker = Echelon(d_out.cols if d_out.rows else n, d_out.sparse_rows)._kernel()

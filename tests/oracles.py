@@ -6,8 +6,9 @@ lists, ranks from a plain fraction elimination without canonical pivoting,
 the differential is assembled through the oracle wedge rather than the
 package's incremental normalization, polynomial kernels come from
 cofactor-expansion Cramer minors of a dense Bareiss form, linear systems
-from the dense reduced form of the augmented matrix, and class extension
-from whole forms and dense coordinates.
+from the dense reduced form of the augmented matrix, class extension
+from whole forms and dense coordinates, and the d.d check of a spec from
+generator forms and their full differentials.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hodgejump.deform import DeformationFamily, Dolbeault, ExtensionResult
 from hodgejump.errors import InternalInvariantError, ValidationFailure
 from hodgejump.exterior import (
     ComplexStructureSpec,
+    Diagnostic,
     InvariantForm,
     VectorForm,
     _d_monomial,
@@ -192,6 +194,41 @@ def naive_dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> dict:
                 sign, J2 = res
                 v = c * b
                 out = raw_add(out, {(k, tuple(J2)): v if sign > 0 else -v})
+    return out
+
+
+def form_validate_spec(spec: ComplexStructureSpec) -> list[Diagnostic]:
+    """``exterior.validate_spec`` on forms: d of each generator form, then
+    d of both of its parts with ``differential``, summed coefficient by
+    coefficient."""
+    out: list[Diagnostic] = []
+    for k in range(1, spec.n + 1):
+        for kind, name in (("f", f"f{k}"), ("c", f"c{k}")):
+            gen = InvariantForm.generator(spec, kind, k)
+            d1, d2 = differential(spec, gen)
+            total = {}
+            for part in differential(spec, d1) + differential(spec, d2):
+                for key, c in part.coeffs.items():
+                    accumulate(total, key, c)
+            if total:
+                witness = ", ".join(
+                    f"({','.join(map(str, I))}|{','.join(map(str, J))})"
+                    for I, J in sorted(total)
+                )
+                out.append(
+                    Diagnostic("error", name, f"d.d is nonzero on monomials {witness}")
+                )
+    for k in range(1, spec.n + 1):
+        for (i, j) in list(spec.A[k]) + list(spec.B[k]):
+            if i >= k or j >= k:
+                out.append(
+                    Diagnostic(
+                        "warning",
+                        f"f{k}",
+                        f"structure constant on ({i},{j}) breaks the nilpotent "
+                        f"index ordering (expected indices below {k})",
+                    )
+                )
     return out
 
 
@@ -588,6 +625,27 @@ def naive_o1(spec: ComplexStructureSpec, psi: VectorForm, a: InvariantForm) -> d
     return raw_add(del_ia, naive_contract(psi, raw_form(spec, p + 1, q, da)))
 
 
+def coordinates(form: InvariantForm, monomials) -> list:
+    """The coefficients of a form along ``monomials``, zeros included."""
+    return [form.coeffs.get(key, GR_ZERO) for key in monomials]
+
+
+def monomial_split(form: InvariantForm) -> dict:
+    """Split polynomial coefficients by parameter monomial.
+
+    Returns {exponent tuple: InvariantForm with GaussianRational coeffs}.
+    Constant (Q(i)) coefficients sit under the empty tuple ``()``.
+    """
+    buckets: dict[tuple[int, ...], dict] = {}
+    for key, c in form.coeffs.items():
+        if isinstance(c, (Poly, Jet)):
+            for exps, v in (c.base if isinstance(c, Jet) else c).terms.items():
+                buckets.setdefault(exps, {})[key] = v
+        else:
+            buckets.setdefault((), {})[key] = c
+    return {e: InvariantForm(form.spec, form.p, form.q, d) for e, d in buckets.items()}
+
+
 def project_form(basis, form: InvariantForm, params=None) -> list:
     """Coordinates in a ``DolbeaultBasis`` of a form whose coefficients may
     be polynomial: each parameter monomial's constant piece is projected on
@@ -596,7 +654,7 @@ def project_form(basis, form: InvariantForm, params=None) -> list:
     Returns GaussianRational coordinates for constant coefficients and Poly
     coordinates in ``params`` otherwise.
     """
-    pieces = form.monomial_split()
+    pieces = monomial_split(form)
     if not pieces:
         return [GR_ZERO if params is None else Poly(params)] * basis.dim
     if set(pieces) == {()} and params is None:
@@ -652,7 +710,7 @@ def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
         wk = w.homogeneous_part(k)
         if not wk.coeffs:
             continue
-        pieces = InvariantForm(spec, p, q + 1, wk.coeffs).monomial_split()
+        pieces = monomial_split(InvariantForm(spec, p, q + 1, wk.coeffs))
         obstruction: list[dict] = [{} for _ in range(tgt.dim)]
         fixes: dict = {}
         for exps, piece in sorted(pieces.items()):
@@ -661,7 +719,7 @@ def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
                 if cval:
                     accumulate(obstruction[i], exps, cval * sign)
             if not any(cls):
-                sol = augmented_solve(dbar0, [-c for c in piece.coordinates(tgt.monomials)])
+                sol = augmented_solve(dbar0, [-c for c in coordinates(piece, tgt.monomials)])
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
                 fixes[exps] = sol

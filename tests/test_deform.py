@@ -218,6 +218,62 @@ class TestDbarAssembly:
         assert prod.is_polynomial() and not prod.is_zero()
 
 
+def _public_table(spec):
+    """The Hodge table through the public ``linalg.cohomology_dim``, which
+    forms d_out . d_in at every bidegree."""
+    dol = Dolbeault(spec)
+    out = {}
+    for p in range(spec.n + 1):
+        for q in range(spec.n + 1):
+            d_out = dol.dbar_matrix(p, q)
+            d_in = dol.dbar_matrix(p, q - 1) if q else linalg.ExactMatrix.zeros(d_out.cols, 0)
+            out[(p, q)] = linalg.cohomology_dim(d_in, d_out)
+    return out
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (linalg.LinalgError, TypeError) as e:
+        return type(e), str(e)
+
+
+class TestGeneratorCheck:
+    """d.d = 0 is checked once per spec on generator bitmasks, and stands
+    in for the d_out . d_in product at every bidegree of a table."""
+
+    @given(structure_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_validate_spec_matches_the_form_oracle(self, spec):
+        assert validate_spec(spec) == oracles.form_validate_spec(spec)
+
+    @given(structure_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_passing_specs_have_delbar_squared_zero_at_every_bidegree(self, spec):
+        if [d for d in validate_spec(spec) if d.severity == "error"]:
+            return
+        dol = Dolbeault(spec)
+        for p in range(spec.n + 1):
+            for q in range(1, spec.n + 1):
+                assert dol.dbar_matrix(p, q).matmul(dol.dbar_matrix(p, q - 1)).is_zero(), (p, q)
+
+    @given(structure_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_table_refuses_exactly_what_the_chain_product_refuses(self, spec):
+        assert _outcome(Dolbeault(spec).table) == _outcome(lambda: _public_table(spec))
+
+    def test_tables_over_two_parameter_tuples_fall_back_to_the_products(self):
+        # A in s and Bbar in t cannot be multiplied together, so d.d on the
+        # generators raises; delbar has Q(i) entries and the table is the
+        # one the per-bidegree products give
+        s, t = Poly.variable(("s",), "s"), Poly.variable(("t",), "t")
+        spec = ComplexStructureSpec(3, A={1: {(2, 3): s}}, Abar={3: {(1, 2): GR(-1)}},
+                                    Bbar={2: {(1, 1): t}})
+        with pytest.raises(CoefficientError):
+            validate_spec(spec)
+        assert hodge_table(spec) == _public_table(spec)
+
+
 class TestBeyondParallelisable:
     def test_kodaira_surface_hodge_numbers(self, mixed_spec):
         # d f2 = f1^c1 is the primary Kodaira surface; its invariant Hodge

@@ -12,6 +12,8 @@ from hodgejump.linalg import (
     ExactMatrix,
     LinalgError,
     _bareiss,
+    _cohomology,
+    _cohomology_dim,
     cohomology,
     cohomology_dim,
     generic_rank,
@@ -401,6 +403,16 @@ class TestCohomology:
         swap = ExactMatrix(2, 2, [[0, 1], [1, 0]])
         with pytest.raises(LinalgError, match="column 0"):
             homology(swap, ExactMatrix.identity(2))
+
+    @pytest.mark.parametrize("homology", [cohomology, cohomology_dim,
+                                          _cohomology, _cohomology_dim])
+    def test_every_path_checks_entries_and_shapes(self, homology):
+        # the product-free cores skip d_out . d_in only
+        t = Poly.variable(("t",), "t")
+        with pytest.raises(LinalgError, match="cohomology expects constant matrices"):
+            homology(ExactMatrix(1, 1, [[t]]), ExactMatrix.zeros(1, 1))
+        with pytest.raises(LinalgError, match="chain shape mismatch"):
+            homology(ExactMatrix.zeros(2, 1), ExactMatrix.zeros(1, 3))
 
     def test_projection_well_defined(self):
         rng = random.Random(3)

@@ -173,6 +173,17 @@ class TestCli:
         assert doc["rows"]["2,0"]["predicted"] == 1
         assert doc["rows"]["2,0"]["oracle"] == 1
 
+    @pytest.mark.parametrize("command", ["jump", "obstruct"])
+    @pytest.mark.parametrize("points", [["t11=1,t11=2"], ["t11=1", "t22=1,t11=2"]])
+    def test_a_parameter_assigned_twice_is_refused(self, command, points, capsys):
+        argv = [command, "iwasawa.json"] + [a for pt in points for a in ("--point", pt)]
+        if command == "obstruct":
+            argv += ["--p", "2", "--q", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation failure: parameter 't11' assigned twice\n"
+
     def test_mc_output(self, capsys):
         assert main(["mc", "iwasawa.json", "--order", "3"]) == 0
         out = capsys.readouterr().out
