@@ -17,6 +17,7 @@ obstruction carries that normalization and the two routes agree exactly.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -118,9 +119,12 @@ class DolbeaultBasis:
 class Dolbeault:
     """Bigraded delbar-complex of a spec with memoized matrices and bases.
 
-    Hodge numbers come from the ranks of the delbar matrices, each
-    eliminated once though it serves two bidegrees; a cohomology basis is
-    built only where classes are used.  delbar.delbar = 0 is checked once
+    Hodge numbers come from the ranks of the delbar matrices, each ranked
+    once though it serves two bidegrees.  A rank is mostly singleton
+    peeling with no arithmetic (``linalg.rank_const``): the matrices of
+    the two-step, Heisenberg x C and Iwasawa structures peel to nothing,
+    so their tables run no elimination.  A cohomology basis is built only
+    where classes are used.  delbar.delbar = 0 is checked once
     per spec, as d.d = 0 on the generators: d.d is a derivation, so that
     makes it zero on every form, and its (p, q+2) part is delbar.delbar.
     Only a spec that fails that check has d_out . d_in formed at each
@@ -208,23 +212,27 @@ class Dolbeault:
         masks, index, dbar_f, dbar_c, qi = self._generator_pieces()
         # out-of-range bidegrees have no monomials
         src_i, src_j, width = masks.get(p, []), masks.get(q, []), len(masks.get(q + 1, []))
-        rows: list[dict] = [{} for _ in range(len(src_i) * width)]
+        # only rows that receive a term are made: most are empty for large n
+        rows: defaultdict[int, dict] = defaultdict(dict)
+        # each term's signed values, formed once per matrix, not per entry
+        c_terms = [[(index[tj], -c if p & 1 else c) for tj, c in dbar_c[mj]] for mj in src_j]
         col = 0
         for mi in src_i:
             own = index[mi] * width
-            f_terms = [(index[ti] * width, bj, c) for (ti, bj), c in dbar_f[mi].items()]
-            for mj in src_j:
-                for base, bj, c in f_terms:
+            f_terms = [(index[ti] * width, bj, c, -c) for (ti, bj), c in dbar_f[mi].items()]
+            for mj, c_row in zip(src_j, c_terms):
+                for base, bj, c, neg in f_terms:
                     if not mj & bj:
                         accumulate(rows[base + index[mj | bj]], col,
-                                   -c if (mj & (bj - 1)).bit_count() & 1 else c)
-                for tj, c in dbar_c[mj]:
-                    accumulate(rows[own + index[tj]], col, -c if p & 1 else c)
+                                   neg if (mj & (bj - 1)).bit_count() & 1 else c)
+                for tj, c in c_row:
+                    accumulate(rows[own + tj], col, c)
                 col += 1
+        nrows = len(src_i) * width
         if qi:
-            m = linalg.ExactMatrix._trusted(col, rows)
+            m = linalg.ExactMatrix._trusted(col, rows, nrows)
         else:
-            m = linalg.ExactMatrix(len(rows), col, rows)
+            m = linalg.ExactMatrix(nrows, col, [rows.get(i, {}) for i in range(nrows)])
         self._matrices[key] = m
         return m
 

@@ -222,7 +222,7 @@ class JetCochain:
 def _apply_poly(m: linalg.ExactMatrix, vec: list[Poly], param: str) -> list[Poly]:
     out = []
     for row in m.sparse_rows:
-        acc = Poly((param,))
+        acc = Poly._trusted((param,), {})
         for j, x in row.items():
             acc = acc + vec[j] * x
         out.append(acc)
@@ -281,7 +281,7 @@ def extend_step(c: FreeComplex, alpha: JetCochain):
     if x is None:
         raise InternalInvariantError("zero obstruction class with no top-coefficient fix")
     params = (c.param,)
-    tn = Poly(params, {(n,): GR_ONE})
+    tn = Poly._trusted(params, {(n,): GR_ONE})
     new_entries = [
         Jet(e.base + tn * Poly.constant(params, xi), n)
         for e, xi in zip(alpha.entries, x)
@@ -377,14 +377,15 @@ def _solve_jet(c: FreeComplex, q: int, rhs: list[Poly], order: int) -> list[Poly
     if sol is None:
         return None
     params = (c.param,)
-    return [Poly(params, {(k,): sol[k * d.cols + j] for k in range(order + 1)})
+    return [Poly._trusted(params, {(k,): x for k in range(order + 1)
+                                   if (x := sol[k * d.cols + j])})
             for j in range(d.cols)]
 
 
 def _rho_is_zero(c: FreeComplex, q_target: int, beta: list[GaussianRational], i: int) -> bool:
     """Whether [t^i beta] vanishes in H^{q_target} of the order-i jet complex."""
     params = (c.param,)
-    ti = Poly(params, {(i,): GR_ONE})
+    ti = Poly._trusted(params, {(i,): GR_ONE})
     rhs = [ti * Poly.constant(params, b) for b in beta]
     return _solve_jet(c, q_target - 1, rhs, i) is not None
 
@@ -485,14 +486,14 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
         if not ker:
             return [[v[i].constant_term() for i in range(m.rows)] for v in vectors]
         combo = ker[0]
-        u = [Poly(params) for _ in range(m.rows)]
+        u = [Poly._trusted(params, {}) for _ in range(m.rows)]
         for cval, vec in zip(combo, vectors):
             if cval:
                 for i in range(m.rows):
                     u[i] = u[i] + vec[i] * cval
         # u vanishes at 0; strip the largest common power of t
         shift = min(min(e[0] for e in p.terms) for p in u if p)
-        u = [Poly(params, {(e[0] - shift,): cv for e, cv in p.terms.items()}) for p in u]
+        u = [Poly._trusted(params, {(e[0] - shift,): cv for e, cv in p.terms.items()}) for p in u]
         drop = next(i for i, cval in enumerate(combo) if cval)
         vectors[drop] = u
 
@@ -593,7 +594,7 @@ def reduce_to_primitive(c: FreeComplex, alpha: JetCochain, n: int):
                 raise InternalInvariantError("primitive obstruction unexpectedly vanished")
             return m, current
         # rho_{m-1}(beta) = 0: write t^(m-1) beta = d(x) over jets mod t^m
-        tm = Poly(params, {(m - 1,): GR_ONE})
+        tm = Poly._trusted(params, {(m - 1,): GR_ONE})
         rhs = [tm * Poly.constant(params, b) for b in beta]
         x = _solve_jet(c, q, rhs, m - 1)
         if x is None:

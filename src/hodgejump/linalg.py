@@ -7,14 +7,17 @@ products, applications and evaluations touch nonzeros only.
 Over Q(i) there is one elimination routine: ``Echelon``, the reduced row
 echelon form of a span, kept as sparse rows and grown one row at a time.
 It indexes its rows by column, so a new row updates only the rows that
-hold its leading column.  Rank, kernel, solve, pivot columns, cohomology
-and its coordinate projection all go through it, fed a matrix's stored
-rows.  The reduced form of a span is unique, so these canonical outputs do
-not depend on the order rows arrive in.  Cohomology representatives stay
-sparse too; their dense view is derived on use.  ``cohomology`` and
-``cohomology_dim`` check d_out . d_in = 0 by forming the product; their
-private cores skip it for a caller that knows the pair is a complex
-(``deform.Dolbeault``, after d.d = 0 on a spec's generators).
+hold its leading column.  Kernel, solve, pivot columns, cohomology and
+its coordinate projection all go through it, fed a matrix's stored rows.
+The reduced form of a span is unique, so these canonical outputs do not
+depend on the order rows arrive in.  A rank needs no canonical form:
+``rank_const`` first peels row and column singletons, each a pivot with
+no arithmetic since stored entries are never zero, and hands ``Echelon``
+only the core that peeling leaves (see ``_peel``).  Cohomology
+representatives stay sparse too; their dense view is derived on use.
+``cohomology`` and ``cohomology_dim`` check d_out . d_in = 0 by forming
+the product; their private cores skip it for a caller that knows the pair
+is a complex (``deform.Dolbeault``, after d.d = 0 on a spec's generators).
 
 Over polynomial entries there is one fraction-free (Bareiss) elimination,
 run on the sparse rows.  Ranks and pivot columns come from it, and kernels
@@ -22,18 +25,21 @@ by back substitution on its upper-triangular pivot block with exact
 divisions, so every intermediate value stays polynomial.  Pivots are
 always the first nonzero column, which makes every output deterministic.
 
-A matrix's pivot columns are computed once per matrix and held by it, so
-``pivot_columns``, ``generic_rank`` and ``rank_const`` eliminate a given
-matrix at most once.  A Q(i) matrix also holds its solver, built on the
-first ``solve_const``: the frozen echelon of its pivot columns, each
-tagged with a unit vector, so every solve after the first is one sparse
-reduction of the right-hand side and no elimination.
+A matrix's pivot columns and its rank are computed once per matrix and
+held by it, and a rank is read off known pivots, so ``pivot_columns``,
+``generic_rank`` and ``rank_const`` eliminate a given matrix once; the
+exception is a matrix that peeling shrinks to a nonempty core and that is
+later asked for its pivots.  A Q(i) matrix also holds its solver, built
+on the first ``solve_const``: the frozen echelon of its pivot columns,
+each tagged with a unit vector, so every solve after the first is one
+sparse reduction of the right-hand side and no elimination.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 from types import MappingProxyType
 
 from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, _Immutable, accumulate
@@ -88,6 +94,9 @@ def _sparse(v) -> Mapping[int, GaussianRational]:
     return {j: GaussianRational._coerce(x) for j, x in enumerate(v) if x}
 
 
+_EMPTY_ROW = MappingProxyType({})
+
+
 def _dense(row, width: int, zero=GR_ZERO) -> list:
     out = [zero] * width
     for j, x in row.items():
@@ -104,12 +113,13 @@ class ExactMatrix(_Immutable):
     included; its gaps then read as the zero Poly, else as GR_ZERO.
     ``entries`` (row tuples, for rendering) and ``sparse_columns`` are
     derived on each use.  ``_pivots`` holds the pivot columns once
-    ``pivot_columns`` has computed them, and ``_solver`` the echelon of
+    ``pivot_columns`` has computed them, ``_rank`` the rank once
+    ``rank_const`` has peeled it, and ``_solver`` the echelon of
     ``solve_const`` once it has run: pure functions of the rows, so they
     take no part in ``==``, ``hash`` or ``repr``.
     """
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_zero", "_pivots", "_solver")
+    __slots__ = ("rows", "cols", "sparse_rows", "_zero", "_pivots", "_rank", "_solver")
 
     def __init__(self, rows: int, cols: int, entries):
         if len(entries) != rows:
@@ -128,21 +138,30 @@ class ExactMatrix(_Immutable):
                     out[j] = x
             sparse.append(MappingProxyType(out))
         for name, value in (("rows", rows), ("cols", cols), ("sparse_rows", tuple(sparse)),
-                            ("_zero", zero), ("_pivots", None), ("_solver", None)):
+                            ("_zero", zero), ("_pivots", None), ("_rank", None), ("_solver", None)):
             object.__setattr__(self, name, value)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def _trusted(cls, cols: int, rows: list) -> "ExactMatrix":
+    def _trusted(cls, cols: int, rows, nrows: int | None = None) -> "ExactMatrix":
         """A Q(i) matrix from sparse rows the package built: dicts of nonzero
-        GaussianRational values at in-range columns.  The checks and
+        GaussianRational values at in-range columns, given as a list, or
+        with ``nrows`` as an ``{index: row}`` dict that leaves out rows known
+        to be empty (they share one empty mapping).  The checks and
         coercions of ``__init__`` are skipped, so Poly or Jet values must
         never come this way."""
+        if nrows is None:
+            sparse = tuple(map(MappingProxyType, rows))
+        else:
+            out = [_EMPTY_ROW] * nrows
+            for i, row in rows.items():
+                out[i] = MappingProxyType(row)
+            sparse = tuple(out)
         m = object.__new__(cls)
-        for name, value in (("rows", len(rows)), ("cols", cols),
-                            ("sparse_rows", tuple(map(MappingProxyType, rows))),
-                            ("_zero", GR_ZERO), ("_pivots", None), ("_solver", None)):
+        for name, value in (("rows", len(sparse)), ("cols", cols), ("sparse_rows", sparse),
+                            ("_zero", GR_ZERO), ("_pivots", None), ("_rank", None),
+                            ("_solver", None)):
             object.__setattr__(m, name, value)
         return m
 
@@ -369,9 +388,84 @@ class Echelon:
 
 
 def rank_const(m: ExactMatrix) -> int:
+    """Rank over Q(i), computed once and held by m (``len`` of its pivots
+    when they are known).
+
+    Singleton pivots are peeled off without arithmetic (``_peel``) and only
+    the core they leave goes to ``Echelon``.  A matrix with no singleton
+    at all is eliminated whole instead, at the same cost, so its pivots are
+    kept for a later ``pivot_columns`` or ``solve_const``.
+    """
     if m.is_polynomial():
         raise LinalgError("rank_const on polynomial matrix; use generic_rank")
-    return len(_pivots(m))
+    if m._pivots is not None:
+        return len(m._pivots)
+    if m._rank is None:
+        rank, core = _peel(m.sparse_rows)
+        if core and not rank:
+            return len(_pivots(m))
+        if core:
+            rows = m.sparse_rows
+            rank += Echelon(m.cols, ({j: rows[i][j] for j in cols}
+                                     for i, cols in core.items())).rank
+        object.__setattr__(m, "_rank", rank)
+    return m._rank
+
+
+def _peel(rows) -> tuple[int, dict[int, set[int]]]:
+    """Structural pivots of sparse Q(i) rows: (how many, the core left as
+    ``{row: its remaining columns}``).
+
+    A row with one nonzero, at column j, is a pivot: dropping the row and
+    column j lowers the rank by exactly 1, and so does a column with one
+    nonzero, at row i, with that row.  Stored entries are never zero, so
+    this needs no arithmetic, and what remains is a submatrix, zero-free
+    again.  Peeling repeats while singletons appear (structured Gaussian
+    elimination: B. A. LaMacchia, A. M. Odlyzko, CRYPTO '90; J.-G. Dumas,
+    G. Villard, CASC 2002), so the rank is the count plus the core's rank.
+    """
+    # compress tests each row's length in C, so empty rows cost no Python step
+    row_cols = {i: set(rows[i]) for i in compress(range(len(rows)), rows)}
+    col_rows: dict[int, set[int]] = {}
+    for i, r in row_cols.items():
+        for j in r:
+            s = col_rows.get(j)
+            if s is None:
+                col_rows[j] = {i}
+            else:
+                s.add(i)
+    todo_rows = [i for i, r in row_cols.items() if len(r) == 1]
+    todo_cols = [j for j, r in col_rows.items() if len(r) == 1]
+    rank = 0
+    while todo_rows or todo_cols:
+        if todo_rows:
+            i = todo_rows.pop()
+            if len(row_cols.get(i, ())) != 1:
+                continue
+            (j,) = row_cols[i]
+        else:
+            j = todo_cols.pop()
+            if len(col_rows.get(j, ())) != 1:
+                continue
+            (i,) = col_rows[j]
+        rank += 1
+        for k in col_rows.pop(j):
+            if k != i:
+                r = row_cols[k]
+                r.discard(j)
+                if len(r) == 1:
+                    todo_rows.append(k)
+                elif not r:
+                    del row_cols[k]
+        for k in row_cols.pop(i):
+            if k != j:
+                r = col_rows[k]
+                r.discard(i)
+                if len(r) == 1:
+                    todo_cols.append(k)
+                elif not r:
+                    del col_rows[k]
+    return rank, row_cols
 
 
 def kernel_basis_const(m: ExactMatrix) -> list[list[GaussianRational]]:

@@ -258,8 +258,15 @@ def load_manifest(path_or_name: str) -> Manifest:
     import os
 
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            return parse_manifest(fh.read())
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:  # a directory, a file without read permission
+            raise _err(f"cannot read manifest {path_or_name!r}: {e.strerror or e}") from None
+        except UnicodeDecodeError as e:
+            raise _err(f"manifest {path_or_name!r} is not UTF-8: "
+                       f"{e.reason} at byte {e.start}") from None
+        return parse_manifest(text)
     base = path_or_name if path_or_name.endswith(".json") else path_or_name + ".json"
     if "/" not in path_or_name and "\\" not in path_or_name:
         res = resources.files("hodgejump").joinpath("data").joinpath(base)

@@ -238,30 +238,39 @@ def test_extend_class_reuses_the_delbar_solver_and_builds_only_its_result(monkey
 
 
 def test_hodge_table_eliminates_each_delbar_matrix_once(monkeypatch):
-    # the n = 5 two-step structure d f5 = -f1^f2, d f4 = -f1^f3, unshared
+    # the n = 5 two-step structure d f5 = -f1^f2, d f4 = -f1^f3, unshared:
+    # each delbar matrix serves two bidegrees but is ranked once, and
+    # singleton peeling empties every one of them, so no Echelon is built
     spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
-    built, eliminated = [], []
-    real_cohomology = linalg._cohomology
+    built, ranked, echelons = [], [], []
+    real_cohomology, real_peel = linalg._cohomology, linalg._peel
 
     def cohomology(d_in, d_out, label=""):
         built.append(label)
         return real_cohomology(d_in, d_out, label=label)
 
+    def peel(rows):
+        ranked.append(rows)
+        rank, core = real_peel(rows)
+        assert not core
+        return rank, core
+
     class CountingEchelon(linalg.Echelon):
         def __init__(self, width, vectors=()):
-            eliminated.append(vectors)
+            echelons.append(vectors)
             super().__init__(width, vectors)
 
     monkeypatch.setattr(linalg, "_cohomology", cohomology)
+    monkeypatch.setattr(linalg, "_peel", peel)
     monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
     table = hodge_table(spec)
-    assert built == []
+    assert built == [] and echelons == []
     matrices = list(Dolbeault.of(spec)._matrices.values())
     assert len(matrices) == 36
-    # one elimination per delbar matrix; the rest are the zero maps into q = 0
+    # one rank per delbar matrix; the rest are the zero maps into q = 0
     rows = [id(m.sparse_rows) for m in matrices]
-    assert sorted(id(v) for v in eliminated if id(v) in rows) == sorted(rows)
-    assert all(not any(v) for v in eliminated if id(v) not in rows)
+    assert sorted(id(v) for v in ranked if id(v) in rows) == sorted(rows)
+    assert all(not any(v) for v in ranked if id(v) not in rows)
     for p in range(6):
         for q in range(6):
             assert Dolbeault.of(spec).basis(p, q).dim == table[(p, q)], (p, q)
@@ -350,6 +359,35 @@ def test_lab_computes_each_invariant_once(monkeypatch, capsys):
     diffs = [cx.diff(q) for q in range(-1, cx.length + 1)]
     assert sorted(map(id, calls["smith"])) == sorted(map(id, diffs))
     assert calls["cohomology"] == [f"H^{q}(E_0)" for q in range(len(cx.ranks))]
+
+
+@pytest.mark.parametrize("d0, alpha", [
+    # [[1, 1], [2, 2]] at t = 0: no singleton, so ranking eliminates it whole
+    ([["1", "1+t"], ["2", "2+2*t"]], [GR(1), GR(-1)]),
+    # [[1, 1], [0, 1]] at t = 0: peeled, so ranking builds no Echelon
+    ([["1", "1+t"], ["t", "1"]], [GR(0), GR(0)]),
+])
+def test_t0_map_ranked_then_solved_is_eliminated_once(monkeypatch, d0, alpha):
+    # h_dims ranks d^0 at t = 0, then extend_step solves against it: one
+    # elimination of its rows between them, whichever of the two runs it
+    params = ("t",)
+    cx = freemod.FreeComplex("t", (2, 2), (linalg.ExactMatrix(2, 2, [
+        [Poly.parse(params, x) for x in row] for row in d0]),))
+    rows = [dict(r) for r in freemod._at_zero(cx, 0).sparse_rows if r]
+    eliminated = []
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, width, vectors=()):
+            vectors = list(vectors)
+            if [dict(v) for v in vectors if v] == rows:
+                eliminated.append(width)
+            super().__init__(width, vectors)
+
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    freemod.h_dims(cx)
+    step = freemod.extend_step(cx, freemod.JetCochain.from_constant(cx, 0, alpha, 0))
+    assert isinstance(step, freemod.JetCochain)
+    assert eliminated == [2]
 
 
 T = ("t",)

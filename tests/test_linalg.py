@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from hodgejump.linalg import (
     _bareiss,
     _cohomology,
     _cohomology_dim,
+    _peel,
     cohomology,
     cohomology_dim,
     generic_rank,
@@ -274,6 +276,96 @@ class TestEchelonIndex:
         assert ech.residue({0: GR(0), 1: GR(2), 2: GR(0)}) == {}
         assert ech.residue({0: GR(5), 1: GR(0)}) == {0: GR(5)}
         assert Echelon(2).residue({0: GR(0), 1: GR(0)}) == {}
+
+
+# nonzero Q(i) values, most of them not units
+PEEL_VALUES = st.builds(lambda a, b, d: GR(Fraction(a, d), b),
+                        st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3)).filter(bool)
+
+
+@st.composite
+def peel_patterns(draw):
+    """A Q(i) matrix up to 12 x 12, block diagonal in shuffled rows and
+    columns, from blocks that singleton peeling meets: a lone entry, a
+    cascade (a bidiagonal chain that a last singleton unravels), the core
+    [[a, a], [a, -a]] that no singleton opens, a dense block, empty rows
+    and columns.  A few stray entries may couple the blocks and some rows
+    may be repeated, scaled, so the rank drops."""
+    rows: list[dict] = []
+    cols = 0
+    for kind in draw(st.lists(st.sampled_from(["lone", "cascade", "core", "dense", "empty"]),
+                              max_size=3)):
+        if kind == "lone":
+            block, width = [{0: draw(PEEL_VALUES)}], 1
+        elif kind == "cascade":
+            width = draw(st.integers(2, 4))
+            block = [{i: draw(PEEL_VALUES), i + 1: draw(PEEL_VALUES)} for i in range(width - 1)]
+            block.append({width - 1: draw(PEEL_VALUES)})
+        elif kind == "core":
+            a = draw(PEEL_VALUES)
+            block, width = [{0: a, 1: a}, {0: a, 1: -a}], 2
+        elif kind == "dense":
+            width = draw(st.integers(2, 3))
+            entries = st.dictionaries(st.integers(0, width - 1), PEEL_VALUES, min_size=width - 1)
+            block = [draw(entries) for _ in range(width)]
+        else:
+            width = draw(st.integers(0, 2))
+            block = [{} for _ in range(draw(st.integers(0, 2)))]
+        rows += [{cols + j: x for j, x in row.items()} for row in block]
+        cols += width
+    if rows and cols:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, cols - 1))
+            rows[i][j] = draw(PEEL_VALUES)
+        for _ in range(draw(st.integers(0, min(2, 12 - len(rows))))):
+            f = draw(PEEL_VALUES)
+            rows.append({j: f * x for j, x in draw(st.sampled_from(rows)).items()})
+    row_order = draw(st.permutations(range(len(rows))))
+    col_order = draw(st.permutations(range(cols)))
+    return ExactMatrix(len(rows), cols,
+                       [{col_order[j]: x for j, x in rows[i].items()} for i in row_order])
+
+
+class TestStructuralRank:
+    @given(peel_patterns())
+    @example(ExactMatrix(0, 3, []))
+    @example(ExactMatrix(3, 0, [{}, {}, {}]))
+    @example(ExactMatrix(0, 0, []))
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_echelon_and_pivot_columns(self, m):
+        want = Echelon(m.cols, m.sparse_rows).rank
+        ranked_first = ExactMatrix(m.rows, m.cols, m.sparse_rows)
+        assert rank_const(ranked_first) == want
+        assert len(pivot_columns(ranked_first)) == want
+        assert rank_const(ranked_first) == want
+        pivots_first = ExactMatrix(m.rows, m.cols, m.sparse_rows)
+        assert len(pivot_columns(pivots_first)) == want
+        assert rank_const(pivots_first) == want
+
+    def test_cascade_peels_to_nothing(self):
+        a, b = GR(2, 1), GR(Fraction(-1, 3))
+        m = ExactMatrix(4, 4, [{0: a, 1: b}, {1: a, 2: b}, {2: a, 3: b}, {3: a}])
+        assert _peel(m.sparse_rows) == (4, {})
+        assert rank_const(m) == 4 and m._pivots is None
+        # no row singleton: the columns at either end open the chain
+        m = ExactMatrix(3, 4, [{0: a, 1: b}, {1: b, 2: a}, {2: a, 3: a}])
+        assert _peel(m.sparse_rows) == (3, {})
+        assert rank_const(m) == 3 and m._pivots is None
+
+    def test_core_without_singletons_is_eliminated_whole(self):
+        # [[1, 1], [1, -1]] next to a row singleton that opens nothing
+        m = ExactMatrix(3, 3, [{0: GR(1), 1: GR(1), 2: GR(3)}, {0: GR(1), 1: GR(-1)}, {2: GR(5)}])
+        assert _peel(m.sparse_rows) == (1, {0: {0, 1}, 1: {0, 1}})
+        assert rank_const(m) == 3 and m._pivots is None
+        # with no singleton at all, the whole matrix is eliminated and its
+        # pivots are kept for a later pivot_columns or solve_const
+        core = ExactMatrix(2, 2, [{0: GR(1), 1: GR(1)}, {0: GR(1), 1: GR(-1)}])
+        assert _peel(core.sparse_rows)[0] == 0
+        assert rank_const(core) == 2 and core._pivots == (0, 1)
+
+    def test_duplicate_singletons_count_once(self):
+        m = ExactMatrix(4, 3, [{1: GR(2)}, {1: GR(0, 1)}, {}, {0: GR(1), 1: GR(1)}])
+        assert rank_const(m) == 2
 
 
 @st.composite

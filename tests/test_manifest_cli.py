@@ -305,6 +305,18 @@ class TestCli:
         assert main(["lab", str(bool_rank)]) == 2
         assert "ranks" in capsys.readouterr().err
 
+    def test_unreadable_manifest_path_is_a_validation_failure(self, capsys, tmp_path):
+        assert main(["hodge", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: cannot read manifest") and err.count("\n") == 1
+
+    def test_manifest_that_is_not_utf8_is_a_validation_failure(self, capsys, tmp_path):
+        latin = tmp_path / "latin1.json"
+        latin.write_bytes(b'{"kind": "lie-algebra", "name": "caf\xe9"}')
+        assert main(["hodge", str(latin)]) == 2
+        err = capsys.readouterr().err
+        assert "is not UTF-8" in err and "at byte 36" in err and err.count("\n") == 1
+
     def test_elliptic_curve_deformation(self, capsys, tmp_path):
         # n = 1 with a deformation table: delbar of a (0,1) vector form is a
         # (0,2)-form, which is zero on a curve
