@@ -1,4 +1,4 @@
-"""Deformation engine: Kodaira-Spencer classes, order-by-order Maurer-Cartan
+"""Deformation engine: first-order classes, order-by-order Maurer-Cartan
 extension, first-order obstruction maps on Dolbeault cohomology, class
 extension along a family, obstructed subspaces, the induced first spectral
 differential, and Hodge-number jump prediction with an independent oracle.
@@ -12,6 +12,10 @@ with the contraction convention of :mod:`hodgejump.exterior`.  The extension
 machinery works instead in the deformed coframe; for a (p,q)-class the raw
 first-order closure defect there equals (-1)^(p+q+1) o1, so the reported
 obstruction carries that normalization and the two routes agree exactly.
+
+The jump prediction needs only the ranks of o1, and takes them from delbar
+matrices alone (``jump_report``): the first-order part of delbar deformed
+along a ray induces o1, so no cohomology basis and no o1 matrix is formed.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ from .exterior import (
     defect_is_zero,
     validate_spec,
 )
+from .freemod import _jet_rows
 
 __all__ = [
     "Dolbeault",
     "DolbeaultBasis",
-    "KSClass",
     "DeformationFamily",
     "McObstruction",
     "ObstructionReport",
@@ -124,7 +128,8 @@ class Dolbeault:
     peeling with no arithmetic (``linalg.rank_const``): the matrices of
     the two-step, Heisenberg x C and Iwasawa structures peel to nothing,
     so their tables run no elimination.  A cohomology basis is built only
-    where classes are used.  delbar.delbar = 0 is checked once
+    where classes are used, never by ``jump_report``, which reads the
+    table and delbar matrices alone.  delbar.delbar = 0 is checked once
     per spec, as d.d = 0 on the generators: d.d is a derivation, so that
     makes it zero on every form, and its (p, q+2) part is delbar.delbar.
     Only a spec that fails that check has d_out . d_in formed at each
@@ -343,14 +348,6 @@ def _check_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> None:
         raise ValidationFailure("; ".join(map(str, errs)))
 
 
-@dataclass(frozen=True)
-class KSClass:
-    """Homogeneous degree-n piece of a deformation family."""
-
-    n: int
-    value: VectorForm
-
-
 class McObstruction(Exception):
     """Raised when the Maurer-Cartan step has no solution at some order."""
 
@@ -383,12 +380,6 @@ class DeformationFamily:
             raise ValidationFailure(
                 f"family is not integrable modulo degree {self.order + 1}"
             )
-
-    def kodaira_spencer(self, n: int) -> KSClass:
-        value = self.psi.homogeneous_part(n)
-        if n == 1 and dbar_vector(self.spec, value):
-            raise InternalInvariantError("first-order class is not delbar-closed")
-        return KSClass(n, value)
 
     def params(self) -> tuple[str, ...]:
         return self.psi.params() or ()
@@ -491,7 +482,7 @@ class ObstructionReport:
         return linalg.generic_rank(self.matrix)
 
     def rank_at(self, point: dict) -> int:
-        return linalg.specialized_rank(self.matrix, point)
+        return linalg.rank_const(self.matrix.eval_point(point))
 
     def kernel(self) -> list[list]:
         return linalg.kernel_basis(self.matrix)
@@ -554,20 +545,13 @@ def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) 
     return _unmasked(spec, form.p, min(form.q + psi1.q, spec.n), v)
 
 
-def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
-    """First-order obstruction map on cohomology at bidegree (p, q)."""
-    _check_bidegree(spec, p, q)
-    _check_first_order(spec, psi1)
-    return _o1_report(spec, psi1, p, q)
-
-
 def _check_bidegree(spec: ComplexStructureSpec, p: int, q: int) -> None:
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         raise ValidationFailure(f"bidegree ({p},{q}) out of range for n={spec.n}")
 
 
-def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
-    """``obstruction_o1`` for a psi1 already checked by ``validate_first_order``.
+def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> ObstructionReport:
+    """First-order obstruction map on cohomology at bidegree (p, q).
 
     o1 is linear in psi, so each sparse representative is mapped once per
     constant piece of psi (one per parameter monomial) on mask-keyed Q(i)
@@ -576,6 +560,8 @@ def _o1_report(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int) -> 
     constant psi gives a Q(i) matrix, a parametric one a polynomial matrix
     even when every entry is zero.
     """
+    _check_bidegree(spec, p, q)
+    _check_first_order(spec, psi1)
     dol = Dolbeault.of(spec)
     src = dol.basis(p, q)
     tgt = dol.basis(p, q + 1)
@@ -776,27 +762,33 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
     first  = rank at the point of o1 : H^{p,q}   -> H^{p,q+1}
     second = rank at the point of o1 : H^{p,q-1} -> H^{p,q}
     predicted = h^{p,q}(0) - first - second
+
+    Every number is a delbar rank; no class is formed.  Let D(s) = D0 +
+    s D1 + ... be delbar_{p,q} of the spec deformed along the ray
+    s -> s psi1(point).  psi1 is delbar-closed, so D1 D0 + D0 D1 = 0: D1
+    maps ker D0 into ker delbar_{p,q+1} and im delbar_{p,q-1} into im D0,
+    and induces (-1)^(p+q+1) o1 on cohomology.  Since rank [[A, 0], [C, B]]
+    = rank A + rank B + rank of C from ker A to coker B (Marsaglia and
+    Styan 1974), first is the rank of D's jet operator modulo s^2,
+    [[D0, 0], [D1, D0]], less 2 rank D0.  The ray spec is integrable only
+    to first order, so only its delbar matrices are used, never its table.
     """
     _check_first_order(spec, psi1)
-    n = spec.n
     dol = Dolbeault.of(spec)
-    # o1 is linear over the coefficients, so M(psi)(point) = M(psi(point))
-    psi_at = psi1.eval_point(point)
-    ranks = {(p, q): linalg.rank_const(_o1_report(spec, psi_at, p, q).matrix)
-             for p in range(n + 1) for q in range(n + 1)}
+    ray = VectorForm(spec, 1, {key: Poly(("s",), {(1,): c})
+                               for key, c in psi1.eval_point(point).coeffs.items()})
+    # a zero psi1(point) leaves the spec itself, whose jet rank is 2 rank D0
+    ray_dol = Dolbeault.of(deformed_coframe(spec, ray)[0])
     rows = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            h0 = dol.basis(p, q).dim
-            first = ranks[(p, q)]
-            second = ranks[(p, q - 1)] if q >= 1 else 0
-            row = JumpRow(h0=h0, first=first, second=second)
-            if row.predicted < 0:
-                raise InternalInvariantError(
-                    f"negative predicted Hodge number at ({p},{q})"
-                )
-            rows[(p, q)] = row
-    return JumpTable(n=n, point=dict(point), rows=rows)
+    for (p, q), h0 in dol.table().items():  # q ascends, so (p, q-1) comes first
+        jets, width = _jet_rows(ray_dol.dbar_matrix(p, q), 1)
+        first = (linalg.rank_const(linalg.ExactMatrix._trusted(width, jets))
+                 - 2 * linalg.rank_const(dol.dbar_matrix(p, q)))
+        row = JumpRow(h0=h0, first=first, second=rows[(p, q - 1)].first if q else 0)
+        if row.predicted < 0:
+            raise InternalInvariantError(f"negative predicted Hodge number at ({p},{q})")
+        rows[(p, q)] = row
+    return JumpTable(n=spec.n, point=dict(point), rows=rows)
 
 
 def oracle_hodge_at_point(spec: ComplexStructureSpec, family: DeformationFamily,

@@ -57,7 +57,6 @@ __all__ = [
     "pivot_columns",
     "rank_const",
     "solve_const",
-    "specialized_rank",
 ]
 
 
@@ -591,11 +590,6 @@ def _bareiss(m: ExactMatrix) -> tuple[list[dict[int, Poly]], list[int]]:
 def generic_rank(m: ExactMatrix) -> int:
     """Rank over the fraction field of the polynomial ring."""
     return len(pivot_columns(m))
-
-
-def specialized_rank(m: ExactMatrix, point: dict) -> int:
-    """Rank after exact evaluation at a parameter point."""
-    return rank_const(m.eval_point(point))
 
 
 def kernel_basis(m: ExactMatrix) -> list[list]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hodgejump import cli, freemod, linalg
+from hodgejump import cli, deform, freemod, linalg
 from hodgejump.coeff import GaussianRational as GR
 from hodgejump.coeff import Jet, Poly
 from hodgejump.deform import Dolbeault, extend_class, hodge_table, mc_extend, obstruction_o1
@@ -274,6 +274,39 @@ def test_hodge_table_eliminates_each_delbar_matrix_once(monkeypatch):
     for p in range(6):
         for q in range(6):
             assert Dolbeault.of(spec).basis(p, q).dim == table[(p, q)], (p, q)
+
+
+@pytest.mark.parametrize("manifest, assignment", [
+    ("iwasawa", {"t11": GR(1), "t22": GR(1)}),
+    (str(Path(__file__).parent / "data" / "two_step_u_n6.json"), {"u": GR(1)}),
+], ids=["iwasawa", "two_step_u_n6"])
+def test_jump_forms_no_class(monkeypatch, manifest, assignment):
+    # jump reads delbar ranks alone: no cohomology basis and no o1 matrix;
+    # the class-level route, run afterwards, trips every counter
+    man = parse_manifest(load_manifest(manifest).to_json())  # unshared: no basis cached yet
+    point = man.full_point(assignment)
+    calls = []
+    real_cohomology, real_basis, real_o1 = linalg._cohomology, Dolbeault.basis, deform.obstruction_o1
+
+    def cohomology(*args, **kwargs):
+        calls.append("_cohomology")
+        return real_cohomology(*args, **kwargs)
+
+    def basis(self, p, q):
+        calls.append("basis")
+        return real_basis(self, p, q)
+
+    def o1(*args):
+        calls.append("obstruction_o1")
+        return real_o1(*args)
+
+    monkeypatch.setattr(linalg, "_cohomology", cohomology)
+    monkeypatch.setattr(Dolbeault, "basis", basis)
+    monkeypatch.setattr(deform, "obstruction_o1", o1)
+    deform.jump_report(man.spec, man.psi1, point)
+    assert calls == []
+    deform.second_class_subspace(man.spec, man.psi1, 1, 1, point)
+    assert set(calls) == {"_cohomology", "basis", "obstruction_o1"}
 
 
 def test_hodge_table_and_bases_form_no_chain_products(monkeypatch):

@@ -59,6 +59,12 @@ def pv(name):
     return Poly.variable(IW_PARAMS, name)
 
 
+def mixed_n5():
+    # d f3 = f1^c1, d f4 = f1^f3, d f5 = f1^c3 + f2^c2
+    return ComplexStructureSpec(5, A={4: {(1, 3): GR(1)}},
+                                B={3: {(1, 1): GR(1)}, 5: {(1, 3): GR(1), (2, 2): GR(1)}})
+
+
 def iw_det():
     return pv("t11") * pv("t22") - pv("t21") * pv("t12")
 
@@ -302,9 +308,7 @@ class TestBeyondParallelisable:
         from hodgejump.exterior import basis_monomials
 
         if spec_name == "mixed_n5":
-            # d f3 = f1^c1, d f4 = f1^f3, d f5 = f1^c3 + f2^c2
-            spec = ComplexStructureSpec(5, A={4: {(1, 3): GR(1)}},
-                                        B={3: {(1, 1): GR(1)}, 5: {(1, 3): GR(1), (2, 2): GR(1)}})
+            spec = mixed_n5()
         else:
             spec = request.getfixturevalue(spec_name)
         rng = random.Random(53 + spec.n)
@@ -561,10 +565,8 @@ class TestMaurerCartan:
 
     def test_kodaira_spencer_pieces(self, iwasawa, iw_psi1):
         fam = mc_extend(iwasawa, iw_psi1, 2)
-        ks1 = fam.kodaira_spencer(1)
-        assert ks1.n == 1 and ks1.value == iw_psi1
-        ks2 = fam.kodaira_spencer(2)
-        assert ks2.value == fam.corrections[2]
+        assert fam.psi.homogeneous_part(1) == iw_psi1
+        assert fam.psi.homogeneous_part(2) == fam.corrections[2]
 
 
 class TestMcObstruction:
@@ -799,8 +801,8 @@ class TestSecondClassAndJump:
     def test_second_class_21_at_class_iii_point(self, iwasawa, iw_psi1, point_iii):
         sc = second_class_subspace(iwasawa, iw_psi1, 2, 1, point=point_iii)
         assert sc.point_dim == 2
-        # independent route: specialized rank of the o1 matrix from (2,0)
-        assert sc.point_dim == linalg.specialized_rank(sc.o1.matrix, point_iii)
+        # independent route: rank of the o1 matrix from (2,0) evaluated at the point
+        assert sc.point_dim == linalg.rank_const(sc.o1.matrix.eval_point(point_iii))
 
     def test_torus_second_class_trivial(self, torus3):
         psi = VectorForm(
@@ -817,19 +819,38 @@ class TestSecondClassAndJump:
         assert jump_report(iwasawa, iw_psi1, point_of()).threefold_row() == ROW_I
 
     def test_jump_ranks_are_symbolic_ranks_at_the_point(self, iwasawa, iw_psi1):
-        # jump_report evaluates psi first; the symbolic maps evaluate after
-        reports = {(p, q): obstruction_o1(iwasawa, iw_psi1, p, q)
-                   for p in range(4) for q in range(4)}
+        # jump_report ranks the jets of the deformed delbar at the point; the
+        # independent route evaluates the symbolic o1 maps on cohomology bases
+        def check(spec, psi1, points):
+            n = spec.n
+            reports = {(p, q): obstruction_o1(spec, psi1, p, q)
+                       for p in range(n + 1) for q in range(n + 1)}
+            for point in points:
+                table = jump_report(spec, psi1, point)
+                for (p, q), row in table.rows.items():
+                    assert row.first == reports[(p, q)].rank_at(point), (point, p, q)
+                    assert row.second == (reports[(p, q - 1)].rank_at(point) if q else 0)
+
         rng = random.Random(71)
         values = ["0", "1", "-1", "2/3*i", "1/2", "i", "-2+i"]
         points = [{t: GaussianRational.parse(v) for t in IW_PARAMS} for v in ("0", "2/3*i")]
         points += [{t: GaussianRational.parse(rng.choice(values)) for t in IW_PARAMS}
                    for _ in range(28)]
-        for point in points:
-            table = jump_report(iwasawa, iw_psi1, point)
-            for (p, q), row in table.rows.items():
-                assert row.first == reports[(p, q)].rank_at(point)
-                assert row.second == (reports[(p, q - 1)].rank_at(point) if q else 0)
+        check(iwasawa, iw_psi1, points)
+        man = load_manifest(str(DATA / "two_step_u_n6.json"))
+        check(man.spec, man.psi1, [{"u": GaussianRational.parse(v)} for v in ("1", "2/3", "i")])
+        man = load_manifest(str(DATA / "mixed_i.json"))
+        check(man.spec, man.psi1, [{t: GaussianRational.parse(rng.choice(values))
+                                    for t in man.parameters} for _ in range(12)])
+        # mixed_i's o1 maps all vanish; mixed_n5 along every closed
+        # direction has B != 0 and o1 != 0
+        spec = mixed_n5()
+        keys = [(i, (lam,)) for i in range(1, 6) for lam in range(1, 6)
+                if not dbar_vector(spec, VectorForm.term(spec, i, (lam,)))]
+        params = tuple(f"t{i}{lam}" for i, (lam,) in keys)
+        psi1 = VectorForm(spec, 1, {key: Poly.variable(params, t) for key, t in zip(keys, params)})
+        check(spec, psi1, [{t: GaussianRational.parse(rng.choice(values)) for t in params}
+                           for _ in range(8)])
 
     def test_point_missing_a_parameter_is_rejected(self, iwasawa, iw_psi1):
         point = {"t11": GR(1), "t22": GR(0, 1)}
