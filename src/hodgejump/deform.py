@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from math import comb
 from types import MappingProxyType
 
 from . import linalg
@@ -123,17 +124,22 @@ class DolbeaultBasis:
 class Dolbeault:
     """Bigraded delbar-complex of a spec with memoized matrices and bases.
 
-    Hodge numbers come from the ranks of the delbar matrices, each ranked
-    once though it serves two bidegrees.  A rank is mostly singleton
-    peeling with no arithmetic (``linalg.rank_const``): the matrices of
-    the two-step, Heisenberg x C and Iwasawa structures peel to nothing,
-    so their tables run no elimination.  A cohomology basis is built only
-    where classes are used, never by ``jump_report``, which reads the
-    table and delbar matrices alone.  delbar.delbar = 0 is checked once
-    per spec, as d.d = 0 on the generators: d.d is a derivation, so that
-    makes it zero on every form, and its (p, q+2) part is delbar.delbar.
-    Only a spec that fails that check has d_out . d_in formed at each
-    bidegree, which reports the first column where it is nonzero.
+    Hodge numbers come from delbar ranks.  When delbar is zero on
+    (n, n-1)-forms, Leibniz on a ^ b (a of bidegree (p, q), b of
+    (n-p, n-1-q)) makes delbar_{p,q} a signed transpose of
+    delbar_{n-p,n-1-q}, so ``table`` ranks one matrix of each dual pair
+    of a certified spec: d.d = 0 on the generators, Q(i) constants and a
+    zero delbar_{n,n-1} (every unimodular Lie algebra).  A rank is mostly
+    singleton peeling with no arithmetic (``linalg.rank_const``): the
+    matrices of the two-step, Heisenberg x C and Iwasawa structures peel
+    to nothing, so their tables run no elimination.  A cohomology basis is
+    built only where classes are used, never by ``jump_report``, which
+    reads the table and delbar matrices alone.  delbar.delbar = 0 is
+    checked once per spec, as d.d = 0 on the generators: d.d is a
+    derivation, so that makes it zero on every form, and its (p, q+2)
+    part is delbar.delbar.  Only a spec that fails that check has
+    d_out . d_in formed at each bidegree, which reports the first column
+    where it is nonzero.
 
     Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
     itself, so every caller shares its matrices and bases.
@@ -220,24 +226,26 @@ class Dolbeault:
         # only rows that receive a term are made: most are empty for large n
         rows: defaultdict[int, dict] = defaultdict(dict)
         # each term's signed values, formed once per matrix, not per entry
-        c_terms = [[(index[tj], -c if p & 1 else c) for tj, c in dbar_c[mj]] for mj in src_j]
-        col = 0
-        for mi in src_i:
+        c_terms = [(r, mj, [(index[tj], -c if p & 1 else c) for tj, c in dbar_c[mj]])
+                   for r, mj in enumerate(src_j)]
+        # a column receives a term only from delbar(f_I) or from delbar(c_J)
+        c_only = [t for t in c_terms if t[2]]
+        for ri, mi in enumerate(src_i):
             own = index[mi] * width
             f_terms = [(index[ti] * width, bj, c, -c) for (ti, bj), c in dbar_f[mi].items()]
-            for mj, c_row in zip(src_j, c_terms):
+            for r, mj, c_row in (c_terms if f_terms else c_only):
+                col = ri * len(src_j) + r
                 for base, bj, c, neg in f_terms:
                     if not mj & bj:
                         accumulate(rows[base + index[mj | bj]], col,
                                    neg if (mj & (bj - 1)).bit_count() & 1 else c)
                 for tj, c in c_row:
                     accumulate(rows[own + tj], col, c)
-                col += 1
-        nrows = len(src_i) * width
+        nrows, ncols = len(src_i) * width, len(src_i) * len(src_j)
         if qi:
-            m = linalg.ExactMatrix._trusted(col, rows, nrows)
+            m = linalg.ExactMatrix._trusted(ncols, rows, nrows)
         else:
-            m = linalg.ExactMatrix(nrows, col, [rows.get(i, {}) for i in range(nrows)])
+            m = linalg.ExactMatrix(nrows, ncols, [rows.get(i, {}) for i in range(nrows)])
         self._matrices[key] = m
         return m
 
@@ -246,14 +254,18 @@ class Dolbeault:
         compose to zero (see the class docstring)."""
         d_out = self.dbar_matrix(p, q)
         d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
+        if not self._dd_ok():
+            linalg._check_chain(d_in, d_out)
+        return d_in, d_out
+
+    def _dd_ok(self) -> bool:
+        """d.d = 0 on the generators, checked once per spec."""
         if self._dd_zero is None:
             try:
                 self._dd_zero = next(_dd_defects(self.spec), None) is None
             except CoefficientError:  # Polys over two parameter tuples: the products decide
                 self._dd_zero = False
-        if not self._dd_zero:
-            linalg._check_chain(d_in, d_out)
-        return d_in, d_out
+        return self._dd_zero
 
     def basis(self, p: int, q: int) -> DolbeaultBasis:
         key = (p, q)
@@ -265,9 +277,17 @@ class Dolbeault:
         return b
 
     def table(self) -> dict[tuple[int, int], int]:
-        """h^{p,q} for all 0 <= p, q <= n by rank-nullity; builds no basis."""
-        n = self.spec.n
-        return {(p, q): linalg._cohomology_dim(*self._chain(p, q))
+        """h^{p,q} for all 0 <= p, q <= n by rank-nullity; builds no basis.
+        A certified spec ranks one delbar matrix of each dual pair."""
+        n, qi = self.spec.n, self._generator_pieces()[4]
+        if not (qi and self._dd_ok() and self.dbar_matrix(n, n - 1).is_zero()):
+            return {(p, q): linalg._cohomology_dim(*self._chain(p, q))
+                    for p in range(n + 1) for q in range(n + 1)}
+        rank = {(n, n - 1): 0}  # the certificate; delbar_{p,-1} and delbar_{p,n} are zero too
+        for p, q in itertools.product(range(n + 1), range(n)):
+            dual = rank.get((n - p, n - 1 - q))
+            rank[(p, q)] = linalg.rank_const(self.dbar_matrix(p, q)) if dual is None else dual
+        return {(p, q): comb(n, p) * comb(n, q) - rank.get((p, q), 0) - rank.get((p, q - 1), 0)
                 for p in range(n + 1) for q in range(n + 1)}
 
 
@@ -772,6 +792,8 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
     Styan 1974), first is the rank of D's jet operator modulo s^2,
     [[D0, 0], [D1, D0]], less 2 rank D0.  The ray spec is integrable only
     to first order, so only its delbar matrices are used, never its table.
+    When its delbar_{n,n-1} is zero, D(s) is a signed transpose of the
+    dual pair's, and so first(p, q) = first(n-p, n-1-q) (README, Conventions).
     """
     _check_first_order(spec, psi1)
     dol = Dolbeault.of(spec)
@@ -779,11 +801,15 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
                                for key, c in psi1.eval_point(point).coeffs.items()})
     # a zero psi1(point) leaves the spec itself, whose jet rank is 2 rank D0
     ray_dol = Dolbeault.of(deformed_coframe(spec, ray)[0])
+    n, dual = spec.n, ray_dol.dbar_matrix(spec.n, spec.n - 1).is_zero()
     rows = {}
     for (p, q), h0 in dol.table().items():  # q ascends, so (p, q-1) comes first
-        jets, width = _jet_rows(ray_dol.dbar_matrix(p, q), 1)
-        first = (linalg.rank_const(linalg.ExactMatrix._trusted(width, jets))
-                 - 2 * linalg.rank_const(dol.dbar_matrix(p, q)))
+        if dual and (n - p, n - 1 - q) in rows:  # p ascends, so a pair's low-p member comes first
+            first = rows[(n - p, n - 1 - q)].first
+        else:
+            jets, width = _jet_rows(ray_dol.dbar_matrix(p, q), 1)
+            first = (linalg.rank_const(linalg.ExactMatrix._trusted(width, jets))
+                     - 2 * linalg.rank_const(dol.dbar_matrix(p, q)))
         row = JumpRow(h0=h0, first=first, second=rows[(p, q - 1)].first if q else 0)
         if row.predicted < 0:
             raise InternalInvariantError(f"negative predicted Hodge number at ({p},{q})")

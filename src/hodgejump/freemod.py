@@ -303,7 +303,7 @@ def _jet_rows(d: linalg.ExactMatrix, order: int, base=None):
     """
     head = d.cols if base is None else len(base)
     # base vectors by the component they touch: j -> [(m, b_m[j])]
-    uses = [[] for _ in range(d.cols)]
+    uses = [[] for _ in range(0 if base is None else d.cols)]
     for m, vec in enumerate(base or ()):
         for j, y in vec.items():
             uses[j].append((m, y))

@@ -37,9 +37,10 @@ sparse reduction of the right-hand side and no elimination.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from types import MappingProxyType
 
 from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, _Immutable, accumulate
@@ -424,18 +425,21 @@ def _peel(rows) -> tuple[int, dict[int, set[int]]]:
     G. Villard, CASC 2002), so the rank is the count plus the core's rank.
     """
     # compress tests each row's length in C, so empty rows cost no Python step
-    row_cols = {i: set(rows[i]) for i in compress(range(len(rows)), rows)}
-    col_rows: dict[int, set[int]] = {}
-    for i, r in row_cols.items():
-        for j in r:
-            s = col_rows.get(j)
-            if s is None:
-                col_rows[j] = {i}
-            else:
-                s.add(i)
+    live = list(compress(range(len(rows)), rows))
+    count: dict[int, int] = {}
+    for j in chain.from_iterable(map(rows.__getitem__, live)):
+        count[j] = count.get(j, 0) + 1
+    rank, row_cols, col_rows = 0, {}, defaultdict(set)
+    for i in live:
+        r = rows[i]
+        if len(r) == 1 and count[next(iter(r))] == 1:
+            rank += 1  # alone in its row and its column: a pivot that touches nothing
+        else:
+            row_cols[i] = set(r)
+            for j in r:
+                col_rows[j].add(i)
     todo_rows = [i for i, r in row_cols.items() if len(r) == 1]
     todo_cols = [j for j, r in col_rows.items() if len(r) == 1]
-    rank = 0
     while todo_rows or todo_cols:
         if todo_rows:
             i = todo_rows.pop()

@@ -36,6 +36,7 @@ from hodgejump.exterior import (
     differential,
     validate_spec,
 )
+from hodgejump.freemod import _jet_rows
 from hodgejump.manifest import load_manifest
 
 from . import oracles
@@ -278,6 +279,56 @@ class TestGeneratorCheck:
         with pytest.raises(CoefficientError):
             validate_spec(spec)
         assert hodge_table(spec) == _public_table(spec)
+
+
+@st.composite
+def two_step_specs(draw):
+    """Two-step nilpotent structures up to n = 5: f_1..f_m closed and each
+    other d f_k a Q(i) combination of f_i^f_j and f_i^c_j with i, j <= m,
+    so d.d = 0 and the algebra is unimodular."""
+    n = draw(st.integers(1, 5))
+    closed = range(1, draw(st.integers(1, n)) + 1)
+    pairs = list(itertools.combinations(closed, 2))
+    A, B = {}, {}
+    for k in range(len(closed) + 1, n + 1):
+        if pairs:
+            A[k] = draw(st.dictionaries(st.sampled_from(pairs), QI, max_size=3))
+        B[k] = draw(st.dictionaries(st.tuples(st.sampled_from(closed), st.sampled_from(closed)),
+                                    QI, max_size=3))
+    return ComplexStructureSpec(n, A, B)
+
+
+class TestSerreDuality:
+    """delbar_{p,q} is a signed transpose of delbar_{n-p,n-1-q} once delbar
+    is zero on (n, n-1)-forms, so a certified table ranks one of each pair."""
+
+    @given(two_step_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_certified_tables_equal_the_full_path(self, spec):
+        n = spec.n
+        dol = Dolbeault(spec)
+        table = dol.table()
+        assert dol._dd_ok() and dol.dbar_matrix(n, n - 1).is_zero()
+        # one member of each of the n(n+1)/2 dual pairs, and the certificate
+        assert len(dol._matrices) <= n * (n + 1) // 2 + 1
+        assert table == _public_table(spec)
+
+    @pytest.mark.parametrize("spec, pinned", [
+        # d f1 = f1^c1
+        (ComplexStructureSpec(1, B={1: {(1, 1): GR(1)}}),
+         {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}),
+        # d f2 = f1^f2
+        (ComplexStructureSpec(2, A={2: {(1, 2): GR(1)}}), {(0, 0): 1, (2, 2): 0}),
+    ], ids=["n1", "n2"])
+    def test_non_unimodular_specs_keep_the_full_path(self, spec, pinned):
+        # d.d = 0 and Q(i) constants, but delbar != 0 on (n, n-1)-forms: the
+        # table is not symmetric, and each bidegree is computed on its own
+        n = spec.n
+        dol = Dolbeault(spec)
+        table = dol.table()
+        assert dol._dd_ok() and not dol.dbar_matrix(n, n - 1).is_zero()
+        assert table.items() >= pinned.items()
+        assert table == _public_table(spec)
 
 
 class TestBeyondParallelisable:
@@ -851,6 +902,29 @@ class TestSecondClassAndJump:
         psi1 = VectorForm(spec, 1, {key: Poly.variable(params, t) for key, t in zip(keys, params)})
         check(spec, psi1, [{t: GaussianRational.parse(rng.choice(values)) for t in params}
                            for _ in range(8)])
+
+    def test_dual_rows_equal_the_full_jet_ranks(self, iwasawa, iw_psi1):
+        # jump_report takes first(p, q) from the dual pair (n-p, n-1-q) when
+        # the ray spec is certified; here every bidegree's jet rank is taken
+        def check(spec, psi1, point):
+            ray = VectorForm(spec, 1, {key: Poly(("s",), {(1,): c})
+                                       for key, c in psi1.eval_point(point).coeffs.items()})
+            dol, ray_dol = Dolbeault(spec), Dolbeault(deformed_coframe(spec, ray)[0])
+            assert ray_dol.dbar_matrix(spec.n, spec.n - 1).is_zero()
+            rows = jump_report(spec, psi1, point).rows
+            for (p, q), row in rows.items():
+                jets, width = _jet_rows(ray_dol.dbar_matrix(p, q), 1)
+                first = (linalg.rank_const(linalg.ExactMatrix._trusted(width, jets))
+                         - 2 * linalg.rank_const(dol.dbar_matrix(p, q)))
+                assert row.first == first, (point, p, q)
+                assert row.second == (rows[(p, q - 1)].first if q else 0)
+
+        rng = random.Random(29)
+        values = ["0", "1", "-1", "2/3*i", "1/2", "i", "-2+i"]
+        for _ in range(10):
+            check(iwasawa, iw_psi1, {t: GaussianRational.parse(rng.choice(values)) for t in IW_PARAMS})
+        man = load_manifest(str(DATA / "two_step_u_n6.json"))
+        check(man.spec, man.psi1, {"u": GR(1)})
 
     def test_point_missing_a_parameter_is_rejected(self, iwasawa, iw_psi1):
         point = {"t11": GR(1), "t22": GR(0, 1)}

@@ -18,7 +18,10 @@ output is meant to change.
 class-level path at a size where sparse storage matters; regenerate it by
 running that command.  ``obstruct`` at (3,2) on the same manifest, a
 polynomial o1 map with a kernel, is pinned by the sha256 of its JSON
-stdout.
+stdout, and so are ``hodge --format json`` on ``two_step_n8.json`` and
+``jump --point u=1 --format json`` on ``two_step_u_n7.json``: tables and
+jump rows that draw on one delbar matrix of each Serre-dual pair, at sizes
+whose pairs differ from n = 6's.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ from hodgejump.manifest import load_manifest
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_cli.json"
 N6_OBSTRUCT_3_2_SHA256 = "c4453b9a618ad07ead8dd87ea9ecd2532b06ef849a68d79803c84a6343634bda"
+PINNED_SHA256 = {
+    ("hodge", "tests/data/two_step_n8.json", "--format", "json"):
+        "3b4f70bcaeeeb3bc3050cef33f5bf08d2d97043cbbe6b580951bb113e2eda319",
+    ("jump", "tests/data/two_step_u_n7.json", "--point", "u=1", "--format", "json"):
+        "8960ffe34ca845098dd645d490c1e689d4785b5e15cce39022650f4f27e2b703",
+}
 
 POINTS = {
     "mixed_i.json": ["t11=1", "t21=1,t33=2/3*i", "t11=1/2,t22=i,t32=-1"],
@@ -104,6 +113,14 @@ def test_obstruct_3_2_on_the_two_step_n6_is_pinned(monkeypatch):
     assert kernel and [[str(x) for x in v] for v in kernel] == json.loads(got["stdout"])["kernel"]
     for v in kernel:
         assert not any(rep.matrix.apply(v))
+
+
+@pytest.mark.parametrize("argv", PINNED_SHA256, ids=" ".join)
+def test_two_step_n7_and_n8_outputs_are_pinned(argv, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    got = run(list(argv))
+    assert (got["exit"], got["stderr"]) == (0, "")
+    assert hashlib.sha256(got["stdout"].encode()).hexdigest() == PINNED_SHA256[argv]
 
 
 if __name__ == "__main__":
