@@ -176,8 +176,12 @@ def cmd_jump(args) -> int:
     _need_psi(man)
     point = man.full_point(_parse_point(args.point))
     table = deform.jump_report(man.spec, man.psi1, point)
-    fam = deform.mc_extend(man.spec, man.psi1, man.order)
-    oracle = deform.oracle_hodge_at_point(man.spec, fam, point)
+    # the oracle's family runs along the prediction's ray alone, so a point
+    # on a ray that extends is tabled even when the full family is obstructed
+    ray = deform.ray(man.psi1, point)
+    oracle = (deform.oracle_hodge_at_point(
+        man.spec, deform.mc_extend(man.spec, ray, man.order), {"s": GaussianRational(1)})
+        if ray else deform.hodge_table(man.spec))
     n = man.spec.n
     rows = []
     payload_rows = {}

@@ -69,6 +69,7 @@ __all__ = [
     "extend_class",
     "second_class_subspace",
     "jump_report",
+    "ray",
     "oracle_hodge_at_point",
     "frolicher_d1",
     "parallelisable_witness",
@@ -117,7 +118,7 @@ class DolbeaultBasis:
         a = {(_mask(I), _mask(J)): GaussianRational._coerce(c) for (I, J), c in form.coeffs.items()}
         if _dbar(form.spec, a):
             raise linalg.LinalgError("projection of a non-closed vector")
-        coords = self.cob.project_sparse({self.index[key]: c for key, c in a.items()})
+        coords = self.cob.project({self.index[key]: c for key, c in a.items()})
         return [coords.get(k, GR_ZERO) for k in range(self.dim)]
 
 
@@ -462,8 +463,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
             continue
         delta: dict = {}
         for exps, rowvals in sorted(by_monomial.items()):
-            rhs = [-(rowvals.get(pair, GR_ZERO)) for pair in pairs]
-            sol = linalg.solve_const(L, rhs)
+            sol = linalg.solve_const(L, {row_of[pair]: -v for pair, v in rowvals.items()})
             if sol is None:
                 residual = {
                     gen: InvariantForm(spec, 0, 2,
@@ -472,9 +472,9 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
                     for gen in range(1, n + 1)
                 }
                 raise McObstruction(k, residual)
-            for (i, lam), x in zip(unknowns, sol):
-                if x:
-                    accumulate(delta.setdefault((i, (lam,)), {}), exps, x)
+            for j in sorted(sol):
+                i, lam = unknowns[j]
+                accumulate(delta.setdefault((i, (lam,)), {}), exps, sol[j])
         corrections[k] = VectorForm(spec, 1, {key: Poly._trusted(params, terms)
                                               for key, terms in delta.items()})
         psi = psi + to_jet(corrections[k])
@@ -598,7 +598,7 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
                 continue
             if _dbar(spec, v):
                 raise InternalInvariantError("o1 value is not delbar-closed")
-            coords[exps] = tgt.cob.project_sparse({tgt.index[key]: c for key, c in v.items()})
+            coords[exps] = tgt.cob.project({tgt.index[key]: c for key, c in v.items()})
         if params is None:
             for k, x in coords.get((), {}).items():
                 rows[k][col] = x
@@ -683,7 +683,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
             if _dbar(spec, piece):
                 raise linalg.LinalgError("projection of a non-closed vector")
             vec = {tgt.index[key]: v for key, v in piece.items()}
-            cls = tgt.cob.project_sparse(vec)
+            cls = tgt.cob.project(vec)
             for i, cval in cls.items():
                 accumulate(obstruction[i], exps, cval * sign)
             if not cls:
@@ -745,7 +745,7 @@ def second_class_subspace(spec: ComplexStructureSpec, psi1: VectorForm, p: int, 
         span = linalg.Echelon(ev.rows, ev.sparse_columns)
         out.point = dict(point)
         out.point_dim = span.rank
-        out.point_image = span.rows()
+        out.point_image = [linalg._dense(r, ev.rows) for r in span.rows()]
     return out
 
 
@@ -776,6 +776,14 @@ class JumpTable:
         return tuple(self.rows[pq].predicted for pq in THREEFOLD_ROW)
 
 
+def ray(psi1: VectorForm, point: dict) -> VectorForm:
+    """The first-order direction s -> s psi1(point) in the one parameter s:
+    ``jump_report`` deforms along it, and ``jump``'s oracle tables its
+    Maurer-Cartan family at s = 1.  Zero when psi1 vanishes at the point."""
+    return VectorForm(psi1.spec, 1, {key: Poly(("s",), {(1,): c})
+                                     for key, c in psi1.eval_point(point).coeffs.items()})
+
+
 def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> JumpTable:
     """Predict h^{p,q} near the base point from first-order obstruction ranks.
 
@@ -797,10 +805,8 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
     """
     _check_first_order(spec, psi1)
     dol = Dolbeault.of(spec)
-    ray = VectorForm(spec, 1, {key: Poly(("s",), {(1,): c})
-                               for key, c in psi1.eval_point(point).coeffs.items()})
     # a zero psi1(point) leaves the spec itself, whose jet rank is 2 rank D0
-    ray_dol = Dolbeault.of(deformed_coframe(spec, ray)[0])
+    ray_dol = Dolbeault.of(deformed_coframe(spec, ray(psi1, point))[0])
     n, dual = spec.n, ray_dol.dbar_matrix(spec.n, spec.n - 1).is_zero()
     rows = {}
     for (p, q), h0 in dol.table().items():  # q ascends, so (p, q-1) comes first
@@ -850,7 +856,7 @@ def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatr
         v = _del(spec, {src.keys[j]: c for j, c in rep.items()})
         if _dbar(spec, v):
             raise InternalInvariantError("del of a closed representative is not delbar-closed")
-        for k, x in tgt.cob.project_sparse({tgt.index[key]: c for key, c in v.items()}).items():
+        for k, x in tgt.cob.project({tgt.index[key]: c for key, c in v.items()}).items():
             rows[k][col] = x
     return linalg.ExactMatrix._trusted(src.dim, rows)
 

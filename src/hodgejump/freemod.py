@@ -183,7 +183,10 @@ def _at_zero(c: FreeComplex, q: int) -> linalg.ExactMatrix:
 
 
 def cohomology_at_zero(c: FreeComplex, q: int) -> linalg.CohomologyBasis:
-    return _memo_get(c, "H", q, lambda: linalg.cohomology(
+    """H^q(E_0), built once per complex.  d.d = 0 over Q(i)[t] makes it
+    zero at t = 0, so the product d^q(0) . d^(q-1)(0) is not formed."""
+    _check_complex(c)
+    return _memo_get(c, "H", q, lambda: linalg._cohomology(
         _at_zero(c, q - 1), _at_zero(c, q), label=f"H^{q}(E_0)"))
 
 
@@ -262,8 +265,9 @@ def o_n_q(c: FreeComplex, alpha: JetCochain, n: int) -> LabObstruction:
     dnext0 = _at_zero(c, q + 1)
     if dnext0.rows and any(dnext0.apply(coeff)):
         raise InternalInvariantError("obstruction representative is not closed at t = 0")
-    return LabObstruction(n=n, q=q, coords=cohomology_at_zero(c, q + 1).project(coeff),
-                          representative=coeff)
+    cob = cohomology_at_zero(c, q + 1)
+    coords = cob.project({i: x for i, x in enumerate(coeff) if x})
+    return LabObstruction(n=n, q=q, coords=linalg._dense(coords, cob.dim), representative=coeff)
 
 
 def extend_step(c: FreeComplex, alpha: JetCochain):
@@ -277,14 +281,13 @@ def extend_step(c: FreeComplex, alpha: JetCochain):
     ob = o_n_q(c, alpha, n)
     if ob:
         return ob
-    x = linalg.solve_const(_at_zero(c, q), [-v for v in ob.representative])
+    x = linalg.solve_const(_at_zero(c, q), {i: -v for i, v in enumerate(ob.representative) if v})
     if x is None:
         raise InternalInvariantError("zero obstruction class with no top-coefficient fix")
     params = (c.param,)
-    tn = Poly._trusted(params, {(n,): GR_ONE})
     new_entries = [
-        Jet(e.base + tn * Poly.constant(params, xi), n)
-        for e, xi in zip(alpha.entries, x)
+        Jet(e.base + Poly._trusted(params, {(n,): x[j]}) if j in x else e.base, n)
+        for j, e in enumerate(alpha.entries)
     ]
     return JetCochain(degree=q, entries=new_entries, order=n)
 
@@ -378,7 +381,7 @@ def _solve_jet(c: FreeComplex, q: int, rhs: list[Poly], order: int) -> list[Poly
         return None
     params = (c.param,)
     return [Poly._trusted(params, {(k,): x for k in range(order + 1)
-                                   if (x := sol[k * d.cols + j])})
+                                   if (x := sol.get(k * d.cols + j))})
             for j in range(d.cols)]
 
 
@@ -435,18 +438,15 @@ def _first_class(c: FreeComplex, q: int, bound: int, order: int) -> FirstClassRe
     base = cob.sparse_representatives + dprev0.sparse_columns
     rows, width = _jet_rows(c.diff(q), order, base)
     kernel = linalg.Echelon(width, rows).kernel()
-    ext_span = linalg.Echelon(h, (v[:h] for v in kernel))
+    ext_span = linalg.Echelon(h, ({j: x for j, x in v.items() if j < h} for v in kernel))
     extendable = ext_span.rows()
     # complement basis: standard vectors outside the extendable span
-    obstructed = []
     comp_span = linalg.Echelon(h, extendable)
-    for i in range(h):
-        e = [GR_ONE if j == i else GR_ZERO for j in range(h)]
-        if comp_span.add(e):
-            obstructed.append(e)
+    obstructed = [i for i in range(h) if comp_span.add({i: GR_ONE})]
     return FirstClassReport(
         q=q, order_bound=bound, dim=h - ext_span.rank, extendable_dim=ext_span.rank,
-        extendable_basis=extendable, obstructed_basis=obstructed,
+        extendable_basis=[linalg._dense(v, h) for v in extendable],
+        obstructed_basis=[linalg._dense({i: GR_ONE}, h) for i in obstructed],
     )
 
 
@@ -460,7 +460,7 @@ class SecondClassLabReport:
     method_b_dim: int
 
 
-def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRational]]:
+def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[dict[int, GaussianRational]]:
     """Fiber at t = 0 of the saturation of the column lattice of m.
 
     Starts from independent columns over the fraction field and repeatedly
@@ -471,31 +471,33 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[list[GaussianRa
     t = 0 evaluation, so u(0) = 0 and every nonzero entry of u gives a
     shift of at least 1.  u is nonzero because the columns stay independent
     over Q(i)(t): the step replaces a column whose coefficient in c is
-    nonzero.
+    nonzero.  Vectors are ``{row: Poly}`` mappings of nonzeros, and the
+    fiber vectors ``{row: value}`` mappings.
     """
     params = (param,)
-    vectors = [[x if isinstance(x, Poly) else Poly.constant(params, x) for x in m.column(j)]
-               for j in linalg.pivot_columns(m)]
+    columns = m.sparse_columns
+    vectors = [{i: x if isinstance(x, Poly) else Poly.constant(params, x)
+                for i, x in columns[j].items()} for j in linalg.pivot_columns(m)]
     while True:
-        if not vectors:
-            return []
-        # the t = 0 evaluation as sparse rows, one per entry
-        ev = [{k: x for k, v in enumerate(vectors) if (x := v[i].constant_term())}
-              for i in range(m.rows)]
-        ker = linalg.Echelon(len(vectors), ev).kernel()
+        fiber = [{i: x for i, p in v.items() if (x := p.constant_term())} for v in vectors]
+        # the t = 0 evaluation as sparse rows, one per entry it reaches
+        ev: dict[int, dict] = {}
+        for k, v in enumerate(fiber):
+            for i, x in v.items():
+                ev.setdefault(i, {})[k] = x
+        ker = linalg.Echelon(len(vectors), ev.values()).kernel()
         if not ker:
-            return [[v[i].constant_term() for i in range(m.rows)] for v in vectors]
+            return fiber
         combo = ker[0]
-        u = [Poly._trusted(params, {}) for _ in range(m.rows)]
-        for cval, vec in zip(combo, vectors):
-            if cval:
-                for i in range(m.rows):
-                    u[i] = u[i] + vec[i] * cval
+        u: dict[int, Poly] = {}
+        for k in sorted(combo):
+            for i, p in vectors[k].items():
+                accumulate(u, i, p * combo[k])
         # u vanishes at 0; strip the largest common power of t
-        shift = min(min(e[0] for e in p.terms) for p in u if p)
-        u = [Poly._trusted(params, {(e[0] - shift,): cv for e, cv in p.terms.items()}) for p in u]
-        drop = next(i for i, cval in enumerate(combo) if cval)
-        vectors[drop] = u
+        shift = min(e for p in u.values() for (e,) in p.terms)
+        vectors[min(combo)] = {
+            i: Poly._trusted(params, {(e - shift,): x for (e,), x in p.terms.items()})
+            for i, p in u.items()}
 
 
 def _jet_search_span(c: FreeComplex, q: int, cob: linalg.CohomologyBasis,
@@ -509,14 +511,16 @@ def _jet_search_span(c: FreeComplex, q: int, cob: linalg.CohomologyBasis,
     span = linalg.Echelon(cob.dim)
     if cob.dim:
         d = c.diff(q - 1)
-        rows, _ = _jet_rows(d, bound)
+        rows, width = _jet_rows(d, bound)
         low = d.rows * bound
+        top = linalg.ExactMatrix._trusted(width, rows[low:]).sparse_columns
         for v in linalg.Echelon(d.cols * bound, rows[:low]).kernel():
-            # a has x_bound = 0: columns past v contribute nothing
-            span.add(cob.project([
-                sum((x * v[j] for j, x in row.items() if j < len(v)), GR_ZERO)
-                for row in rows[low:]
-            ]))
+            # a has x_bound = 0, so only v's own columns contribute
+            w: dict = {}
+            for j, y in v.items():
+                for i, x in top[j].items():
+                    accumulate(w, i, x * y)
+            span.add(cob.project(w))
     return span
 
 
@@ -564,7 +568,8 @@ def _second_class(c: FreeComplex, q: int, bound: int, needed: int) -> SecondClas
             f"saturation gives dim {span_a.rank}, jet search gives dim {span_b.rank}"
         )
     return SecondClassLabReport(
-        q=q, order_bound=bound, dim=span_a.rank, basis=rows_a,
+        q=q, order_bound=bound, dim=span_a.rank,
+        basis=[linalg._dense(r, cob.dim) for r in rows_a],
         method_a_dim=span_a.rank, method_b_dim=span_b.rank,
     )
 

@@ -9,15 +9,17 @@ echelon form of a span, kept as sparse rows and grown one row at a time.
 It indexes its rows by column, so a new row updates only the rows that
 hold its leading column.  Kernel, solve, pivot columns, cohomology and
 its coordinate projection all go through it, fed a matrix's stored rows.
-The reduced form of a span is unique, so these canonical outputs do not
-depend on the order rows arrive in.  A rank needs no canonical form:
+Their vectors, in and out, are ``{index: value}`` mappings of nonzeros;
+dense lists appear only where a matrix is built or printed, and in
+``kernel_basis``'s output.  The reduced form of a span is unique, so
+these canonical outputs do not depend on the order rows arrive in.  A rank needs no canonical form:
 ``rank_const`` first peels row and column singletons, each a pivot with
 no arithmetic since stored entries are never zero, and hands ``Echelon``
-only the core that peeling leaves (see ``_peel``).  Cohomology
-representatives stay sparse too; their dense view is derived on use.
+only the core that peeling leaves (see ``_peel``).
 ``cohomology`` and ``cohomology_dim`` check d_out . d_in = 0 by forming
 the product; their private cores skip it for a caller that knows the pair
-is a complex (``deform.Dolbeault``, after d.d = 0 on a spec's generators).
+is a complex (``deform.Dolbeault``, after d.d = 0 on a spec's generators,
+and ``freemod``, after d.d = 0 over Q(i)[t]).
 
 Over polynomial entries there is one fraction-free (Bareiss) elimination,
 run on the sparse rows.  Ranks and pivot columns come from it, and kernels
@@ -78,7 +80,7 @@ def _is_sparse(v) -> bool:
 def _items(v, n: int):
     """(index, value) pairs of a length-n vector given dense or sparse."""
     if _is_sparse(v):
-        if v and not (min(v) >= 0 and max(v) < n):
+        if not _in_range(v, n):
             raise LinalgError("inconsistent matrix shape")
         return v.items()
     if len(v) != n:
@@ -86,12 +88,17 @@ def _items(v, n: int):
     return enumerate(v)
 
 
-def _sparse(v) -> Mapping[int, GaussianRational]:
-    """v's nonzeros as an ``{index: value}`` mapping, v dense or sparse; a
-    mapping without zero values is returned as it is."""
-    if _is_sparse(v):
-        return v if all(v.values()) else {j: x for j, x in v.items() if x}
-    return {j: GaussianRational._coerce(x) for j, x in enumerate(v) if x}
+def _in_range(v: Mapping, n: int) -> bool:
+    """Whether every index of the mapping v lies in 0..n-1."""
+    return not v or (min(v) >= 0 and max(v) < n)
+
+
+def _sparse(v: Mapping[int, GaussianRational]) -> Mapping[int, GaussianRational]:
+    """v's nonzeros: v itself when it holds no zero value.  Anything but a
+    mapping raises LinalgError."""
+    if not _is_sparse(v):
+        raise LinalgError(f"expected an {{index: value}} mapping, got {type(v).__name__}")
+    return v if all(v.values()) else {j: x for j, x in v.items() if x}
 
 
 _EMPTY_ROW = MappingProxyType({})
@@ -268,9 +275,10 @@ class Echelon:
     rows that hold the new row's leading column and keeps the index in
     step inside that update (T. A. Davis, *Direct Methods for Sparse Linear
     Systems*, SIAM 2006, ch. 2-3).  The reduced echelon form of a span is
-    unique, so every result is independent of insertion order.  Vectors
-    may be given dense (lists) or sparse (dicts); empty ones are skipped.
-    ``freeze`` makes the span read-only, so a cached echelon can be shared.
+    unique, so every result is independent of insertion order.  Vectors,
+    given and returned, are ``{column: value}`` mappings; zero values are
+    dropped and empty vectors skipped.  ``freeze`` makes the span
+    read-only, so a cached echelon can be shared.
     """
 
     __slots__ = ("_width", "_rows", "_cols")
@@ -296,12 +304,12 @@ class Echelon:
     def pivots(self) -> list[int]:
         return sorted(self._rows)
 
-    def rows(self) -> list[list[GaussianRational]]:
-        """Dense rows in pivot order."""
-        return [_dense(self._rows[c], self.width) for c in self.pivots]
+    def rows(self) -> list[dict[int, GaussianRational]]:
+        """The reduced rows in pivot order, as fresh dicts."""
+        return [dict(self._rows[c]) for c in self.pivots]
 
-    def residue(self, v) -> dict[int, GaussianRational]:
-        """Sparse remainder of v after reduction against the span."""
+    def residue(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """Remainder of v after reduction against the span."""
         v = _sparse(v)
         out = dict(v)
         # rows are zero in each other's pivots, so v's own entries there
@@ -312,7 +320,7 @@ class Echelon:
                 _axpy(out, -f, row)
         return out
 
-    def add(self, v) -> bool:
+    def add(self, v: Mapping[int, GaussianRational]) -> bool:
         """Insert v; True if it enlarged the span."""
         if self._cols is None:
             raise TypeError("a frozen Echelon cannot grow")
@@ -364,12 +372,9 @@ class Echelon:
         self._cols = None
         return self
 
-    def kernel(self) -> list[list[GaussianRational]]:
-        """Canonical right-kernel basis of the rows: one vector per free column."""
-        return [_dense(v, self._width) for v in self._kernel()]
-
-    def _kernel(self) -> list[dict[int, GaussianRational]]:
-        """``kernel`` as sparse vectors."""
+    def kernel(self) -> list[dict[int, GaussianRational]]:
+        """Canonical right-kernel basis of the rows: one vector per free
+        column, in column order."""
         free = {f: {f: GR_ONE} for f in range(self._width) if f not in self._rows}
         for c, row in self._rows.items():
             # a reduced row is zero in every other pivot column
@@ -378,13 +383,13 @@ class Echelon:
                     free[f][c] = -x
         return list(free.values())
 
-    def solution(self) -> list[GaussianRational] | None:
-        """x with A x = b for rows [A | b], b the last column; free
-        variables 0.  None when b's column holds a pivot (inconsistent)."""
+    def solution(self) -> dict[int, GaussianRational] | None:
+        """x with A x = b for rows [A | b], b the last column, free variables
+        0, as its nonzeros; None when b's column holds a pivot (inconsistent)."""
         n = self._width - 1
         if n in self._rows:
             return None
-        return _dense({c: row[n] for c, row in self._rows.items() if n in row}, n)
+        return {c: row[n] for c, row in self._rows.items() if n in row}
 
 
 def rank_const(m: ExactMatrix) -> int:
@@ -472,42 +477,35 @@ def _peel(rows) -> tuple[int, dict[int, set[int]]]:
 
 
 def kernel_basis_const(m: ExactMatrix) -> list[list[GaussianRational]]:
-    """Canonical right-kernel basis over Q(i): one vector per free column."""
-    return Echelon(m.cols, m.sparse_rows).kernel()
+    """Canonical right-kernel basis over Q(i): one dense vector per free column."""
+    return [_dense(v, m.cols) for v in Echelon(m.cols, m.sparse_rows).kernel()]
 
 
-def solve_const(m: ExactMatrix, rhs) -> list | dict | None:
+def solve_const(m: ExactMatrix, rhs: Mapping) -> dict[int, GaussianRational] | None:
     """One exact solution of m x = rhs over Q(i), or None; free variables 0.
 
-    ``rhs`` is dense (a list of length ``m.rows``) or sparse (an
-    ``{index: value}`` mapping); the solution comes back in the same form,
-    a sparse one holding only its nonzeros.  The solution with free
-    variables 0 lives on the pivot columns P, whose columns are
-    independent: reducing rhs against the frozen echelon of the rows
-    (m[:, p_k] | e_k) leaves (0 | -x_P) when rhs is in the image and an
-    entry below ``m.rows`` when it is not.  That echelon is built on the
-    first call and held by m.
+    ``rhs`` is an ``{index: value}`` mapping over the rows of m, and the
+    solution is the ``{index: value}`` mapping of its nonzeros.  It lives
+    on the pivot columns P, whose columns are independent: reducing rhs
+    against the frozen echelon of the rows (m[:, p_k] | e_k) leaves
+    (0 | -x_P) when rhs is in the image and an entry below ``m.rows`` when
+    it is not.  That echelon is built on the first call and held by m.
     """
     if m.is_polynomial():
         raise LinalgError("solve_const on polynomial matrix")
-    sparse = _is_sparse(rhs)
-    if sparse:
-        if rhs and not (min(rhs) >= 0 and max(rhs) < m.rows):
-            raise LinalgError("rhs index out of range")
-        rhs = {i: GaussianRational._coerce(x) for i, x in rhs.items()}
-    elif len(rhs) != m.rows:
-        raise LinalgError("rhs length mismatch")
+    rhs = _sparse(rhs)
+    if not _in_range(rhs, m.rows):
+        raise LinalgError("rhs index out of range")
     solver = m._solver
     if solver is None:
         columns = m.sparse_columns
         solver = Echelon(m.rows + len(_pivots(m)), (
             {**columns[p], m.rows + k: GR_ONE} for k, p in enumerate(m._pivots))).freeze()
         object.__setattr__(m, "_solver", solver)
-    r = solver.residue(rhs)
+    r = solver.residue({i: GaussianRational._coerce(x) for i, x in rhs.items()})
     if r and min(r) < m.rows:
         return None
-    x = {m._pivots[j - m.rows]: -v for j, v in r.items()}
-    return x if sparse else _dense(x, m.cols)
+    return {m._pivots[j - m.rows]: -v for j, v in r.items()}
 
 
 def pivot_columns(m: ExactMatrix) -> list[int]:
@@ -633,44 +631,28 @@ class CohomologyBasis:
 
     ``sparse_representatives`` holds canonical vectors in the ambient space,
     one read-only ``{index: value}`` mapping of nonzeros each, in index
-    order; ``representatives`` is the dense view, derived on each use.  The
-    projection sends any d_out-closed vector to its coordinates in this
-    basis, killing the image of d_in.  ``coords`` holds each vector b_k of
-    [representatives | image basis] as the row (b_k | e_k), so a closed
-    vector v reduces to (0 | -coordinates of v) in one residue.  Frozen,
-    so a cached basis can be shared.
+    order.  ``project`` sends a d_out-closed vector to its coordinates in
+    this basis, killing the image of d_in.  ``coords`` holds each vector
+    b_k of [representatives | image basis] as the row (b_k | e_k), so a
+    closed vector v reduces to (0 | -coordinates of v) in one residue.
+    Frozen, so a cached basis can be shared.
     """
 
     dim: int
     sparse_representatives: tuple[Mapping[int, GaussianRational], ...]
-    d_out: ExactMatrix = field(repr=False)
     coords: Echelon = field(repr=False)
     label: str = ""
 
-    @property
-    def representatives(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        n = self.coords.width - self.coords.rank  # one tag column per row
-        return tuple(tuple(_dense(r, n)) for r in self.sparse_representatives)
-
-    def project(self, vector: list) -> list[GaussianRational]:
-        vec = [GaussianRational._coerce(x) for x in vector]
-        if len(vec) != self.coords.width - self.coords.rank:
-            raise LinalgError("projection: vector length mismatch")
-        if self.d_out.rows and any(self.d_out.apply(vec)):
-            raise LinalgError("projection of a non-closed vector")
-        coords = self.project_sparse(_sparse(vec))
-        return [coords.get(k, GR_ZERO) for k in range(self.dim)]
-
-    def project_sparse(self, vector: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+    def project(self, vector: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
         """``{k: coordinate}`` of the nonzero coordinates of a closed
         vector given as an ``{index: value}`` mapping.
 
-        For callers that have checked closedness: the d_out product is
-        skipped.  A vector outside Ker(d_out) is outside kernel+image too,
-        so it still raises LinalgError, with that message.
+        No d_out product is formed: a vector outside Ker(d_out) is outside
+        kernel+image too, so it raises LinalgError with that message.
         """
-        n = self.coords.width - self.coords.rank
-        if vector and not (min(vector) >= 0 and max(vector) < n):
+        n = self.coords.width - self.coords.rank  # one tag column per row
+        vector = _sparse(vector)
+        if not _in_range(vector, n):
             raise LinalgError("projection: index out of range")
         r = self.coords.residue(vector)
         if any(j < n for j in r):
@@ -720,10 +702,9 @@ def _cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohom
     shapes are checked, the product d_out . d_in is not formed."""
     _check_shapes(d_in, d_out)
     n = d_out.cols if d_out.cols else d_in.rows
-    # kernel vectors, representatives and image basis stay sparse
-    ker = Echelon(d_out.cols if d_out.rows else n, d_out.sparse_rows)._kernel()
+    ker = Echelon(d_out.cols if d_out.rows else n, d_out.sparse_rows).kernel()
     span = Echelon(n, d_in.sparse_columns)
-    image_basis = [dict(span._rows[c]) for c in span.pivots]
+    image_basis = span.rows()
     reps: list[dict[int, GaussianRational]] = []
     for v in ker:
         r = span.residue(v)
@@ -734,4 +715,4 @@ def _cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohom
         {**b, n + k: GR_ONE} for k, b in enumerate(reps + image_basis)
     )).freeze()
     return CohomologyBasis(dim=len(reps), sparse_representatives=tuple(
-        MappingProxyType(dict(sorted(r.items()))) for r in reps), d_out=d_out, coords=coords, label=label)
+        MappingProxyType(dict(sorted(r.items()))) for r in reps), coords=coords, label=label)

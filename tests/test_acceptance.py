@@ -260,7 +260,7 @@ def test_criterion_10_lab_equivalences():
                 alpha = JetCochain(
                     degree=0,
                     entries=[
-                        Jet(Poly(("t",), {(k,): v[k * P0 + j] for k in range(n)}), n - 1)
+                        Jet(Poly(("t",), {(k,): v.get(k * P0 + j, GR(0)) for k in range(n)}), n - 1)
                         for j in range(P0)
                     ],
                     order=n - 1,

@@ -173,7 +173,7 @@ class TestObstructionMap:
             v = kernel[rng.randrange(len(kernel))]
             P0 = cx.ranks[0]
             alpha_polys = [
-                Poly(T, {(k,): v[k * P0 + j] for k in range(n)}) for j in range(P0)
+                Poly(T, {(k,): v.get(k * P0 + j, GR(0)) for k in range(n)}) for j in range(P0)
             ]
             alpha = JetCochain(degree=0, entries=[Jet(p, n - 1) for p in alpha_polys], order=n - 1)
             base = o_n_q(cx, alpha, n)
@@ -203,7 +203,7 @@ class TestObstructionMap:
             v = kernel[rng2.randrange(len(kernel))]
             P1 = cx.ranks[1]
             alpha_polys = [
-                Poly(T, {(k,): v[k * P1 + j] for k in range(n)}) for j in range(P1)
+                Poly(T, {(k,): v.get(k * P1 + j, GR(0)) for k in range(n)}) for j in range(P1)
             ]
             alpha = JetCochain(degree=1, entries=[Jet(p, n - 1) for p in alpha_polys], order=n - 1)
             base = o_n_q(cx, alpha, n)
@@ -486,7 +486,7 @@ class TestProp23Equivalence:
             alpha = JetCochain(
                 degree=0,
                 entries=[
-                    Jet(Poly(T, {(k,): v[k * P0 + j] for k in range(n)}), n - 1)
+                    Jet(Poly(T, {(k,): v.get(k * P0 + j, GR(0)) for k in range(n)}), n - 1)
                     for j in range(P0)
                 ],
                 order=n - 1,

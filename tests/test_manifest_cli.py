@@ -7,11 +7,17 @@ from pathlib import Path
 import pytest
 
 import hodgejump
+from hodgejump import deform
 from hodgejump.cli import main
+from hodgejump.coeff import GaussianRational
 from hodgejump.errors import ValidationFailure
+from hodgejump.exterior import deformed_coframe
 from hodgejump.manifest import builtin_names, load_manifest, parse_manifest
 
 from .conftest import ROW_I, ROW_II
+
+# d f5 = -f1^f2, d f4 = -f1^f3 with every first-order direction as a parameter
+TWO_STEP_SYMBOLIC_N5 = str(Path(__file__).parent / "data" / "two_step_symbolic_n5.json")
 
 
 class TestManifest:
@@ -172,6 +178,27 @@ class TestCli:
         assert doc["agree"] is True
         assert doc["rows"]["2,0"]["predicted"] == 1
         assert doc["rows"]["2,0"]["oracle"] == 1
+
+    def test_jump_tables_the_oracle_along_the_ray(self, capsys):
+        # the full family of the symbolic two-step n=5 structure (15
+        # parameters) is obstructed at order 2, the ray through t11=1 is not
+        man = load_manifest(TWO_STEP_SYMBOLIC_N5)
+        with pytest.raises(deform.McObstruction, match="order 2"):
+            deform.mc_extend(man.spec, man.psi1, man.order)
+        assert main(["jump", TWO_STEP_SYMBOLIC_N5, "--point", "t11=1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        point = man.full_point({"t11": GaussianRational(1)})
+        fam = deform.mc_extend(man.spec, deform.ray(man.psi1, point), man.order)
+        at_one = deformed_coframe(man.spec, fam.psi.eval_point({"s": GaussianRational(1)}))[0]
+        want = deform.hodge_table(at_one)
+        assert {key: row["oracle"] for key, row in doc["rows"].items()} == {
+            f"{p},{q}": h for (p, q), h in want.items()}
+
+    def test_jump_on_a_ray_obstructed_along_itself_exits_2(self, capsys):
+        assert main(["jump", TWO_STEP_SYMBOLIC_N5, "--point", "t12=1,t21=1,t33=1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "obstructed: Maurer-Cartan obstruction at order 2\n"
 
     @pytest.mark.parametrize("command", ["jump", "obstruct"])
     @pytest.mark.parametrize("points", [["t11=1,t11=2"], ["t11=1", "t22=1,t11=2"]])
