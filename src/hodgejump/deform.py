@@ -123,24 +123,24 @@ class DolbeaultBasis:
 
 
 class Dolbeault:
-    """Bigraded delbar-complex of a spec with memoized matrices and bases.
+    """Bigraded delbar-complex of a spec with memoized matrices, ranks and bases.
 
-    Hodge numbers come from delbar ranks.  When delbar is zero on
-    (n, n-1)-forms, Leibniz on a ^ b (a of bidegree (p, q), b of
-    (n-p, n-1-q)) makes delbar_{p,q} a signed transpose of
-    delbar_{n-p,n-1-q}, so ``table`` ranks one matrix of each dual pair
-    of a certified spec: d.d = 0 on the generators, Q(i) constants and a
-    zero delbar_{n,n-1} (every unimodular Lie algebra).  A rank is mostly
-    singleton peeling with no arithmetic (``linalg.rank_const``): the
-    matrices of the two-step, Heisenberg x C and Iwasawa structures peel
-    to nothing, so their tables run no elimination.  A cohomology basis is
-    built only where classes are used, never by ``jump_report``, which
-    reads the table and delbar matrices alone.  delbar.delbar = 0 is
-    checked once per spec, as d.d = 0 on the generators: d.d is a
-    derivation, so that makes it zero on every form, and its (p, q+2)
-    part is delbar.delbar.  Only a spec that fails that check has
-    d_out . d_in formed at each bidegree, which reports the first column
-    where it is nonzero.
+    Hodge numbers come from delbar ranks (``_rank``).  delbar.delbar = 0 is
+    checked once per spec, as d.d = 0 on the generators (d.d is a
+    derivation, and its (p, q+2) part is delbar.delbar); only a spec that
+    fails it has d_out . d_in formed at each bidegree, which reports the
+    first column where it is nonzero.  A trusted spec (that check passed,
+    Q(i) constants) may also be certified, delbar zero on (n, n-1)-forms
+    (every unimodular Lie algebra): Leibniz on a ^ b, a of bidegree (p, q)
+    and b of (n-p, n-1-q), makes delbar_{p,q} a signed transpose of
+    delbar_{n-p,n-1-q}, so one matrix of each dual pair is ranked.  Or it
+    may be factorable, with no ``B`` terms (complex-parallelisable): then
+    delbar(f_I ^ c_J) = (-1)^p f_I ^ delbar c_J, so delbar_{p,q} =
+    (-1)^p I_{C(n,p)} (x) delbar_{0,q}, and every rank and basis at p >= 1
+    is copied from the (0, q) row: a table builds the p = 0 matrices and
+    the certificate delbar_{n,n-1} alone (Y. Sakane, Osaka J. Math. 13
+    (1976)).  A basis is built only where classes are used, never by
+    ``jump_report``, which reads ranks and delbar matrices alone.
 
     Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
     itself, so every caller shares its matrices and bases.
@@ -150,6 +150,7 @@ class Dolbeault:
         self.spec = spec._without_cache()
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
         self._pieces: tuple | None = None
         self._dd_zero: bool | None = None
 
@@ -189,10 +190,11 @@ class Dolbeault:
             masks = {k: [_mask(c) for c in itertools.combinations(range(1, n + 1), k)]
                      for k in range(n + 1)}
             index = {m: r for level in masks.values() for r, m in enumerate(level)}
-            dbar_f, dbar_c = {}, {}
+            dbar_f, dbar_c, has_b = {}, {}, any(spec.B.values())
             for m in index:
                 dbar_f[m] = {}
-                _d_monomial(spec, m, 0, dbar_f[m])
+                if has_b:
+                    _d_monomial(spec, m, 0, dbar_f[m])
                 dbar_c[m] = terms = []
                 for k in _indices(m):
                     bk = 1 << k
@@ -252,11 +254,10 @@ class Dolbeault:
 
     def _chain(self, p: int, q: int) -> tuple[linalg.ExactMatrix, linalg.ExactMatrix]:
         """(d_in, d_out): delbar into and out of bidegree (p, q), checked to
-        compose to zero (see the class docstring)."""
+        be Q(i) matrices that compose to zero (see the class docstring)."""
         d_out = self.dbar_matrix(p, q)
         d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
-        if not self._dd_ok():
-            linalg._check_chain(d_in, d_out)
+        (linalg._check_shapes if self._dd_ok() else linalg._check_chain)(d_in, d_out)
         return d_in, d_out
 
     def _dd_ok(self) -> bool:
@@ -268,27 +269,50 @@ class Dolbeault:
                 self._dd_zero = False
         return self._dd_zero
 
+    def _trusted(self) -> bool:
+        """Q(i) delbar constants and d.d = 0: no delbar matrix needs a chain check."""
+        return self._generator_pieces()[4] and self._dd_ok()
+
+    def _factorable(self) -> bool:
+        """Trusted with no ``B`` terms: delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}."""
+        return not any(self.spec.B.values()) and self._trusted()
+
+    def _rank(self, p: int, q: int) -> int:
+        """rank delbar_{p,q}, memoized, by the first rule that applies: its
+        Serre dual's rank when the spec is certified and that rank is known;
+        C(n,p) rank delbar_{0,q} when the spec is factorable and p >= 1;
+        else ``rank_const`` of the matrix, an untrusted spec's chain checked
+        first by ``_chain``.  Zero for q < 0 or q >= n."""
+        n, r = self.spec.n, self._ranks.get((p, q))
+        if r is None and 0 <= q < n:
+            trusted = self._trusted()
+            if trusted and self.dbar_matrix(n, n - 1).is_zero():
+                r = self._ranks.get((n - p, n - 1 - q))
+            if r is None and p and self._factorable():
+                r = comb(n, p) * self._rank(0, q)
+            if r is None:
+                r = linalg.rank_const(self.dbar_matrix(p, q) if trusted else self._chain(p, q)[1])
+            self._ranks[(p, q)] = r
+        return r or 0
+
     def basis(self, p: int, q: int) -> DolbeaultBasis:
         key = (p, q)
         if key in self._bases:
             return self._bases[key]
-        cob = linalg._cohomology(*self._chain(p, q), label=f"H^{p},{q}")
+        label = f"H^{p},{q}"
+        if 1 <= p <= self.spec.n and self._factorable():
+            cob = self.basis(0, q).cob.repeat(comb(self.spec.n, p), label)
+        else:
+            cob = linalg._cohomology(*self._chain(p, q), label=label)
         b = DolbeaultBasis(p=p, q=q, monomials=tuple(self.monomials(p, q)), cob=cob)
         self._bases[key] = b
         return b
 
     def table(self) -> dict[tuple[int, int], int]:
-        """h^{p,q} for all 0 <= p, q <= n by rank-nullity; builds no basis.
-        A certified spec ranks one delbar matrix of each dual pair."""
-        n, qi = self.spec.n, self._generator_pieces()[4]
-        if not (qi and self._dd_ok() and self.dbar_matrix(n, n - 1).is_zero()):
-            return {(p, q): linalg._cohomology_dim(*self._chain(p, q))
-                    for p in range(n + 1) for q in range(n + 1)}
-        rank = {(n, n - 1): 0}  # the certificate; delbar_{p,-1} and delbar_{p,n} are zero too
-        for p, q in itertools.product(range(n + 1), range(n)):
-            dual = rank.get((n - p, n - 1 - q))
-            rank[(p, q)] = linalg.rank_const(self.dbar_matrix(p, q)) if dual is None else dual
-        return {(p, q): comb(n, p) * comb(n, q) - rank.get((p, q), 0) - rank.get((p, q - 1), 0)
+        """h^{p,q} for all 0 <= p, q <= n by rank-nullity over ``_rank``;
+        builds no basis."""
+        n = self.spec.n
+        return {(p, q): comb(n, p) * comb(n, q) - self._rank(p, q) - self._rank(p, q - 1)
                 for p in range(n + 1) for q in range(n + 1)}
 
 
@@ -814,8 +838,7 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
             first = rows[(n - p, n - 1 - q)].first
         else:
             jets, width = _jet_rows(ray_dol.dbar_matrix(p, q), 1)
-            first = (linalg.rank_const(linalg.ExactMatrix._trusted(width, jets))
-                     - 2 * linalg.rank_const(dol.dbar_matrix(p, q)))
+            first = linalg.rank_const(linalg.ExactMatrix._trusted(width, jets)) - 2 * dol._rank(p, q)
         row = JumpRow(h0=h0, first=first, second=rows[(p, q - 1)].first if q else 0)
         if row.predicted < 0:
             raise InternalInvariantError(f"negative predicted Hodge number at ({p},{q})")

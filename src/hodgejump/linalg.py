@@ -17,9 +17,9 @@ these canonical outputs do not depend on the order rows arrive in.  A rank needs
 no arithmetic since stored entries are never zero, and hands ``Echelon``
 only the core that peeling leaves (see ``_peel``).
 ``cohomology`` and ``cohomology_dim`` check d_out . d_in = 0 by forming
-the product; their private cores skip it for a caller that knows the pair
-is a complex (``deform.Dolbeault``, after d.d = 0 on a spec's generators,
-and ``freemod``, after d.d = 0 over Q(i)[t]).
+the product; the private core of ``cohomology`` skips it for a caller that
+knows the pair is a complex (``deform.Dolbeault``, after d.d = 0 on a
+spec's generators, and ``freemod``, after d.d = 0 over Q(i)[t]).
 
 Over polynomial entries there is one fraction-free (Bareiss) elimination,
 run on the sparse rows.  Ranks and pivot columns come from it, and kernels
@@ -660,6 +660,30 @@ class CohomologyBasis:
         # tags past n + dim belong to the image basis: they carry no class
         return {j - n: -x for j, x in r.items() if j < n + self.dim}
 
+    def repeat(self, copies: int, label: str = "") -> "CohomologyBasis":
+        """The basis of ``copies`` copies of this complex side by side (copy
+        a's index j at a*n + j, n the ambient dimension), with no elimination.
+
+        Each copy's representatives and ``coords`` rows are this basis's,
+        shifted within column order, so, the reduced echelon form being
+        unique, this is ``cohomology`` of the block-diagonal pair.  Tags run
+        over all representatives, copy by copy, then all image vectors.
+        """
+        ech, dim = self.coords, self.dim
+        n, image = ech.width - ech.rank, ech.rank - dim
+        tags, rows = copies * n, {}
+        for a in range(copies):
+            col = [*range(a * n, a * n + n), *range(tags + a * dim, tags + a * dim + dim),
+                   *range(tags + copies * dim + a * image, tags + copies * dim + (a + 1) * image)]
+            for c, row in ech._rows.items():
+                rows[col[c]] = {col[j]: x for j, x in row.items()}
+        coords = Echelon(tags + copies * ech.rank)
+        coords._rows = rows
+        return CohomologyBasis(dim=copies * dim, sparse_representatives=tuple(
+            MappingProxyType({a * n + j: x for j, x in r.items()})
+            for a in range(copies) for r in self.sparse_representatives),
+            coords=coords.freeze(), label=label)
+
 
 def _check_shapes(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
     """Raise unless d_in and d_out are Q(i) matrices that compose."""
@@ -681,13 +705,6 @@ def _check_chain(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
 def cohomology_dim(d_in: ExactMatrix, d_out: ExactMatrix) -> int:
     """Dimension of the cohomology of  . --d_in--> . --d_out--> .  by rank-nullity."""
     _check_chain(d_in, d_out)
-    return _cohomology_dim(d_in, d_out)
-
-
-def _cohomology_dim(d_in: ExactMatrix, d_out: ExactMatrix) -> int:
-    """``cohomology_dim`` for a pair the caller knows composes to zero:
-    the shapes are checked, the product d_out . d_in is not formed."""
-    _check_shapes(d_in, d_out)
     return d_out.cols - rank_const(d_out) - rank_const(d_in)
 
 

@@ -322,13 +322,97 @@ class TestSerreDuality:
     ], ids=["n1", "n2"])
     def test_non_unimodular_specs_keep_the_full_path(self, spec, pinned):
         # d.d = 0 and Q(i) constants, but delbar != 0 on (n, n-1)-forms: the
-        # table is not symmetric, and each bidegree is computed on its own
+        # table is not symmetric, and no rank is taken from a dual
         n = spec.n
         dol = Dolbeault(spec)
         table = dol.table()
         assert dol._dd_ok() and not dol.dbar_matrix(n, n - 1).is_zero()
         assert table.items() >= pinned.items()
         assert table == _public_table(spec)
+
+
+@st.composite
+def a_only_two_step_specs(draw):
+    """Complex-parallelisable two-step structures, 2 <= n <= 6: f_1..f_m
+    closed and each other d f_k a combination of f_i^f_j (i, j <= m) with
+    seeded nonzero Q(i) coefficients, and no ``B`` terms."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    A = {k: {ij: random_gr(rng, zero_ok=False)
+             for ij in rng.sample(pairs, rng.randint(1, min(3, len(pairs))))}
+         for k in range(m + 1, n + 1)}
+    return ComplexStructureSpec(n, A)
+
+
+def _assert_bases_match_the_monomial_oracle(spec, rng):
+    """Table, bases and projections of a fresh ``Dolbeault`` equal
+    ``linalg.cohomology`` of the per-monomial delbar matrices, at every
+    0 <= p <= n+1 and 0 <= q <= n."""
+    n, dol = spec.n, Dolbeault(spec)
+    table = dol.table()
+    for p in range(n + 2):
+        for q in range(n + 1):
+            d_out = oracles.monomial_dbar_matrix(spec, p, q)
+            d_in = (oracles.monomial_dbar_matrix(spec, p, q - 1) if q
+                    else linalg.ExactMatrix.zeros(d_out.cols, 0))
+            want, got = linalg.cohomology(d_in, d_out), dol.basis(p, q).cob
+            assert got.dim == want.dim == table.get((p, q), 0), (p, q)
+            assert got.sparse_representatives == want.sparse_representatives, (p, q)
+            assert got.coords.width == want.coords.width, (p, q)
+            assert got.coords.rows() == want.coords.rows(), (p, q)
+            coeffs = [random_gr(rng) for _ in range(want.dim)]
+            v = dict(enumerate(d_in.apply([random_gr(rng) for _ in range(d_in.cols)])))
+            for c, rep in zip(coeffs, want.sparse_representatives):
+                for j, x in rep.items():
+                    accumulate(v, j, c * x)
+            assert got.project(v) == want.project(v) == {k: c for k, c in enumerate(coeffs) if c}
+
+
+class TestFactoredDolbeault:
+    """With no ``B`` terms, Q(i) constants and d.d = 0, delbar_{p,q} =
+    (-1)^p I_{C(n,p)} (x) delbar_{0,q}: ranks and bases at p >= 1 come from
+    the (0, q) row, and equal the per-monomial cohomology."""
+
+    @given(a_only_two_step_specs(), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_factored_bases_equal_the_monomial_cohomology(self, spec, seed):
+        dol = Dolbeault(spec)
+        assert dol._factorable()
+        _assert_bases_match_the_monomial_oracle(spec, random.Random(seed))
+        n = spec.n
+        assert {p for p, q in dol._matrices if (p, q) != (n, n - 1)} <= {0, n + 1}
+
+    @pytest.mark.parametrize("spec, factorable", [
+        # d f2 = f1^f2, d f3 = -f1^f3: unimodular and solvable, not nilpotent
+        (ComplexStructureSpec(3, A={2: {(1, 2): GR(1)}, 3: {(1, 3): GR(-1)}}), True),
+        # d f5 = f1^f2 + f2^c3, d f4 = f1^f3 + f3^c2: B != 0, every basis eliminated
+        (ComplexStructureSpec(5, A={5: {(1, 2): GR(1)}, 4: {(1, 3): GR(1)}},
+                              B={5: {(2, 3): GR(1)}, 4: {(3, 2): GR(1)}}), False),
+    ], ids=["solvable", "b_control"])
+    def test_fixed_specs_equal_the_monomial_cohomology(self, spec, factorable):
+        assert Dolbeault(spec)._factorable() is factorable
+        _assert_bases_match_the_monomial_oracle(spec, random.Random(1))
+
+    @pytest.mark.parametrize("spec, message", [
+        # d.d != 0: d f2 = f1^c1, d f3 = f2^c2; and d f3 = f1^c1, d f4 = -f1^f2 + f3^c3
+        (ComplexStructureSpec(3, B={2: {(1, 1): GR(1)}, 3: {(2, 2): GR(1)}}),
+         "d_out . d_in nonzero on column 2"),
+        (ComplexStructureSpec(4, A={4: {(1, 2): GR(-1)}},
+                              B={3: {(1, 1): GR(1)}, 4: {(3, 3): GR(1)}}),
+         "d_out . d_in nonzero on column 3"),
+        # Poly structure constants, with and without B terms
+        (ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}}, B={3: {(1, 1): S}},
+                              Abar={3: {(1, 2): GR(-1)}}, Bbar={}),
+         "cohomology expects constant matrices"),
+        (ComplexStructureSpec(3, A={3: {(1, 2): S}}, Abar={3: {(1, 2): S}}, Bbar={}),
+         "cohomology expects constant matrices"),
+    ], ids=["dd_n3", "dd_n4", "poly_b", "poly_b_free"])
+    def test_tables_keep_their_errors(self, spec, message):
+        with pytest.raises(linalg.LinalgError) as info:
+            hodge_table(spec)
+        assert type(info.value) is linalg.LinalgError and str(info.value) == message
 
 
 class TestBeyondParallelisable:

@@ -21,7 +21,9 @@ polynomial o1 map with a kernel, is pinned by the sha256 of its JSON
 stdout, and so are ``hodge --format json`` on ``two_step_n8.json`` and
 ``jump --point u=1 --format json`` on ``two_step_u_n7.json``: tables and
 jump rows that draw on one delbar matrix of each Serre-dual pair, at sizes
-whose pairs differ from n = 6's.
+whose pairs differ from n = 6's.  ``d1 --format json`` on
+``two_step_u_n6.json`` pins every H^{p,q} basis of a structure with no
+``B`` terms, whose bases at p >= 1 are block copies of the (0, q) row.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ PINNED_SHA256 = {
         "3b4f70bcaeeeb3bc3050cef33f5bf08d2d97043cbbe6b580951bb113e2eda319",
     ("jump", "tests/data/two_step_u_n7.json", "--point", "u=1", "--format", "json"):
         "8960ffe34ca845098dd645d490c1e689d4785b5e15cce39022650f4f27e2b703",
+    ("d1", "tests/data/two_step_u_n6.json", "--format", "json"):
+        "3f9e2b7cad2b745b67c24a3be76c8ebc84f9e526765aa1e1c7b9fc4256141608",
 }
 
 POINTS = {
