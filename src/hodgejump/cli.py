@@ -85,6 +85,15 @@ def _need_psi(man: Manifest):
         raise ValidationFailure("manifest declares no deformation table")
 
 
+def _matrix_strings(m: linalg.ExactMatrix) -> list[list[str]]:
+    """m's rows as strings from its nonzeros; "0" (GR_ZERO's or Poly's) fills gaps."""
+    out = [["0"] * m.cols for _ in m.sparse_rows]
+    for row, entries in zip(out, m.sparse_rows):
+        for j, x in entries.items():
+            row[j] = str(x)
+    return out
+
+
 def _hodge_payload(n: int, table: dict) -> dict:
     return {f"{p},{q}": table[(p, q)] for p in range(n + 1) for q in range(n + 1)}
 
@@ -120,8 +129,7 @@ def cmd_obstruct(args) -> int:
     man = load_manifest(args.manifest)
     _need_psi(man)
     rep = deform.obstruction_o1(man.spec, man.psi1, args.p, args.q)
-    m = rep.matrix
-    entries = [[str(x) for x in row] for row in m.entries]
+    entries = _matrix_strings(rep.matrix)
     kernel = [[str(x) for x in v] for v in rep.kernel()]
     payload = {
         "name": man.name,
@@ -236,7 +244,7 @@ def cmd_d1(args) -> int:
         rank = linalg.rank_const(m) if m.rows and m.cols else 0
         payload["maps"][f"{p},{q}"] = {
             "rank": rank,
-            "matrix": [[str(x) for x in row] for row in m.entries],
+            "matrix": _matrix_strings(m),
         }
         rows.append([f"({p},{q})", str(rank), "nonzero" if nz else "0"])
     text = _table_text(rows, ["(p,q)", "rank", "d1"])

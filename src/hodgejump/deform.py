@@ -14,8 +14,8 @@ first-order closure defect there equals (-1)^(p+q+1) o1, so the reported
 obstruction carries that normalization and the two routes agree exactly.
 
 The jump prediction needs only the ranks of o1, and takes them from delbar
-matrices alone (``jump_report``): the first-order part of delbar deformed
-along a ray induces o1, so no cohomology basis and no o1 matrix is formed.
+ranks alone (``jump_report``): delbar deformed along a ray, over the jets
+Q(i)[s]/(s^2), induces o1, so no cohomology basis and no o1 matrix is formed.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .exterior import (
     defect_is_zero,
     validate_spec,
 )
-from .freemod import _jet_rows
 
 __all__ = [
     "Dolbeault",
@@ -125,22 +124,24 @@ class DolbeaultBasis:
 class Dolbeault:
     """Bigraded delbar-complex of a spec with memoized matrices, ranks and bases.
 
+    The ``B`` and ``Abar`` constants lie in Q(i) or in the jets Q(i)[s]/
+    (s^(K+1)) of one parameter; over jets each delbar matrix is the Q(i)
+    matrix of delbar on jet-valued forms, and every rule below still holds.
     Hodge numbers come from delbar ranks (``_rank``).  delbar.delbar = 0 is
     checked once per spec, as d.d = 0 on the generators (d.d is a
     derivation, and its (p, q+2) part is delbar.delbar); only a spec that
     fails it has d_out . d_in formed at each bidegree, which reports the
-    first column where it is nonzero.  A trusted spec (that check passed,
-    Q(i) constants) may also be certified, delbar zero on (n, n-1)-forms
-    (every unimodular Lie algebra): Leibniz on a ^ b, a of bidegree (p, q)
-    and b of (n-p, n-1-q), makes delbar_{p,q} a signed transpose of
-    delbar_{n-p,n-1-q}, so one matrix of each dual pair is ranked.  Or it
-    may be factorable, with no ``B`` terms (complex-parallelisable): then
-    delbar(f_I ^ c_J) = (-1)^p f_I ^ delbar c_J, so delbar_{p,q} =
-    (-1)^p I_{C(n,p)} (x) delbar_{0,q}, and every rank and basis at p >= 1
-    is copied from the (0, q) row: a table builds the p = 0 matrices and
-    the certificate delbar_{n,n-1} alone (Y. Sakane, Osaka J. Math. 13
-    (1976)).  A basis is built only where classes are used, never by
-    ``jump_report``, which reads ranks and delbar matrices alone.
+    first column where it is nonzero.  A spec that passes may also be
+    certified, delbar zero on (n, n-1)-forms (every unimodular Lie algebra):
+    Leibniz on a ^ b, a of bidegree (p, q) and b of (n-p, n-1-q), makes
+    delbar_{p,q} a signed transpose of delbar_{n-p,n-1-q}, so one matrix of
+    each dual pair is ranked.  Or it may be factorable, with no ``B`` terms
+    (complex-parallelisable): then delbar(f_I ^ c_J) = (-1)^p f_I ^ delbar
+    c_J, so delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}, and every
+    rank and basis at p >= 1 is copied from the (0, q) row: a table builds
+    the p = 0 matrices and the certificate delbar_{n,n-1} alone (Y. Sakane,
+    Osaka J. Math. 13 (1976)).  A basis is built only where classes are
+    used, over Q(i) alone, never by ``jump_report``, which reads ranks.
 
     Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
     itself, so every caller shares its matrices and bases.
@@ -176,60 +177,60 @@ class Dolbeault:
         ``masks[k]`` lists the index bitmasks of size k in basis order (for
         0 <= k <= n) and ``index`` gives each mask's position there.
         ``dbar_f[I]`` holds delbar(f_I) (the ``B`` terms) keyed by
-        (I', bit of j) for f_I' ^ c_j.  ``dbar_c[J]`` lists the terms
-        (J', c) of delbar(c_J) (the ``Abar`` terms): c_k at position pos in
-        J becomes c_i ^ c_j with sign (-1)^(pos + r({i, j}, J - k)).  It
-        stays an unsummed list, so each matrix entry adds its terms in the
-        order ``_d_monomial`` adds them for f_I ^ c_J (the ``B`` terms, then
-        the ``Abar`` terms one by one): the value does not depend on that
-        order, but whether a Poly survives a cancellation does.  ``qi`` is
-        true when every ``B`` and ``Abar`` constant is in Q(i).
+        (I', bit of j) for f_I' ^ c_j, and ``dbar_c[J]`` holds delbar(c_J)
+        (the ``Abar`` terms) keyed by J', both from ``_d_monomial``.
+        ``order`` is K when the ``B`` and ``Abar`` constants not in Q(i) are
+        jets of order K >= 1 in one parameter, else 0; constants in any
+        other ring raise ``LinalgError``.
         """
         if self._pieces is None:
             spec, n = self.spec, self.spec.n
+            rings = {(getattr(c, "params", ()), getattr(c, "order", 0))
+                     for table in (spec.B, spec.Abar) for row in table.values()
+                     for c in row.values() if type(c) is not GaussianRational}
+            params, order = next(iter(rings), ((), 0))
+            if len(rings) > 1 or rings and (len(params) != 1 or order < 1):
+                raise linalg.LinalgError("cohomology expects constant matrices")
             masks = {k: [_mask(c) for c in itertools.combinations(range(1, n + 1), k)]
                      for k in range(n + 1)}
             index = {m: r for level in masks.values() for r, m in enumerate(level)}
             dbar_f, dbar_c, has_b = {}, {}, any(spec.B.values())
             for m in index:
-                dbar_f[m] = {}
+                dbar_f[m], db = {}, {}
                 if has_b:
                     _d_monomial(spec, m, 0, dbar_f[m])
-                dbar_c[m] = terms = []
-                for k in _indices(m):
-                    bk = 1 << k
-                    rest = m ^ bk
-                    for (i, j), c in spec.Abar[k].items():
-                        t = (1 << i) | (1 << j)
-                        if not rest & t:
-                            sign = _shuffle(bk, rest) + _shuffle(t, rest)
-                            terms.append((rest | t, -c if sign & 1 else c))
-            qi = all(type(c) is GaussianRational for table in (spec.B, spec.Abar)
-                     for row in table.values() for c in row.values())
-            self._pieces = (masks, index, dbar_f, dbar_c, qi)
+                _d_monomial(spec, 0, m, db)
+                dbar_c[m] = {tj: c for (_, tj), c in db.items()}
+            self._pieces = (masks, index, dbar_f, dbar_c, order)
         return self._pieces
 
+    @property
+    def order(self) -> int:
+        """The jet order K of the delbar constants, 0 when they are in Q(i)."""
+        return self._generator_pieces()[4]
+
     def dbar_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
-        """Matrix of delbar from bidegree (p, q) to (p, q+1).
+        """Matrix of delbar from bidegree (p, q) to (p, q+1), over Q(i).
 
         Assembled straight into sparse rows by the Leibniz rule
         delbar(f_I ^ c_J) = delbar(f_I) ^ c_J + (-1)^p f_I ^ delbar(c_J):
         a term f_I' ^ c_j of delbar(f_I) lands on f_I' ^ c_(J+j) with sign
         (-1)^r(j, J), and vanishes when j is in J.  Monomial (I, J) of
         bidegree (p, q) has index idx(I) * C(n, q) + idx(J), the order of
-        ``monomials``.
+        ``monomials``.  With jet constants of order K, it is delbar on
+        jet-valued forms modulo s^(K+1), laid out by ``linalg._jet_expand``.
         """
         key = (p, q)
         m = self._matrices.get(key)
         if m is not None:
             return m
-        masks, index, dbar_f, dbar_c, qi = self._generator_pieces()
+        masks, index, dbar_f, dbar_c, order = self._generator_pieces()
         # out-of-range bidegrees have no monomials
         src_i, src_j, width = masks.get(p, []), masks.get(q, []), len(masks.get(q + 1, []))
         # only rows that receive a term are made: most are empty for large n
         rows: defaultdict[int, dict] = defaultdict(dict)
         # each term's signed values, formed once per matrix, not per entry
-        c_terms = [(r, mj, [(index[tj], -c if p & 1 else c) for tj, c in dbar_c[mj]])
+        c_terms = [(r, mj, [(index[tj], -c if p & 1 else c) for tj, c in dbar_c[mj].items()])
                    for r, mj in enumerate(src_j)]
         # a column receives a term only from delbar(f_I) or from delbar(c_J)
         c_only = [t for t in c_terms if t[2]]
@@ -245,16 +246,17 @@ class Dolbeault:
                 for tj, c in c_row:
                     accumulate(rows[own + tj], col, c)
         nrows, ncols = len(src_i) * width, len(src_i) * len(src_j)
-        if qi:
-            m = linalg.ExactMatrix._trusted(ncols, rows, nrows)
-        else:
-            m = linalg.ExactMatrix(nrows, ncols, [rows.get(i, {}) for i in range(nrows)])
+        if order:
+            rows, jets = defaultdict(dict), rows
+            linalg._jet_expand(jets.items(), nrows, ncols, order, rows)
+            nrows, ncols = (order + 1) * nrows, (order + 1) * ncols
+        m = linalg.ExactMatrix._trusted(ncols, rows, nrows)
         self._matrices[key] = m
         return m
 
     def _chain(self, p: int, q: int) -> tuple[linalg.ExactMatrix, linalg.ExactMatrix]:
         """(d_in, d_out): delbar into and out of bidegree (p, q), checked to
-        be Q(i) matrices that compose to zero (see the class docstring)."""
+        compose to zero (see the class docstring)."""
         d_out = self.dbar_matrix(p, q)
         d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
         (linalg._check_shapes if self._dd_ok() else linalg._check_chain)(d_in, d_out)
@@ -269,23 +271,19 @@ class Dolbeault:
                 self._dd_zero = False
         return self._dd_zero
 
-    def _trusted(self) -> bool:
-        """Q(i) delbar constants and d.d = 0: no delbar matrix needs a chain check."""
-        return self._generator_pieces()[4] and self._dd_ok()
-
     def _factorable(self) -> bool:
-        """Trusted with no ``B`` terms: delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}."""
-        return not any(self.spec.B.values()) and self._trusted()
+        """d.d = 0 with no ``B`` terms: delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}."""
+        return not any(self.spec.B.values()) and self._dd_ok()
 
     def _rank(self, p: int, q: int) -> int:
         """rank delbar_{p,q}, memoized, by the first rule that applies: its
         Serre dual's rank when the spec is certified and that rank is known;
         C(n,p) rank delbar_{0,q} when the spec is factorable and p >= 1;
-        else ``rank_const`` of the matrix, an untrusted spec's chain checked
-        first by ``_chain``.  Zero for q < 0 or q >= n."""
+        else ``rank_const`` of the matrix, the chain of a spec failing d.d
+        = 0 checked first by ``_chain``.  Zero for q < 0 or q >= n."""
         n, r = self.spec.n, self._ranks.get((p, q))
         if r is None and 0 <= q < n:
-            trusted = self._trusted()
+            trusted = self._dd_ok()
             if trusted and self.dbar_matrix(n, n - 1).is_zero():
                 r = self._ranks.get((n - p, n - 1 - q))
             if r is None and p and self._factorable():
@@ -299,6 +297,8 @@ class Dolbeault:
         key = (p, q)
         if key in self._bases:
             return self._bases[key]
+        if self.order:
+            raise linalg.LinalgError("cohomology expects constant matrices")
         label = f"H^{p},{q}"
         if 1 <= p <= self.spec.n and self._factorable():
             cob = self.basis(0, q).cob.repeat(comb(self.spec.n, p), label)
@@ -310,9 +310,10 @@ class Dolbeault:
 
     def table(self) -> dict[tuple[int, int], int]:
         """h^{p,q} for all 0 <= p, q <= n by rank-nullity over ``_rank``;
-        builds no basis."""
-        n = self.spec.n
-        return {(p, q): comb(n, p) * comb(n, q) - self._rank(p, q) - self._rank(p, q - 1)
+        builds no basis.  With jet constants of order K it is the Q(i)
+        dimension of the cohomology of jet-valued forms."""
+        n, copies = self.spec.n, self.order + 1
+        return {(p, q): copies * comb(n, p) * comb(n, q) - self._rank(p, q) - self._rank(p, q - 1)
                 for p in range(n + 1) for q in range(n + 1)}
 
 
@@ -801,10 +802,11 @@ class JumpTable:
 
 
 def ray(psi1: VectorForm, point: dict) -> VectorForm:
-    """The first-order direction s -> s psi1(point) in the one parameter s:
-    ``jump_report`` deforms along it, and ``jump``'s oracle tables its
-    Maurer-Cartan family at s = 1.  Zero when psi1 vanishes at the point."""
-    return VectorForm(psi1.spec, 1, {key: Poly(("s",), {(1,): c})
+    """The first-order direction s -> s psi1(point) in the one parameter s,
+    as jets of order 1: ``jump_report`` deforms along it, and ``jump``'s
+    oracle tables its Maurer-Cartan family at s = 1.  Zero when psi1
+    vanishes at the point."""
+    return VectorForm(psi1.spec, 1, {key: Jet._trusted(Poly(("s",), {(1,): c}), 1)
                                      for key, c in psi1.eval_point(point).coeffs.items()})
 
 
@@ -815,30 +817,24 @@ def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> Ju
     second = rank at the point of o1 : H^{p,q-1} -> H^{p,q}
     predicted = h^{p,q}(0) - first - second
 
-    Every number is a delbar rank; no class is formed.  Let D(s) = D0 +
-    s D1 + ... be delbar_{p,q} of the spec deformed along the ray
-    s -> s psi1(point).  psi1 is delbar-closed, so D1 D0 + D0 D1 = 0: D1
-    maps ker D0 into ker delbar_{p,q+1} and im delbar_{p,q-1} into im D0,
-    and induces (-1)^(p+q+1) o1 on cohomology.  Since rank [[A, 0], [C, B]]
-    = rank A + rank B + rank of C from ker A to coker B (Marsaglia and
-    Styan 1974), first is the rank of D's jet operator modulo s^2,
-    [[D0, 0], [D1, D0]], less 2 rank D0.  The ray spec is integrable only
-    to first order, so only its delbar matrices are used, never its table.
-    When its delbar_{n,n-1} is zero, D(s) is a signed transpose of the
-    dual pair's, and so first(p, q) = first(n-p, n-1-q) (README, Conventions).
+    Every number is a delbar rank; no class is formed.  Deformed along the
+    ray s -> s psi1(point) as jets of order 1, the spec's delbar_{p,q} is
+    D0 + s D1 over Q(i)[s]/(s^2).  psi1 is delbar-closed, so D1 D0 + D0 D1
+    = 0: D1 maps ker D0 into ker delbar_{p,q+1} and im delbar_{p,q-1} into
+    im D0, and induces (-1)^(p+q+1) o1 on cohomology.  Since rank [[A, 0],
+    [C, B]] = rank A + rank B + rank of C from ker A to coker B (Marsaglia
+    and Styan 1974), first is the rank of the jet matrix [[D0, 0], [D1,
+    D0]] less 2 rank D0, both ranks from ``Dolbeault._rank`` (so the jet
+    ranks of a certified ray spec come one per Serre-dual pair).  A ray
+    that leaves every delbar constant in Q(i) has D1 = 0, and first = 0.
     """
     _check_first_order(spec, psi1)
     dol = Dolbeault.of(spec)
-    # a zero psi1(point) leaves the spec itself, whose jet rank is 2 rank D0
-    ray_dol = Dolbeault.of(deformed_coframe(spec, ray(psi1, point))[0])
-    n, dual = spec.n, ray_dol.dbar_matrix(spec.n, spec.n - 1).is_zero()
+    # a zero psi1(point) leaves the spec itself
+    jets = Dolbeault.of(deformed_coframe(spec, ray(psi1, point))[0])
     rows = {}
     for (p, q), h0 in dol.table().items():  # q ascends, so (p, q-1) comes first
-        if dual and (n - p, n - 1 - q) in rows:  # p ascends, so a pair's low-p member comes first
-            first = rows[(n - p, n - 1 - q)].first
-        else:
-            jets, width = _jet_rows(ray_dol.dbar_matrix(p, q), 1)
-            first = linalg.rank_const(linalg.ExactMatrix._trusted(width, jets)) - 2 * dol._rank(p, q)
+        first = jets._rank(p, q) - 2 * dol._rank(p, q) if jets.order else 0
         row = JumpRow(h0=h0, first=first, second=rows[(p, q - 1)].first if q else 0)
         if row.predicted < 0:
             raise InternalInvariantError(f"negative predicted Hodge number at ({p},{q})")

@@ -150,21 +150,6 @@ class ComplexStructureSpec(_Immutable):
         """True when every mixed table vanishes (holomorphic coframe)."""
         return all(not self.B[k] for k in self.B) and all(not self.Bbar[k] for k in self.Bbar)
 
-    def d_generator(self, kind: str, k: int) -> list[tuple[list[tuple[str, int]], object]]:
-        """d of a single generator as a list of (factor pair, coefficient)."""
-        out = []
-        if kind == "f":
-            for (i, j), c in self.A[k].items():
-                out.append(([("f", i), ("f", j)], c))
-            for (i, j), c in self.B[k].items():
-                out.append(([("f", i), ("c", j)], c))
-        else:
-            for (i, j), c in self.Abar[k].items():
-                out.append(([("c", i), ("c", j)], c))
-            for (i, j), c in self.Bbar[k].items():
-                out.append(([("f", i), ("c", j)], c))
-        return out
-
     def __eq__(self, other):
         if self is other:
             return True

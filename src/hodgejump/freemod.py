@@ -19,7 +19,8 @@ the dimensions of the obstructed subspaces.
 
 Every jet-truncated system comes from one builder, ``_jet_rows``: the
 sparse rows of d acting on x_0 + t x_1 + ... + t^N x_N modulo t^(N+1),
-block lower-triangular in the t^b coefficient matrices of d.  Jet
+block lower-triangular in the t^b coefficient matrices of d, in the layout
+of ``linalg._jet_expand`` (which lays out delbar over jets too).  Jet
 extension, the local Smith exponents of d, the first-class search and
 method (b) of the second-class search all eliminate those rows with
 ``linalg.Echelon``.  The searches run at the largest Smith exponent, the
@@ -295,36 +296,11 @@ def extend_step(c: FreeComplex, alpha: JetCochain):
 # -- jet-truncated linear systems ------------------------------------------
 
 def _jet_rows(d: linalg.ExactMatrix, order: int, base=None):
-    """Sparse rows of d acting on jets x_0 + t x_1 + ... + t^order x_order
-    modulo t^(order+1); returns (rows, width).
-
-    Row k*d.rows + i is the t^k coefficient of component i of d(x): the
-    block lower-triangular sum over a + b = k of D_b x_a, D_b the t^b
-    coefficient matrix of d.  Columns are x_0, ..., x_order stacked.  With
-    ``base`` (sparse vectors b_m), x_0 = sum_m c_m b_m and the first column
-    block holds c instead, with entries D_k b_m.
-    """
-    head = d.cols if base is None else len(base)
-    # base vectors by the component they touch: j -> [(m, b_m[j])]
-    uses = [[] for _ in range(0 if base is None else d.cols)]
-    for m, vec in enumerate(base or ()):
-        for j, y in vec.items():
-            uses[j].append((m, y))
+    """(rows, width): d on jets x_0 + t x_1 + ... + t^order x_order modulo
+    t^(order+1), x_0 = sum_m c_m b_m when ``base`` lists sparse b_m, with
+    row block k the t^k coefficient of d(x) (``linalg._jet_expand``)."""
     rows = [{} for _ in range(d.rows * (order + 1))]
-    for i, entries in enumerate(d.sparse_rows):
-        for j, x in entries.items():
-            for (b,), v in (x.terms.items() if isinstance(x, Poly) else [((0,), x)]):
-                if b > order:
-                    continue
-                for a in range(1, order - b + 1):
-                    rows[(a + b) * d.rows + i][head + (a - 1) * d.cols + j] = v
-                row = rows[b * d.rows + i]
-                if base is None:
-                    row[j] = v
-                else:
-                    for m, y in uses[j]:
-                        accumulate(row, m, v * y)
-    return rows, head + order * d.cols
+    return rows, linalg._jet_expand(enumerate(d.sparse_rows), d.rows, d.cols, order, rows, base)
 
 
 def _smith_counts(d: linalg.ExactMatrix, rank: int, cap: int) -> list[int]:

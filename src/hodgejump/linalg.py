@@ -111,6 +111,39 @@ def _dense(row, width: int, zero=GR_ZERO) -> list:
     return out
 
 
+def _jet_expand(rows, nrows: int, ncols: int, order: int, out, base=None) -> int:
+    """Write into ``out`` (indexable by row, each row a dict) the Q(i) rows
+    of an nrows x ncols matrix acting on jets x_0 + s x_1 + ... + s^K x_K
+    modulo s^(K+1), K = ``order``; return their width.  ``rows`` yields
+    (i, {j: entry}) over Q(i) or one-parameter Poly or Jet.  The s^b
+    coefficient of entry (i, j) sits at row (a+b)*nrows + i and column
+    a*ncols + j (row block a+b, column block a) for every a + b <= K.  With
+    ``base`` (sparse vectors b_m), x_0 = sum_m c_m b_m and column block 0
+    holds c instead, with entries D_b b_m, D_b the s^b coefficient matrix.
+    """
+    head = ncols if base is None else len(base)
+    # base vectors by the component they touch: j -> [(m, b_m[j])]
+    uses = [[] for _ in range(0 if base is None else ncols)]
+    for m, vec in enumerate(base or ()):
+        for j, y in vec.items():
+            uses[j].append((m, y))
+    for i, row in rows:
+        for j, x in row.items():
+            t = type(x)
+            terms = x.terms.items() if t is Poly else (((0,), x),) if t is GaussianRational else x.base.terms.items()
+            for (b,), v in terms:
+                if b > order:
+                    continue
+                for a in range(1, order + 1 - b):
+                    out[(a + b) * nrows + i][head + (a - 1) * ncols + j] = v
+                if base is None:
+                    out[b * nrows + i][j] = v
+                else:
+                    for m, y in uses[j]:
+                        accumulate(out[b * nrows + i], m, v * y)
+    return head + order * ncols
+
+
 class ExactMatrix(_Immutable):
     """Immutable sparse matrix with exact entries (GaussianRational or Poly).
 

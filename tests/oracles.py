@@ -152,6 +152,16 @@ def raw_scale(a: dict, s) -> dict:
     return {k: c * s for k, c in a.items()}
 
 
+def _d_generator(spec: ComplexStructureSpec, kind: str, k: int) -> list:
+    """d of the generator f_k (kind "f") or c_k (kind "c") as a list of
+    (factor pair, coefficient), read straight off the structure tables."""
+    if kind == "f":
+        return ([([("f", i), ("f", j)], c) for (i, j), c in spec.A[k].items()]
+                + [([("f", i), ("c", j)], c) for (i, j), c in spec.B[k].items()])
+    return ([([("c", i), ("c", j)], c) for (i, j), c in spec.Abar[k].items()]
+            + [([("f", i), ("c", j)], c) for (i, j), c in spec.Bbar[k].items()])
+
+
 def naive_d(spec: ComplexStructureSpec, a: InvariantForm) -> dict:
     """Full d(a) as a raw dict, built with the oracle wedge only."""
     total: dict = {}
@@ -159,7 +169,7 @@ def naive_d(spec: ComplexStructureSpec, a: InvariantForm) -> dict:
         factors = [("f", i) for i in I] + [("c", j) for j in J]
         for k in range(len(factors)):
             kind, idx = factors[k]
-            dgen_terms = spec.d_generator(kind, idx)
+            dgen_terms = _d_generator(spec, kind, idx)
             for pair, sc in dgen_terms:
                 pieces = factors[:k] + pair + factors[k + 1:]
                 flat = [(0 if t == "f" else 1, i) for (t, i) in pieces]
@@ -245,6 +255,16 @@ def monomial_dbar_matrix(spec: ComplexStructureSpec, p: int, q: int) -> linalg.E
         _d_monomial(spec, _mask(I), _mask(J), db)
         cols.append({row_of[key]: c for key, c in db.items()})
     return linalg.ExactMatrix.from_columns(len(tgt), cols)
+
+
+def jet_twin(spec: ComplexStructureSpec, order: int) -> ComplexStructureSpec:
+    """``spec`` with each Poly structure constant read as a jet of ``order``."""
+    def table(rows):
+        return {k: {ij: Jet(c, order) if isinstance(c, Poly) else c for ij, c in row.items()}
+                for k, row in rows.items()}
+
+    return ComplexStructureSpec(spec.n, table(spec.A), table(spec.B),
+                                Abar=table(spec.Abar), Bbar=table(spec.Bbar))
 
 
 def naive_deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm) -> dict:

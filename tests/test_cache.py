@@ -297,12 +297,28 @@ def test_n10_table_builds_only_the_p0_row_and_the_certificate():
     (str(Path(__file__).parent / "data" / "two_step_u_n6.json"), {"u": GR(1)}),
 ], ids=["iwasawa", "two_step_u_n6"])
 def test_jump_forms_no_class(monkeypatch, manifest, assignment):
-    # jump reads delbar ranks alone: no cohomology basis and no o1 matrix;
-    # the class-level route, run afterwards, trips every counter
+    # jump reads delbar ranks alone: no cohomology basis, no o1 matrix and
+    # no checked (polynomial) matrix, and the ray spec's jet matrices are
+    # ranked at most once per Serre-dual pair; the class-level route, run
+    # afterwards, trips every counter
     man = parse_manifest(load_manifest(manifest).to_json())  # unshared: no basis cached yet
     point = man.full_point(assignment)
-    calls = []
+    calls, built, ranked = [], {}, []
     real_cohomology, real_basis, real_o1 = linalg._cohomology, Dolbeault.basis, deform.obstruction_o1
+    real_init, real_dbar, real_rank = linalg.ExactMatrix.__init__, Dolbeault.dbar_matrix, linalg.rank_const
+
+    def init(self, *args):
+        calls.append("ExactMatrix")
+        real_init(self, *args)
+
+    def dbar_matrix(self, p, q):
+        m = real_dbar(self, p, q)
+        built[id(m)] = (self.order, p, q)
+        return m
+
+    def rank_const(m):
+        ranked.append(built.get(id(m)))
+        return real_rank(m)
 
     def cohomology(*args, **kwargs):
         calls.append("_cohomology")
@@ -319,10 +335,16 @@ def test_jump_forms_no_class(monkeypatch, manifest, assignment):
     monkeypatch.setattr(linalg, "_cohomology", cohomology)
     monkeypatch.setattr(Dolbeault, "basis", basis)
     monkeypatch.setattr(deform, "obstruction_o1", o1)
+    monkeypatch.setattr(linalg.ExactMatrix, "__init__", init)
+    monkeypatch.setattr(Dolbeault, "dbar_matrix", dbar_matrix)
+    monkeypatch.setattr(linalg, "rank_const", rank_const)
     deform.jump_report(man.spec, man.psi1, point)
     assert calls == []
+    assert None not in ranked  # every rank is a delbar rank
+    n, jets = man.spec.n, [(p, q) for order, p, q in ranked if order]
+    assert jets and len({frozenset({(p, q), (n - p, n - 1 - q)}) for p, q in jets}) == len(jets)
     deform.second_class_subspace(man.spec, man.psi1, 1, 1, point)
-    assert set(calls) == {"_cohomology", "basis", "obstruction_o1"}
+    assert set(calls) == {"_cohomology", "basis", "obstruction_o1", "ExactMatrix"}
 
 
 def test_hodge_table_and_bases_form_no_chain_products(monkeypatch):

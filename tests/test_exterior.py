@@ -194,27 +194,40 @@ class TestDifferential:
 
     @pytest.mark.parametrize("spec_name", SPEC_NAMES + ["deformed_iwasawa"])
     def test_dbar_matrix_columns_match_oracle(self, spec_name, request):
-        # deformed_iwasawa: the Iwasawa coframe deformed along the symbolic
-        # first-order class, so its structure constants are polynomials
+        # deformed_iwasawa: the Iwasawa coframe deformed along the ray
+        # s -> s psi1(point) of the symbolic first-order class, so its
+        # structure constants are polynomials in s, read as jets of order 2:
+        # column a*C + j is s^a times monomial j, and the s^b part of its
+        # delbar lands in row block a+b
+        order = 0
         if spec_name == "deformed_iwasawa":
-            spec, _ = deformed_coframe(request.getfixturevalue("iwasawa"),
-                                       request.getfixturevalue("iw_psi1"))
+            psi1 = request.getfixturevalue("iw_psi1").eval_point(
+                {t: GR(k, 1) for k, t in enumerate(IW_PARAMS)})
+            spec, _ = deformed_coframe(request.getfixturevalue("iwasawa"), VectorForm(
+                psi1.spec, 1, {key: Poly(("s",), {(1,): c}) for key, c in psi1.coeffs.items()}))
             assert any(isinstance(c, Poly) for row in spec.B.values() for c in row.values())
+            order = 2
         else:
             spec = request.getfixturevalue(spec_name)
-        dol = Dolbeault.of(spec)
+        dol = Dolbeault(oracles.jet_twin(spec, order) if order else spec)
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
-                tgt = basis_monomials(spec.n, p, q + 1)
+                tgt = {key: r for r, key in enumerate(basis_monomials(spec.n, p, q + 1))}
+                src = basis_monomials(spec.n, p, q)
                 cols = dol.dbar_matrix(p, q).sparse_columns
-                for col, key in zip(cols, basis_monomials(spec.n, p, q), strict=True):
-                    full = oracles.naive_d(spec, InvariantForm.monomial(spec, *key))
+                assert len(cols) == (order + 1) * len(src)
+                for col_index, col in enumerate(cols):
+                    a, j = divmod(col_index, len(src))
+                    full = oracles.naive_d(spec, InvariantForm.monomial(spec, *src[j]))
                     expect = {}
                     for factors, c in full.items():
                         J = tuple(i for side, i in factors if side == 1)
                         if len(J) == q + 1:
-                            expect[(tuple(i for side, i in factors if side == 0), J)] = c
-                    assert {tgt[r]: c for r, c in col.items()} == expect
+                            r = tgt[(tuple(i for side, i in factors if side == 0), J)]
+                            for (b,), x in (c.terms.items() if isinstance(c, Poly) else [((0,), c)]):
+                                if a + b <= order:
+                                    expect[(a + b) * len(tgt) + r] = x
+                    assert dict(col) == expect
 
     @pytest.mark.parametrize("spec_name", SPEC_NAMES + ["unordered_spec", "deformed_iwasawa"])
     def test_dbar_vector_matches_oracle(self, spec_name, request):

@@ -50,6 +50,10 @@ PINNED_SHA256 = {
         "8960ffe34ca845098dd645d490c1e689d4785b5e15cce39022650f4f27e2b703",
     ("d1", "tests/data/two_step_u_n6.json", "--format", "json"):
         "3f9e2b7cad2b745b67c24a3be76c8ebc84f9e526765aa1e1c7b9fc4256141608",
+    ("jump", "tests/data/two_step_symbolic_n5.json", "--point", "t11=1", "--format", "json"):
+        "280af705f661f4d451f3948930cbfe1596487d6009061ee4d54b70a293061f7b",
+    ("jump", "tests/data/two_step_symbolic_n5.json", "--point", "t11=1,t23=2", "--format", "json"):
+        "361fd22a5e902d67d6f2e77c8e8ef1d7c201f072eff7ef92a31d1a7b466b216d",
 }
 
 POINTS = {
