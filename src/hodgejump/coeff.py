@@ -7,13 +7,15 @@ Three coefficient rings are provided, forming a ladder:
   gcd(a, b, d) == 1;
 * ``Poly``, multivariate polynomials in a fixed ordered tuple of
   deformation parameters, with GaussianRational coefficients;
-* ``Jet``, a Poly truncated at a total degree bound.  Multiplication
-  discards every monomial of total degree above the bound.
+* ``Jet``, a Poly with a truncation order: its arithmetic discards every
+  monomial of total degree above the order.  An exact Poly has the order
+  None.
 
-Mixed-ring arithmetic is the operators: the smaller ring's operator returns
-``NotImplemented`` for an operand of a larger ring, whose reflected operator
-promotes it (Q(i) into Poly into Jet; a Poly meeting a Jet is truncated to
-the jet's order).
+Mixed-ring arithmetic is the operators: Q(i)'s operator returns
+``NotImplemented`` for a Poly, whose reflected operator promotes the scalar
+to a constant.  A Poly operand gives each result the order of the Jet among
+the operands, so an exact Poly meeting a Jet is truncated to the jet's
+order; two different orders are an error.
 
 All values are immutable: each value class, and the forms, specs and
 matrices built from them, inherits ``_Immutable``.  Monomials are ordered
@@ -22,10 +24,10 @@ hashing.
 
 The public constructors and ``Poly.parse`` check and coerce every term.
 Results of arithmetic on values that already passed those checks come
-from ``Poly._trusted`` and ``Jet._trusted``, which skip them: use those
-only for terms the package built itself (exponent tuples of ints >= 0,
-one per parameter, and nonzero GaussianRational coefficients, in a dict
-no one else holds) and, for a Jet, a base with no term above its order.
+from ``Poly._trusted``, which skips them: use it only for terms the
+package built itself (exponent tuples of ints >= 0, one per parameter, and
+nonzero GaussianRational coefficients, in a dict no one else holds) and,
+for a Jet, no term above its order.
 Nothing parsed from input reaches them unchecked.
 """
 
@@ -156,7 +158,7 @@ class GaussianRational(_Immutable):
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (Poly, Jet)):
+            if isinstance(other, Poly):
                 return NotImplemented
             other = self._coerce(other)
         d, e = self._d, other._d
@@ -168,7 +170,7 @@ class GaussianRational(_Immutable):
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (Poly, Jet)):
+            if isinstance(other, Poly):
                 return NotImplemented
             other = self._coerce(other)
         d, e = self._d, other._d
@@ -181,7 +183,7 @@ class GaussianRational(_Immutable):
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            if isinstance(other, (Poly, Jet)):
+            if isinstance(other, Poly):
                 return NotImplemented
             other = self._coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b
@@ -293,9 +295,11 @@ class Poly(_Immutable):
 
     Terms map exponent vectors (one slot per parameter) to nonzero
     GaussianRational coefficients.  The zero polynomial has no terms.
+    ``order`` is None: the polynomial is exact (a ``Jet`` sets it).
     """
 
     __slots__ = ("params", "terms")
+    order = None
 
     def __init__(self, params, terms=None):
         object.__setattr__(self, "params", tuple(params))
@@ -316,12 +320,17 @@ class Poly(_Immutable):
 
     # -- constructors ------------------------------------------------
 
-    @classmethod
-    def _trusted(cls, params: tuple, terms: dict) -> "Poly":
-        """A Poly from terms the package built (see the module docstring):
-        the checks and coercions of ``__init__`` are skipped, and ``terms``
-        is held as given, not copied."""
-        x = _new(cls)
+    @staticmethod
+    def _trusted(params: tuple, terms: dict, order: int | None = None) -> "Poly":
+        """A Poly, or with an ``order`` a Jet, from terms the package built
+        (see the module docstring): the checks, coercions and truncation of
+        the constructors are skipped, and ``terms`` is held as given, not
+        copied."""
+        if order is None:
+            x = _new(Poly)
+        else:
+            x = _new(Jet)
+            _set_order(x, order)
         _set_params(x, params)
         _set_terms(x, terms)
         return x
@@ -403,59 +412,69 @@ class Poly(_Immutable):
             result = result + cls(params, {tuple(exps): coeff})
         return result
 
-    # -- helpers -----------------------------------------------------
-
-    def _check(self, other: "Poly"):
-        if self.params != other.params:
-            raise CoefficientError(
-                f"parameter mismatch: {self.params} vs {other.params}"
-            )
-
-    def _coerce(self, x) -> "Poly":
-        if isinstance(x, Poly):
-            self._check(x)
-            return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            return Poly.constant(self.params, x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into Poly")
-
     # -- arithmetic --------------------------------------------------
 
+    def _operand(self, other) -> "tuple[Poly, int | None]":
+        """``other`` as a Poly over this one's parameters (a scalar becomes a
+        constant of this one's order), and the order of their result: the
+        order of their Jet operand, None when both are exact."""
+        if isinstance(other, Poly):
+            if self.params != other.params:
+                raise CoefficientError(f"parameter mismatch: {self.params} vs {other.params}")
+            order = self.order
+            if other.order != order:
+                if order is not None and other.order is not None:
+                    raise CoefficientError(f"jet order mismatch: {order} vs {other.order}")
+                order = other.order if order is None else order
+            return other, order
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            c = GaussianRational._coerce(other)
+            return Poly._trusted(self.params, {(0,) * len(self.params): c} if c else {},
+                                 self.order), self.order
+        raise TypeError(f"cannot coerce {type(other).__name__} into {type(self).__name__}")
+
     def __add__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
-        other = self._coerce(other)
+        other, order = self._operand(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             accumulate(terms, exps, c)
-        return Poly._trusted(self.params, terms)
+        if self.order != other.order:  # an exact polynomial met a jet
+            terms = {e: c for e, c in terms.items() if sum(e) <= order}
+        return Poly._trusted(self.params, terms, order)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
-        return self + (-self._coerce(other))
+        return self + -self._operand(other)[0]
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __neg__(self):
-        return Poly._trusted(self.params, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.params, {e: -c for e, c in self.terms.items()}, self.order)
 
     def __mul__(self, other):
+        """The product; for a jet, pairs of terms whose degrees sum past
+        its order are skipped, not formed and then dropped."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational._coerce(other)
             # Q(i) is a field, so a nonzero scalar leaves every term nonzero
-            return Poly._trusted(self.params, {e: v * c for e, v in self.terms.items()} if c else {})
-        if isinstance(other, Jet):
-            return NotImplemented
-        other = self._coerce(other)
+            terms = {e: v * c for e, v in self.terms.items()} if c else {}
+            return Poly._trusted(self.params, terms, self.order)
+        other, order = self._operand(other)
         terms: dict[tuple[int, ...], GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly._trusted(self.params, terms)
+        if order is None:
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        else:
+            right = [(e, sum(e), c) for e, c in other.terms.items()]
+            for e1, c1 in self.terms.items():
+                room = order - sum(e1)
+                for e2, d2, c2 in right:
+                    if d2 <= room:
+                        accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Poly._trusted(self.params, terms, order)
 
     __rmul__ = __mul__
 
@@ -463,14 +482,20 @@ class Poly(_Immutable):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.constant(self.params, other)
-        if not isinstance(other, Poly):
+        """Equality in the ring of the result: a jet equals every polynomial
+        that agrees with it up to its order."""
+        try:
+            other, order = self._operand(other)
+        except (TypeError, CoefficientError):
             return NotImplemented
-        return self.params == other.params and self.terms == other.terms
+        if self.order == other.order:
+            return self.terms == other.terms
+        return ({e: c for e, c in self.terms.items() if sum(e) <= order}
+                == {e: c for e, c in other.terms.items() if sum(e) <= order})
 
     def __hash__(self):
-        return hash((self.params, tuple(sorted(self.terms.items()))))
+        # a jet of order 0 equals every polynomial with its constant term
+        return hash(self.constant_term())
 
     # -- queries -----------------------------------------------------
 
@@ -539,132 +564,36 @@ _set_params = Poly.params.__set__
 _set_terms = Poly.terms.__set__
 
 
-class Jet(_Immutable):
-    """A polynomial truncated at a total-degree bound.
+class Jet(Poly):
+    """A polynomial truncated at a total-degree bound ``order``.
 
     Models functions on an infinitesimal neighborhood of the origin of the
     parameter space: arithmetic agrees with Poly arithmetic followed by
-    discarding all monomials of total degree above ``order``.
+    discarding all monomials of total degree above ``order``, and a Jet
+    meeting an exact Poly is a Jet.
     """
 
-    __slots__ = ("base", "order")
+    __slots__ = ("order",)
 
     def __init__(self, base: Poly, order: int):
         if order < 0:
             raise CoefficientError("jet order must be nonnegative")
-        object.__setattr__(
-            self,
-            "base",
-            Poly(base.params, {e: c for e, c in base.terms.items() if sum(e) <= order}),
-        )
-        object.__setattr__(self, "order", order)
-
-    @classmethod
-    def _trusted(cls, base: Poly, order: int) -> "Jet":
-        """A Jet from a base the package built with no term above ``order``
-        (see the module docstring): the truncation of ``__init__`` is
-        skipped."""
-        x = _new(cls)
-        _set_base(x, base)
-        _set_order(x, order)
-        return x
-
-    @property
-    def params(self):
-        return self.base.params
+        super().__init__(base.params, {e: c for e, c in base.terms.items() if sum(e) <= order})
+        _set_order(self, order)
 
     @classmethod
     def constant(cls, params, c, order: int) -> "Jet":
         return cls(Poly.constant(params, c), order)
 
-    def _coerce(self, x) -> "Jet":
-        if isinstance(x, Jet):
-            if x.params != self.params:
-                raise CoefficientError(
-                    f"parameter mismatch: {self.params} vs {x.params}"
-                )
-            if x.order != self.order:
-                raise CoefficientError(f"jet order mismatch: {self.order} vs {x.order}")
-            return x
-        if isinstance(x, Poly):
-            if x.params != self.params:
-                raise CoefficientError(
-                    f"parameter mismatch: {self.params} vs {x.params}"
-                )
-            return Jet(x, self.order)
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            return Jet.constant(self.params, x, self.order)
-        raise TypeError(f"cannot coerce {type(x).__name__} into Jet")
-
-    # sums, negations and scalar multiples of truncated bases stay truncated
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Jet._trusted(self.base + other.base, self.order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Jet._trusted(self.base - other.base, self.order)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return Jet._trusted(-self.base, self.order)
-
-    def __mul__(self, other):
-        """The product truncated at the order: pairs of terms whose degrees
-        sum past it are skipped, not formed and then dropped."""
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return Jet._trusted(self.base * other, self.order)
-        other = self._coerce(other)
-        order = self.order
-        right = [(e, sum(e), c) for e, c in other.base.terms.items()]
-        terms: dict[tuple[int, ...], GaussianRational] = {}
-        for e1, c1 in self.base.terms.items():
-            room = order - sum(e1)
-            for e2, d2, c2 in right:
-                if d2 <= room:
-                    accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Jet._trusted(Poly._trusted(self.params, terms), order)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.base)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, Poly)):
-            try:
-                other = self._coerce(other)
-            except (TypeError, CoefficientError):
-                return NotImplemented
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self.order == other.order and self.base == other.base
-
-    def __hash__(self):
-        return hash((self.order, self.base))
-
-    def homogeneous_part(self, n: int) -> Poly:
-        return self.base.homogeneous_part(n)
-
-    def constant_term(self) -> GaussianRational:
-        return self.base.constant_term()
-
-    def eval(self, point: dict) -> GaussianRational:
-        return self.base.eval(point)
-
-    def __str__(self):
-        return str(self.base)
+    @property
+    def base(self) -> Poly:
+        """The exact polynomial with this jet's terms."""
+        return Poly._trusted(self.params, self.terms)
 
     def __repr__(self):
-        return f"Jet({self.base}; order={self.order})"
+        return f"Jet({self}; order={self.order})"
 
 
-_set_base = Jet.base.__set__
 _set_order = Jet.order.__set__
 
 

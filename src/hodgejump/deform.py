@@ -185,7 +185,7 @@ class Dolbeault:
         """
         if self._pieces is None:
             spec, n = self.spec, self.spec.n
-            rings = {(getattr(c, "params", ()), getattr(c, "order", 0))
+            rings = {(getattr(c, "params", ()), getattr(c, "order", None) or 0)
                      for table in (spec.B, spec.Abar) for row in table.values()
                      for c in row.values() if type(c) is not GaussianRational}
             params, order = next(iter(rings), ((), 0))
@@ -364,8 +364,8 @@ def validate_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> list[D
         diags.append(Diagnostic("error", "psi", f"expected a (0,1) vector form, got q={psi1.q}"))
         return diags
     for (i, J), c in psi1.coeffs.items():
-        if isinstance(c, (Poly, Jet)) and c:
-            degs = {sum(e) for e in (c.base.terms if isinstance(c, Jet) else c.terms)}
+        if isinstance(c, Poly) and c:
+            degs = {sum(e) for e in c.terms}
             if degs - {1}:
                 diags.append(
                     Diagnostic(
@@ -451,9 +451,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
     def to_jet(v: VectorForm) -> VectorForm:
         out = {}
         for key, c in v.coeffs.items():
-            if isinstance(c, Jet):
-                out[key] = Jet(c.base, target_order)
-            elif isinstance(c, Poly):
+            if isinstance(c, Poly):
                 out[key] = Jet(c, target_order)
             else:
                 out[key] = Jet.constant(params, c, target_order)
@@ -480,7 +478,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
         by_monomial: dict[tuple[int, ...], dict] = {}
         for gen, row in defect.items():
             for (a, b), c in row.items():
-                h = c.homogeneous_part(k) if isinstance(c, (Poly, Jet)) else Poly(params)
+                h = c.homogeneous_part(k) if isinstance(c, Poly) else Poly(params)
                 for exps, v in h.terms.items():
                     by_monomial.setdefault(exps, {})[(gen, (a, b))] = v
         if not by_monomial:
@@ -561,17 +559,17 @@ def _o1_vector(spec: ComplexStructureSpec, psi_terms: list, a: dict, da: dict) -
 def _psi_pieces(psi: VectorForm, params: tuple[str, ...] | None) -> dict:
     """Split psi into constant pieces, one per parameter monomial.
 
-    Returns {exponent tuple: psi terms with Q(i) coefficients}.  A Jet
-    contributes through its base polynomial and a constant coefficient
-    lands in the zero exponent, or under ``()`` when psi has no parameters.
+    Returns {exponent tuple: psi terms with Q(i) coefficients}.  A Poly
+    (a Jet is one) contributes its terms and a constant coefficient lands
+    in the zero exponent, or under ``()`` when psi has no parameters.
     """
     zero = (0,) * len(params) if params is not None else ()
     pieces: dict[tuple[int, ...], list] = {}
     for i, mpsi, c in _psi_terms(psi):
-        if isinstance(c, (Poly, Jet)):
+        if isinstance(c, Poly):
             if c.params != params:
                 raise CoefficientError(f"parameter mismatch: {params} vs {c.params}")
-            terms = (c.base if isinstance(c, Jet) else c).terms.items()
+            terms = c.terms.items()
         else:
             terms = ((zero, c),)
         for exps, v in terms:
@@ -692,14 +690,14 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     alpha_t = {key: Jet.constant(params, c, order) for key, c in a.items()}
     for k in range(1, max_order + 1):
         w = _dbar(dspec, alpha_t)
-        low = min((sum(e) for c in w.values() for e in c.base.terms), default=k)
+        low = min((sum(e) for c in w.values() for e in c.terms), default=k)
         if low < k:
             raise InternalInvariantError(
                 f"extension defect reappeared at order {low} while solving order {k}"
             )
         pieces: dict[tuple[int, ...], dict] = {}
         for key, c in w.items():
-            for exps, v in c.base.terms.items():
+            for exps, v in c.terms.items():
                 if sum(exps) == k:
                     pieces.setdefault(exps, {})[key] = v
         obstruction: list[dict] = [{} for _ in range(tgt.dim)]
@@ -733,7 +731,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 I, J = src_monomials[col]
                 accumulate(add.setdefault((_mask(I), _mask(J)), {}), exps, x)
         for key, terms in add.items():
-            accumulate(alpha_t, key, Jet._trusted(Poly._trusted(params, terms), order))
+            accumulate(alpha_t, key, Poly._trusted(params, terms, order))
     return ExtensionResult(status="extended", order=max_order, p=p, q=q,
                            extension=_unmasked(dspec, p, q, alpha_t))
 
@@ -806,7 +804,7 @@ def ray(psi1: VectorForm, point: dict) -> VectorForm:
     as jets of order 1: ``jump_report`` deforms along it, and ``jump``'s
     oracle tables its Maurer-Cartan family at s = 1.  Zero when psi1
     vanishes at the point."""
-    return VectorForm(psi1.spec, 1, {key: Jet._trusted(Poly(("s",), {(1,): c}), 1)
+    return VectorForm(psi1.spec, 1, {key: Poly._trusted(("s",), {(1,): c}, 1)
                                      for key, c in psi1.eval_point(point).coeffs.items()})
 
 

@@ -41,7 +41,6 @@ from .coeff import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
-    Jet,
     Poly,
     _Immutable,
     accumulate,
@@ -164,13 +163,11 @@ class ComplexStructureSpec(_Immutable):
         )
 
     def __hash__(self):
-        # Equal coefficients of different types (a Q(i) constant, a constant
-        # Poly, a Jet) share their constant term, so hashing supports and
-        # constant terms agrees with __eq__.  Computed on first use only.
+        # Equal coefficients hash equal, whatever their ring (a Poly, a Jet
+        # among them, hashes its constant term).  Computed on first use only.
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.n, tuple(
-                frozenset((k, ij, c if isinstance(c, GaussianRational) else c.constant_term())
-                          for k, row in table.items() for ij, c in row.items())
+                frozenset((k, ij, c) for k, row in table.items() for ij, c in row.items())
                 for table in (self.A, self.B, self.Abar, self.Bbar)
             ))))
         return self._hash
@@ -280,14 +277,14 @@ class _Form(_Immutable):
         return bool(self.coeffs)
 
     def eval_point(self, point: dict):
-        return self._like({key: c.eval(point) if isinstance(c, (Poly, Jet)) else c
+        return self._like({key: c.eval(point) if isinstance(c, Poly) else c
                            for key, c in self.coeffs.items()})
 
     def homogeneous_part(self, k: int):
         """Degree-k part in the parameters; constant coefficients have degree 0."""
-        return self._like({key: c.homogeneous_part(k) if isinstance(c, (Poly, Jet)) else c
+        return self._like({key: c.homogeneous_part(k) if isinstance(c, Poly) else c
                            for key, c in self.coeffs.items()
-                           if k == 0 or isinstance(c, (Poly, Jet))})
+                           if k == 0 or isinstance(c, Poly)})
 
 
 class InvariantForm(_Form):
@@ -425,13 +422,13 @@ class VectorForm(_Form):
     def params(self) -> tuple[str, ...] | None:
         """Parameters of the first polynomial or jet coefficient; None if all are constant."""
         for c in self.coeffs.values():
-            if isinstance(c, (Poly, Jet)):
+            if isinstance(c, Poly):
                 return c.params
         return None
 
     def constant_part_is_zero(self) -> bool:
         for c in self.coeffs.values():
-            if isinstance(c, (Poly, Jet)):
+            if isinstance(c, Poly):
                 if c.constant_term():
                     return False
             elif c:

@@ -220,6 +220,8 @@ class JetCochain:
         return cls(degree=q, entries=entries, order=order)
 
     def polys(self) -> list[Poly]:
+        """The entries as exact polynomials: o_n reads d(alpha) past the
+        order of alpha."""
         return [e.base for e in self.entries]
 
 

@@ -115,8 +115,8 @@ def _jet_expand(rows, nrows: int, ncols: int, order: int, out, base=None) -> int
     """Write into ``out`` (indexable by row, each row a dict) the Q(i) rows
     of an nrows x ncols matrix acting on jets x_0 + s x_1 + ... + s^K x_K
     modulo s^(K+1), K = ``order``; return their width.  ``rows`` yields
-    (i, {j: entry}) over Q(i) or one-parameter Poly or Jet.  The s^b
-    coefficient of entry (i, j) sits at row (a+b)*nrows + i and column
+    (i, {j: entry}) over Q(i) or one-parameter Poly, a Jet being one.  The
+    s^b coefficient of entry (i, j) sits at row (a+b)*nrows + i and column
     a*ncols + j (row block a+b, column block a) for every a + b <= K.  With
     ``base`` (sparse vectors b_m), x_0 = sum_m c_m b_m and column block 0
     holds c instead, with entries D_b b_m, D_b the s^b coefficient matrix.
@@ -129,8 +129,7 @@ def _jet_expand(rows, nrows: int, ncols: int, order: int, out, base=None) -> int
             uses[j].append((m, y))
     for i, row in rows:
         for j, x in row.items():
-            t = type(x)
-            terms = x.terms.items() if t is Poly else (((0,), x),) if t is GaussianRational else x.base.terms.items()
+            terms = (((0,), x),) if type(x) is GaussianRational else x.terms.items()
             for (b,), v in terms:
                 if b > order:
                     continue
@@ -169,7 +168,7 @@ class ExactMatrix(_Immutable):
         for row in entries:
             out = {}
             for j, x in _items(row, cols):
-                if isinstance(x, Poly):
+                if type(x) is Poly:  # a Jet is refused: ranks need exact arithmetic
                     if zero is GR_ZERO:
                         zero = Poly(x.params)
                 elif not isinstance(x, GaussianRational):
@@ -189,8 +188,8 @@ class ExactMatrix(_Immutable):
         GaussianRational values at in-range columns, given as a list, or
         with ``nrows`` as an ``{index: row}`` dict that leaves out rows known
         to be empty (they share one empty mapping).  The checks and
-        coercions of ``__init__`` are skipped, so Poly or Jet values must
-        never come this way."""
+        coercions of ``__init__`` are skipped, so Poly values (Jets
+        among them) must never come this way."""
         if nrows is None:
             sparse = tuple(map(MappingProxyType, rows))
         else:
@@ -208,10 +207,6 @@ class ExactMatrix(_Immutable):
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, [{}] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [{i: GR_ONE} for i in range(n)])
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "ExactMatrix":

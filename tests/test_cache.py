@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hodgejump import cli, deform, freemod, linalg
 from hodgejump.coeff import GaussianRational as GR
-from hodgejump.coeff import Jet, Poly
+from hodgejump.coeff import GR_ONE, Jet, Poly
 from hodgejump.deform import Dolbeault, extend_class, hodge_table, mc_extend, obstruction_o1
 from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm, validate_spec
 from hodgejump.manifest import load_manifest, parse_manifest
@@ -48,7 +48,7 @@ class TestImmutability:
             del m.sparse_rows[1][1]
         with pytest.raises(TypeError):
             m.sparse_columns[0][1] = GR(7)
-        assert m == linalg.ExactMatrix.identity(2)
+        assert m == linalg.ExactMatrix(2, 2, [{0: GR_ONE}, {1: GR_ONE}])
         assert m.sparse_rows == ({0: GR(1)}, {1: GR(1)})
 
     @pytest.mark.parametrize("kind", ["invariant", "vector"])
@@ -73,10 +73,11 @@ class TestImmutability:
         value, attrs = {
             "gr": (GR(1, 2), ("_a", "_b", "_d")),
             "poly": (Poly.variable(("t",), "t"), ("params", "terms")),
-            "jet": (Jet(Poly.variable(("t",), "t"), 2), ("base", "order")),
+            "jet": (Jet(Poly.variable(("t",), "t"), 2), ("params", "terms", "order")),
             "form": (InvariantForm.monomial(spec, (1,), (2,), GR(3)), ("spec", "p", "q", "coeffs")),
             "vector": (VectorForm.term(spec, 1, (2,), GR(3)), ("spec", "q", "coeffs")),
-            "matrix": (linalg.ExactMatrix.identity(2), ("rows", "cols", "sparse_rows")),
+            "matrix": (linalg.ExactMatrix(2, 2, [{0: GR_ONE}, {1: GR_ONE}]),
+                       ("rows", "cols", "sparse_rows")),
             "spec": (spec, ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault")),
         }[kind]
         before = str(value)

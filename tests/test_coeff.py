@@ -331,6 +331,38 @@ class TestPromotion:
             assert ab.base == ba.base == Poly(params, kept)
 
 
+def _relatives(x, order: int) -> list:
+    """x and values in other rings that may equal it: its constant term,
+    and for a Poly its jet of ``order`` and the same plus a term above it."""
+    if not isinstance(x, Poly):
+        return [x, Poly.constant(("a", "b"), x), Jet.constant(("a", "b"), x, order)]
+    above = Poly(x.params, {(order + 1, 0): GR(1)})
+    return [x, x.constant_term(), Jet(x, order), Jet(x, order).base + above, Jet(x + above, order)]
+
+
+mixed = st.one_of(st.integers(-2, 2), grs, polys(), st.builds(Jet, polys(), st.integers(0, 2)))
+
+
+class TestHash:
+    """Values that compare equal hash equal, across int, Q(i), Poly and Jet:
+    a jet equals every polynomial that agrees with it up to its order."""
+
+    @given(mixed, mixed, st.integers(0, 2))
+    @settings(max_examples=150)
+    def test_equal_values_hash_equal(self, x, y, order):
+        values = _relatives(x, order) + _relatives(y, order)
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+
+    def test_truncating_equality_is_hashed(self):
+        t = Poly.variable(("t",), "t")
+        assert Jet(t, 1) == t and hash(Jet(t, 1)) == hash(t)
+        assert Jet(t + 3, 0) == 3 and hash(Jet(t + 3, 0)) == hash(3)
+        assert Poly.constant(("t",), 2) == GR(2) and hash(Poly.constant(("t",), 2)) == hash(GR(2))
+
+
 class TestEvalAndParts:
     def full_point(self, **kw):
         pt = {p: GR(0) for p in PARAMS}

@@ -2,8 +2,9 @@
 
 ``tests/data/golden_cli.json`` holds, for every call below, the exact
 stdout, stderr and exit code.  The calls cover ``obstruct`` at every
-bidegree (with and without ``--point``), ``jump`` at three points and
-``witness``, in text and JSON, on
+bidegree (with and without ``--point``), ``jump`` at three points,
+``witness`` and ``mc`` at orders 2, 3 and 4 (the Maurer-Cartan corrections
+that jet arithmetic builds), in text and JSON, on
 
 * ``mixed_i.json``: d f3 = i*f1^c1 with the symbolic deformation, a
   non-parallelisable structure whose o1 maps have polynomial entries;
@@ -75,6 +76,8 @@ def calls() -> list[list[str]]:
             for point in points:
                 out.append(["jump", path, "--point", point, "--format", fmt])
             out.append(["witness", path, "--format", fmt])
+            for order in (2, 3, 4):
+                out.append(["mc", path, "--order", str(order), "--format", fmt])
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodgejump.coeff import GR, GaussianRational, Poly, accumulate
+from hodgejump.coeff import GR, GR_ONE, GaussianRational, Jet, Poly, accumulate
 from hodgejump.linalg import (
     Echelon,
     ExactMatrix,
@@ -61,7 +61,7 @@ def nonzeros(v) -> dict:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        assert kernel_basis(ExactMatrix.identity(2)) == []
+        assert kernel_basis(ExactMatrix(2, 2, [{0: GR_ONE}, {1: GR_ONE}])) == []
 
     def test_generic_kernel_of_multiplication_by_t(self):
         assert kernel_basis(ExactMatrix(1, 1, [[tvar()]])) == []
@@ -175,7 +175,7 @@ class TestRanks:
         ])
         pt = {"t11": GR(1), "t12": GR(0), "t21": GR(0), "t22": GR(0)}
         assert rank_const(m.eval_point(pt)) == 1
-        assert rank_const(ExactMatrix.identity(3).eval_point({})) == 3
+        assert rank_const(ExactMatrix(3, 3, [{i: GR_ONE} for i in range(3)]).eval_point({})) == 3
 
     def test_semicontinuity_on_random_matrices(self):
         rng = random.Random(11)
@@ -511,7 +511,7 @@ class TestCohomology:
         # the first nonzero column, not the column of the first nonzero row
         swap = ExactMatrix(2, 2, [[0, 1], [1, 0]])
         with pytest.raises(LinalgError, match="column 0"):
-            homology(swap, ExactMatrix.identity(2))
+            homology(swap, ExactMatrix(2, 2, [{0: GR_ONE}, {1: GR_ONE}]))
 
     @pytest.mark.parametrize("homology", [cohomology, cohomology_dim, _cohomology])
     def test_every_path_checks_entries_and_shapes(self, homology):
@@ -647,6 +647,16 @@ class TestSparseMatrix:
                     assert (ExactMatrix(r, c, changed) == m) == dense_eq(changed, a)
         assert cancelled > 5
 
+    def test_jet_entries_are_refused(self):
+        # a Jet is a Poly, but ranks over truncated arithmetic are not the
+        # generic ranks of a polynomial matrix
+        t = Poly.variable(T, "t")
+        for build in (lambda: ExactMatrix(1, 1, [[Jet(t, 1)]]),
+                      lambda: ExactMatrix(1, 2, [{0: t, 1: Jet(t, 2)}]),
+                      lambda: ExactMatrix.from_columns(1, [[Jet(t, 1)]])):
+            with pytest.raises(TypeError, match=r"cannot coerce Jet into Q\(i\)"):
+                build()
+
     def test_rows_of_any_mapping_type(self):
         class Row(Mapping):
             def __init__(self, data):
@@ -681,7 +691,7 @@ class TestSparseMatrix:
             lambda: ExactMatrix(1, 2, [{-1: GR(1)}]),
             lambda: ExactMatrix.from_columns(2, [[GR(1)]]),
             lambda: ExactMatrix.from_columns(2, [{2: GR(1)}]),
-            lambda: ExactMatrix(1, 2, [[1, 2]]).matmul(ExactMatrix.identity(1)),
+            lambda: ExactMatrix(1, 2, [[1, 2]]).matmul(ExactMatrix(1, 1, [{0: GR_ONE}])),
             lambda: ExactMatrix(1, 2, [[1, 2]]).apply([GR(1)]),
         ):
             with pytest.raises(LinalgError):
