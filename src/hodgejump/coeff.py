@@ -340,17 +340,18 @@ class Poly(_Immutable):
         params = tuple(params)
         return cls(params, {(0,) * len(params): GaussianRational._coerce(c)})
 
-    @classmethod
-    def variable(cls, params, name: str) -> "Poly":
+    @staticmethod
+    def variable(params, name: str) -> "Poly":
+        """The exact polynomial ``name``, also when called through ``Jet``."""
         params = tuple(params)
         if name not in params:
             raise CoefficientError(f"unknown parameter {name!r} (have {params})")
         exps = tuple(1 if p == name else 0 for p in params)
-        return cls(params, {exps: GR_ONE})
+        return Poly(params, {exps: GR_ONE})
 
-    @classmethod
-    def parse(cls, params, text: str) -> "Poly":
-        """Parse a polynomial string such as ``3*t^2-1/2*t`` or ``t11*t22``.
+    @staticmethod
+    def parse(params, text: str) -> "Poly":
+        """Parse an exact polynomial such as ``3*t^2-1/2*t`` or ``t11*t22``.
 
         A term is a product of factors separated by ``*``; each factor is a
         rational literal, the imaginary unit ``i``, or a parameter name with
@@ -365,7 +366,7 @@ class Poly(_Immutable):
         tokens = re.findall(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+(?:/[0-9]+)?|\^|\*|\+|-", s)
         if "".join(tokens) != s:
             raise CoefficientError(f"bad polynomial literal: {text!r}")
-        result = cls(params)
+        result = Poly(params)
         pos = 0
         while pos < len(tokens):
             sign = GR_ONE
@@ -409,7 +410,7 @@ class Poly(_Immutable):
                 expect_factor = False
             if expect_factor:
                 raise CoefficientError(f"empty term in {text!r}")
-            result = result + cls(params, {tuple(exps): coeff})
+            result = result + Poly(params, {tuple(exps): coeff})
         return result
 
     # -- arithmetic --------------------------------------------------
@@ -584,11 +585,6 @@ class Jet(Poly):
     @classmethod
     def constant(cls, params, c, order: int) -> "Jet":
         return cls(Poly.constant(params, c), order)
-
-    @property
-    def base(self) -> Poly:
-        """The exact polynomial with this jet's terms."""
-        return Poly._trusted(self.params, self.terms)
 
     def __repr__(self):
         return f"Jet({self}; order={self.order})"

@@ -20,11 +20,11 @@ the dimensions of the obstructed subspaces.
 Every jet-truncated system comes from one builder, ``_jet_rows``: the
 sparse rows of d acting on x_0 + t x_1 + ... + t^N x_N modulo t^(N+1),
 block lower-triangular in the t^b coefficient matrices of d, in the layout
-of ``linalg._jet_expand`` (which lays out delbar over jets too).  Jet
-extension, the local Smith exponents of d, the first-class search and
-method (b) of the second-class search all eliminate those rows with
-``linalg.Echelon``.  The searches run at the largest Smith exponent, the
-order past which their answers no longer change.
+of ``linalg._jet_expand`` (which lays out delbar over jets too).  o_n
+reads d(a) off those rows; extension and descent solve them with
+``linalg.solve_const``; the local Smith exponents of d and both searches
+eliminate them with ``linalg.Echelon``.  The searches run at the largest
+Smith exponent, the order past which their answers no longer change.
 
 A complex computes its invariants once and holds them: the d.d = 0
 verdict, the default order bound and, per degree, d^q at t = 0, the local
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly, accumulate
+from .coeff import GR_ONE, CoefficientError, GaussianRational, Jet, Poly, accumulate
 from .errors import InternalInvariantError, ValidationFailure
 
 __all__ = [
@@ -173,14 +173,11 @@ def _composition_issues(c: FreeComplex):
 
 
 def _at_zero(c: FreeComplex, q: int) -> linalg.ExactMatrix:
-    """Constant-term matrix: d^q at t = 0."""
-    def build():
-        m = c.diff(q)
-        return linalg.ExactMatrix(m.rows, m.cols, [
-            {j: x.constant_term() if isinstance(x, Poly) else x for j, x in row.items()}
-            for row in m.sparse_rows
-        ])
-    return _memo_get(c, "d0", q, build)
+    """Constant-term matrix: d^q at t = 0, read off the terms (``eval_point``
+    would multiply out every term of every entry)."""
+    return _memo_get(c, "d0", q, lambda: linalg.ExactMatrix._trusted(c.diff(q).cols, [
+        {j: v for j, x in row.items() if (v := x.constant_term() if isinstance(x, Poly) else x)}
+        for row in c.diff(q).sparse_rows]))
 
 
 def cohomology_at_zero(c: FreeComplex, q: int) -> linalg.CohomologyBasis:
@@ -205,7 +202,7 @@ def h_dims(c: FreeComplex) -> list[tuple[int, int]]:
 
 @dataclass
 class JetCochain:
-    """Element of E^q (x) R/m^(order+1): a vector of single-parameter jets."""
+    """Element of E^q (x) R/m^(order+1): jets of order ``order`` in the parameter."""
 
     degree: int
     entries: list[Jet]
@@ -218,21 +215,6 @@ class JetCochain:
             Jet.constant(params, GaussianRational._coerce(v), order) for v in vector
         ]
         return cls(degree=q, entries=entries, order=order)
-
-    def polys(self) -> list[Poly]:
-        """The entries as exact polynomials: o_n reads d(alpha) past the
-        order of alpha."""
-        return [e.base for e in self.entries]
-
-
-def _apply_poly(m: linalg.ExactMatrix, vec: list[Poly], param: str) -> list[Poly]:
-    out = []
-    for row in m.sparse_rows:
-        acc = Poly._trusted((param,), {})
-        for j, x in row.items():
-            acc = acc + vec[j] * x
-        out.append(acc)
-    return out
 
 
 @dataclass
@@ -251,20 +233,33 @@ class LabObstruction:
 def o_n_q(c: FreeComplex, alpha: JetCochain, n: int) -> LabObstruction:
     """Class in H^{q+1}(E_0) of the t^n coefficient of d(alpha).
 
-    Precondition: d(alpha) = 0 mod t^n.  The value is raw coefficient
+    Precondition: d(alpha) = 0 mod t^n.  Row block k of ``_jet_rows(d^q, n)``
+    applied to alpha's coefficients in that layout is the t^k coefficient
+    of d(alpha), read past alpha's order.  The value is raw coefficient
     extraction in the ambient frame; independence from the frame choice is
     a tested property, not an assumption.
     """
     q = alpha.degree
     _check_degree(c, q)
-    w = _apply_poly(c.diff(q), alpha.polys(), c.param)
+    d = c.diff(q)
+    if len(alpha.entries) != d.cols:
+        raise ValidationFailure(f"{len(alpha.entries)} entries for E^{q} of rank {d.cols}")
+    params = (c.param,)
+    a = {}
+    for j, e in enumerate(alpha.entries):
+        if e.params != params:
+            raise CoefficientError(f"parameter mismatch: {e.params} vs {params}")
+        for (k,), x in e.terms.items():
+            if k <= n:
+                a[k * d.cols + j] = x
+    rows, width = _jet_rows(d, n)
+    w = linalg.ExactMatrix._trusted(width, rows).apply(linalg._dense(a, width))
     for k in range(n):
-        bad = [p.terms.get((k,), GR_ZERO) for p in w]
-        if any(bad):
+        if any(w[k * d.rows:(k + 1) * d.rows]):
             raise ValidationFailure(
                 f"d(alpha) is nonzero at order {k}; not an order-{n - 1} extension"
             )
-    coeff = [p.terms.get((n,), GR_ZERO) for p in w]
+    coeff = w[n * d.rows:]
     dnext0 = _at_zero(c, q + 1)
     if dnext0.rows and any(dnext0.apply(coeff)):
         raise InternalInvariantError("obstruction representative is not closed at t = 0")
@@ -288,10 +283,8 @@ def extend_step(c: FreeComplex, alpha: JetCochain):
     if x is None:
         raise InternalInvariantError("zero obstruction class with no top-coefficient fix")
     params = (c.param,)
-    new_entries = [
-        Jet(e.base + Poly._trusted(params, {(n,): x[j]}) if j in x else e.base, n)
-        for j, e in enumerate(alpha.entries)
-    ]
+    new_entries = [Poly._trusted(params, {**e.terms, (n,): x[j]} if j in x else dict(e.terms), n)
+                   for j, e in enumerate(alpha.entries)]
     return JetCochain(degree=q, entries=new_entries, order=n)
 
 
@@ -346,29 +339,18 @@ def _max_exponent(c: FreeComplex, q: int) -> int:
     return len(_smith(c, q)) - 1
 
 
-def _solve_jet(c: FreeComplex, q: int, rhs: list[Poly], order: int) -> list[Poly] | None:
-    """Solve d^q(x) = rhs mod t^(order+1) for x with jet order ``order``."""
+def _solve_jet(c: FreeComplex, q: int, beta: list, i: int) -> dict[int, GaussianRational] | None:
+    """An x of jet order i with d^q(x) = t^i beta mod t^(i+1), or None: x in
+    the column layout of ``_jet_rows(d^q, i)``, t^i beta its row block i."""
     d = c.diff(q)
-    rows, width = _jet_rows(d, order)
-    for i, p in enumerate(rhs):
-        for (k,), v in p.terms.items():
-            if k <= order:
-                rows[k * d.rows + i][width] = v
-    sol = linalg.Echelon(width + 1, rows).solution()
-    if sol is None:
-        return None
-    params = (c.param,)
-    return [Poly._trusted(params, {(k,): x for k in range(order + 1)
-                                   if (x := sol.get(k * d.cols + j))})
-            for j in range(d.cols)]
+    rows, width = _jet_rows(d, i)
+    return linalg.solve_const(linalg.ExactMatrix._trusted(width, rows),
+                              {i * d.rows + r: b for r, b in enumerate(beta)})
 
 
 def _rho_is_zero(c: FreeComplex, q_target: int, beta: list[GaussianRational], i: int) -> bool:
     """Whether [t^i beta] vanishes in H^{q_target} of the order-i jet complex."""
-    params = (c.param,)
-    ti = Poly._trusted(params, {(i,): GR_ONE})
-    rhs = [ti * Poly.constant(params, b) for b in beta]
-    return _solve_jet(c, q_target - 1, rhs, i) is not None
+    return _solve_jet(c, q_target - 1, beta, i) is not None
 
 
 # -- classification ---------------------------------------------------------
@@ -450,14 +432,15 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[dict[int, Gauss
     shift of at least 1.  u is nonzero because the columns stay independent
     over Q(i)(t): the step replaces a column whose coefficient in c is
     nonzero.  Vectors are ``{row: Poly}`` mappings of nonzeros, and the
-    fiber vectors ``{row: value}`` mappings.
+    fiber vectors ``{row: value}`` mappings, each recomputed only when its
+    vector is replaced.
     """
     params = (param,)
     columns = m.sparse_columns
     vectors = [{i: x if isinstance(x, Poly) else Poly.constant(params, x)
                 for i, x in columns[j].items()} for j in linalg.pivot_columns(m)]
+    fiber = [{i: x for i, p in v.items() if (x := p.constant_term())} for v in vectors]
     while True:
-        fiber = [{i: x for i, p in v.items() if (x := p.constant_term())} for v in vectors]
         # the t = 0 evaluation as sparse rows, one per entry it reaches
         ev: dict[int, dict] = {}
         for k, v in enumerate(fiber):
@@ -473,9 +456,11 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[dict[int, Gauss
                 accumulate(u, i, p * combo[k])
         # u vanishes at 0; strip the largest common power of t
         shift = min(e for p in u.values() for (e,) in p.terms)
-        vectors[min(combo)] = {
+        replaced = min(combo)
+        vectors[replaced] = {
             i: Poly._trusted(params, {(e - shift,): x for (e,), x in p.terms.items()})
             for i, p in u.items()}
+        fiber[replaced] = {i: x for i, p in vectors[replaced].items() if (x := p.constant_term())}
 
 
 def _jet_search_span(c: FreeComplex, q: int, cob: linalg.CohomologyBasis,
@@ -569,22 +554,19 @@ def reduce_to_primitive(c: FreeComplex, alpha: JetCochain, n: int):
     m = n
     current = alpha
     while True:
-        if m == 1 or not _rho_is_zero(c, q + 1, beta, m - 1):
+        # rho_{m-1}(beta) = 0 exactly when t^(m-1) beta = d(x) over jets mod t^m
+        x = _solve_jet(c, q, beta, m - 1) if m > 1 else None
+        if x is None:
             check = o_n_q(c, current, m)
             if not check:
                 raise InternalInvariantError("descent lost the obstruction class")
             if m > 1 and _rho_is_zero(c, q + 1, check.representative, m - 1):
                 raise InternalInvariantError("primitive obstruction unexpectedly vanished")
             return m, current
-        # rho_{m-1}(beta) = 0: write t^(m-1) beta = d(x) over jets mod t^m
-        tm = Poly._trusted(params, {(m - 1,): GR_ONE})
-        rhs = [tm * Poly.constant(params, b) for b in beta]
-        x = _solve_jet(c, q, rhs, m - 1)
-        if x is None:
-            raise InternalInvariantError("vanishing jet class without a preimage")
-        current = JetCochain(
-            degree=q, entries=[Jet(p, m - 2) for p in x], order=m - 2
-        )
+        cols = c.ranks[q]
+        current = JetCochain(degree=q, order=m - 2, entries=[Poly._trusted(
+            params, {(k,): v for k in range(m - 1) if (v := x.get(k * cols + j))}, m - 2)
+            for j in range(cols)])
         m -= 1
 
 

@@ -411,14 +411,6 @@ class Echelon:
                     free[f][c] = -x
         return list(free.values())
 
-    def solution(self) -> dict[int, GaussianRational] | None:
-        """x with A x = b for rows [A | b], b the last column, free variables
-        0, as its nonzeros; None when b's column holds a pivot (inconsistent)."""
-        n = self._width - 1
-        if n in self._rows:
-            return None
-        return {c: row[n] for c, row in self._rows.items() if n in row}
-
 
 def rank_const(m: ExactMatrix) -> int:
     """Rank over Q(i), computed once and held by m (``len`` of its pivots

@@ -570,6 +570,18 @@ def dense_jet_matrix(d, order: int, base=None) -> list[list[GaussianRational]]:
     ]
 
 
+def apply_poly(m: linalg.ExactMatrix, vec: list[Poly], param: str) -> list[Poly]:
+    """m applied to a vector of exact polynomials in ``param``, by
+    polynomial products over every cell: no truncation at any order."""
+    out = []
+    for row in m.entries:
+        acc = Poly((param,))
+        for x, v in zip(row, vec, strict=True):
+            acc = acc + v * x
+        out.append(acc)
+    return out
+
+
 # -- dense matrix reference ------------------------------------------------
 # A matrix here is a plain list of row lists holding the entries exactly as
 # given (GaussianRational, Poly, int, zeros included); every operation
@@ -658,8 +670,8 @@ def monomial_split(form: InvariantForm) -> dict:
     """
     buckets: dict[tuple[int, ...], dict] = {}
     for key, c in form.coeffs.items():
-        if isinstance(c, (Poly, Jet)):
-            for exps, v in (c.base if isinstance(c, Jet) else c).terms.items():
+        if isinstance(c, Poly):
+            for exps, v in c.terms.items():
                 buckets.setdefault(exps, {})[key] = v
         else:
             buckets.setdefault((), {})[key] = c

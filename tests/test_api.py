@@ -59,3 +59,19 @@ def test_cross_module_calls_are_exported(name):
             if node.attr not in module.__all__:
                 missing.add(f"{node.value.id}.{node.attr}")
     assert sorted(missing) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_modules_import_only_what_they_use(name):
+    # catches an import a deletion left behind; MODULES leaves out
+    # ``__init__``, whose imports are the package's re-exports
+    tree = _tree(name)
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -256,7 +256,7 @@ class TestDbarAssembly:
         # (K+1) C(n,p) C(n,q) cochains at (p, q), and it forms no basis
         fam = mc_extend(iwasawa, _poly_ray(iw_psi1, IW_POINT), order)
         poly, _ = deformed_coframe(iwasawa, VectorForm(
-            iwasawa, 1, {key: c.base for key, c in fam.psi.coeffs.items()}))
+            iwasawa, 1, {key: Poly(c.params, c.terms) for key, c in fam.psi.coeffs.items()}))
         dol = Dolbeault(fam.deformed)
         assert dol.order == order
         table = dol.table()

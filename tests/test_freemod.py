@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from hodgejump import linalg
-from hodgejump.coeff import GR, Jet, Poly
+from hodgejump.coeff import GR, CoefficientError, Jet, Poly
 from hodgejump.errors import InternalInvariantError, ValidationFailure
 from hodgejump.freemod import (
     FreeComplex,
@@ -25,7 +25,7 @@ from hodgejump.freemod import (
 from hodgejump.manifest import load_manifest
 
 from .conftest import random_gr, random_lab_complex
-from .oracles import dense_jet_matrix, rank_qi
+from .oracles import apply_poly, dense_jet_matrix, rank_qi
 
 T = ("t",)
 
@@ -134,9 +134,7 @@ class TestObstructionMap:
                 Poly(T, {(k,): GR(rng.randint(-2, 2)) for k in range(n)})
                 for _ in range(cx.ranks[0])
             ]
-            from hodgejump.freemod import _apply_poly
-
-            alpha_polys = _apply_poly(cx.diff(0), beta, "t")
+            alpha_polys = apply_poly(cx.diff(0), beta, "t")
             alpha = JetCochain(
                 degree=1, entries=[Jet(p, n - 1) for p in alpha_polys], order=n - 1
             )
@@ -154,6 +152,20 @@ class TestObstructionMap:
         alpha = JetCochain.from_constant(C_UNIT, 0, [GR(1)], 0)
         with pytest.raises(ValidationFailure, match="order 0"):
             o_n_q(C_UNIT, alpha, 1)
+
+    def test_entries_in_another_parameter_are_refused(self):
+        # a jet in s is not a jet over Q(i)[t], even with matching coefficients
+        alpha = JetCochain(degree=0, entries=[Jet(Poly.variable(("s",), "s"), 1)], order=1)
+        with pytest.raises(CoefficientError) as info:
+            o_n_q(C_T, alpha, 2)
+        assert str(info.value) == "parameter mismatch: ('s',) vs ('t',)"
+
+    @pytest.mark.parametrize("vector", [[], [GR(1), GR(0)]])
+    def test_entries_of_another_length_are_refused(self, vector):
+        # one more entry would land in the t^1 column block of the jet rows
+        alpha = JetCochain.from_constant(C_T, 0, vector, 0)
+        with pytest.raises(ValidationFailure, match=r"entries for E\^0 of rank 1"):
+            o_n_q(C_T, alpha, 1)
 
     def test_well_definedness_under_perturbations(self):
         rng = random.Random(9)
@@ -194,7 +206,7 @@ class TestObstructionMap:
             if cx.ranks[0] == 0 or cx.ranks[1] == 0 or cx.ranks[2] == 0:
                 continue
             n = rng2.randint(1, 2)
-            from hodgejump.freemod import _apply_poly, _jet_rows
+            from hodgejump.freemod import _jet_rows
 
             rows, width = _jet_rows(cx.diff(1), n - 1)
             kernel = linalg.Echelon(width, rows).kernel()
@@ -211,7 +223,7 @@ class TestObstructionMap:
                 Poly(T, {(k,): GR(rng2.randint(-2, 2)) for k in range(n)})
                 for _ in range(cx.ranks[0])
             ]
-            image = _apply_poly(cx.diff(0), beta, "t")
+            image = apply_poly(cx.diff(0), beta, "t")
             pert = JetCochain(
                 degree=1,
                 entries=[Jet(p + w, n - 1) for p, w in zip(alpha_polys, image)],
@@ -315,6 +327,40 @@ class TestReduceToPrimitive:
         n, out = reduce_to_primitive(cx, alpha, 2)
         assert 1 <= n <= 2
         assert o_n_q(cx, out, n)
+
+
+class TestResultEntries:
+    """extend_step and reduce_to_primitive build their cochains' entries
+    themselves: each must be a Jet of the cochain's order in the complex's
+    parameter (the golden strings cannot see type or order)."""
+
+    @staticmethod
+    def check(cx, cochain):
+        for e in cochain.entries:
+            assert type(e) is Jet and e.order == cochain.order and e.params == (cx.param,)
+
+    def test_extension_and_descent_entries_are_jets(self):
+        alpha = JetCochain(degree=0, entries=[Jet(poly("t"), 1)], order=1)
+        n, out = reduce_to_primitive(C_T, alpha, 2)
+        assert n == 1 and out is not alpha
+        self.check(C_T, out)
+        rng = random.Random(5)
+        steps = 0
+        for _ in range(12):
+            cx, _ = random_lab_complex(rng)
+            for q in range(len(cx.ranks)):
+                for rep in cohomology_at_zero(cx, q).sparse_representatives:
+                    alpha = JetCochain.from_constant(
+                        cx, q, linalg._dense(rep, cx.ranks[q]), 0)
+                    for n in range(1, 4):
+                        nxt = extend_step(cx, alpha)
+                        if isinstance(nxt, LabObstruction):
+                            self.check(cx, reduce_to_primitive(cx, alpha, n)[1])
+                            break
+                        self.check(cx, nxt)
+                        steps += 1
+                        alpha = nxt
+        assert steps >= 10
 
 
 class TestRhoCompatibility:

@@ -94,10 +94,10 @@ def _jet_run(c: freemod.FreeComplex, q: int, vector) -> list:
             step["extend_step"] = {"obstruction": _fields(nxt)}
             m, prim = freemod.reduce_to_primitive(c, alpha, n)
             step["reduce_to_primitive"] = {"n": m, "order": prim.order,
-                                           "entries": _s([e.base for e in prim.entries])}
+                                           "entries": _s([Poly(e.params, e.terms) for e in prim.entries])}
             steps.append(step)
             break
-        step["extend_step"] = {"order": nxt.order, "entries": _s([e.base for e in nxt.entries])}
+        step["extend_step"] = {"order": nxt.order, "entries": _s([Poly(e.params, e.terms) for e in nxt.entries])}
         steps.append(step)
         alpha = nxt
     return steps
