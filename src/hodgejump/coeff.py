@@ -19,8 +19,9 @@ order; two different orders are an error.
 
 All values are immutable: each value class, and the forms, specs and
 matrices built from them, inherits ``_Immutable``.  Monomials are ordered
-graded-lexicographically, which fixes the canonical text rendering and
-hashing.
+graded-lexicographically, which fixes the order of the terms in the
+canonical text; ``_sum_text`` is the one rule that writes that text, for
+Q(i) values, polynomials, jets and the forms of ``exterior``.
 
 The public constructors and ``Poly.parse`` check and coerce every term.
 Results of arithmetic on values that already passed those checks come
@@ -230,24 +231,8 @@ class GaussianRational(_Immutable):
         return hash((self.re, self.im))
 
     def __str__(self):
-        if not self:
-            return "0"
-        re, im = self.re, self.im
-        parts = []
-        if re:
-            parts.append(str(re))
-        if im:
-            if im == 1:
-                imtxt = "i"
-            elif im == -1:
-                imtxt = "-i"
-            else:
-                imtxt = f"{im}*i"
-            if parts and not imtxt.startswith("-"):
-                parts.append("+" + imtxt)
-            else:
-                parts.append(imtxt)
-        return "".join(parts)
+        return _sum_text([(str(Fraction(x, self._d)), mon) for x, mon in ((self._a, ""), (self._b, "i"))
+                          if x])
 
     def __repr__(self):
         return f"GR({self})"
@@ -257,6 +242,30 @@ _new = object.__new__
 _set_a = GaussianRational._a.__set__
 _set_b = GaussianRational._b.__set__
 _set_d = GaussianRational._d.__set__
+
+
+def _sum_text(terms) -> str:
+    """The canonical text of a sum of exact terms, given in order as
+    (coefficient text, monomial text) pairs: every value class prints so.
+
+    A coefficient ``1`` or ``-1`` leaves the monomial or its negation.  Any
+    other is bracketed when it is compound (a ``+`` or ``-`` past its first
+    character) and a monomial follows; a form's scalar monomial ``"1"`` is
+    then dropped.  Terms join with ``+`` unless they start with ``-``; no
+    terms print ``0``.
+    """
+    out = []
+    for ctxt, mon in terms:
+        if not mon:
+            txt = ctxt
+        elif ctxt in ("1", "-1"):
+            txt = mon if ctxt == "1" else "-" + mon
+        else:
+            if "+" in ctxt[1:] or "-" in ctxt[1:]:
+                ctxt = f"({ctxt})"
+            txt = ctxt if mon == "1" else f"{ctxt}*{mon}"
+        out.append("+" + txt if out and txt[0] != "-" else txt)
+    return "".join(out) or "0"
 
 
 def _raw(a: int, b: int, d: int) -> GaussianRational:
@@ -513,7 +522,9 @@ class Poly(_Immutable):
         return self.terms.get((0,) * len(self.params), GR_ZERO)
 
     def eval(self, point: dict) -> GaussianRational:
-        """Exact evaluation; every parameter must be assigned."""
+        """Exact evaluation; every parameter must be assigned.  A term with a
+        positive power of a parameter valued 0 is skipped, not multiplied
+        out."""
         missing = [p for p in self.params if p not in point]
         if missing:
             raise CoefficientError(f"missing assignment for parameters {missing}")
@@ -522,40 +533,21 @@ class Poly(_Immutable):
         for exps, c in self.terms.items():
             v = c
             for val, e in zip(values, exps):
+                if e and not val:
+                    break
                 for _ in range(e):
                     v = v * val
-            total = total + v
+            else:
+                total = total + v
         return total
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        out = []
-        for exps, c in self.sorted_terms():
-            mon = "*".join(
-                f"{p}^{e}" if e > 1 else p
-                for p, e in zip(self.params, exps)
-                if e
-            )
-            if not mon:
-                txt = str(c)
-            elif c == GR_ONE:
-                txt = mon
-            elif c == -GR_ONE:
-                txt = "-" + mon
-            else:
-                ctxt = str(c)
-                if ("+" in ctxt[1:]) or ("-" in ctxt[1:]):
-                    ctxt = f"({ctxt})"
-                txt = f"{ctxt}*{mon}"
-            if out and not txt.startswith("-"):
-                out.append("+" + txt)
-            else:
-                out.append(txt)
-        return "".join(out)
+        return _sum_text([
+            (str(c), "*".join(f"{p}^{e}" if e > 1 else p for p, e in zip(self.params, exps) if e))
+            for exps, c in self.sorted_terms()])
 
     def __repr__(self):
         return f"Poly({self})"

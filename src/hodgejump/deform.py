@@ -475,12 +475,8 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
     for k in range(2, target_order + 1):
         _, defect = deformed_coframe(spec, psi)
         # degree-k part of the defect, per parameter monomial
-        by_monomial: dict[tuple[int, ...], dict] = {}
-        for gen, row in defect.items():
-            for (a, b), c in row.items():
-                h = c.homogeneous_part(k) if isinstance(c, Poly) else Poly(params)
-                for exps, v in h.terms.items():
-                    by_monomial.setdefault(exps, {})[(gen, (a, b))] = v
+        by_monomial = _pieces({(gen, ab): c for gen, row in defect.items() for ab, c in row.items()},
+                              params, k)
         if not by_monomial:
             corrections[k] = VectorForm(spec, 1, {})
             continue
@@ -547,7 +543,7 @@ def _dbar(spec: ComplexStructureSpec, a: dict) -> dict:
     return out
 
 
-def _o1_vector(spec: ComplexStructureSpec, psi_terms: list, a: dict, da: dict) -> dict:
+def _o1_vector(spec: ComplexStructureSpec, psi_terms: dict, a: dict, da: dict) -> dict:
     """del(iota_psi a) + iota_psi(del a) on mask-keyed sparse vectors; ``da`` is del(a)."""
     v = _del(spec, _contract_vector(psi_terms, a, {}))
     # each half is summed on its own first, so coefficient types match form sums
@@ -556,16 +552,17 @@ def _o1_vector(spec: ComplexStructureSpec, psi_terms: list, a: dict, da: dict) -
     return v
 
 
-def _psi_pieces(psi: VectorForm, params: tuple[str, ...] | None) -> dict:
-    """Split psi into constant pieces, one per parameter monomial.
+def _pieces(vec: dict, params: tuple[str, ...] | None, degree: int | None = None) -> dict:
+    """Split a sparse vector into constant pieces, one per parameter monomial
+    (of total ``degree`` only, when one is given).
 
-    Returns {exponent tuple: psi terms with Q(i) coefficients}.  A Poly
-    (a Jet is one) contributes its terms and a constant coefficient lands
-    in the zero exponent, or under ``()`` when psi has no parameters.
+    Returns {exponent tuple: {key: Q(i) value}}.  A Poly (a Jet is one)
+    contributes its terms and a constant value lands in the zero exponent,
+    or under ``()`` when there are no parameters.
     """
     zero = (0,) * len(params) if params is not None else ()
-    pieces: dict[tuple[int, ...], list] = {}
-    for i, mpsi, c in _psi_terms(psi):
+    pieces: dict[tuple[int, ...], dict] = {}
+    for key, c in vec.items():
         if isinstance(c, Poly):
             if c.params != params:
                 raise CoefficientError(f"parameter mismatch: {params} vs {c.params}")
@@ -573,7 +570,8 @@ def _psi_pieces(psi: VectorForm, params: tuple[str, ...] | None) -> dict:
         else:
             terms = ((zero, c),)
         for exps, v in terms:
-            pieces.setdefault(exps, []).append((i, mpsi, v))
+            if degree is None or sum(exps) == degree:
+                pieces.setdefault(exps, {})[key] = v
     return pieces
 
 
@@ -609,7 +607,7 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
     src = dol.basis(p, q)
     tgt = dol.basis(p, q + 1)
     params = psi1.params()
-    pieces = _psi_pieces(psi1, params)
+    pieces = _pieces(_psi_terms(psi1), params)
     rows: list[dict] = [{} for _ in range(tgt.dim)]
     for col, rep in enumerate(src.cob.sparse_representatives):
         a = {src.keys[j]: c for j, c in rep.items()}
@@ -695,11 +693,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
             raise InternalInvariantError(
                 f"extension defect reappeared at order {low} while solving order {k}"
             )
-        pieces: dict[tuple[int, ...], dict] = {}
-        for key, c in w.items():
-            for exps, v in c.terms.items():
-                if sum(exps) == k:
-                    pieces.setdefault(exps, {})[key] = v
+        pieces = _pieces(w, params, k)
         obstruction: list[dict] = [{} for _ in range(tgt.dim)]
         fixes: dict = {}
         for exps, piece in sorted(pieces.items()):

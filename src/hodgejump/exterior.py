@@ -43,6 +43,7 @@ from .coeff import (
     GaussianRational,
     Poly,
     _Immutable,
+    _sum_text,
     accumulate,
 )
 
@@ -353,29 +354,8 @@ class InvariantForm(_Form):
         return self.coeffs.get((tuple(I), tuple(J)), GR_ZERO)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        def montxt(key):
-            I, J = key
-            return "^".join([f"f{i}" for i in I] + [f"c{j}" for j in J]) or "1"
-        parts = []
-        for key in sorted(self.coeffs):
-            c = self.coeffs[key]
-            mon = montxt(key)
-            ctxt = str(c)
-            if ctxt == "1" and mon != "1":
-                txt = mon
-            elif ctxt == "-1" and mon != "1":
-                txt = "-" + mon
-            else:
-                if ("+" in ctxt[1:]) or ("-" in ctxt[1:]):
-                    ctxt = f"({ctxt})"
-                txt = ctxt if mon == "1" else f"{ctxt}*{mon}"
-            if parts and not txt.startswith("-"):
-                parts.append("+" + txt)
-            else:
-                parts.append(txt)
-        return "".join(parts)
+        return _sum_text([(str(c), "^".join([f"f{i}" for i in I] + [f"c{j}" for j in J]) or "1")
+                          for (I, J), c in sorted(self.coeffs.items())])
 
     def __repr__(self):
         return f"InvariantForm({self.p},{self.q}; {self})"
@@ -436,21 +416,8 @@ class VectorForm(_Form):
         return True
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, J) in sorted(self.coeffs):
-            c = self.coeffs[(i, J)]
-            mon = f"theta{i}" + ("" if not J else "(x)" + "^".join(f"c{j}" for j in J))
-            ctxt = str(c)
-            if ("+" in ctxt[1:]) or ("-" in ctxt[1:]):
-                ctxt = f"({ctxt})"
-            txt = mon if ctxt == "1" else ("-" + mon if ctxt == "-1" else f"{ctxt}*{mon}")
-            if parts and not txt.startswith("-"):
-                parts.append("+" + txt)
-            else:
-                parts.append(txt)
-        return "".join(parts)
+        return _sum_text([(str(c), f"theta{i}" + ("(x)" + "^".join(f"c{j}" for j in J) if J else ""))
+                          for (i, J), c in sorted(self.coeffs.items())])
 
     def __repr__(self):
         return f"VectorForm(q={self.q}; {self})"
@@ -573,18 +540,18 @@ def _contract_monomial(mi: int, mj: int, i: int, mpsi: int, c, out: dict) -> Non
     accumulate(out, (mi ^ bi, mj | mpsi), -c if sign & 1 else c)
 
 
-def _contract_vector(psi_terms: list, a: dict, out: dict) -> dict:
+def _contract_vector(psi_terms: dict, a: dict, out: dict) -> dict:
     """Accumulate iota_psi(a) into ``out`` for a mask-keyed sparse vector
     ``a``; psi is given as ``_psi_terms``."""
-    for i, mpsi, cpsi in psi_terms:
+    for (i, mpsi), cpsi in psi_terms.items():
         for (mi, mj), c in a.items():
             _contract_monomial(mi, mj, i, mpsi, c * cpsi, out)
     return out
 
 
-def _psi_terms(psi: VectorForm) -> list:
-    """(i, Jpsi mask, coefficient) for each term theta_i (x) c_Jpsi of psi."""
-    return [(i, _mask(J), c) for (i, J), c in psi.coeffs.items()]
+def _psi_terms(psi: VectorForm) -> dict:
+    """{(i, Jpsi mask): coefficient} for each term theta_i (x) c_Jpsi of psi."""
+    return {(i, _mask(J)): c for (i, J), c in psi.coeffs.items()}
 
 
 def _masked(form: InvariantForm) -> dict:

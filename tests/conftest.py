@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from hodgejump import linalg
 from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly
@@ -105,6 +106,29 @@ def random_mixed_coeff(rng: random.Random):
         return random_gr(rng)
     poly = Poly(("t",), {(rng.randint(0, 2),): random_gr(rng) for _ in range(2)})
     return poly if kind == 1 else Jet(poly, 2)
+
+
+# the coefficients each branch of the canonical text turns on: +-1, +-i and
+# compound values, next to arbitrary ones
+TEXT_GRS = st.one_of(
+    st.sampled_from([GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+                     GaussianRational(0, -1), GaussianRational(1, 1), GaussianRational(2, -1)]),
+    st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+              st.fractions(-3, 3, max_denominator=4)))
+
+
+@st.composite
+def text_coeffs(draw):
+    """A Q(i), polynomial or jet value in one or two parameters, for
+    checks of the canonical text."""
+    kind = draw(st.sampled_from(["qi", "poly", "jet"]))
+    if kind == "qi":
+        return draw(TEXT_GRS)
+    params = draw(st.sampled_from([("t",), ("a", "b")]))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(params)), TEXT_GRS,
+                                 max_size=3))
+    poly = Poly(params, terms)
+    return poly if kind == "poly" else Jet(poly, draw(st.integers(0, 3)))
 
 
 def random_mixed_form(spec: ComplexStructureSpec, p: int, q: int, rng: random.Random) -> InvariantForm:

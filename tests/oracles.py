@@ -777,3 +777,97 @@ def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
             )
             alpha_t = alpha_t + add_form
     return ExtensionResult(status="extended", order=max_order, p=p, q=q, extension=alpha_t)
+
+
+# -- the text renderers of Q(i) values, polynomials and forms as each class
+# once wrote them, one hand-copied loop per class; ``str`` now goes through
+# one helper, ``coeff._sum_text``, and must agree with these --------------
+
+def seed_text(c) -> str:
+    """The text of a Q(i) or polynomial coefficient."""
+    return seed_poly_text(c) if isinstance(c, Poly) else seed_gr_text(c)
+
+
+def seed_gr_text(x: GaussianRational) -> str:
+    if not x:
+        return "0"
+    re, im = x.re, x.im
+    parts = []
+    if re:
+        parts.append(str(re))
+    if im:
+        if im == 1:
+            imtxt = "i"
+        elif im == -1:
+            imtxt = "-i"
+        else:
+            imtxt = f"{im}*i"
+        if parts and not imtxt.startswith("-"):
+            parts.append("+" + imtxt)
+        else:
+            parts.append(imtxt)
+    return "".join(parts)
+
+
+def seed_poly_text(p: Poly) -> str:
+    if not p.terms:
+        return "0"
+    out = []
+    for exps, c in p.sorted_terms():
+        mon = "*".join(f"{q}^{e}" if e > 1 else q for q, e in zip(p.params, exps) if e)
+        if not mon:
+            txt = seed_gr_text(c)
+        elif c == GR_ONE:
+            txt = mon
+        elif c == -GR_ONE:
+            txt = "-" + mon
+        else:
+            ctxt = seed_gr_text(c)
+            if ("+" in ctxt[1:]) or ("-" in ctxt[1:]):
+                ctxt = f"({ctxt})"
+            txt = f"{ctxt}*{mon}"
+        if out and not txt.startswith("-"):
+            out.append("+" + txt)
+        else:
+            out.append(txt)
+    return "".join(out)
+
+
+def seed_invariant_form_text(a: InvariantForm) -> str:
+    if not a.coeffs:
+        return "0"
+    parts = []
+    for key in sorted(a.coeffs):
+        I, J = key
+        mon = "^".join([f"f{i}" for i in I] + [f"c{j}" for j in J]) or "1"
+        ctxt = seed_text(a.coeffs[key])
+        if ctxt == "1" and mon != "1":
+            txt = mon
+        elif ctxt == "-1" and mon != "1":
+            txt = "-" + mon
+        else:
+            if ("+" in ctxt[1:]) or ("-" in ctxt[1:]):
+                ctxt = f"({ctxt})"
+            txt = ctxt if mon == "1" else f"{ctxt}*{mon}"
+        if parts and not txt.startswith("-"):
+            parts.append("+" + txt)
+        else:
+            parts.append(txt)
+    return "".join(parts)
+
+
+def seed_vector_form_text(psi: VectorForm) -> str:
+    if not psi.coeffs:
+        return "0"
+    parts = []
+    for (i, J) in sorted(psi.coeffs):
+        mon = f"theta{i}" + ("" if not J else "(x)" + "^".join(f"c{j}" for j in J))
+        ctxt = seed_text(psi.coeffs[(i, J)])
+        if ("+" in ctxt[1:]) or ("-" in ctxt[1:]):
+            ctxt = f"({ctxt})"
+        txt = mon if ctxt == "1" else ("-" + mon if ctxt == "-1" else f"{ctxt}*{mon}")
+        if parts and not txt.startswith("-"):
+            parts.append("+" + txt)
+        else:
+            parts.append(txt)
+    return "".join(parts)

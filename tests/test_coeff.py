@@ -14,6 +14,8 @@ from hodgejump.coeff import (
     Poly,
 )
 
+from . import oracles
+from .conftest import text_coeffs
 from .oracles import FractionPairQi
 
 PARAMS = ("t11", "t12", "t21", "t22", "t31", "t32")
@@ -371,6 +373,25 @@ class TestHash:
         assert Poly.constant(("t",), 2) == GR(2) and hash(Poly.constant(("t",), 2)) == hash(GR(2))
 
 
+class TestCanonicalText:
+    @given(text_coeffs())
+    @settings(max_examples=300)
+    def test_values_match_the_seed_renderers(self, c):
+        # Q(i) values, polynomials and jets print through coeff._sum_text
+        assert str(c) == oracles.seed_text(c)
+
+
+def naive_eval(p: Poly, point: dict) -> GR:
+    """Sum of c * prod(value^e), every factor multiplied out."""
+    total = GR(0)
+    for exps, c in p.terms.items():
+        for name, e in zip(p.params, exps):
+            for _ in range(e):
+                c = c * point[name]
+        total = total + c
+    return total
+
+
 class TestEvalAndParts:
     def full_point(self, **kw):
         pt = {p: GR(0) for p in PARAMS}
@@ -387,6 +408,26 @@ class TestEvalAndParts:
 
     def test_eval_zero(self):
         assert Poly(PARAMS).eval(self.full_point()) == GR(0)
+
+    @given(polys(), st.sampled_from([GR(0), GR(1), GR(-2, 1)]), grs)
+    def test_eval_matches_multiplied_out_terms_at_zeros(self, p, a, b):
+        for point in ({"a": a, "b": b}, {"a": b, "b": a}, {"a": GR(0), "b": GR(0)}):
+            assert p.eval(point) == naive_eval(p, point)
+
+    def test_eval_at_zero_multiplies_nothing(self, monkeypatch):
+        p = Poly.parse(PARAMS, "3+t11*t22-t21^2*t12+i*t32^3")
+        calls = []
+        mul = GaussianRational.__mul__
+
+        def counted(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(GaussianRational, "__mul__", counted)
+        monkeypatch.setattr(GaussianRational, "__rmul__", counted)
+        assert p.eval(self.full_point()) == GR(3)
+        assert not calls
+        assert p.eval(self.full_point(t11=2, t22=1)) == GR(5) and calls
 
     def test_missing_assignment_rejected(self):
         with pytest.raises(CoefficientError):

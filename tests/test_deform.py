@@ -841,6 +841,43 @@ class TestExtendClass:
             res = extend_class(fam, alpha, 3)
             assert res.status == "extended"
 
+    @pytest.mark.parametrize("case, order, counts", [
+        ("iwasawa", 2, (31, 9)), ("iwasawa_su.json", 3, (33, 7)), ("two_step_u_n6.json", 2, (2176, 320))])
+    def test_extensions_are_closed_lifts_of_their_classes(self, case, order, counts, request):
+        # every class of H^{p,q}, q < n: an extended class comes with a
+        # delbar-closed form in the deformed coframe whose constant terms
+        # are the class representative
+        if case == "iwasawa":
+            spec, psi1 = request.getfixturevalue("iwasawa"), request.getfixturevalue("iw_psi1")
+        else:
+            man = load_manifest(str(DATA / case))
+            spec, psi1 = man.spec, man.psi1
+        fam = mc_extend(spec, psi1, order)
+        dol = Dolbeault.of(spec)
+        extended = obstructed = 0
+        for p in range(spec.n + 1):
+            for q in range(spec.n):
+                basis = dol.basis(p, q)
+                for k in range(basis.dim):
+                    alpha = basis.rep_form(spec, k)
+                    res = extend_class(fam, alpha, order)
+                    if res.status == "obstructed":
+                        obstructed += 1
+                        continue
+                    extended += 1
+                    ext = res.extension
+                    assert ext.spec == fam.deformed and (ext.p, ext.q) == (p, q)
+                    assert not differential(fam.deformed, ext)[1], (p, q, k)
+                    constant = {key: c.constant_term() for key, c in ext.coeffs.items()}
+                    assert {key: c for key, c in constant.items() if c} == dict(alpha.coeffs)
+        assert (extended, obstructed) == counts
+
+    def test_o1_refuses_a_direction_in_two_parameter_tuples(self, iwasawa):
+        psi = VectorForm(iwasawa, 1, {(1, (1,)): Poly.variable(("s",), "s"),
+                                      (2, (2,)): Poly.variable(("t",), "t")})
+        with pytest.raises(CoefficientError, match=re.escape("parameter mismatch: ('s',) vs ('t',)")):
+            obstruction_o1(iwasawa, psi, 1, 0)
+
     def test_first_obstruction_equals_o1_matrix_everywhere(self, iwasawa, iw_psi1):
         fam = mc_extend(iwasawa, iw_psi1, 2)
         for p in range(4):

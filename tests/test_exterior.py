@@ -1,8 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from fractions import Fraction
 
 from hodgejump.coeff import GR, Poly
 from hodgejump.deform import Dolbeault, dbar_vector
@@ -29,6 +31,7 @@ from .conftest import (
     random_gr,
     random_mixed_coeff,
     random_mixed_form,
+    text_coeffs,
 )
 from . import oracles
 
@@ -339,7 +342,43 @@ class TestContract:
             assert contract(psi, a + b) == contract(psi, a) + contract(psi, b)
 
 
+TEXT_SPEC = ComplexStructureSpec(3)
+
+
+@st.composite
+def text_forms(draw):
+    """An invariant form at n = 3 of any bidegree, scalars included."""
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    keys = draw(st.lists(st.sampled_from(basis_monomials(3, p, q)), max_size=4, unique=True))
+    return InvariantForm(TEXT_SPEC, p, q, {key: draw(text_coeffs()) for key in keys})
+
+
+@st.composite
+def text_vector_forms(draw):
+    q = draw(st.integers(0, 3))
+    keys = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(basis_monomials(3, 0, q))),
+                         max_size=4, unique=True))
+    return VectorForm(TEXT_SPEC, q, {(i, J): draw(text_coeffs()) for i, (_, J) in keys})
+
+
 class TestRendering:
+    @given(text_forms())
+    @settings(max_examples=200)
+    def test_invariant_form_text_matches_seed_renderer(self, a):
+        assert str(a) == oracles.seed_invariant_form_text(a)
+
+    @given(text_vector_forms())
+    def test_vector_form_text_matches_seed_renderer(self, psi):
+        assert str(psi) == oracles.seed_vector_form_text(psi)
+
+    def test_scalar_form_brackets_a_compound_coefficient(self, iwasawa):
+        # unlike a constant polynomial, whose compound coefficient prints bare
+        assert str(InvariantForm.scalar(iwasawa, GR(1, 1))) == "(1+i)"
+        assert str(Poly.constant(("t",), GR(1, 1))) == "1+i"
+        assert str(InvariantForm.scalar(iwasawa, GR(1))) == "1"
+        assert str(InvariantForm.scalar(iwasawa, Poly.parse(("t",), "t-1"))) == "(t-1)"
+        assert str(VectorForm(iwasawa, 0, {(2, ()): GR(Fraction(-1, 2), 1)})) == "(-1/2+i)*theta2"
+
     def test_canonical_form_strings(self, iwasawa):
         f = InvariantForm(
             iwasawa, 2, 1,

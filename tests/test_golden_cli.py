@@ -25,6 +25,10 @@ jump rows that draw on one delbar matrix of each Serre-dual pair, at sizes
 whose pairs differ from n = 6's.  ``d1 --format json`` on
 ``two_step_u_n6.json`` pins every H^{p,q} basis of a structure with no
 ``B`` terms, whose bases at p >= 1 are block copies of the (0, q) row.
+``obstruct --p 2 --q 0`` on ``two_step_symbolic_n5.json``, in JSON and
+text, pins the rendering of large multi-parameter polynomial kernels, and
+``witness --format json`` on ``two_step_n8.json`` that of an invariant
+form.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ PINNED_SHA256 = {
         "280af705f661f4d451f3948930cbfe1596487d6009061ee4d54b70a293061f7b",
     ("jump", "tests/data/two_step_symbolic_n5.json", "--point", "t11=1,t23=2", "--format", "json"):
         "361fd22a5e902d67d6f2e77c8e8ef1d7c201f072eff7ef92a31d1a7b466b216d",
+    ("obstruct", "tests/data/two_step_symbolic_n5.json", "--p", "2", "--q", "0", "--format", "json"):
+        "102feabda6e14a50cdca5a962334e943cf267520433c509e60289f774aa7d352",
+    ("obstruct", "tests/data/two_step_symbolic_n5.json", "--p", "2", "--q", "0", "--format", "text"):
+        "e8d8852e98269afe485449129c1839357d3266ed671a6bb1a5e274b898cb264c",
+    ("witness", "tests/data/two_step_n8.json", "--format", "json"):
+        "fd0dd0d3a7a429a07c0ca782e4ed8bce5d515bb3ed5126615a5b0b074d5d59ed",
 }
 
 POINTS = {
