@@ -130,7 +130,7 @@ def cmd_obstruct(args) -> int:
     _need_psi(man)
     rep = deform.obstruction_o1(man.spec, man.psi1, args.p, args.q)
     entries = _matrix_strings(rep.matrix)
-    kernel = [[str(x) for x in v] for v in rep.kernel()]
+    kernel = [[str(x) if x else "0" for x in v] for v in rep.kernel()]  # "0" as in _matrix_strings
     payload = {
         "name": man.name,
         "p": args.p,

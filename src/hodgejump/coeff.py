@@ -67,6 +67,58 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+class _Record:
+    """A record whose fields are its annotated class attributes, in order.
+
+    ``__init__`` sets them in that order from positional or keyword
+    arguments; a field's class attribute is its default, copied if a list
+    or dict.  ``==`` and ``repr`` read the fields (``repr`` skips those in
+    ``_hidden``); attributes a subclass's ``__init__`` derives are not
+    fields.  A record inheriting ``_Immutable`` is frozen and hashes its
+    fields; any other is unhashable.
+    """
+
+    _hidden = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {key: cls.__dict__[key] for key in cls._fields if key in cls.__dict__}
+        if not issubclass(cls, _Immutable):
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields, defaults = self._fields, self._defaults
+        # a setter, not the instance __dict__, which once read slows every attribute read
+        put = object.__setattr__ if isinstance(self, _Immutable) else setattr
+        for key, value in zip(fields, args):
+            put(self, key, value)
+        for key in fields[len(args):]:
+            if key in kwargs:
+                value = kwargs.pop(key)
+            elif key not in defaults:
+                raise TypeError(f"{type(self).__name__}() missing argument {key!r}")
+            elif isinstance(value := defaults[key], (list, dict)):
+                value = value.copy()
+            put(self, key, value)
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() got too many, unknown or repeated arguments")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{key}={getattr(self, key)!r}" for key in self._fields if key not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
 def _fraction(literal: str, text: str) -> Fraction:
     try:
         return Fraction(literal)

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from math import comb
 from types import MappingProxyType
 
 from . import linalg
-from .coeff import GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, accumulate
+from .coeff import (GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, _Immutable,
+                    _Record, accumulate)
 from .errors import InternalInvariantError, ValidationFailure
 from .exterior import (
     ComplexStructureSpec,
@@ -80,8 +80,7 @@ __all__ = [
 THREEFOLD_ROW = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
-@dataclass(frozen=True)
-class DolbeaultBasis:
+class DolbeaultBasis(_Record, _Immutable):
     """Cohomology basis at one bidegree, with form-level projection.
 
     ``keys`` holds each monomial as its (I, J) mask pair and ``index`` maps
@@ -94,10 +93,9 @@ class DolbeaultBasis:
     q: int
     monomials: tuple
     cob: linalg.CohomologyBasis
-    keys: tuple = field(init=False, repr=False)
-    index: MappingProxyType = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         keys = tuple((_mask(I), _mask(J)) for I, J in self.monomials)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "index", MappingProxyType({k: r for r, k in enumerate(keys)}))
@@ -359,32 +357,16 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
 
 def validate_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> list[Diagnostic]:
     """Check that psi1 is a valid first-order deformation direction."""
-    diags: list[Diagnostic] = []
     if psi1.q != 1:
-        diags.append(Diagnostic("error", "psi", f"expected a (0,1) vector form, got q={psi1.q}"))
-        return diags
-    for (i, J), c in psi1.coeffs.items():
-        if isinstance(c, Poly) and c:
-            degs = {sum(e) for e in c.terms}
-            if degs - {1}:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"theta{i}(x)c{J[0]}",
-                        "coefficients of a first-order class must be homogeneous of degree 1",
-                    )
-                )
-    db = dbar_vector(spec, psi1)
-    if db:
-        for (i, J) in sorted(db.coeffs):
-            diags.append(
-                Diagnostic(
-                    "error",
-                    f"theta{i}",
-                    f"delbar(psi) has a nonzero component on theta{i}(x)"
-                    + "^".join(f"c{j}" for j in J),
-                )
-            )
+        return [Diagnostic("error", "psi", f"expected a (0,1) vector form, got q={psi1.q}")]
+    diags = [Diagnostic("error", f"theta{i}(x)c{J[0]}",
+                        "coefficients of a first-order class must be homogeneous of degree 1")
+             for (i, J), c in psi1.coeffs.items()
+             if isinstance(c, Poly) and {sum(e) for e in c.terms} - {1}]
+    for (i, J) in sorted(dbar_vector(spec, psi1).coeffs):
+        c_J = "^".join(f"c{j}" for j in J)
+        diags.append(Diagnostic("error", f"theta{i}",
+                                f"delbar(psi) has a nonzero component on theta{i}(x){c_J}"))
     return diags
 
 
@@ -403,8 +385,7 @@ class McObstruction(Exception):
         super().__init__(f"Maurer-Cartan obstruction at order {order}")
 
 
-@dataclass
-class DeformationFamily:
+class DeformationFamily(_Record):
     """A jet family through the base spec with vanishing integrability defect.
 
     ``deformed`` is the spec in the deformed coframe, derived from ``psi``.
@@ -413,10 +394,11 @@ class DeformationFamily:
     spec: ComplexStructureSpec
     psi: VectorForm
     order: int
-    deformed: ComplexStructureSpec = field(init=False, repr=False)
-    corrections: dict = field(default_factory=dict, repr=False)
+    corrections: dict = {}
+    _hidden = ("corrections",)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.psi.q != 1:
             raise ValidationFailure("family direction must be a (0,1) vector form")
         if not self.psi.constant_part_is_zero():
@@ -506,8 +488,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
 
 # -- first-order obstruction map ------------------------------------------
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(_Record):
     """Matrix of o1 : H^{p,q} -> H^{p,q+1} in the stored bases."""
 
     p: int
@@ -637,8 +618,7 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
 
 # -- class extension along a family ---------------------------------------
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(_Record):
     status: str  # "extended" | "obstructed"
     order: int   # verified order, or the first failing order
     p: int
@@ -732,8 +712,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
 
 # -- obstructed subspaces and jump prediction ------------------------------
 
-@dataclass
-class SecondClassReport:
+class SecondClassReport(_Record):
     """Image of o1 : H^{p,q-1} -> H^{p,q}, symbolically and at a point."""
 
     p: int
@@ -754,9 +733,7 @@ def second_class_subspace(spec: ComplexStructureSpec, psi1: VectorForm, p: int, 
     m = rep.matrix
     pivots = linalg.pivot_columns(m)
     generic_image = [m.column(j) for j in pivots]
-    out = SecondClassReport(
-        p=p, q=q, o1=rep, generic_dim=len(pivots), generic_image=generic_image,
-    )
+    out = SecondClassReport(p=p, q=q, o1=rep, generic_dim=len(pivots), generic_image=generic_image)
     if point is not None:
         ev = m.eval_point(point)
         span = linalg.Echelon(ev.rows, ev.sparse_columns)
@@ -766,8 +743,7 @@ def second_class_subspace(spec: ComplexStructureSpec, psi1: VectorForm, p: int, 
     return out
 
 
-@dataclass
-class JumpRow:
+class JumpRow(_Record):
     h0: int
     first: int
     second: int
@@ -777,8 +753,7 @@ class JumpRow:
         return self.h0 - self.first - self.second
 
 
-@dataclass
-class JumpTable:
+class JumpTable(_Record):
     """First-order jump prediction for every bidegree."""
 
     n: int
@@ -872,8 +847,7 @@ def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatr
     return linalg.ExactMatrix._trusted(src.dim, rows)
 
 
-@dataclass
-class Witness:
+class Witness(_Record):
     """Certificate that h^{1,0} jumps along theta_k (x) c_j."""
 
     i: int

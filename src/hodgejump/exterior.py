@@ -34,7 +34,6 @@ Sign conventions that everything downstream depends on:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .coeff import (
@@ -43,6 +42,7 @@ from .coeff import (
     GaussianRational,
     Poly,
     _Immutable,
+    _Record,
     _sum_text,
     accumulate,
 )
@@ -66,8 +66,7 @@ class SpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record, _Immutable):
     severity: str  # "error" | "warning"
     subject: str
     message: str
@@ -634,14 +633,8 @@ def validate_spec(spec: ComplexStructureSpec) -> list[Diagnostic]:
     for k in range(1, spec.n + 1):
         for (i, j) in list(spec.A[k]) + list(spec.B[k]):
             if i >= k or j >= k:
-                out.append(
-                    Diagnostic(
-                        "warning",
-                        f"f{k}",
-                        f"structure constant on ({i},{j}) breaks the nilpotent "
-                        f"index ordering (expected indices below {k})",
-                    )
-                )
+                out.append(Diagnostic("warning", f"f{k}", f"structure constant on ({i},{j}) breaks "
+                                      f"the nilpotent index ordering (expected indices below {k})"))
     return out
 
 

@@ -35,10 +35,9 @@ differential once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
-from .coeff import GR_ONE, CoefficientError, GaussianRational, Jet, Poly, accumulate
+from .coeff import (GR_ONE, CoefficientError, GaussianRational, Jet, Poly, _Immutable, _Record,
+                    accumulate)
 from .errors import InternalInvariantError, ValidationFailure
 
 __all__ = [
@@ -57,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FreeComplex:
+class FreeComplex(_Record, _Immutable):
     """Ranks P_0..P_N and polynomial differentials d^q: R^{P_q} -> R^{P_q+1}.
 
     ``_memo`` holds what ``_memo_get`` computed from the complex, each on
@@ -73,7 +71,8 @@ class FreeComplex:
     ranks: tuple[int, ...]
     diffs: tuple[linalg.ExactMatrix, ...]
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if len(self.diffs) != len(self.ranks) - 1:
             raise ValidationFailure("need exactly one differential per adjacent pair")
         for q, d in enumerate(self.diffs):
@@ -200,8 +199,7 @@ def h_dims(c: FreeComplex) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass
-class JetCochain:
+class JetCochain(_Record):
     """Element of E^q (x) R/m^(order+1): jets of order ``order`` in the parameter."""
 
     degree: int
@@ -211,14 +209,11 @@ class JetCochain:
     @classmethod
     def from_constant(cls, c: FreeComplex, q: int, vector, order: int) -> "JetCochain":
         params = (c.param,)
-        entries = [
-            Jet.constant(params, GaussianRational._coerce(v), order) for v in vector
-        ]
+        entries = [Jet.constant(params, GaussianRational._coerce(v), order) for v in vector]
         return cls(degree=q, entries=entries, order=order)
 
 
-@dataclass
-class LabObstruction:
+class LabObstruction(_Record):
     """Obstruction class at order n: coordinates in H^{q+1}(E_0)."""
 
     n: int
@@ -355,8 +350,7 @@ def _rho_is_zero(c: FreeComplex, q_target: int, beta: list[GaussianRational], i:
 
 # -- classification ---------------------------------------------------------
 
-@dataclass
-class FirstClassReport:
+class FirstClassReport(_Record):
     q: int
     order_bound: int
     dim: int                      # dimension of the obstructed part
@@ -410,8 +404,7 @@ def _first_class(c: FreeComplex, q: int, bound: int, order: int) -> FirstClassRe
     )
 
 
-@dataclass
-class SecondClassLabReport:
+class SecondClassLabReport(_Record):
     q: int
     order_bound: int
     dim: int
@@ -570,8 +563,7 @@ def reduce_to_primitive(c: FreeComplex, alpha: JetCochain, n: int):
         m -= 1
 
 
-@dataclass
-class AccountingReport:
+class AccountingReport(_Record):
     q: int
     h0: int
     h_generic: int
@@ -581,12 +573,12 @@ class AccountingReport:
     second_class_dim: int
     order_bound: int
     consistent: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = []
     # k -> #{i : e_i = k} over the local Smith exponents e_i >= 1 with a
     # nonzero count: of d^q (classes first obstructed at order k) and of
     # d^(q-1) (classes exact away from 0 whose preimage needs order k)
-    first_class_orders: dict[int, int] = field(default_factory=dict)
-    second_class_orders: dict[int, int] = field(default_factory=dict)
+    first_class_orders: dict[int, int] = {}
+    second_class_orders: dict[int, int] = {}
 
     @property
     def h_drop(self) -> int:
@@ -612,21 +604,14 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
     second = _second_class(c, q, bound, len(counts_in) - 1) if q >= 1 else None
     second_dim = second.dim if second is not None else 0
     notes = []
-    consistent = True
     if first.dim != kernel_drop:
-        consistent = False
-        notes.append(
-            f"first-class dimension {first.dim} differs from kernel drop {kernel_drop}"
-        )
+        notes.append(f"first-class dimension {first.dim} differs from kernel drop {kernel_drop}")
     if second_dim != image_rise:
-        consistent = False
-        notes.append(
-            f"second-class dimension {second_dim} differs from image rise {image_rise}"
-        )
+        notes.append(f"second-class dimension {second_dim} differs from image rise {image_rise}")
     return AccountingReport(
         q=q, h0=h0, h_generic=hg, kernel_drop=kernel_drop, image_rise=image_rise,
         first_class_dim=first.dim, second_class_dim=second_dim,
-        order_bound=bound, consistent=consistent, notes=notes,
+        order_bound=bound, consistent=not notes, notes=notes,
         first_class_orders={k: n for k, n in enumerate(counts_out) if k and n},
         second_class_orders={k: n for k, n in enumerate(counts_in) if k and n},
     )

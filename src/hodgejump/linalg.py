@@ -41,11 +41,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from types import MappingProxyType
 
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, _Immutable, accumulate
+from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, _Immutable, _Record, accumulate
 
 __all__ = [
     "ExactMatrix",
@@ -645,8 +644,7 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
 
 # -- cohomology of a two-step complex over Q(i) ---------------------------
 
-@dataclass(frozen=True)
-class CohomologyBasis:
+class CohomologyBasis(_Record, _Immutable):
     """Basis of Ker(d_out)/Im(d_in) with a coordinate projection.
 
     ``sparse_representatives`` holds canonical vectors in the ambient space,
@@ -660,8 +658,9 @@ class CohomologyBasis:
 
     dim: int
     sparse_representatives: tuple[Mapping[int, GaussianRational], ...]
-    coords: Echelon = field(repr=False)
+    coords: Echelon
     label: str = ""
+    _hidden = ("coords",)
 
     def project(self, vector: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
         """``{k: coordinate}`` of the nonzero coordinates of a closed

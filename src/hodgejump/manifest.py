@@ -11,12 +11,11 @@ rejected, and every manifest is validated on load.
 from __future__ import annotations
 
 import json
+import os
 import re
-from dataclasses import dataclass, field
-from importlib import resources
 
 from . import linalg
-from .coeff import CoefficientError, GaussianRational, Poly
+from .coeff import CoefficientError, GaussianRational, Poly, _Record
 from .errors import ValidationFailure
 from .exterior import ComplexStructureSpec, VectorForm, validate_spec
 from .freemod import FreeComplex, validate_complex
@@ -30,11 +29,10 @@ _TOP_FIELDS_LAB = {"name", "kind", "parameter", "ranks", "differentials", "optio
 _OPTION_FIELDS = {"order", "points"}
 
 
-@dataclass
-class Manifest:
+class Manifest(_Record):
     name: str
     kind: str
-    raw: dict = field(repr=False)
+    raw: dict
     # lie-algebra payload
     spec: ComplexStructureSpec | None = None
     parameters: tuple[str, ...] = ()
@@ -43,8 +41,9 @@ class Manifest:
     complex: FreeComplex | None = None
     # options
     order: int = 2
-    points: dict[str, dict[str, GaussianRational]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    points: dict[str, dict[str, GaussianRational]] = {}
+    warnings: list[str] = []
+    _hidden = ("raw",)
 
     def full_point(self, assignments: dict[str, GaussianRational]) -> dict[str, GaussianRational]:
         """Complete a partial assignment with zeros for the rest."""
@@ -248,28 +247,25 @@ def parse_manifest(text: str) -> Manifest:
     raise _err(f"unknown manifest kind: {kind!r}")
 
 
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
 def builtin_names() -> list[str]:
-    files = resources.files("hodgejump").joinpath("data")
-    return sorted(p.name for p in files.iterdir() if p.name.endswith(".json"))
+    return sorted(name for name in os.listdir(_DATA) if name.endswith(".json"))
 
 
 def load_manifest(path_or_name: str) -> Manifest:
     """Load from a filesystem path, falling back to the builtin library."""
-    import os
-
-    if os.path.exists(path_or_name):
-        try:
-            with open(path_or_name, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:  # a directory, a file without read permission
-            raise _err(f"cannot read manifest {path_or_name!r}: {e.strerror or e}") from None
-        except UnicodeDecodeError as e:
-            raise _err(f"manifest {path_or_name!r} is not UTF-8: "
-                       f"{e.reason} at byte {e.start}") from None
-        return parse_manifest(text)
-    base = path_or_name if path_or_name.endswith(".json") else path_or_name + ".json"
-    if "/" not in path_or_name and "\\" not in path_or_name:
-        res = resources.files("hodgejump").joinpath("data").joinpath(base)
-        if res.is_file():
-            return parse_manifest(res.read_text(encoding="utf-8"))
-    raise _err(f"manifest not found: {path_or_name!r} (builtins: {', '.join(builtin_names())})")
+    path = path_or_name
+    if not os.path.exists(path):
+        path = os.path.join(_DATA, path if path.endswith(".json") else path + ".json")
+        if "/" in path_or_name or "\\" in path_or_name or not os.path.isfile(path):
+            raise _err(f"manifest not found: {path_or_name!r} (builtins: {', '.join(builtin_names())})")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:  # a directory, a file without read permission
+        raise _err(f"cannot read manifest {path_or_name!r}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise _err(f"manifest {path_or_name!r} is not UTF-8: {e.reason} at byte {e.start}") from None
+    return parse_manifest(text)

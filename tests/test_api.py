@@ -5,6 +5,8 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -75,3 +77,15 @@ def test_modules_import_only_what_they_use(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_cold_import_loads_no_heavy_modules():
+    # every CLI call pays the package import: `dataclasses` (with `inspect`,
+    # `ast`, `dis` and `tokenize`) and `importlib.resources` each cost
+    # milliseconds, so neither is used; -S keeps `site` from loading them
+    heavy = ["dataclasses", "inspect", "ast", "importlib.resources"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hodgejump, hodgejump.cli; "
+            "print([m for m in sys.argv[2:] if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent), *heavy],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
