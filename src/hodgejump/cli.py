@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import deform, freemod, linalg
 from .coeff import CoefficientError, GaussianRational
@@ -67,11 +67,27 @@ def _table_text(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda x: "null"}
+
+
+def _json_text(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for a dict or list of dicts with str keys,
+    lists, tuples and scalars of the exact types of ``_SCALARS``; ``pad`` precedes the
+    closing bracket."""
+    inner, get = pad + "  ", _SCALARS.get
+    if isinstance(x, dict):
+        items = [_quote(k) + ": " + (f(v) if (f := get(type(v))) else _json_text(v, inner))
+                 for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(x, (list, tuple)):
+        items = [f(v) if (f := get(type(v))) else _json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, text: str):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(_json_text(payload) if args.format == "json" else text)
 
 
 def _need_lie(man: Manifest):

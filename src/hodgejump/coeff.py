@@ -23,18 +23,22 @@ graded-lexicographically, which fixes the order of the terms in the
 canonical text; ``_sum_text`` is the one rule that writes that text, for
 Q(i) values, polynomials, jets and the forms of ``exterior``.
 
-The public constructors and ``Poly.parse`` check and coerce every term.
-Results of arithmetic on values that already passed those checks come
-from ``Poly._trusted``, which skips them: use it only for terms the
-package built itself (exponent tuples of ints >= 0, one per parameter, and
-nonzero GaussianRational coefficients, in a dict no one else holds) and,
-for a Jet, no term above its order.
-Nothing parsed from input reaches them unchecked.
+``GaussianRational.parse`` and ``Poly.parse`` read exact literals (grammars
+in the README) in one pass, each coefficient straight to an integer triple.
+
+The public constructors check and coerce every term.  Results of
+arithmetic on values that already passed those checks, and the terms
+``Poly.parse`` builds from its grammar, come from ``Poly._trusted``, which
+skips them: use it only for terms the package built itself (exponent
+tuples of ints >= 0, one per parameter, and nonzero GaussianRational
+coefficients, in a dict no one else holds) and, for a Jet, no term above
+its order.  Nothing parsed from input reaches them unchecked.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -119,14 +123,12 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
-def _fraction(literal: str, text: str) -> Fraction:
+def _int(digits: str, what: str) -> int:
+    """The int of a string of ASCII digits; past Python's int digit limit, an error."""
     try:
-        return Fraction(literal)
-    except ZeroDivisionError:
-        raise CoefficientError(f"zero denominator in {text!r}") from None
-
-
-_PART = re.compile(r"^([+-]?(?:[0-9]+(?:/[0-9]+)?)?)(\*?i)?$")
+        return int(digits)
+    except ValueError:
+        raise CoefficientError(f"number over {sys.get_int_max_str_digits()} digits in {what}") from None
 
 
 class GaussianRational(_Immutable):
@@ -166,36 +168,39 @@ class GaussianRational(_Immutable):
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Parse strings like ``-1/2``, ``i``, ``2/3*i`` or ``3/4+1/4i``."""
+        """Parse strings like ``-1/2``, ``i``, ``2/3*i`` or ``3/4+1/4i``: signed chunks
+        ``n`` or ``n/m`` with an optional ``i`` or ``*i``, or ``i``; a chunk may end in a newline."""
         s = text.replace(" ", "").replace("−", "-")
         if not s:
             raise CoefficientError("empty coefficient string")
-        # split into signed chunks at top level
-        chunks: list[str] = []
-        start = 0
-        for k, ch in enumerate(s):
-            if ch in "+-" and k > start:
-                chunks.append(s[start:k])
-                start = k
-        chunks.append(s[start:])
-        re_part = Fraction(0)
-        im_part = Fraction(0)
+        a, b, d = 0, 0, 1
+        # a chunk starts at each sign after the first character
+        chunks = s.replace("-", "+-").split("+")
+        if s[0] in "+-":
+            del chunks[0]
         for chunk in chunks:
-            m = _PART.match(chunk)
-            if not m:
+            if chunk[-1:] == "\n":
+                chunk = chunk[:-1]
+            neg = chunk[:1] == "-"
+            body = chunk[1:] if neg else chunk
+            imag = body[-1:] == "i"
+            if imag:
+                body = body[:-2] if body[-2:] == "*i" else body[:-1]
+            num, slash, den = body.partition("/")
+            if not body and imag:
+                n = m = 1
+            elif body.isascii() and num.isdigit() and (den.isdigit() or not slash):
+                n, m = _int(num, "Q(i) literal"), _int(den, "Q(i) literal") if slash else 1
+                if not m:
+                    raise CoefficientError(f"zero denominator in {text!r}")
+            else:
                 raise CoefficientError(f"bad Q(i) literal: {text!r}")
-            num, imark = m.group(1), m.group(2)
-            if num in ("", "+", "-"):
-                if imark is None:
-                    raise CoefficientError(f"bad Q(i) literal: {text!r}")
-                value = Fraction(-1 if num == "-" else 1)
+            n = -n if neg else n
+            if imag:
+                a, b, d = a * m, b * m + n * d, d * m
             else:
-                value = _fraction(num, text)
-            if imark:
-                im_part += value
-            else:
-                re_part += value
-        return cls(re_part, im_part)
+                a, b, d = a * m + n * d, b * m, d * m
+        return _reduced(a, b, d)
 
     # -- parts -------------------------------------------------------
 
@@ -344,7 +349,6 @@ GR = GaussianRational
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -427,52 +431,51 @@ class Poly(_Immutable):
         tokens = re.findall(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+(?:/[0-9]+)?|\^|\*|\+|-", s)
         if "".join(tokens) != s:
             raise CoefficientError(f"bad polynomial literal: {text!r}")
-        result = Poly(params)
-        pos = 0
-        while pos < len(tokens):
-            sign = GR_ONE
-            while pos < len(tokens) and tokens[pos] in "+-":
+        terms: dict[tuple[int, ...], GaussianRational] = {}
+        pos, end = 0, len(tokens)
+        while pos < end:
+            a, b, d = 1, 0, 1  # the term's coefficient (a + b*i)/d
+            while pos < end and tokens[pos] in "+-":
                 if tokens[pos] == "-":
-                    sign = -sign
+                    a = -a
                 pos += 1
-            if pos >= len(tokens):
+            if pos == end:
                 raise CoefficientError(f"dangling sign in {text!r}")
-            coeff = sign
             exps = [0] * len(params)
             expect_factor = True
-            while pos < len(tokens):
+            while pos < end:
                 tok = tokens[pos]
                 if tok in "+-" and not expect_factor:
                     break
+                pos += 1
                 if tok == "*":
-                    pos += 1
                     expect_factor = True
                     continue
                 if not expect_factor:
                     raise CoefficientError(f"missing '*' in {text!r}")
-                if re.fullmatch(r"[0-9]+(?:/[0-9]+)?", tok):
-                    coeff = coeff * GaussianRational(_fraction(tok, text))
-                    pos += 1
+                if tok[0].isdigit():
+                    num, slash, den = tok.partition("/")
+                    n, m = _int(num, "polynomial literal"), _int(den, "polynomial literal") if slash else 1
+                    if not m:
+                        raise CoefficientError(f"zero denominator in {text!r}")
+                    a, b, d = a * n, b * n, d * m
                 elif tok == "i":
-                    coeff = coeff * GR_I
-                    pos += 1
+                    a, b = -b, a
                 elif tok in params:
-                    pos += 1
                     power = 1
-                    if pos < len(tokens) and tokens[pos] == "^":
-                        pos += 1
-                        if pos >= len(tokens) or not tokens[pos].isdigit():
+                    if pos < end and tokens[pos] == "^":
+                        if pos + 1 == end or not tokens[pos + 1].isdigit():
                             raise CoefficientError(f"bad exponent in {text!r}")
-                        power = int(tokens[pos])
-                        pos += 1
+                        power = _int(tokens[pos + 1], "polynomial literal")
+                        pos += 2
                     exps[params.index(tok)] += power
                 else:
                     raise CoefficientError(f"unknown symbol {tok!r} in {text!r}")
                 expect_factor = False
             if expect_factor:
                 raise CoefficientError(f"empty term in {text!r}")
-            result = result + Poly(params, {tuple(exps): coeff})
-        return result
+            accumulate(terms, tuple(exps), _reduced(a, b, d))
+        return Poly._trusted(params, terms)
 
     # -- arithmetic --------------------------------------------------
 

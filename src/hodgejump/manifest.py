@@ -62,9 +62,10 @@ def _err(msg: str) -> ValidationFailure:
     return ValidationFailure(msg)
 
 
-def _expect(cond: bool, msg: str):
+def _expect(cond: bool, msg: str, *args):
+    """Unless ``cond``, raise ``msg.format(*args)``, formatted only on failure."""
     if not cond:
-        raise _err(msg)
+        raise _err(msg.format(*args))
 
 
 def _is_int(x) -> bool:
@@ -74,7 +75,7 @@ def _is_int(x) -> bool:
 
 def _parse_lie(doc: dict) -> Manifest:
     extra = set(doc) - _TOP_FIELDS_LIE
-    _expect(not extra, f"unknown manifest fields: {sorted(extra)}")
+    _expect(not extra, "unknown manifest fields: {}", sorted(extra))
     n = doc.get("dimension")
     _expect(_is_int(n) and n >= 1, "dimension must be a positive integer")
     params = tuple(doc.get("parameters", ()))
@@ -85,24 +86,24 @@ def _parse_lie(doc: dict) -> Manifest:
     A: dict[int, dict] = {}
     B: dict[int, dict] = {}
     for idx, triple in enumerate(doc.get("structure", [])):
-        _expect(isinstance(triple, dict), f"structure[{idx}] must be an object")
+        _expect(isinstance(triple, dict), "structure[{}] must be an object", idx)
         extra = set(triple) - {"k", "monomial", "coefficient"}
-        _expect(not extra, f"structure[{idx}]: unknown fields {sorted(extra)}")
+        _expect(not extra, "structure[{}]: unknown fields {}", idx, sorted(extra))
         k = triple.get("k")
-        _expect(_is_int(k) and 1 <= k <= n, f"structure[{idx}]: bad generator index")
+        _expect(_is_int(k) and 1 <= k <= n, "structure[{}]: bad generator index", idx)
         m = _MONOMIAL.match(triple.get("monomial", ""))
-        _expect(m is not None, f"structure[{idx}]: monomial must look like 'f1^f2' or 'f1^c2'")
+        _expect(m is not None, "structure[{}]: monomial must look like 'f1^f2' or 'f1^c2'", idx)
         i, side, j = int(m.group(1)), m.group(2), int(m.group(3))
-        _expect(1 <= i <= n and 1 <= j <= n, f"structure[{idx}]: index out of range")
+        _expect(1 <= i <= n and 1 <= j <= n, "structure[{}]: index out of range", idx)
         try:
             coeff = GaussianRational.parse(str(triple.get("coefficient")))
         except CoefficientError as e:
             raise _err(f"structure[{idx}]: {e}") from None
         table = A if side == "f" else B
         if side == "f":
-            _expect(i < j, f"structure[{idx}]: holomorphic pair must be increasing")
+            _expect(i < j, "structure[{}]: holomorphic pair must be increasing", idx)
         row = table.setdefault(k, {})
-        _expect((i, j) not in row, f"structure[{idx}]: duplicate monomial for f{k}")
+        _expect((i, j) not in row, "structure[{}]: duplicate monomial for f{}", idx, k)
         row[(i, j)] = coeff
 
     try:
@@ -139,18 +140,18 @@ def _parse_lie(doc: dict) -> Manifest:
         _expect(bool(params), "deformation table requires declared parameters")
         coeffs = {}
         for idx, entry in enumerate(deformation):
-            _expect(isinstance(entry, dict), f"deformation[{idx}] must be an object")
+            _expect(isinstance(entry, dict), "deformation[{}] must be an object", idx)
             extra = set(entry) - {"i", "lambda", "coefficient"}
-            _expect(not extra, f"deformation[{idx}]: unknown fields {sorted(extra)}")
+            _expect(not extra, "deformation[{}]: unknown fields {}", idx, sorted(extra))
             i, lam = entry.get("i"), entry.get("lambda")
-            _expect(_is_int(i) and 1 <= i <= n, f"deformation[{idx}]: bad frame index")
-            _expect(_is_int(lam) and 1 <= lam <= n, f"deformation[{idx}]: bad form index")
+            _expect(_is_int(i) and 1 <= i <= n, "deformation[{}]: bad frame index", idx)
+            _expect(_is_int(lam) and 1 <= lam <= n, "deformation[{}]: bad form index", idx)
             try:
                 poly = Poly.parse(params, str(entry.get("coefficient")))
             except CoefficientError as e:
                 raise _err(f"deformation[{idx}]: {e}") from None
             key = (i, (lam,))
-            _expect(key not in coeffs, f"deformation[{idx}]: duplicate entry")
+            _expect(key not in coeffs, "deformation[{}]: duplicate entry", idx)
             if poly:
                 coeffs[key] = poly
         psi1 = VectorForm(spec, 1, coeffs)
@@ -170,7 +171,7 @@ def _parse_lie(doc: dict) -> Manifest:
 
 def _parse_lab(doc: dict) -> Manifest:
     extra = set(doc) - _TOP_FIELDS_LAB
-    _expect(not extra, f"unknown manifest fields: {sorted(extra)}")
+    _expect(not extra, "unknown manifest fields: {}", sorted(extra))
     param = doc.get("parameter", "t")
     _expect(isinstance(param, str) and param and param != "i", "bad parameter name")
     ranks = doc.get("ranks")
@@ -186,11 +187,11 @@ def _parse_lab(doc: dict) -> Manifest:
     for q, rows in enumerate(mats):
         shape_rows, shape_cols = ranks[q + 1], ranks[q]
         _expect(isinstance(rows, list) and len(rows) == shape_rows,
-                f"differentials[{q}] must have {shape_rows} rows")
+                "differentials[{}] must have {} rows", q, shape_rows)
         entries = []
         for i, row in enumerate(rows):
             _expect(isinstance(row, list) and len(row) == shape_cols,
-                    f"differentials[{q}][{i}] must have {shape_cols} entries")
+                    "differentials[{}][{}] must have {} entries", q, i, shape_cols)
             out_row = []
             for j, cell in enumerate(row):
                 try:
@@ -213,17 +214,17 @@ def _parse_lab(doc: dict) -> Manifest:
 def _parse_options(options: dict, params: tuple[str, ...]):
     _expect(isinstance(options, dict), "options must be an object")
     extra = set(options) - _OPTION_FIELDS
-    _expect(not extra, f"unknown option fields: {sorted(extra)}")
+    _expect(not extra, "unknown option fields: {}", sorted(extra))
     order = options.get("order", 2)
     _expect(_is_int(order) and order >= 1, "options.order must be a positive integer")
     raw_points = options.get("points", {})
     _expect(isinstance(raw_points, dict), "options.points must be an object")
     points: dict[str, dict[str, GaussianRational]] = {}
     for label, assignment in raw_points.items():
-        _expect(isinstance(assignment, dict), f"point {label!r} must be an object")
+        _expect(isinstance(assignment, dict), "point {!r} must be an object", label)
         parsed = {}
         for pname, value in assignment.items():
-            _expect(pname in params, f"point {label!r}: unknown parameter {pname!r}")
+            _expect(pname in params, "point {!r}: unknown parameter {!r}", label, pname)
             try:
                 parsed[pname] = GaussianRational.parse(str(value))
             except CoefficientError as e:

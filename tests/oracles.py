@@ -8,15 +8,19 @@ package's incremental normalization, polynomial kernels come from
 cofactor-expansion Cramer minors of a dense Bareiss form, linear systems
 from the dense reduced form of the augmented matrix, class extension
 from whole forms and dense coordinates, and the d.d check of a spec from
-generator forms and their full differentials.
+generator forms and their full differentials.  The literal parsers
+``seed_gr_parse`` and ``seed_poly_parse`` go through ``Fraction`` values,
+one regular expression per chunk or token and one checked ``Poly`` per
+term.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from hodgejump import linalg
-from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly, accumulate
+from hodgejump.coeff import GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, accumulate
 from hodgejump.deform import DeformationFamily, Dolbeault, ExtensionResult
 from hodgejump.errors import InternalInvariantError, ValidationFailure
 from hodgejump.exterior import (
@@ -871,3 +875,106 @@ def seed_vector_form_text(psi: VectorForm) -> str:
         else:
             parts.append(txt)
     return "".join(parts)
+
+
+# -- the Q(i) and polynomial literal parsers as they once were, through
+# ``Fraction``; ``GaussianRational.parse`` and ``Poly.parse`` scan to integer
+# triples and must agree with these in value, type and error text ---------
+
+_SEED_PART = re.compile(r"^([+-]?(?:[0-9]+(?:/[0-9]+)?)?)(\*?i)?$")
+
+
+def _seed_fraction(literal: str, text: str) -> Fraction:
+    try:
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise CoefficientError(f"zero denominator in {text!r}") from None
+
+
+def seed_gr_parse(text: str) -> GaussianRational:
+    s = text.replace(" ", "").replace("\u2212", "-")
+    if not s:
+        raise CoefficientError("empty coefficient string")
+    chunks: list[str] = []
+    start = 0
+    for k, ch in enumerate(s):
+        if ch in "+-" and k > start:
+            chunks.append(s[start:k])
+            start = k
+    chunks.append(s[start:])
+    re_part = Fraction(0)
+    im_part = Fraction(0)
+    for chunk in chunks:
+        m = _SEED_PART.match(chunk)
+        if not m:
+            raise CoefficientError(f"bad Q(i) literal: {text!r}")
+        num, imark = m.group(1), m.group(2)
+        if num in ("", "+", "-"):
+            if imark is None:
+                raise CoefficientError(f"bad Q(i) literal: {text!r}")
+            value = Fraction(-1 if num == "-" else 1)
+        else:
+            value = _seed_fraction(num, text)
+        if imark:
+            im_part += value
+        else:
+            re_part += value
+    return GaussianRational(re_part, im_part)
+
+
+def seed_poly_parse(params, text: str) -> Poly:
+    params = tuple(params)
+    if "i" in params:
+        raise CoefficientError("parameter name 'i' collides with the imaginary unit")
+    s = text.replace(" ", "").replace("\u2212", "-")
+    if not s:
+        raise CoefficientError("empty polynomial string")
+    tokens = re.findall(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+(?:/[0-9]+)?|\^|\*|\+|-", s)
+    if "".join(tokens) != s:
+        raise CoefficientError(f"bad polynomial literal: {text!r}")
+    result = Poly(params)
+    pos = 0
+    while pos < len(tokens):
+        sign = GR_ONE
+        while pos < len(tokens) and tokens[pos] in "+-":
+            if tokens[pos] == "-":
+                sign = -sign
+            pos += 1
+        if pos >= len(tokens):
+            raise CoefficientError(f"dangling sign in {text!r}")
+        coeff = sign
+        exps = [0] * len(params)
+        expect_factor = True
+        while pos < len(tokens):
+            tok = tokens[pos]
+            if tok in "+-" and not expect_factor:
+                break
+            if tok == "*":
+                pos += 1
+                expect_factor = True
+                continue
+            if not expect_factor:
+                raise CoefficientError(f"missing '*' in {text!r}")
+            if re.fullmatch(r"[0-9]+(?:/[0-9]+)?", tok):
+                coeff = coeff * GaussianRational(_seed_fraction(tok, text))
+                pos += 1
+            elif tok == "i":
+                coeff = coeff * GaussianRational(0, 1)
+                pos += 1
+            elif tok in params:
+                pos += 1
+                power = 1
+                if pos < len(tokens) and tokens[pos] == "^":
+                    pos += 1
+                    if pos >= len(tokens) or not tokens[pos].isdigit():
+                        raise CoefficientError(f"bad exponent in {text!r}")
+                    power = int(tokens[pos])
+                    pos += 1
+                exps[params.index(tok)] += power
+            else:
+                raise CoefficientError(f"unknown symbol {tok!r} in {text!r}")
+            expect_factor = False
+        if expect_factor:
+            raise CoefficientError(f"empty term in {text!r}")
+        result = result + Poly(params, {tuple(exps): coeff})
+    return result

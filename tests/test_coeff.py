@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -58,6 +59,136 @@ class TestFieldOps:
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(CoefficientError):
             GaussianRational.parse(text)
+
+
+# -- the literal parsers against the seed parsers of tests/oracles.py -------
+
+# characters and names a literal may contain, and some it may not
+LITERAL_ATOMS = (list("0123456789/+-*^ i")
+                 + ["\u2212", "\n", "\t", ".", "\u00b2", "\u0663", "t", "a", "b", "ab", "_"])
+# all over the literal alphabet, mostly not literals
+literal_soup = st.lists(st.sampled_from(LITERAL_ATOMS), max_size=16).map("".join)
+signs = st.sampled_from(["", "", "-", "+", "\u2212", "+-", "--"])
+naturals = st.integers(0, 10**12).map(str)
+rationals = naturals | st.tuples(naturals, st.integers(1, 10**12).map(str)).map("/".join)
+
+
+@st.composite
+def qi_literals(draw):
+    """A Q(i) literal: signed chunks, each a rational, a rational with
+    ``i`` or ``*i``, or ``i``, some with spaces."""
+    chunks = []
+    for k in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["-", "+", "\u2212"] if k else ["", "-", "+"]))
+        body = draw(st.sampled_from(["r", "ri", "r*i", "i", "*i"]))
+        chunks.append(sign + body.replace("r", draw(rationals)))
+    text = "".join(chunks)
+    return text.replace("/", draw(st.sampled_from(["/", " / "])), 1)
+
+
+@st.composite
+def poly_literals(draw, params):
+    """A polynomial literal in ``params``: signed terms, each a product of
+    rationals, ``i`` and powers of the parameters."""
+    factor = rationals | st.just("i") | st.sampled_from(params) | st.tuples(
+        st.sampled_from(params), st.integers(0, 4).map(str)).map("^".join)
+    terms = []
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(signs if k else st.sampled_from(["", "-", "+", "+-"]))
+        if k and not sign:
+            sign = "+"
+        factors = draw(st.lists(factor, min_size=1, max_size=4))
+        terms.append(sign + draw(st.sampled_from(["*", " * ", "**"])).join(factors))
+    return "".join(terms)
+
+
+def parse_outcome(parse, *args):
+    """The type and the triple or terms (in order) of what ``parse`` returns,
+    or the text of the CoefficientError it raises."""
+    try:
+        v = parse(*args)
+    except CoefficientError as e:
+        return ("error", str(e))
+    if isinstance(v, Poly):
+        return (type(v), v.params, [(e, (c._a, c._b, c._d)) for e, c in v.terms.items()])
+    return (type(v), v._a, v._b, v._d)
+
+
+LITERAL_PARAMS = [("t",), ("a", "b"), ("a", "ab")]
+
+
+class TestParseAgainstSeed:
+    @given(literal_soup)
+    @settings(max_examples=600)
+    def test_qi_parse_matches_the_seed_parser_on_any_text(self, text):
+        assert parse_outcome(GaussianRational.parse, text) == parse_outcome(oracles.seed_gr_parse, text)
+
+    @given(qi_literals())
+    @settings(max_examples=300)
+    def test_qi_parse_matches_the_seed_parser_on_literals(self, text):
+        outcome = parse_outcome(GaussianRational.parse, text)
+        assert outcome[0] is GaussianRational
+        assert outcome == parse_outcome(oracles.seed_gr_parse, text)
+
+    @given(st.sampled_from(LITERAL_PARAMS), literal_soup)
+    @settings(max_examples=600)
+    def test_poly_parse_matches_the_seed_parser_on_any_text(self, params, text):
+        assert parse_outcome(Poly.parse, params, text) == parse_outcome(oracles.seed_poly_parse, params, text)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_poly_parse_matches_the_seed_parser_on_literals(self, data):
+        params = data.draw(st.sampled_from(LITERAL_PARAMS))
+        text = data.draw(poly_literals(params))
+        outcome = parse_outcome(Poly.parse, params, text)
+        assert outcome[0] is Poly
+        assert outcome == parse_outcome(oracles.seed_poly_parse, params, text)
+
+    @pytest.mark.parametrize("text, qi, poly", [
+        ("2i", "2*i", "missing '*' in '2i'"),
+        ("i*i", "bad Q(i) literal: 'i*i'", "-1"),
+        ("+-1", "bad Q(i) literal: '+-1'", "-1"),
+        ("--t", "bad Q(i) literal: '--t'", "t"),
+        ("*i", "i", "i"),
+        ("1/2 \u2212 i", "1/2-i", "1/2-i"),
+        ("1\n", "1", "bad polynomial literal: '1\\n'"),
+        ("3/0", "zero denominator in '3/0'", "zero denominator in '3/0'"),
+        ("2*-t", "bad Q(i) literal: '2*-t'", "unknown symbol '-' in '2*-t'"),
+        ("t^1/2", "bad Q(i) literal: 't^1/2'", "bad exponent in 't^1/2'"),
+    ])
+    def test_the_two_grammars_differ_where_they_always_did(self, text, qi, poly):
+        def outcome(parse, *args):
+            try:
+                return str(parse(*args))
+            except CoefficientError as e:
+                return str(e)
+        assert outcome(GaussianRational.parse, text) == qi
+        assert outcome(Poly.parse, ("t",), text) == poly
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts ints of any length")
+class TestDigitLimit:
+    """A number past the interpreter's int digit limit is a CoefficientError
+    naming the limit, not a bare ValueError."""
+
+    def big(self):
+        return "1" * (sys.get_int_max_str_digits() + 1)
+
+    @pytest.mark.parametrize("shape", ["{}", "1/{}", "{}/3", "2+{}*i", "{}i"])
+    def test_qi_literal(self, shape):
+        with pytest.raises(CoefficientError, match=r"^number over \d+ digits in Q\(i\) literal$"):
+            GaussianRational.parse(shape.format(self.big()))
+
+    @pytest.mark.parametrize("shape", ["{}*t", "1/{}*t", "t^{}", "1+t^2*{}"])
+    def test_polynomial_literal(self, shape):
+        with pytest.raises(CoefficientError, match=r"^number over \d+ digits in polynomial literal$"):
+            Poly.parse(("t",), shape.format(self.big()))
+
+    def test_the_longest_allowed_number_parses(self):
+        top = "9" * sys.get_int_max_str_digits()
+        assert GaussianRational.parse(top) == int(top)
+        assert Poly.parse(("t",), f"t^{top}").terms == {(int(top),): GR(1)}
 
 
 grs = st.builds(

@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgejump
 from hodgejump import deform
-from hodgejump.cli import main
+from hodgejump.cli import _json_text, main
 from hodgejump.coeff import GaussianRational
 from hodgejump.errors import ValidationFailure
 from hodgejump.exterior import deformed_coframe
@@ -332,6 +334,29 @@ class TestCli:
         assert main(["lab", str(bool_rank)]) == 2
         assert "ranks" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter converts ints of any length")
+    def test_numbers_over_the_int_digit_limit_exit_2_on_one_line(self, capsys, tmp_path):
+        big = "1" * (sys.get_int_max_str_digits() + 1)
+        assert main(["jump", "iwasawa", "--point", f"t11={big}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation failure: point value 't11={big}': number over")
+        assert err.count("\n") == 1
+        doc = json.loads(load_manifest("iwasawa").to_json())
+        doc["structure"][0]["coefficient"] = big
+        long_qi = tmp_path / "long_qi.json"
+        long_qi.write_text(json.dumps(doc))
+        assert main(["validate", str(long_qi)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("validation failure: structure[0]: number over "
+                       f"{sys.get_int_max_str_digits()} digits in Q(i) literal\n")
+        long_power = tmp_path / "long_power.json"
+        long_power.write_text(json.dumps({
+            "kind": "free-complex", "ranks": [1, 1], "differentials": [[[f"t^{big}"]]],
+        }))
+        assert main(["lab", str(long_power)]) == 2
+        assert "differentials[0][0][0]: number over" in capsys.readouterr().err
+
     def test_unreadable_manifest_path_is_a_validation_failure(self, capsys, tmp_path):
         assert main(["hodge", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -399,3 +424,23 @@ def test_closed_output_exits_1_without_traceback(fmt):
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+json_payloads = st.dictionaries(st.text(), json_values, max_size=4) | st.lists(json_values, max_size=4)
+
+
+@given(json_payloads)
+@settings(max_examples=200)
+def test_json_writer_matches_json_dumps(payload):
+    # non-ASCII text included: both escape it
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_what_json_cannot_encode():
+    with pytest.raises(TypeError):
+        _json_text({"a": [object()]})
