@@ -3,8 +3,10 @@
 ``tests/data/golden_cli.json`` holds, for every call below, the exact
 stdout, stderr and exit code.  The calls cover ``obstruct`` at every
 bidegree (with and without ``--point``), ``jump`` at three points,
-``witness`` and ``mc`` at orders 2, 3 and 4 (the Maurer-Cartan corrections
-that jet arithmetic builds), in text and JSON, on
+``witness``, ``mc`` at orders 2, 3 and 4 (the Maurer-Cartan corrections
+that jet arithmetic builds), ``validate``, ``hodge`` (with its n = 3
+nine-number row) and ``d1`` at every bidegree and at (1,1), in text and
+JSON, on
 
 * ``mixed_i.json``: d f3 = i*f1^c1 with the symbolic deformation, a
   non-parallelisable structure whose o1 maps have polynomial entries;
@@ -88,6 +90,10 @@ def calls() -> list[list[str]]:
             out.append(["witness", path, "--format", fmt])
             for order in (2, 3, 4):
                 out.append(["mc", path, "--order", str(order), "--format", fmt])
+            out.append(["validate", path, "--format", fmt])
+            out.append(["hodge", path, "--format", fmt])
+            out.append(["d1", path, "--format", fmt])
+            out.append(["d1", path, "--p", "1", "--q", "1", "--format", fmt])
     return out
 
 
