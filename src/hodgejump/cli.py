@@ -38,33 +38,31 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_point(values: list[str]) -> dict[str, GaussianRational]:
     out: dict[str, GaussianRational] = {}
-    for blob in values or []:
-        for item in blob.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise _UsageError(f"bad point assignment {item!r}; expected name=value")
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name in out:
-                raise ValidationFailure(f"parameter {name!r} assigned twice")
-            try:
-                out[name] = GaussianRational.parse(value.strip())
-            except CoefficientError as e:
-                raise ValidationFailure(f"point value {item!r}: {e}") from None
+    for item in ",".join(values).split(","):
+        item = item.strip()
+        if not item:
+            continue
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise _UsageError(f"bad point assignment {item!r}; expected name=value")
+        name = name.strip()
+        if name in out:
+            raise ValidationFailure(f"parameter {name!r} assigned twice")
+        try:
+            out[name] = GaussianRational.parse(value.strip())
+        except CoefficientError as e:
+            raise ValidationFailure(f"point value for {name}: {e}") from None
     return out
 
 
-def _table_text(rows: list[list[str]], header: list[str]) -> str:
-    data = [header] + rows
+def _table_lines(rows: list[list], header: list[str]):
+    """The lines of an aligned table of ``rows`` (cells printed with str) under ``header``."""
+    data = [header] + [[str(cell) for cell in row] for row in rows]
     widths = [max(len(r[i]) for r in data) for i in range(len(header))]
-    lines = []
     for k, row in enumerate(data):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        yield "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         if k == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+            yield "  ".join("-" * w for w in widths)
 
 
 _SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
@@ -86,18 +84,20 @@ def _json_text(x, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, text: str):
-    print(_json_text(payload) if args.format == "json" else text)
+def _emit(args, man: Manifest, report: dict, render):
+    """Print ``report``, named after the manifest, as JSON or as the lines ``render`` yields."""
+    report["name"] = man.name
+    print(_json_text(report) if args.format == "json"
+          else "\n".join(render(report, man, args.manifest)))
 
 
-def _need_lie(man: Manifest):
-    if man.kind != "lie-algebra":
+def _need(man: Manifest, need: str | None):
+    """Refuse a manifest of another kind than ``need``; "deformation" is a lie-algebra with psi1."""
+    if need == "free-complex" and man.kind != need:
+        raise ValidationFailure("lab command needs a free-complex manifest")
+    if need in ("lie-algebra", "deformation") and man.kind != "lie-algebra":
         raise ValidationFailure(f"command needs a lie-algebra manifest, got {man.kind}")
-
-
-def _need_psi(man: Manifest):
-    _need_lie(man)
-    if man.psi1 is None:
+    if need == "deformation" and man.psi1 is None:
         raise ValidationFailure("manifest declares no deformation table")
 
 
@@ -110,94 +110,79 @@ def _matrix_strings(m: linalg.ExactMatrix) -> list[list[str]]:
     return out
 
 
-def _hodge_payload(n: int, table: dict) -> dict:
-    return {f"{p},{q}": table[(p, q)] for p in range(n + 1) for q in range(n + 1)}
+def cmd_validate(args, man: Manifest):
+    _emit(args, man, {"kind": man.kind, "valid": True, "warnings": man.warnings}, _validate_text)
 
 
-def cmd_validate(args) -> int:
-    man = load_manifest(args.manifest)
-    lines = [f"{man.name or args.manifest}: {man.kind} manifest is valid"]
-    for w in man.warnings:
-        lines.append(f"warning: {w}")
-    payload = {"name": man.name, "kind": man.kind, "valid": True, "warnings": man.warnings}
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+def _validate_text(report: dict, man: Manifest, path: str):
+    yield f"{report['name'] or path}: {report['kind']} manifest is valid"
+    for w in report["warnings"]:
+        yield f"warning: {w}"
 
 
-def cmd_hodge(args) -> int:
-    man = load_manifest(args.manifest)
-    _need_lie(man)
-    n = man.spec.n
-    table = deform.hodge_table(man.spec)
+def cmd_hodge(args, man: Manifest):
+    h = {f"{p},{q}": dim for (p, q), dim in deform.hodge_table(man.spec).items()}
+    _emit(args, man, {"n": man.spec.n, "h": h}, _hodge_text)
+
+
+def _hodge_text(report: dict, man: Manifest, path: str):
+    n, h = report["n"], report["h"]
     rows = []
     for p in range(n + 1):
-        rows.append([f"p={p}"] + [str(table[(p, q)]) for q in range(n + 1)])
-    text = _table_text(rows, ["h^{p,q}"] + [f"q={q}" for q in range(n + 1)])
+        rows.append([f"p={p}"] + [h[f"{p},{q}"] for q in range(n + 1)])
+    yield from _table_lines(rows, ["h^{p,q}"] + [f"q={q}" for q in range(n + 1)])
     if n == 3:
-        nine = deform.threefold_row(table)
-        text += "\n(h^{1,0} h^{0,1} h^{2,0} h^{1,1} h^{0,2} h^{3,0} h^{2,1} h^{1,2} h^{0,3}) = " \
-                + " ".join(map(str, nine))
-    _emit(args, {"name": man.name, "n": n, "h": _hodge_payload(n, table)}, text)
-    return EXIT_OK
+        yield "(h^{1,0} h^{0,1} h^{2,0} h^{1,1} h^{0,2} h^{3,0} h^{2,1} h^{1,2} h^{0,3}) = " \
+              + " ".join(str(h[f"{p},{q}"]) for p, q in deform.THREEFOLD_ROW)
 
 
-def cmd_obstruct(args) -> int:
-    man = load_manifest(args.manifest)
-    _need_psi(man)
+def cmd_obstruct(args, man: Manifest):
     rep = deform.obstruction_o1(man.spec, man.psi1, args.p, args.q)
-    entries = _matrix_strings(rep.matrix)
-    kernel = [[str(x) if x else "0" for x in v] for v in rep.kernel()]  # "0" as in _matrix_strings
-    payload = {
-        "name": man.name,
-        "p": args.p,
-        "q": args.q,
-        "source_dim": rep.source.dim,
-        "target_dim": rep.target.dim,
-        "matrix": entries,
-        "generic_rank": rep.generic_rank(),
-        "kernel": kernel,
-    }
-    lines = [
-        f"o1 at ({args.p},{args.q}): H^{{{args.p},{args.q}}} (dim {rep.source.dim})"
-        f" -> H^{{{args.p},{args.q + 1}}} (dim {rep.target.dim})",
-        f"generic rank: {payload['generic_rank']}",
-        "matrix rows (target basis coordinates):",
-    ]
-    for row in entries:
-        lines.append("  [" + ", ".join(row) + "]")
-    if kernel:
-        lines.append("kernel basis (source coordinates):")
-        for v in kernel:
-            lines.append("  [" + ", ".join(v) + "]")
+    report = {"p": args.p, "q": args.q, "source_dim": rep.source.dim, "target_dim": rep.target.dim}
+    report["matrix"] = _matrix_strings(rep.matrix)
+    # kernel first: its elimination leaves the pivots generic_rank reads; zeros print as "0"
+    report["kernel"] = [[str(x) if x else "0" for x in v] for v in rep.kernel()]
+    report["generic_rank"] = rep.generic_rank()
     if args.point:
         point = man.full_point(_parse_point(args.point))
-        r = rep.rank_at(point)
-        payload["point"] = {k: str(v) for k, v in point.items()}
-        payload["rank_at_point"] = r
-        lines.append(f"rank at point: {r}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+        report["point"] = {k: str(v) for k, v in point.items()}
+        report["rank_at_point"] = rep.rank_at(point)
+    _emit(args, man, report, _obstruct_text)
 
 
-def cmd_mc(args) -> int:
-    man = load_manifest(args.manifest)
-    _need_psi(man)
+def _obstruct_text(report: dict, man: Manifest, path: str):
+    p, q = report["p"], report["q"]
+    yield (f"o1 at ({p},{q}): H^{{{p},{q}}} (dim {report['source_dim']})"
+           f" -> H^{{{p},{q + 1}}} (dim {report['target_dim']})")
+    yield f"generic rank: {report['generic_rank']}"
+    yield "matrix rows (target basis coordinates):"
+    for row in report["matrix"]:
+        yield "  [" + ", ".join(row) + "]"
+    if report["kernel"]:
+        yield "kernel basis (source coordinates):"
+        for v in report["kernel"]:
+            yield "  [" + ", ".join(v) + "]"
+    if "rank_at_point" in report:
+        yield f"rank at point: {report['rank_at_point']}"
+
+
+def cmd_mc(args, man: Manifest):
     order = man.order if args.order is None else args.order
     fam = deform.mc_extend(man.spec, man.psi1, order)
-    lines = [f"family extended to order {order}"]
-    payload = {"name": man.name, "order": order, "corrections": {}}
+    corrections = {}
     for k in range(2, order + 1):
         corr = fam.corrections.get(k)
-        txt = str(corr) if corr else "0"
-        payload["corrections"][str(k)] = txt
-        lines.append(f"psi_{k} = {txt}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+        corrections[str(k)] = str(corr) if corr else "0"
+    _emit(args, man, {"order": order, "corrections": corrections}, _mc_text)
 
 
-def cmd_jump(args) -> int:
-    man = load_manifest(args.manifest)
-    _need_psi(man)
+def _mc_text(report: dict, man: Manifest, path: str):
+    yield f"family extended to order {report['order']}"
+    for k, txt in report["corrections"].items():
+        yield f"psi_{k} = {txt}"
+
+
+def cmd_jump(args, man: Manifest):
     point = man.full_point(_parse_point(args.point))
     table = deform.jump_report(man.spec, man.psi1, point)
     # the oracle's family runs along the prediction's ray alone, so a point
@@ -206,111 +191,85 @@ def cmd_jump(args) -> int:
     oracle = (deform.oracle_hodge_at_point(
         man.spec, deform.mc_extend(man.spec, ray, man.order), {"s": GaussianRational(1)})
         if ray else deform.hodge_table(man.spec))
-    n = man.spec.n
-    rows = []
-    payload_rows = {}
-    agree_all = True
-    for p in range(n + 1):
-        for q in range(n + 1):
-            r = table.rows[(p, q)]
-            o = oracle[(p, q)]
-            agree = o == r.predicted
-            agree_all = agree_all and agree
-            rows.append([
-                f"({p},{q})", str(r.h0), str(r.first), str(r.second),
-                str(r.predicted), str(o), "yes" if agree else "NO",
-            ])
-            payload_rows[f"{p},{q}"] = {
-                "h0": r.h0, "first_class": r.first, "second_class": r.second,
-                "predicted": r.predicted, "oracle": o, "agree": agree,
-            }
-    text = _table_text(rows, ["(p,q)", "h(0)", "first", "second", "predicted", "oracle", "agree"])
-    text += f"\nlabel: {table.label}"
-    if n == 3:
-        text += "\npredicted row: " + " ".join(map(str, table.threefold_row()))
-        text += "\noracle    row: " + " ".join(
-            str(oracle[pq]) for pq in deform.THREEFOLD_ROW
-        )
-    if not agree_all:
-        text += "\nWARNING: first-order prediction disagrees with the oracle at some bidegree"
-    payload = {
-        "name": man.name,
-        "point": {k: str(v) for k, v in point.items()},
-        "label": table.label,
-        "rows": payload_rows,
-        "agree": agree_all,
-    }
-    _emit(args, payload, text)
-    return EXIT_OK
+    report = {"point": {k: str(v) for k, v in point.items()}, "label": table.label, "rows": {}}
+    for (p, q), r in table.rows.items():
+        o = oracle[(p, q)]
+        report["rows"][f"{p},{q}"] = {
+            "h0": r.h0, "first_class": r.first, "second_class": r.second,
+            "predicted": r.predicted, "oracle": o, "agree": o == r.predicted,
+        }
+    report["agree"] = all(row["agree"] for row in report["rows"].values())
+    _emit(args, man, report, _jump_text)
 
 
-def cmd_d1(args) -> int:
-    man = load_manifest(args.manifest)
-    _need_lie(man)
-    n = man.spec.n
-    payload = {"name": man.name, "maps": {}}
-    rows = []
+def _jump_text(report: dict, man: Manifest, path: str):
+    rows = report["rows"]
+    cells = []
+    for pq, r in rows.items():
+        cells.append([f"({pq})", r["h0"], r["first_class"], r["second_class"], r["predicted"],
+                      r["oracle"], "yes" if r["agree"] else "NO"])
+    yield from _table_lines(
+        cells, ["(p,q)", "h(0)", "first", "second", "predicted", "oracle", "agree"])
+    yield f"label: {report['label']}"
+    if man.spec.n == 3:
+        for field in ("predicted", "oracle"):  # "predicted row: ", "oracle    row: "
+            yield f"{field:9} row: " + " ".join(
+                str(rows[f"{p},{q}"][field]) for p, q in deform.THREEFOLD_ROW)
+    if not report["agree"]:
+        yield "WARNING: first-order prediction disagrees with the oracle at some bidegree"
+
+
+def cmd_d1(args, man: Manifest):
     if (args.p is None) != (args.q is None):
         raise _UsageError("d1 takes both --p and --q, or neither")
-    pq_list = ([(args.p, args.q)] if args.p is not None
-               else [(p, q) for p in range(n + 1) for q in range(n + 1)])
+    span = range(man.spec.n + 1)
+    pq_list = [(args.p, args.q)] if args.p is not None else [(p, q) for p in span for q in span]
+    maps = {}
     for p, q in pq_list:
         m = deform.frolicher_d1(man.spec, p, q)
-        nz = not m.is_zero()
         rank = linalg.rank_const(m) if m.rows and m.cols else 0
-        payload["maps"][f"{p},{q}"] = {
-            "rank": rank,
-            "matrix": _matrix_strings(m),
-        }
-        rows.append([f"({p},{q})", str(rank), "nonzero" if nz else "0"])
-    text = _table_text(rows, ["(p,q)", "rank", "d1"])
-    _emit(args, payload, text)
-    return EXIT_OK
+        maps[f"{p},{q}"] = {"rank": rank, "matrix": _matrix_strings(m)}
+    _emit(args, man, {"maps": maps}, _d1_text)
 
 
-def cmd_witness(args) -> int:
-    man = load_manifest(args.manifest)
-    _need_lie(man)
+def _d1_text(report: dict, man: Manifest, path: str):
+    rows = []
+    for pq, m in report["maps"].items():
+        # d1 is a constant matrix, nonzero exactly when its rank is
+        rows.append([f"({pq})", m["rank"], "nonzero" if m["rank"] else "0"])
+    yield from _table_lines(rows, ["(p,q)", "rank", "d1"])
+
+
+def cmd_witness(args, man: Manifest):
     w = deform.parallelisable_witness(man.spec)
-    if w is None:
-        _emit(args, {"name": man.name, "witness": None},
-              "no witness: the holomorphic differential vanishes identically")
-        return EXIT_OK
-    payload = {
-        "name": man.name,
-        "witness": {
-            "form_index": w.i, "frame_index": w.k, "conjugate_index": w.j,
-            "obstruction": str(w.value),
-            "class_coordinates": [str(x) for x in w.coords],
-        },
+    witness = None if w is None else {
+        "form_index": w.i, "frame_index": w.k, "conjugate_index": w.j,
+        "obstruction": str(w.value),
+        "class_coordinates": [str(x) for x in w.coords],
     }
-    text = (
-        f"witness: deforming along theta{w.k}(x)c{w.j} obstructs f{w.i}\n"
-        f"o1(f{w.i}) = {w.value} (nonzero class in H^{{1,1}})"
-    )
-    _emit(args, payload, text)
-    return EXIT_OK
+    _emit(args, man, {"witness": witness}, _witness_text)
 
 
-def cmd_lab(args) -> int:
-    man = load_manifest(args.manifest)
-    if man.kind != "free-complex":
-        raise ValidationFailure("lab command needs a free-complex manifest")
+def _witness_text(report: dict, man: Manifest, path: str):
+    w = report["witness"]
+    if w is None:
+        yield "no witness: the holomorphic differential vanishes identically"
+    else:
+        i, k, j = w["form_index"], w["frame_index"], w["conjugate_index"]
+        yield f"witness: deforming along theta{k}(x)c{j} obstructs f{i}"
+        yield f"o1(f{i}) = {w['obstruction']} (nonzero class in H^{{1,1}})"
+
+
+def cmd_lab(args, man: Manifest):
     cx = man.complex
     degrees = [args.q] if args.q is not None else list(range(len(cx.ranks)))
-    rows = []
-    payload = {"name": man.name, "ranks": list(cx.ranks), "degrees": {}}
+    report = {"ranks": list(cx.ranks), "degrees": {}}
     mismatched = []
     for q in degrees:
         acct = freemod.jump_accounting(cx, q)
         if not acct.consistent:
             mismatched.append(q)
-        rows.append([
-            f"q={q}", str(acct.h0), str(acct.h_generic), str(acct.kernel_drop),
-            str(acct.image_rise), str(acct.first_class_dim), str(acct.second_class_dim),
-            "ok" if acct.consistent else "MISMATCH",
-        ])
-        payload["degrees"][str(q)] = {
+        report["degrees"][str(q)] = {
             "h0": acct.h0, "h_generic": acct.h_generic,
             "kernel_drop": acct.kernel_drop, "image_rise": acct.image_rise,
             "first_class_dim": acct.first_class_dim,
@@ -319,43 +278,49 @@ def cmd_lab(args) -> int:
             "consistent": acct.consistent,
             "notes": acct.notes,
         }
-    text = _table_text(
-        rows,
-        ["degree", "h(0)", "h(gen)", "ker-drop", "im-rise", "first", "second", "check"],
-    )
-    _emit(args, payload, text)
+    _emit(args, man, report, _lab_text)
     if mismatched:
         raise InternalInvariantError(f"jump accounting mismatch at degrees {mismatched}")
-    return EXIT_OK
+
+
+def _lab_text(report: dict, man: Manifest, path: str):
+    rows = []
+    for q, d in report["degrees"].items():
+        rows.append([f"q={q}", d["h0"], d["h_generic"], d["kernel_drop"], d["image_rise"],
+                     d["first_class_dim"], d["second_class_dim"],
+                     "ok" if d["consistent"] else "MISMATCH"])
+    yield from _table_lines(
+        rows, ["degree", "h(0)", "h(gen)", "ker-drop", "im-rise", "first", "second", "check"])
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hodgejump", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, need, help_text):
+        """Register ``name``, taking manifests of the kind ``need`` (see ``_need``)."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("manifest", help="manifest path or builtin name")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, need=need)
         return p
 
-    add("validate", cmd_validate, "parse and validate a manifest")
-    add("hodge", cmd_hodge, "baseline Hodge table of the structure")
-    p = add("obstruct", cmd_obstruct, "first-order obstruction map at a bidegree")
+    add("validate", cmd_validate, None, "parse and validate a manifest")
+    add("hodge", cmd_hodge, "lie-algebra", "baseline Hodge table of the structure")
+    p = add("obstruct", cmd_obstruct, "deformation", "first-order obstruction map at a bidegree")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--point", action="append", help="parameter assignments name=value[,name=value...]")
-    p = add("mc", cmd_mc, "order-by-order family extension")
+    p = add("mc", cmd_mc, "deformation", "order-by-order family extension")
     p.add_argument("--order", type=int, default=None)
-    p = add("jump", cmd_jump, "jump prediction with oracle cross-check")
+    p = add("jump", cmd_jump, "deformation", "jump prediction with oracle cross-check")
     p.add_argument("--point", action="append", required=True,
                    help="parameter assignments name=value[,name=value...]")
-    p = add("d1", cmd_d1, "first spectral differential on the baseline cohomology")
+    p = add("d1", cmd_d1, "lie-algebra", "first spectral differential on the baseline cohomology")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    add("witness", cmd_witness, "jump witness for parallelisable structures")
-    p = add("lab", cmd_lab, "free-complex obstruction accounting")
+    add("witness", cmd_witness, "lie-algebra", "jump witness for parallelisable structures")
+    p = add("lab", cmd_lab, "free-complex", "free-complex obstruction accounting")
     p.add_argument("--q", type=int, default=None)
     return parser
 
@@ -365,13 +330,13 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    verbose = os.environ.get("HODGEJUMP_VERBOSE", "")
     try:
         args = _parser().parse_args(argv)
-        code = args.func(args)
+        man = load_manifest(args.manifest)
+        _need(man, args.need)
+        args.func(args, man)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so the
         # flush at exit prints nothing either
@@ -381,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ValidationFailure, SpecError, CoefficientError, linalg.LinalgError) as e:
-        if verbose:
+        if os.environ.get("HODGEJUMP_VERBOSE"):
             raise
         print(f"validation failure: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -389,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"obstructed: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except InternalInvariantError as e:
-        if verbose:
+        if os.environ.get("HODGEJUMP_VERBOSE"):
             raise
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,7 +17,7 @@ import re
 from . import linalg
 from .coeff import CoefficientError, GaussianRational, Poly, _Record
 from .errors import ValidationFailure
-from .exterior import ComplexStructureSpec, VectorForm, validate_spec
+from .exterior import ComplexStructureSpec, SpecError, VectorForm, validate_spec
 from .freemod import FreeComplex, validate_complex
 
 __all__ = ["Manifest", "parse_manifest", "load_manifest", "builtin_names"]
@@ -108,7 +108,7 @@ def _parse_lie(doc: dict) -> Manifest:
 
     try:
         spec = ComplexStructureSpec(n, A, B)
-    except Exception as e:
+    except SpecError as e:
         raise _err(f"invalid structure constants: {e}") from None
     diags = validate_spec(spec)
     errors = [str(d) for d in diags if d.severity == "error"]

@@ -3,6 +3,7 @@ cached cohomology, and each matrix and free complex computes its invariants
 once."""
 
 import gc
+import json
 import weakref
 from pathlib import Path
 
@@ -435,6 +436,26 @@ def test_lab_computes_each_invariant_once(monkeypatch, capsys):
     diffs = [cx.diff(q) for q in range(-1, cx.length + 1)]
     assert sorted(map(id, calls["smith"])) == sorted(map(id, diffs))
     assert calls["cohomology"] == [f"H^{q}(E_0)" for q in range(len(cx.ranks))]
+
+
+def test_obstruct_eliminates_its_polynomial_o1_matrix_once(monkeypatch, capsys):
+    # the kernel's Bareiss leaves the pivots that generic_rank reads, so
+    # computing the kernel first eliminates the matrix once, not twice
+    man = load_manifest("iwasawa")
+    assert len(man.parameters) == 6
+    assert obstruction_o1(man.spec, man.psi1, 1, 0).matrix.is_polynomial()
+    calls = []
+    real_bareiss = linalg._bareiss
+
+    def bareiss(m):
+        calls.append((m.rows, m.cols))
+        return real_bareiss(m)
+
+    monkeypatch.setattr(linalg, "_bareiss", bareiss)
+    assert cli.main(["obstruct", "iwasawa", "--p", "1", "--q", "0", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kernel"] and report["generic_rank"] > 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d0, alpha", [

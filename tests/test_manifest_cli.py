@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgejump
-from hodgejump import deform
+from hodgejump import cli, deform, manifest
 from hodgejump.cli import _json_text, main
 from hodgejump.coeff import GaussianRational
 from hodgejump.errors import ValidationFailure
-from hodgejump.exterior import deformed_coframe
+from hodgejump.exterior import SpecError, deformed_coframe
 from hodgejump.manifest import builtin_names, load_manifest, parse_manifest
 
 from .conftest import ROW_I, ROW_II
@@ -52,6 +52,22 @@ class TestManifest:
         again = parse_manifest(man.to_json())
         assert again.raw == man.raw
         assert again.kind == man.kind
+
+    @pytest.mark.parametrize("error, refused", [(SpecError, True), (TypeError, False)])
+    def test_only_spec_errors_are_invalid_structure_constants(self, monkeypatch, error, refused):
+        # SpecError is what the constructor raises for bad input; any other
+        # error is a fault of the program and must not exit 2 as bad input
+        def spec(*args, **kwargs):
+            raise error("boom")
+
+        doc = load_manifest("iwasawa").to_json()
+        monkeypatch.setattr(manifest, "ComplexStructureSpec", spec)
+        if refused:
+            with pytest.raises(ValidationFailure, match="^invalid structure constants: boom$"):
+                parse_manifest(doc)
+        else:
+            with pytest.raises(error, match="^boom$"):
+                parse_manifest(doc)
 
     def test_unknown_field_rejected(self):
         doc = json.dumps({"kind": "lie-algebra", "dimension": 1, "mystery": 1})
@@ -142,6 +158,24 @@ class TestManifest:
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["hodge", "iwasawa"], ["jump", "iwasawa", "--point", "t11=1"], ["d1", "iwasawa"],
+        ["lab", "lab-t2"], ["obstruct", "iwasawa", "--p", "1", "--q", "0"], ["mc", "iwasawa"],
+        ["validate", "iwasawa"], ["witness", "iwasawa"],
+    ], ids=" ".join)
+    def test_json_formats_no_text(self, argv, monkeypatch, capsys):
+        # --format json prints the report alone: neither the table layout nor
+        # any command's text renderer runs
+        def refuse(*args):
+            raise AssertionError("a text view was rendered under --format json")
+
+        monkeypatch.setattr(cli, "_table_lines", refuse)
+        for name in dir(cli):
+            if name.startswith("_") and name.endswith("_text") and name != "_json_text":
+                monkeypatch.setattr(cli, name, refuse)
+        assert main(argv + ["--format", "json"]) == 0
+        assert "name" in json.loads(capsys.readouterr().out)
+
     def test_hodge_text(self, capsys):
         assert main(["hodge", "iwasawa.json"]) == 0
         out = capsys.readouterr().out
@@ -340,8 +374,10 @@ class TestCli:
         big = "1" * (sys.get_int_max_str_digits() + 1)
         assert main(["jump", "iwasawa", "--point", f"t11={big}"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"validation failure: point value 't11={big}': number over")
+        # the refusal names the parameter and does not echo the value
+        assert err.startswith("validation failure: point value for t11: number over")
         assert err.count("\n") == 1
+        assert len(err) < 100
         doc = json.loads(load_manifest("iwasawa").to_json())
         doc["structure"][0]["coefficient"] = big
         long_qi = tmp_path / "long_qi.json"
