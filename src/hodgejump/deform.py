@@ -72,7 +72,6 @@ __all__ = [
     "oracle_hodge_at_point",
     "frolicher_d1",
     "parallelisable_witness",
-    "threefold_row",
     "THREEFOLD_ROW",
 ]
 
@@ -166,9 +165,6 @@ class Dolbeault:
             object.__setattr__(spec, "_dolbeault", dol)
         return dol
 
-    def monomials(self, p: int, q: int):
-        return basis_monomials(self.spec.n, p, q)
-
     def _generator_pieces(self) -> tuple:
         """What every delbar matrix is assembled from, computed on first use.
 
@@ -215,7 +211,7 @@ class Dolbeault:
         a term f_I' ^ c_j of delbar(f_I) lands on f_I' ^ c_(J+j) with sign
         (-1)^r(j, J), and vanishes when j is in J.  Monomial (I, J) of
         bidegree (p, q) has index idx(I) * C(n, q) + idx(J), the order of
-        ``monomials``.  With jet constants of order K, it is delbar on
+        ``basis_monomials``.  With jet constants of order K, it is delbar on
         jet-valued forms modulo s^(K+1), laid out by ``linalg._jet_expand``.
         """
         key = (p, q)
@@ -302,7 +298,7 @@ class Dolbeault:
             cob = self.basis(0, q).cob.repeat(comb(self.spec.n, p), label)
         else:
             cob = linalg._cohomology(*self._chain(p, q), label=label)
-        b = DolbeaultBasis(p=p, q=q, monomials=tuple(self.monomials(p, q)), cob=cob)
+        b = DolbeaultBasis(p=p, q=q, monomials=tuple(basis_monomials(self.spec.n, p, q)), cob=cob)
         self._bases[key] = b
         return b
 
@@ -318,11 +314,6 @@ class Dolbeault:
 def hodge_table(spec: ComplexStructureSpec) -> dict[tuple[int, int], int]:
     """Invariant Hodge numbers h^{p,q} for all 0 <= p, q <= n."""
     return Dolbeault.of(spec).table()
-
-
-def threefold_row(table: dict[tuple[int, int], int]) -> tuple[int, ...]:
-    """The nine jumping-relevant Hodge numbers of a threefold, in table order."""
-    return tuple(table[pq] for pq in THREEFOLD_ROW)
 
 
 # -- first-order classes --------------------------------------------------
@@ -627,6 +618,18 @@ class ExtensionResult(_Record):
     obstruction_form: InvariantForm | None = None
     extension: InvariantForm | None = None
 
+    # one is built per extend_class call: a plain __init__ runs about four
+    # times faster than the generic _Record loop
+    def __init__(self, status, order, p, q, obstruction_coords=None, obstruction_form=None,
+                 extension=None):
+        self.status = status
+        self.order = order
+        self.p = p
+        self.q = q
+        self.obstruction_coords = obstruction_coords
+        self.obstruction_form = obstruction_form
+        self.extension = extension
+
 
 def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int) -> ExtensionResult:
     """Extend a delbar-closed class order by order along the family.
@@ -636,12 +639,15 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     H^{p,q+1}(X_0) the obstruction is reported, normalized by
     (-1)^(p+q+1) so that at order 1 it equals the o1 matrix value.
 
-    The work runs on mask-keyed sparse vectors: the extension maps (I, J)
-    mask pairs to jets, each order's defect is delbar alone in the
-    deformed coframe, and its degree-k part is split into one Q(i) piece
-    per parameter monomial.  Each piece is projected sparsely; one with a
-    zero class is killed by a fix solved from its nonzeros with the delbar
-    matrix's memoized solver.  Forms are built only for the result.
+    The work runs on mask-keyed sparse vectors and follows the class's
+    support and its defects: the extension maps (I, J) mask pairs to jets,
+    each order's defect is delbar alone in the deformed coframe, and its
+    degree-k part is split into one Q(i) piece per parameter monomial.
+    Each piece is projected sparsely; one with a zero class is killed by a
+    fix solved from its nonzeros with the delbar matrix's memoized solver,
+    each fix column idx(I) * C(n, q) + idx(J) read back as its mask pair.
+    The obstruction stays {class index: {exponent: value}} until it is
+    returned; forms are built only for the result.
     """
     spec = family.spec
     if max_order < 1 or max_order > family.order:
@@ -660,12 +666,15 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     dol = Dolbeault.of(spec)
     tgt = dol.basis(p, q + 1)
     dbar0 = dol.dbar_matrix(p, q)
-    src_monomials = dol.monomials(p, q)
+    masks = dol._generator_pieces()[0]
+    src_i, src_j = masks[p], masks[q]
+    width = len(src_j)
     dspec = family.deformed
     order = family.order
     sign = GR_ONE if (p + q) % 2 else -GR_ONE  # (-1)^(p+q+1)
+    zero = (0,) * len(params)
 
-    alpha_t = {key: Jet.constant(params, c, order) for key, c in a.items()}
+    alpha_t = {key: Poly._trusted(params, {zero: c}, order) for key, c in a.items()}
     for k in range(1, max_order + 1):
         w = _dbar(dspec, alpha_t)
         low = min((sum(e) for c in w.values() for e in c.terms), default=k)
@@ -674,27 +683,27 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 f"extension defect reappeared at order {low} while solving order {k}"
             )
         pieces = _pieces(w, params, k)
-        obstruction: list[dict] = [{} for _ in range(tgt.dim)]
+        obstruction: dict[int, dict] = {}
         fixes: dict = {}
         for exps, piece in sorted(pieces.items()):
             if _dbar(spec, piece):
                 raise linalg.LinalgError("projection of a non-closed vector")
             vec = {tgt.index[key]: v for key, v in piece.items()}
             cls = tgt.cob.project(vec)
+            # each exponent is one piece, so no (class, exponent) entry is written twice
             for i, cval in cls.items():
-                accumulate(obstruction[i], exps, cval * sign)
+                obstruction.setdefault(i, {})[exps] = cval * sign
             if not cls:
                 sol = linalg.solve_const(dbar0, {i: -v for i, v in vec.items()})
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
                 fixes[exps] = sol
-        if any(obstruction):
-            coords = [Poly._trusted(params, terms) for terms in obstruction]
+        if obstruction:
+            coords = [Poly._trusted(params, obstruction.get(i, {})) for i in range(tgt.dim)]
             form: dict = {}
-            for idx, c in enumerate(coords):
-                if c:
-                    for j, v in tgt.cob.sparse_representatives[idx].items():
-                        accumulate(form, tgt.monomials[j], c * v)
+            for idx in sorted(obstruction):
+                for j, v in tgt.cob.sparse_representatives[idx].items():
+                    accumulate(form, tgt.monomials[j], coords[idx] * v)
             return ExtensionResult(
                 status="obstructed", order=k, p=p, q=q, obstruction_coords=coords,
                 obstruction_form=InvariantForm._trusted(spec, form, p=p, q=q + 1),
@@ -702,8 +711,8 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         add: dict = {}
         for exps, sol in fixes.items():
             for col, x in sol.items():
-                I, J = src_monomials[col]
-                accumulate(add.setdefault((_mask(I), _mask(J)), {}), exps, x)
+                key = (src_i[col // width], src_j[col % width])
+                accumulate(add.setdefault(key, {}), exps, x)
         for key, terms in add.items():
             accumulate(alpha_t, key, Poly._trusted(params, terms, order))
     return ExtensionResult(status="extended", order=max_order, p=p, q=q,
@@ -763,9 +772,6 @@ class JumpTable(_Record):
 
     def predicted_table(self) -> dict[tuple[int, int], int]:
         return {pq: row.predicted for pq, row in self.rows.items()}
-
-    def threefold_row(self) -> tuple[int, ...]:
-        return tuple(self.rows[pq].predicted for pq in THREEFOLD_ROW)
 
 
 def ray(psi1: VectorForm, point: dict) -> VectorForm:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hodgejump import linalg
 from hodgejump.coeff import GR_ONE, GR_ZERO, GaussianRational, Jet, Poly
+from hodgejump.deform import THREEFOLD_ROW
 from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm
 from hodgejump.freemod import FreeComplex
 
@@ -72,6 +73,11 @@ def point_iii() -> dict:
 ROW_I = (3, 2, 3, 6, 2, 1, 6, 6, 1)
 ROW_II = (2, 2, 2, 5, 2, 1, 5, 5, 1)
 ROW_III = (2, 2, 1, 5, 2, 1, 4, 4, 1)
+
+
+def threefold_row(table: dict) -> tuple[int, ...]:
+    """The nine jumping-relevant Hodge numbers of a threefold, in row order."""
+    return tuple(table[pq] for pq in THREEFOLD_ROW)
 
 
 # -- random ingredients ----------------------------------------------------

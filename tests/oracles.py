@@ -728,7 +728,7 @@ def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
     dol = Dolbeault.of(spec)
     tgt = dol.basis(p, q + 1)
     dbar0 = dol.dbar_matrix(p, q)
-    src_monomials = dol.monomials(p, q)
+    src_monomials = basis_monomials(spec.n, p, q)
     dspec = family.deformed
     order = family.order
     sign = GR_ONE if (p + q) % 2 else -GR_ONE  # (-1)^(p+q+1)

@@ -23,7 +23,6 @@ from hodgejump.deform import (
     obstruction_o1,
     oracle_hodge_at_point,
     ray as deform_ray,
-    threefold_row,
     parallelisable_witness,
     second_class_subspace,
     validate_first_order,
@@ -33,6 +32,7 @@ from hodgejump.exterior import (
     ComplexStructureSpec,
     InvariantForm,
     VectorForm,
+    basis_monomials,
     deformed_coframe,
     differential,
     validate_spec,
@@ -50,6 +50,7 @@ from .conftest import (
     random_form,
     random_gr,
     random_vector_form,
+    threefold_row,
 )
 
 
@@ -951,6 +952,70 @@ class TestExtendClassAgainstDenseOracle:
         assert sorted(set(seen)) == [("extended", 2), ("obstructed", 2)]
         assert seen.count(("obstructed", 2)) == 2
 
+    @pytest.mark.parametrize("max_order", [1, 2])
+    def test_every_mixed_i_class(self, max_order):
+        # d f3 = i f1^c1 has a B term; the 42 classes at q < 3 all extend
+        man = load_manifest(str(DATA / "mixed_i.json"))
+        spec = man.spec
+        assert any(spec.B.values())
+        fam = mc_extend(spec, man.psi1, 2)
+        dol = Dolbeault.of(spec)
+        seen = []
+        for p in range(spec.n + 1):
+            for q in range(spec.n):
+                basis = dol.basis(p, q)
+                for k in range(basis.dim):
+                    alpha = basis.rep_form(spec, k)
+                    got = extend_class(fam, alpha, max_order)
+                    assert got == oracles.dense_extend_class(fam, alpha, max_order), (p, q, k)
+                    seen.append((got.status, got.order))
+        assert seen == [("extended", max_order)] * 42
+
+    def test_seeded_two_step_u_n6_classes_of_each_outcome(self):
+        # four classes drawn from each outcome the oracle reports at order 2
+        man = load_manifest(str(DATA / "two_step_u_n6.json"))
+        spec = man.spec
+        fam = mc_extend(spec, man.psi1, 2)
+        basis = Dolbeault.of(spec).basis(3, 2)
+        alphas = [basis.rep_form(spec, k) for k in range(basis.dim)]
+        by_outcome: dict = {}
+        for alpha in alphas:
+            want = oracles.dense_extend_class(fam, alpha, 2)
+            by_outcome.setdefault((want.status, want.order), []).append((alpha, want))
+        assert sorted(by_outcome) == [("extended", 2), ("obstructed", 1), ("obstructed", 2)]
+        rng = random.Random(32)
+        for outcome in sorted(by_outcome):
+            for alpha, want in rng.sample(by_outcome[outcome], 4):
+                got = extend_class(fam, alpha, 2)
+                for field in type(got)._fields:
+                    assert getattr(got, field) == getattr(want, field), (outcome, field)
+
+    def test_a_sweep_builds_nothing_of_the_form_or_target_space(self, monkeypatch):
+        # once the bases exist, a call reads no list of (2,1)-monomials, and
+        # a class that extends reads no length h^{2,2} either
+        from hodgejump import deform, exterior
+
+        psi = VectorForm(TWO_STEP5, 1, {(1, (1,)): Poly.variable(("u",), "u")})
+        fam = mc_extend(TWO_STEP5, psi, 2)
+        basis = Dolbeault.of(TWO_STEP5).basis(2, 1)
+        alphas = [basis.rep_form(TWO_STEP5, k) for k in range(basis.dim)]
+        extend_class(fam, alphas[0], 2)
+        monomial_lists, dim_reads = [], []
+        for module in (deform, exterior):
+            monkeypatch.setattr(module, "basis_monomials",
+                                lambda *a: monomial_lists.append(a) or basis_monomials(*a))
+        dim = deform.DolbeaultBasis.dim
+        monkeypatch.setattr(deform.DolbeaultBasis, "dim",
+                            property(lambda b: dim_reads.append(b) or dim.fget(b)))
+        extended = 0
+        for alpha in alphas:
+            dim_reads.clear()
+            res = extend_class(fam, alpha, 2)
+            if res.status == "extended":
+                extended += 1
+                assert dim_reads == []
+        assert monomial_lists == [] and extended == 28
+
 
 class TestSparseProjection:
     """Class coordinates of {index: value} vectors, and the rejections."""
@@ -1068,9 +1133,8 @@ class TestSecondClassAndJump:
                 assert second_class_subspace(torus3, psi, p, q).generic_dim == 0
 
     def test_jump_rows(self, iwasawa, iw_psi1, point_ii, point_iii):
-        assert jump_report(iwasawa, iw_psi1, point_ii).threefold_row() == ROW_II
-        assert jump_report(iwasawa, iw_psi1, point_iii).threefold_row() == ROW_III
-        assert jump_report(iwasawa, iw_psi1, point_of()).threefold_row() == ROW_I
+        for point, row in ((point_ii, ROW_II), (point_iii, ROW_III), (point_of(), ROW_I)):
+            assert threefold_row(jump_report(iwasawa, iw_psi1, point).predicted_table()) == row
 
     def test_jump_ranks_are_symbolic_ranks_at_the_point(self, iwasawa, iw_psi1):
         # jump_report ranks the jets of the deformed delbar at the point; the
