@@ -44,7 +44,7 @@ def _parse_point(values: list[str]) -> dict[str, GaussianRational]:
             continue
         name, eq, value = item.partition("=")
         if not eq:
-            raise _UsageError(f"bad point assignment {item!r}; expected name=value")
+            raise _UsageError("bad point assignment without '='; expected name=value")
         name = name.strip()
         if name in out:
             raise ValidationFailure(f"parameter {name!r} assigned twice")

@@ -20,10 +20,8 @@ Q(i)[s]/(s^2), induces o1, so no cohomology basis and no o1 matrix is formed.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from math import comb
-from types import MappingProxyType
 
 from . import linalg
 from .coeff import (GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, _Immutable,
@@ -39,12 +37,12 @@ from .exterior import (
     _d_monomial,
     _dd_defects,
     _indices,
+    _layout,
     _mask,
     _masked,
     _psi_terms,
     _shuffle,
     _unmasked,
-    basis_monomials,
     deformed_coframe,
     defect_is_zero,
     validate_spec,
@@ -82,30 +80,33 @@ THREEFOLD_ROW = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
 class DolbeaultBasis(_Record, _Immutable):
     """Cohomology basis at one bidegree, with form-level projection.
 
-    ``keys`` holds each monomial as its (I, J) mask pair and ``index`` maps
-    a mask pair to its position, both computed once per basis.  Frozen,
-    with tuple and read-only fields: one instance is cached per spec and
-    bidegree and shared by every caller.
+    ``vector``, ``positions`` and ``rep_form`` key vectors by (I, J) mask
+    pairs, by position or by index tuples through ``layout``, the read-only
+    column order of its delbar matrices.  Frozen and shared per bidegree.
     """
 
     p: int
     q: int
-    monomials: tuple
     cob: linalg.CohomologyBasis
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        keys = tuple((_mask(I), _mask(J)) for I, J in self.monomials)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "index", MappingProxyType({k: r for r, k in enumerate(keys)}))
+    layout: tuple
+    _hidden = ("layout",)
 
     @property
     def dim(self) -> int:
         return self.cob.dim
 
+    def vector(self, k: int) -> dict:
+        """Representative k, keyed by (I, J) mask pairs."""
+        return _keyed(self.layout[0], self.p, self.q, self.cob.sparse_representatives[k])
+
+    def positions(self, v: dict) -> dict:
+        """A mask-keyed (p, q) vector keyed by position, as ``cob.project`` takes it."""
+        index, width = self.layout[1], len(self.layout[0].get(self.q, ()))
+        return {index[mi] * width + index[mj]: c for (mi, mj), c in v.items()}
+
     def rep_form(self, spec: ComplexStructureSpec, k: int) -> InvariantForm:
-        rep = self.cob.sparse_representatives[k]
-        return InvariantForm._trusted(spec, {self.monomials[j]: c for j, c in rep.items()}, p=self.p, q=self.q)
+        coeffs = _keyed(self.layout[2], self.p, self.q, self.cob.sparse_representatives[k])
+        return InvariantForm._trusted(spec, coeffs, p=self.p, q=self.q)
 
     def project_constant_form(self, form: InvariantForm) -> list[GaussianRational]:
         """Class coordinates of a constant (p, q)-form, checked delbar-closed."""
@@ -114,8 +115,14 @@ class DolbeaultBasis(_Record, _Immutable):
         a = {(_mask(I), _mask(J)): GaussianRational._coerce(c) for (I, J), c in form.coeffs.items()}
         if _dbar(form.spec, a):
             raise linalg.LinalgError("projection of a non-closed vector")
-        coords = self.cob.project({self.index[key]: c for key, c in a.items()})
+        coords = self.cob.project(self.positions(a))
         return [coords.get(k, GR_ZERO) for k in range(self.dim)]
+
+
+def _keyed(levels, p: int, q: int, vec) -> dict:
+    """A position-keyed (p, q) vector keyed by (I, J) pairs of ``levels`` instead."""
+    rows, cols, width = levels[p], levels[q], len(levels[q])
+    return {(rows[r // width], cols[r % width]): c for r, c in vec.items()}
 
 
 class Dolbeault:
@@ -168,14 +175,13 @@ class Dolbeault:
     def _generator_pieces(self) -> tuple:
         """What every delbar matrix is assembled from, computed on first use.
 
-        ``masks[k]`` lists the index bitmasks of size k in basis order (for
-        0 <= k <= n) and ``index`` gives each mask's position there.
+        ``layout`` is the read-only view of ``exterior._layout(n)`` that every
+        basis reads; ``masks`` and ``index`` are the plain dicts under it.
         ``dbar_f[I]`` holds delbar(f_I) (the ``B`` terms) keyed by
         (I', bit of j) for f_I' ^ c_j, and ``dbar_c[J]`` holds delbar(c_J)
-        (the ``Abar`` terms) keyed by J', both from ``_d_monomial``.
-        ``order`` is K when the ``B`` and ``Abar`` constants not in Q(i) are
-        jets of order K >= 1 in one parameter, else 0; constants in any
-        other ring raise ``LinalgError``.
+        (the ``Abar`` terms) keyed by J', both from ``_d_monomial``.  ``order``
+        is K when the ``B`` and ``Abar`` constants not in Q(i) are jets of
+        order K >= 1 in one parameter, else 0; other rings raise ``LinalgError``.
         """
         if self._pieces is None:
             spec, n = self.spec, self.spec.n
@@ -185,9 +191,7 @@ class Dolbeault:
             params, order = next(iter(rings), ((), 0))
             if len(rings) > 1 or rings and (len(params) != 1 or order < 1):
                 raise linalg.LinalgError("cohomology expects constant matrices")
-            masks = {k: [_mask(c) for c in itertools.combinations(range(1, n + 1), k)]
-                     for k in range(n + 1)}
-            index = {m: r for level in masks.values() for r, m in enumerate(level)}
+            layout, masks, index = _layout(n)
             dbar_f, dbar_c, has_b = {}, {}, any(spec.B.values())
             for m in index:
                 dbar_f[m], db = {}, {}
@@ -195,13 +199,13 @@ class Dolbeault:
                     _d_monomial(spec, m, 0, dbar_f[m])
                 _d_monomial(spec, 0, m, db)
                 dbar_c[m] = {tj: c for (_, tj), c in db.items()}
-            self._pieces = (masks, index, dbar_f, dbar_c, order)
+            self._pieces = (layout, masks, index, dbar_f, dbar_c, order)
         return self._pieces
 
     @property
     def order(self) -> int:
         """The jet order K of the delbar constants, 0 when they are in Q(i)."""
-        return self._generator_pieces()[4]
+        return self._generator_pieces()[5]
 
     def dbar_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
         """Matrix of delbar from bidegree (p, q) to (p, q+1), over Q(i).
@@ -211,14 +215,15 @@ class Dolbeault:
         a term f_I' ^ c_j of delbar(f_I) lands on f_I' ^ c_(J+j) with sign
         (-1)^r(j, J), and vanishes when j is in J.  Monomial (I, J) of
         bidegree (p, q) has index idx(I) * C(n, q) + idx(J), the order of
-        ``basis_monomials``.  With jet constants of order K, it is delbar on
-        jet-valued forms modulo s^(K+1), laid out by ``linalg._jet_expand``.
+        ``basis_monomials``: the one layout every basis of the complex
+        reads.  With jet constants of order K, it is delbar on jet-valued
+        forms modulo s^(K+1), laid out by ``linalg._jet_expand``.
         """
         key = (p, q)
         m = self._matrices.get(key)
         if m is not None:
             return m
-        masks, index, dbar_f, dbar_c, order = self._generator_pieces()
+        _, masks, index, dbar_f, dbar_c, order = self._generator_pieces()
         # out-of-range bidegrees have no monomials
         src_i, src_j, width = masks.get(p, []), masks.get(q, []), len(masks.get(q + 1, []))
         # only rows that receive a term are made: most are empty for large n
@@ -298,8 +303,7 @@ class Dolbeault:
             cob = self.basis(0, q).cob.repeat(comb(self.spec.n, p), label)
         else:
             cob = linalg._cohomology(*self._chain(p, q), label=label)
-        b = DolbeaultBasis(p=p, q=q, monomials=tuple(basis_monomials(self.spec.n, p, q)), cob=cob)
-        self._bases[key] = b
+        self._bases[key] = b = DolbeaultBasis(p=p, q=q, cob=cob, layout=self._generator_pieces()[0])
         return b
 
     def table(self) -> dict[tuple[int, int], int]:
@@ -576,13 +580,12 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
     _check_bidegree(spec, p, q)
     _check_first_order(spec, psi1)
     dol = Dolbeault.of(spec)
-    src = dol.basis(p, q)
-    tgt = dol.basis(p, q + 1)
+    src, tgt = dol.basis(p, q), dol.basis(p, q + 1)
     params = psi1.params()
     pieces = _pieces(_psi_terms(psi1), params)
     rows: list[dict] = [{} for _ in range(tgt.dim)]
-    for col, rep in enumerate(src.cob.sparse_representatives):
-        a = {src.keys[j]: c for j, c in rep.items()}
+    for col in range(src.dim):
+        a = src.vector(col)
         da = _del(spec, a)
         coords = {}
         for exps, terms in pieces.items():
@@ -591,7 +594,7 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
                 continue
             if _dbar(spec, v):
                 raise InternalInvariantError("o1 value is not delbar-closed")
-            coords[exps] = tgt.cob.project({tgt.index[key]: c for key, c in v.items()})
+            coords[exps] = tgt.cob.project(tgt.positions(v))
         if params is None:
             for k, x in coords.get((), {}).items():
                 rows[k][col] = x
@@ -645,7 +648,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     degree-k part is split into one Q(i) piece per parameter monomial.
     Each piece is projected sparsely; one with a zero class is killed by a
     fix solved from its nonzeros with the delbar matrix's memoized solver,
-    each fix column idx(I) * C(n, q) + idx(J) read back as its mask pair.
+    each fix column read back as its mask pair through the layout.
     The obstruction stays {class index: {exponent: value}} until it is
     returned; forms are built only for the result.
     """
@@ -666,9 +669,6 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     dol = Dolbeault.of(spec)
     tgt = dol.basis(p, q + 1)
     dbar0 = dol.dbar_matrix(p, q)
-    masks = dol._generator_pieces()[0]
-    src_i, src_j = masks[p], masks[q]
-    width = len(src_j)
     dspec = family.deformed
     order = family.order
     sign = GR_ONE if (p + q) % 2 else -GR_ONE  # (-1)^(p+q+1)
@@ -688,7 +688,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         for exps, piece in sorted(pieces.items()):
             if _dbar(spec, piece):
                 raise linalg.LinalgError("projection of a non-closed vector")
-            vec = {tgt.index[key]: v for key, v in piece.items()}
+            vec = tgt.positions(piece)
             cls = tgt.cob.project(vec)
             # each exponent is one piece, so no (class, exponent) entry is written twice
             for i, cval in cls.items():
@@ -702,16 +702,13 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
             coords = [Poly._trusted(params, obstruction.get(i, {})) for i in range(tgt.dim)]
             form: dict = {}
             for idx in sorted(obstruction):
-                for j, v in tgt.cob.sparse_representatives[idx].items():
-                    accumulate(form, tgt.monomials[j], coords[idx] * v)
-            return ExtensionResult(
-                status="obstructed", order=k, p=p, q=q, obstruction_coords=coords,
-                obstruction_form=InvariantForm._trusted(spec, form, p=p, q=q + 1),
-            )
+                for key, v in tgt.vector(idx).items():
+                    accumulate(form, key, coords[idx] * v)
+            return ExtensionResult(status="obstructed", order=k, p=p, q=q, obstruction_coords=coords,
+                                   obstruction_form=_unmasked(spec, p, q + 1, form))
         add: dict = {}
         for exps, sol in fixes.items():
-            for col, x in sol.items():
-                key = (src_i[col // width], src_j[col % width])
+            for key, x in _keyed(tgt.layout[0], p, q, sol).items():
                 accumulate(add.setdefault(key, {}), exps, x)
         for key, terms in add.items():
             accumulate(alpha_t, key, Poly._trusted(params, terms, order))
@@ -769,9 +766,6 @@ class JumpTable(_Record):
     point: dict
     rows: dict[tuple[int, int], JumpRow]
     label: str = "first-order prediction"
-
-    def predicted_table(self) -> dict[tuple[int, int], int]:
-        return {pq: row.predicted for pq, row in self.rows.items()}
 
 
 def ray(psi1: VectorForm, point: dict) -> VectorForm:
@@ -844,11 +838,11 @@ def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatr
     dol = Dolbeault.of(spec)
     src, tgt = dol.basis(p, q), dol.basis(p + 1, q)  # past p = n, H^{p+1,q} is empty
     rows: list[dict] = [{} for _ in range(tgt.dim)]
-    for col, rep in enumerate(src.cob.sparse_representatives):
-        v = _del(spec, {src.keys[j]: c for j, c in rep.items()})
+    for col in range(src.dim):
+        v = _del(spec, src.vector(col))
         if _dbar(spec, v):
             raise InternalInvariantError("del of a closed representative is not delbar-closed")
-        for k, x in tgt.cob.project({tgt.index[key]: c for key, c in v.items()}).items():
+        for k, x in tgt.cob.project(tgt.positions(v)).items():
             rows[k][col] = x
     return linalg.ExactMatrix._trusted(src.dim, rows)
 

@@ -216,6 +216,16 @@ def _shuffle(a: int, b: int) -> int:
     return n
 
 
+def _layout(n: int) -> tuple:
+    """A read-only ``(masks, index, names)`` and the plain ``masks`` and ``index`` it wraps:
+    per size k, the index tuples ``names[k]`` in lexicographic order, their bitmasks
+    ``masks[k]``, and ``index[m]``, mask m's position."""
+    names = {k: tuple(itertools.combinations(range(1, n + 1), k)) for k in range(n + 1)}
+    masks = {k: tuple(map(_mask, level)) for k, level in names.items()}
+    index = {m: r for level in masks.values() for r, m in enumerate(level)}
+    return (MappingProxyType(masks), MappingProxyType(index), MappingProxyType(names)), masks, index
+
+
 def basis_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Ordered basis of bidegree (p, q): combinations in lexicographic order."""
     if p < 0 or q < 0 or p > n or q > n:

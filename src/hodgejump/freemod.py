@@ -580,10 +580,6 @@ class AccountingReport(_Record):
     first_class_orders: dict[int, int] = {}
     second_class_orders: dict[int, int] = {}
 
-    @property
-    def h_drop(self) -> int:
-        return self.h0 - self.h_generic
-
 
 def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> AccountingReport:
     """Decompose the cohomology drop at t = 0 and match it to the obstructed

@@ -80,6 +80,11 @@ def threefold_row(table: dict) -> tuple[int, ...]:
     return tuple(table[pq] for pq in THREEFOLD_ROW)
 
 
+def predicted(table) -> dict:
+    """The predicted h^{p,q} of a ``JumpTable``, keyed by bidegree."""
+    return {pq: row.predicted for pq, row in table.rows.items()}
+
+
 # -- random ingredients ----------------------------------------------------
 
 def random_gr(rng: random.Random, zero_ok: bool = True) -> GaussianRational:

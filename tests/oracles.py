@@ -755,7 +755,7 @@ def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
                 if cval:
                     accumulate(obstruction[i], exps, cval * sign)
             if not any(cls):
-                sol = augmented_solve(dbar0, [-c for c in coordinates(piece, tgt.monomials)])
+                sol = augmented_solve(dbar0, [-c for c in coordinates(piece, basis_monomials(spec.n, p, q + 1))])
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
                 fixes[exps] = sol

@@ -47,6 +47,7 @@ from .conftest import (
     ROW_I,
     ROW_II,
     ROW_III,
+    predicted,
     random_form,
     random_gr,
     random_lab_complex,
@@ -106,10 +107,10 @@ def test_criterion_02_obstruction_values_at_20(iwasawa, iw_psi1):
 
 def test_criterion_03_jump_rows(iwasawa, iw_psi1, point_ii, point_iii):
     start = time.monotonic()
-    row2 = threefold_row(jump_report(iwasawa, iw_psi1, point_ii).predicted_table())
+    row2 = threefold_row(predicted(jump_report(iwasawa, iw_psi1, point_ii)))
     t2 = time.monotonic() - start
     start = time.monotonic()
-    row3 = threefold_row(jump_report(iwasawa, iw_psi1, point_iii).predicted_table())
+    row3 = threefold_row(predicted(jump_report(iwasawa, iw_psi1, point_iii)))
     t3 = time.monotonic() - start
     assert row2 == ROW_II and t2 < 5.0
     assert row3 == ROW_III and t3 < 5.0

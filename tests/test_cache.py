@@ -5,6 +5,7 @@ once."""
 import gc
 import json
 import weakref
+from types import MappingProxyType
 from pathlib import Path
 
 import pytest
@@ -93,10 +94,17 @@ class TestImmutability:
         spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
         basis = Dolbeault.of(spec).basis(1, 1)
         assert str(basis.rep_form(spec, 0)) == "f1^c1"
+        masks, index, names = basis.layout
+        for levels in (masks, names):
+            assert isinstance(levels, MappingProxyType) and sorted(levels) == [0, 1, 2, 3]
+            assert all(type(level) is tuple for level in levels.values())
+            with pytest.raises(TypeError):
+                levels[1][0] = 0
+            with pytest.raises(TypeError):
+                levels[4] = ()
+        assert names[2] == ((1, 2), (1, 3), (2, 3)) and masks[2] == (0b110, 0b1010, 0b1100)
         with pytest.raises(AttributeError):
-            basis.monomials.reverse()
-        with pytest.raises(AttributeError):
-            basis.monomials = ()
+            basis.layout = ()
         with pytest.raises(AttributeError):
             basis.cob.sparse_representatives = ()
         with pytest.raises(TypeError):
@@ -119,8 +127,13 @@ class TestImmutability:
             cob.sparse_representatives[0] = {}
         with pytest.raises(AttributeError):
             cob.sparse_representatives = ()
+        index = Dolbeault.of(spec).basis(1, 1).layout[1]
+        assert isinstance(index, MappingProxyType) and index[0b1000] == 2
         with pytest.raises(TypeError):
-            Dolbeault.of(spec).basis(1, 1).index[(2, 2)] = 0
+            index[0b1000] = 0
+        with pytest.raises(TypeError):
+            del index[0b10]
+        assert index[0b1000] == 2 and len(index) == 8
         assert [dict(r) for r in cob.sparse_representatives] == before
         basis = Dolbeault.of(spec).basis(1, 1)
         assert str(basis.rep_form(spec, 0)) == "f1^c1"

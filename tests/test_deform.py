@@ -32,6 +32,7 @@ from hodgejump.exterior import (
     ComplexStructureSpec,
     InvariantForm,
     VectorForm,
+    _indices,
     basis_monomials,
     deformed_coframe,
     differential,
@@ -47,6 +48,7 @@ from .conftest import (
     ROW_III,
     SPEC_NAMES,
     point_of,
+    predicted,
     random_form,
     random_gr,
     random_vector_form,
@@ -528,8 +530,7 @@ class TestBeyondParallelisable:
         assert all(not c for c in fam.corrections.values())
         point = {"s": GR(1)}
         oracle = oracle_hodge_at_point(mixed_spec, fam, point)
-        predicted = jump_report(mixed_spec, psi, point).predicted_table()
-        assert predicted == oracle
+        assert predicted(jump_report(mixed_spec, psi, point)) == oracle
 
     def test_dimension_four_jump_agrees_with_oracle(self):
         # heisenberg x line: d f4 = -f1^f2 in complex dimension 4
@@ -542,7 +543,7 @@ class TestBeyondParallelisable:
         oracle = oracle_hodge_at_point(spec, fam, point)
         assert table.rows[(1, 0)].h0 == 4
         assert table.rows[(1, 0)].predicted == 3
-        assert table.predicted_table() == oracle
+        assert predicted(table) == oracle
 
     def test_first_order_prediction_can_undercount_and_order_two_closes_it(self):
         # two-step structure in dimension 5: d f5 = -f1^f2, d f4 = -f1^f3.
@@ -1001,9 +1002,9 @@ class TestExtendClassAgainstDenseOracle:
         alphas = [basis.rep_form(TWO_STEP5, k) for k in range(basis.dim)]
         extend_class(fam, alphas[0], 2)
         monomial_lists, dim_reads = [], []
-        for module in (deform, exterior):
-            monkeypatch.setattr(module, "basis_monomials",
-                                lambda *a: monomial_lists.append(a) or basis_monomials(*a))
+        assert not hasattr(deform, "basis_monomials")  # the layout is deform's one index
+        monkeypatch.setattr(exterior, "basis_monomials",
+                            lambda *a: monomial_lists.append(a) or basis_monomials(*a))
         dim = deform.DolbeaultBasis.dim
         monkeypatch.setattr(deform.DolbeaultBasis, "dim",
                             property(lambda b: dim_reads.append(b) or dim.fget(b)))
@@ -1030,7 +1031,8 @@ class TestSparseProjection:
             for q in range(spec.n + 1):
                 basis = dol.basis(p, q)
                 cob = basis.cob
-                width = len(basis.monomials)
+                monomials = basis_monomials(spec.n, p, q)
+                width = len(monomials)
                 image = dol.dbar_matrix(p, q - 1).sparse_columns if q else ()
                 for _ in range(4):
                     # v = sum_k c_k rep_k + an exact part: its coordinates are the c_k
@@ -1043,7 +1045,7 @@ class TestSparseProjection:
                         for j, x in vec.items():
                             accumulate(v, j, c * x)
                     assert cob.project(v) == want
-                    form = InvariantForm(spec, p, q, {basis.monomials[j]: x for j, x in v.items()})
+                    form = InvariantForm(spec, p, q, {monomials[j]: x for j, x in v.items()})
                     assert basis.project_constant_form(form) == [want.get(k, GR(0))
                                                                  for k in range(cob.dim)]
                 # a vector with nonzero delbar is rejected by every path
@@ -1054,14 +1056,14 @@ class TestSparseProjection:
                     rejected += 1
                     with pytest.raises(linalg.LinalgError, match="non-closed"):
                         basis.project_constant_form(
-                            InvariantForm.monomial(spec, *basis.monomials[j]))
+                            InvariantForm.monomial(spec, *monomials[j]))
                     with pytest.raises(linalg.LinalgError, match="outside kernel"):
                         cob.project({j: GR(1)})
         assert rejected
 
     def test_projection_checks_index_range_and_bidegree(self, iwasawa):
         basis = Dolbeault.of(iwasawa).basis(1, 1)
-        width = len(basis.monomials)
+        width = len(basis_monomials(3, 1, 1))
         for index in (-1, width, width + basis.dim):  # a tag column is no vector index
             with pytest.raises(linalg.LinalgError, match="index out of range"):
                 basis.cob.project({index: GR(1)})
@@ -1087,9 +1089,10 @@ class TestSparseProjection:
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
                 basis = dol.basis(p, q)
+                monomials = basis_monomials(spec.n, p, q)
                 for k, rep in enumerate(basis.cob.sparse_representatives):
-                    dense = [rep.get(j, GR(0)) for j in range(len(basis.monomials))]
-                    want = InvariantForm(spec, p, q, dict(zip(basis.monomials, dense)))
+                    dense = [rep.get(j, GR(0)) for j in range(len(monomials))]
+                    want = InvariantForm(spec, p, q, dict(zip(monomials, dense)))
                     got = basis.rep_form(spec, k)
                     assert got == want and str(got) == str(want)
                     assert list(got.coeffs) == list(want.coeffs)
@@ -1103,6 +1106,41 @@ class TestSparseProjection:
         # a constant psi gives Q(i) zeros
         q = obstruction_o1(iwasawa, iw_psi1.eval_point(point_of()), 0, 0).matrix
         assert q.is_zero() and not q.is_polynomial() and q.entries == ((GR(0),), (GR(0),))
+
+
+class TestMonomialLayout:
+    """Every basis reads its complex's one layout of f_I ^ c_J, the order
+    of ``basis_monomials``."""
+
+    @pytest.mark.parametrize("name", ["iwasawa", "mixed_i.json", "two_step5", "two_step_u_n6.json"])
+    def test_vector_keys_are_the_reference_monomials(self, name, iwasawa):
+        spec = {"iwasawa": iwasawa, "two_step5": TWO_STEP5}.get(name)
+        spec = spec or load_manifest(str(DATA / name)).spec
+        dol = Dolbeault.of(spec)
+        for p in range(spec.n + 1):
+            for q in range(spec.n + 1):
+                basis, monomials = dol.basis(p, q), basis_monomials(spec.n, p, q)
+                for k, rep in enumerate(basis.cob.sparse_representatives):
+                    v = basis.vector(k)
+                    assert [(_indices(I), _indices(J)) for I, J in v] == [monomials[j] for j in rep]
+                    assert list(v.values()) == list(rep.values())
+                    assert basis.positions(v) == rep
+                    assert list(basis.rep_form(spec, k).coeffs) == [monomials[j] for j in rep]
+        masks, _, names = dol.basis(0, 0).layout
+        assert all(names[k] == tuple(map(_indices, masks[k])) for k in names)
+        assert dol._factorable() == (name in ("iwasawa", "two_step5", "two_step_u_n6.json"))
+
+    def test_bases_build_no_monomial_list(self, monkeypatch):
+        from hodgejump import deform, exterior
+
+        calls = []
+        for module in (deform, exterior):  # raising=False: deform need not import it
+            monkeypatch.setattr(module, "basis_monomials", lambda *a: calls.append(a) or basis_monomials(*a),
+                                raising=False)
+        spec = load_manifest(str(DATA / "two_step_u_n6.json")).spec
+        dol = Dolbeault(spec)  # a fresh complex: nothing memoized
+        dims = [dol.basis(p, q).dim for p in range(spec.n + 1) for q in range(spec.n + 1)]
+        assert calls == [] and sum(dims) == sum(dol.table().values())
 
 
 class TestSecondClassAndJump:
@@ -1134,7 +1172,7 @@ class TestSecondClassAndJump:
 
     def test_jump_rows(self, iwasawa, iw_psi1, point_ii, point_iii):
         for point, row in ((point_ii, ROW_II), (point_iii, ROW_III), (point_of(), ROW_I)):
-            assert threefold_row(jump_report(iwasawa, iw_psi1, point).predicted_table()) == row
+            assert threefold_row(predicted(jump_report(iwasawa, iw_psi1, point))) == row
 
     def test_jump_ranks_are_symbolic_ranks_at_the_point(self, iwasawa, iw_psi1):
         # jump_report ranks the jets of the deformed delbar at the point; the
@@ -1216,9 +1254,8 @@ class TestOracle:
     def test_agreement_with_prediction_everywhere(self, iwasawa, iw_psi1, point_ii, point_iii):
         fam = mc_extend(iwasawa, iw_psi1, 2)
         for pt in (point_ii, point_iii):
-            predicted = jump_report(iwasawa, iw_psi1, pt).predicted_table()
             oracle = oracle_hodge_at_point(iwasawa, fam, pt)
-            assert predicted == oracle
+            assert predicted(jump_report(iwasawa, iw_psi1, pt)) == oracle
 
     def test_truncation_insufficient_is_detected(self, iwasawa, iw_psi1, point_iii):
         # order-1 family misses the quadratic term needed off the stratum

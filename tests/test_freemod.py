@@ -388,14 +388,14 @@ class TestRhoCompatibility:
 class TestAccounting:
     def test_multiplication_by_t(self):
         r0 = jump_accounting(C_T, 0)
-        assert r0.consistent and (r0.h_drop, r0.kernel_drop, r0.first_class_dim) == (1, 1, 1)
+        assert r0.consistent and (r0.h0 - r0.h_generic, r0.kernel_drop, r0.first_class_dim) == (1, 1, 1)
         r1 = jump_accounting(C_T, 1)
-        assert r1.consistent and (r1.h_drop, r1.image_rise, r1.second_class_dim) == (1, 1, 1)
+        assert r1.consistent and (r1.h0 - r1.h_generic, r1.image_rise, r1.second_class_dim) == (1, 1, 1)
 
     def test_zero_differentials(self):
         for q in (0, 1):
             r = jump_accounting(C_ZERO2, q)
-            assert r.consistent and r.h_drop == 0
+            assert r.consistent and r.h0 - r.h_generic == 0
 
     @pytest.mark.parametrize("bound", [0, 1, None])
     def test_too_small_order_bound_is_a_validation_failure(self, bound):

@@ -393,6 +393,15 @@ class TestCli:
         assert main(["lab", str(long_power)]) == 2
         assert "differentials[0][0][0]: number over" in capsys.readouterr().err
 
+    def test_point_assignment_without_equals_is_refused_without_echo(self, capsys):
+        big = "1" * 5000
+        assert main(["jump", "iwasawa", "--point", f"t11{big}"]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: bad point assignment without '='; expected name=value\n"
+        assert err.count("\n") == 1 and len(err) < 100 and big[:20] not in err
+        assert main(["jump", "iwasawa", "--point", "t11=1, t12"]) == 1
+        assert capsys.readouterr().err == err
+
     def test_unreadable_manifest_path_is_a_validation_failure(self, capsys, tmp_path):
         assert main(["hodge", str(tmp_path)]) == 2
         err = capsys.readouterr().err
