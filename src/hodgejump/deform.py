@@ -36,13 +36,8 @@ from .exterior import (
     _contract_vector,
     _d_monomial,
     _dd_defects,
-    _indices,
     _layout,
-    _mask,
-    _masked,
-    _psi_terms,
     _shuffle,
-    _unmasked,
     deformed_coframe,
     defect_is_zero,
     validate_spec,
@@ -80,9 +75,9 @@ THREEFOLD_ROW = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
 class DolbeaultBasis(_Record, _Immutable):
     """Cohomology basis at one bidegree, with form-level projection.
 
-    ``vector``, ``positions`` and ``rep_form`` key vectors by (I, J) mask
-    pairs, by position or by index tuples through ``layout``, the read-only
-    column order of its delbar matrices.  Frozen and shared per bidegree.
+    ``vector`` and ``rep_form`` key representative k by (I, J) mask pairs,
+    ``positions`` keys a mask-keyed vector by position, both through ``layout``,
+    the read-only column order of its delbar matrices.  Frozen, shared per bidegree.
     """
 
     p: int
@@ -105,14 +100,13 @@ class DolbeaultBasis(_Record, _Immutable):
         return {index[mi] * width + index[mj]: c for (mi, mj), c in v.items()}
 
     def rep_form(self, spec: ComplexStructureSpec, k: int) -> InvariantForm:
-        coeffs = _keyed(self.layout[2], self.p, self.q, self.cob.sparse_representatives[k])
-        return InvariantForm._trusted(spec, coeffs, p=self.p, q=self.q)
+        return InvariantForm._trusted(spec, self.vector(k), self.p, self.q)
 
     def project_constant_form(self, form: InvariantForm) -> list[GaussianRational]:
         """Class coordinates of a constant (p, q)-form, checked delbar-closed."""
         if (form.p, form.q) != (self.p, self.q):
             raise linalg.LinalgError(f"projection of a ({form.p},{form.q})-form onto {self.cob.label}")
-        a = {(_mask(I), _mask(J)): GaussianRational._coerce(c) for (I, J), c in form.coeffs.items()}
+        a = {key: GaussianRational._coerce(c) for key, c in form.terms.items()}
         if _dbar(form.spec, a):
             raise linalg.LinalgError("projection of a non-closed vector")
         coords = self.cob.project(self.positions(a))
@@ -120,7 +114,7 @@ class DolbeaultBasis(_Record, _Immutable):
 
 
 def _keyed(levels, p: int, q: int, vec) -> dict:
-    """A position-keyed (p, q) vector keyed by (I, J) pairs of ``levels`` instead."""
+    """A position-keyed (p, q) vector keyed by (I, J) mask pairs of ``levels`` instead."""
     rows, cols, width = levels[p], levels[q], len(levels[q])
     return {(rows[r // width], cols[r % width]): c for r, c in vec.items()}
 
@@ -333,8 +327,7 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
     if psi.spec != spec:
         raise SpecError("dbar_vector: spec mismatch")
     out: dict = {}
-    for (i, J), c in psi.coeffs.items():
-        mj = _mask(J)
+    for (i, mj), c in psi.terms.items():
         db: dict = {}
         _d_monomial(spec, 0, mj, db)
         for (_, m), c2 in db.items():
@@ -346,17 +339,16 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
                     continue
                 v = c * b
                 accumulate(out, (k, mj | bl), -v if _shuffle(bl, mj) & 1 else v)
-    return VectorForm._trusted(spec, {(i, _indices(m)): v for (i, m), v in out.items()},
-                               q=min(psi.q + 1, spec.n))
+    return VectorForm._trusted(spec, out, min(psi.q + 1, spec.n))
 
 
 def validate_first_order(spec: ComplexStructureSpec, psi1: VectorForm) -> list[Diagnostic]:
     """Check that psi1 is a valid first-order deformation direction."""
     if psi1.q != 1:
         return [Diagnostic("error", "psi", f"expected a (0,1) vector form, got q={psi1.q}")]
-    diags = [Diagnostic("error", f"theta{i}(x)c{J[0]}",
+    diags = [Diagnostic("error", f"theta{i}(x)c{mj.bit_length() - 1}",
                         "coefficients of a first-order class must be homogeneous of degree 1")
-             for (i, J), c in psi1.coeffs.items()
+             for (i, mj), c in psi1.terms.items()
              if isinstance(c, Poly) and {sum(e) for e in c.terms} - {1}]
     for (i, J) in sorted(dbar_vector(spec, psi1).coeffs):
         c_J = "^".join(f"c{j}" for j in J)
@@ -426,53 +418,50 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
         raise ValidationFailure("family must pass through the base point (zero constant term)")
 
     def to_jet(v: VectorForm) -> VectorForm:
-        out = {}
-        for key, c in v.coeffs.items():
-            if isinstance(c, Poly):
-                out[key] = Jet(c, target_order)
-            else:
-                out[key] = Jet.constant(params, c, target_order)
-        return VectorForm(spec, v.q, out)
+        return VectorForm._trusted(spec, {key: Jet(c, target_order) if isinstance(c, Poly)
+                                          else Jet.constant(params, c, target_order)
+                                          for key, c in v.terms.items()}, v.q)
 
     psi = to_jet(psi1)
 
     # linear operator psi_k -> degree-k defect contribution, on the frame basis
     n = spec.n
     unknowns = [(i, lam) for i in range(1, n + 1) for lam in range(1, n + 1)]
-    pairs = [(k, (a, b)) for k in range(1, n + 1)
+    # rows: the (k, c_a^c_b mask) keys of a delbar(psi_k) term
+    pairs = [(k, 1 << a | 1 << b) for k in range(1, n + 1)
              for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     row_of = {pair: r for r, pair in enumerate(pairs)}
     columns = []
     for (i, lam) in unknowns:
         v = dbar_vector(spec, VectorForm.term(spec, i, (lam,)))
-        columns.append({row_of[key]: c for key, c in v.coeffs.items()})
+        columns.append({row_of[key]: c for key, c in v.terms.items()})
     L = linalg.ExactMatrix.from_columns(len(pairs), columns)
 
     corrections: dict[int, VectorForm] = {}
     for k in range(2, target_order + 1):
         _, defect = deformed_coframe(spec, psi)
         # degree-k part of the defect, per parameter monomial
-        by_monomial = _pieces({(gen, ab): c for gen, row in defect.items() for ab, c in row.items()},
-                              params, k)
+        by_monomial = _pieces({(gen, 1 << a | 1 << b): c for gen, row in defect.items()
+                               for (a, b), c in row.items()}, params, k)
         if not by_monomial:
-            corrections[k] = VectorForm(spec, 1, {})
+            corrections[k] = VectorForm._trusted(spec, {}, 1)
             continue
         delta: dict = {}
         for exps, rowvals in sorted(by_monomial.items()):
             sol = linalg.solve_const(L, {row_of[pair]: -v for pair, v in rowvals.items()})
             if sol is None:
                 residual = {
-                    gen: InvariantForm(spec, 0, 2,
-                                       {((), ab): Poly(params, {exps: c})
-                                        for (g, ab), c in rowvals.items() if g == gen})
+                    gen: InvariantForm._trusted(spec, {(0, m): Poly(params, {exps: c})
+                                                       for (g, m), c in rowvals.items() if g == gen},
+                                                0, 2)
                     for gen in range(1, n + 1)
                 }
                 raise McObstruction(k, residual)
             for j in sorted(sol):
                 i, lam = unknowns[j]
-                accumulate(delta.setdefault((i, (lam,)), {}), exps, sol[j])
-        corrections[k] = VectorForm(spec, 1, {key: Poly._trusted(params, terms)
-                                              for key, terms in delta.items()})
+                accumulate(delta.setdefault((i, 1 << lam), {}), exps, sol[j])
+        corrections[k] = VectorForm._trusted(spec, {key: Poly._trusted(params, terms)
+                                                    for key, terms in delta.items()}, 1)
         psi = psi + to_jet(corrections[k])
 
     try:
@@ -557,9 +546,8 @@ def o1_value(spec: ComplexStructureSpec, psi1: VectorForm, form: InvariantForm) 
         raise SpecError("form does not belong to this spec")
     if psi1.spec != spec:
         raise SpecError("contract: spec mismatch")
-    a = _masked(form)
-    v = _o1_vector(spec, _psi_terms(psi1), a, _del(spec, a))
-    return _unmasked(spec, form.p, min(form.q + psi1.q, spec.n), v)
+    v = _o1_vector(spec, psi1.terms, form.terms, _del(spec, form.terms))
+    return InvariantForm._trusted(spec, v, form.p, min(form.q + psi1.q, spec.n))
 
 
 def _check_bidegree(spec: ComplexStructureSpec, p: int, q: int) -> None:
@@ -582,7 +570,7 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
     dol = Dolbeault.of(spec)
     src, tgt = dol.basis(p, q), dol.basis(p, q + 1)
     params = psi1.params()
-    pieces = _pieces(_psi_terms(psi1), params)
+    pieces = _pieces(psi1.terms, params)
     rows: list[dict] = [{} for _ in range(tgt.dim)]
     for col in range(src.dim):
         a = src.vector(col)
@@ -659,9 +647,9 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         )
     if alpha.spec != spec:
         raise ValidationFailure("class must live on the family's base spec")
-    if any(not isinstance(c, GaussianRational) for c in alpha.coeffs.values()):
+    a = alpha.terms
+    if any(not isinstance(c, GaussianRational) for c in a.values()):
         raise ValidationFailure("class representative must have constant coefficients")
-    a = _masked(alpha)
     if _dbar(spec, a):
         raise ValidationFailure("class representative is not delbar-closed")
     params = family.params()
@@ -705,7 +693,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 for key, v in tgt.vector(idx).items():
                     accumulate(form, key, coords[idx] * v)
             return ExtensionResult(status="obstructed", order=k, p=p, q=q, obstruction_coords=coords,
-                                   obstruction_form=_unmasked(spec, p, q + 1, form))
+                                   obstruction_form=InvariantForm._trusted(spec, form, p, q + 1))
         add: dict = {}
         for exps, sol in fixes.items():
             for key, x in _keyed(tgt.layout[0], p, q, sol).items():
@@ -713,7 +701,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         for key, terms in add.items():
             accumulate(alpha_t, key, Poly._trusted(params, terms, order))
     return ExtensionResult(status="extended", order=max_order, p=p, q=q,
-                           extension=_unmasked(dspec, p, q, alpha_t))
+                           extension=InvariantForm._trusted(dspec, alpha_t, p, q))
 
 
 # -- obstructed subspaces and jump prediction ------------------------------
@@ -773,8 +761,8 @@ def ray(psi1: VectorForm, point: dict) -> VectorForm:
     as jets of order 1: ``jump_report`` deforms along it, and ``jump``'s
     oracle tables its Maurer-Cartan family at s = 1.  Zero when psi1
     vanishes at the point."""
-    return VectorForm(psi1.spec, 1, {key: Poly._trusted(("s",), {(1,): c}, 1)
-                                     for key, c in psi1.eval_point(point).coeffs.items()})
+    return VectorForm._trusted(psi1.spec, {key: Poly._trusted(("s",), {(1,): c}, 1)
+                                           for key, c in psi1.eval_point(point).terms.items()}, psi1.q)
 
 
 def jump_report(spec: ComplexStructureSpec, psi1: VectorForm, point: dict) -> JumpTable:

@@ -15,13 +15,17 @@ carry their own c-side tables, obtained by substitution rather than by
 conjugation, so the whole construction also works with polynomial or jet
 coefficients where conjugation has no meaning.
 
+Every kernel (wedge, d, contraction) holds a monomial f_I ^ c_J as an
+(I, J) pair of int bitmasks, bit i set for index i, and a form keeps its
+coefficients in ``terms`` under the same key (theta_i (x) c_J as (i, J
+mask)).  Index tuples appear only at the public boundary: the
+constructors, ``coeffs``, ``coefficient`` and ``str``.
+
 Sign conventions that everything downstream depends on:
 
-* every kernel (wedge, d, contraction) holds a monomial as an (I, J) pair
-  of int bitmasks, bit i set for index i, and reads each reordering sign
-  off one rule: (-1)^r(a, b) with r(a, b) = #{(x, y) : x in a, y in b,
-  x > y} (``_shuffle``) is the sign that sorts the indices of a followed by
-  those of b;
+* every reordering sign is read off one rule: (-1)^r(a, b) with r(a, b) =
+  #{(x, y) : x in a, y in b, x > y} (``_shuffle``) is the sign that sorts
+  the indices of a followed by those of b;
 * wedge: (f_Ia ^ c_Ja) ^ (f_Ib ^ c_Jb) has sign
   (-1)^(r(Ia, Ib) + r(Ja, Jb) + |Ja| |Ib|), since f_Ib first moves left
   past c_Ja;
@@ -75,9 +79,16 @@ class Diagnostic(_Record, _Immutable):
         return f"{self.severity}: {self.subject}: {self.message}"
 
 
+def _is_int(x) -> bool:
+    """An integer index; true and false are bools, not integers, here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _clean_table(n: int, table, ordered: bool) -> dict:
     out: dict[tuple[int, int], object] = {}
     for (i, j), c in (table or {}).items():
+        if not (_is_int(i) and _is_int(j)):
+            raise SpecError(f"generator index in ({i},{j}) is not an integer")
         if not (1 <= i <= n and 1 <= j <= n):
             raise SpecError(f"generator index out of range in ({i},{j})")
         if ordered and not i < j:
@@ -217,13 +228,12 @@ def _shuffle(a: int, b: int) -> int:
 
 
 def _layout(n: int) -> tuple:
-    """A read-only ``(masks, index, names)`` and the plain ``masks`` and ``index`` it wraps:
-    per size k, the index tuples ``names[k]`` in lexicographic order, their bitmasks
-    ``masks[k]``, and ``index[m]``, mask m's position."""
-    names = {k: tuple(itertools.combinations(range(1, n + 1), k)) for k in range(n + 1)}
-    masks = {k: tuple(map(_mask, level)) for k, level in names.items()}
+    """A read-only ``(masks, index)`` and the plain ``masks`` and ``index`` it wraps:
+    per size k, the bitmasks ``masks[k]`` of the index tuples in lexicographic
+    order, and ``index[m]``, mask m's position."""
+    masks = {k: tuple(map(_mask, itertools.combinations(range(1, n + 1), k))) for k in range(n + 1)}
     index = {m: r for level in masks.values() for r, m in enumerate(level)}
-    return (MappingProxyType(masks), MappingProxyType(index), MappingProxyType(names)), masks, index
+    return (MappingProxyType(masks), MappingProxyType(index)), masks, index
 
 
 def basis_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -241,59 +251,46 @@ def basis_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple
 class _Form(_Immutable):
     """Algebra shared by ``InvariantForm`` and ``VectorForm``.
 
-    Coefficients are sparse and exact, keyed by monomial, and held in a
-    read-only mapping; a form cannot change once built.  Subclasses provide
-    ``_like`` (a form of the same kind and degree with new coefficients) and
-    ``_check_addable``.
+    Coefficients are sparse and exact, held in ``terms``, a read-only mapping
+    keyed by mask pairs; ``coeffs`` is the same mapping keyed by index tuples,
+    derived on each read, never stored.  A form cannot change once built.
+    Subclasses provide ``_trusted``, ``_like`` (a form of the same kind and
+    degree with new terms) and ``_check_addable``.
     """
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "terms")
 
     def _freeze(self, **attrs):
         for name, value in attrs.items():
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def _trusted(cls, spec, coeffs, **degree):
-        """A form from keys already known to be valid for ``degree`` (``p``
-        and ``q``, or ``q``): the key checks of ``__init__`` are skipped,
-        zero coefficients are still dropped."""
-        form = object.__new__(cls)
-        # set directly, not through _freeze: this runs for every kernel
-        # result, where re-packing the keywords for a second call shows
-        object.__setattr__(form, "spec", spec)
-        object.__setattr__(form, "coeffs", MappingProxyType({k: c for k, c in coeffs.items() if c}))
-        for name, value in degree.items():
-            object.__setattr__(form, name, value)
-        return form
-
     def __add__(self, other):
         self._check_addable(other)
-        coeffs = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            accumulate(coeffs, key, c)
-        return self._like(coeffs)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(terms, key, c)
+        return self._like(terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        return self._like({k: v * c for k, v in self.coeffs.items()})
+        return self._like({k: v * c for k, v in self.terms.items()})
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def eval_point(self, point: dict):
         return self._like({key: c.eval(point) if isinstance(c, Poly) else c
-                           for key, c in self.coeffs.items()})
+                           for key, c in self.terms.items()})
 
     def homogeneous_part(self, k: int):
         """Degree-k part in the parameters; constant coefficients have degree 0."""
         return self._like({key: c.homogeneous_part(k) if isinstance(c, Poly) else c
-                           for key, c in self.coeffs.items()
+                           for key, c in self.terms.items()
                            if k == 0 or isinstance(c, Poly)})
 
 
@@ -305,9 +302,11 @@ class InvariantForm(_Form):
     def __init__(self, spec: ComplexStructureSpec, p: int, q: int, coeffs=None):
         if not (0 <= p <= spec.n and 0 <= q <= spec.n):
             raise SpecError(f"bidegree ({p},{q}) out of range for n={spec.n}")
-        clean = {}
+        terms = {}
         for (I, J), c in (coeffs or {}).items():
             I, J = tuple(I), tuple(J)
+            if not all(map(_is_int, I + J)):
+                raise SpecError(f"monomial ({I},{J}) has an index that is not an integer")
             if len(I) != p or len(J) != q:
                 raise SpecError(f"monomial ({I},{J}) does not have bidegree ({p},{q})")
             if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
@@ -315,8 +314,19 @@ class InvariantForm(_Form):
             if any(not (1 <= i <= spec.n) for i in I + J):
                 raise SpecError(f"monomial ({I},{J}) out of range")
             if c:
-                clean[(I, J)] = c
-        self._freeze(spec=spec, p=p, q=q, coeffs=MappingProxyType(clean))
+                terms[(_mask(I), _mask(J))] = c
+        self._freeze(spec=spec, p=p, q=q, terms=MappingProxyType(terms))
+
+    @classmethod
+    def _trusted(cls, spec, terms: dict, p: int, q: int) -> "InvariantForm":
+        """A (p, q)-form from (I, J) mask keys already known to be valid: the
+        key checks of ``__init__`` are skipped, zero coefficients are still dropped."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "spec", spec)
+        object.__setattr__(form, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
+        object.__setattr__(form, "p", p)
+        object.__setattr__(form, "q", q)
+        return form
 
     # -- constructors --------------------------------------------------
 
@@ -336,8 +346,8 @@ class InvariantForm(_Form):
 
     # -- algebra -------------------------------------------------------
 
-    def _like(self, coeffs) -> "InvariantForm":
-        return self._trusted(self.spec, coeffs, p=self.p, q=self.q)
+    def _like(self, terms) -> "InvariantForm":
+        return self._trusted(self.spec, terms, self.p, self.q)
 
     def _check_addable(self, other: "InvariantForm"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -351,13 +361,18 @@ class InvariantForm(_Form):
         return (
             (self.p, self.q) == (other.p, other.q)
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.p, self.q, tuple(sorted(self.coeffs))))
+        return hash((self.p, self.q, tuple(sorted(self.terms))))
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The coefficients keyed by (I, J) index tuples, read off ``terms``."""
+        return MappingProxyType({(_indices(mi), _indices(mj)): c for (mi, mj), c in self.terms.items()})
 
     def coefficient(self, I, J):
         return self.coeffs.get((tuple(I), tuple(J)), GR_ZERO)
@@ -378,23 +393,32 @@ class VectorForm(_Form):
     def __init__(self, spec: ComplexStructureSpec, q: int, coeffs=None):
         if not (0 <= q <= spec.n):
             raise SpecError(f"antiholomorphic degree {q} out of range")
-        clean = {}
+        terms = {}
         for (i, J), c in (coeffs or {}).items():
             J = tuple(J)
-            if not (1 <= i <= spec.n) or len(J) != q:
+            if not all(_is_int(x) and 1 <= x <= spec.n for x in (i,) + J) or len(J) != q:
                 raise SpecError(f"bad vector-form key ({i},{J})")
             if list(J) != sorted(set(J)):
                 raise SpecError(f"index tuple {J} is not strictly increasing")
             if c:
-                clean[(i, J)] = c
-        self._freeze(spec=spec, q=q, coeffs=MappingProxyType(clean))
+                terms[(i, _mask(J))] = c
+        self._freeze(spec=spec, q=q, terms=MappingProxyType(terms))
+
+    @classmethod
+    def _trusted(cls, spec, terms: dict, q: int) -> "VectorForm":
+        """As ``InvariantForm._trusted``, for (i, J mask) keys valid in degree q."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "spec", spec)
+        object.__setattr__(form, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
+        object.__setattr__(form, "q", q)
+        return form
 
     @classmethod
     def term(cls, spec, i: int, J, coeff=GR_ONE) -> "VectorForm":
         return cls(spec, len(tuple(J)), {(i, tuple(J)): coeff})
 
-    def _like(self, coeffs) -> "VectorForm":
-        return self._trusted(self.spec, coeffs, q=self.q)
+    def _like(self, terms) -> "VectorForm":
+        return self._trusted(self.spec, terms, self.q)
 
     def _check_addable(self, other: "VectorForm"):
         if self.q != other.q or self.spec != other.spec:
@@ -403,20 +427,25 @@ class VectorForm(_Form):
     def __eq__(self, other):
         if not isinstance(other, VectorForm):
             return NotImplemented
-        return self.q == other.q and self.spec == other.spec and self.coeffs == other.coeffs
+        return self.q == other.q and self.spec == other.spec and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.q, tuple(sorted(self.coeffs))))
+        return hash((self.q, tuple(sorted(self.terms))))
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The coefficients keyed by (i, J) with J an index tuple, read off ``terms``."""
+        return MappingProxyType({(i, _indices(mj)): c for (i, mj), c in self.terms.items()})
 
     def params(self) -> tuple[str, ...] | None:
         """Parameters of the first polynomial or jet coefficient; None if all are constant."""
-        for c in self.coeffs.values():
+        for c in self.terms.values():
             if isinstance(c, Poly):
                 return c.params
         return None
 
     def constant_part_is_zero(self) -> bool:
-        for c in self.coeffs.values():
+        for c in self.terms.values():
             if isinstance(c, Poly):
                 if c.constant_term():
                     return False
@@ -458,13 +487,12 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     p, q = a.p + b.p, a.q + b.q
     if p > n or q > n:
         # no room: the product is identically zero
-        return InvariantForm._trusted(a.spec, {}, p=min(p, n), q=min(q, n))
+        return InvariantForm._trusted(a.spec, {}, min(p, n), min(q, n))
     out: dict = {}
-    mb = _masked(b)
-    for ka, c1 in _masked(a).items():
-        for kb, c2 in mb.items():
+    for ka, c1 in a.terms.items():
+        for kb, c2 in b.terms.items():
             _wedge_monomial(ka, kb, c1, c2, out)
-    return _unmasked(a.spec, p, q, out)
+    return InvariantForm._trusted(a.spec, out, p, q)
 
 
 def _d_monomial(spec: ComplexStructureSpec, mi: int, mj: int, dbar, c=None, dl=None) -> None:
@@ -551,27 +579,11 @@ def _contract_monomial(mi: int, mj: int, i: int, mpsi: int, c, out: dict) -> Non
 
 def _contract_vector(psi_terms: dict, a: dict, out: dict) -> dict:
     """Accumulate iota_psi(a) into ``out`` for a mask-keyed sparse vector
-    ``a``; psi is given as ``_psi_terms``."""
+    ``a``; psi is given by its ``terms``, {(i, Jpsi mask): coefficient}."""
     for (i, mpsi), cpsi in psi_terms.items():
         for (mi, mj), c in a.items():
             _contract_monomial(mi, mj, i, mpsi, c * cpsi, out)
     return out
-
-
-def _psi_terms(psi: VectorForm) -> dict:
-    """{(i, Jpsi mask): coefficient} for each term theta_i (x) c_Jpsi of psi."""
-    return {(i, _mask(J)): c for (i, J), c in psi.coeffs.items()}
-
-
-def _masked(form: InvariantForm) -> dict:
-    """The mask-keyed sparse vector of a form."""
-    return {(_mask(I), _mask(J)): c for (I, J), c in form.coeffs.items()}
-
-
-def _unmasked(spec: ComplexStructureSpec, p: int, q: int, acc: dict) -> InvariantForm:
-    """The form of a mask-keyed sparse vector."""
-    return InvariantForm._trusted(
-        spec, {(_indices(mi), _indices(mj)): v for (mi, mj), v in acc.items()}, p=p, q=q)
 
 
 def differential(spec: ComplexStructureSpec, form: InvariantForm):
@@ -580,12 +592,12 @@ def differential(spec: ComplexStructureSpec, form: InvariantForm):
         raise SpecError("form does not belong to this spec")
     dl: dict = {}
     dbar: dict = {}
-    for (I, J), c in form.coeffs.items():
-        _d_monomial(spec, _mask(I), _mask(J), dbar, c, dl)
+    for (mi, mj), c in form.terms.items():
+        _d_monomial(spec, mi, mj, dbar, c, dl)
     # past degree n there is no monomial, so the clamped part is empty
     n = spec.n
-    return (_unmasked(spec, min(form.p + 1, n), form.q, dl),
-            _unmasked(spec, form.p, min(form.q + 1, n), dbar))
+    return (InvariantForm._trusted(spec, dl, min(form.p + 1, n), form.q),
+            InvariantForm._trusted(spec, dbar, form.p, min(form.q + 1, n)))
 
 
 def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
@@ -596,9 +608,8 @@ def contract(psi: VectorForm, a: InvariantForm) -> InvariantForm:
     """
     if psi.spec != a.spec:
         raise SpecError("contract: spec mismatch")
-    spec = a.spec
-    out = _contract_vector(_psi_terms(psi), _masked(a), {})
-    return _unmasked(spec, max(a.p - 1, 0), min(a.q + psi.q, spec.n), out)
+    out = _contract_vector(psi.terms, a.terms, {})
+    return InvariantForm._trusted(a.spec, out, max(a.p - 1, 0), min(a.q + psi.q, a.spec.n))
 
 
 # -- validation -----------------------------------------------------------
@@ -670,8 +681,8 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
         return spec, {k: {} for k in range(1, spec.n + 1)}
     n = spec.n
     psi_table: dict[int, dict[int, object]] = {i: {} for i in range(1, n + 1)}
-    for (i, J), c in psi.coeffs.items():
-        psi_table[i][J[0]] = c
+    for (i, mj), c in psi.terms.items():
+        psi_table[i][mj.bit_length() - 1] = c
     # the original generators as one-factor mask pairs in the deformed ones
     f_old = {i: [((1 << i, 0), GR_ONE)] + [((0, 1 << lam), -c) for lam, c in row.items()]
              for i, row in psi_table.items()}

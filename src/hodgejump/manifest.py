@@ -17,7 +17,7 @@ import re
 from . import linalg
 from .coeff import CoefficientError, GaussianRational, Poly, _Record
 from .errors import ValidationFailure
-from .exterior import ComplexStructureSpec, SpecError, VectorForm, validate_spec
+from .exterior import ComplexStructureSpec, SpecError, VectorForm, _is_int, validate_spec
 from .freemod import FreeComplex, validate_complex
 
 __all__ = ["Manifest", "parse_manifest", "load_manifest", "builtin_names"]
@@ -66,11 +66,6 @@ def _expect(cond: bool, msg: str, *args):
     """Unless ``cond``, raise ``msg.format(*args)``, formatted only on failure."""
     if not cond:
         raise _err(msg.format(*args))
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; true and false are bools, not integers, here."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_lie(doc: dict) -> Manifest:

@@ -57,16 +57,19 @@ class TestImmutability:
     def test_form_cannot_be_changed(self, iwasawa, kind):
         if kind == "invariant":
             form = InvariantForm.monomial(iwasawa, (1,), (2,), GR(3))
-            attrs, key = ("spec", "p", "q", "coeffs"), ((1,), (2,))
+            attrs, key, mask_key = ("spec", "p", "q", "terms", "coeffs"), ((1,), (2,)), (0b10, 0b100)
         else:
             form = VectorForm.term(iwasawa, 1, (2,), GR(3))
-            attrs, key = ("spec", "q", "coeffs"), (1, (2,))
+            attrs, key, mask_key = ("spec", "q", "terms", "coeffs"), (1, (2,)), (1, 0b100)
         before = str(form)
         for name in attrs:
             with pytest.raises(AttributeError):
                 setattr(form, name, 5)
         with pytest.raises(TypeError):
             form.coeffs[key] = GR(7)
+        with pytest.raises(TypeError):
+            form.terms[mask_key] = GR(7)
+        assert form.terms == {mask_key: GR(3)} and form.coeffs == {key: GR(3)}
         assert str(form) == before
 
     @pytest.mark.parametrize("kind", ["gr", "poly", "jet", "form", "vector", "matrix", "spec"])
@@ -76,8 +79,8 @@ class TestImmutability:
             "gr": (GR(1, 2), ("_a", "_b", "_d")),
             "poly": (Poly.variable(("t",), "t"), ("params", "terms")),
             "jet": (Jet(Poly.variable(("t",), "t"), 2), ("params", "terms", "order")),
-            "form": (InvariantForm.monomial(spec, (1,), (2,), GR(3)), ("spec", "p", "q", "coeffs")),
-            "vector": (VectorForm.term(spec, 1, (2,), GR(3)), ("spec", "q", "coeffs")),
+            "form": (InvariantForm.monomial(spec, (1,), (2,), GR(3)), ("spec", "p", "q", "terms", "coeffs")),
+            "vector": (VectorForm.term(spec, 1, (2,), GR(3)), ("spec", "q", "terms", "coeffs")),
             "matrix": (linalg.ExactMatrix(2, 2, [{0: GR_ONE}, {1: GR_ONE}]),
                        ("rows", "cols", "sparse_rows")),
             "spec": (spec, ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault")),
@@ -94,15 +97,14 @@ class TestImmutability:
         spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
         basis = Dolbeault.of(spec).basis(1, 1)
         assert str(basis.rep_form(spec, 0)) == "f1^c1"
-        masks, index, names = basis.layout
-        for levels in (masks, names):
-            assert isinstance(levels, MappingProxyType) and sorted(levels) == [0, 1, 2, 3]
-            assert all(type(level) is tuple for level in levels.values())
-            with pytest.raises(TypeError):
-                levels[1][0] = 0
-            with pytest.raises(TypeError):
-                levels[4] = ()
-        assert names[2] == ((1, 2), (1, 3), (2, 3)) and masks[2] == (0b110, 0b1010, 0b1100)
+        masks, index = basis.layout
+        assert isinstance(masks, MappingProxyType) and sorted(masks) == [0, 1, 2, 3]
+        assert all(type(level) is tuple for level in masks.values())
+        with pytest.raises(TypeError):
+            masks[1][0] = 0
+        with pytest.raises(TypeError):
+            masks[4] = ()
+        assert masks[2] == (0b110, 0b1010, 0b1100)
         with pytest.raises(AttributeError):
             basis.layout = ()
         with pytest.raises(AttributeError):

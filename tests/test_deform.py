@@ -34,9 +34,11 @@ from hodgejump.exterior import (
     VectorForm,
     _indices,
     basis_monomials,
+    contract,
     deformed_coframe,
     differential,
     validate_spec,
+    wedge,
 )
 from hodgejump.manifest import load_manifest
 
@@ -1126,8 +1128,10 @@ class TestMonomialLayout:
                     assert list(v.values()) == list(rep.values())
                     assert basis.positions(v) == rep
                     assert list(basis.rep_form(spec, k).coeffs) == [monomials[j] for j in rep]
-        masks, _, names = dol.basis(0, 0).layout
-        assert all(names[k] == tuple(map(_indices, masks[k])) for k in names)
+                    assert basis.rep_form(spec, k).terms == v
+        masks, index = dol.basis(0, 0).layout
+        assert all([_indices(m) for m in masks[k]] == [I for I, _ in basis_monomials(spec.n, k, 0)]
+                   and [index[m] for m in masks[k]] == list(range(len(masks[k]))) for k in masks)
         assert dol._factorable() == (name in ("iwasawa", "two_step5", "two_step_u_n6.json"))
 
     def test_bases_build_no_monomial_list(self, monkeypatch):
@@ -1141,6 +1145,30 @@ class TestMonomialLayout:
         dol = Dolbeault(spec)  # a fresh complex: nothing memoized
         dims = [dol.basis(p, q).dim for p in range(spec.n + 1) for q in range(spec.n + 1)]
         assert calls == [] and sum(dims) == sum(dol.table().values())
+
+    def test_kernel_paths_decode_no_index_tuple(self, monkeypatch, iwasawa, iw_psi1):
+        from hodgejump import exterior
+
+        man = load_manifest(str(DATA / "two_step_u_n6.json"))
+        fam = mc_extend(man.spec, man.psi1, 2)
+        dol = Dolbeault.of(man.spec)
+        basis, _ = dol.basis(3, 2), dol.basis(3, 3)
+        for p, q in itertools.product(range(4), repeat=2):
+            Dolbeault.of(iwasawa).basis(p, q)
+        a = InvariantForm(iwasawa, 1, 1, {((1,), (1,)): GR(1), ((3,), (2,)): GR(2)})
+        f3 = InvariantForm.generator(iwasawa, "f", 3)
+        psi = VectorForm(iwasawa, 1, {(1, (2,)): GR(1), (3, (1,)): GR(-1)})
+        calls = []
+        monkeypatch.setattr(exterior, "_indices", lambda m, real=_indices: calls.append(m) or real(m))
+        statuses = [extend_class(fam, basis.rep_form(man.spec, k), 2).status for k in range(basis.dim)]
+        values = [wedge(a, f3), differential(iwasawa, f3)[0], contract(psi, a), contract(psi, f3),
+                  o1_value(iwasawa, psi, f3), dbar_vector(iwasawa, VectorForm.term(iwasawa, 2, (3,)))]
+        o1 = obstruction_o1(iwasawa, iw_psi1, 1, 0).matrix
+        d1 = [frolicher_d1(iwasawa, p, q) for p, q in itertools.product(range(4), repeat=2)]
+        witness = parallelisable_witness(iwasawa)
+        assert calls == []
+        assert {"extended", "obstructed"} <= set(statuses)
+        assert all(values) and not o1.is_zero() and any(not m.is_zero() for m in d1) and witness
 
 
 class TestSecondClassAndJump:

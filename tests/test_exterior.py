@@ -1,4 +1,5 @@
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from hodgejump.coeff import GR, Poly
+from hodgejump.coeff import GR, GR_ZERO, Poly
 from hodgejump.deform import Dolbeault, dbar_vector
 from hodgejump.exterior import (
     ComplexStructureSpec,
@@ -27,6 +28,7 @@ from hodgejump.exterior import (
 from .conftest import (
     IW_PARAMS,
     SPEC_NAMES,
+    TEXT_GRS,
     random_form,
     random_gr,
     random_mixed_coeff,
@@ -141,6 +143,25 @@ class TestConstructorValidation:
         with pytest.raises(SpecError):
             InvariantForm(iwasawa, p, q, {key: GR(1)})
 
+    @pytest.mark.parametrize("build", [
+        lambda s: ComplexStructureSpec(3, A={3: {(1.5, 2): GR(-1)}}),
+        lambda s: ComplexStructureSpec(3, B={3: {(1, True): GR(1)}}),
+        lambda s: ComplexStructureSpec(3, Abar={3: {(1, 2.0): GR(1)}}, Bbar={}),
+        lambda s: InvariantForm(s, 1, 0, {((1.5,), ()): GR(1)}),
+        lambda s: InvariantForm(s, 1, 1, {((1,), (True,)): GR(1)}),
+        lambda s: VectorForm(s, 1, {(1.5, (1,)): GR(1)}),
+        lambda s: VectorForm(s, 1, {(1, (True,)): GR(1)}),
+    ], ids=["A-float", "B-bool", "Abar-float", "form-float", "form-bool", "vector-float", "vector-bool"])
+    def test_non_integer_index_rejected(self, iwasawa, build):
+        # a bool is refused like any non-int, as manifests refuse it; such an
+        # index used to pass the constructor and fail later with a TypeError
+        with pytest.raises(SpecError):
+            build(iwasawa)
+
+    def test_vector_form_index_out_of_range_rejected(self, iwasawa):
+        with pytest.raises(SpecError, match="bad vector-form key"):
+            VectorForm(iwasawa, 1, {(1, (4,)): GR(1)})
+
     @pytest.mark.parametrize("p, q", [(-1, 0), (0, 4), (4, 0)])
     def test_bad_bidegree_rejected(self, iwasawa, p, q):
         with pytest.raises(SpecError):
@@ -167,6 +188,65 @@ class TestConstructorValidation:
                          psi.eval_point({"t": GR(2)}), psi.homogeneous_part(1)):
                 assert form == VectorForm(spec, form.q, form.coeffs)
                 assert all(form.coeffs.values())
+
+
+@st.composite
+def mask_key_cases(draw):
+    """A spec with random sparse tables (the kernels need no Lie algebra),
+    the coefficients of two forms and of a vector form, zeros among them."""
+    n = draw(st.integers(1, 4))
+    rng = range(1, n + 1)
+    A = {k: draw(st.dictionaries(st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda ij: ij[0] < ij[1]), TEXT_GRS, max_size=2)) if n > 1 else {} for k in rng}
+    B = {k: draw(st.dictionaries(st.tuples(st.integers(1, n), st.integers(1, n)), TEXT_GRS,
+                                 max_size=2)) for k in rng}
+
+    def monomials(p, q):
+        return st.dictionaries(st.sampled_from(basis_monomials(n, p, q)), TEXT_GRS, max_size=4)
+
+    degrees = [(draw(st.integers(0, n)), draw(st.integers(0, n))) for _ in range(2)]
+    forms = [(p, q, draw(monomials(p, q))) for p, q in degrees]
+    q = draw(st.integers(0, n))
+    psi = draw(st.dictionaries(st.tuples(st.integers(1, n), st.sampled_from(
+        [J for _, J in basis_monomials(n, 0, q)])), TEXT_GRS, max_size=4))
+    return ComplexStructureSpec(n, A, B), forms, (q, psi)
+
+
+class TestMaskKeys:
+    """A form stores (I, J) mask keys in ``terms``; ``coeffs`` is their view
+    keyed by index tuples, and a kernel result is the form the checking
+    constructor builds from that view."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_key_cases())
+    def test_constructor_view_and_kernels_agree(self, case):
+        spec, forms, (q, psi_coeffs) = case
+        a, b = (InvariantForm(spec, p, q, coeffs) for p, q, coeffs in forms)
+        psi = VectorForm(spec, q, psi_coeffs)
+        for form, (_, _, coeffs) in zip((a, b), forms):
+            assert isinstance(form.coeffs, MappingProxyType)
+            assert dict(form.coeffs) == {key: c for key, c in coeffs.items() if c}
+            for (I, J), c in coeffs.items():
+                assert form.coefficient(I, J) == c
+                # masks alias these tuples; the coefficient of none is c
+                for I2, J2 in ((I[::-1], J), (I, J[::-1]), (I[:1] + I, J), (I, J + J[-1:])):
+                    if (I2, J2) != (I, J):
+                        assert form.coefficient(I2, J2) == GR_ZERO
+        assert dict(psi.coeffs) == {key: c for key, c in psi_coeffs.items() if c}
+        for got in (wedge(a, b), *differential(spec, a), contract(psi, a)):
+            want = InvariantForm(spec, got.p, got.q, got.coeffs)
+            assert got == want and hash(got) == hash(want) and got.terms == want.terms
+            assert all(got.terms.values())
+        got = dbar_vector(spec, psi)
+        want = VectorForm(spec, got.q, got.coeffs)
+        assert got == want and hash(got) == hash(want) and got.terms == want.terms
+
+    def test_coefficient_reads_zero_off_strictly_increasing_tuples(self, iwasawa):
+        # (2, 1) and (1, 1, 2) have the mask of (1, 2)
+        form = InvariantForm.monomial(iwasawa, (1, 2), (3,), GR(5))
+        assert form.coefficient((1, 2), (3,)) == GR(5) and form.terms == {(0b110, 0b1000): GR(5)}
+        for I, J in (((2, 1), (3,)), ((1, 1, 2), (3,)), ((1, 2), (3, 3))):
+            assert form.coefficient(I, J) == GR_ZERO
 
 
 class TestDifferential:
