@@ -346,16 +346,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ValidationFailure, SpecError, CoefficientError, linalg.LinalgError) as e:
-        if os.environ.get("HODGEJUMP_VERBOSE"):
-            raise
         print(f"validation failure: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except deform.McObstruction as e:
         print(f"obstructed: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except InternalInvariantError as e:
-        if os.environ.get("HODGEJUMP_VERBOSE"):
-            raise
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

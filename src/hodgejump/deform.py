@@ -418,6 +418,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
         raise ValidationFailure("family must pass through the base point (zero constant term)")
 
     def to_jet(v: VectorForm) -> VectorForm:
+        # psi1 has degree 1, a correction degree k <= target_order: no term truncates to 0
         return VectorForm._trusted(spec, {key: Jet(c, target_order) if isinstance(c, Poly)
                                           else Jet.constant(params, c, target_order)
                                           for key, c in v.terms.items()}, v.q)

@@ -13,7 +13,9 @@ For a spec built from user structure constants the c-side is the complex
 conjugate of the f-side.  Deformed specs produced by ``deformed_coframe``
 carry their own c-side tables, obtained by substitution rather than by
 conjugation, so the whole construction also works with polynomial or jet
-coefficients where conjugation has no meaning.
+coefficients where conjugation has no meaning.  Each spec also holds these
+four tables as one table of generator differentials in the kernels' mask
+key, built on first use: d and ``deformed_coframe`` read only that.
 
 Every kernel (wedge, d, contraction) holds a monomial f_I ^ c_J as an
 (I, J) pair of int bitmasks, bit i set for index i, and a form keeps its
@@ -30,6 +32,8 @@ Sign conventions that everything downstream depends on:
   (-1)^(r(Ia, Ib) + r(Ja, Jb) + |Ja| |Ib|), since f_Ib first moves left
   past c_Ja;
 * d is the graded derivation d(x1^...^xm) = sum_k (-1)^(k-1) x1^...^d(xk)^...;
+  d(xk) is a 2-form, so each term is (-1)^(k-1) d(xk) ^ (the monomial
+  without xk), signed by the wedge rule;
 * contraction with a frame vector removes a holomorphic factor with sign
   (-1)^(k-1), and contraction with theta_i (x) c_J wedges c_J on the right:
   iota(theta_i (x) c_J)(a) = (theta_i _| a) ^ c_J.
@@ -107,10 +111,11 @@ class ComplexStructureSpec(_Immutable):
 
     Immutable: the tables are read-only mappings of read-only rows and
     attributes cannot be rebound, so a spec can own cached data about
-    itself (``Dolbeault.of`` keeps the spec's cohomology in ``_dolbeault``).
+    itself (``Dolbeault.of`` keeps the spec's cohomology in ``_dolbeault``,
+    ``_generator_d`` the differentials of the generators in ``_gen_d``).
     """
 
-    __slots__ = ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault")
+    __slots__ = ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault", "_gen_d")
 
     def __init__(self, n: int, A=None, B=None, *, Abar=None, Bbar=None):
         if n < 1:
@@ -133,7 +138,7 @@ class ComplexStructureSpec(_Immutable):
             bbar = {k: _clean_table(n, (Bbar or {}).get(k), False) for k in range(1, n + 1)}
         for name, value in (("n", n), ("A", _frozen(A)), ("B", _frozen(B)),
                             ("Abar", _frozen(abar)), ("Bbar", _frozen(bbar)),
-                            ("_hash", None), ("_dolbeault", None)):
+                            ("_hash", None), ("_dolbeault", None), ("_gen_d", None)):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -155,6 +160,37 @@ class ComplexStructureSpec(_Immutable):
         for name in self.__slots__:
             object.__setattr__(copy, name, None if name == "_dolbeault" else getattr(self, name))
         return copy
+
+    def _generator_d(self) -> tuple:
+        """``(s, live, terms)``: d of every generator in the kernels' mask key,
+        built on first use; read-only and no part of ``==``, ``hash`` or ``repr``.
+
+        Read as one mask, f_I ^ c_J is I | J << s with s = n + 1: f_k is bit
+        k and c_k bit k + s.  ``terms[b]`` lists d(generator b) as terms
+        (wf, wc, constant, sign mask, into del), one per 2-form constant *
+        f_wf ^ c_wc, in table order (``A`` then ``B``, ``Abar`` then ``Bbar``);
+        ``live`` is the mask of the generators whose d is not zero.  For the
+        2-form w with bits x < y (as powers of two) the sign mask is
+        (b - 1) ^ (y - x): r(a, m) = popcount(m & (XOR of z - 1 over the bits
+        z of a)) mod 2, and (x - 1) ^ (y - 1) = y - x.
+        """
+        if self._gen_d is None:
+            s = self.n + 1
+            low = (1 << s) - 1
+            live, terms = 0, {}
+            for k in range(1, self.n + 1):
+                # generator bit, its f-count, then its tables of f_i^f_j (or c_i^c_j)
+                # and of f_i^c_j, each 2-form read as one mask w
+                for b, fs, pure, mixed in ((1 << k, 1, self.A[k], self.B[k]),
+                                           (1 << k + s, 0, self.Abar[k], self.Bbar[k])):
+                    row = [((1 << i | 1 << j) << (0 if fs else s), c) for (i, j), c in pure.items()]
+                    row += [(1 << i | 1 << j + s, c) for (i, j), c in mixed.items()]
+                    # w - 2 * (w & -w) is y - x for w = x | y
+                    terms[b] = tuple((w & low, w >> s, c, (w - 2 * (w & -w)) ^ (b - 1),
+                                      (w & low).bit_count() > fs) for w, c in row)
+                    live |= b if row else 0
+            object.__setattr__(self, "_gen_d", (s, live, MappingProxyType(terms)))
+        return self._gen_d
 
     def is_parallelisable(self) -> bool:
         """True when every mixed table vanishes (holomorphic coframe)."""
@@ -255,7 +291,7 @@ class _Form(_Immutable):
     keyed by mask pairs; ``coeffs`` is the same mapping keyed by index tuples,
     derived on each read, never stored.  A form cannot change once built.
     Subclasses provide ``_trusted``, ``_like`` (a form of the same kind and
-    degree with new terms) and ``_check_addable``.
+    degree with new terms, zeros among them dropped) and ``_check_addable``.
     """
 
     __slots__ = ("spec", "terms")
@@ -319,11 +355,12 @@ class InvariantForm(_Form):
 
     @classmethod
     def _trusted(cls, spec, terms: dict, p: int, q: int) -> "InvariantForm":
-        """A (p, q)-form from (I, J) mask keys already known to be valid: the
-        key checks of ``__init__`` are skipped, zero coefficients are still dropped."""
+        """A (p, q)-form holding ``terms``, a dict the caller hands over: (I, J)
+        mask keys already known to be valid and no zero coefficient, as
+        ``accumulate`` leaves them.  No check of ``__init__`` is made."""
         form = object.__new__(cls)
         object.__setattr__(form, "spec", spec)
-        object.__setattr__(form, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
+        object.__setattr__(form, "terms", MappingProxyType(terms))
         object.__setattr__(form, "p", p)
         object.__setattr__(form, "q", q)
         return form
@@ -347,7 +384,7 @@ class InvariantForm(_Form):
     # -- algebra -------------------------------------------------------
 
     def _like(self, terms) -> "InvariantForm":
-        return self._trusted(self.spec, terms, self.p, self.q)
+        return self._trusted(self.spec, {k: c for k, c in terms.items() if c}, self.p, self.q)
 
     def _check_addable(self, other: "InvariantForm"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -409,7 +446,7 @@ class VectorForm(_Form):
         """As ``InvariantForm._trusted``, for (i, J mask) keys valid in degree q."""
         form = object.__new__(cls)
         object.__setattr__(form, "spec", spec)
-        object.__setattr__(form, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
+        object.__setattr__(form, "terms", MappingProxyType(terms))
         object.__setattr__(form, "q", q)
         return form
 
@@ -418,7 +455,7 @@ class VectorForm(_Form):
         return cls(spec, len(tuple(J)), {(i, tuple(J)): coeff})
 
     def _like(self, terms) -> "VectorForm":
-        return self._trusted(self.spec, terms, self.q)
+        return self._trusted(self.spec, {k: c for k, c in terms.items() if c}, self.q)
 
     def _check_addable(self, other: "VectorForm"):
         if self.q != other.q or self.spec != other.spec:
@@ -501,64 +538,34 @@ def _d_monomial(spec: ComplexStructureSpec, mi: int, mj: int, dbar, c=None, dl=N
     The monomial is the (I, J) mask pair ``mi``, ``mj``, and results are
     keyed by mask pairs.  ``c=None`` stands for the coefficient 1 and skips
     the multiplications; ``dl=None`` or ``dbar=None`` skips that part.
-    Each Leibniz term replaces one factor f_k or c_k by a 2-form from the
-    structure tables; the factors are walked bit by bit.  With p = |I|, pos
-    the position of the replaced factor within I (or within J), rest = I
-    minus {k} (or J minus {k}) and r the rule of ``_shuffle``, here r(i, m)
-    = the number of set bits of m below i, read inline by popcount:
+    One Leibniz rule, in one pass over the factors that the spec's
+    ``_generator_d`` table marks live: factor x_g at position g (f factors
+    first) and a term w = f_wf ^ c_wc of d(x_g) give (-1)^g w ^ f_I' ^ c_J',
+    f_I' ^ c_J' the monomial without x_g, of sign
 
-    * ``A``,    f_k -> f_i^f_j: (-1)^(pos + r(i,rest) + r(j,rest)), into del;
-    * ``B``,    f_k -> f_i^c_j: (-1)^(p-1 + pos + r(i,rest) + r(j,J)), into delbar;
-    * ``Abar``, c_k -> c_i^c_j: (-1)^(p + pos + r(i,rest) + r(j,rest)), into delbar;
-    * ``Bbar``, c_k -> f_i^c_j: (-1)^(pos + r(i,I) + r(j,rest)), into del.
+        (-1)^(g + r(wf, I') + r(wc, J') + |wc| |I'|),
 
-    A term vanishes when an index collides with a remaining factor.  Terms
-    are accumulated in the order of the factors and of the tables.
+    the rule of ``_wedge_monomial``.  With f_I' ^ c_J' read as the table's
+    one mask rest, the exponent is r(x_g, rest) + r(w, rest), which is
+    popcount(rest & the term's sign mask) mod 2.  A term vanishes when w
+    meets a remaining factor; it lands in del when w has one more f factor
+    than x_g, else in delbar.  Terms are accumulated in the order of the
+    factors and of the tables.
     """
-    p = mi.bit_count()
-
-    def put(out, key, sc, sign):
-        v = sc if c is None else c * sc
-        accumulate(out, key, -v if sign & 1 else v)
-
-    m, pos = mi, 0
+    s, live, terms = spec._generator_d()
+    key, low = mi | mj << s, (1 << s) - 1
+    m = key & live
     while m:
-        bk = m & -m
-        m ^= bk
-        k = bk.bit_length() - 1
-        rest = mi ^ bk
-        if dl is not None:
-            for (i, j), sc in spec.A[k].items():
-                bi, bj = 1 << i, 1 << j
-                if not rest & (bi | bj):
-                    put(dl, (rest | bi | bj, mj), sc,
-                        pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
-        if dbar is not None:
-            for (i, j), sc in spec.B[k].items():
-                bi, bj = 1 << i, 1 << j
-                if not (rest & bi or mj & bj):
-                    put(dbar, (rest | bi, mj | bj), sc,
-                        p - 1 + pos + (rest & (bi - 1)).bit_count() + (mj & (bj - 1)).bit_count())
-        pos += 1
-    m, pos = mj, 0
-    while m:
-        bk = m & -m
-        m ^= bk
-        k = bk.bit_length() - 1
-        rest = mj ^ bk
-        if dbar is not None:
-            for (i, j), sc in spec.Abar[k].items():
-                bi, bj = 1 << i, 1 << j
-                if not rest & (bi | bj):
-                    put(dbar, (mi, rest | bi | bj), sc,
-                        p + pos + (rest & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
-        if dl is not None:
-            for (i, j), sc in spec.Bbar[k].items():
-                bi, bj = 1 << i, 1 << j
-                if not (mi & bi or rest & bj):
-                    put(dl, (mi | bi, rest | bj), sc,
-                        pos + (mi & (bi - 1)).bit_count() + (rest & (bj - 1)).bit_count())
-        pos += 1
+        b = m & -m
+        m ^= b
+        rest = key ^ b
+        ri, rj = rest & low, rest >> s
+        for wf, wc, sc, sign_mask, into_del in terms[b]:
+            out = dl if into_del else dbar
+            if out is None or ri & wf or rj & wc:
+                continue
+            v = sc if c is None else c * sc
+            accumulate(out, (ri | wf, rj | wc), -v if (rest & sign_mask).bit_count() & 1 else v)
 
 
 def _contract_monomial(mi: int, mj: int, i: int, mpsi: int, c, out: dict) -> None:
@@ -622,14 +629,12 @@ def _dd_defects(spec: ComplexStructureSpec):
     of each of its terms, with del and delbar summed into one dict: no
     form is built.
     """
+    s, _, terms = spec._generator_d()
     for k in range(1, spec.n + 1):
-        bk = 1 << k
-        for mi, mj, name in ((bk, 0, f"f{k}"), (0, bk, f"c{k}")):
-            dg: dict = {}
-            _d_monomial(spec, mi, mj, dg, None, dg)
+        for b, name in ((1 << k, f"f{k}"), (1 << k + s, f"c{k}")):
             ddg: dict = {}
-            for (ti, tj), c in dg.items():
-                _d_monomial(spec, ti, tj, ddg, c, ddg)
+            for wf, wc, c, _, _ in terms[b]:
+                _d_monomial(spec, wf, wc, ddg, c, ddg)
             if ddg:
                 yield name, ddg
 
@@ -680,53 +685,39 @@ def deformed_coframe(spec: ComplexStructureSpec, psi: VectorForm):
     if not psi:
         return spec, {k: {} for k in range(1, spec.n + 1)}
     n = spec.n
+    s, _, terms = spec._generator_d()
     psi_table: dict[int, dict[int, object]] = {i: {} for i in range(1, n + 1)}
     for (i, mj), c in psi.terms.items():
         psi_table[i][mj.bit_length() - 1] = c
     # the original generators as one-factor mask pairs in the deformed ones
     f_old = {i: [((1 << i, 0), GR_ONE)] + [((0, 1 << lam), -c) for lam, c in row.items()]
              for i, row in psi_table.items()}
-    c_old = {j: [((0, 1 << j), GR_ONE)] for j in range(1, n + 1)}
 
-    def d_old(kind: str, k: int) -> list:
-        """d of an original generator as (first factor, second factor, coefficient)."""
-        if kind == "f":
-            return ([(f_old[i], f_old[j], sc) for (i, j), sc in spec.A[k].items()]
-                    + [(f_old[i], c_old[j], sc) for (i, j), sc in spec.B[k].items()])
-        return ([(c_old[i], c_old[j], sc) for (i, j), sc in spec.Abar[k].items()]
-                + [(f_old[i], c_old[j], sc) for (i, j), sc in spec.Bbar[k].items()])
-
-    def substitute(terms) -> dict:
-        """Rewrite a 2-form (original factors) as mask pairs in the deformed generators."""
-        acc: dict = {}
-        for xs, ys, coeff in terms:
+    def substitute(acc: dict, b: int, scale=None) -> dict:
+        """Accumulate scale * d(generator b), its two factors f_wf ^ c_wc
+        rewritten as mask pairs in the deformed generators, into ``acc``."""
+        for wf, wc, sc, _, _ in terms[b]:
+            xs, ys = [f_old[i] for i in _indices(wf)] + [[((0, 1 << j), GR_ONE)] for j in _indices(wc)]
+            coeff = sc if scale is None else scale * sc
             for x, cx in xs:
                 u = coeff * cx
                 for y, cy in ys:
                     _wedge_monomial(x, y, u, cy, acc)
         return acc
 
-    A2: dict[int, dict] = {}
-    B2: dict[int, dict] = {}
-    Abar2: dict[int, dict] = {}
-    Bbar2: dict[int, dict] = {}
-    defect: dict[int, dict] = {}
+    tables = {name: {k: {} for k in range(1, n + 1)} for name in ("A", "B", "Abar", "Bbar", "defect")}
     for k in range(1, n + 1):
-        # d f_k(t) = d f_k + sum_l psi^k_l d c_l, then substitute; rows by f-count
-        terms = d_old("f", k) + [(xs, ys, c * sc) for lam, c in psi_table[k].items()
-                                 for xs, ys, sc in d_old("c", lam)]
-        A2[k], B2[k], defect[k] = {}, {}, {}
-        rows = (defect[k], B2[k], A2[k])
-        for (fm, cm), c in substitute(terms).items():
-            rows[fm.bit_count()][_indices(fm) + _indices(cm)] = c
+        # d f_k(t) = d f_k + sum_l psi^k_l d c_l, then substitute
+        df = substitute({}, 1 << k)
+        for lam, c in psi_table[k].items():
+            substitute(df, 1 << lam + s, c)
         # d c_k is unchanged as a form; substitution rewrites its f factors
-        # and never raises the f-count
-        Abar2[k], Bbar2[k] = {}, {}
-        rows = (Abar2[k], Bbar2[k])
-        for (fm, cm), c in substitute(d_old("c", k)).items():
-            rows[fm.bit_count()][_indices(fm) + _indices(cm)] = c
-    new_spec = ComplexStructureSpec(n, A2, B2, Abar=Abar2, Bbar=Bbar2)
-    return new_spec, defect
+        # and never raises the f-count; rows by f-count
+        for names, acc in ((("defect", "B", "A"), df), (("Abar", "Bbar"), substitute({}, 1 << k + s))):
+            for (fm, cm), c in acc.items():
+                tables[names[fm.bit_count()]][k][_indices(fm) + _indices(cm)] = c
+    return ComplexStructureSpec(n, tables["A"], tables["B"], Abar=tables["Abar"],
+                                Bbar=tables["Bbar"]), tables["defect"]
 
 
 def defect_is_zero(defect: dict) -> bool:

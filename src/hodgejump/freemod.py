@@ -377,11 +377,7 @@ def classify_first_class(c: FreeComplex, q: int, order_bound: int | None = None)
     """
     _check_degree(c, q)
     bound = _order_bound(c, order_bound)
-    return _first_class(c, q, bound, min(bound, _max_exponent(c, q)))
-
-
-def _first_class(c: FreeComplex, q: int, bound: int, order: int) -> FirstClassReport:
-    """``classify_first_class`` with its jet search at ``order``."""
+    order = min(bound, _max_exponent(c, q))
     cob = cohomology_at_zero(c, q)
     h = cob.dim
     if h == 0:
@@ -500,11 +496,7 @@ def classify_second_class(c: FreeComplex, q: int, order_bound: int | None = None
     if q < 1:
         raise ValidationFailure("second-class classification needs q >= 1")
     bound = _order_bound(c, order_bound)
-    return _second_class(c, q, bound, _max_exponent(c, q - 1))
-
-
-def _second_class(c: FreeComplex, q: int, bound: int, needed: int) -> SecondClassLabReport:
-    """``classify_second_class`` with method (b) at order ``needed``."""
+    needed = _max_exponent(c, q - 1)
     if bound < needed:
         raise ValidationFailure(
             f"order_bound {bound} is too small to decide the second class at q={q}: "
@@ -585,9 +577,9 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
     """Decompose the cohomology drop at t = 0 and match it to the obstructed
     subspaces; any mismatch is flagged in the report, never silently.
 
-    The local Smith exponents of d^q and d^(q-1) give the per-order counts
-    and the orders the two searches run at (see ``classify_first_class``
-    and ``classify_second_class``).
+    The local Smith exponents of d^q and d^(q-1) give the per-order counts;
+    the two searches are ``classify_first_class`` and
+    ``classify_second_class``, which decide the orders they run at.
     """
     _check_degree(c, q)
     bound = _order_bound(c, order_bound)
@@ -596,8 +588,8 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
     h0, hg = c.ranks[q] - out0 - in0, c.ranks[q] - out_g - in_g
     kernel_drop, image_rise = out_g - out0, in_g - in0
     counts_out, counts_in = _smith(c, q), _smith(c, q - 1)
-    first = _first_class(c, q, bound, min(bound, len(counts_out) - 1))
-    second = _second_class(c, q, bound, len(counts_in) - 1) if q >= 1 else None
+    first = classify_first_class(c, q, order_bound)
+    second = classify_second_class(c, q, order_bound) if q >= 1 else None
     second_dim = second.dim if second is not None else 0
     notes = []
     if first.dim != kernel_drop:

@@ -83,7 +83,7 @@ class TestImmutability:
             "vector": (VectorForm.term(spec, 1, (2,), GR(3)), ("spec", "q", "terms", "coeffs")),
             "matrix": (linalg.ExactMatrix(2, 2, [{0: GR_ONE}, {1: GR_ONE}]),
                        ("rows", "cols", "sparse_rows")),
-            "spec": (spec, ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault")),
+            "spec": (spec, ("n", "A", "B", "Abar", "Bbar", "_hash", "_dolbeault", "_gen_d")),
         }[kind]
         before = str(value)
         for name in attrs:

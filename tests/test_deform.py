@@ -832,6 +832,27 @@ class TestExtendClass:
             iwasawa, 2, 1, {((1, 2), (1,)): -t11}
         )
 
+    @pytest.mark.parametrize("case, message", [
+        ("order 0", "max_order must lie in 1..2 (the family's jet order)"),
+        ("order 3", "max_order must lie in 1..2 (the family's jet order)"),
+        ("other spec", "class must live on the family's base spec"),
+        ("polynomial", "class representative must have constant coefficients"),
+        ("not closed", "class representative is not delbar-closed"),
+    ])
+    def test_input_refusals(self, case, message, iwasawa, iw_psi1, torus3):
+        fam = mc_extend(iwasawa, iw_psi1, 2)
+        alpha, order = {
+            "order 0": (InvariantForm.monomial(iwasawa, (1, 2), ()), 0),
+            "order 3": (InvariantForm.monomial(iwasawa, (1, 2), ()), 3),
+            "other spec": (InvariantForm.monomial(torus3, (1, 2), ()), 2),
+            "polynomial": (InvariantForm.monomial(iwasawa, (1, 2), (), pv("t11")), 2),
+            # delbar c3 = -c1^c2
+            "not closed": (InvariantForm.monomial(iwasawa, (), (3,)), 2),
+        }[case]
+        with pytest.raises(ValidationFailure) as err:
+            extend_class(fam, alpha, order)
+        assert str(err.value) == message
+
     def test_torus_everything_extends(self, torus3):
         psi = VectorForm(
             torus3, 1,

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from hodgejump.coeff import GR, GR_ZERO, Poly
+from hodgejump.coeff import GR, GR_ZERO, Jet, Poly
 from hodgejump.deform import Dolbeault, dbar_vector
 from hodgejump.exterior import (
     ComplexStructureSpec,
     InvariantForm,
     SpecError,
     VectorForm,
+    _d_monomial,
+    _indices,
     _mask,
     _shuffle,
     basis_monomials,
@@ -157,6 +159,36 @@ class TestConstructorValidation:
         # index used to pass the constructor and fail later with a TypeError
         with pytest.raises(SpecError):
             build(iwasawa)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ComplexStructureSpec(0), "complex dimension must be at least 1"),
+        (lambda: ComplexStructureSpec(3, A={3: {(1, 4): GR(1)}}), "generator index out of range in (1,4)"),
+        (lambda: ComplexStructureSpec(3, B={2: {(0, 1): GR(1)}}), "generator index out of range in (0,1)"),
+        (lambda: ComplexStructureSpec(3, A={3: {(2, 1): GR(1)}}),
+         "2-form index pair (2,1) must be strictly increasing"),
+        (lambda: ComplexStructureSpec(3, Abar={3: {(2, 2): GR(1)}}, Bbar={}),
+         "2-form index pair (2,2) must be strictly increasing"),
+    ], ids=["n-0", "A-above-n", "B-below-1", "A-decreasing", "Abar-repeated"])
+    def test_spec_refusals(self, build, message):
+        with pytest.raises(SpecError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda s, t: InvariantForm.monomial(s, (1,), ()) + InvariantForm.monomial(t, (1,), ()),
+         "cannot add forms over different specs"),
+        (lambda s, t: InvariantForm.monomial(s, (1,), ()) - InvariantForm.monomial(s, (), (1,)),
+         "cannot add forms of different bidegree"),
+        (lambda s, t: VectorForm.term(s, 1, (1,)) + VectorForm.term(s, 1, (1, 2)), "vector form mismatch"),
+        (lambda s, t: VectorForm.term(s, 1, (1,)) - VectorForm.term(t, 1, (1,)), "vector form mismatch"),
+        (lambda s, t: deformed_coframe(s, VectorForm.term(s, 1, (1, 2))),
+         "deformed_coframe expects a (0,1) vector form"),
+        (lambda s, t: deformed_coframe(s, VectorForm.term(t, 1, (1,))), "deformed_coframe: spec mismatch"),
+    ], ids=["add-spec", "sub-bidegree", "vector-degree", "vector-spec", "coframe-degree", "coframe-spec"])
+    def test_form_and_coframe_refusals(self, iwasawa, torus3, build, message):
+        with pytest.raises(SpecError) as err:
+            build(iwasawa, torus3)
+        assert str(err.value) == message
 
     def test_vector_form_index_out_of_range_rejected(self, iwasawa):
         with pytest.raises(SpecError, match="bad vector-form key"):
@@ -365,6 +397,95 @@ class TestDifferential:
                     assert not dbdb[1]                    # delbar^2 = 0
                     mixed = dd[1] + dbdb[0]
                     assert not mixed                      # del delbar + delbar del = 0
+
+
+T_TERMS = st.dictionaries(st.tuples(st.integers(0, 2)), TEXT_GRS, min_size=1, max_size=2)
+# Q(i), Q(i)[t] and jets of order 2 in t
+RING_COEFFS = st.one_of(TEXT_GRS, T_TERMS.map(lambda terms: Poly(("t",), terms)),
+                        T_TERMS.map(lambda terms: Jet(Poly(("t",), terms), 2)))
+
+
+@st.composite
+def generator_cases(draw):
+    """A spec with all four tables drawn, the c-side explicit rather than
+    conjugate (no Lie algebra in general, which d and the coframe do not
+    need), f and c generators closed among them; a form and a (0,1) vector
+    form; every coefficient from ``RING_COEFFS``."""
+    n = draw(st.integers(1, 4))
+    gens = list(range(1, n + 1))
+    ordered = [(i, j) for i in gens for j in gens if i < j]
+    mixed = [(i, j) for i in gens for j in gens]
+
+    def table(pairs, closed):
+        return {k: draw(st.dictionaries(st.sampled_from(pairs), RING_COEFFS, max_size=2))
+                for k in gens if pairs and k not in closed}
+
+    closed_f, closed_c = draw(st.sets(st.sampled_from(gens))), draw(st.sets(st.sampled_from(gens)))
+    spec = ComplexStructureSpec(n, table(ordered, closed_f), table(mixed, closed_f),
+                                Abar=table(ordered, closed_c), Bbar=table(mixed, closed_c))
+    p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
+    coeffs = draw(st.dictionaries(st.sampled_from(basis_monomials(n, p, q)), RING_COEFFS, max_size=4))
+    psi = draw(st.dictionaries(st.tuples(st.sampled_from(gens), st.sampled_from(gens).map(lambda j: (j,))),
+                               RING_COEFFS, max_size=3))
+    return spec, InvariantForm(spec, p, q, coeffs), VectorForm(spec, 1, psi)
+
+
+def raw_of_masks(vec: dict) -> dict:
+    """A mask-keyed sparse vector as an oracle raw dict."""
+    return {tuple([(0, i) for i in _indices(mi)] + [(1, j) for j in _indices(mj)]): c
+            for (mi, mj), c in vec.items()}
+
+
+class TestGeneratorTable:
+    """d and the deformed coframe read one table of generator differentials
+    per spec; both match the oracles, which read the four structure tables."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_cases())
+    def test_d_and_coframe_match_the_oracles(self, case):
+        spec, a, psi = case
+        d, db = differential(spec, a)
+        assert oracles.raw_add(oracles.form_to_raw(d), oracles.form_to_raw(db)) == oracles.naive_d(spec, a)
+        for (mi, mj), c in a.terms.items():
+            monomial = (_indices(mi), _indices(mj))
+            for coeff, want in ((None, oracles.naive_d(spec, InvariantForm.monomial(spec, *monomial))),
+                                (c, oracles.naive_d(spec, InvariantForm.monomial(spec, *monomial, c)))):
+                dl, dbar = {}, {}
+                _d_monomial(spec, mi, mj, dbar, coeff)          # dl=None: delbar only
+                _d_monomial(spec, mi, mj, None, coeff, dl)      # dbar=None: del only
+                assert raw_of_masks(dl) == {k: v for k, v in want.items()
+                                            if oracles.holomorphic_degree(k) == a.p + 1}
+                assert raw_of_masks(dbar) == {k: v for k, v in want.items()
+                                              if oracles.holomorphic_degree(k) == a.p}
+        dspec, defect = deformed_coframe(spec, psi)
+        got = {"A": dspec.A, "B": dspec.B, "Abar": dspec.Abar, "Bbar": dspec.Bbar, "defect": defect}
+        for name, table in oracles.naive_deformed_coframe(spec, psi).items():
+            assert {k: dict(row) for k, row in got[name].items()} == table, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(generator_cases())
+    def test_table_is_read_only_and_outside_equality(self, case):
+        spec = case[0]
+        twin = ComplexStructureSpec(spec.n, spec.A, spec.B, Abar=spec.Abar, Bbar=spec.Bbar)
+        before = hash(twin), repr(twin)
+        s, live, terms = table = spec._generator_d()
+        assert spec._generator_d() is table and spec._without_cache()._generator_d() is table
+        assert twin._gen_d is None and twin == spec and (hash(spec), repr(spec)) == before
+        assert s == spec.n + 1
+        for k in range(1, spec.n + 1):
+            for b, rows in ((1 << k, [(spec.A[k], True), (spec.B[k], False)]),
+                            (1 << k + s, [(spec.Abar[k], True), (spec.Bbar[k], False)])):
+                # table order, as (f mask, c mask, constant)
+                f_side = b < 1 << s
+                want = [((1 << i | 1 << j, 0) if pure and f_side else (0, 1 << i | 1 << j) if pure
+                         else (1 << i, 1 << j)) + (c,) for row, pure in rows for (i, j), c in row.items()]
+                assert [term[:3] for term in terms[b]] == want
+                assert bool(live & b) == bool(want)
+        assert live & ~sum(terms) == 0
+        with pytest.raises(TypeError):
+            terms[1 << 1] = ()
+        with pytest.raises(AttributeError, match="immutable"):
+            spec._gen_d = None
 
 
 class TestContract:

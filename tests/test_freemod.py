@@ -418,6 +418,24 @@ class TestAccounting:
         with pytest.raises(ValidationFailure, match=f"order_bound must be at least 0, got {bound}"):
             classify_second_class(cx, 1, order_bound=bound)
 
+    @pytest.mark.parametrize("bound", [None, 2])
+    def test_composes_the_public_classifiers(self, bound, monkeypatch):
+        # each search's order is decided by its public classifier alone:
+        # jump_accounting calls each once per degree, with its own bound
+        from hodgejump import freemod
+
+        calls = []
+        for name in ("classify_first_class", "classify_second_class"):
+            def spy(c, q, order_bound=None, real=getattr(freemod, name), name=name):
+                calls.append((name, q, order_bound))
+                return real(c, q, order_bound)
+            monkeypatch.setattr(freemod, name, spy)
+        for q in range(3):
+            assert jump_accounting(C_SMITH012, q, bound).consistent
+        assert calls == [("classify_first_class", 0, bound),
+                         *[(name, q, bound) for q in (1, 2)
+                           for name in ("classify_first_class", "classify_second_class")]]
+
     def test_disagreement_at_the_default_bound_is_internal(self, monkeypatch):
         from hodgejump import freemod
         from hodgejump.errors import InternalInvariantError

@@ -18,8 +18,9 @@ from hodgejump.manifest import builtin_names, load_manifest, parse_manifest
 
 from .conftest import ROW_I, ROW_II
 
+DATA = Path(__file__).parent / "data"
 # d f5 = -f1^f2, d f4 = -f1^f3 with every first-order direction as a parameter
-TWO_STEP_SYMBOLIC_N5 = str(Path(__file__).parent / "data" / "two_step_symbolic_n5.json")
+TWO_STEP_SYMBOLIC_N5 = str(DATA / "two_step_symbolic_n5.json")
 
 
 class TestManifest:
@@ -296,6 +297,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "out of range for n=3" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hodge", "lab-t"], "command needs a lie-algebra manifest, got free-complex"),
+        (["obstruct", "lab-t2", "--p", "1", "--q", "0"], "command needs a lie-algebra manifest, got free-complex"),
+        (["mc", str(DATA / "two_step_n8.json")], "manifest declares no deformation table"),
+        (["jump", str(DATA / "two_step_n8.json"), "--point", "u=1"], "manifest declares no deformation table"),
+    ])
+    def test_manifest_of_the_wrong_kind_is_refused(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation failure: {message}\n"
 
     def test_witness_commands(self, capsys):
         assert main(["witness", "iwasawa.json"]) == 0
