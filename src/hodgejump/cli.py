@@ -116,8 +116,7 @@ def cmd_validate(args, man: Manifest):
 
 def _validate_text(report: dict, man: Manifest, path: str):
     yield f"{report['name'] or path}: {report['kind']} manifest is valid"
-    for w in report["warnings"]:
-        yield f"warning: {w}"
+    yield from report["warnings"]
 
 
 def cmd_hodge(args, man: Manifest):

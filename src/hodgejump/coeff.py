@@ -146,6 +146,9 @@ class GaussianRational(_Immutable):
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
+            for x in (re, im):
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"cannot coerce {type(x).__name__} into Q(i)")
             re, im = Fraction(re), Fraction(im)
             d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
             a = re.numerator * (d // re.denominator)
@@ -373,11 +376,13 @@ class Poly(_Immutable):
             c = GaussianRational._coerce(c)
             if not c:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != len(self.params):
                 raise CoefficientError(
                     f"exponent vector {exps} does not match parameters {self.params}"
                 )
+            if any(type(e) is not int for e in exps):
+                raise CoefficientError(f"exponent vector {exps} holds a non-integer")
             if any(e < 0 for e in exps):
                 raise CoefficientError("negative exponent")
             clean[exps] = c

@@ -142,16 +142,47 @@ class Dolbeault:
     used, over Q(i) alone, never by ``jump_report``, which reads ranks.
 
     Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
-    itself, so every caller shares its matrices and bases.
+    itself, so every caller shares its matrices and bases.  It reads the
+    spec once, when it is created, and keeps no reference to it.
     """
 
     def __init__(self, spec: ComplexStructureSpec):
-        self.spec = spec._without_cache()
+        """Read from ``spec`` everything the complex is built from, so that a
+        spec holding its complex makes no reference cycle.
+
+        ``layout`` is the read-only view of ``exterior._layout(n)`` that every
+        basis reads; ``_masks`` and ``_index`` are the plain dicts under it.
+        ``_dbar_f[I]`` holds delbar(f_I) (the ``B`` terms) keyed by
+        (I', bit of j) for f_I' ^ c_j, and ``_dbar_c[J]`` holds delbar(c_J)
+        (the ``Abar`` terms) keyed by J', both from ``_d_monomial``.  ``order``
+        is K when the ``B`` and ``Abar`` constants not in Q(i) are jets of
+        order K >= 1 in one parameter, else 0; other rings raise ``LinalgError``.
+        ``_dd_ok`` is d.d = 0 on the generators, and ``_factorable`` adds that
+        there are no ``B`` terms: delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}.
+        """
+        rings = {(getattr(c, "params", ()), getattr(c, "order", None) or 0)
+                 for table in (spec.B, spec.Abar) for row in table.values()
+                 for c in row.values() if type(c) is not GaussianRational}
+        params, self.order = next(iter(rings), ((), 0))
+        if len(rings) > 1 or rings and (len(params) != 1 or self.order < 1):
+            raise linalg.LinalgError("cohomology expects constant matrices")
+        self.n = spec.n
+        self.layout, self._masks, self._index = _layout(spec.n)
+        self._dbar_f, self._dbar_c, has_b = {}, {}, any(spec.B.values())
+        for m in self._index:
+            self._dbar_f[m], db = {}, {}
+            if has_b:
+                _d_monomial(spec, m, 0, self._dbar_f[m])
+            _d_monomial(spec, 0, m, db)
+            self._dbar_c[m] = {tj: c for (_, tj), c in db.items()}
+        try:
+            self._dd_ok = next(_dd_defects(spec), None) is None
+        except CoefficientError:  # Polys over two parameter tuples: the products decide
+            self._dd_ok = False
+        self._factorable = not has_b and self._dd_ok
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
         self._ranks: dict[tuple[int, int], int] = {}
-        self._pieces: tuple | None = None
-        self._dd_zero: bool | None = None
 
     @classmethod
     def of(cls, spec: ComplexStructureSpec) -> "Dolbeault":
@@ -165,41 +196,6 @@ class Dolbeault:
             dol = cls(spec)
             object.__setattr__(spec, "_dolbeault", dol)
         return dol
-
-    def _generator_pieces(self) -> tuple:
-        """What every delbar matrix is assembled from, computed on first use.
-
-        ``layout`` is the read-only view of ``exterior._layout(n)`` that every
-        basis reads; ``masks`` and ``index`` are the plain dicts under it.
-        ``dbar_f[I]`` holds delbar(f_I) (the ``B`` terms) keyed by
-        (I', bit of j) for f_I' ^ c_j, and ``dbar_c[J]`` holds delbar(c_J)
-        (the ``Abar`` terms) keyed by J', both from ``_d_monomial``.  ``order``
-        is K when the ``B`` and ``Abar`` constants not in Q(i) are jets of
-        order K >= 1 in one parameter, else 0; other rings raise ``LinalgError``.
-        """
-        if self._pieces is None:
-            spec, n = self.spec, self.spec.n
-            rings = {(getattr(c, "params", ()), getattr(c, "order", None) or 0)
-                     for table in (spec.B, spec.Abar) for row in table.values()
-                     for c in row.values() if type(c) is not GaussianRational}
-            params, order = next(iter(rings), ((), 0))
-            if len(rings) > 1 or rings and (len(params) != 1 or order < 1):
-                raise linalg.LinalgError("cohomology expects constant matrices")
-            layout, masks, index = _layout(n)
-            dbar_f, dbar_c, has_b = {}, {}, any(spec.B.values())
-            for m in index:
-                dbar_f[m], db = {}, {}
-                if has_b:
-                    _d_monomial(spec, m, 0, dbar_f[m])
-                _d_monomial(spec, 0, m, db)
-                dbar_c[m] = {tj: c for (_, tj), c in db.items()}
-            self._pieces = (layout, masks, index, dbar_f, dbar_c, order)
-        return self._pieces
-
-    @property
-    def order(self) -> int:
-        """The jet order K of the delbar constants, 0 when they are in Q(i)."""
-        return self._generator_pieces()[5]
 
     def dbar_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
         """Matrix of delbar from bidegree (p, q) to (p, q+1), over Q(i).
@@ -217,7 +213,7 @@ class Dolbeault:
         m = self._matrices.get(key)
         if m is not None:
             return m
-        _, masks, index, dbar_f, dbar_c, order = self._generator_pieces()
+        masks, index, dbar_f, dbar_c = self._masks, self._index, self._dbar_f, self._dbar_c
         # out-of-range bidegrees have no monomials
         src_i, src_j, width = masks.get(p, []), masks.get(q, []), len(masks.get(q + 1, []))
         # only rows that receive a term are made: most are empty for large n
@@ -239,10 +235,10 @@ class Dolbeault:
                 for tj, c in c_row:
                     accumulate(rows[own + tj], col, c)
         nrows, ncols = len(src_i) * width, len(src_i) * len(src_j)
-        if order:
+        if self.order:
             rows, jets = defaultdict(dict), rows
-            linalg._jet_expand(jets.items(), nrows, ncols, order, rows)
-            nrows, ncols = (order + 1) * nrows, (order + 1) * ncols
+            linalg._jet_expand(jets.items(), nrows, ncols, self.order, rows)
+            nrows, ncols = (self.order + 1) * nrows, (self.order + 1) * ncols
         m = linalg.ExactMatrix._trusted(ncols, rows, nrows)
         self._matrices[key] = m
         return m
@@ -252,21 +248,8 @@ class Dolbeault:
         compose to zero (see the class docstring)."""
         d_out = self.dbar_matrix(p, q)
         d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
-        (linalg._check_shapes if self._dd_ok() else linalg._check_chain)(d_in, d_out)
+        (linalg._check_shapes if self._dd_ok else linalg._check_chain)(d_in, d_out)
         return d_in, d_out
-
-    def _dd_ok(self) -> bool:
-        """d.d = 0 on the generators, checked once per spec."""
-        if self._dd_zero is None:
-            try:
-                self._dd_zero = next(_dd_defects(self.spec), None) is None
-            except CoefficientError:  # Polys over two parameter tuples: the products decide
-                self._dd_zero = False
-        return self._dd_zero
-
-    def _factorable(self) -> bool:
-        """d.d = 0 with no ``B`` terms: delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}."""
-        return not any(self.spec.B.values()) and self._dd_ok()
 
     def _rank(self, p: int, q: int) -> int:
         """rank delbar_{p,q}, memoized, by the first rule that applies: its
@@ -274,12 +257,12 @@ class Dolbeault:
         C(n,p) rank delbar_{0,q} when the spec is factorable and p >= 1;
         else ``rank_const`` of the matrix, the chain of a spec failing d.d
         = 0 checked first by ``_chain``.  Zero for q < 0 or q >= n."""
-        n, r = self.spec.n, self._ranks.get((p, q))
+        n, r = self.n, self._ranks.get((p, q))
         if r is None and 0 <= q < n:
-            trusted = self._dd_ok()
+            trusted = self._dd_ok
             if trusted and self.dbar_matrix(n, n - 1).is_zero():
                 r = self._ranks.get((n - p, n - 1 - q))
-            if r is None and p and self._factorable():
+            if r is None and p and self._factorable:
                 r = comb(n, p) * self._rank(0, q)
             if r is None:
                 r = linalg.rank_const(self.dbar_matrix(p, q) if trusted else self._chain(p, q)[1])
@@ -293,18 +276,18 @@ class Dolbeault:
         if self.order:
             raise linalg.LinalgError("cohomology expects constant matrices")
         label = f"H^{p},{q}"
-        if 1 <= p <= self.spec.n and self._factorable():
-            cob = self.basis(0, q).cob.repeat(comb(self.spec.n, p), label)
+        if 1 <= p <= self.n and self._factorable:
+            cob = self.basis(0, q).cob.repeat(comb(self.n, p), label)
         else:
             cob = linalg._cohomology(*self._chain(p, q), label=label)
-        self._bases[key] = b = DolbeaultBasis(p=p, q=q, cob=cob, layout=self._generator_pieces()[0])
+        self._bases[key] = b = DolbeaultBasis(p=p, q=q, cob=cob, layout=self.layout)
         return b
 
     def table(self) -> dict[tuple[int, int], int]:
         """h^{p,q} for all 0 <= p, q <= n by rank-nullity over ``_rank``;
         builds no basis.  With jet constants of order K it is the Q(i)
         dimension of the cohomology of jet-valued forms."""
-        n, copies = self.spec.n, self.order + 1
+        n, copies = self.n, self.order + 1
         return {(p, q): copies * comb(n, p) * comb(n, q) - self._rank(p, q) - self._rank(p, q - 1)
                 for p in range(n + 1) for q in range(n + 1)}
 

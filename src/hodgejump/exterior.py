@@ -150,17 +150,6 @@ class ComplexStructureSpec(_Immutable):
             "pass explicit c-side tables instead"
         )
 
-    def _without_cache(self) -> "ComplexStructureSpec":
-        """An equal spec sharing these read-only tables, with no cache.
-
-        ``Dolbeault`` holds this copy: holding the spec that caches it would
-        make the pair a reference cycle, freed only by the cycle collector.
-        """
-        copy = object.__new__(ComplexStructureSpec)
-        for name in self.__slots__:
-            object.__setattr__(copy, name, None if name == "_dolbeault" else getattr(self, name))
-        return copy
-
     def _generator_d(self) -> tuple:
         """``(s, live, terms)``: d of every generator in the kernels' mask key,
         built on first use; read-only and no part of ``==``, ``hash`` or ``repr``.

@@ -16,6 +16,7 @@ import re
 
 from . import linalg
 from .coeff import CoefficientError, GaussianRational, Poly, _Record
+from .deform import dbar_vector, validate_first_order
 from .errors import ValidationFailure
 from .exterior import ComplexStructureSpec, SpecError, VectorForm, _is_int, validate_spec
 from .freemod import FreeComplex, validate_complex
@@ -114,8 +115,6 @@ def _parse_lie(doc: dict) -> Manifest:
     psi1 = None
     deformation = doc.get("deformation")
     if deformation == "symbolic":
-        from .deform import dbar_vector
-
         auto_params = list(params)
         table = {}
         for i in range(1, n + 1):
@@ -151,8 +150,6 @@ def _parse_lie(doc: dict) -> Manifest:
                 coeffs[key] = poly
         psi1 = VectorForm(spec, 1, coeffs)
     if psi1 is not None:
-        from .deform import validate_first_order
-
         errs = [str(d) for d in validate_first_order(spec, psi1) if d.severity == "error"]
         if errs:
             raise _err("deformation validation failed: " + "; ".join(errs))

@@ -192,6 +192,31 @@ class TestImmutability:
         finally:
             gc.enable()
 
+    def test_dolbeault_holds_no_spec(self):
+        dol = Dolbeault.of(load_manifest("iwasawa").spec)
+        dol.table()
+        assert not [name for name, value in vars(dol).items()
+                    if isinstance(value, ComplexStructureSpec)]
+
+    @pytest.mark.parametrize("table_first", [True, False])
+    def test_one_generator_table_per_spec(self, monkeypatch, table_first):
+        # the complex reads d of the generators from the spec's own table, so
+        # hodge_table and validate_spec build it once in either order
+        built = []
+        real = ComplexStructureSpec._generator_d
+
+        def spy(spec):
+            if spec._gen_d is None:
+                built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(ComplexStructureSpec, "_generator_d", spy)
+        spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
+        calls = [hodge_table, validate_spec]
+        for call in calls if table_first else calls[::-1]:
+            call(spec)
+        assert built == [spec]
+
 
 def test_extend_class_builds_each_cohomology_once(monkeypatch):
     # the n = 5 two-step structure d f5 = -f1^f2, d f4 = -f1^f3 along u theta1 (x) c1:

@@ -60,6 +60,25 @@ class TestFieldOps:
         with pytest.raises(CoefficientError):
             GaussianRational.parse(text)
 
+    @pytest.mark.parametrize("re, im, kind", [
+        (0.1, 0, "float"), ("0.1", 0, "str"), (1, 0.5, "float"), (Fraction(1, 2), "1", "str"),
+    ])
+    def test_constructor_takes_exact_parts_only(self, re, im, kind):
+        # like _coerce: a float or a string is not read as a number of Q(i)
+        with pytest.raises(TypeError) as info:
+            GaussianRational(re, im)
+        assert str(info.value) == f"cannot coerce {kind} into Q(i)"
+
+    @pytest.mark.parametrize("exps", [(1.5,), ("2",), (True,), (2.0,)])
+    def test_poly_exponents_are_ints(self, exps):
+        with pytest.raises(CoefficientError) as info:
+            Poly(("t",), {exps: 1})
+        assert str(info.value) == f"exponent vector {exps} holds a non-integer"
+
+    def test_constant_minus_poly_is_reflected(self):
+        t = Poly.variable(("t",), "t")
+        assert (GR(1) - t, GR(1).__sub__(t)) == (1 - t, NotImplemented)
+
 
 # -- the literal parsers against the seed parsers of tests/oracles.py -------
 

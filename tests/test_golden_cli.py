@@ -13,6 +13,10 @@ JSON, on
 * ``iwasawa_su.json``: Iwasawa deformed along 2*s+i*u, s-u and 1/2*u,
   whose entries are multi-term polynomials with non-real coefficients.
 
+Three calls follow: ``validate`` on ``unordered_n3.json`` (d f1 = f2^f3,
+valid with one nilpotency warning), in text and JSON, and ``jump`` on
+``two_step_u_n6.json`` at u=1 in text, with its ``NO`` rows and WARNING line.
+
 Regenerate the file with ``python tests/test_golden_cli.py`` only when an
 output is meant to change.
 
@@ -94,6 +98,9 @@ def calls() -> list[list[str]]:
             out.append(["hodge", path, "--format", fmt])
             out.append(["d1", path, "--format", fmt])
             out.append(["d1", path, "--p", "1", "--q", "1", "--format", fmt])
+    for fmt in ("text", "json"):
+        out.append(["validate", "tests/data/unordered_n3.json", "--format", fmt])
+    out.append(["jump", "tests/data/two_step_u_n6.json", "--point", "u=1", "--format", "text"])
     return out
 
 

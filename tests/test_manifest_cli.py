@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgejump
-from hodgejump import cli, deform, manifest
+from hodgejump import cli, deform, freemod, manifest
 from hodgejump.cli import _json_text, main
 from hodgejump.coeff import GaussianRational
-from hodgejump.errors import ValidationFailure
+from hodgejump.errors import InternalInvariantError, ValidationFailure
 from hodgejump.exterior import SpecError, deformed_coframe
 from hodgejump.manifest import builtin_names, load_manifest, parse_manifest
 
@@ -333,6 +334,35 @@ class TestCli:
     def test_validate_command(self, capsys):
         assert main(["validate", "iwasawa.json"]) == 0
         assert "valid" in capsys.readouterr().out
+
+    def test_internal_invariant_breach_exits_3_on_one_line(self, monkeypatch, capsys):
+        def breach(spec):
+            raise InternalInvariantError("table lost a class")
+
+        monkeypatch.setattr(deform, "hodge_table", breach)
+        assert main(["hodge", "iwasawa"]) == 3
+        assert capsys.readouterr() == ("", "internal invariant breach: table lost a class\n")
+
+    def test_lab_mismatch_prints_the_report_then_exits_3(self, monkeypatch, capsys):
+        real = freemod.jump_accounting
+
+        def mismatched(cx, q):
+            rep = copy.copy(real(cx, q))
+            rep.consistent = False
+            return rep
+
+        monkeypatch.setattr(freemod, "jump_accounting", mismatched)
+        assert main(["lab", "lab-t.json"]) == 3
+        out, err = capsys.readouterr()
+        assert [line.split()[-1] for line in out.splitlines()[2:]] == ["MISMATCH", "MISMATCH"]
+        assert err == "internal invariant breach: jump accounting mismatch at degrees [0, 1]\n"
+
+    def test_empty_point_items_are_skipped(self, capsys):
+        path = str(DATA / "mixed_i.json")
+        assert main(["jump", path, "--point", "t11=1,t22=1"]) == 0
+        want = capsys.readouterr()
+        assert main(["jump", path, "--point", "t11=1,,t22=1"]) == 0
+        assert capsys.readouterr() == want
 
     def test_exit_codes(self, capsys, tmp_path):
         assert main(["hodge", "missing.json"]) == 2
