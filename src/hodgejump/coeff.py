@@ -373,9 +373,6 @@ class Poly(_Immutable):
         object.__setattr__(self, "params", tuple(params))
         clean: dict[tuple[int, ...], GaussianRational] = {}
         for exps, c in (terms or {}).items():
-            c = GaussianRational._coerce(c)
-            if not c:
-                continue
             exps = tuple(exps)
             if len(exps) != len(self.params):
                 raise CoefficientError(
@@ -385,7 +382,9 @@ class Poly(_Immutable):
                 raise CoefficientError(f"exponent vector {exps} holds a non-integer")
             if any(e < 0 for e in exps):
                 raise CoefficientError("negative exponent")
-            clean[exps] = c
+            c = GaussianRational._coerce(c)
+            if c:
+                clean[exps] = c
         object.__setattr__(self, "terms", clean)
 
     # -- constructors ------------------------------------------------

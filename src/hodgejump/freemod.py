@@ -99,18 +99,6 @@ class FreeComplex(_Record, _Immutable):
             return _memo_get(self, "d", q, lambda: linalg.ExactMatrix.zeros(0, self.ranks[-1]))
         return linalg.ExactMatrix.zeros(0, 0)
 
-    def max_degree(self) -> int:
-        deg = 0
-        for d in self.diffs:
-            for row in d.sparse_rows:
-                for x in row.values():
-                    if isinstance(x, Poly):
-                        deg = max(deg, x.degree())
-        return deg
-
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
 
 def _memo_get(c: FreeComplex, kind: str, q, build):
     """c's ``kind`` invariant at degree q: ``build()`` on first use, then held."""
@@ -145,7 +133,11 @@ def default_order_bound(c: FreeComplex) -> int:
     below this bound.  The searches run at the largest exponent instead
     (see ``_smith_counts``), which is usually far smaller.
     """
-    return _memo_get(c, "cap", None, lambda: c.max_degree() * c.total_rank() + 1)
+    def cap():
+        degree = max((x.degree() for d in c.diffs for row in d.sparse_rows
+                      for x in row.values() if isinstance(x, Poly)), default=0)
+        return degree * sum(c.ranks) + 1
+    return _memo_get(c, "cap", None, cap)
 
 
 def _order_bound(c: FreeComplex, order_bound: int | None) -> int:
@@ -187,15 +179,20 @@ def cohomology_at_zero(c: FreeComplex, q: int) -> linalg.CohomologyBasis:
         _at_zero(c, q - 1), _at_zero(c, q), label=f"H^{q}(E_0)"))
 
 
+def _ranks(c: FreeComplex, q: int) -> tuple[int, int, int, int]:
+    """The ranks of d^q and d^(q-1) at t = 0, then of d^q and d^(q-1) over
+    Q(i)(t): every rank the dimensions of H^q are read from."""
+    return (linalg.rank_const(_at_zero(c, q)), linalg.rank_const(_at_zero(c, q - 1)),
+            linalg.generic_rank(c.diff(q)), linalg.generic_rank(c.diff(q - 1)))
+
+
 def h_dims(c: FreeComplex) -> list[tuple[int, int]]:
     """Per degree: (dimension at t = 0, dimension at generic t)."""
     _check_complex(c)
     out = []
-    for q in range(len(c.ranks)):
-        d_in, d_out = c.diff(q - 1), c.diff(q)
-        h0 = (c.ranks[q] - linalg.rank_const(_at_zero(c, q))) - linalg.rank_const(_at_zero(c, q - 1))
-        hg = (c.ranks[q] - linalg.generic_rank(d_out)) - linalg.generic_rank(d_in)
-        out.append((h0, hg))
+    for q, p in enumerate(c.ranks):
+        out0, in0, out_g, in_g = _ranks(c, q)
+        out.append((p - out0 - in0, p - out_g - in_g))
     return out
 
 
@@ -388,13 +385,13 @@ def classify_first_class(c: FreeComplex, q: int, order_bound: int | None = None)
     base = cob.sparse_representatives + dprev0.sparse_columns
     rows, width = _jet_rows(c.diff(q), order, base)
     kernel = linalg.Echelon(width, rows).kernel()
-    ext_span = linalg.Echelon(h, ({j: x for j, x in v.items() if j < h} for v in kernel))
-    extendable = ext_span.rows()
-    # complement basis: standard vectors outside the extendable span
-    comp_span = linalg.Echelon(h, extendable)
-    obstructed = [i for i in range(h) if comp_span.add({i: GR_ONE})]
+    span = linalg.Echelon(h, ({j: x for j, x in v.items() if j < h} for v in kernel))
+    ext_dim, extendable = span.rank, span.rows()
+    # complement basis: the standard vectors that still grow the span, so
+    # its rank and rows are read first
+    obstructed = [i for i in range(h) if span.add({i: GR_ONE})]
     return FirstClassReport(
-        q=q, order_bound=bound, dim=h - ext_span.rank, extendable_dim=ext_span.rank,
+        q=q, order_bound=bound, dim=h - ext_dim, extendable_dim=ext_dim,
         extendable_basis=[linalg._dense(v, h) for v in extendable],
         obstructed_basis=[linalg._dense({i: GR_ONE}, h) for i in obstructed],
     )
@@ -583,8 +580,7 @@ def jump_accounting(c: FreeComplex, q: int, order_bound: int | None = None) -> A
     """
     _check_degree(c, q)
     bound = _order_bound(c, order_bound)
-    out0, in0 = linalg.rank_const(_at_zero(c, q)), linalg.rank_const(_at_zero(c, q - 1))
-    out_g, in_g = linalg.generic_rank(c.diff(q)), linalg.generic_rank(c.diff(q - 1))
+    out0, in0, out_g, in_g = _ranks(c, q)
     h0, hg = c.ranks[q] - out0 - in0, c.ranks[q] - out_g - in_g
     kernel_drop, image_rise = out_g - out0, in_g - in0
     counts_out, counts_in = _smith(c, q), _smith(c, q - 1)

@@ -1,8 +1,9 @@
 """Manifest documents: the JSON carrier for structure data and lab complexes.
 
 Two kinds are supported.  ``lie-algebra`` declares a complex dimension,
-parameter names, structure-constant triples and an optional first-order
-deformation table; ``free-complex`` declares ranks and polynomial matrices
+parameter names, structure-constant triples, an optional first-order
+deformation table and ``options`` (the oracle's jet order and named
+points); ``free-complex`` declares ranks and polynomial matrices
 over a single parameter.  Exact values are encoded as strings ("-1/2",
 "3/4+1/4i", "3*t^2-1/2*t") so nothing is ever rounded.  Unknown fields are
 rejected, and every manifest is validated on load.
@@ -26,7 +27,7 @@ __all__ = ["Manifest", "parse_manifest", "load_manifest", "builtin_names"]
 _MONOMIAL = re.compile(r"^f(\d+)\^([fc])(\d+)$")
 
 _TOP_FIELDS_LIE = {"name", "kind", "dimension", "parameters", "structure", "deformation", "options"}
-_TOP_FIELDS_LAB = {"name", "kind", "parameter", "ranks", "differentials", "options"}
+_TOP_FIELDS_LAB = {"name", "kind", "parameter", "ranks", "differentials"}
 _OPTION_FIELDS = {"order", "points"}
 
 
@@ -40,7 +41,7 @@ class Manifest(_Record):
     psi1: VectorForm | None = None
     # free-complex payload
     complex: FreeComplex | None = None
-    # options
+    # lie-algebra options
     order: int = 2
     points: dict[str, dict[str, GaussianRational]] = {}
     warnings: list[str] = []
@@ -196,11 +197,8 @@ def _parse_lab(doc: dict) -> Manifest:
     issues = validate_complex(cx)
     if issues:
         raise _err("complex validation failed: " + "; ".join(issues))
-    order, points = _parse_options(doc.get("options", {}), (param,))
-    return Manifest(
-        name=doc.get("name", ""), kind="free-complex", raw=doc,
-        complex=cx, parameters=(param,), order=order, points=points,
-    )
+    return Manifest(name=doc.get("name", ""), kind="free-complex", raw=doc,
+                    complex=cx, parameters=(param,))
 
 
 def _parse_options(options: dict, params: tuple[str, ...]):

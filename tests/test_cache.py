@@ -4,6 +4,7 @@ once."""
 
 import gc
 import json
+import random
 import weakref
 from types import MappingProxyType
 from pathlib import Path
@@ -18,6 +19,8 @@ from hodgejump.coeff import GR_ONE, Jet, Poly
 from hodgejump.deform import Dolbeault, extend_class, hodge_table, mc_extend, obstruction_o1
 from hodgejump.exterior import ComplexStructureSpec, InvariantForm, VectorForm, validate_spec
 from hodgejump.manifest import load_manifest, parse_manifest
+
+from .conftest import random_lab_complex
 
 
 class TestImmutability:
@@ -476,6 +479,35 @@ def test_lab_computes_each_invariant_once(monkeypatch, capsys):
     diffs = [cx.diff(q) for q in range(-1, cx.length + 1)]
     assert sorted(map(id, calls["smith"])) == sorted(map(id, diffs))
     assert calls["cohomology"] == [f"H^{q}(E_0)" for q in range(len(cx.ranks))]
+
+
+
+def test_first_class_search_eliminates_its_span_once(monkeypatch):
+    # seed 0: H^0(E_0) has one obstructed and one extendable class, H^1(E_0)
+    # one extendable; the complement is found by growing the extendable span
+    # itself, so past the jet system's echelon one echelon of width
+    # h^q(E_0) is built per search
+    cx, _ = random_lab_complex(random.Random(0))
+    for q in range(len(cx.ranks)):
+        freemod.jump_accounting(cx, q)
+    dims = [freemod.cohomology_at_zero(cx, q).dim for q in range(len(cx.ranks))]
+    assert dims == [2, 1, 0]
+    plain = [freemod.classify_first_class(cx, q) for q in range(len(cx.ranks))]
+    widths = []
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, width, vectors=()):
+            widths.append(width)
+            super().__init__(width, vectors)
+
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    for q, h in enumerate(dims):
+        widths.clear()
+        assert freemod.classify_first_class(cx, q) == plain[q]
+        if h:  # the jet system's echelon, then the span's
+            assert len(widths) == 2 and widths[1] == h, (q, widths)
+        else:
+            assert widths == [], (q, widths)
 
 
 def test_obstruct_eliminates_its_polynomial_o1_matrix_once(monkeypatch, capsys):

@@ -69,11 +69,23 @@ class TestFieldOps:
             GaussianRational(re, im)
         assert str(info.value) == f"cannot coerce {kind} into Q(i)"
 
+    # a zero coefficient is no excuse: the exponent vector is checked first
+    @pytest.mark.parametrize("coeff", [1, 0])
     @pytest.mark.parametrize("exps", [(1.5,), ("2",), (True,), (2.0,)])
-    def test_poly_exponents_are_ints(self, exps):
+    def test_poly_exponents_are_ints(self, exps, coeff):
         with pytest.raises(CoefficientError) as info:
-            Poly(("t",), {exps: 1})
+            Poly(("t",), {exps: coeff})
         assert str(info.value) == f"exponent vector {exps} holds a non-integer"
+
+    @pytest.mark.parametrize("coeff", [1, 0])
+    @pytest.mark.parametrize("exps, message", [
+        ((1, 2, 3), "exponent vector (1, 2, 3) does not match parameters ('t',)"),
+        ((-1,), "negative exponent"),
+    ])
+    def test_poly_exponent_vectors_are_checked(self, exps, message, coeff):
+        with pytest.raises(CoefficientError) as info:
+            Poly(("t",), {exps: coeff})
+        assert str(info.value) == message
 
     def test_constant_minus_poly_is_reflected(self):
         t = Poly.variable(("t",), "t")

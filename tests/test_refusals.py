@@ -129,6 +129,10 @@ MANIFESTS = {
         "kind": "lie-algebra", "dimension": 3, "parameters": ["t"],
         "structure": [{"k": 3, "monomial": "f1^f2", "coefficient": "-1"}],
         "options": {"points": {"p": {"t": "1//2"}}}},
+    # options hold a jet order and points of a deformation: a free complex has neither
+    "unknown manifest fields: ['options']": {
+        "kind": "free-complex", "ranks": [1, 1], "differentials": [[["t"]]],
+        "options": {"order": 2}},
 }
 
 
