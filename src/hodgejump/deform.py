@@ -75,9 +75,12 @@ THREEFOLD_ROW = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
 class DolbeaultBasis(_Record, _Immutable):
     """Cohomology basis at one bidegree, with form-level projection.
 
-    ``vector`` and ``rep_form`` key representative k by (I, J) mask pairs,
-    ``positions`` keys a mask-keyed vector by position, both through ``layout``,
-    the read-only column order of its delbar matrices.  Frozen, shared per bidegree.
+    ``cob`` is the cohomology of delbar_{p,q}, or for a factorable spec at
+    1 <= p <= n the (0, q) basis itself, read in C(n,p) blocks (counted off
+    ``layout`` and the ambient size of ``cob``): class a*d + k, d = ``cob.dim``,
+    is f_I ^ representative k, I = ``masks[p][a]``.  ``vector``, ``positions``
+    and ``project`` go through ``layout``, the read-only column order of its
+    delbar matrices.  Frozen, shared per bidegree.
     """
 
     p: int
@@ -86,18 +89,38 @@ class DolbeaultBasis(_Record, _Immutable):
     layout: tuple
     _hidden = ("layout",)
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        size = self.cob.coords.width - self.cob.dim  # the ambient dimension of cob
+        total = len(self.layout[0].get(self.p, ())) * len(self.layout[0].get(self.q, ()))
+        object.__setattr__(self, "_blocks", total // size if size else 1)
+
     @property
     def dim(self) -> int:
-        return self.cob.dim
+        return self._blocks * self.cob.dim
 
     def vector(self, k: int) -> dict:
         """Representative k, keyed by (I, J) mask pairs."""
-        return _keyed(self.layout[0], self.p, self.q, self.cob.sparse_representatives[k])
+        a, r = divmod(k, self.cob.dim or 1)  # an empty basis: IndexError, as for any bad k
+        return _keyed(self.layout[0], self.p, self.q, self.cob.sparse_representatives[r], a)
 
     def positions(self, v: dict) -> dict:
-        """A mask-keyed (p, q) vector keyed by position, as ``cob.project`` takes it."""
+        """A mask-keyed (p, q) vector keyed by position, as delbar's matrices read it."""
         index, width = self.layout[1], len(self.layout[0].get(self.q, ()))
         return {index[mi] * width + index[mj]: c for (mi, mj), c in v.items()}
+
+    def project(self, v: dict) -> dict[int, GaussianRational]:
+        """The nonzero class coordinates ``{k: x}`` of a delbar-closed mask-keyed
+        (p, q) vector: ``cob`` projects its part on each f_I, block a's at a * d."""
+        cob = self.cob
+        if self._blocks == 1:
+            return cob.project(self.positions(v))
+        index, parts = self.layout[1], {}
+        for (mi, mj), c in v.items():
+            parts.setdefault(index[mi], {})[index[mj]] = c
+        if max(parts, default=0) >= self._blocks:
+            raise linalg.LinalgError("projection: index out of range")
+        return {a * cob.dim + k: x for a, part in parts.items() for k, x in cob.project(part).items()}
 
     def rep_form(self, spec: ComplexStructureSpec, k: int) -> InvariantForm:
         return InvariantForm._trusted(spec, self.vector(k), self.p, self.q)
@@ -105,18 +128,19 @@ class DolbeaultBasis(_Record, _Immutable):
     def project_constant_form(self, form: InvariantForm) -> list[GaussianRational]:
         """Class coordinates of a constant (p, q)-form, checked delbar-closed."""
         if (form.p, form.q) != (self.p, self.q):
-            raise linalg.LinalgError(f"projection of a ({form.p},{form.q})-form onto {self.cob.label}")
+            raise linalg.LinalgError(f"projection of a ({form.p},{form.q})-form onto H^{self.p},{self.q}")
         a = {key: GaussianRational._coerce(c) for key, c in form.terms.items()}
         if _dbar(form.spec, a):
             raise linalg.LinalgError("projection of a non-closed vector")
-        coords = self.cob.project(self.positions(a))
+        coords = self.project(a)
         return [coords.get(k, GR_ZERO) for k in range(self.dim)]
 
 
-def _keyed(levels, p: int, q: int, vec) -> dict:
-    """A position-keyed (p, q) vector keyed by (I, J) mask pairs of ``levels`` instead."""
+def _keyed(levels, p: int, q: int, vec, block: int = 0) -> dict:
+    """A position-keyed (p, q) vector keyed by (I, J) mask pairs of
+    ``levels`` instead, its I moved ``block`` places down ``levels[p]``."""
     rows, cols, width = levels[p], levels[q], len(levels[q])
-    return {(rows[r // width], cols[r % width]): c for r, c in vec.items()}
+    return {(rows[block + r // width], cols[r % width]): c for r, c in vec.items()}
 
 
 class Dolbeault:
@@ -136,7 +160,7 @@ class Dolbeault:
     each dual pair is ranked.  Or it may be factorable, with no ``B`` terms
     (complex-parallelisable): then delbar(f_I ^ c_J) = (-1)^p f_I ^ delbar
     c_J, so delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}, and every
-    rank and basis at p >= 1 is copied from the (0, q) row: a table builds
+    rank and basis at p >= 1 is read off the (0, q) row: a table builds
     the p = 0 matrices and the certificate delbar_{n,n-1} alone (Y. Sakane,
     Osaka J. Math. 13 (1976)).  A basis is built only where classes are
     used, over Q(i) alone, never by ``jump_report``, which reads ranks.
@@ -275,11 +299,10 @@ class Dolbeault:
             return self._bases[key]
         if self.order:
             raise linalg.LinalgError("cohomology expects constant matrices")
-        label = f"H^{p},{q}"
         if 1 <= p <= self.n and self._factorable:
-            cob = self.basis(0, q).cob.repeat(comb(self.n, p), label)
+            cob = self.basis(0, q).cob  # read C(n,p) times through the layout
         else:
-            cob = linalg._cohomology(*self._chain(p, q), label=label)
+            cob = linalg._cohomology(*self._chain(p, q), label=f"H^{p},{q}")
         self._bases[key] = b = DolbeaultBasis(p=p, q=q, cob=cob, layout=self.layout)
         return b
 
@@ -566,7 +589,7 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
                 continue
             if _dbar(spec, v):
                 raise InternalInvariantError("o1 value is not delbar-closed")
-            coords[exps] = tgt.cob.project(tgt.positions(v))
+            coords[exps] = tgt.project(v)
         if params is None:
             for k, x in coords.get((), {}).items():
                 rows[k][col] = x
@@ -660,13 +683,12 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         for exps, piece in sorted(pieces.items()):
             if _dbar(spec, piece):
                 raise linalg.LinalgError("projection of a non-closed vector")
-            vec = tgt.positions(piece)
-            cls = tgt.cob.project(vec)
+            cls = tgt.project(piece)
             # each exponent is one piece, so no (class, exponent) entry is written twice
             for i, cval in cls.items():
                 obstruction.setdefault(i, {})[exps] = cval * sign
             if not cls:
-                sol = linalg.solve_const(dbar0, {i: -v for i, v in vec.items()})
+                sol = linalg.solve_const(dbar0, {i: -v for i, v in tgt.positions(piece).items()})
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
                 fixes[exps] = sol
@@ -814,7 +836,7 @@ def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatr
         v = _del(spec, src.vector(col))
         if _dbar(spec, v):
             raise InternalInvariantError("del of a closed representative is not delbar-closed")
-        for k, x in tgt.cob.project(tgt.positions(v)).items():
+        for k, x in tgt.project(v).items():
             rows[k][col] = x
     return linalg.ExactMatrix._trusted(src.dim, rows)
 

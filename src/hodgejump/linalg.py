@@ -7,8 +7,9 @@ products, applications and evaluations touch nonzeros only.
 Over Q(i) there is one elimination routine: ``Echelon``, the reduced row
 echelon form of a span, kept as sparse rows and grown one row at a time.
 It indexes its rows by column, so a new row updates only the rows that
-hold its leading column.  Kernel, solve, pivot columns, cohomology and
-its coordinate projection all go through it, fed a matrix's stored rows.
+hold its leading column.  Kernel, solve, pivot columns and cohomology go
+through it, fed a matrix's stored rows; a cohomology basis is one echelon
+past the kernel, which tags the representatives alone and projects.
 Their vectors, in and out, are ``{index: value}`` mappings of nonzeros;
 dense lists appear only where a matrix is built or printed, and in
 ``kernel_basis``'s output.  The reduced form of a span is unique, so
@@ -357,13 +358,9 @@ class Echelon:
         self._insert(r)
         return True
 
-    def _insert(self, r: dict) -> dict:
-        """Insert a nonzero row already reduced against the span.
-
-        The row is scaled to leading coefficient 1 and stored; the stored
-        row, which later inserts update in place, is returned (``r``
-        itself when it already leads with 1).
-        """
+    def _insert(self, r: dict) -> None:
+        """Insert a nonzero row already reduced against the span, scaled to
+        leading coefficient 1."""
         cols = self._cols
         lead = min(r)
         head = r[lead]
@@ -391,7 +388,6 @@ class Echelon:
                         cols[j].discard(c)
         cols[lead] = {lead}
         self._rows[lead] = r
-        return r
 
     def freeze(self) -> "Echelon":
         """Make the span read-only, so ``add`` raises TypeError; returns self."""
@@ -650,8 +646,9 @@ class CohomologyBasis(_Record, _Immutable):
     ``sparse_representatives`` holds canonical vectors in the ambient space,
     one read-only ``{index: value}`` mapping of nonzeros each, in index
     order.  ``project`` sends a d_out-closed vector to its coordinates in
-    this basis, killing the image of d_in.  ``coords`` holds each vector
-    b_k of [representatives | image basis] as the row (b_k | e_k), so a
+    this basis, killing the image of d_in.  ``coords`` is the echelon of
+    the image of d_in, untagged, and of each representative b_k as the row
+    (b_k | e_k): its width is the ambient dimension n plus ``dim``, and a
     closed vector v reduces to (0 | -coordinates of v) in one residue.
     Frozen, so a cached basis can be shared.
     """
@@ -669,39 +666,14 @@ class CohomologyBasis(_Record, _Immutable):
         No d_out product is formed: a vector outside Ker(d_out) is outside
         kernel+image too, so it raises LinalgError with that message.
         """
-        n = self.coords.width - self.coords.rank  # one tag column per row
+        n = self.coords.width - self.dim  # one tag column per class
         vector = _sparse(vector)
         if not _in_range(vector, n):
             raise LinalgError("projection: index out of range")
         r = self.coords.residue(vector)
         if any(j < n for j in r):
             raise LinalgError("projection: vector outside kernel+image")
-        # tags past n + dim belong to the image basis: they carry no class
-        return {j - n: -x for j, x in r.items() if j < n + self.dim}
-
-    def repeat(self, copies: int, label: str = "") -> "CohomologyBasis":
-        """The basis of ``copies`` copies of this complex side by side (copy
-        a's index j at a*n + j, n the ambient dimension), with no elimination.
-
-        Each copy's representatives and ``coords`` rows are this basis's,
-        shifted within column order, so, the reduced echelon form being
-        unique, this is ``cohomology`` of the block-diagonal pair.  Tags run
-        over all representatives, copy by copy, then all image vectors.
-        """
-        ech, dim = self.coords, self.dim
-        n, image = ech.width - ech.rank, ech.rank - dim
-        tags, rows = copies * n, {}
-        for a in range(copies):
-            col = [*range(a * n, a * n + n), *range(tags + a * dim, tags + a * dim + dim),
-                   *range(tags + copies * dim + a * image, tags + copies * dim + (a + 1) * image)]
-            for c, row in ech._rows.items():
-                rows[col[c]] = {col[j]: x for j, x in row.items()}
-        coords = Echelon(tags + copies * ech.rank)
-        coords._rows = rows
-        return CohomologyBasis(dim=copies * dim, sparse_representatives=tuple(
-            MappingProxyType({a * n + j: x for j, x in r.items()})
-            for a in range(copies) for r in self.sparse_representatives),
-            coords=coords.freeze(), label=label)
+        return {j - n: -x for j, x in r.items()}
 
 
 def _check_shapes(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
@@ -735,20 +707,21 @@ def cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohomo
 
 def _cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> CohomologyBasis:
     """``cohomology`` for a pair the caller knows composes to zero: the
-    shapes are checked, the product d_out . d_in is not formed."""
+    shapes are checked, the product d_out . d_in is not formed.
+
+    One echelon takes d_in's columns, then each kernel vector of d_out in
+    turn: the untagged part of its residue (every pivot is untagged), when
+    nonzero, is representative k, inserted with tag n + k."""
     _check_shapes(d_in, d_out)
     n = d_out.cols if d_out.cols else d_in.rows
     ker = Echelon(d_out.cols if d_out.rows else n, d_out.sparse_rows).kernel()
-    span = Echelon(n, d_in.sparse_columns)
-    image_basis = span.rows()
+    coords = Echelon(n + len(ker) - rank_const(d_in), d_in.sparse_columns)
     reps: list[dict[int, GaussianRational]] = []
     for v in ker:
-        r = span.residue(v)
+        r = {j: x for j, x in coords.residue(v).items() if j < n}
         if r:
-            reps.append(dict(span._insert(r)))
-
-    coords = Echelon(n + len(reps) + len(image_basis), (
-        {**b, n + k: GR_ONE} for k, b in enumerate(reps + image_basis)
-    )).freeze()
-    return CohomologyBasis(dim=len(reps), sparse_representatives=tuple(
-        MappingProxyType(dict(sorted(r.items()))) for r in reps), coords=coords, label=label)
+            inv = r[min(r)].inv()
+            reps.append({j: x * inv for j, x in r.items()})
+            coords._insert({**reps[-1], n + len(reps) - 1: GR_ONE})
+    return CohomologyBasis(len(reps), tuple(MappingProxyType(dict(sorted(r.items()))) for r in reps),
+                           coords.freeze(), label)

@@ -145,17 +145,21 @@ class TestImmutability:
 
     def test_cached_projection_echelon_cannot_grow(self):
         spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
-        cob = Dolbeault.of(spec).basis(1, 1).cob
+        basis = Dolbeault.of(spec).basis(1, 1)
+        cob = basis.cob
         d_out = Dolbeault.of(spec).dbar_matrix(1, 1)
-        closed = [{j: GR(1)} for j, col in enumerate(d_out.sparse_columns) if not col]
-        before = [cob.project(v) for v in closed]
+        closed = [basis.vector(k) for k in range(basis.dim)]
+        # f_i ^ c_j sits at column 3(i-1) + (j-1) of delbar_{1,1}
+        closed += [InvariantForm.monomial(spec, (i,), (j,)).terms for i in (1, 2, 3)
+                   for j in (1, 2, 3) if not d_out.sparse_columns[3 * (i - 1) + j - 1]]
+        before = [basis.project(v) for v in closed]
         with pytest.raises(TypeError):
-            cob.coords.add({0: GR(1), 6: GR(5)})
+            cob.coords.add({0: GR(1), 4: GR(5)})
         with pytest.raises(AttributeError):
             cob.coords.width = 3
         assert Dolbeault.of(spec).basis(1, 1).cob is cob
-        assert [cob.project(v) for v in closed] == before
-        assert cob.project(cob.sparse_representatives[1]) == {1: GR(1)}
+        assert [basis.project(v) for v in closed] == before
+        assert basis.project(basis.vector(4)) == {4: GR(1)}
 
     def test_equal_specs_hash_equal(self):
         text = load_manifest("iwasawa").to_json()
@@ -480,6 +484,30 @@ def test_lab_computes_each_invariant_once(monkeypatch, capsys):
     assert sorted(map(id, calls["smith"])) == sorted(map(id, diffs))
     assert calls["cohomology"] == [f"H^{q}(E_0)" for q in range(len(cx.ranks))]
 
+
+
+def test_each_cohomology_basis_is_one_elimination(monkeypatch):
+    # past the kernel of d_out, one echelon of width n + dim holds the image
+    # of d_in and the tagged representatives; rank_const(d_in), which sizes
+    # it, is held by the matrix once computed
+    spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(1)}, 4: {(1, 3): GR(1)}},
+                                B={5: {(2, 3): GR(1)}, 4: {(3, 2): GR(1)}})
+    dol = Dolbeault(spec)
+    chains = [dol._chain(p, q) for p in range(6) for q in range(6)]
+    plain = [linalg._cohomology(d_in, d_out) for d_in, d_out in chains]
+    widths = []
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, width, vectors=()):
+            widths.append(width)
+            super().__init__(width, vectors)
+
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    for (d_in, d_out), want in zip(chains, plain):
+        widths.clear()
+        got = linalg._cohomology(d_in, d_out)
+        assert got.sparse_representatives == want.sparse_representatives
+        assert widths == [d_out.cols, d_out.cols + got.dim], widths
 
 
 def test_first_class_search_eliminates_its_span_once(monkeypatch):

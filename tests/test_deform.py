@@ -430,17 +430,18 @@ def _assert_bases_match_the_monomial_oracle(spec, rng):
             d_out = oracles.monomial_dbar_matrix(spec, p, q)
             d_in = (oracles.monomial_dbar_matrix(spec, p, q - 1) if q
                     else linalg.ExactMatrix.zeros(d_out.cols, 0))
-            want, got = linalg.cohomology(d_in, d_out), dol.basis(p, q).cob
+            want, got = linalg.cohomology(d_in, d_out), dol.basis(p, q)
             assert got.dim == want.dim == table.get((p, q), 0), (p, q)
-            assert got.sparse_representatives == want.sparse_representatives, (p, q)
-            assert got.coords.width == want.coords.width, (p, q)
-            assert got.coords.rows() == want.coords.rows(), (p, q)
+            reps = [got.positions(got.vector(k)) for k in range(got.dim)]
+            assert reps == list(want.sparse_representatives), (p, q)
             coeffs = [random_gr(rng) for _ in range(want.dim)]
             v = dict(enumerate(d_in.apply([random_gr(rng) for _ in range(d_in.cols)])))
             for c, rep in zip(coeffs, want.sparse_representatives):
                 for j, x in rep.items():
                     accumulate(v, j, c * x)
-            assert got.project(v) == want.project(v) == {k: c for k, c in enumerate(coeffs) if c}
+            monomials = basis_monomials(n, p, q)
+            keyed = InvariantForm(spec, p, q, {monomials[j]: x for j, x in v.items()}).terms if v else {}
+            assert got.project(keyed) == want.project(v) == {k: c for k, c in enumerate(coeffs) if c}
 
 
 class TestFactoredDolbeault:
@@ -467,6 +468,20 @@ class TestFactoredDolbeault:
     def test_fixed_specs_equal_the_monomial_cohomology(self, spec, factorable):
         assert Dolbeault(spec)._factorable is factorable
         _assert_bases_match_the_monomial_oracle(spec, random.Random(1))
+
+    @pytest.mark.parametrize("name", ["iwasawa", "two_step5", "two_step_u_n6.json"])
+    def test_factored_bases_read_the_one_row_basis(self, name, iwasawa):
+        # each basis at p >= 1 holds the (0, q) basis itself, no copy of it,
+        # and reads it C(n,p) times through the layout
+        spec = {"iwasawa": iwasawa, "two_step5": TWO_STEP5}.get(name)
+        spec = spec or load_manifest(str(DATA / name)).spec
+        dol, n = Dolbeault(spec), spec.n
+        assert dol._factorable
+        for q in range(n + 1):
+            row = dol.basis(0, q)
+            for p in range(1, n + 1):
+                basis = dol.basis(p, q)
+                assert basis.cob is row.cob and basis.dim == comb(n, p) * row.dim, (p, q)
 
     @pytest.mark.parametrize("spec, message", [
         # d.d != 0: d f2 = f1^c1, d f3 = f2^c2; and d f3 = f1^c1, d f4 = -f1^f2 + f3^c3
@@ -1060,24 +1075,24 @@ class TestSparseProjection:
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
                 basis = dol.basis(p, q)
-                cob = basis.cob
                 monomials = basis_monomials(spec.n, p, q)
                 width = len(monomials)
+                reps = tuple(basis.positions(basis.vector(k)) for k in range(basis.dim))
                 image = dol.dbar_matrix(p, q - 1).sparse_columns if q else ()
                 for _ in range(4):
                     # v = sum_k c_k rep_k + an exact part: its coordinates are the c_k
                     v: dict = {}
                     want = {}
-                    for k, vec in enumerate(cob.sparse_representatives + tuple(image)):
+                    for k, vec in enumerate(reps + tuple(image)):
                         c = random_gr(rng)
-                        if k < cob.dim and c:
+                        if k < basis.dim and c:
                             want[k] = c
                         for j, x in vec.items():
                             accumulate(v, j, c * x)
-                    assert cob.project(v) == want
                     form = InvariantForm(spec, p, q, {monomials[j]: x for j, x in v.items()})
+                    assert basis.project(form.terms) == want
                     assert basis.project_constant_form(form) == [want.get(k, GR(0))
-                                                                 for k in range(cob.dim)]
+                                                                 for k in range(basis.dim)]
                 # a vector with nonzero delbar is rejected by every path
                 d_out = dol.dbar_matrix(p, q)
                 for j in range(min(width, 6)):
@@ -1088,15 +1103,18 @@ class TestSparseProjection:
                         basis.project_constant_form(
                             InvariantForm.monomial(spec, *monomials[j]))
                     with pytest.raises(linalg.LinalgError, match="outside kernel"):
-                        cob.project({j: GR(1)})
+                        basis.project(InvariantForm.monomial(spec, *monomials[j]).terms)
         assert rejected
 
     def test_projection_checks_index_range_and_bidegree(self, iwasawa):
         basis = Dolbeault.of(iwasawa).basis(1, 1)
-        width = len(basis_monomials(3, 1, 1))
-        for index in (-1, width, width + basis.dim):  # a tag column is no vector index
+        cob, width = basis.cob, len(basis_monomials(3, 0, 1))  # Iwasawa's one H^{0,1} basis
+        for index in (-1, width, width + cob.dim - 1):  # a tag column is no vector index
             with pytest.raises(linalg.LinalgError, match="index out of range"):
-                basis.cob.project({index: GR(1)})
+                cob.project({index: GR(1)})
+        # f4^f5 ^ c1 at bidegree (1,1) of n = 5 lands past the fifth and last block
+        with pytest.raises(linalg.LinalgError, match="index out of range"):
+            Dolbeault.of(TWO_STEP5).basis(1, 1).project({(0b110000, 0b10): GR(1)})
         with pytest.raises(linalg.LinalgError, match=r"\(1,0\)-form onto H\^1,1"):
             basis.project_constant_form(InvariantForm.generator(iwasawa, "f", 1))
         with pytest.raises(TypeError, match="cannot coerce Poly"):
@@ -1120,7 +1138,8 @@ class TestSparseProjection:
             for q in range(spec.n + 1):
                 basis = dol.basis(p, q)
                 monomials = basis_monomials(spec.n, p, q)
-                for k, rep in enumerate(basis.cob.sparse_representatives):
+                for k in range(basis.dim):
+                    rep = basis.positions(basis.vector(k))
                     dense = [rep.get(j, GR(0)) for j in range(len(monomials))]
                     want = InvariantForm(spec, p, q, dict(zip(monomials, dense)))
                     got = basis.rep_form(spec, k)
@@ -1150,11 +1169,11 @@ class TestMonomialLayout:
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
                 basis, monomials = dol.basis(p, q), basis_monomials(spec.n, p, q)
-                for k, rep in enumerate(basis.cob.sparse_representatives):
+                for k in range(basis.dim):
                     v = basis.vector(k)
+                    rep = basis.positions(v)
+                    assert list(rep) == sorted(rep)
                     assert [(_indices(I), _indices(J)) for I, J in v] == [monomials[j] for j in rep]
-                    assert list(v.values()) == list(rep.values())
-                    assert basis.positions(v) == rep
                     assert list(basis.rep_form(spec, k).coeffs) == [monomials[j] for j in rep]
                     assert basis.rep_form(spec, k).terms == v
         masks, index = dol.basis(0, 0).layout
