@@ -656,3 +656,10 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+def _axpy(acc: dict, f, row: dict) -> None:
+    """acc += f * row in place, dropping entries that cancel: the one scaled
+    sparse row update, for Q(i), Poly and Jet factors and entries alike."""
+    for j, x in row.items():
+        accumulate(acc, j, f * x)

@@ -25,7 +25,7 @@ from math import comb
 
 from . import linalg
 from .coeff import (GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, _Immutable,
-                    _Record, accumulate)
+                    _Record, _axpy, accumulate)
 from .errors import InternalInvariantError, ValidationFailure
 from .exterior import (
     ComplexStructureSpec,
@@ -677,10 +677,9 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
             raise InternalInvariantError(
                 f"extension defect reappeared at order {low} while solving order {k}"
             )
-        pieces = _pieces(w, params, k)
         obstruction: dict[int, dict] = {}
-        fixes: dict = {}
-        for exps, piece in sorted(pieces.items()):
+        fix: dict = {}  # {key: {exponent: value}}, read only once no piece is obstructed
+        for exps, piece in sorted(_pieces(w, params, k).items()):
             if _dbar(spec, piece):
                 raise linalg.LinalgError("projection of a non-closed vector")
             cls = tgt.project(piece)
@@ -691,20 +690,16 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 sol = linalg.solve_const(dbar0, {i: -v for i, v in tgt.positions(piece).items()})
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
-                fixes[exps] = sol
+                for key, x in _keyed(tgt.layout[0], p, q, sol).items():
+                    accumulate(fix.setdefault(key, {}), exps, x)
         if obstruction:
             coords = [Poly._trusted(params, obstruction.get(i, {})) for i in range(tgt.dim)]
             form: dict = {}
             for idx in sorted(obstruction):
-                for key, v in tgt.vector(idx).items():
-                    accumulate(form, key, coords[idx] * v)
+                _axpy(form, coords[idx], tgt.vector(idx))
             return ExtensionResult(status="obstructed", order=k, p=p, q=q, obstruction_coords=coords,
                                    obstruction_form=InvariantForm._trusted(spec, form, p, q + 1))
-        add: dict = {}
-        for exps, sol in fixes.items():
-            for key, x in _keyed(tgt.layout[0], p, q, sol).items():
-                accumulate(add.setdefault(key, {}), exps, x)
-        for key, terms in add.items():
+        for key, terms in fix.items():
             accumulate(alpha_t, key, Poly._trusted(params, terms, order))
     return ExtensionResult(status="extended", order=max_order, p=p, q=q,
                            extension=InvariantForm._trusted(dspec, alpha_t, p, q))

@@ -36,8 +36,7 @@ differential once.
 from __future__ import annotations
 
 from . import linalg
-from .coeff import (GR_ONE, CoefficientError, GaussianRational, Jet, Poly, _Immutable, _Record,
-                    accumulate)
+from .coeff import GR_ONE, CoefficientError, GaussianRational, Jet, Poly, _Immutable, _Record, _axpy
 from .errors import InternalInvariantError, ValidationFailure
 
 __all__ = [
@@ -438,8 +437,7 @@ def _saturation_fiber(m: linalg.ExactMatrix, param: str) -> list[dict[int, Gauss
         combo = ker[0]
         u: dict[int, Poly] = {}
         for k in sorted(combo):
-            for i, p in vectors[k].items():
-                accumulate(u, i, p * combo[k])
+            _axpy(u, combo[k], vectors[k])
         # u vanishes at 0; strip the largest common power of t
         shift = min(e for p in u.values() for (e,) in p.terms)
         replaced = min(combo)
@@ -467,8 +465,7 @@ def _jet_search_span(c: FreeComplex, q: int, cob: linalg.CohomologyBasis,
             # a has x_bound = 0, so only v's own columns contribute
             w: dict = {}
             for j, y in v.items():
-                for i, x in top[j].items():
-                    accumulate(w, i, x * y)
+                _axpy(w, y, top[j])
             span.add(cob.project(w))
     return span
 

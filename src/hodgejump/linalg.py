@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from itertools import chain, compress
 from types import MappingProxyType
 
-from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, _Immutable, _Record, accumulate
+from .coeff import GR_ONE, GR_ZERO, GaussianRational, Poly, _Immutable, _Record, _axpy
 
 __all__ = [
     "ExactMatrix",
@@ -122,11 +122,11 @@ def _jet_expand(rows, nrows: int, ncols: int, order: int, out, base=None) -> int
     holds c instead, with entries D_b b_m, D_b the s^b coefficient matrix.
     """
     head = ncols if base is None else len(base)
-    # base vectors by the component they touch: j -> [(m, b_m[j])]
-    uses = [[] for _ in range(0 if base is None else ncols)]
+    # base vectors by the component they touch: j -> {m: b_m[j]}
+    uses = [{} for _ in range(0 if base is None else ncols)]
     for m, vec in enumerate(base or ()):
         for j, y in vec.items():
-            uses[j].append((m, y))
+            uses[j][m] = y
     for i, row in rows:
         for j, x in row.items():
             terms = (((0,), x),) if type(x) is GaussianRational else x.terms.items()
@@ -138,8 +138,7 @@ def _jet_expand(rows, nrows: int, ncols: int, order: int, out, base=None) -> int
                 if base is None:
                     out[b * nrows + i][j] = v
                 else:
-                    for m, y in uses[j]:
-                        accumulate(out[b * nrows + i], m, v * y)
+                    _axpy(out[b * nrows + i], v, uses[j])
     return head + order * ncols
 
 
@@ -247,8 +246,7 @@ class ExactMatrix(_Immutable):
         for row in self.sparse_rows:
             acc = {}
             for k, v in row.items():
-                for j, w in other.sparse_rows[k].items():
-                    accumulate(acc, j, v * w)
+                _axpy(acc, v, other.sparse_rows[k])
             out.append(acc)
         if self.is_polynomial() or other.is_polynomial():
             return ExactMatrix(self.rows, other.cols, out)
@@ -286,12 +284,6 @@ class ExactMatrix(_Immutable):
 
 
 # -- elimination over Q(i) ----------------------------------------------
-
-def _axpy(acc: dict, f: GaussianRational, row: dict) -> None:
-    """acc += f * row in place, dropping entries that cancel."""
-    for j, x in row.items():
-        accumulate(acc, j, f * x)
-
 
 class Echelon:
     """Reduced row echelon form over Q(i) of a span, grown one row at a time.
@@ -595,9 +587,7 @@ def _bareiss(m: ExactMatrix) -> tuple[list[dict[int, Poly]], list[int]]:
             acc = {j: piv * x for j, x in row.items()}
             f = row.get(c)
             if f is not None:
-                f = -f
-                for j, x in top.items():
-                    accumulate(acc, j, f * x)
+                _axpy(acc, -f, top)
             rows[i] = acc if prev is None else {j: _poly_exact_div(x, prev) for j, x in acc.items()}
         prev = piv
         pivots.append(c)

@@ -60,14 +60,10 @@ class Manifest(_Record):
         return json.dumps(self.raw, indent=2)
 
 
-def _err(msg: str) -> ValidationFailure:
-    return ValidationFailure(msg)
-
-
 def _expect(cond: bool, msg: str, *args):
     """Unless ``cond``, raise ``msg.format(*args)``, formatted only on failure."""
     if not cond:
-        raise _err(msg.format(*args))
+        raise ValidationFailure(msg.format(*args))
 
 
 def _parse_lie(doc: dict) -> Manifest:
@@ -95,7 +91,7 @@ def _parse_lie(doc: dict) -> Manifest:
         try:
             coeff = GaussianRational.parse(str(triple.get("coefficient")))
         except CoefficientError as e:
-            raise _err(f"structure[{idx}]: {e}") from None
+            raise ValidationFailure(f"structure[{idx}]: {e}") from None
         table = A if side == "f" else B
         if side == "f":
             _expect(i < j, "structure[{}]: holomorphic pair must be increasing", idx)
@@ -106,11 +102,11 @@ def _parse_lie(doc: dict) -> Manifest:
     try:
         spec = ComplexStructureSpec(n, A, B)
     except SpecError as e:
-        raise _err(f"invalid structure constants: {e}") from None
+        raise ValidationFailure(f"invalid structure constants: {e}") from None
     diags = validate_spec(spec)
     errors = [str(d) for d in diags if d.severity == "error"]
     if errors:
-        raise _err("structure validation failed: " + "; ".join(errors))
+        raise ValidationFailure("structure validation failed: " + "; ".join(errors))
     warnings = [str(d) for d in diags if d.severity == "warning"]
 
     psi1 = None
@@ -144,7 +140,7 @@ def _parse_lie(doc: dict) -> Manifest:
             try:
                 poly = Poly.parse(params, str(entry.get("coefficient")))
             except CoefficientError as e:
-                raise _err(f"deformation[{idx}]: {e}") from None
+                raise ValidationFailure(f"deformation[{idx}]: {e}") from None
             key = (i, (lam,))
             _expect(key not in coeffs, "deformation[{}]: duplicate entry", idx)
             if poly:
@@ -153,7 +149,7 @@ def _parse_lie(doc: dict) -> Manifest:
     if psi1 is not None:
         errs = [str(d) for d in validate_first_order(spec, psi1) if d.severity == "error"]
         if errs:
-            raise _err("deformation validation failed: " + "; ".join(errs))
+            raise ValidationFailure("deformation validation failed: " + "; ".join(errs))
 
     order, points = _parse_options(doc.get("options", {}), params)
     return Manifest(
@@ -190,13 +186,13 @@ def _parse_lab(doc: dict) -> Manifest:
                 try:
                     out_row.append(Poly.parse((param,), str(cell)))
                 except CoefficientError as e:
-                    raise _err(f"differentials[{q}][{i}][{j}]: {e}") from None
+                    raise ValidationFailure(f"differentials[{q}][{i}][{j}]: {e}") from None
             entries.append(out_row)
         diffs.append(linalg.ExactMatrix(shape_rows, shape_cols, entries))
     cx = FreeComplex(param=param, ranks=tuple(ranks), diffs=tuple(diffs))
     issues = validate_complex(cx)
     if issues:
-        raise _err("complex validation failed: " + "; ".join(issues))
+        raise ValidationFailure("complex validation failed: " + "; ".join(issues))
     return Manifest(name=doc.get("name", ""), kind="free-complex", raw=doc,
                     complex=cx, parameters=(param,))
 
@@ -218,7 +214,7 @@ def _parse_options(options: dict, params: tuple[str, ...]):
             try:
                 parsed[pname] = GaussianRational.parse(str(value))
             except CoefficientError as e:
-                raise _err(f"point {label!r}: {e}") from None
+                raise ValidationFailure(f"point {label!r}: {e}") from None
         points[label] = parsed
     return order, points
 
@@ -228,14 +224,14 @@ def parse_manifest(text: str) -> Manifest:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise _err(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        raise ValidationFailure(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     _expect(isinstance(doc, dict), "manifest must be a JSON object")
     kind = doc.get("kind")
     if kind == "lie-algebra":
         return _parse_lie(doc)
     if kind == "free-complex":
         return _parse_lab(doc)
-    raise _err(f"unknown manifest kind: {kind!r}")
+    raise ValidationFailure(f"unknown manifest kind: {kind!r}")
 
 
 _DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -251,12 +247,12 @@ def load_manifest(path_or_name: str) -> Manifest:
     if not os.path.exists(path):
         path = os.path.join(_DATA, path if path.endswith(".json") else path + ".json")
         if "/" in path_or_name or "\\" in path_or_name or not os.path.isfile(path):
-            raise _err(f"manifest not found: {path_or_name!r} (builtins: {', '.join(builtin_names())})")
+            raise ValidationFailure(f"manifest not found: {path_or_name!r} (builtins: {', '.join(builtin_names())})")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:  # a directory, a file without read permission
-        raise _err(f"cannot read manifest {path_or_name!r}: {e.strerror or e}") from None
+        raise ValidationFailure(f"cannot read manifest {path_or_name!r}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
-        raise _err(f"manifest {path_or_name!r} is not UTF-8: {e.reason} at byte {e.start}") from None
+        raise ValidationFailure(f"manifest {path_or_name!r} is not UTF-8: {e.reason} at byte {e.start}") from None
     return parse_manifest(text)

@@ -13,6 +13,7 @@ from hodgejump.coeff import (
     GaussianRational,
     Jet,
     Poly,
+    _axpy,
 )
 
 from . import oracles
@@ -607,3 +608,29 @@ class TestEvalAndParts:
         q = Poly.parse(PARAMS, "t11*t22-t21*t12")
         assert str(q) == "t11*t22-t12*t21"  # graded-lex canonical order
         assert str(Poly.parse(("t",), "i*t")) == "i*t"
+
+
+class TestAxpy:
+    """coeff._axpy, acc += f * row: the one scaled sparse row update."""
+
+    def test_cancelled_entries_are_dropped(self):
+        acc = {0: GR(1), 1: GR(2)}
+        _axpy(acc, GR(0, 1), {0: GR(0, 1), 2: GR(3)})
+        assert acc == {1: GR(2), 2: GR(0, 3)}
+        _axpy(acc, GR(-1), {1: GR(2), 2: GR(0, 3)})
+        assert acc == {}
+
+    def test_empty_row_leaves_acc_unchanged(self):
+        acc = {3: GR(1, 1)}
+        _axpy(acc, GR(5), {})
+        assert acc == {3: GR(1, 1)}
+
+    def test_qi_factor_and_poly_entries_mix_both_ways(self):
+        t, u = pvar("t11"), pvar("t12")
+        acc = {0: t}
+        _axpy(acc, GR(2), {0: t, 1: u})
+        assert acc == {0: 3 * t, 1: 2 * u}
+        assert all(type(x) is Poly for x in acc.values())
+        _axpy(acc, -u, {0: GR(3), 1: GR(2)})
+        assert acc == {0: 3 * t - 3 * u}
+        assert all(type(x) is Poly for x in acc.values())

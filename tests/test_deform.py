@@ -503,6 +503,58 @@ class TestFactoredDolbeault:
         assert type(info.value) is linalg.LinalgError and str(info.value) == message
 
 
+def _omega(spec) -> InvariantForm:
+    """Omega = f_1^...^f_n, the invariant (n, 0)-form."""
+    return InvariantForm(spec, spec.n, 0, {(tuple(range(1, spec.n + 1)), ()): GR(1)})
+
+
+def _assert_dbar_vector_through_omega(spec, psi):
+    """delbar(iota_psi Omega) = (-1)^(n-1) iota_{dbar_vector psi} Omega, for
+    psi of degree q < n on a structure whose Omega is closed."""
+    omega = _omega(spec)
+    want = contract(dbar_vector(spec, psi), omega)
+    assert differential(spec, contract(psi, omega))[1] == (want if spec.n % 2 else -want)
+
+
+class TestDbarVectorThroughOmega:
+    """On a structure with d Omega = 0, iota_. Omega is an isomorphism of
+    T^{1,0}-valued (0, q)-forms onto (n-1, q)-forms that carries dbar_vector
+    to delbar up to the sign (-1)^(n-1), so dbar_vector meets the exterior
+    kernels d and contraction, and its ranks are those of delbar_{n-1,q}."""
+
+    @given(two_step_specs(), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_random_vector_forms(self, spec, seed):
+        rng, n = random.Random(seed), spec.n
+        q = rng.randrange(n)
+        keys = [(i, J) for i in range(1, n + 1) for J in itertools.combinations(range(1, n + 1), q)]
+        psi = VectorForm(spec, q, {key: random_gr(rng) for key in keys if rng.random() < 0.5})
+        _assert_dbar_vector_through_omega(spec, psi)
+
+    @pytest.mark.parametrize("name, ranks, h01", [
+        ("iwasawa", [0, 3, 0], 6),
+        ("mixed_i.json", [1, 2, 1], 6),
+        ("iwasawa_su.json", [0, 3, 0], 6),
+        ("two_step_u_n6.json", [0, 12, 24, 24, 12, 0], 24)])
+    def test_ranks_on_the_basis_equal_delbar_ranks(self, name, ranks, h01):
+        spec = load_manifest(name if name == "iwasawa" else str(DATA / name)).spec
+        n, dol = spec.n, Dolbeault(spec)
+        got = []
+        for q in range(n):
+            rows, index = [], {}
+            for i in range(1, n + 1):
+                for J in itertools.combinations(range(1, n + 1), q):
+                    psi = VectorForm.term(spec, i, J)
+                    _assert_dbar_vector_through_omega(spec, psi)
+                    rows.append({index.setdefault(key, len(index)): c
+                                 for key, c in dbar_vector(spec, psi).terms.items()})
+            got.append(linalg.rank_const(linalg.ExactMatrix(len(rows), max(len(index), 1), rows)))
+            assert got[q] == dol._rank(n - 1, q), q
+        assert got == ranks
+        # h^{0,1}(T^{1,0}) = dim ker dbar_vector on (0,1) - rank on (0,0)
+        assert n * n - got[1] - got[0] == h01
+
+
 class TestBeyondParallelisable:
     def test_kodaira_surface_hodge_numbers(self, mixed_spec):
         # d f2 = f1^c1 is the primary Kodaira surface; its invariant Hodge
