@@ -230,17 +230,12 @@ class GaussianRational(_Immutable):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            if isinstance(other, Poly):
-                return NotImplemented
-            other = self._coerce(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        if isinstance(other, Poly):
+            return NotImplemented
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
@@ -276,14 +271,11 @@ class GaussianRational(_Immutable):
         return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        if type(other) is GaussianRational:
-            return self._a == other._a and self._b == other._b and self._d == other._d
-        if isinstance(other, int):
-            return self._b == 0 and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
-            return (self._b == 0 and self._a == other.numerator
-                    and self._d == other.denominator)
-        return NotImplemented
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)  # in normal form, so triples compare
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         if self._b == 0:

@@ -80,7 +80,8 @@ class DolbeaultBasis(_Record, _Immutable):
     ``layout`` and the ambient size of ``cob``): class a*d + k, d = ``cob.dim``,
     is f_I ^ representative k, I = ``masks[p][a]``.  ``vector``, ``positions``
     and ``project`` go through ``layout``, the read-only column order of its
-    delbar matrices.  Frozen, shared per bidegree.
+    delbar matrices; ``_at`` holds the positions in levels p and q alone, so
+    the last two refuse a key of another bidegree.  Frozen, shared per bidegree.
     """
 
     p: int
@@ -91,9 +92,10 @@ class DolbeaultBasis(_Record, _Immutable):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        at = tuple({m: r for r, m in enumerate(self.layout[0].get(k, ()))} for k in (self.p, self.q))
         size = self.cob.coords.width - self.cob.dim  # the ambient dimension of cob
-        total = len(self.layout[0].get(self.p, ())) * len(self.layout[0].get(self.q, ()))
-        object.__setattr__(self, "_blocks", total // size if size else 1)
+        object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "_blocks", len(at[0]) * len(at[1]) // size if size else 1)
 
     @property
     def dim(self) -> int:
@@ -106,8 +108,11 @@ class DolbeaultBasis(_Record, _Immutable):
 
     def positions(self, v: dict) -> dict:
         """A mask-keyed (p, q) vector keyed by position, as delbar's matrices read it."""
-        index, width = self.layout[1], len(self.layout[0].get(self.q, ()))
-        return {index[mi] * width + index[mj]: c for (mi, mj), c in v.items()}
+        (at_p, at_q), width = self._at, len(self._at[1])
+        try:
+            return {at_p[mi] * width + at_q[mj]: c for (mi, mj), c in v.items()}
+        except KeyError:
+            raise linalg.LinalgError("projection: index out of range") from None
 
     def project(self, v: dict) -> dict[int, GaussianRational]:
         """The nonzero class coordinates ``{k: x}`` of a delbar-closed mask-keyed
@@ -115,11 +120,12 @@ class DolbeaultBasis(_Record, _Immutable):
         cob = self.cob
         if self._blocks == 1:
             return cob.project(self.positions(v))
-        index, parts = self.layout[1], {}
-        for (mi, mj), c in v.items():
-            parts.setdefault(index[mi], {})[index[mj]] = c
-        if max(parts, default=0) >= self._blocks:
-            raise linalg.LinalgError("projection: index out of range")
+        (at_p, at_q), parts = self._at, {}
+        try:
+            for (mi, mj), c in v.items():
+                parts.setdefault(at_p[mi], {})[at_q[mj]] = c
+        except KeyError:
+            raise linalg.LinalgError("projection: index out of range") from None
         return {a * cob.dim + k: x for a, part in parts.items() for k, x in cob.project(part).items()}
 
     def rep_form(self, spec: ComplexStructureSpec, k: int) -> InvariantForm:

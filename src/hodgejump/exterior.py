@@ -279,8 +279,8 @@ class _Form(_Immutable):
     Coefficients are sparse and exact, held in ``terms``, a read-only mapping
     keyed by mask pairs; ``coeffs`` is the same mapping keyed by index tuples,
     derived on each read, never stored.  A form cannot change once built.
-    Subclasses provide ``_trusted``, ``_like`` (a form of the same kind and
-    degree with new terms, zeros among them dropped) and ``_check_addable``.
+    Subclasses provide ``_trusted``, ``_degree`` (the arguments of
+    ``_trusted`` after ``terms``) and ``_check_addable``.
     """
 
     __slots__ = ("spec", "terms")
@@ -288,6 +288,18 @@ class _Form(_Immutable):
     def _freeze(self, **attrs):
         for name, value in attrs.items():
             object.__setattr__(self, name, value)
+
+    def _like(self, terms):
+        """A form of the same kind and degree holding ``terms``, zeros dropped."""
+        return self._trusted(self.spec, {k: c for k, c in terms.items() if c}, *self._degree())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._degree() == other._degree() and self.spec == other.spec and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._degree(), tuple(sorted(self.terms))))
 
     def __add__(self, other):
         self._check_addable(other)
@@ -372,26 +384,14 @@ class InvariantForm(_Form):
 
     # -- algebra -------------------------------------------------------
 
-    def _like(self, terms) -> "InvariantForm":
-        return self._trusted(self.spec, {k: c for k, c in terms.items() if c}, self.p, self.q)
+    def _degree(self) -> tuple[int, int]:
+        return self.p, self.q
 
     def _check_addable(self, other: "InvariantForm"):
         if self.spec is not other.spec and self.spec != other.spec:
             raise SpecError("cannot add forms over different specs")
         if (self.p, self.q) != (other.p, other.q):
             raise SpecError("cannot add forms of different bidegree")
-
-    def __eq__(self, other):
-        if not isinstance(other, InvariantForm):
-            return NotImplemented
-        return (
-            (self.p, self.q) == (other.p, other.q)
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q, tuple(sorted(self.terms))))
 
     # -- queries ---------------------------------------------------------
 
@@ -443,20 +443,12 @@ class VectorForm(_Form):
     def term(cls, spec, i: int, J, coeff=GR_ONE) -> "VectorForm":
         return cls(spec, len(tuple(J)), {(i, tuple(J)): coeff})
 
-    def _like(self, terms) -> "VectorForm":
-        return self._trusted(self.spec, {k: c for k, c in terms.items() if c}, self.q)
+    def _degree(self) -> tuple[int]:
+        return (self.q,)
 
     def _check_addable(self, other: "VectorForm"):
         if self.q != other.q or self.spec != other.spec:
             raise SpecError("vector form mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorForm):
-            return NotImplemented
-        return self.q == other.q and self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.q, tuple(sorted(self.terms))))
 
     @property
     def coeffs(self) -> MappingProxyType:

@@ -248,9 +248,7 @@ class ExactMatrix(_Immutable):
             for k, v in row.items():
                 _axpy(acc, v, other.sparse_rows[k])
             out.append(acc)
-        if self.is_polynomial() or other.is_polynomial():
-            return ExactMatrix(self.rows, other.cols, out)
-        return ExactMatrix._trusted(other.cols, out)
+        return ExactMatrix(self.rows, other.cols, out)
 
     def apply(self, vector: list) -> list:
         if len(vector) != self.cols:
@@ -297,8 +295,8 @@ class Echelon:
     Systems*, SIAM 2006, ch. 2-3).  The reduced echelon form of a span is
     unique, so every result is independent of insertion order.  Vectors,
     given and returned, are ``{column: value}`` mappings; zero values are
-    dropped and empty vectors skipped.  ``freeze`` makes the span
-    read-only, so a cached echelon can be shared.
+    dropped, empty vectors skipped and rows outside 0..width-1 refused.
+    ``freeze`` makes the span read-only, so a cached echelon can be shared.
     """
 
     __slots__ = ("_width", "_rows", "_cols")
@@ -355,6 +353,8 @@ class Echelon:
         leading coefficient 1."""
         cols = self._cols
         lead = min(r)
+        if lead < 0 or max(r) >= self._width:  # no row in the span can cancel it
+            raise LinalgError("echelon: index out of range")
         head = r[lead]
         if head != GR_ONE:
             inv = head.inv()

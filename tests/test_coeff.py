@@ -278,6 +278,8 @@ class TestTripleAgainstFractionPair:
         assert_matches(f + x, rx + rf)
         assert_matches(x - n, rx - rn)
         assert_matches(n - x, rn - rx)
+        assert_matches(x - f, rx - rf)
+        assert_matches(f - x, rf - rx)
         assert_matches(x * f, rx * rf)
         assert_matches(n * x, rx * rn)
         if f:
@@ -294,6 +296,7 @@ class TestTripleAgainstFractionPair:
             assert x == const and const == x
             assert hash(x) == hash(r) == hash(const.constant_term())
             assert x != r + 1 and x != GR(r, 1)
+            assert GR(r, 1) != n and n != GR(r, 1)
 
     def test_slots_are_read_only(self):
         x = GR(Fraction(3, 4), -2)

@@ -1172,6 +1172,24 @@ class TestSparseProjection:
         with pytest.raises(TypeError, match="cannot coerce Poly"):
             basis.project_constant_form(InvariantForm.monomial(iwasawa, (1,), (1,), pv("t11")))
 
+    @pytest.mark.parametrize("name", ["two_step_u_n6.json", "mixed_i.json"])
+    def test_keys_of_another_bidegree_are_refused(self, name):
+        # each mask lies in range of its own level, so a flat index of all
+        # levels once read these as valid (1,1) or (0,1) monomials
+        dol = Dolbeault.of(load_manifest(str(DATA / name)).spec)
+        assert dol._factorable == (name == "two_step_u_n6.json")
+        foreign = {(1, 1): [(0b110, 0b10), (0b10, 0b110), (0, 0b10)],  # f1^f2^c1, f1^c1^c2, c1
+                   (0, 1): [(0b10, 0b10)]}                             # f1^c1
+        for (p, q), keys in foreign.items():
+            basis = dol.basis(p, q)
+            for key in keys:
+                for call in (basis.project, basis.positions):
+                    with pytest.raises(linalg.LinalgError, match="index out of range"):
+                        call({key: GR(1)})
+                    with pytest.raises(linalg.LinalgError, match="index out of range"):
+                        call({**basis.vector(0), key: GR(1)})
+            assert basis.positions(basis.vector(0))  # an own key still reads
+
     def test_outside_kernel_plus_image_raises_through_project(self):
         # a hand-built basis whose coordinate echelon spans less than
         # Ker(d_out): a closed vector outside it is still rejected

@@ -221,6 +221,17 @@ class TestConstructorValidation:
                 assert form == VectorForm(spec, form.q, form.coeffs)
                 assert all(form.coeffs.values())
 
+    def test_equality_needs_one_kind_and_degree(self, iwasawa):
+        form, vec = InvariantForm.monomial(iwasawa, (1,), (1,)), VectorForm.term(iwasawa, 2, (1,))
+        assert form.terms == vec.terms == {(2, 2): GR(1)}  # f1^c1 and theta_2 (x) c1
+        assert form != vec and vec != form
+        assert InvariantForm(iwasawa, 1, 0) != InvariantForm(iwasawa, 0, 1)
+        assert VectorForm(iwasawa, 1) != VectorForm(iwasawa, 2)
+        assert InvariantForm(iwasawa, 1, 0) == InvariantForm(iwasawa, 1, 0)
+        assert VectorForm(iwasawa, 1) == VectorForm(iwasawa, 1)
+        assert hash(form) == hash(InvariantForm(iwasawa, 1, 1, form.coeffs))
+        assert hash(vec) == hash(VectorForm(iwasawa, 1, vec.coeffs))
+
 
 @st.composite
 def mask_key_cases(draw):

@@ -282,6 +282,20 @@ class TestEchelonIndex:
         assert ech.residue({0: GR(5), 1: GR(0)}) == {0: GR(5)}
         assert Echelon(2).residue({0: GR(0), 1: GR(0)}) == {}
 
+    def test_indices_outside_the_width_are_refused(self):
+        # rows in the span are in range, so an entry outside it never
+        # cancels: the row it would add is refused, not kept for kernel()
+        for vectors in ([{5: GR(1)}],                       # past the width
+                        [{0: GR(1), 7: GR(2)}],             # in range only at the lead
+                        [{-1: GR(1)}],                      # negative
+                        [{0: GR(1)}, {0: GR(1), 2: GR(3)}]):  # out of range after reduction
+            with pytest.raises(LinalgError, match="index out of range"):
+                Echelon(2, vectors)
+        ech = Echelon(2, [{0: GR(1)}])
+        with pytest.raises(LinalgError, match="index out of range"):
+            ech.add({0: GR(2), 2: GR(1)})
+        assert ech.rows() == [{0: GR(1)}] and ech.kernel() == [{1: GR(1)}]
+
 
 # nonzero Q(i) values, most of them not units
 PEEL_VALUES = st.builds(lambda a, b, d: GR(Fraction(a, d), b),
