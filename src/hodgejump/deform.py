@@ -132,14 +132,19 @@ class DolbeaultBasis(_Record, _Immutable):
         return InvariantForm._trusted(spec, self.vector(k), self.p, self.q)
 
     def project_constant_form(self, form: InvariantForm) -> list[GaussianRational]:
-        """Class coordinates of a constant (p, q)-form, checked delbar-closed."""
+        """Class coordinates of a constant (p, q)-form; ``project`` refuses a non-closed one."""
         if (form.p, form.q) != (self.p, self.q):
             raise linalg.LinalgError(f"projection of a ({form.p},{form.q})-form onto H^{self.p},{self.q}")
-        a = {key: GaussianRational._coerce(c) for key, c in form.terms.items()}
-        if _dbar(form.spec, a):
-            raise linalg.LinalgError("projection of a non-closed vector")
-        coords = self.project(a)
+        coords = self.project({key: GaussianRational._coerce(c) for key, c in form.terms.items()})
         return [coords.get(k, GR_ZERO) for k in range(self.dim)]
+
+
+def _closed_coords(basis: DolbeaultBasis, v: dict, what: str) -> dict[int, GaussianRational]:
+    """``basis.project(v)`` of a vector closed by construction: a refusal is a breach."""
+    try:
+        return basis.project(v)
+    except linalg.LinalgError as e:
+        raise InternalInvariantError(f"{what} is not delbar-closed") from e
 
 
 def _keyed(levels, p: int, q: int, vec, block: int = 0) -> dict:
@@ -431,9 +436,7 @@ def mc_extend(spec: ComplexStructureSpec, psi1: VectorForm, target_order: int) -
 
     def to_jet(v: VectorForm) -> VectorForm:
         # psi1 has degree 1, a correction degree k <= target_order: no term truncates to 0
-        return VectorForm._trusted(spec, {key: Jet(c, target_order) if isinstance(c, Poly)
-                                          else Jet.constant(params, c, target_order)
-                                          for key, c in v.terms.items()}, v.q)
+        return VectorForm._trusted(spec, {key: Jet(c, target_order) for key, c in v.terms.items()}, v.q)
 
     psi = to_jet(psi1)
 
@@ -591,11 +594,8 @@ def obstruction_o1(spec: ComplexStructureSpec, psi1: VectorForm, p: int, q: int)
         coords = {}
         for exps, terms in pieces.items():
             v = _o1_vector(spec, terms, a, da)
-            if not v:
-                continue
-            if _dbar(spec, v):
-                raise InternalInvariantError("o1 value is not delbar-closed")
-            coords[exps] = tgt.project(v)
+            if v:
+                coords[exps] = _closed_coords(tgt, v, "o1 value")
         if params is None:
             for k, x in coords.get((), {}).items():
                 rows[k][col] = x
@@ -647,9 +647,11 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     support and its defects: the extension maps (I, J) mask pairs to jets,
     each order's defect is delbar alone in the deformed coframe, and its
     degree-k part is split into one Q(i) piece per parameter monomial.
-    Each piece is projected sparsely; one with a zero class is killed by a
-    fix solved from its nonzeros with the delbar matrix's memoized solver,
-    each fix column read back as its mask pair through the layout.
+    Each piece is projected sparsely, and ``project`` refusing one that is
+    not delbar-closed is an internal breach (an integrable family closes
+    it); one with a zero class is killed by a fix solved from its nonzeros
+    with the delbar matrix's memoized solver, each fix column read back as
+    its mask pair through the layout.
     The obstruction stays {class index: {exponent: value}} until it is
     returned; forms are built only for the result.
     """
@@ -686,9 +688,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
         obstruction: dict[int, dict] = {}
         fix: dict = {}  # {key: {exponent: value}}, read only once no piece is obstructed
         for exps, piece in sorted(_pieces(w, params, k).items()):
-            if _dbar(spec, piece):
-                raise linalg.LinalgError("projection of a non-closed vector")
-            cls = tgt.project(piece)
+            cls = _closed_coords(tgt, piece, "extension defect")
             # each exponent is one piece, so no (class, exponent) entry is written twice
             for i, cval in cls.items():
                 obstruction.setdefault(i, {})[exps] = cval * sign
@@ -835,9 +835,7 @@ def frolicher_d1(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatr
     rows: list[dict] = [{} for _ in range(tgt.dim)]
     for col in range(src.dim):
         v = _del(spec, src.vector(col))
-        if _dbar(spec, v):
-            raise InternalInvariantError("del of a closed representative is not delbar-closed")
-        for k, x in tgt.project(v).items():
+        for k, x in _closed_coords(tgt, v, "del of a closed representative").items():
             rows[k][col] = x
     return linalg.ExactMatrix._trusted(src.dim, rows)
 
@@ -872,8 +870,6 @@ def parallelisable_witness(spec: ComplexStructureSpec) -> Witness | None:
             for j in closed_js:
                 psi = VectorForm.term(spec, k, (j,))
                 v = o1_value(spec, psi, InvariantForm.generator(spec, "f", i))
-                if not v:
-                    continue
                 coords = h11.project_constant_form(v)
                 if any(coords):
                     return Witness(i=i, k=k, j=j, value=v, coords=coords)

@@ -662,7 +662,7 @@ class CohomologyBasis(_Record, _Immutable):
             raise LinalgError("projection: index out of range")
         r = self.coords.residue(vector)
         if any(j < n for j in r):
-            raise LinalgError("projection: vector outside kernel+image")
+            raise LinalgError("projection of a non-closed vector: outside kernel+image")
         return {j - n: -x for j, x in r.items()}
 
 

@@ -927,6 +927,17 @@ class TestExtendClass:
             extend_class(fam, alpha, order)
         assert str(err.value) == message
 
+    def test_non_closed_defect_is_an_internal_breach(self, iwasawa):
+        # a family whose deformed coframe comes from t theta1 (x) c3, which
+        # is not integrable (delbar psi = -t theta1 (x) c1^c2): the order-1
+        # defect of the closed f3 is not delbar-closed, a fault of the
+        # family, not of the class, so it exits 3 like o1 and d1
+        t = Poly.variable(("t",), "t")
+        fam = mc_extend(iwasawa, VectorForm(iwasawa, 1, {(1, (1,)): t}), 1)
+        fam.deformed = deformed_coframe(iwasawa, VectorForm(iwasawa, 1, {(1, (3,)): Jet(t, 1)}))[0]
+        with pytest.raises(InternalInvariantError, match="extension defect is not delbar-closed"):
+            extend_class(fam, InvariantForm.generator(iwasawa, "f", 3), 1)
+
     def test_torus_everything_extends(self, torus3):
         psi = VectorForm(
             torus3, 1,
