@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import comb
+from types import MappingProxyType
 
 from . import linalg
 from .coeff import (GR_ONE, GR_ZERO, CoefficientError, GaussianRational, Jet, Poly, _Immutable,
@@ -38,6 +39,7 @@ from .exterior import (
     _dd_defects,
     _layout,
     _shuffle,
+    _shuffle_mask,
     deformed_coframe,
     defect_is_zero,
     validate_spec,
@@ -73,41 +75,70 @@ THREEFOLD_ROW = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
 
 
 class DolbeaultBasis(_Record, _Immutable):
-    """Cohomology basis at one bidegree, with form-level projection.
-
-    ``cob`` is the cohomology of delbar_{p,q}, or for a factorable spec at
-    1 <= p <= n the (0, q) basis itself, read in C(n,p) blocks (counted off
-    ``layout`` and the ambient size of ``cob``): class a*d + k, d = ``cob.dim``,
-    is f_I ^ representative k, I = ``masks[p][a]``.  ``vector``, ``positions``
-    and ``project`` go through ``layout``, the read-only column order of its
-    delbar matrices; ``_at`` holds the positions in levels p and q alone, so
-    the last two refuse a key of another bidegree.  Frozen, shared per bidegree.
+    """Cohomology basis at one bidegree: H^{p,q} is the sum of m ^ H(core)
+    at (p - |mf|, q - |mc|) over the free monomials m = f_mf ^ c_mc
+    (``Dolbeault``), each core basis in ``cores`` read with the signs of
+    ``_keyed`` and in the order of the free columns, as elimination of the
+    full matrices gives.  ``core`` is the core's f and c layouts and the
+    free f and c masks.  Vectors are keyed by mask pairs of ``layout``, the
+    column order of ``dbar_matrix``; a key of another bidegree is refused.
     """
 
     p: int
     q: int
-    cob: linalg.CohomologyBasis
+    cores: MappingProxyType
     layout: tuple
-    _hidden = ("layout",)
+    core: tuple
+    _hidden = ("layout", "core")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        at = tuple({m: r for r, m in enumerate(self.layout[0].get(k, ()))} for k in (self.p, self.q))
-        size = self.cob.coords.width - self.cob.dim  # the ambient dimension of cob
-        object.__setattr__(self, "_at", at)
-        object.__setattr__(self, "_blocks", len(at[0]) * len(at[1]) // size if size else 1)
+        free_f, free_c = self.core[2].bit_count(), self.core[3].bit_count()
+        object.__setattr__(self, "_dim", sum(comb(free_f, self.p - pc) * comb(free_c, self.q - qc) * cob.dim
+                                             for (pc, qc), cob in self.cores.items()))
+        object.__setattr__(self, "_at", None)
+        object.__setattr__(self, "_classes", None)
 
     @property
     def dim(self) -> int:
-        return self._blocks * self.cob.dim
+        return self._dim
+
+    def _order(self) -> tuple:
+        """(segments, owner, order, where), built on first use.  Per core
+        bidegree a segment numbers classes from ``start`` block by block,
+        block b reading its core basis through f monomial b // #c and c
+        monomial b % #c (each with its ``_core_mask``).  ``owner[i]`` is
+        the segment of number i, ``order[k]`` class k's number, ``where``
+        inverts ``order``."""
+        if self._classes is None:
+            (f, c, free_f, free_c), (masks, index), p, q = self.core, self.layout, self.p, self.q
+            segments, owner, columns = {}, [], []
+            for (pc, qc), cob in self.cores.items():
+                rows, cols, w = f[0][pc], c[0][qc], len(c[0][qc])
+                fs, cs = ([(m, _core_mask(m, free)) for m in masks[k] if m & free == m]
+                          for k, free in ((p - pc, free_f), (q - qc, free_c)))
+                segments[(pc, qc)] = s = (len(columns), cob.dim, cob.sparse_representatives, rows, cols, fs, cs)
+                columns += [index[rows[r // w] | mf] * len(masks[q]) + index[cols[r % w] | mc]
+                            for mf, _ in fs for mc, _ in cs for r in cob.columns]
+                owner += [s] * (len(columns) - s[0])
+            order = sorted(range(len(columns)), key=columns.__getitem__)
+            where = sorted(range(len(order)), key=order.__getitem__)
+            object.__setattr__(self, "_classes", (segments, owner, order, where))
+        return self._classes
 
     def vector(self, k: int) -> dict:
         """Representative k, keyed by (I, J) mask pairs."""
-        a, r = divmod(k, self.cob.dim or 1)  # an empty basis: IndexError, as for any bad k
-        return _keyed(self.layout[0], self.p, self.q, self.cob.sparse_representatives[r], a)
+        _, owner, order, _ = self._order()
+        start, dim, reps, rows, cols, fs, cs = owner[order[k]]
+        b, j = divmod(order[k] - start, dim)
+        (mf, sf), (mc, sc) = fs[b // len(cs)], cs[b % len(cs)]
+        return _keyed(mf, mc, sf, sc, rows, cols, reps[j])
 
     def positions(self, v: dict) -> dict:
         """A mask-keyed (p, q) vector keyed by position, as delbar's matrices read it."""
+        if self._at is None:
+            object.__setattr__(self, "_at", tuple({m: r for r, m in enumerate(self.layout[0].get(k, ()))}
+                                                  for k in (self.p, self.q)))
         (at_p, at_q), width = self._at, len(self._at[1])
         try:
             return {at_p[mi] * width + at_q[mj]: c for (mi, mj), c in v.items()}
@@ -115,18 +146,34 @@ class DolbeaultBasis(_Record, _Immutable):
             raise linalg.LinalgError("projection: index out of range") from None
 
     def project(self, v: dict) -> dict[int, GaussianRational]:
-        """The nonzero class coordinates ``{k: x}`` of a delbar-closed mask-keyed
-        (p, q) vector: ``cob`` projects its part on each f_I, block a's at a * d."""
-        cob = self.cob
-        if self._blocks == 1:
-            return cob.project(self.positions(v))
-        (at_p, at_q), parts = self._at, {}
+        """The nonzero class coordinates ``{k: x}`` of a delbar-closed
+        mask-keyed (p, q) vector: its part on each free monomial is read
+        into the core with the signs of ``vector`` and reduced once by that
+        block's core basis."""
+        (f, c, free_f, free_c), p, q, parts, out = self.core, self.p, self.q, {}, {}
         try:
-            for (mi, mj), c in v.items():
-                parts.setdefault(at_p[mi], {})[at_q[mj]] = c
+            for (mi, mj), x in v.items():
+                if mi.bit_count() != p or mj.bit_count() != q:
+                    raise KeyError
+                parts.setdefault((mi & free_f, mj & free_c), []).append((mi & ~free_f, mj & ~free_c, x))
+            for (mf, mc), terms in parts.items():
+                pc, qc = p - mf.bit_count(), q - mc.bit_count()
+                sf, sc = _core_mask(mf, free_f), _core_mask(mc, free_c)
+                width = len(c[0][qc])
+                parts[(mf, mc)] = (pc, qc), sf, sc, {
+                    f[1][a] * width + c[1][b]: -x if (sf or sc) and ((a & sf).bit_count() + (b & sc).bit_count()) & 1
+                    else x for a, b, x in terms}
         except KeyError:
             raise linalg.LinalgError("projection: index out of range") from None
-        return {a * cob.dim + k: x for a, part in parts.items() for k, x in cob.project(part).items()}
+        for (mf, mc), (key, sf, sc, part) in parts.items():
+            coords = self.cores[key]._coords(part)
+            if coords:
+                segments, _, _, where = self._order()
+                start, dim, reps, rows, cols, fs, cs = segments[key]
+                start += (fs.index((mf, sf)) * len(cs) + cs.index((mc, sc))) * dim
+                for j, x in coords.items():
+                    out[where[start + j]] = -x if _parity(rows, cols, next(iter(reps[j])), sf, sc) else x
+        return out
 
     def rep_form(self, spec: ComplexStructureSpec, k: int) -> InvariantForm:
         return InvariantForm._trusted(spec, self.vector(k), self.p, self.q)
@@ -147,11 +194,26 @@ def _closed_coords(basis: DolbeaultBasis, v: dict, what: str) -> dict[int, Gauss
         raise InternalInvariantError(f"{what} is not delbar-closed") from e
 
 
-def _keyed(levels, p: int, q: int, vec, block: int = 0) -> dict:
-    """A position-keyed (p, q) vector keyed by (I, J) mask pairs of
-    ``levels`` instead, its I moved ``block`` places down ``levels[p]``."""
-    rows, cols, width = levels[p], levels[q], len(levels[q])
-    return {(rows[block + r // width], cols[r % width]): c for r, c in vec.items()}
+def _core_mask(m: int, free: int) -> int:
+    """The shuffle mask of free monomial m on the core generators: 0 when no sign is -1."""
+    return _shuffle_mask(m) & ~(free | 1)
+
+
+def _parity(rows, cols, r: int, sf: int, sc: int) -> int:
+    """r(mf, A) + r(mc, B) mod 2 for f_A ^ c_B at position r of ``rows`` x ``cols``."""
+    return ((rows[r // len(cols)] & sf).bit_count() + (cols[r % len(cols)] & sc).bit_count()) & 1
+
+
+def _keyed(mf: int, mc: int, sf: int, sc: int, rows, cols, vec) -> dict:
+    """A vector keyed by position among f-masks ``rows`` x c-masks ``cols``,
+    keyed by mask pairs instead: f_A ^ c_B is read as f_(mf+A) ^ c_(mc+B)
+    with the sign ``_parity`` gives, relative to the first entry's."""
+    width = len(cols)
+    if not (sf or sc):  # every sign is +
+        return {(rows[r // width] | mf, cols[r % width] | mc): c for r, c in vec.items()}
+    signs = [((rows[r // width] & sf).bit_count() + (cols[r % width] & sc).bit_count()) & 1 for r in vec]
+    return {(rows[r // width] | mf, cols[r % width] | mc): -c if s != signs[0] else c
+            for (r, c), s in zip(vec.items(), signs)}
 
 
 class Dolbeault:
@@ -160,21 +222,21 @@ class Dolbeault:
     The ``B`` and ``Abar`` constants lie in Q(i) or in the jets Q(i)[s]/
     (s^(K+1)) of one parameter; over jets each delbar matrix is the Q(i)
     matrix of delbar on jet-valued forms, and every rule below still holds.
-    Hodge numbers come from delbar ranks (``_rank``).  delbar.delbar = 0 is
-    checked once per spec, as d.d = 0 on the generators (d.d is a
-    derivation, and its (p, q+2) part is delbar.delbar); only a spec that
-    fails it has d_out . d_in formed at each bidegree, which reports the
-    first column where it is nonzero.  A spec that passes may also be
-    certified, delbar zero on (n, n-1)-forms (every unimodular Lie algebra):
-    Leibniz on a ^ b, a of bidegree (p, q) and b of (n-p, n-1-q), makes
-    delbar_{p,q} a signed transpose of delbar_{n-p,n-1-q}, so one matrix of
-    each dual pair is ranked.  Or it may be factorable, with no ``B`` terms
-    (complex-parallelisable): then delbar(f_I ^ c_J) = (-1)^p f_I ^ delbar
-    c_J, so delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}, and every
-    rank and basis at p >= 1 is read off the (0, q) row: a table builds
-    the p = 0 matrices and the certificate delbar_{n,n-1} alone (Y. Sakane,
-    Osaka J. Math. 13 (1976)).  A basis is built only where classes are
-    used, over Q(i) alone, never by ``jump_report``, which reads ranks.
+    A generator is free when its delbar is zero and it appears in no ``B``
+    or ``Abar`` term; the others span the core.  A free generator is a
+    tensor factor with zero differential, so every delbar matrix is block
+    diagonal over the monomials m = f_mf ^ c_mc in free generators, each
+    block the core's matrix up to signs: ranks, tables and bases are read
+    off core matrices.  With no ``B`` terms every f is free (Y. Sakane,
+    Osaka J. Math. 13 (1976)).  delbar.delbar = 0 is checked once per spec,
+    as d.d = 0 on the generators (d.d is a derivation); a spec that fails it
+    has no free generator, and d_out . d_in formed at each bidegree reports
+    the first column where it is nonzero.  A spec that passes is certified
+    when its core, of a f and b c generators, has delbar zero on (a, b-1)-
+    forms (every unimodular Lie algebra): Leibniz on x ^ y then makes the
+    core's delbar_{p,q} a signed transpose of delbar_{a-p,b-1-q}, so one
+    matrix of each dual pair is ranked.  Bases are built only where classes
+    are used, over Q(i) alone.
 
     Use ``Dolbeault.of(spec)``: one instance per spec, held on the spec
     itself, so every caller shares its matrices and bases.  It reads the
@@ -182,42 +244,43 @@ class Dolbeault:
     """
 
     def __init__(self, spec: ComplexStructureSpec):
-        """Read from ``spec`` everything the complex is built from, so that a
-        spec holding its complex makes no reference cycle.
-
-        ``layout`` is the read-only view of ``exterior._layout(n)`` that every
-        basis reads; ``_masks`` and ``_index`` are the plain dicts under it.
-        ``_dbar_f[I]`` holds delbar(f_I) (the ``B`` terms) keyed by
-        (I', bit of j) for f_I' ^ c_j, and ``_dbar_c[J]`` holds delbar(c_J)
-        (the ``Abar`` terms) keyed by J', both from ``_d_monomial``.  ``order``
-        is K when the ``B`` and ``Abar`` constants not in Q(i) are jets of
-        order K >= 1 in one parameter, else 0; other rings raise ``LinalgError``.
-        ``_dd_ok`` is d.d = 0 on the generators, and ``_factorable`` adds that
-        there are no ``B`` terms: delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}.
-        """
+        """Read what the complex is built from, so that a spec holding it makes
+        no reference cycle: ``_gen`` is the ``_generator_d()`` table, ``order``
+        is K for jet constants of order K >= 1 in one parameter, else 0 (other
+        rings raise ``LinalgError``), ``_dd_ok`` is d.d = 0 on the generators,
+        ``_f`` and ``_c`` the layouts of the core f and c generators, and
+        ``_free`` the masks of the free ones."""
         rings = {(getattr(c, "params", ()), getattr(c, "order", None) or 0)
                  for table in (spec.B, spec.Abar) for row in table.values()
                  for c in row.values() if type(c) is not GaussianRational}
         params, self.order = next(iter(rings), ((), 0))
         if len(rings) > 1 or rings and (len(params) != 1 or self.order < 1):
             raise linalg.LinalgError("cohomology expects constant matrices")
-        self.n = spec.n
-        self.layout, self._masks, self._index = _layout(spec.n)
-        self._dbar_f, self._dbar_c, has_b = {}, {}, any(spec.B.values())
-        for m in self._index:
-            self._dbar_f[m], db = {}, {}
-            if has_b:
-                _d_monomial(spec, m, 0, self._dbar_f[m])
-            _d_monomial(spec, 0, m, db)
-            self._dbar_c[m] = {tj: c for (_, tj), c in db.items()}
+        self.n, self._gen = spec.n, spec._generator_d()
         try:
             self._dd_ok = next(_dd_defects(spec), None) is None
         except CoefficientError:  # Polys over two parameter tuples: the products decide
             self._dd_ok = False
-        self._factorable = not has_b and self._dd_ok
+        s, _, terms = self._gen
+        # the generators of every delbar term and of its generator
+        linked = 0 if self._dd_ok else -1
+        for b, row in terms.items():
+            for wf, wc, _, _, into_del in row:
+                linked |= 0 if into_del else b | wf | wc << s
+        self._free = ((1 << s) - 2 & ~linked, (1 << s) - 2 & ~(linked >> s))
+        f_core, c_core = (tuple(k for k in range(1, s) if not free >> k & 1) for free in self._free)
+        self._f = _layout(f_core)
+        self._c = self._f if c_core == f_core else _layout(c_core)
+        self._size = (len(self._f[1]) - 1, len(self._c[1]) - 1)  # a and b
+        # C(#free, k) for each side: the free monomials of each size
+        self._binomials = tuple([comb(m.bit_count(), k) for k in range(m.bit_count() + 1)] for m in self._free)
+        self._full = None if any(self._free) else self._f  # the layout of all n, built when needed
+        self._dbar: dict[tuple[int, int], dict] = {}
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
-        self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
+        self._full_matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._ranks: dict[tuple[int, int], int] = {}
+        self._cores: dict[tuple[int, int], linalg.CohomologyBasis] = {}
+        self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
 
     @classmethod
     def of(cls, spec: ComplexStructureSpec) -> "Dolbeault":
@@ -232,98 +295,137 @@ class Dolbeault:
             object.__setattr__(spec, "_dolbeault", dol)
         return dol
 
-    def dbar_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
-        """Matrix of delbar from bidegree (p, q) to (p, q+1), over Q(i).
+    def _delbar(self, mi: int, mj: int) -> dict:
+        """delbar(f_I ^ c_J), mask-keyed, computed once."""
+        d = self._dbar.get((mi, mj))
+        if d is None:
+            d = self._dbar[(mi, mj)] = {}
+            _d_monomial(self._gen, mi, mj, d)
+        return d
+
+    def _assemble(self, p: int, q: int, f: tuple, c: tuple) -> linalg.ExactMatrix:
+        """delbar from (p, q) to (p, q+1) on the monomials f_I ^ c_J of the
+        f-layout ``f`` and the c-layout ``c``, (I, J) at idx(I) * #J + idx(J).
 
         Assembled straight into sparse rows by the Leibniz rule
         delbar(f_I ^ c_J) = delbar(f_I) ^ c_J + (-1)^p f_I ^ delbar(c_J):
         a term f_I' ^ c_j of delbar(f_I) lands on f_I' ^ c_(J+j) with sign
-        (-1)^r(j, J), and vanishes when j is in J.  Monomial (I, J) of
-        bidegree (p, q) has index idx(I) * C(n, q) + idx(J), the order of
-        ``basis_monomials``: the one layout every basis of the complex
-        reads.  With jet constants of order K, it is delbar on jet-valued
-        forms modulo s^(K+1), laid out by ``linalg._jet_expand``.
+        (-1)^r(j, J), and vanishes when j is in J.  With jet constants of
+        order K, it is delbar on jet-valued forms modulo s^(K+1), laid out
+        by ``linalg._jet_expand``.
         """
-        key = (p, q)
-        m = self._matrices.get(key)
-        if m is not None:
-            return m
-        masks, index, dbar_f, dbar_c = self._masks, self._index, self._dbar_f, self._dbar_c
+        (_, f_masks, f_index), (_, c_masks, c_index) = f, c
         # out-of-range bidegrees have no monomials
-        src_i, src_j, width = masks.get(p, []), masks.get(q, []), len(masks.get(q + 1, []))
+        src_i, src_j, width = f_masks.get(p, ()), c_masks.get(q, ()), len(c_masks.get(q + 1, ()))
         # only rows that receive a term are made: most are empty for large n
         rows: defaultdict[int, dict] = defaultdict(dict)
         # each term's signed values, formed once per matrix, not per entry
-        c_terms = [(r, mj, [(index[tj], -c if p & 1 else c) for tj, c in dbar_c[mj].items()])
+        c_terms = [(r, mj, [(c_index[tj], -v if p & 1 else v) for (_, tj), v in self._delbar(0, mj).items()])
                    for r, mj in enumerate(src_j)]
         # a column receives a term only from delbar(f_I) or from delbar(c_J)
         c_only = [t for t in c_terms if t[2]]
         for ri, mi in enumerate(src_i):
-            own = index[mi] * width
-            f_terms = [(index[ti] * width, bj, c, -c) for (ti, bj), c in dbar_f[mi].items()]
+            own = ri * width
+            f_terms = [(f_index[ti] * width, bj, v, -v) for (ti, bj), v in self._delbar(mi, 0).items()]
             for r, mj, c_row in (c_terms if f_terms else c_only):
                 col = ri * len(src_j) + r
-                for base, bj, c, neg in f_terms:
+                for base, bj, v, neg in f_terms:
                     if not mj & bj:
-                        accumulate(rows[base + index[mj | bj]], col,
-                                   neg if (mj & (bj - 1)).bit_count() & 1 else c)
-                for tj, c in c_row:
-                    accumulate(rows[own + tj], col, c)
+                        accumulate(rows[base + c_index[mj | bj]], col,
+                                   neg if (mj & (bj - 1)).bit_count() & 1 else v)
+                for tj, v in c_row:
+                    accumulate(rows[own + tj], col, v)
         nrows, ncols = len(src_i) * width, len(src_i) * len(src_j)
         if self.order:
             rows, jets = defaultdict(dict), rows
             linalg._jet_expand(jets.items(), nrows, ncols, self.order, rows)
             nrows, ncols = (self.order + 1) * nrows, (self.order + 1) * ncols
-        m = linalg.ExactMatrix._trusted(ncols, rows, nrows)
-        self._matrices[key] = m
+        return linalg.ExactMatrix._trusted(ncols, rows, nrows)
+
+    def _core_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
+        m = self._matrices.get((p, q))
+        if m is None:
+            m = self._matrices[(p, q)] = self._assemble(p, q, self._f, self._c)
+        return m
+
+    def dbar_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
+        """Matrix of delbar from bidegree (p, q) to (p, q+1) over Q(i) on all
+        n generators, in the column order of ``basis_monomials``; built when
+        first asked for, and the core's own when no generator is free."""
+        if not any(self._free):
+            return self._core_matrix(p, q)
+        m = self._full_matrices.get((p, q))
+        if m is None:
+            self._full = self._full or _layout(range(1, self.n + 1))
+            m = self._full_matrices[(p, q)] = self._assemble(p, q, self._full, self._full)
         return m
 
     def _chain(self, p: int, q: int) -> tuple[linalg.ExactMatrix, linalg.ExactMatrix]:
-        """(d_in, d_out): delbar into and out of bidegree (p, q), checked to
-        compose to zero (see the class docstring)."""
-        d_out = self.dbar_matrix(p, q)
-        d_in = self.dbar_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
+        """(d_in, d_out): the core's delbar into and out of bidegree (p, q),
+        checked to compose to zero (see the class docstring)."""
+        d_out = self._core_matrix(p, q)
+        d_in = self._core_matrix(p, q - 1) if q >= 1 else linalg.ExactMatrix.zeros(d_out.cols, 0)
         (linalg._check_shapes if self._dd_ok else linalg._check_chain)(d_in, d_out)
         return d_in, d_out
 
-    def _rank(self, p: int, q: int) -> int:
-        """rank delbar_{p,q}, memoized, by the first rule that applies: its
-        Serre dual's rank when the spec is certified and that rank is known;
-        C(n,p) rank delbar_{0,q} when the spec is factorable and p >= 1;
-        else ``rank_const`` of the matrix, the chain of a spec failing d.d
-        = 0 checked first by ``_chain``.  Zero for q < 0 or q >= n."""
-        n, r = self.n, self._ranks.get((p, q))
-        if r is None and 0 <= q < n:
+    def _core_rank(self, p: int, q: int) -> int:
+        """rank of the core's delbar_{p,q}, memoized: its Serre dual's rank
+        when the core is certified and that rank is known, else
+        ``rank_const``, of ``_chain`` for a spec failing d.d = 0.  Zero for
+        q < 0 or q >= b."""
+        (a, b), r = self._size, self._ranks.get((p, q))
+        if r is None and 0 <= q < b:
             trusted = self._dd_ok
-            if trusted and self.dbar_matrix(n, n - 1).is_zero():
-                r = self._ranks.get((n - p, n - 1 - q))
-            if r is None and p and self._factorable:
-                r = comb(n, p) * self._rank(0, q)
+            if trusted and self._core_matrix(a, b - 1).is_zero():
+                r = self._ranks.get((a - p, b - 1 - q))
             if r is None:
-                r = linalg.rank_const(self.dbar_matrix(p, q) if trusted else self._chain(p, q)[1])
+                r = linalg.rank_const(self._core_matrix(p, q) if trusted else self._chain(p, q)[1])
             self._ranks[(p, q)] = r
         return r or 0
 
+    def _blocks(self, p: int, q: int) -> list:
+        """The core bidegrees (p - |mf|, q - |mc|) of the blocks at (p, q)."""
+        (a, b), (free_f, free_c) = self._size, self._binomials
+        return [(pc, qc) for pc in range(max(p - len(free_f) + 1, 0), min(p, a) + 1)
+                for qc in range(max(q - len(free_c) + 1, 0), min(q, b) + 1)]
+
+    def _rank(self, p: int, q: int) -> int:
+        """rank delbar_{p,q}: the core rank of each block, times the number of
+        its free monomials."""
+        (free_f, free_c), r = self._binomials, 0
+        for pc, qc in self._blocks(p, q):
+            r += free_f[p - pc] * free_c[q - qc] * self._core_rank(pc, qc)
+        return r
+
     def basis(self, p: int, q: int) -> DolbeaultBasis:
-        key = (p, q)
-        if key in self._bases:
-            return self._bases[key]
-        if self.order:
-            raise linalg.LinalgError("cohomology expects constant matrices")
-        if 1 <= p <= self.n and self._factorable:
-            cob = self.basis(0, q).cob  # read C(n,p) times through the layout
-        else:
-            cob = linalg._cohomology(*self._chain(p, q), label=f"H^{p},{q}")
-        self._bases[key] = b = DolbeaultBasis(p=p, q=q, cob=cob, layout=self.layout)
+        b = self._bases.get((p, q))
+        if b is None:
+            if self.order:
+                raise linalg.LinalgError("cohomology expects constant matrices")
+            cores = {}
+            for key in self._blocks(p, q):
+                if key not in self._cores:
+                    self._cores[key] = linalg._cohomology(*self._chain(*key), label=f"H^{key[0]},{key[1]}")
+                cores[key] = self._cores[key]
+            self._full = self._full or _layout(range(1, self.n + 1))
+            b = self._bases[(p, q)] = DolbeaultBasis(p, q, MappingProxyType(cores), self._full[0],
+                                                     (self._f[0], self._c[0], *self._free))
         return b
 
     def table(self) -> dict[tuple[int, int], int]:
-        """h^{p,q} for all 0 <= p, q <= n by rank-nullity over ``_rank``;
-        builds no basis.  With jet constants of order K it is the Q(i)
-        dimension of the cohomology of jet-valued forms."""
-        n, copies = self.n, self.order + 1
-        return {(p, q): copies * comb(n, p) * comb(n, q) - self._rank(p, q) - self._rank(p, q - 1)
-                for p in range(n + 1) for q in range(n + 1)}
+        """h^{p,q} for all 0 <= p, q <= n: the core's numbers by rank-nullity
+        over ``_core_rank``, times (1+x)^(free f) (1+y)^(free c); builds no
+        basis.  With jet constants of order K it is the Q(i) dimension of
+        the cohomology of jet-valued forms."""
+        (a, b), (free_f, free_c), copies = self._size, self._binomials, self.order + 1
+        table = dict.fromkeys(((p, q) for p in range(self.n + 1) for q in range(self.n + 1)), 0)
+        for pc in range(a + 1):
+            for qc in range(b + 1):
+                h = copies * comb(a, pc) * comb(b, qc) - self._core_rank(pc, qc) - self._core_rank(pc, qc - 1)
+                for i, x in enumerate(free_f):
+                    for j, y in enumerate(free_c):
+                        table[(pc + i, qc + j)] += x * y * h
+        return table
 
 
 def hodge_table(spec: ComplexStructureSpec) -> dict[tuple[int, int], int]:
@@ -346,7 +448,7 @@ def dbar_vector(spec: ComplexStructureSpec, psi: VectorForm) -> VectorForm:
     out: dict = {}
     for (i, mj), c in psi.terms.items():
         db: dict = {}
-        _d_monomial(spec, 0, mj, db)
+        _d_monomial(spec._generator_d(), 0, mj, db)
         for (_, m), c2 in db.items():
             accumulate(out, (i, m), c * c2)
         for k in range(1, spec.n + 1):
@@ -512,7 +614,7 @@ def _del(spec: ComplexStructureSpec, a: dict) -> dict:
     """del of a mask-keyed sparse vector."""
     out: dict = {}
     for (mi, mj), c in a.items():
-        _d_monomial(spec, mi, mj, None, c, out)
+        _d_monomial(spec._generator_d(), mi, mj, None, c, out)
     return out
 
 
@@ -520,7 +622,7 @@ def _dbar(spec: ComplexStructureSpec, a: dict) -> dict:
     """delbar of a mask-keyed sparse vector."""
     out: dict = {}
     for (mi, mj), c in a.items():
-        _d_monomial(spec, mi, mj, out, c)
+        _d_monomial(spec._generator_d(), mi, mj, out, c)
     return out
 
 
@@ -696,7 +798,7 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
                 sol = linalg.solve_const(dbar0, {i: -v for i, v in tgt.positions(piece).items()})
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
-                for key, x in _keyed(tgt.layout[0], p, q, sol).items():
+                for key, x in _keyed(0, 0, 0, 0, tgt.layout[0][p], tgt.layout[0][q], sol).items():
                     accumulate(fix.setdefault(key, {}), exps, x)
         if obstruction:
             coords = [Poly._trusted(params, obstruction.get(i, {})) for i in range(tgt.dim)]

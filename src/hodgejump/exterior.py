@@ -252,11 +252,23 @@ def _shuffle(a: int, b: int) -> int:
     return n
 
 
-def _layout(n: int) -> tuple:
+def _shuffle_mask(a: int) -> int:
+    """The mask w with r(a, b) = popcount(b & w) mod 2 for every b: the XOR
+    of x - 1 over the bits x of a, so one sign serves many b."""
+    w = 0
+    while a:
+        low = a & -a
+        w ^= low - 1
+        a ^= low
+    return w
+
+
+def _layout(indices) -> tuple:
     """A read-only ``(masks, index)`` and the plain ``masks`` and ``index`` it wraps:
-    per size k, the bitmasks ``masks[k]`` of the index tuples in lexicographic
-    order, and ``index[m]``, mask m's position."""
-    masks = {k: tuple(map(_mask, itertools.combinations(range(1, n + 1), k))) for k in range(n + 1)}
+    per size k, the bitmasks ``masks[k]`` of the k-subsets of the ascending
+    ``indices`` in lexicographic order, and ``index[m]``, mask m's position."""
+    indices = tuple(indices)
+    masks = {k: tuple(map(_mask, itertools.combinations(indices, k))) for k in range(len(indices) + 1)}
     index = {m: r for level in masks.values() for r, m in enumerate(level)}
     return (MappingProxyType(masks), MappingProxyType(index)), masks, index
 
@@ -513,12 +525,13 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     return InvariantForm._trusted(a.spec, out, p, q)
 
 
-def _d_monomial(spec: ComplexStructureSpec, mi: int, mj: int, dbar, c=None, dl=None) -> None:
+def _d_monomial(gen: tuple, mi: int, mj: int, dbar, c=None, dl=None) -> None:
     """Accumulate d(c * f_I ^ c_J) into ``dl`` (del) and ``dbar`` (delbar).
 
-    The monomial is the (I, J) mask pair ``mi``, ``mj``, and results are
-    keyed by mask pairs.  ``c=None`` stands for the coefficient 1 and skips
-    the multiplications; ``dl=None`` or ``dbar=None`` skips that part.
+    ``gen`` is the spec's ``_generator_d()`` table.  The monomial is the
+    (I, J) mask pair ``mi``, ``mj``, and results are keyed by mask pairs.
+    ``c=None`` stands for the coefficient 1 and skips the multiplications;
+    ``dl=None`` or ``dbar=None`` skips that part.
     One Leibniz rule, in one pass over the factors that the spec's
     ``_generator_d`` table marks live: factor x_g at position g (f factors
     first) and a term w = f_wf ^ c_wc of d(x_g) give (-1)^g w ^ f_I' ^ c_J',
@@ -533,7 +546,7 @@ def _d_monomial(spec: ComplexStructureSpec, mi: int, mj: int, dbar, c=None, dl=N
     than x_g, else in delbar.  Terms are accumulated in the order of the
     factors and of the tables.
     """
-    s, live, terms = spec._generator_d()
+    s, live, terms = gen
     key, low = mi | mj << s, (1 << s) - 1
     m = key & live
     while m:
@@ -581,7 +594,7 @@ def differential(spec: ComplexStructureSpec, form: InvariantForm):
     dl: dict = {}
     dbar: dict = {}
     for (mi, mj), c in form.terms.items():
-        _d_monomial(spec, mi, mj, dbar, c, dl)
+        _d_monomial(spec._generator_d(), mi, mj, dbar, c, dl)
     # past degree n there is no monomial, so the clamped part is empty
     n = spec.n
     return (InvariantForm._trusted(spec, dl, min(form.p + 1, n), form.q),
@@ -610,12 +623,12 @@ def _dd_defects(spec: ComplexStructureSpec):
     of each of its terms, with del and delbar summed into one dict: no
     form is built.
     """
-    s, _, terms = spec._generator_d()
+    s, _, terms = gen = spec._generator_d()
     for k in range(1, spec.n + 1):
         for b, name in ((1 << k, f"f{k}"), (1 << k + s, f"c{k}")):
             ddg: dict = {}
             for wf, wc, c, _, _ in terms[b]:
-                _d_monomial(spec, wf, wc, ddg, c, ddg)
+                _d_monomial(gen, wf, wc, ddg, c, ddg)
             if ddg:
                 yield name, ddg
 

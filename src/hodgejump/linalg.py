@@ -640,6 +640,7 @@ class CohomologyBasis(_Record, _Immutable):
     the image of d_in, untagged, and of each representative b_k as the row
     (b_k | e_k): its width is the ambient dimension n plus ``dim``, and a
     closed vector v reduces to (0 | -coordinates of v) in one residue.
+    ``columns[k]`` is the free column of d_out whose kernel vector gave b_k.
     Frozen, so a cached basis can be shared.
     """
 
@@ -647,7 +648,8 @@ class CohomologyBasis(_Record, _Immutable):
     sparse_representatives: tuple[Mapping[int, GaussianRational], ...]
     coords: Echelon
     label: str = ""
-    _hidden = ("coords",)
+    columns: tuple[int, ...] = ()
+    _hidden = ("coords", "columns")
 
     def project(self, vector: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
         """``{k: coordinate}`` of the nonzero coordinates of a closed
@@ -656,10 +658,14 @@ class CohomologyBasis(_Record, _Immutable):
         No d_out product is formed: a vector outside Ker(d_out) is outside
         kernel+image too, so it raises LinalgError with that message.
         """
-        n = self.coords.width - self.dim  # one tag column per class
         vector = _sparse(vector)
-        if not _in_range(vector, n):
+        if not _in_range(vector, self.coords.width - self.dim):
             raise LinalgError("projection: index out of range")
+        return self._coords(vector)
+
+    def _coords(self, vector: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """``project`` of a vector whose indices are known to lie in range."""
+        n = self.coords.width - self.dim  # one tag column per class
         r = self.coords.residue(vector)
         if any(j < n for j in r):
             raise LinalgError("projection of a non-closed vector: outside kernel+image")
@@ -701,17 +707,20 @@ def _cohomology(d_in: ExactMatrix, d_out: ExactMatrix, label: str = "") -> Cohom
 
     One echelon takes d_in's columns, then each kernel vector of d_out in
     turn: the untagged part of its residue (every pivot is untagged), when
-    nonzero, is representative k, inserted with tag n + k."""
+    nonzero, is representative k, inserted with tag n + k.  A kernel
+    vector's free column is its largest index."""
     _check_shapes(d_in, d_out)
     n = d_out.cols if d_out.cols else d_in.rows
     ker = Echelon(d_out.cols if d_out.rows else n, d_out.sparse_rows).kernel()
     coords = Echelon(n + len(ker) - rank_const(d_in), d_in.sparse_columns)
     reps: list[dict[int, GaussianRational]] = []
+    columns: list[int] = []
     for v in ker:
         r = {j: x for j, x in coords.residue(v).items() if j < n}
         if r:
             inv = r[min(r)].inv()
             reps.append({j: x * inv for j, x in r.items()})
+            columns.append(max(v))
             coords._insert({**reps[-1], n + len(reps) - 1: GR_ONE})
     return CohomologyBasis(len(reps), tuple(MappingProxyType(dict(sorted(r.items()))) for r in reps),
-                           coords.freeze(), label)
+                           coords.freeze(), label, tuple(columns))

@@ -256,7 +256,7 @@ def monomial_dbar_matrix(spec: ComplexStructureSpec, p: int, q: int) -> linalg.E
     cols = []
     for I, J in basis_monomials(spec.n, p, q):
         db: dict = {}
-        _d_monomial(spec, _mask(I), _mask(J), db)
+        _d_monomial(spec._generator_d(), _mask(I), _mask(J), db)
         cols.append({row_of[key]: c for key, c in db.items()})
     return linalg.ExactMatrix.from_columns(len(tgt), cols)
 

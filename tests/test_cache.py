@@ -5,7 +5,9 @@ once."""
 import gc
 import json
 import random
+import time
 import weakref
+from math import comb
 from types import MappingProxyType
 from pathlib import Path
 
@@ -110,16 +112,18 @@ class TestImmutability:
         assert masks[2] == (0b110, 0b1010, 0b1100)
         with pytest.raises(AttributeError):
             basis.layout = ()
-        with pytest.raises(AttributeError):
-            basis.cob.sparse_representatives = ()
         with pytest.raises(TypeError):
-            basis.cob.sparse_representatives[0][0] = GR(0)
+            basis.cores[(0, 1)] = None
+        with pytest.raises(AttributeError):
+            basis.cores[(0, 1)].sparse_representatives = ()
+        with pytest.raises(TypeError):
+            basis.cores[(0, 1)].sparse_representatives[0][0] = GR(0)
         assert Dolbeault.of(spec).basis(1, 1) is basis
         assert str(basis.rep_form(spec, 0)) == "f1^c1"
 
     def test_sparse_representatives_are_read_only(self):
         spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
-        cob = Dolbeault.of(spec).basis(1, 1).cob
+        cob = Dolbeault.of(spec).basis(1, 1).cores[(0, 1)]
         before = [dict(r) for r in cob.sparse_representatives]
         rep = cob.sparse_representatives[0]
         with pytest.raises(TypeError):
@@ -146,7 +150,7 @@ class TestImmutability:
     def test_cached_projection_echelon_cannot_grow(self):
         spec = ComplexStructureSpec(3, A={3: {(1, 2): GR(-1)}})  # Iwasawa, unshared
         basis = Dolbeault.of(spec).basis(1, 1)
-        cob = basis.cob
+        cob = basis.cores[(0, 1)]
         d_out = Dolbeault.of(spec).dbar_matrix(1, 1)
         closed = [basis.vector(k) for k in range(basis.dim)]
         # f_i ^ c_j sits at column 3(i-1) + (j-1) of delbar_{1,1}
@@ -157,7 +161,7 @@ class TestImmutability:
             cob.coords.add({0: GR(1), 4: GR(5)})
         with pytest.raises(AttributeError):
             cob.coords.width = 3
-        assert Dolbeault.of(spec).basis(1, 1).cob is cob
+        assert Dolbeault.of(spec).basis(1, 1).cores[(0, 1)] is cob
         assert [basis.project(v) for v in closed] == before
         assert basis.project(basis.vector(4)) == {4: GR(1)}
 
@@ -290,9 +294,9 @@ def test_extend_class_reuses_the_delbar_solver_and_builds_only_its_result(monkey
 
 def test_hodge_table_eliminates_each_delbar_matrix_once(monkeypatch):
     # the n = 5 two-step structure d f5 = -f1^f2, d f4 = -f1^f3, unshared:
-    # it has no B terms, so delbar_{p,q} = (-1)^p I (x) delbar_{0,q} and the
-    # table builds the p = 0 matrices and the (5,4) certificate of Serre
-    # duality, at most 6 of the 36, ranks each at most once, and singleton
+    # it has no B terms, so every f is free and the core is c1..c5; the
+    # table builds its delbar_{0,q}, the (0,4) one the certificate of Serre
+    # duality, at most 5 matrices, ranks each at most once, and singleton
     # peeling empties every one of them, so no Echelon is built
     spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}})
     built, ranked, echelons = [], [], []
@@ -319,8 +323,8 @@ def test_hodge_table_eliminates_each_delbar_matrix_once(monkeypatch):
     table = hodge_table(spec)
     assert built == [] and echelons == []
     matrices = dict(Dolbeault.of(spec)._matrices)
-    assert len(matrices) <= 6 and (5, 4) in matrices
-    assert all(p == 0 for p, q in matrices if (p, q) != (5, 4))
+    assert len(matrices) <= 5 and (0, 4) in matrices
+    assert all(p == 0 for p, q in matrices)
     assert len(ranked) == len(set(ranked))
     assert set(ranked) <= {id(m.sparse_rows) for m in matrices.values()}
     for p in range(6):
@@ -329,16 +333,45 @@ def test_hodge_table_eliminates_each_delbar_matrix_once(monkeypatch):
 
 
 def test_n10_table_builds_only_the_p0_row_and_the_certificate():
-    # d f10 = -f1^f2, d f9 = -f1^f3: 11 delbar matrices at most (the p = 0
-    # row and delbar_{10,9}), none over C(10,5) = 252 rows, where ranking
-    # one member of each dual pair took 55 of up to 63,504 rows
+    # d f10 = -f1^f2, d f9 = -f1^f3: every f and c4..c8 are free, so the
+    # table builds the delbar matrices of the core c1, c2, c3, c9, c10 alone,
+    # its p = 0 row with the certificate delbar_{0,4}: 5 matrices at most,
+    # none over C(5,2) = 10 rows, where ranking one member of each dual pair
+    # of the whole complex took 55 of up to 63,504 rows
     spec = ComplexStructureSpec(10, A={10: {(1, 2): GR(-1)}, 9: {(1, 3): GR(-1)}})
     table = hodge_table(spec)
     matrices = Dolbeault.of(spec)._matrices
-    assert len(matrices) <= 11
-    assert max(m.rows for m in matrices.values()) <= 252
+    assert len(matrices) <= 5 and (0, 4) in matrices
+    assert max(m.rows for m in matrices.values()) <= 10
     assert table[(1, 0)] == 10 and table[(0, 1)] == 8
     assert all(table[(p, q)] == table[(10 - p, 10 - q)] for p, q in table)
+
+
+def _timed_main(argv, capsys) -> tuple[str, float]:
+    start = time.monotonic()
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out, time.monotonic() - start
+
+
+def test_limits_hodge_without_structure_constants_at_n40(tmp_path, capsys):
+    # every generator is free: the table is (1+x)^40 (1+y)^40, counted, with
+    # no monomial of the 2^80 formed
+    path = tmp_path / "abelian_n40.json"
+    path.write_text(json.dumps({"name": "abelian-n40", "kind": "lie-algebra", "dimension": 40,
+                                "structure": []}))
+    out, elapsed = _timed_main(["hodge", str(path), "--format", "json"], capsys)
+    assert json.loads(out)["h"] == {f"{p},{q}": comb(40, p) * comb(40, q) for p in range(41) for q in range(41)}
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["jump", "two_step_u_n12.json", "--point", "u=1"], 1.0),  # the ray's core has 4 f and 5 c
+    (["hodge", "bterm_n10.json"], 5.0),                         # c3, c4, c5, c8, c9, c10 are free
+], ids=["jump_ladder_n12", "hodge_bterm_n10"])
+def test_limits_of_the_free_generator_split(argv, budget, capsys):
+    argv = [argv[0], str(Path(__file__).parent / "data" / argv[1]), *argv[2:]]
+    _, elapsed = _timed_main(argv, capsys)
+    assert elapsed < budget, f"took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("manifest, assignment", [
@@ -354,15 +387,15 @@ def test_jump_forms_no_class(monkeypatch, manifest, assignment):
     point = man.full_point(assignment)
     calls, built, ranked = [], {}, []
     real_cohomology, real_basis, real_o1 = linalg._cohomology, Dolbeault.basis, deform.obstruction_o1
-    real_init, real_dbar, real_rank = linalg.ExactMatrix.__init__, Dolbeault.dbar_matrix, linalg.rank_const
+    real_init, real_dbar, real_rank = linalg.ExactMatrix.__init__, Dolbeault._core_matrix, linalg.rank_const
 
     def init(self, *args):
         calls.append("ExactMatrix")
         real_init(self, *args)
 
-    def dbar_matrix(self, p, q):
+    def core_matrix(self, p, q):
         m = real_dbar(self, p, q)
-        built[id(m)] = (self.order, p, q)
+        built[id(m)] = (self.order, self._size, p, q)
         return m
 
     def rank_const(m):
@@ -385,13 +418,14 @@ def test_jump_forms_no_class(monkeypatch, manifest, assignment):
     monkeypatch.setattr(Dolbeault, "basis", basis)
     monkeypatch.setattr(deform, "obstruction_o1", o1)
     monkeypatch.setattr(linalg.ExactMatrix, "__init__", init)
-    monkeypatch.setattr(Dolbeault, "dbar_matrix", dbar_matrix)
+    monkeypatch.setattr(Dolbeault, "_core_matrix", core_matrix)
     monkeypatch.setattr(linalg, "rank_const", rank_const)
     deform.jump_report(man.spec, man.psi1, point)
     assert calls == []
-    assert None not in ranked  # every rank is a delbar rank
-    n, jets = man.spec.n, [(p, q) for order, p, q in ranked if order]
-    assert jets and len({frozenset({(p, q), (n - p, n - 1 - q)}) for p, q in jets}) == len(jets)
+    assert None not in ranked  # every rank is a delbar rank of the core
+    # the ray core of a f and b c generators pairs (p, q) with (a-p, b-1-q)
+    jets = [(size, p, q) for order, size, p, q in ranked if order]
+    assert jets and len({frozenset({(p, q), (a - p, b - 1 - q)}) for (a, b), p, q in jets}) == len(jets)
     deform.second_class_subspace(man.spec, man.psi1, 1, 1, point)
     assert set(calls) == {"_cohomology", "basis", "obstruction_o1", "ExactMatrix"}
 

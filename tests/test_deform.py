@@ -282,14 +282,14 @@ class TestDbarAssembly:
             dol.basis(1, 1)
 
     def test_factored_jet_tables_rank_the_p0_row(self):
-        # no B terms and Abar in one parameter: on jets delbar_{p,q} is still
-        # (-1)^p I_{C(n,p)} (x) delbar_{0,q}, up to the order of the cochains
+        # no B terms and Abar in one parameter: every f is free on jets too,
+        # so the table builds and ranks only core matrices of bidegree (0, q)
         spec = ComplexStructureSpec(5, A={5: {(1, 2): GR(-1)}, 4: {(1, 3): GR(-1)}},
                                     Abar={5: {(1, 2): S - 1}, 4: {(1, 3): S * S - 1}}, Bbar={})
         dol = Dolbeault(oracles.jet_twin(spec, 2))
-        assert dol._factorable and dol.order == 2
+        assert dol._free[0] == 0b111110 and dol.order == 2
         table = dol.table()
-        assert {p for p, q in dol._matrices if (p, q) != (5, 4)} == {0}
+        assert {p for p, q in dol._matrices} == {0}
         for p in range(6):
             for q in range(6):
                 d_out = _jet_matrix(oracles.monomial_dbar_matrix(spec, p, q), 2)
@@ -444,19 +444,23 @@ def _assert_bases_match_the_monomial_oracle(spec, rng):
             assert got.project(keyed) == want.project(v) == {k: c for k, c in enumerate(coeffs) if c}
 
 
+def _every_f_free(dol) -> bool:
+    return dol._free[0] == (1 << dol.n + 1) - 2
+
+
 class TestFactoredDolbeault:
-    """With no ``B`` terms, Q(i) constants and d.d = 0, delbar_{p,q} =
-    (-1)^p I_{C(n,p)} (x) delbar_{0,q}: ranks and bases at p >= 1 come from
-    the (0, q) row, and equal the per-monomial cohomology."""
+    """With no ``B`` terms, Q(i) constants and d.d = 0, every f is free, so
+    delbar_{p,q} = (-1)^p I_{C(n,p)} (x) delbar_{0,q}: ranks and bases at
+    p >= 1 come from core matrices of bidegree (0, q), and equal the
+    per-monomial cohomology."""
 
     @given(a_only_two_step_specs(), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_factored_bases_equal_the_monomial_cohomology(self, spec, seed):
         dol = Dolbeault(spec)
-        assert dol._factorable
+        assert _every_f_free(dol)
         _assert_bases_match_the_monomial_oracle(spec, random.Random(seed))
-        n = spec.n
-        assert {p for p, q in dol._matrices if (p, q) != (n, n - 1)} <= {0, n + 1}
+        assert {p for p, q in dol._matrices} <= {0}
 
     @pytest.mark.parametrize("spec, factorable", [
         # d f2 = f1^f2, d f3 = -f1^f3: unimodular and solvable, not nilpotent
@@ -466,22 +470,24 @@ class TestFactoredDolbeault:
                               B={5: {(2, 3): GR(1)}, 4: {(3, 2): GR(1)}}), False),
     ], ids=["solvable", "b_control"])
     def test_fixed_specs_equal_the_monomial_cohomology(self, spec, factorable):
-        assert Dolbeault(spec)._factorable is factorable
+        assert _every_f_free(Dolbeault(spec)) is factorable
         _assert_bases_match_the_monomial_oracle(spec, random.Random(1))
 
     @pytest.mark.parametrize("name", ["iwasawa", "two_step5", "two_step_u_n6.json"])
     def test_factored_bases_read_the_one_row_basis(self, name, iwasawa):
-        # each basis at p >= 1 holds the (0, q) basis itself, no copy of it,
-        # and reads it C(n,p) times through the layout
+        # each basis at p >= 1 holds the core bases of the (0, q) basis
+        # themselves, no copy of them, and reads them through C(n,p) f_I
         spec = {"iwasawa": iwasawa, "two_step5": TWO_STEP5}.get(name)
         spec = spec or load_manifest(str(DATA / name)).spec
         dol, n = Dolbeault(spec), spec.n
-        assert dol._factorable
+        assert _every_f_free(dol)
         for q in range(n + 1):
             row = dol.basis(0, q)
             for p in range(1, n + 1):
                 basis = dol.basis(p, q)
-                assert basis.cob is row.cob and basis.dim == comb(n, p) * row.dim, (p, q)
+                assert basis.cores.keys() == row.cores.keys(), (p, q)
+                assert all(basis.cores[key] is cob for key, cob in row.cores.items()), (p, q)
+                assert basis.dim == comb(n, p) * row.dim, (p, q)
 
     @pytest.mark.parametrize("spec, message", [
         # d.d != 0: d f2 = f1^c1, d f3 = f2^c2; and d f3 = f1^c1, d f4 = -f1^f2 + f3^c3
@@ -501,6 +507,102 @@ class TestFactoredDolbeault:
         with pytest.raises(linalg.LinalgError) as info:
             hodge_table(spec)
         assert type(info.value) is linalg.LinalgError and str(info.value) == message
+
+
+def bterm_spec(n: int) -> ComplexStructureSpec:
+    """The B-term two-step family: d f_k = m_a + i m_b for k = 3..n, m =
+    (f1^c1, f1^c2, f2^c1, f2^c2, f1^f2), a = (k-3) mod 5, b = (k-2) mod 5."""
+    A, B = {}, {}
+    for k in range(3, n + 1):
+        for which, c in (((k - 3) % 5, GR(1)), ((k - 2) % 5, GR(0, 1))):
+            table = A if which == 4 else B
+            table.setdefault(k, {})[(1, 2) if which == 4 else (1 + which // 2, 1 + which % 2)] = c
+    return ComplexStructureSpec(n, A, B)
+
+
+def moved(spec: ComplexStructureSpec, s: dict, n: int) -> ComplexStructureSpec:
+    """The spec's four tables with every index i read as s[i], in dimension n."""
+    tables = []
+    for table, ordered in ((spec.A, True), (spec.B, False), (spec.Abar, True), (spec.Bbar, False)):
+        out = {}
+        for k, row in table.items():
+            for (i, j), c in row.items():
+                key = (s[i], s[j])
+                out.setdefault(s[k], {})[tuple(sorted(key)) if ordered else key] = \
+                    -c if ordered and key[0] > key[1] else c
+        tables.append(out)
+    return ComplexStructureSpec(n, tables[0], tables[1], Abar=tables[2], Bbar=tables[3])
+
+
+@st.composite
+def free_generator_specs(draw):
+    """Specs with free generators: two-step structures up to n = 5 whose f
+    and c sides are drawn apart (f_1..f_m and c_1..c_m closed, every other
+    d a combination of the closed ones, so d.d = 0), products of two with
+    their labels interleaved, and the B-term family at n = 5 and 6 (n = 7,
+    slower, is checked on its own)."""
+    def two_step(n):
+        m = draw(st.integers(1, n))
+        low = range(1, m + 1)
+        pairs, mixed = list(itertools.combinations(low, 2)), list(itertools.product(low, low))
+        tables = [{k: draw(st.dictionaries(st.sampled_from(keys), QI.filter(bool), max_size=2))
+                   for k in range(m + 1, n + 1)} if keys else {}
+                  for keys in (pairs, mixed, pairs, mixed)]
+        return ComplexStructureSpec(n, tables[0], tables[1], Abar=tables[2], Bbar=tables[3])
+
+    kind = draw(st.sampled_from(["two_step", "product", "bterm"]))
+    if kind == "bterm":
+        return bterm_spec(draw(st.integers(5, 6)))
+    if kind == "two_step":
+        return two_step(draw(st.integers(1, 5)))
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    image = draw(st.permutations(range(1, n1 + n2 + 1)))
+    first, second = two_step(n1), two_step(n2)
+    A, B, Abar, Bbar = ({}, {}, {}, {})
+    for part, offset in ((first, 0), (second, n1)):
+        part = moved(part, {i: image[offset + i - 1] for i in range(1, part.n + 1)}, n1 + n2)
+        for out, table in zip((A, B, Abar, Bbar), (part.A, part.B, part.Abar, part.Bbar)):
+            for k, row in table.items():
+                out.setdefault(k, {}).update(row)
+    return ComplexStructureSpec(n1 + n2, A, B, Abar=Abar, Bbar=Bbar)
+
+
+class TestFreeGenerators:
+    """A free generator (delbar zero, in no ``B`` or ``Abar`` term) is a
+    tensor factor with zero differential: every rank, table and basis read
+    off the core equals the per-monomial oracle's."""
+
+    @staticmethod
+    def _assert_ranks_and_bases(spec, rng):
+        assert not [d for d in validate_spec(spec) if d.severity == "error"]
+        dol, n = Dolbeault(spec), spec.n
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert dol._rank(p, q) == linalg.rank_const(oracles.monomial_dbar_matrix(spec, p, q)), (p, q)
+        _assert_bases_match_the_monomial_oracle(spec, rng)
+
+    @given(free_generator_specs(), st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_ranks_tables_and_bases_equal_the_monomial_oracle(self, spec, seed):
+        rng, n = random.Random(seed), spec.n
+        self._assert_ranks_and_bases(spec, rng)
+        # the jet spec of a ray: its own free split, ranked against the jet matrices of its twin
+        psi = random_vector_form(spec, rng)
+        jets = Dolbeault(deformed_coframe(spec, deform_ray(psi, {}))[0])
+        poly = deformed_coframe(spec, _poly_ray(psi, {}))[0]
+        for p in range(n + 1):
+            for q in range(n + 1):
+                # a ray that leaves every delbar constant has Q(i) matrices: order 0
+                want = linalg.rank_const(_jet_matrix(oracles.monomial_dbar_matrix(poly, p, q), jets.order))
+                assert jets._rank(p, q) == want, (p, q)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_bterm_family_reads_free_c_monomials(self, n):
+        # every f_k past f2 has B terms, and c3, c4, c5 are in no B or Abar term
+        dol = Dolbeault(bterm_spec(n))
+        assert dol._free == (0, 0b111000) and dol._size == (n, n - 3)
+        if n == 7:
+            self._assert_ranks_and_bases(bterm_spec(n), random.Random(7))
 
 
 def _omega(spec) -> InvariantForm:
@@ -1171,11 +1273,11 @@ class TestSparseProjection:
 
     def test_projection_checks_index_range_and_bidegree(self, iwasawa):
         basis = Dolbeault.of(iwasawa).basis(1, 1)
-        cob, width = basis.cob, len(basis_monomials(3, 0, 1))  # Iwasawa's one H^{0,1} basis
+        cob, width = basis.cores[(0, 1)], len(basis_monomials(3, 0, 1))  # Iwasawa's H^{0,1} core
         for index in (-1, width, width + cob.dim - 1):  # a tag column is no vector index
             with pytest.raises(linalg.LinalgError, match="index out of range"):
                 cob.project({index: GR(1)})
-        # f4^f5 ^ c1 at bidegree (1,1) of n = 5 lands past the fifth and last block
+        # f4^f5 ^ c1 is a (2,1) monomial of n = 5, whose f4^f5 is free
         with pytest.raises(linalg.LinalgError, match="index out of range"):
             Dolbeault.of(TWO_STEP5).basis(1, 1).project({(0b110000, 0b10): GR(1)})
         with pytest.raises(linalg.LinalgError, match=r"\(1,0\)-form onto H\^1,1"):
@@ -1188,7 +1290,7 @@ class TestSparseProjection:
         # each mask lies in range of its own level, so a flat index of all
         # levels once read these as valid (1,1) or (0,1) monomials
         dol = Dolbeault.of(load_manifest(str(DATA / name)).spec)
-        assert dol._factorable == (name == "two_step_u_n6.json")
+        assert _every_f_free(dol) == (name == "two_step_u_n6.json")
         foreign = {(1, 1): [(0b110, 0b10), (0b10, 0b110), (0, 0b10)],  # f1^f2^c1, f1^c1^c2, c1
                    (0, 1): [(0b10, 0b10)]}                             # f1^c1
         for (p, q), keys in foreign.items():
@@ -1260,7 +1362,7 @@ class TestMonomialLayout:
         masks, index = dol.basis(0, 0).layout
         assert all([_indices(m) for m in masks[k]] == [I for I, _ in basis_monomials(spec.n, k, 0)]
                    and [index[m] for m in masks[k]] == list(range(len(masks[k]))) for k in masks)
-        assert dol._factorable == (name in ("iwasawa", "two_step5", "two_step_u_n6.json"))
+        assert _every_f_free(dol) == (name in ("iwasawa", "two_step5", "two_step_u_n6.json"))
 
     def test_bases_build_no_monomial_list(self, monkeypatch):
         from hodgejump import deform, exterior

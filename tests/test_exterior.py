@@ -462,8 +462,8 @@ class TestGeneratorTable:
             for coeff, want in ((None, oracles.naive_d(spec, InvariantForm.monomial(spec, *monomial))),
                                 (c, oracles.naive_d(spec, InvariantForm.monomial(spec, *monomial, c)))):
                 dl, dbar = {}, {}
-                _d_monomial(spec, mi, mj, dbar, coeff)          # dl=None: delbar only
-                _d_monomial(spec, mi, mj, None, coeff, dl)      # dbar=None: del only
+                _d_monomial(spec._generator_d(), mi, mj, dbar, coeff)      # dl=None: delbar only
+                _d_monomial(spec._generator_d(), mi, mj, None, coeff, dl)  # dbar=None: del only
                 assert raw_of_masks(dl) == {k: v for k, v in want.items()
                                             if oracles.holomorphic_degree(k) == a.p + 1}
                 assert raw_of_masks(dbar) == {k: v for k, v in want.items()

@@ -87,7 +87,7 @@ def test_equality_compares_fields_of_one_class():
 
 def test_frozen_records_refuse_changes_and_hash_by_fields(iwasawa):
     dol = deform.Dolbeault.of(iwasawa)
-    frozen = [Diagnostic("error", "s", "m"), _complex(), dol.basis(1, 1), dol.basis(1, 1).cob]
+    frozen = [Diagnostic("error", "s", "m"), _complex(), dol.basis(1, 1), dol.basis(1, 1).cores[(0, 1)]]
     for record in frozen:
         name = type(record)._fields[0]
         with pytest.raises(AttributeError):
@@ -102,9 +102,10 @@ def test_frozen_records_refuse_changes_and_hash_by_fields(iwasawa):
     with pytest.raises(TypeError):
         hash(dol.basis(1, 1))
     basis = dol.basis(1, 1)
-    assert basis == deform.DolbeaultBasis(1, 1, basis.cob, basis.layout)
-    assert basis == deform.DolbeaultBasis(p=1, q=1, cob=basis.cob, layout=exterior._layout(3)[0])
-    assert basis != deform.DolbeaultBasis(1, 1, dol.basis(1, 2).cob, basis.layout)
+    assert basis == deform.DolbeaultBasis(1, 1, basis.cores, basis.layout, basis.core)
+    assert basis == deform.DolbeaultBasis(p=1, q=1, cores=basis.cores, layout=exterior._layout(range(1, 4))[0],
+                                          core=basis.core)
+    assert basis != deform.DolbeaultBasis(1, 1, dol.basis(1, 0).cores, basis.layout, basis.core)
 
 
 def test_mutable_records_are_unhashable():
@@ -145,10 +146,13 @@ def test_repr_hides_derived_and_bulky_fields(iwasawa):
     assert "raw=" not in text and "warnings=[]" in text
     basis = deform.Dolbeault.of(iwasawa).basis(1, 1)
     text = repr(basis)
-    # Iwasawa is factorable: H^{1,1} reads the one H^{0,1} basis three times
-    assert text.startswith("DolbeaultBasis(p=1, q=1, cob=CohomologyBasis(dim=2, sparse_representatives=")
+    # every f of Iwasawa is free: H^{1,1} reads its one core basis, H^{0,1}
+    # of c1, c2, c3, through f1, f2 and f3
+    assert text.startswith("DolbeaultBasis(p=1, q=1, cores=mappingproxy({(0, 1): CohomologyBasis(dim=2, "
+                           "sparse_representatives=")
     assert basis.dim == 6 and "label='H^0,1'" in text
-    assert "layout=" not in text and "coords=" not in text
+    assert "layout=" not in text and "core=" not in text
+    assert "coords=" not in text and "columns=" not in text
     fam = deform.DeformationFamily(iwasawa, VectorForm(iwasawa, 1, {}), 1, {2: None})
     text = repr(fam)
     assert "deformed=" not in text and "corrections=" not in text
