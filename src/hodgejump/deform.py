@@ -81,7 +81,7 @@ class DolbeaultBasis(_Record, _Immutable):
     ``_keyed`` and in the order of the free columns, as elimination of the
     full matrices gives.  ``core`` is the core's f and c layouts and the
     free f and c masks.  Vectors are keyed by mask pairs of ``layout``, the
-    column order of ``dbar_matrix``; a key of another bidegree is refused.
+    order of ``basis_monomials``; a key of another bidegree is refused.
     """
 
     p: int
@@ -96,7 +96,6 @@ class DolbeaultBasis(_Record, _Immutable):
         free_f, free_c = self.core[2].bit_count(), self.core[3].bit_count()
         object.__setattr__(self, "_dim", sum(comb(free_f, self.p - pc) * comb(free_c, self.q - qc) * cob.dim
                                              for (pc, qc), cob in self.cores.items()))
-        object.__setattr__(self, "_at", None)
         object.__setattr__(self, "_classes", None)
 
     @property
@@ -134,38 +133,12 @@ class DolbeaultBasis(_Record, _Immutable):
         (mf, sf), (mc, sc) = fs[b // len(cs)], cs[b % len(cs)]
         return _keyed(mf, mc, sf, sc, rows, cols, reps[j])
 
-    def positions(self, v: dict) -> dict:
-        """A mask-keyed (p, q) vector keyed by position, as delbar's matrices read it."""
-        if self._at is None:
-            object.__setattr__(self, "_at", tuple({m: r for r, m in enumerate(self.layout[0].get(k, ()))}
-                                                  for k in (self.p, self.q)))
-        (at_p, at_q), width = self._at, len(self._at[1])
-        try:
-            return {at_p[mi] * width + at_q[mj]: c for (mi, mj), c in v.items()}
-        except KeyError:
-            raise linalg.LinalgError("projection: index out of range") from None
-
     def project(self, v: dict) -> dict[int, GaussianRational]:
         """The nonzero class coordinates ``{k: x}`` of a delbar-closed
-        mask-keyed (p, q) vector: its part on each free monomial is read
-        into the core with the signs of ``vector`` and reduced once by that
-        block's core basis."""
-        (f, c, free_f, free_c), p, q, parts, out = self.core, self.p, self.q, {}, {}
-        try:
-            for (mi, mj), x in v.items():
-                if mi.bit_count() != p or mj.bit_count() != q:
-                    raise KeyError
-                parts.setdefault((mi & free_f, mj & free_c), []).append((mi & ~free_f, mj & ~free_c, x))
-            for (mf, mc), terms in parts.items():
-                pc, qc = p - mf.bit_count(), q - mc.bit_count()
-                sf, sc = _core_mask(mf, free_f), _core_mask(mc, free_c)
-                width = len(c[0][qc])
-                parts[(mf, mc)] = (pc, qc), sf, sc, {
-                    f[1][a] * width + c[1][b]: -x if (sf or sc) and ((a & sf).bit_count() + (b & sc).bit_count()) & 1
-                    else x for a, b, x in terms}
-        except KeyError:
-            raise linalg.LinalgError("projection: index out of range") from None
-        for (mf, mc), (key, sf, sc, part) in parts.items():
+        mask-keyed (p, q) vector: its part on each free monomial, read into
+        the core by ``_split``, is reduced once by that block's core basis."""
+        out = {}
+        for (mf, mc), (key, sf, sc, part) in _split(self.core, self.p, self.q, v).items():
             coords = self.cores[key]._coords(part)
             if coords:
                 segments, _, _, where = self._order()
@@ -192,6 +165,28 @@ def _closed_coords(basis: DolbeaultBasis, v: dict, what: str) -> dict[int, Gauss
         return basis.project(v)
     except linalg.LinalgError as e:
         raise InternalInvariantError(f"{what} is not delbar-closed") from e
+
+
+def _split(core: tuple, p: int, q: int, v: dict) -> dict:
+    """A mask-keyed (p, q) vector by free monomial m = f_mf ^ c_mc, as {(mf, mc):
+    ((pc, qc), sf, sc, part)}: ``part`` is its piece on m read into the core at
+    (pc, qc) by position with the signs of ``_parity``, sf and sc the ``_core_mask``
+    of mf and mc, ``core`` as in ``DolbeaultBasis``; other bidegrees are refused."""
+    (f, c, free_f, free_c), parts = core, {}
+    try:
+        for (mi, mj), x in v.items():
+            if mi.bit_count() != p or mj.bit_count() != q:
+                raise KeyError
+            parts.setdefault((mi & free_f, mj & free_c), []).append((mi & ~free_f, mj & ~free_c, x))
+        for (mf, mc), terms in parts.items():
+            sf, sc = _core_mask(mf, free_f), _core_mask(mc, free_c)
+            width = len(c[0][q - mc.bit_count()])
+            parts[(mf, mc)] = (p - mf.bit_count(), q - mc.bit_count()), sf, sc, {
+                f[1][a] * width + c[1][b]: -x if (sf or sc) and ((a & sf).bit_count() + (b & sc).bit_count()) & 1
+                else x for a, b, x in terms}
+    except KeyError:
+        raise linalg.LinalgError("projection: index out of range") from None
+    return parts
 
 
 def _core_mask(m: int, free: int) -> int:
@@ -226,8 +221,8 @@ class Dolbeault:
     or ``Abar`` term; the others span the core.  A free generator is a
     tensor factor with zero differential, so every delbar matrix is block
     diagonal over the monomials m = f_mf ^ c_mc in free generators, each
-    block the core's matrix up to signs: ranks, tables and bases are read
-    off core matrices.  With no ``B`` terms every f is free (Y. Sakane,
+    block the core's matrix up to signs: ranks, tables, bases and solves
+    use core matrices.  With no ``B`` terms every f is free (Y. Sakane,
     Osaka J. Math. 13 (1976)).  delbar.delbar = 0 is checked once per spec,
     as d.d = 0 on the generators (d.d is a derivation); a spec that fails it
     has no free generator, and d_out . d_in formed at each bidegree reports
@@ -271,13 +266,13 @@ class Dolbeault:
         f_core, c_core = (tuple(k for k in range(1, s) if not free >> k & 1) for free in self._free)
         self._f = _layout(f_core)
         self._c = self._f if c_core == f_core else _layout(c_core)
+        self._core = (self._f[0], self._c[0], *self._free)  # ``DolbeaultBasis.core``
         self._size = (len(self._f[1]) - 1, len(self._c[1]) - 1)  # a and b
         # C(#free, k) for each side: the free monomials of each size
         self._binomials = tuple([comb(m.bit_count(), k) for k in range(m.bit_count() + 1)] for m in self._free)
         self._full = None if any(self._free) else self._f  # the layout of all n, built when needed
         self._dbar: dict[tuple[int, int], dict] = {}
         self._matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
-        self._full_matrices: dict[tuple[int, int], linalg.ExactMatrix] = {}
         self._ranks: dict[tuple[int, int], int] = {}
         self._cores: dict[tuple[int, int], linalg.CohomologyBasis] = {}
         self._bases: dict[tuple[int, int], DolbeaultBasis] = {}
@@ -348,17 +343,25 @@ class Dolbeault:
             m = self._matrices[(p, q)] = self._assemble(p, q, self._f, self._c)
         return m
 
-    def dbar_matrix(self, p: int, q: int) -> linalg.ExactMatrix:
-        """Matrix of delbar from bidegree (p, q) to (p, q+1) over Q(i) on all
-        n generators, in the column order of ``basis_monomials``; built when
-        first asked for, and the core's own when no generator is free."""
-        if not any(self._free):
-            return self._core_matrix(p, q)
-        m = self._full_matrices.get((p, q))
-        if m is None:
-            self._full = self._full or _layout(range(1, self.n + 1))
-            m = self._full_matrices[(p, q)] = self._assemble(p, q, self._full, self._full)
-        return m
+    def _solve(self, p: int, q: int, v: dict) -> dict | None:
+        """One x with delbar x = v for a mask-keyed (p, q+1) vector v, or None.
+        delbar(m ^ y) = (-1)^|m| m ^ delbar(y) for a free monomial m, so each
+        block of ``_split(v)`` times (-1)^|m| is solved by ``solve_const`` on
+        the core's delbar, its entries z read back as (-1)^parity z.  A column
+        of a block diagonal matrix is a pivot exactly when it is one in its
+        block, and adding m keeps the order of the monomials, so x is the
+        solution, free variables 0, of the matrix on all n generators."""
+        x, f, c = {}, self._f[0][0], self._c[0][0]
+        for (mf, mc), ((pc, qc), sf, sc, part) in _split(self._core, p, q + 1, v).items():
+            if (mf.bit_count() + mc.bit_count()) & 1:
+                part = {r: -y for r, y in part.items()}
+            z = linalg.solve_const(self._core_matrix(pc, qc - 1), part)
+            if z is None:
+                return None
+            rows, cols = f[pc], c.get(qc - 1, ())
+            for r, y in z.items():
+                x[(rows[r // len(cols)] | mf, cols[r % len(cols)] | mc)] = -y if _parity(rows, cols, r, sf, sc) else y
+        return x
 
     def _chain(self, p: int, q: int) -> tuple[linalg.ExactMatrix, linalg.ExactMatrix]:
         """(d_in, d_out): the core's delbar into and out of bidegree (p, q),
@@ -408,8 +411,7 @@ class Dolbeault:
                     self._cores[key] = linalg._cohomology(*self._chain(*key), label=f"H^{key[0]},{key[1]}")
                 cores[key] = self._cores[key]
             self._full = self._full or _layout(range(1, self.n + 1))
-            b = self._bases[(p, q)] = DolbeaultBasis(p, q, MappingProxyType(cores), self._full[0],
-                                                     (self._f[0], self._c[0], *self._free))
+            b = self._bases[(p, q)] = DolbeaultBasis(p, q, MappingProxyType(cores), self._full[0], self._core)
         return b
 
     def table(self) -> dict[tuple[int, int], int]:
@@ -751,9 +753,8 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     degree-k part is split into one Q(i) piece per parameter monomial.
     Each piece is projected sparsely, and ``project`` refusing one that is
     not delbar-closed is an internal breach (an integrable family closes
-    it); one with a zero class is killed by a fix solved from its nonzeros
-    with the delbar matrix's memoized solver, each fix column read back as
-    its mask pair through the layout.
+    it); one with a zero class is killed by a fix solved block by block on
+    the core's delbar matrices and their memoized solvers (``_solve``).
     The obstruction stays {class index: {exponent: value}} until it is
     returned; forms are built only for the result.
     """
@@ -773,7 +774,6 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
     p, q = alpha.p, alpha.q
     dol = Dolbeault.of(spec)
     tgt = dol.basis(p, q + 1)
-    dbar0 = dol.dbar_matrix(p, q)
     dspec = family.deformed
     order = family.order
     sign = GR_ONE if (p + q) % 2 else -GR_ONE  # (-1)^(p+q+1)
@@ -795,11 +795,11 @@ def extend_class(family: DeformationFamily, alpha: InvariantForm, max_order: int
             for i, cval in cls.items():
                 obstruction.setdefault(i, {})[exps] = cval * sign
             if not cls:
-                sol = linalg.solve_const(dbar0, {i: -v for i, v in tgt.positions(piece).items()})
+                sol = dol._solve(p, q, piece)
                 if sol is None:
                     raise InternalInvariantError("zero class defect was not exact")
-                for key, x in _keyed(0, 0, 0, 0, tgt.layout[0][p], tgt.layout[0][q], sol).items():
-                    accumulate(fix.setdefault(key, {}), exps, x)
+                for key, x in sol.items():
+                    accumulate(fix.setdefault(key, {}), exps, -x)
         if obstruction:
             coords = [Poly._trusted(params, obstruction.get(i, {})) for i in range(tgt.dim)]
             form: dict = {}

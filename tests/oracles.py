@@ -249,8 +249,8 @@ def form_validate_spec(spec: ComplexStructureSpec) -> list[Diagnostic]:
 def monomial_dbar_matrix(spec: ComplexStructureSpec, p: int, q: int) -> linalg.ExactMatrix:
     """delbar from (p, q) to (p, q+1) with one column per basis monomial,
     each from its own ``_d_monomial`` call and checked by ``from_columns``:
-    the per-monomial assembly that ``Dolbeault.dbar_matrix`` replaces with
-    generator-level pieces."""
+    the per-monomial assembly that ``Dolbeault`` replaces with
+    generator-level pieces, on all n generators."""
     tgt = basis_monomials(spec.n, p, q + 1)
     row_of = {(_mask(I), _mask(J)): r for r, (I, J) in enumerate(tgt)}
     cols = []
@@ -259,6 +259,33 @@ def monomial_dbar_matrix(spec: ComplexStructureSpec, p: int, q: int) -> linalg.E
         _d_monomial(spec._generator_d(), _mask(I), _mask(J), db)
         cols.append({row_of[key]: c for key, c in db.items()})
     return linalg.ExactMatrix.from_columns(len(tgt), cols)
+
+
+def positions(v: dict, n: int, p: int, q: int) -> dict:
+    """A mask-keyed (p, q) vector keyed by position in ``basis_monomials(n, p, q)``,
+    the row and column order of ``monomial_dbar_matrix``; a foreign key raises
+    KeyError."""
+    at = {(_mask(I), _mask(J)): r for r, (I, J) in enumerate(basis_monomials(n, p, q))}
+    return {at[key]: c for key, c in v.items()}
+
+
+def core_monomials(n: int, free: tuple[int, int], p: int, q: int) -> list:
+    """The positions in ``basis_monomials(n, p, q)`` of the monomials in no
+    free generator, for the f and c masks ``free`` of ``Dolbeault._free``."""
+    return [r for r, (I, J) in enumerate(basis_monomials(n, p, q))
+            if not (_mask(I) & free[0] or _mask(J) & free[1])]
+
+
+def core_block(spec: ComplexStructureSpec, free: tuple[int, int], p: int, q: int) -> linalg.ExactMatrix:
+    """The rows and columns of ``monomial_dbar_matrix(spec, p, q)`` on the
+    monomials in no free generator (``core_monomials``), in their order: the
+    core's delbar_{p,q}.  Each of its columns must have no entry in another
+    row, as a free generator is a tensor factor with zero delbar."""
+    full = monomial_dbar_matrix(spec, p, q)
+    row_of = {r: i for i, r in enumerate(core_monomials(spec.n, free, p, q + 1))}
+    cols = [full.sparse_columns[j] for j in core_monomials(spec.n, free, p, q)]
+    assert all(set(col) <= set(row_of) for col in cols), "a core column leaves the core"
+    return linalg.ExactMatrix.from_columns(len(row_of), [{row_of[r]: x for r, x in col.items()} for col in cols])
 
 
 def jet_twin(spec: ComplexStructureSpec, order: int) -> ComplexStructureSpec:
@@ -711,7 +738,8 @@ def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
     """``deform.extend_class`` on whole forms: the full differential of the
     jet-valued extension each order, pieces split as forms and projected
     with the closedness check, and each fix solved from the piece's dense
-    coordinates by ``augmented_solve``."""
+    coordinates by ``augmented_solve`` on ``monomial_dbar_matrix``, which
+    shares no assembly with ``Dolbeault``."""
     spec = family.spec
     if max_order < 1 or max_order > family.order:
         raise ValidationFailure(
@@ -725,9 +753,8 @@ def dense_extend_class(family: DeformationFamily, alpha: InvariantForm,
         raise ValidationFailure("class representative is not delbar-closed")
     params = family.params()
     p, q = alpha.p, alpha.q
-    dol = Dolbeault.of(spec)
-    tgt = dol.basis(p, q + 1)
-    dbar0 = dol.dbar_matrix(p, q)
+    tgt = Dolbeault.of(spec).basis(p, q + 1)
+    dbar0 = monomial_dbar_matrix(spec, p, q)
     src_monomials = basis_monomials(spec.n, p, q)
     dspec = family.deformed
     order = family.order

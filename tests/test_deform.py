@@ -33,6 +33,7 @@ from hodgejump.exterior import (
     InvariantForm,
     VectorForm,
     _indices,
+    _mask,
     basis_monomials,
     contract,
     deformed_coframe,
@@ -202,13 +203,14 @@ def _jet_matrix(m, order):
 
 
 def _assert_same_dbar_matrices(spec, order=1):
-    """``dbar_matrix`` of the spec's jet twin against the per-monomial
-    matrices of the spec itself, on jets when the twin's delbar constants
-    are (``_jet_matrix``)."""
+    """The core's delbar matrices of the spec's jet twin against the
+    per-monomial matrices of the spec itself cut to the core's monomials
+    (``oracles.core_block``; the whole matrices when no generator is free),
+    on jets when the twin's delbar constants are (``_jet_matrix``)."""
     dol = Dolbeault(oracles.jet_twin(spec, order))
     for p in range(-1, spec.n + 2):
         for q in range(-1, spec.n + 2):
-            got, want = dol.dbar_matrix(p, q), oracles.monomial_dbar_matrix(spec, p, q)
+            got, want = dol._core_matrix(p, q), oracles.core_block(spec, dol._free, p, q)
             if dol.order:
                 want = _jet_matrix(want, order)
             assert (got.rows, got.cols) == (want.rows, want.cols), (p, q)
@@ -217,9 +219,10 @@ def _assert_same_dbar_matrices(spec, order=1):
 
 
 class TestDbarAssembly:
-    """The Leibniz assembly of ``dbar_matrix`` against one ``_d_monomial``
-    call per basis monomial, out-of-range bidegrees included; a polynomial
-    spec is assembled as its one-parameter jet twin."""
+    """The Leibniz assembly of the core's delbar matrices against one
+    ``_d_monomial`` call per basis monomial, out-of-range bidegrees
+    included; a polynomial spec is assembled as its one-parameter jet
+    twin."""
 
     @given(structure_specs(), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -249,7 +252,7 @@ class TestDbarAssembly:
         # Iwasawa family in its six parameters, as polynomials and as jets,
         # is refused
         for spec in (deformed_coframe(iwasawa, iw_psi1)[0], mc_extend(iwasawa, iw_psi1, 2).deformed):
-            for compute in (lambda: hodge_table(spec), lambda: Dolbeault(spec).dbar_matrix(1, 0)):
+            for compute in (lambda: hodge_table(spec), lambda: Dolbeault(spec)):
                 with pytest.raises(linalg.LinalgError) as info:
                     compute()
                 assert str(info.value) == "cohomology expects constant matrices"
@@ -276,7 +279,8 @@ class TestDbarAssembly:
             for q in range(4):
                 d_out = _jet_matrix(oracles.monomial_dbar_matrix(poly, p, q), order)
                 d_in = _jet_matrix(oracles.monomial_dbar_matrix(poly, p, q - 1), order)
-                assert dol.dbar_matrix(p, q) == d_out, (p, q)
+                assert dol._core_matrix(p, q) == _jet_matrix(oracles.core_block(poly, dol._free, p, q),
+                                                             order), (p, q)
                 assert table[(p, q)] == linalg.cohomology_dim(d_in, d_out), (p, q)
         with pytest.raises(linalg.LinalgError, match="^cohomology expects constant matrices$"):
             dol.basis(1, 1)
@@ -299,13 +303,15 @@ class TestDbarAssembly:
 
 def _public_table(spec):
     """The Hodge table through the public ``linalg.cohomology_dim``, which
-    forms d_out . d_in at every bidegree."""
-    dol = Dolbeault(spec)
+    forms d_out . d_in at every bidegree, of the per-monomial matrices of a
+    spec whose constants ``Dolbeault`` takes."""
+    Dolbeault(spec)  # refuses the same rings as the table
     out = {}
     for p in range(spec.n + 1):
         for q in range(spec.n + 1):
-            d_out = dol.dbar_matrix(p, q)
-            d_in = dol.dbar_matrix(p, q - 1) if q else linalg.ExactMatrix.zeros(d_out.cols, 0)
+            d_out = oracles.monomial_dbar_matrix(spec, p, q)
+            d_in = (oracles.monomial_dbar_matrix(spec, p, q - 1) if q
+                    else linalg.ExactMatrix.zeros(d_out.cols, 0))
             out[(p, q)] = linalg.cohomology_dim(d_in, d_out)
     return out
 
@@ -331,11 +337,12 @@ class TestGeneratorCheck:
     def test_passing_specs_have_delbar_squared_zero_at_every_bidegree(self, spec):
         if [d for d in validate_spec(spec) if d.severity == "error"]:
             return
-        # a polynomial spec as its jet twin: d.d = 0 holds modulo s^2
+        # a polynomial spec as its jet twin: d.d = 0 holds modulo s^2, on
+        # the core's matrices, the blocks of the whole ones
         dol = Dolbeault(oracles.jet_twin(spec, 1))
         for p in range(spec.n + 1):
             for q in range(1, spec.n + 1):
-                assert dol.dbar_matrix(p, q).matmul(dol.dbar_matrix(p, q - 1)).is_zero(), (p, q)
+                assert dol._core_matrix(p, q).matmul(dol._core_matrix(p, q - 1)).is_zero(), (p, q)
 
     @given(structure_specs())
     @settings(max_examples=60, deadline=None)
@@ -381,7 +388,7 @@ class TestSerreDuality:
         n = spec.n
         dol = Dolbeault(spec)
         table = dol.table()
-        assert dol._dd_ok and dol.dbar_matrix(n, n - 1).is_zero()
+        assert dol._dd_ok and oracles.monomial_dbar_matrix(spec, n, n - 1).is_zero()
         # one member of each of the n(n+1)/2 dual pairs, and the certificate
         assert len(dol._matrices) <= n * (n + 1) // 2 + 1
         assert table == _public_table(spec)
@@ -399,7 +406,7 @@ class TestSerreDuality:
         n = spec.n
         dol = Dolbeault(spec)
         table = dol.table()
-        assert dol._dd_ok and not dol.dbar_matrix(n, n - 1).is_zero()
+        assert dol._dd_ok and not oracles.monomial_dbar_matrix(spec, n, n - 1).is_zero()
         assert table.items() >= pinned.items()
         assert table == _public_table(spec)
 
@@ -432,7 +439,7 @@ def _assert_bases_match_the_monomial_oracle(spec, rng):
                     else linalg.ExactMatrix.zeros(d_out.cols, 0))
             want, got = linalg.cohomology(d_in, d_out), dol.basis(p, q)
             assert got.dim == want.dim == table.get((p, q), 0), (p, q)
-            reps = [got.positions(got.vector(k)) for k in range(got.dim)]
+            reps = [oracles.positions(got.vector(k), n, p, q) for k in range(got.dim)]
             assert reps == list(want.sparse_representatives), (p, q)
             coeffs = [random_gr(rng) for _ in range(want.dim)]
             v = dict(enumerate(d_in.apply([random_gr(rng) for _ in range(d_in.cols)])))
@@ -603,6 +610,43 @@ class TestFreeGenerators:
         assert dol._free == (0, 0b111000) and dol._size == (n, n - 3)
         if n == 7:
             self._assert_ranks_and_bases(bterm_spec(n), random.Random(7))
+
+
+def blockwise_solve_specs():
+    """Specs whose delbar blocks carry free f and free c signs and B terms:
+    those of ``free_generator_specs``, the B-term family at n = 5..7 and the
+    mixed_n5.json and mixed_i.json structures."""
+    return st.one_of(free_generator_specs(), st.sampled_from([5, 6, 7]).map(bterm_spec),
+                     st.sampled_from(["mixed_n5.json", "mixed_i.json"]).map(
+                         lambda name: load_manifest(str(DATA / name)).spec))
+
+
+class TestBlockwiseSolve:
+    """``Dolbeault._solve`` solves delbar x = v block by block on the core's
+    matrices: its solution is the one ``solve_const`` gives on the whole
+    per-monomial matrix, read back to mask keys, and it refuses exactly the
+    right-hand sides that one refuses."""
+
+    @given(blockwise_solve_specs(), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_the_solve_on_the_whole_matrix(self, spec, seed):
+        rng, n, dol = random.Random(seed), spec.n, Dolbeault(spec)
+        for p in range(n + 1):
+            for q in range(n):
+                m = oracles.monomial_dbar_matrix(spec, p, q)
+                src, tgt = ([(_mask(I), _mask(J)) for I, J in basis_monomials(n, p, k)] for k in (q, q + 1))
+                # delbar of a random sparse x, then the same plus a random sparse part
+                x = [GR(0)] * m.cols
+                for j in rng.sample(range(m.cols), min(3, m.cols)):
+                    x[j] = random_gr(rng, zero_ok=False)
+                exact = {i: c for i, c in enumerate(m.apply(x)) if c}
+                other = dict(exact)
+                for i in rng.sample(range(m.rows), min(2, m.rows)):
+                    accumulate(other, i, random_gr(rng))
+                for rhs in (exact, other):
+                    want = linalg.solve_const(m, rhs)
+                    got = dol._solve(p, q, {tgt[i]: c for i, c in rhs.items()})
+                    assert got == (None if want is None else {src[j]: c for j, c in want.items()}), (p, q)
 
 
 def _omega(spec) -> InvariantForm:
@@ -1182,6 +1226,28 @@ class TestExtendClassAgainstDenseOracle:
                     seen.append((got.status, got.order))
         assert seen == [("extended", max_order)] * 42
 
+    def test_every_mixed_n5_class_along_a_ray(self):
+        # d f3 = f1^c1, d f4 = f1^f3, d f5 = f1^c3 + f2^c2: f4 and c5 are
+        # free, so the blocks of its defects carry f signs, c signs and
+        # both.  Along t33 = t51 = 1 the symbolic family extends to order
+        # 2, and the 432 classes at q < 5 meet each outcome
+        man = load_manifest(str(DATA / "mixed_n5.json"))
+        spec = man.spec
+        fam = mc_extend(spec, _poly_ray(man.psi1, {t: GR(t in ("t33", "t51")) for t in man.psi1.params()}), 2)
+        dol = Dolbeault.of(spec)
+        assert dol._free == (0b10000, 0b100000)
+        seen = []
+        for p in range(spec.n + 1):
+            for q in range(spec.n):
+                basis = dol.basis(p, q)
+                for k in range(basis.dim):
+                    alpha = basis.rep_form(spec, k)
+                    got = extend_class(fam, alpha, 2)
+                    assert got == oracles.dense_extend_class(fam, alpha, 2), (p, q, k)
+                    seen.append((got.status, got.order))
+        assert {o: seen.count(o) for o in set(seen)} == {("extended", 2): 422, ("obstructed", 1): 8,
+                                                         ("obstructed", 2): 2}
+
     def test_seeded_two_step_u_n6_classes_of_each_outcome(self):
         # four classes drawn from each outcome the oracle reports at order 2
         man = load_manifest(str(DATA / "two_step_u_n6.json"))
@@ -1242,8 +1308,8 @@ class TestSparseProjection:
                 basis = dol.basis(p, q)
                 monomials = basis_monomials(spec.n, p, q)
                 width = len(monomials)
-                reps = tuple(basis.positions(basis.vector(k)) for k in range(basis.dim))
-                image = dol.dbar_matrix(p, q - 1).sparse_columns if q else ()
+                reps = tuple(oracles.positions(basis.vector(k), spec.n, p, q) for k in range(basis.dim))
+                image = oracles.monomial_dbar_matrix(spec, p, q - 1).sparse_columns if q else ()
                 for _ in range(4):
                     # v = sum_k c_k rep_k + an exact part: its coordinates are the c_k
                     v: dict = {}
@@ -1259,7 +1325,7 @@ class TestSparseProjection:
                     assert basis.project_constant_form(form) == [want.get(k, GR(0))
                                                                  for k in range(basis.dim)]
                 # a vector with nonzero delbar is rejected by every path
-                d_out = dol.dbar_matrix(p, q)
+                d_out = oracles.monomial_dbar_matrix(spec, p, q)
                 for j in range(min(width, 6)):
                     if not any(d_out.column(j)):
                         continue
@@ -1296,12 +1362,11 @@ class TestSparseProjection:
         for (p, q), keys in foreign.items():
             basis = dol.basis(p, q)
             for key in keys:
-                for call in (basis.project, basis.positions):
-                    with pytest.raises(linalg.LinalgError, match="index out of range"):
-                        call({key: GR(1)})
-                    with pytest.raises(linalg.LinalgError, match="index out of range"):
-                        call({**basis.vector(0), key: GR(1)})
-            assert basis.positions(basis.vector(0))  # an own key still reads
+                with pytest.raises(linalg.LinalgError, match="index out of range"):
+                    basis.project({key: GR(1)})
+                with pytest.raises(linalg.LinalgError, match="index out of range"):
+                    basis.project({**basis.vector(0), key: GR(1)})
+            assert basis.project(basis.vector(0)) == {0: GR(1)}  # an own key still reads
 
     def test_outside_kernel_plus_image_raises_through_project(self):
         # a hand-built basis whose coordinate echelon spans less than
@@ -1322,7 +1387,7 @@ class TestSparseProjection:
                 basis = dol.basis(p, q)
                 monomials = basis_monomials(spec.n, p, q)
                 for k in range(basis.dim):
-                    rep = basis.positions(basis.vector(k))
+                    rep = oracles.positions(basis.vector(k), spec.n, p, q)
                     dense = [rep.get(j, GR(0)) for j in range(len(monomials))]
                     want = InvariantForm(spec, p, q, dict(zip(monomials, dense)))
                     got = basis.rep_form(spec, k)
@@ -1354,7 +1419,7 @@ class TestMonomialLayout:
                 basis, monomials = dol.basis(p, q), basis_monomials(spec.n, p, q)
                 for k in range(basis.dim):
                     v = basis.vector(k)
-                    rep = basis.positions(v)
+                    rep = oracles.positions(v, spec.n, p, q)
                     assert list(rep) == sorted(rep)
                     assert [(_indices(I), _indices(J)) for I, J in v] == [monomials[j] for j in rep]
                     assert list(basis.rep_form(spec, k).coeffs) == [monomials[j] for j in rep]

@@ -2,7 +2,7 @@ import random
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractions import Fraction
@@ -324,7 +324,9 @@ class TestDifferential:
         # s -> s psi1(point) of the symbolic first-order class, so its
         # structure constants are polynomials in s, read as jets of order 2:
         # column a*C + j is s^a times monomial j, and the s^b part of its
-        # delbar lands in row block a+b
+        # delbar lands in row block a+b.  The matrices are the core's, on the
+        # monomials in no free generator, in the order of basis_monomials:
+        # mixed_spec's c2 is free, deformed_iwasawa has no free generator
         order = 0
         if spec_name == "deformed_iwasawa":
             psi1 = request.getfixturevalue("iw_psi1").eval_point(
@@ -336,11 +338,15 @@ class TestDifferential:
         else:
             spec = request.getfixturevalue(spec_name)
         dol = Dolbeault(oracles.jet_twin(spec, order) if order else spec)
+        assert any(dol._free) == (spec_name != "deformed_iwasawa")
+
+        def core(p, q):
+            return [basis_monomials(spec.n, p, q)[r] for r in oracles.core_monomials(spec.n, dol._free, p, q)]
+
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
-                tgt = {key: r for r, key in enumerate(basis_monomials(spec.n, p, q + 1))}
-                src = basis_monomials(spec.n, p, q)
-                cols = dol.dbar_matrix(p, q).sparse_columns
+                src, tgt = core(p, q), {key: r for r, key in enumerate(core(p, q + 1))}
+                cols = dol._core_matrix(p, q).sparse_columns
                 assert len(cols) == (order + 1) * len(src)
                 for col_index, col in enumerate(cols):
                     a, j = divmod(col_index, len(src))
@@ -411,9 +417,10 @@ class TestDifferential:
 
 
 T_TERMS = st.dictionaries(st.tuples(st.integers(0, 2)), TEXT_GRS, min_size=1, max_size=2)
-# Q(i), Q(i)[t] and jets of order 2 in t
-RING_COEFFS = st.one_of(TEXT_GRS, T_TERMS.map(lambda terms: Poly(("t",), terms)),
-                        T_TERMS.map(lambda terms: Jet(Poly(("t",), terms), 2)))
+# Q(i) and one ring of t: Q(i)[t] or the jets of order 2 in t.  No input
+# mixes the two (a manifest has no jets, and Dolbeault refuses two rings),
+# and a product of mixed operands may keep a t^4 that a jet drops
+T_RINGS = {"poly": lambda terms: Poly(("t",), terms), "jet": lambda terms: Jet(Poly(("t",), terms), 2)}
 
 
 @st.composite
@@ -421,24 +428,36 @@ def generator_cases(draw):
     """A spec with all four tables drawn, the c-side explicit rather than
     conjugate (no Lie algebra in general, which d and the coframe do not
     need), f and c generators closed among them; a form and a (0,1) vector
-    form; every coefficient from ``RING_COEFFS``."""
+    form; every coefficient in Q(i) or in the one ring of t (``T_RINGS``)
+    drawn for the case."""
+    ring_coeffs = st.one_of(TEXT_GRS, T_TERMS.map(T_RINGS[draw(st.sampled_from(sorted(T_RINGS)))]))
     n = draw(st.integers(1, 4))
     gens = list(range(1, n + 1))
     ordered = [(i, j) for i in gens for j in gens if i < j]
     mixed = [(i, j) for i in gens for j in gens]
 
     def table(pairs, closed):
-        return {k: draw(st.dictionaries(st.sampled_from(pairs), RING_COEFFS, max_size=2))
+        return {k: draw(st.dictionaries(st.sampled_from(pairs), ring_coeffs, max_size=2))
                 for k in gens if pairs and k not in closed}
 
     closed_f, closed_c = draw(st.sets(st.sampled_from(gens))), draw(st.sets(st.sampled_from(gens)))
     spec = ComplexStructureSpec(n, table(ordered, closed_f), table(mixed, closed_f),
                                 Abar=table(ordered, closed_c), Bbar=table(mixed, closed_c))
     p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
-    coeffs = draw(st.dictionaries(st.sampled_from(basis_monomials(n, p, q)), RING_COEFFS, max_size=4))
+    coeffs = draw(st.dictionaries(st.sampled_from(basis_monomials(n, p, q)), ring_coeffs, max_size=4))
     psi = draw(st.dictionaries(st.tuples(st.sampled_from(gens), st.sampled_from(gens).map(lambda j: (j,))),
-                               RING_COEFFS, max_size=3))
+                               ring_coeffs, max_size=3))
     return spec, InvariantForm(spec, p, q, coeffs), VectorForm(spec, 1, psi)
+
+
+def _one_ring_case(ring: str) -> tuple:
+    """A case once drawn with a Jet and a Poly of t in one spec (Bbar_2 =
+    {(1,1): 1, (1,2): t}, psi = theta1 (x) c1 + t^2 theta1 (x) c2), where d
+    and the oracle disagreed on a t^4 term; here every t-coefficient lies in
+    ``T_RINGS[ring]``."""
+    t = T_RINGS[ring]
+    spec = ComplexStructureSpec(2, {}, {}, Abar={}, Bbar={2: {(1, 1): GR(1), (1, 2): t({(1,): GR(1)})}})
+    return spec, InvariantForm(spec, 0, 0), VectorForm(spec, 1, {(1, (1,)): GR(1), (1, (2,)): t({(2,): GR(1)})})
 
 
 def raw_of_masks(vec: dict) -> dict:
@@ -453,6 +472,8 @@ class TestGeneratorTable:
 
     @settings(max_examples=80, deadline=None)
     @given(generator_cases())
+    @example(_one_ring_case("jet"))
+    @example(_one_ring_case("poly"))
     def test_d_and_coframe_match_the_oracles(self, case):
         spec, a, psi = case
         d, db = differential(spec, a)
